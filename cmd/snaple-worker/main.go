@@ -37,18 +37,13 @@ import (
 
 func main() {
 	var (
-		listen   = flag.String("listen", "127.0.0.1:0", "address to listen on ('host:0' picks an ephemeral port)")
-		quiet    = flag.Bool("quiet", false, "suppress per-session logging on stderr")
-		maxProto = flag.Int("max-proto", wire.ProtocolV3, "highest wire protocol to accept: 3 (binary frames, default) or 2 (legacy gob only — emulates an old worker)")
-		shard    = flag.String("shard", "", "stay resident for this packed shard file (written by `snaple pack -shards`); coordinators attach by fingerprint instead of shipping partitions")
+		listen = flag.String("listen", "127.0.0.1:0", "address to listen on ('host:0' picks an ephemeral port)")
+		quiet  = flag.Bool("quiet", false, "suppress per-session logging on stderr")
+		shard  = flag.String("shard", "", "stay resident for this packed shard file (written by `snaple pack -shards`); coordinators attach by fingerprint instead of shipping partitions")
 	)
 	flag.Parse()
 
-	if *maxProto != wire.ProtocolV2 && *maxProto != wire.ProtocolV3 {
-		fmt.Fprintf(os.Stderr, "snaple-worker: -max-proto must be %d or %d\n", wire.ProtocolV2, wire.ProtocolV3)
-		os.Exit(1)
-	}
-	if err := run(*listen, *quiet, *maxProto, *shard); err != nil {
+	if err := run(*listen, *quiet, *shard); err != nil {
 		fmt.Fprintln(os.Stderr, "snaple-worker:", err)
 		os.Exit(1)
 	}
@@ -65,7 +60,7 @@ func loadShard(path string) (*wire.ResidentShard, bool, error) {
 	return wire.ResidentFromShard(sf), mapped, nil
 }
 
-func run(listen string, quiet bool, maxProto int, shard string) error {
+func run(listen string, quiet bool, shard string) error {
 	var resident *wire.ResidentShard
 	var shardMapped bool
 	if shard != "" {
@@ -103,5 +98,5 @@ func run(listen string, quiet bool, maxProto int, shard string) error {
 		<-sig
 		l.Close() // Serve returns nil on a closed listener
 	}()
-	return wire.ServeWith(l, logf, wire.ServeOptions{MaxProto: maxProto, Resident: resident})
+	return wire.ServeWith(l, logf, wire.ServeOptions{Resident: resident})
 }

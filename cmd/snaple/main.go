@@ -79,8 +79,7 @@ func main() {
 		addrs        = flag.String("addrs", "", "comma-separated snaple-worker addresses for -engine dist")
 		spawn        = flag.Int("spawn", 0, "auto-spawn this many local snaple-worker processes for -engine dist")
 		workerBin    = flag.String("worker-bin", "", "snaple-worker binary for -spawn (default: found on PATH)")
-		wireProto    = flag.Int("wire-proto", 0, "pin the dist wire protocol: 0 = negotiate (v3, gob fallback), 2 = force legacy gob, 3 = require v3")
-		wireCompress = flag.Bool("wire-compress", false, "compress dist wire frames (flate; v3 connections only)")
+		wireCompress = flag.Bool("wire-compress", false, "compress dist wire frames (flate)")
 		replicas     = flag.Int("replicas", 0, "ship every partition to this many dist workers; a worker death then fails over to a survivor with bit-identical results (0 or 1 = no replication)")
 		stepTimeout  = flag.Duration("step-timeout", 0, "per-phase deadline on dist superstep exchanges; a wedged worker is declared dead at the deadline (0 = 10m default, negative = unbounded)")
 		dialAttempts = flag.Int("dial-attempts", 0, "connect/spawn attempts per dist worker, retried with exponential backoff (0 = 3)")
@@ -116,7 +115,7 @@ func main() {
 		workers: *workers, serial: *serial,
 		nodes: *nodes, nodeType: *nodeType, strategy: *strategy, budget: *budget,
 		addrs: *addrs, spawn: *spawn, workerBin: *workerBin,
-		wireProto: *wireProto, wireCompress: *wireCompress, sources: *sources,
+		wireCompress: *wireCompress, sources: *sources,
 		replicas: *replicas, stepTimeout: *stepTimeout, dialAttempts: *dialAttempts,
 		dump:  *dump,
 		walks: *walks, depth: *depth, doEval: *doEval, vertex: *vertex,
@@ -150,7 +149,6 @@ type runArgs struct {
 	addrs        string
 	spawn        int
 	workerBin    string
-	wireProto    int
 	wireCompress bool
 	sources      string
 	replicas     int
@@ -269,9 +267,8 @@ func run(a runArgs) error {
 		Nodes: a.nodes, NodeType: a.nodeType, Strategy: a.strategy,
 		MemBudgetBytes: a.budget, Seed: a.seed, Workers: a.workers,
 		SpawnWorkers: a.spawn, WorkerBin: a.workerBin,
-		WireProto: a.wireProto, WireCompress: a.wireCompress,
-		Replicas: a.replicas, StepTimeout: a.stepTimeout,
-		DialAttempts: a.dialAttempts,
+		WireCompress: a.wireCompress, Replicas: a.replicas,
+		StepTimeout: a.stepTimeout, DialAttempts: a.dialAttempts,
 	}
 	if a.addrs != "" {
 		cl.WorkerAddrs = strings.Split(a.addrs, ",")
@@ -430,11 +427,11 @@ func heapGraph(gv snaple.GraphView) (*snaple.Graph, error) {
 // runPack implements `snaple pack`: one-time conversion of a graph file
 // into a binary CSR snapshot, after which loads skip parsing, remapping
 // and sorting entirely. A snapshot is also a valid input, which is how
-// existing files upgrade in place: format v1 -> v2, plain -> packed
-// adjacency (-packed) or back, or adding the reverse adjacency
-// (-in-edges). With -shards N it additionally computes the vertex
-// cut once and writes each partition as its own resident shard file
-// (<out>.0 .. <out>.N-1) plus a fleet manifest (<out>.manifest): workers
+// existing files convert in place: plain -> packed adjacency (-packed) or
+// back, or adding the reverse adjacency (-in-edges). With -shards N it
+// additionally computes the vertex cut once and writes each partition as
+// its own resident shard file (<out>.0 .. <out>.N-1) plus a fleet manifest
+// (<out>.manifest): workers
 // started with `snaple-worker -shard <out>.i` then pin their partition
 // across sessions, and coordinators pointed at the manifest attach with a
 // fingerprint handshake instead of shipping partitions per run.

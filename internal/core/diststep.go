@@ -73,8 +73,9 @@ func DistSteps(paths int) []DistStep {
 // DistPartial is one partition's gather partial sum for one vertex in one
 // superstep. Exactly one payload slice is non-nil, matching the superstep's
 // gather type; a vertex with no contribution produces no DistPartial at all.
-// The type is gob-encodable: it is what dist workers ship to the vertex's
-// master when the gathering partition does not hold the master copy.
+// It is what dist workers ship to the vertex's master (internal/wire encodes
+// it as a partial record) when the gathering partition does not hold the
+// master copy.
 type DistPartial struct {
 	V     graph.VertexID
 	Nbrs  []graph.VertexID // DistTruncate
@@ -601,17 +602,6 @@ func (p *DistPartition) State(v graph.VertexID) (VData, bool) {
 		return VData{}, false
 	}
 	return p.data[li], true
-}
-
-// SetState overwrites v's local replica with the master's refreshed state
-// (the broadcast half of a superstep, received over the wire).
-func (p *DistPartition) SetState(v graph.VertexID, d VData) error {
-	li, ok := p.index[v]
-	if !ok {
-		return fmt.Errorf("core: refresh for vertex %d, which is not local", v)
-	}
-	p.data[li] = d
-	return nil
 }
 
 // MutableState returns a pointer to v's local replica so a refresh can be

@@ -24,8 +24,8 @@ type VertexSim struct {
 // VData is the per-vertex GAS state of Algorithm 2: the (truncated)
 // neighbourhood Γ̂, the k_local most similar neighbours, and the final
 // predictions. TwoHop is only populated by the 3-hop extension (khop.go).
-// It is exported (and gob-encodable) because the dist backend ships it
-// between worker processes during master→mirror refreshes (internal/wire).
+// It is exported because the dist backend ships it between worker processes
+// during master→mirror refreshes (internal/wire encodes it as a state record).
 type VData struct {
 	Nbrs   []graph.VertexID // Γ̂(u), sorted ascending
 	Sims   []VertexSim      // selected relays, sorted by V ascending

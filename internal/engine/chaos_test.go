@@ -22,6 +22,13 @@ import (
 // healthy one. The CI cluster-smoke job reruns the SIGKILL variant against
 // real worker processes.
 
+// withStepHook returns a context that makes the run under it call hook before
+// each superstep attempt — the coordinator-side fault hook, which reaches
+// distRun.predict under either coordinator.
+func withStepHook(hook func(si int, r *distRun)) context.Context {
+	return context.WithValue(context.Background(), stepHookKey{}, hook)
+}
+
 // chaosPool serves n in-process loopback workers whose FIRST session runs
 // over a fault-injecting transport scripted by events(worker); later
 // sessions are served clean, so a test can assert that a worker survives
@@ -65,7 +72,9 @@ func chaosPool(t *testing.T, n int, events func(worker int) []wire.ChaosEvent) [
 // discovered exactly the way a real crash is — by the step's exchange
 // failing — and the coordinator must fail over and re-run the step on the
 // survivor. Both a serving replica and a standby die here, across a 3-step
-// (Paths=2) and a 4-step (Paths=3) schedule.
+// (Paths=2) and a 4-step (Paths=3) schedule, under both coordinators: Dist
+// shipping per run and a resident Fleet attaching by fingerprint share the
+// superstep driver, so they share its failover.
 func TestDistChaosKillAtEachStep(t *testing.T) {
 	g := testGraph(t, 200, 7)
 	cases := []struct {
@@ -78,6 +87,22 @@ func TestDistChaosKillAtEachStep(t *testing.T) {
 		{"PPR", core.SelectRnd, 3, 4},
 	}
 	const workers, replicas = 4, 2
+	backends := []struct {
+		name string
+		open func(t *testing.T) ContextBackend
+	}{
+		{"dist", func(t *testing.T) ContextBackend {
+			return Dist{Addrs: workerPool(t, workers), Seed: 42, Replicas: replicas, StepTimeout: 30 * time.Second}
+		}},
+		{"fleet", func(t *testing.T) ContextBackend {
+			f, err := OpenFleet(g, FleetOptions{InProc: workers / replicas, Replicas: replicas, Seed: 42, StepTimeout: 30 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}},
+	}
 	for _, c := range cases {
 		cfg := core.Config{
 			Score: mustScore(t, c.score), K: 5, KLocal: 4, ThrGamma: 10,
@@ -87,39 +112,36 @@ func TestDistChaosKillAtEachStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for kill := 0; kill < workers; kill++ {
-			for at := 0; at < c.steps; at++ {
-				name := fmt.Sprintf("%s/paths=%d/kill=%d/step=%d", c.score, c.paths, kill, at)
-				t.Run(name, func(t *testing.T) {
-					addrs := workerPool(t, workers)
-					d := Dist{
-						Addrs: addrs, Seed: cfg.Seed, Replicas: replicas,
-						StepTimeout: 30 * time.Second,
-						hookStep: func(si int, r *distRun) {
+		for _, be := range backends {
+			for kill := 0; kill < workers; kill++ {
+				for at := 0; at < c.steps; at++ {
+					name := fmt.Sprintf("%s/%s/paths=%d/kill=%d/step=%d", be.name, c.score, c.paths, kill, at)
+					t.Run(name, func(t *testing.T) {
+						ctx := withStepHook(func(si int, r *distRun) {
 							if si == at {
 								r.killWorker(kill)
 							}
-						},
-					}
-					got, st, err := d.Predict(g, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						diffPredictions(t, want, got)
-					}
-					if st.Replicas != replicas || st.Workers != workers {
-						t.Errorf("stats = %+v, want %d workers at %d replicas", st, workers, replicas)
-					}
-					if st.WorkersDead != 1 {
-						t.Errorf("WorkersDead = %d, want 1", st.WorkersDead)
-					}
-					// Killing a serving replica forces a promotion; killing a
-					// standby only sheds redundancy.
-					if st.Failovers > 1 {
-						t.Errorf("Failovers = %d, want 0 or 1", st.Failovers)
-					}
-				})
+						})
+						got, st, err := be.open(t).PredictCtx(ctx, g, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							diffPredictions(t, want, got)
+						}
+						if st.Replicas != replicas || st.Workers != workers {
+							t.Errorf("stats = %+v, want %d workers at %d replicas", st, workers, replicas)
+						}
+						if st.WorkersDead != 1 {
+							t.Errorf("WorkersDead = %d, want 1", st.WorkersDead)
+						}
+						// Killing a serving replica forces a promotion; killing a
+						// standby only sheds redundancy.
+						if st.Failovers > 1 {
+							t.Errorf("Failovers = %d, want 0 or 1", st.Failovers)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -238,18 +260,16 @@ func TestDistPartitionLost(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			addrs := workerPool(t, c.workers)
 			const deadline = 2 * time.Second
-			d := Dist{
-				Addrs: addrs, Seed: 42, Replicas: c.replicas, StepTimeout: deadline,
-				hookStep: func(si int, r *distRun) {
-					if si == 1 {
-						for _, w := range c.kills {
-							r.killWorker(w)
-						}
+			d := Dist{Addrs: addrs, Seed: 42, Replicas: c.replicas, StepTimeout: deadline}
+			ctx := withStepHook(func(si int, r *distRun) {
+				if si == 1 {
+					for _, w := range c.kills {
+						r.killWorker(w)
 					}
-				},
-			}
+				}
+			})
 			start := time.Now()
-			_, st, err := d.Predict(g, cfg)
+			_, st, err := d.PredictCtx(ctx, g, cfg)
 			wall := time.Since(start)
 			if !errors.Is(err, ErrPartitionLost) {
 				t.Fatalf("err = %v, want ErrPartitionLost", err)

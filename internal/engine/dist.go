@@ -88,21 +88,12 @@ type Dist struct {
 	// DialBackoff is the initial retry backoff, doubled after each failed
 	// attempt with jitter (0 = 150ms).
 	DialBackoff time.Duration
-	// Proto pins the wire protocol: 0 negotiates (v3 preferred, per-worker
-	// gob fallback for legacy binaries), wire.ProtocolV2 forces gob,
-	// wire.ProtocolV3 requires v3 and fails on a legacy worker.
-	Proto int
-	// Compress requests per-frame flate compression on v3 connections
-	// (subject to each worker granting it) — a cross-rack bandwidth trade.
+	// Compress requests per-frame flate compression (subject to each worker
+	// granting it) — a cross-rack bandwidth trade.
 	Compress bool
-
-	// hookStep, when set (chaos tests only), runs before each superstep
-	// attempt with the step's index and the live run state — the
-	// coordinator-side fault hook that kills worker W at superstep S.
-	hookStep func(si int, r *distRun)
 }
 
-// routeChunkBytes is the coordinator's flush threshold while routing v3
+// routeChunkBytes is the coordinator's flush threshold while routing
 // records: the same fixed chunk size workers stream partials up in.
 const routeChunkBytes = 64 << 10
 
@@ -182,9 +173,6 @@ func (d Dist) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, e
 // fails promptly and the call returns ctx.Err() — the resident workers see
 // their session end and stay reusable for the next job.
 func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	avail := d.workerCount()
 	reps := d.replicaCount(avail)
 	st := Stats{Engine: "dist", Workers: avail, Replicas: reps}
@@ -236,142 +224,25 @@ func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (co
 	}
 	defer cleanup()
 
-	// The run state (and its router) exists before the ship so the routing
-	// chunk buffers are paid for during setup, not inside the measured
-	// supersteps.
-	run := newDistRun(dep, conns, reps, d.stepTimeout())
-	for i, derr := range dialErrs {
-		if derr != nil {
-			run.markDead(i, derr)
-		}
-	}
-	fail := func(err error) (core.Predictions, Stats, error) {
-		st.WorkersDead = run.deadCount()
-		st.Failovers = run.failoverCount()
-		if ce := ctx.Err(); ce != nil {
-			// The deaths were self-inflicted: cancellation closed the
-			// connections. The caller asked for this outcome — report it as
-			// theirs, not as a fleet failure.
-			err = ce
-		}
-		return nil, st, err
-	}
-
-	// Cancellation watcher: closing every connection makes whatever
-	// exchange is in flight fail within one read/write, which drains the
-	// run through its normal failure paths.
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			run.closeAll()
-		case <-watchDone:
-		}
-	}()
-
-	// Ship the partitions (the distributed graph load, untimed like every
-	// other backend's setup) and wait for the acknowledgements. The
-	// handshake runs under a deadline: a worker busy with another session
-	// never reads the ship, and without the bound that is a silent hang,
-	// not an error (workers serve one session at a time).
-	run.beginAttempt()
-	if err := run.lostErr("connect"); err != nil {
-		return fail(err)
-	}
-	if err := run.ship(job); err != nil {
-		return fail(fmt.Errorf("engine: dist ship: %w", err))
-	}
-	if err := run.lostErr("ship"); err != nil {
-		return fail(err)
-	}
-
-	// Everything from here on is the prediction itself: timed, and its
-	// traffic is the measured cross-worker cost.
-	base := make([]wire.Counters, len(conns))
-	for i, c := range conns {
-		if c != nil {
-			base[i] = c.Counters()
-		}
-	}
-	start := time.Now()
-
-	// A scoped superstep with no relevant gather edge on any kept partition
-	// is skipped entirely — no messages, no barrier (see
-	// deployment.stepHasWork). The final flag moves to the last superstep
-	// that actually runs, so its refresh round is elided like a full run's.
-	steps := make([]core.DistStep, 0, 4)
-	for _, step := range core.DistSteps(cfg.Paths) {
-		if dep.stepHasWork(step) {
-			steps = append(steps, step)
-		}
-	}
-	// Each iteration is one attempt at one superstep. A death mid-attempt
-	// aborts nothing visible: the attempt still completes its full exchange
-	// with the survivors, then the same step is re-issued to them from the
-	// top (see distRun.runStep for why the re-run is bit-identical). Every
-	// restart consumes a death, so the loop is bounded by the worker count.
-	for si := 0; si < len(steps); {
-		step := steps[si]
-		final := si == len(steps)-1
-		if d.hookStep != nil {
-			d.hookStep(si, run)
-		}
-		run.beginAttempt()
-		run.runStep(step, final)
-		if run.sawDeath() {
-			if err := run.lostErr(fmt.Sprintf("%v", step)); err != nil {
-				return fail(err)
-			}
-			continue
-		}
-		si++
-	}
-
-	// Collect: each partition's serving replica reports its masters' top-k,
-	// failing over to standbys — the merge needs no further folding because
-	// masters are disjoint across partitions.
-	results, err := run.collect()
-	if err != nil {
-		return fail(err)
-	}
-	pred := make(core.Predictions, g.NumVertices())
+	run := newDistRun(dep, conns, dialErrs, reps, d.stepTimeout())
+	pred, results, err := run.predict(ctx, g, cfg.Paths, &st, "ship", func(i int) *wire.Msg {
+		return &wire.Msg{Kind: wire.KindShip, Version: wire.ProtocolV3, Job: job, Part: dep.parts[run.partOf[i]]}
+	})
 	for p := range results {
-		res := &results[p]
-		for _, vp := range res.Preds {
-			pred[vp.V] = vp.Preds
-		}
+		ws := &results[p].Stats
 		if inproc {
 			// Loopback workers share this process, so each worker's MemStats
 			// delta already covers everyone (coordinator included): summing
 			// would count the same heap N times. The max is the closest
 			// honest process-wide figure.
-			st.AllocBytes = max(st.AllocBytes, res.Stats.AllocBytes)
-			st.AllocObjects = max(st.AllocObjects, res.Stats.AllocObjects)
+			st.AllocBytes = max(st.AllocBytes, ws.AllocBytes)
+			st.AllocObjects = max(st.AllocObjects, ws.AllocObjects)
 		} else {
-			st.AllocBytes += res.Stats.AllocBytes
-			st.AllocObjects += res.Stats.AllocObjects
-		}
-		if res.Stats.HeapBytes > st.MemPeakBytes {
-			st.MemPeakBytes = res.Stats.HeapBytes
+			st.AllocBytes += ws.AllocBytes
+			st.AllocObjects += ws.AllocObjects
 		}
 	}
-
-	st.WallSeconds = time.Since(start).Seconds()
-	if st.WallSeconds > 0 {
-		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
-	}
-	for i, c := range conns {
-		if c == nil {
-			continue
-		}
-		delta := c.Counters().Sub(base[i])
-		st.CrossBytes += delta.BytesIn + delta.BytesOut
-		st.CrossMsgs += delta.MsgsIn + delta.MsgsOut
-	}
-	st.WorkersDead = run.deadCount()
-	st.Failovers = run.failoverCount()
-	return pred, st, nil
+	return pred, st, err
 }
 
 // deployment is the coordinator's routing state: the shippable partition
@@ -386,10 +257,9 @@ type deployment struct {
 	replicas   int       // total replica count
 	present    int       // vertices with at least one replica
 	frontier   *core.Frontier
-	// stepEdges counts, per superstep, the gather edges inside the step's
-	// frontier set across all kept partitions (scoped runs only): a step
-	// with zero is skipped outright.
-	stepEdges map[core.DistStep]int
+	// deg is the full out-degree table (scoped runs only): with frontier,
+	// the superstep-skip test's input.
+	deg []int32
 }
 
 func (d *deployment) replicationFactor() float64 {
@@ -399,10 +269,11 @@ func (d *deployment) replicationFactor() float64 {
 	return float64(d.replicas) / float64(d.present)
 }
 
-// stepHasWork reports whether any kept partition gathers anything in step.
-// Always true on a full run.
+// stepHasWork reports whether any partition gathers anything in step: some
+// vertex of the step's frontier set has an out-edge (every such edge lies in
+// a kept partition). Always true on a full run.
 func (d *deployment) stepHasWork(step core.DistStep) bool {
-	return d.frontier == nil || d.stepEdges[step] > 0
+	return d.frontier.StepHasWork(step, d.deg)
 }
 
 // deploy vertex-cuts g into one partition per worker and elects masters the
@@ -454,10 +325,15 @@ func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment
 		masterPart: make([]int32, g.NumVertices()),
 		mirrors:    make([][]int32, g.NumVertices()),
 		frontier:   frontier,
-		stepEdges:  make(map[core.DistStep]int),
 	}
 	for v := range dep.masterPart {
 		dep.masterPart[v] = -1
+	}
+	if frontier != nil {
+		dep.deg = make([]int32, g.NumVertices())
+		for v := range dep.deg {
+			dep.deg[v] = int32(g.OutDegree(graph.VertexID(v)))
+		}
 	}
 	index := make([]map[graph.VertexID]int32, nw)
 	for p := 0; p < nw; p++ {
@@ -497,16 +373,6 @@ func (d Dist) deploy(g graph.View, nw int, frontier *core.Frontier) (*deployment
 				scope[i] = frontier.ScopeMask(v)
 			}
 			dep.parts[p].Scope = scope
-			allSteps := []core.DistStep{core.DistTruncate, core.DistRelays,
-				core.DistCombine, core.DistTwoHop, core.DistCombine3}
-			for _, e := range rawEdges[p] {
-				mask := scope[idx[e.u]]
-				for _, step := range allSteps {
-					if mask&step.ScopeBit() != 0 {
-						dep.stepEdges[step]++
-					}
-				}
-			}
 		}
 	}
 
@@ -575,8 +441,8 @@ func (d Dist) dialBackoffBase() time.Duration {
 
 // retryableDial reports whether a connect failure is worth another attempt:
 // network-layer trouble (timeouts, refusals, resets) and torn connections
-// are transient; a peer's deliberate rejection — a typed error frame, a
-// protocol pin against a legacy worker — is deterministic and never is.
+// are transient; a deliberate or deterministic rejection — a typed error
+// frame, wire.ErrProtocolMismatch — never is.
 func retryableDial(err error) bool {
 	if wire.IsRemoteError(err) {
 		return false
@@ -635,7 +501,7 @@ func (d Dist) connect(n int, tolerate bool) (conns []*wire.Conn, dialErrs []erro
 		var c *wire.Conn
 		r, err := d.withRetry(false, func() error {
 			var derr error
-			c, derr = wire.DialWith(addr, wire.DialOptions{Proto: d.Proto, Compress: d.Compress})
+			c, derr = wire.DialWith(addr, wire.DialOptions{Compress: d.Compress})
 			return derr
 		})
 		retries += r
@@ -692,7 +558,7 @@ func (d Dist) connect(n int, tolerate bool) (conns []*wire.Conn, dialErrs []erro
 				if serr != nil {
 					return serr
 				}
-				cc, derr := wire.DialWith(addr, wire.DialOptions{Proto: d.Proto, Compress: d.Compress})
+				cc, derr := wire.DialWith(addr, wire.DialOptions{Compress: d.Compress})
 				if derr != nil {
 					s()
 					return derr

@@ -20,7 +20,7 @@ const workerAddrsEnv = "SNAPLE_WORKER_ADDRS"
 
 // workerPool provides worker addresses for a test: external processes when
 // workerAddrsEnv is set, otherwise an in-process loopback fleet (real TCP
-// and gob, torn down with the test).
+// and real frames, torn down with the test).
 func workerPool(t *testing.T, n int) []string {
 	t.Helper()
 	if env := os.Getenv(workerAddrsEnv); env != "" {
@@ -218,13 +218,10 @@ func TestDistInProc(t *testing.T) {
 	}
 }
 
-// TestDistWireOptions pins result equivalence across wire protocol modes:
-// per-frame compression, a coordinator pinned to the legacy gob protocol,
-// and a mixed fleet where one worker speaks only gob — the coordinator's
-// router must bridge between the v3 stream and the legacy exchange without
-// changing a bit of the output. Paths=3 keeps the TwoHop refresh in play so
-// every record type crosses both codecs.
-func TestDistWireOptions(t *testing.T) {
+// TestDistWireCompression pins result equivalence with per-frame compression
+// on, and that it actually shrinks the measured traffic. Paths=3 keeps the
+// TwoHop refresh in play so every record type crosses the codec.
+func TestDistWireCompression(t *testing.T) {
 	g := testGraph(t, 200, 7)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 3,
 		ThrGamma: 10, Policy: core.SelectRnd, Paths: 3, Seed: 42}
@@ -232,7 +229,7 @@ func TestDistWireOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(t *testing.T, d Dist) Stats {
+	check := func(d Dist) Stats {
 		t.Helper()
 		got, st, err := d.Predict(g, cfg)
 		if err != nil {
@@ -246,26 +243,11 @@ func TestDistWireOptions(t *testing.T) {
 		}
 		return st
 	}
-	t.Run("compressed", func(t *testing.T) {
-		plain := check(t, Dist{InProc: 3, Seed: 42})
-		zipped := check(t, Dist{InProc: 3, Seed: 42, Compress: true})
-		if zipped.CrossBytes >= plain.CrossBytes {
-			t.Errorf("compression grew traffic: %d -> %d bytes", plain.CrossBytes, zipped.CrossBytes)
-		}
-	})
-	t.Run("legacy-pinned", func(t *testing.T) {
-		check(t, Dist{InProc: 3, Seed: 42, Proto: wire.ProtocolV2})
-	})
-	t.Run("mixed-fleet", func(t *testing.T) {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { l.Close() })
-		go func() { _ = wire.ServeWith(l, nil, wire.ServeOptions{MaxProto: wire.ProtocolV2}) }()
-		addrs := append([]string{l.Addr().String()}, workerPool(t, 2)...)
-		check(t, Dist{Addrs: addrs, Seed: 42})
-	})
+	plain := check(Dist{InProc: 3, Seed: 42})
+	zipped := check(Dist{InProc: 3, Seed: 42, Compress: true})
+	if zipped.CrossBytes >= plain.CrossBytes {
+		t.Errorf("compression grew traffic: %d -> %d bytes", plain.CrossBytes, zipped.CrossBytes)
+	}
 }
 
 // TestDistRejectsDuplicateAddrs: dialing the same worker twice would

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -59,11 +60,17 @@ type distRun struct {
 	newDead    bool // a death since the last beginAttempt
 }
 
+// stepHookKey carries the chaos suite's coordinator-side fault hook on the
+// run's context (the way net/http/httptrace rides a request's): a
+// func(si int, r *distRun) that predict calls before each superstep attempt —
+// how a test kills worker W at superstep S under either coordinator.
+type stepHookKey struct{}
+
 // newDistRun wires the run state for len(dep.parts) partitions served by
 // conns, where conns[p*replicas : (p+1)*replicas] are partition p's
-// replicas. Nil connections (workers that never dialed) are recorded dead
-// by the caller via markDead.
-func newDistRun(dep *deployment, conns []*wire.Conn, replicas int, timeout time.Duration) *distRun {
+// replicas. A nil connection is a worker that never dialed: it starts out
+// dead, with dialErrs[i] as the verdict.
+func newDistRun(dep *deployment, conns []*wire.Conn, dialErrs []error, replicas int, timeout time.Duration) *distRun {
 	r := &distRun{
 		dep:       dep,
 		conns:     conns,
@@ -85,7 +92,135 @@ func newDistRun(dep *deployment, conns []*wire.Conn, replicas int, timeout time.
 		r.primaryOf[p] = -1
 	}
 	r.rt = newRouter(r)
+	for i, derr := range dialErrs {
+		if derr != nil {
+			r.markDead(i, derr)
+		}
+	}
 	return r
+}
+
+// predict drives everything after connect, for both coordinators: the setup
+// handshake (open(i) is connection i's job opener, a ship or an attach; phase
+// names it in errors), the supersteps with their failover retries, collect,
+// and the merge of the per-partition results into Predictions. It fills st's
+// run-cost fields; the per-partition results are returned alongside for
+// callers that aggregate the worker reports further.
+//
+// Cancelling ctx closes every connection, so whatever exchange is in flight
+// fails within one read/write and the run drains through its normal failure
+// paths; the deaths were then self-inflicted, and the caller gets ctx.Err()
+// rather than a fleet failure.
+func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stats, phase string, open func(i int) *wire.Msg) (pred core.Predictions, results []wire.WorkerResult, err error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	watchDone := make(chan struct{})
+	defer close(watchDone)
+	go func() {
+		select {
+		case <-ctx.Done():
+			r.closeAll()
+		case <-watchDone:
+		}
+	}()
+	defer func() {
+		st.WorkersDead = r.deadCount()
+		st.Failovers = r.failoverCount()
+		if err != nil && ctx.Err() != nil {
+			err = ctx.Err()
+		}
+	}()
+
+	// Setup is the distributed graph load (or, for a resident fleet, the
+	// fingerprint handshake standing in for it): untimed like every other
+	// backend's, its traffic reported apart as ShipBytes.
+	base := r.traffic()
+	r.beginAttempt()
+	if err := r.lostErr("connect"); err != nil {
+		return nil, nil, err
+	}
+	if err := r.setup(open); err != nil {
+		return nil, nil, fmt.Errorf("engine: dist %s: %w", phase, err)
+	}
+	if err := r.lostErr(phase); err != nil {
+		return nil, nil, err
+	}
+	shipped := r.traffic()
+	ship := shipped.Sub(base)
+	st.ShipBytes = ship.BytesIn + ship.BytesOut
+
+	// Everything from here on is the prediction itself: timed, and its
+	// traffic is the measured cross-worker cost.
+	start := time.Now()
+
+	// A scoped superstep with no gather source that has an out-edge is
+	// skipped entirely — no messages, no barrier. The final flag moves to
+	// the last superstep that actually runs, so its refresh round is elided
+	// like a full run's.
+	steps := make([]core.DistStep, 0, 4)
+	for _, step := range core.DistSteps(paths) {
+		if r.dep.stepHasWork(step) {
+			steps = append(steps, step)
+		}
+	}
+	// Each iteration is one attempt at one superstep. A death mid-attempt
+	// aborts nothing visible: the attempt still completes its full exchange
+	// with the survivors, then the same step is re-issued to them from the
+	// top (see runStep for why the re-run is bit-identical). Every restart
+	// consumes a death, so the loop is bounded by the worker count.
+	hook, _ := ctx.Value(stepHookKey{}).(func(si int, r *distRun))
+	for si := 0; si < len(steps); {
+		if hook != nil {
+			hook(si, r)
+		}
+		r.beginAttempt()
+		r.runStep(steps[si], si == len(steps)-1)
+		if r.sawDeath() {
+			if err := r.lostErr(fmt.Sprintf("%v", steps[si])); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		si++
+	}
+
+	// Each partition's serving replica reports its masters' top-k; masters
+	// are disjoint across partitions, so the merge needs no further folding.
+	results, err = r.collect()
+	if err != nil {
+		return nil, nil, err
+	}
+	pred = make(core.Predictions, g.NumVertices())
+	for p := range results {
+		for _, vp := range results[p].Preds {
+			pred[vp.V] = vp.Preds
+		}
+		st.MemPeakBytes = max(st.MemPeakBytes, results[p].Stats.HeapBytes)
+	}
+	st.WallSeconds = time.Since(start).Seconds()
+	if st.WallSeconds > 0 {
+		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
+	}
+	cross := r.traffic().Sub(shipped)
+	st.CrossBytes = cross.BytesIn + cross.BytesOut
+	st.CrossMsgs = cross.MsgsIn + cross.MsgsOut
+	return pred, results, nil
+}
+
+// traffic sums the connections' counters so far (dead ones keep theirs).
+func (r *distRun) traffic() wire.Counters {
+	var sum wire.Counters
+	for _, c := range r.conns {
+		if c != nil {
+			n := c.Counters()
+			sum.BytesIn += n.BytesIn
+			sum.BytesOut += n.BytesOut
+			sum.MsgsIn += n.MsgsIn
+			sum.MsgsOut += n.MsgsOut
+		}
+	}
+	return sum
 }
 
 // markDead records worker i's death and closes its connection, which
@@ -260,18 +395,20 @@ func (r *distRun) killWorker(i int) {
 	}
 }
 
-// ship sends each worker its partition and waits for every acknowledgement,
-// under the ship deadline. Connection failures are liveness verdicts (a
-// replica dead at ship fails over like any other death); a worker's typed
-// rejection of the job is deterministic — every replica would refuse the
-// same way — so it fails the run instead.
-func (r *distRun) ship(job wire.JobSpec) error {
+// setup sends each live worker its job opener and waits for every Ready,
+// under the ship deadline: a worker busy with another session never reads the
+// opener, and without the bound that is a silent hang. Connection failures
+// are liveness verdicts (a replica dead at setup fails over like any other
+// death); a worker's typed rejection of the job — bad config, wrong
+// fingerprint or shard — is deterministic, every replica would refuse the
+// same way, so it fails the run instead.
+func (r *distRun) setup(open func(i int) *wire.Msg) error {
 	var mu sync.Mutex
 	var fatal error
 	r.eachAlive(func(i int, c *wire.Conn) error {
 		_ = c.SetDeadline(time.Now().Add(shipTimeout))
 		defer func() { _ = c.SetDeadline(time.Time{}) }()
-		if err := c.Send(&wire.Msg{Kind: wire.KindShip, Version: c.Proto(), Job: job, Part: r.dep.parts[r.partOf[i]]}); err != nil {
+		if err := c.Send(open(i)); err != nil {
 			return err
 		}
 		if _, err := c.Expect(wire.KindReady); err != nil {
@@ -302,122 +439,61 @@ func (r *distRun) ship(job wire.JobSpec) error {
 // the standbys' identical streams are drained and discarded to keep their
 // sessions in step.
 func (r *distRun) runStep(step core.DistStep, final bool) {
-	rt := r.rt
-	rt.reset(step)
-	// Each exchange phase re-arms the deadline on the survivors: a stalled
-	// worker consumes its own phase's window, not the windows of the phases
-	// that finish the attempt after its death.
 	r.armDeadline()
 	r.eachAlive(func(i int, c *wire.Conn) error {
 		return c.Send(&wire.Msg{Kind: wire.KindStepBegin, Step: step, Final: final})
 	})
-	// Drain every live worker's partial stream, routing the serving
-	// replicas' records to the master partitions' replica groups as they
-	// arrive. Order across sources is irrelevant: all folds canonicalise.
-	r.eachAlive(func(i int, c *wire.Conn) error {
-		route := r.isPrimary(i)
-		if c.Proto() == wire.ProtocolV3 {
-			for {
-				f, err := c.RecvRaw()
-				if err != nil {
-					return err
-				}
-				if f.Kind != wire.KindPartials || f.Step != step {
-					return fmt.Errorf("%s for %v during %v partials", f.Kind, f.Step, step)
-				}
-				if route {
-					if err := wire.ForEachPartialRecord(f.Payload, rt.routePartialRaw); err != nil {
-						return err
-					}
-				}
-				if f.Final {
-					return nil
-				}
-			}
-		}
-		m, err := c.Expect(wire.KindPartials)
-		if err != nil {
-			return err
-		}
-		if m.Step != step {
-			return fmt.Errorf("partials for %v during %v", m.Step, step)
-		}
-		if route {
-			for _, dp := range m.Partials {
-				if err := rt.routePartialDec(dp); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	// Every v3 destination gets a final-flagged chunk — possibly empty, the
-	// stream terminator its apply phase waits for; v2 destinations get their
-	// single legacy message.
-	r.armDeadline()
-	r.eachAlive(func(i int, c *wire.Conn) error {
-		dst := &rt.dests[i]
-		dst.mu.Lock()
-		defer dst.mu.Unlock()
-		if c.Proto() == wire.ProtocolV3 {
-			return c.SendRaw(wire.KindForeign, step, true, dst.bb.Payload())
-		}
-		return c.Send(&wire.Msg{Kind: wire.KindForeign, Step: step, Partials: dst.parts})
-	})
+	// Partials flow up and are routed to the master partitions' replica
+	// groups as foreign partials.
+	r.exchange(step, wire.KindPartials, wire.KindForeign, wire.ForEachPartialRecord, r.rt.routePartial)
 	if final {
 		return
 	}
 	// Refresh round: serving replicas push fresh master state up, the
 	// coordinator fans each vertex's state out to every replica of every
 	// partition holding one of its mirrors.
-	rt.reset(step)
+	r.exchange(step, wire.KindRefresh, wire.KindMirrors, wire.ForEachStateRecord, r.rt.routeState)
+}
+
+// exchange runs one routing phase of a superstep: drain every live worker's
+// up stream to its final chunk, routing the serving replicas' records as they
+// arrive (order across sources is irrelevant: all folds canonicalise), then
+// end every live destination's down stream with a final-flagged chunk —
+// possibly empty, the terminator its next phase waits for. Each half re-arms
+// the deadline on the survivors: a stalled worker consumes its own window,
+// not the windows of the phases that finish the attempt after its death.
+func (r *distRun) exchange(step core.DistStep, up, down wire.Kind,
+	walk func(payload []byte, fn func(graph.VertexID, []byte) error) error,
+	route func(v graph.VertexID, rec []byte) error) {
+	rt := r.rt
+	rt.reset(step, down)
 	r.armDeadline()
 	r.eachAlive(func(i int, c *wire.Conn) error {
-		route := r.isPrimary(i)
-		if c.Proto() == wire.ProtocolV3 {
-			for {
-				f, err := c.RecvRaw()
-				if err != nil {
-					return err
-				}
-				if f.Kind != wire.KindRefresh || f.Step != step {
-					return fmt.Errorf("%s for %v during %v refresh", f.Kind, f.Step, step)
-				}
-				if route {
-					if err := wire.ForEachStateRecord(f.Payload, rt.routeStateRaw); err != nil {
-						return err
-					}
-				}
-				if f.Final {
-					return nil
-				}
+		serving := r.isPrimary(i)
+		for {
+			f, err := c.RecvRaw()
+			if err != nil {
+				return err
 			}
-		}
-		m, err := c.Expect(wire.KindRefresh)
-		if err != nil {
-			return err
-		}
-		if m.Step != step {
-			return fmt.Errorf("refresh for %v during %v", m.Step, step)
-		}
-		if route {
-			for _, vs := range m.States {
-				if err := rt.routeStateDec(vs); err != nil {
+			if f.Kind != up || f.Step != step {
+				return fmt.Errorf("%s for %v during %v %s", f.Kind, f.Step, step, up)
+			}
+			if serving {
+				if err := walk(f.Payload, route); err != nil {
 					return err
 				}
 			}
+			if f.Final {
+				return nil
+			}
 		}
-		return nil
 	})
 	r.armDeadline()
 	r.eachAlive(func(i int, c *wire.Conn) error {
 		dst := &rt.dests[i]
 		dst.mu.Lock()
 		defer dst.mu.Unlock()
-		if c.Proto() == wire.ProtocolV3 {
-			return c.SendRaw(wire.KindMirrors, step, true, dst.bb.Payload())
-		}
-		return c.Send(&wire.Msg{Kind: wire.KindMirrors, Step: step, States: dst.states})
+		return c.SendRaw(down, step, true, dst.bb.Payload())
 	})
 }
 
@@ -488,27 +564,24 @@ func (r *distRun) promote(p int) int {
 }
 
 // router is the coordinator's streaming exchange state: one destination per
-// connection, each holding the outgoing chunk under construction. v3
-// records are routed raw — appended verbatim to the destination's batch and
-// flushed in fixed-size chunks as they arrive, so the coordinator never
-// decodes what it only forwards. v2 (gob) destinations buffer decoded
-// values and get their single legacy message after the barrier, bridging
-// mixed fleets. A record for partition p fans out to every live replica in
+// connection, each holding the outgoing chunk under construction. Records are
+// routed raw — appended verbatim to the destination's batch and flushed in
+// fixed-size chunks as they arrive, so the coordinator never decodes what it
+// only forwards. A record for partition p fans out to every live replica in
 // groups[p] — identical inbound traffic is what keeps the replicas
 // interchangeable. A send failure to a destination is a liveness verdict on
 // that destination and never propagates to the source being drained.
 type router struct {
 	step  core.DistStep
+	kind  wire.Kind // the down-stream kind of the phase being routed
 	dests []routeDest
 	run   *distRun
 }
 
 type routeDest struct {
-	mu     sync.Mutex
-	c      *wire.Conn
-	bb     wire.BatchBuilder
-	parts  []core.DistPartial // v2 bridge: decoded partials
-	states []wire.VertexState // v2 bridge: decoded states
+	mu sync.Mutex
+	c  *wire.Conn
+	bb wire.BatchBuilder
 }
 
 func newRouter(r *distRun) *router {
@@ -528,140 +601,52 @@ func newRouter(r *distRun) *router {
 }
 
 // reset readies the router for one routing phase of step, keeping buffers.
-func (rt *router) reset(step core.DistStep) {
-	rt.step = step
+func (rt *router) reset(step core.DistStep, kind wire.Kind) {
+	rt.step, rt.kind = step, kind
 	for i := range rt.dests {
-		d := &rt.dests[i]
-		d.bb.Reset()
-		d.parts = d.parts[:0]
-		d.states = d.states[:0]
+		rt.dests[i].bb.Reset()
 	}
 }
 
-// flushLocked sends the destination's chunk when it reached the threshold.
-// Caller holds d.mu.
-func (rt *router) flushLocked(d *routeDest, kind wire.Kind) error {
-	if d.bb.Len() < routeChunkBytes {
-		return nil
-	}
-	err := d.c.SendRaw(kind, rt.step, false, d.bb.Payload())
-	d.bb.Reset()
-	return err
-}
-
-// appendRaw appends one raw record to destination j's batch, flushing at
-// the threshold. A flush failure marks j dead; a decode failure (v2
-// bridge) is the source's fault and propagates.
-func (rt *router) appendRaw(j int, kind wire.Kind, rec []byte) error {
+// forward appends one raw record to destination j's batch, sending the chunk
+// when it reaches the threshold. A send failure marks j dead.
+func (rt *router) forward(j int, rec []byte) {
 	if !rt.run.isAlive(j) {
-		return nil
+		return
 	}
 	d := &rt.dests[j]
 	d.mu.Lock()
-	if d.c.Proto() == wire.ProtocolV3 {
-		d.bb.AppendRaw(rec)
-		if err := rt.flushLocked(d, kind); err != nil {
-			d.mu.Unlock()
-			rt.run.markDead(j, err)
-			return nil
-		}
-		d.mu.Unlock()
-		return nil
+	defer d.mu.Unlock()
+	d.bb.AppendRaw(rec)
+	if d.bb.Len() < routeChunkBytes {
+		return
 	}
-	var err error
-	if kind == wire.KindForeign {
-		var dp core.DistPartial
-		if dp, err = wire.DecodePartialRecord(rec); err == nil {
-			d.parts = append(d.parts, dp)
-		}
-	} else {
-		var vs wire.VertexState
-		if vs, err = wire.DecodeStateRecord(rec); err == nil {
-			d.states = append(d.states, vs)
-		}
+	if err := d.c.SendRaw(rt.kind, rt.step, false, d.bb.Payload()); err != nil {
+		rt.run.markDead(j, err)
 	}
-	d.mu.Unlock()
-	return err
+	d.bb.Reset()
 }
 
-// routePartialRaw routes one encoded partial record (from a v3 worker's
-// stream) to every replica of its vertex's master partition.
-func (rt *router) routePartialRaw(v graph.VertexID, rec []byte) error {
-	mp := rt.dep().masterPart[v]
+// routePartial routes one encoded partial record to every replica of its
+// vertex's master partition.
+func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
+	mp := rt.run.dep.masterPart[v]
 	if mp < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
 	for _, j := range rt.run.groups[mp] {
-		if err := rt.appendRaw(j, wire.KindForeign, rec); err != nil {
-			return err
-		}
+		rt.forward(j, rec)
 	}
 	return nil
 }
 
-// routePartialDec routes one decoded partial (from a v2 worker's message).
-func (rt *router) routePartialDec(dp core.DistPartial) error {
-	mp := rt.dep().masterPart[dp.V]
-	if mp < 0 {
-		return fmt.Errorf("partial for vertex %d, which no partition hosts", dp.V)
-	}
-	for _, j := range rt.run.groups[mp] {
-		if !rt.run.isAlive(j) {
-			continue
-		}
-		d := &rt.dests[j]
-		d.mu.Lock()
-		if d.c.Proto() == wire.ProtocolV3 {
-			d.bb.AppendPartial(&dp)
-			if err := rt.flushLocked(d, wire.KindForeign); err != nil {
-				d.mu.Unlock()
-				rt.run.markDead(j, err)
-				continue
-			}
-		} else {
-			d.parts = append(d.parts, dp)
-		}
-		d.mu.Unlock()
-	}
-	return nil
-}
-
-// routeStateRaw fans one encoded state record out to every replica of every
+// routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
-func (rt *router) routeStateRaw(v graph.VertexID, rec []byte) error {
-	for _, mp := range rt.dep().mirrors[v] {
+func (rt *router) routeState(v graph.VertexID, rec []byte) error {
+	for _, mp := range rt.run.dep.mirrors[v] {
 		for _, j := range rt.run.groups[mp] {
-			if err := rt.appendRaw(j, wire.KindMirrors, rec); err != nil {
-				return err
-			}
+			rt.forward(j, rec)
 		}
 	}
 	return nil
 }
-
-// routeStateDec fans one decoded state out to the vertex's mirror replicas.
-func (rt *router) routeStateDec(vs wire.VertexState) error {
-	for _, mp := range rt.dep().mirrors[vs.V] {
-		for _, j := range rt.run.groups[mp] {
-			if !rt.run.isAlive(j) {
-				continue
-			}
-			d := &rt.dests[j]
-			d.mu.Lock()
-			if d.c.Proto() == wire.ProtocolV3 {
-				d.bb.AppendState(vs.V, &vs.Data)
-				if err := rt.flushLocked(d, wire.KindMirrors); err != nil {
-					d.mu.Unlock()
-					rt.run.markDead(j, err)
-					continue
-				}
-			} else {
-				d.states = append(d.states, vs)
-			}
-			d.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-func (rt *router) dep() *deployment { return rt.run.dep }

@@ -63,10 +63,10 @@ type Stats struct {
 	// coordinator↔worker traffic after the initial partition shipping).
 	CrossBytes, CrossMsgs int64
 	// ShipBytes is the wire traffic of the setup phase that precedes the
-	// supersteps: for a resident fleet, the attach handshake (fingerprint
-	// plus, on scoped queries, the sparse closure roles) — never partition
-	// columns, which is the measurable point of residency. 0 for backends
-	// that fold setup into untimed per-run shipping.
+	// supersteps: for dist, the partitions shipped this run; for a resident
+	// fleet, the attach handshake (fingerprint plus, on scoped queries, the
+	// sparse closure roles) — never partition columns, which is the
+	// measurable point of residency. 0 for backends with no wire.
 	ShipBytes int64
 	// MemPeakBytes is the highest per-node memory footprint: simulated for
 	// sim, the largest worker-reported live heap for dist.

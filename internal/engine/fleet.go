@@ -142,12 +142,11 @@ type FleetOptions struct {
 	// (nil = partition.HashEdge{Seed}).
 	Strategy partition.Strategy
 	Seed     uint64
-	// StepTimeout/DialAttempts/DialBackoff/Proto/Compress behave exactly as
-	// on Dist.
+	// StepTimeout/DialAttempts/DialBackoff/Compress behave exactly as on
+	// Dist.
 	StepTimeout  time.Duration
 	DialAttempts int
 	DialBackoff  time.Duration
-	Proto        int
 	Compress     bool
 }
 
@@ -170,7 +169,6 @@ type Fleet struct {
 	fingerprint uint64
 	seed        uint64
 	timeout     time.Duration
-	proto       int
 	compress    bool
 	dialAtt     int
 	dialBack    time.Duration
@@ -261,8 +259,8 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 
 	f := &Fleet{
 		g: g, shards: shards, replicas: reps, fingerprint: fp, seed: seed,
-		timeout: Dist{StepTimeout: o.StepTimeout}.stepTimeout(),
-		proto:   o.Proto, compress: o.Compress,
+		timeout:  Dist{StepTimeout: o.StepTimeout}.stepTimeout(),
+		compress: o.Compress,
 		dialAtt:  o.DialAttempts,
 		dialBack: o.DialBackoff,
 
@@ -368,7 +366,7 @@ func (f *Fleet) dial(addr string) (*wire.Conn, int, error) {
 	var c *wire.Conn
 	retries, err := d.withRetry(false, func() error {
 		var derr error
-		c, derr = wire.DialWith(addr, wire.DialOptions{Proto: f.proto, Compress: f.compress})
+		c, derr = wire.DialWith(addr, wire.DialOptions{Compress: f.compress})
 		return derr
 	})
 	if err != nil {
@@ -384,7 +382,7 @@ func (f *Fleet) verify(c *wire.Conn, i int) error {
 	_ = c.SetDeadline(time.Now().Add(shipTimeout))
 	defer func() { _ = c.SetDeadline(time.Time{}) }()
 	err := c.Send(&wire.Msg{
-		Kind: wire.KindAttach, Version: c.Proto(), Job: handshakeJob,
+		Kind: wire.KindAttach, Version: wire.ProtocolV3, Job: handshakeJob,
 		Attach: wire.AttachSpec{
 			Fingerprint: f.fingerprint,
 			Shard:       int32(i / f.replicas),
@@ -458,9 +456,6 @@ func (f *Fleet) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats,
 // connections; they are redialed lazily on the next query, so a cancelled
 // query degrades latency once, never the fleet.
 func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	st := Stats{Engine: "fleet", Workers: f.shards * f.replicas, Replicas: f.replicas}
 	if csr, ok := graph.AsCSR(g); !ok {
 		return nil, st, errors.New("engine: fleet: predict over a mutated view — the fleet serves a frozen pack; compact first")
@@ -494,10 +489,7 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 
 	// Route: which shards does the closure touch? Only their replica groups
 	// see this query — an untouched shard's workers receive no frame at all.
-	touched, dep, entries, err := f.route(frontier)
-	if err != nil {
-		return nil, st, err
-	}
+	touched, dep, entries := f.route(frontier)
 	if len(touched) == 0 {
 		// Isolated sources: the closure holds no edge anywhere.
 		return make(core.Predictions, g.NumVertices()), st, nil
@@ -506,154 +498,69 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 	st.ReplicationFactor = dep.replicationFactor()
 
 	// Standing connections for the touched groups, redialing any that a
-	// previous query's failure (or cancellation) swept.
-	conns := make([]*wire.Conn, len(touched)*f.replicas)
-	dialErrs := make([]error, len(conns))
-	for gi, s := range touched {
+	// previous query's failure (or cancellation) swept. standing[i] is run
+	// connection i's slot in f.conns.
+	standing := make([]int, 0, len(touched)*f.replicas)
+	for _, s := range touched {
 		for r := 0; r < f.replicas; r++ {
-			src := int(s)*f.replicas + r
-			li := gi*f.replicas + r
-			if f.conns[src] == nil {
-				c, retries, derr := f.dial(f.addrs[src])
-				f.cumRetries += retries
-				st.DialRetries += retries
-				if derr != nil {
-					dialErrs[li] = fmt.Errorf("engine: fleet dial %s: %w", f.addrs[src], derr)
-					continue
-				}
-				f.conns[src] = c
-			}
-			conns[li] = f.conns[src]
+			standing = append(standing, int(s)*f.replicas+r)
 		}
+	}
+	conns := make([]*wire.Conn, len(standing))
+	dialErrs := make([]error, len(standing))
+	for i, src := range standing {
+		if f.conns[src] == nil {
+			c, retries, derr := f.dial(f.addrs[src])
+			f.cumRetries += retries
+			st.DialRetries += retries
+			if derr != nil {
+				dialErrs[i] = fmt.Errorf("engine: fleet dial %s: %w", f.addrs[src], derr)
+				continue
+			}
+			f.conns[src] = c
+		}
+		conns[i] = f.conns[src]
 	}
 
-	run := newDistRun(dep, conns, f.replicas, f.timeout)
-	for i, derr := range dialErrs {
-		if derr != nil {
-			run.markDead(i, derr)
-		}
-	}
+	run := newDistRun(dep, conns, dialErrs, f.replicas, f.timeout)
 	// Sweep: connections the run declared dead are closed already; forget
 	// them so the next query redials, and disarm the survivors' deadlines so
 	// a standing connection never trips a stale timer between queries.
 	defer func() {
-		dead := 0
-		for gi, s := range touched {
-			for r := 0; r < f.replicas; r++ {
-				src := int(s)*f.replicas + r
-				li := gi*f.replicas + r
-				if f.conns[src] == nil {
-					continue
-				}
-				if !run.isAlive(li) {
-					f.conns[src] = nil
-					dead++
-				} else {
-					_ = f.conns[src].SetDeadline(time.Time{})
-				}
+		for i, src := range standing {
+			if f.conns[src] == nil {
+				continue
+			}
+			if !run.isAlive(i) {
+				f.conns[src] = nil
+				f.cumDead++
+			} else {
+				_ = f.conns[src].SetDeadline(time.Time{})
 			}
 		}
-		f.cumDead += dead
 		f.cumFailover += run.failoverCount()
 	}()
 
-	fail := func(err error) (core.Predictions, Stats, error) {
-		st.WorkersDead = run.deadCount()
-		st.Failovers = run.failoverCount()
-		if ce := ctx.Err(); ce != nil {
-			err = ce
+	// Attach is the fingerprint handshake that replaces the ship phase: for
+	// an unscoped query a fixed-size frame, for a scoped one the sparse
+	// closure roles; never partition columns.
+	pred, _, err := run.predict(ctx, g, cfg.Paths, &st, "attach", func(i int) *wire.Msg {
+		p := run.partOf[i]
+		return &wire.Msg{
+			Kind: wire.KindAttach, Version: wire.ProtocolV3, Job: job,
+			Attach: wire.AttachSpec{
+				Fingerprint: f.fingerprint,
+				Shard:       touched[p],
+				Shards:      int32(f.shards),
+				Scoped:      frontier != nil,
+				Entries:     entries[p],
+			},
 		}
-		return nil, st, err
+	})
+	if wire.IsManifestMismatch(err) {
+		err = fmt.Errorf("%w: %v", ErrManifestMismatch, err)
 	}
-
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			run.closeAll()
-		case <-watchDone:
-		}
-	}()
-
-	// Attach: the fingerprint handshake that replaces the ship phase. Its
-	// traffic is ShipBytes — for an unscoped attach a fixed-size frame, for a
-	// scoped one the sparse closure roles; never partition columns.
-	base0 := connCounters(conns)
-	run.beginAttempt()
-	if err := run.lostErr("connect"); err != nil {
-		return fail(err)
-	}
-	if err := f.attach(run, job, touched, entries, frontier != nil); err != nil {
-		return fail(err)
-	}
-	if err := run.lostErr("attach"); err != nil {
-		return fail(err)
-	}
-	base1 := connCounters(conns)
-	for i := range conns {
-		d := base1[i].Sub(base0[i])
-		st.ShipBytes += d.BytesIn + d.BytesOut
-	}
-
-	start := time.Now()
-	steps := make([]core.DistStep, 0, 4)
-	for _, step := range core.DistSteps(cfg.Paths) {
-		if frontier.StepHasWork(step, f.deg) {
-			steps = append(steps, step)
-		}
-	}
-	for si := 0; si < len(steps); {
-		step := steps[si]
-		final := si == len(steps)-1
-		run.beginAttempt()
-		run.runStep(step, final)
-		if run.sawDeath() {
-			if err := run.lostErr(fmt.Sprintf("%v", step)); err != nil {
-				return fail(err)
-			}
-			continue
-		}
-		si++
-	}
-
-	results, err := run.collect()
-	if err != nil {
-		return fail(err)
-	}
-	pred := make(core.Predictions, g.NumVertices())
-	for p := range results {
-		res := &results[p]
-		for _, vp := range res.Preds {
-			pred[vp.V] = vp.Preds
-		}
-		if res.Stats.HeapBytes > st.MemPeakBytes {
-			st.MemPeakBytes = res.Stats.HeapBytes
-		}
-	}
-	st.WallSeconds = time.Since(start).Seconds()
-	if st.WallSeconds > 0 {
-		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
-	}
-	final := connCounters(conns)
-	for i := range conns {
-		d := final[i].Sub(base1[i])
-		st.CrossBytes += d.BytesIn + d.BytesOut
-		st.CrossMsgs += d.MsgsIn + d.MsgsOut
-	}
-	st.WorkersDead = run.deadCount()
-	st.Failovers = run.failoverCount()
-	return pred, st, nil
-}
-
-func connCounters(conns []*wire.Conn) []wire.Counters {
-	out := make([]wire.Counters, len(conns))
-	for i, c := range conns {
-		if c != nil {
-			out[i] = c.Counters()
-		}
-	}
-	return out
+	return pred, st, err
 }
 
 // route computes the query's touched shard set and the synthetic deployment
@@ -664,7 +571,7 @@ func connCounters(conns []*wire.Conn) []wire.Counters {
 // untouched shard, and any consistent election yields identical results, so
 // the restricted draw is both necessary and safe. The per-shard entries are
 // the sparse roles the attach carries.
-func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.ScopeEntry, error) {
+func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.ScopeEntry) {
 	if frontier == nil {
 		touched := make([]int32, f.shards)
 		for s := range touched {
@@ -681,7 +588,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 				dep.present++
 			}
 		}
-		return touched, dep, make([][]wire.ScopeEntry, f.shards), nil
+		return touched, dep, make([][]wire.ScopeEntry, f.shards)
 	}
 
 	touchedSet := make([]bool, f.shards)
@@ -701,7 +608,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 		}
 	}
 	if len(touched) == 0 {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
 
 	dep := &deployment{
@@ -709,6 +616,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 		masterPart: make([]int32, f.g.NumVertices()),
 		mirrors:    make([][]int32, f.g.NumVertices()),
 		frontier:   frontier,
+		deg:        f.deg,
 	}
 	for v := range dep.masterPart {
 		dep.masterPart[v] = -1
@@ -756,49 +664,5 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 		dep.replicas += len(hosts)
 		dep.present++
 	}
-	return touched, dep, entries, nil
-}
-
-// attach performs the fingerprint handshake on every live connection of the
-// run — the resident fleet's whole "ship" phase. A connection failure is a
-// liveness verdict absorbed by replication; a worker's typed rejection
-// (wrong fingerprint, wrong shard, malformed job) is deterministic across
-// replicas and fails the query, with fingerprint mismatches wrapped as
-// ErrManifestMismatch.
-func (f *Fleet) attach(run *distRun, job wire.JobSpec, touched []int32, entries [][]wire.ScopeEntry, scoped bool) error {
-	var mu sync.Mutex
-	var fatal error
-	run.eachAlive(func(i int, c *wire.Conn) error {
-		_ = c.SetDeadline(time.Now().Add(shipTimeout))
-		defer func() { _ = c.SetDeadline(time.Time{}) }()
-		p := run.partOf[i]
-		err := c.Send(&wire.Msg{
-			Kind: wire.KindAttach, Version: c.Proto(), Job: job,
-			Attach: wire.AttachSpec{
-				Fingerprint: f.fingerprint,
-				Shard:       touched[p],
-				Shards:      int32(f.shards),
-				Scoped:      scoped,
-				Entries:     entries[p],
-			},
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := c.Expect(wire.KindReady); err != nil {
-			if wire.IsRemoteError(err) {
-				if wire.IsManifestMismatch(err) {
-					err = fmt.Errorf("engine: fleet attach: %w: %v", ErrManifestMismatch, err)
-				}
-				mu.Lock()
-				if fatal == nil {
-					fatal = err
-				}
-				mu.Unlock()
-			}
-			return err
-		}
-		return nil
-	})
-	return fatal
+	return touched, dep, entries
 }

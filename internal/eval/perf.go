@@ -74,8 +74,8 @@ func (r PerfReport) Row(engine string) (PerfRow, bool) {
 //     baseline measured any: wire traffic is measured on real sockets but is
 //     near-deterministic per code version (same graph, same partitioning
 //     seed), so unlike the timing metrics it gets no noise allowance — the
-//     tight ceiling pins the flat-frame protocol's traffic win and stops it
-//     eroding back toward gob-era volumes one in-tolerance step at a time;
+//     tight ceiling pins the flat-frame protocol's traffic volume and stops
+//     it eroding one in-tolerance step at a time;
 //   - mb_per_sec must not drop below (1−tol) × baseline when the baseline
 //     measured any (ingest rows: parse/load throughput);
 //   - peak_bytes must not exceed (1+tol) × baseline when the baseline

@@ -142,7 +142,7 @@ type LoadInfo struct {
 }
 
 // OpenGraphFile loads a graph from path like ReadGraphFile but preserves
-// the storage representation instead of forcing a heap CSR: version-2
+// the storage representation instead of forcing a heap CSR: plain
 // snapshots are mmap'd and viewed in place (unless ReadOptions.NoMap or
 // the platform lacks mmap, which fall back to one aligned heap read),
 // packed-adjacency snapshots come back as a decode-on-demand *Packed, and
@@ -180,9 +180,8 @@ func OpenGraphFile(path string, opts ReadOptions) (View, LoadInfo, error) {
 	return openSnapshotFile(f, path, opts)
 }
 
-// openSnapshotFile routes an opened .sgr file to the right load path:
-// streaming decode for version-1 layouts, in-place viewing (mmap or one
-// aligned heap read) for version 2.
+// openSnapshotFile views an opened .sgr file in place: mmap'd, or one
+// aligned heap read.
 func openSnapshotFile(f *os.File, path string, opts ReadOptions) (View, LoadInfo, error) {
 	fi, err := f.Stat()
 	if err != nil {
@@ -200,14 +199,6 @@ func openSnapshotFile(f *os.File, path string, opts ReadOptions) (View, LoadInfo
 	}
 	info.Version = int(h.version)
 	info.Packed = h.packed()
-	if h.version == snapshotVersionV1 {
-		// No aligned layout to view: stream-decode onto the heap.
-		g, err := ReadSnapshot(f)
-		if err != nil {
-			return nil, info, fmt.Errorf("graph: %s: %w", path, err)
-		}
-		return finishSnapshotView(g, info, opts, path)
-	}
 	if !opts.NoMap && mmapSupported {
 		if m, merr := mmapFile(f, size); merr == nil {
 			v, verr := viewSnapshot(m, opts.Verify)
@@ -254,7 +245,7 @@ func finishSnapshotView(v View, info LoadInfo, opts ReadOptions, path string) (V
 // applies to the text decoder; snapshots bake Symmetrize and the ID space
 // in at pack time, so Symmetrize is rejected for them and WithInEdges
 // materialises the reverse adjacency only when the file does not already
-// carry one. The result is always a plain CSR: version-2 snapshots arrive
+// carry one. The result is always a plain CSR: plain snapshots arrive
 // with mmap-aliased columns (honouring NoMap) and packed-adjacency
 // snapshots are decoded; use OpenGraphFile to keep those compressed.
 func ReadGraphFile(path string, opts ReadOptions) (*Digraph, error) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -25,9 +26,9 @@ import (
 // Layout (all integers little-endian):
 //
 //	magic     [8]byte "SNAPLSGR"
-//	version   uint32 (currently 2; version-1 files remain readable)
+//	version   uint32 (2; version-1 files are rejected with errSnapshotV1)
 //	flags     uint32 (bit 0: in-adjacency sections present,
-//	                  bit 1: packed delta-varint adjacency, version ≥ 2)
+//	                  bit 1: packed delta-varint adjacency)
 //	vertices  uint64
 //	edges     uint64
 //	headerCRC uint32 — CRC-32C of the 32 bytes above
@@ -35,18 +36,17 @@ import (
 // followed by the sections, in order: outOff (vertices+1 × int64), outAdj
 // (edges × uint32) and, when flagged, inOff and inAdj. Each section is
 //
-//	padding — zero bytes aligning the length prefix to 8 (version ≥ 2 only)
+//	padding — zero bytes aligning the length prefix to 8
 //	length  uint64 — payload bytes; must match the header's counts
 //	payload
 //	crc     uint32 — CRC-32C of the payload
 //
-// The header is 36 bytes and every version-2 section start is padded to an
-// 8-byte boundary, so each payload begins at a file offset that is a
-// multiple of 8. That is what makes version-2 snapshots viewable in place:
-// mmap the file (or read it into one 8-aligned buffer) and outOff []int64 /
-// outAdj []VertexID alias the payload bytes directly, with zero per-edge
-// work on load — see MapSnapshot and OpenGraphFile. Version-1 files have no
-// padding and always take the streaming decode path below.
+// The header is 36 bytes and every section start is padded to an 8-byte
+// boundary, so each payload begins at a file offset that is a multiple of 8.
+// That is what makes snapshots viewable in place: mmap the file (or read it
+// into one 8-aligned buffer) and outOff []int64 / outAdj []VertexID alias the
+// payload bytes directly, with zero per-edge work on load — see MapSnapshot
+// and OpenGraphFile.
 //
 // With the packed-adjacency flag the adjacency sections hold delta-varint
 // row blocks instead of raw uint32 columns and the offset sections index
@@ -62,7 +62,6 @@ import (
 const (
 	snapshotMagic       = "SNAPLSGR"
 	snapshotVersion     = 2
-	snapshotVersionV1   = 1
 	snapshotFlagInEdges = 1 << 0
 	snapshotFlagPacked  = 1 << 1
 	snapshotHeaderLen   = 36
@@ -71,6 +70,9 @@ const (
 )
 
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// errSnapshotV1 rejects the retired unpadded version-1 layout.
+var errSnapshotV1 = errors.New("graph: snapshot: format v1 is no longer readable; regenerate with `snaple pack` from the source edge list")
 
 // SnapshotOptions configures WriteSnapshotOpts.
 type SnapshotOptions struct {
@@ -276,9 +278,8 @@ type snapshotHeader struct {
 func (h snapshotHeader) packed() bool  { return h.flags&snapshotFlagPacked != 0 }
 func (h snapshotHeader) inEdges() bool { return h.flags&snapshotFlagInEdges != 0 }
 
-// parseSnapshotHeader validates the 36-byte fixed header: magic, a
-// supported version, flags known to that version, the header checksum and
-// plausible counts.
+// parseSnapshotHeader validates the 36-byte fixed header: magic, the
+// supported version, known flags, the header checksum and plausible counts.
 func parseSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 	var h snapshotHeader
 	if len(hdr) < snapshotHeaderLen {
@@ -288,16 +289,14 @@ func parseSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 		return h, fmt.Errorf("graph: snapshot: bad magic %q", hdr[:8])
 	}
 	h.version = binary.LittleEndian.Uint32(hdr[8:])
-	if h.version != snapshotVersionV1 && h.version != snapshotVersion {
-		return h, fmt.Errorf("graph: snapshot: unsupported version %d (want %d or %d)",
-			h.version, snapshotVersionV1, snapshotVersion)
+	if h.version == 1 {
+		return h, errSnapshotV1
+	}
+	if h.version != snapshotVersion {
+		return h, fmt.Errorf("graph: snapshot: unsupported version %d (want %d)", h.version, snapshotVersion)
 	}
 	h.flags = binary.LittleEndian.Uint32(hdr[12:])
-	known := uint32(snapshotFlagInEdges)
-	if h.version >= snapshotVersion {
-		known |= snapshotFlagPacked
-	}
-	if h.flags&^known != 0 {
+	if h.flags&^(snapshotFlagInEdges|snapshotFlagPacked) != 0 {
 		return h, fmt.Errorf("graph: snapshot: unknown flags %#x", h.flags)
 	}
 	if want, got := crc32.Checksum(hdr[:32], snapshotCRC), binary.LittleEndian.Uint32(hdr[32:]); want != got {
@@ -316,8 +315,8 @@ func parseSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 	return h, nil
 }
 
-// ReadSnapshot loads a binary CSR snapshot written by WriteSnapshot, any
-// format version. The checksums and the structural invariants of every
+// ReadSnapshot loads a binary CSR snapshot written by WriteSnapshot. The
+// checksums and the structural invariants of every
 // section are verified; any mismatch is an error, never a mangled graph.
 // Packed-adjacency snapshots are decoded to a plain CSR here — use
 // OpenGraphFile to keep them compressed in memory.
@@ -332,9 +331,8 @@ func ReadSnapshot(r io.Reader) (*Digraph, error) {
 	return v.(*Digraph), nil
 }
 
-// readSnapshotStream reads any snapshot version out of a stream with full
-// verification, returning a *Digraph for plain adjacency and a *Packed for
-// packed.
+// readSnapshotStream reads a snapshot out of a stream with full verification,
+// returning a *Digraph for plain adjacency and a *Packed for packed.
 func readSnapshotStream(r io.Reader) (View, error) {
 	limit := sourceLimit(r)
 	br := bufio.NewReaderSize(r, 1<<20)
@@ -342,18 +340,10 @@ func readSnapshotStream(r io.Reader) (View, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: snapshot: read header: %w", err)
 	}
-	h, err := parseSnapshotHeader(hdr[:])
-	if err != nil {
+	if _, err := parseSnapshotHeader(hdr[:]); err != nil {
 		return nil, err
 	}
-	if h.version == snapshotVersionV1 {
-		sr := &sectionReader{r: br, buf: make([]byte, snapshotChunk), limit: limit}
-		if sr.limit >= 0 {
-			sr.limit -= snapshotHeaderLen
-		}
-		return readSnapshotV1(sr, h)
-	}
-	// Version 2 is defined by its in-place layout: rebuild the file image
+	// The format is defined by its in-place layout: rebuild the file image
 	// in an 8-aligned buffer and run the same viewer the mmap path uses,
 	// with every check on.
 	var data []byte
@@ -375,39 +365,6 @@ func readSnapshotStream(r io.Reader) (View, error) {
 	return viewSnapshot(data, true)
 }
 
-// readSnapshotV1 decodes the unaligned version-1 section layout, streaming
-// each payload through the chunked section reader.
-func readSnapshotV1(sr *sectionReader, h snapshotHeader) (*Digraph, error) {
-	n := h.vertices
-	outOff, err := sr.int64s(int64(n) + 1)
-	if err != nil {
-		return nil, err
-	}
-	outAdj, err := sr.vertexIDs(h.edges)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateCSR(n, outOff, outAdj, "out"); err != nil {
-		return nil, err
-	}
-	g := &Digraph{numVertices: n, outOff: outOff, outAdj: outAdj}
-	if h.inEdges() {
-		inOff, err := sr.int64s(int64(n) + 1)
-		if err != nil {
-			return nil, err
-		}
-		inAdj, err := sr.vertexIDs(h.edges)
-		if err != nil {
-			return nil, err
-		}
-		if err := validateCSR(n, inOff, inAdj, "in"); err != nil {
-			return nil, err
-		}
-		g.inOff, g.inAdj = inOff, inAdj
-	}
-	return g, nil
-}
-
 // sourceLimit reports how many bytes the reader can still produce, when
 // knowable (regular files and in-memory readers). A known limit lets the
 // section readers allocate exactly; an unknown one (-1) makes them grow
@@ -426,7 +383,8 @@ func sourceLimit(r io.Reader) int64 {
 	return -1
 }
 
-// sectionReader decodes length-prefixed, CRC-trailed sections.
+// sectionReader decodes length-prefixed, CRC-trailed sections (shard files
+// and manifests).
 type sectionReader struct {
 	r     io.Reader
 	buf   []byte
@@ -538,7 +496,10 @@ func validateCSR(n int, off []int64, adj []VertexID, what string) error {
 	parallelRanges(runtime.GOMAXPROCS(0), n, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, e := off[u], off[u+1]
-			if s > e || e > int64(len(adj)) {
+			// s < 0 is checked here, not left to the previous row's s > e:
+			// rows are validated concurrently, and this one must not index
+			// adj[-1] before its neighbour records the error.
+			if s < 0 || s > e || e > int64(len(adj)) {
 				record(fmt.Errorf("graph: snapshot: %s-offsets not monotonic at vertex %d", what, u))
 				return
 			}

@@ -2,8 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -168,6 +172,27 @@ func TestSnapshotRejectsInvalidStructure(t *testing.T) {
 				t.Fatal("structurally invalid snapshot loaded without error")
 			}
 		})
+	}
+}
+
+// TestSnapshotV1Rejected: the retired version-1 layout yields the one typed
+// re-pack error from every loader, decided on the header alone.
+func TestSnapshotV1Rejected(t *testing.T) {
+	data := snapshotBytes(t, MustFromEdges(3, []Edge{{0, 1}}))
+	binary.LittleEndian.PutUint32(data[8:], 1)
+	binary.LittleEndian.PutUint32(data[32:], crc32.Checksum(data[:32], snapshotCRC))
+	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, errSnapshotV1) {
+		t.Errorf("ReadSnapshot: err = %v, want errSnapshotV1", err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.sgr")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenGraphFile(path, ReadOptions{}); !errors.Is(err, errSnapshotV1) {
+		t.Errorf("OpenGraphFile: err = %v, want errSnapshotV1", err)
+	}
+	if _, err := MapSnapshot(path); !errors.Is(err, errSnapshotV1) {
+		t.Errorf("MapSnapshot: err = %v, want errSnapshotV1", err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"unsafe"
 )
 
-// In-place snapshot viewing: a version-2 .sgr image — an mmap'd file or a
+// In-place snapshot viewing: a .sgr image — an mmap'd file or a
 // whole-file read into one aligned buffer — is parsed by aliasing its
 // 8-aligned section payloads as typed columns, so load cost is independent
 // of edge count. See the format comment in snapshot.go.
@@ -83,9 +83,7 @@ func viewInt32s(b []byte) []int32 {
 
 // viewSnapshot parses a complete snapshot image in place. data must hold
 // the whole file from byte 0 with &data[0] 8-byte aligned (mmap regions
-// and alignedBytes buffers both qualify) and must be format version 2 —
-// callers route version-1 files to the streaming reader. On little-endian
-// hosts the returned view's columns alias data, so the caller owns data's
+// and alignedBytes buffers both qualify). On little-endian hosts the returned view's columns alias data, so the caller owns data's
 // lifetime for as long as the view is reachable.
 //
 // verify=false runs only the O(vertices) structural checks — header CRC,
@@ -100,9 +98,6 @@ func viewSnapshot(data []byte, verify bool) (View, error) {
 	h, err := parseSnapshotHeader(data[:snapshotHeaderLen])
 	if err != nil {
 		return nil, err
-	}
-	if h.version < snapshotVersion {
-		return nil, fmt.Errorf("graph: snapshot: format v%d predates the in-place layout", h.version)
 	}
 	w := &sectionWalker{data: data, pos: snapshotHeaderLen, align: snapshotAlign, prefix: "graph: snapshot", verify: verify}
 	if h.packed() {
@@ -131,7 +126,7 @@ func viewSnapshot(data []byte, verify bool) (View, error) {
 
 // sectionWalker steps through the sections of an in-place file image.
 // align is the section-start alignment the format promises (8 for
-// version-2 snapshots, 1 — no padding — for shards); prefix labels errors.
+// snapshots, 1 — no padding — for shards); prefix labels errors.
 type sectionWalker struct {
 	data   []byte
 	pos    int64
@@ -219,7 +214,7 @@ func (s *sectionWalker) packedPair(h snapshotHeader, what string) ([]int64, []by
 	return off, blob, nil
 }
 
-// MapSnapshot opens a version-2 plain-adjacency .sgr snapshot with its CSR
+// MapSnapshot opens a plain-adjacency .sgr snapshot with its CSR
 // columns aliasing a read-only mmap view of the file: zero per-edge work,
 // O(1) heap allocation independent of edge count, pages faulted in by the
 // OS as queries touch them. On platforms without mmap the file is read
@@ -230,15 +225,14 @@ func (s *sectionWalker) packedPair(h snapshotHeader, what string) ([]int64, []by
 // The mapping lives exactly as long as the returned graph: a runtime
 // cleanup unmaps it when the graph becomes unreachable, so callers must
 // keep the *Digraph alive while using any slice derived from it.
-// Version-1 and packed-adjacency files are rejected; OpenGraphFile handles
-// every layout.
+// Packed-adjacency files are rejected; OpenGraphFile handles both layouts.
 func MapSnapshot(path string) (*Digraph, error) {
 	v, info, err := OpenGraphFile(path, ReadOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if info.Format != FormatSnapshot || info.Version < snapshotVersion {
-		return nil, fmt.Errorf("graph: %s: not a format-v%d snapshot; re-pack with `snaple pack`", path, snapshotVersion)
+	if info.Format != FormatSnapshot {
+		return nil, fmt.Errorf("graph: %s: not a snapshot; pack it with `snaple pack`", path)
 	}
 	g, ok := v.(*Digraph)
 	if !ok {

@@ -2,9 +2,7 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -188,91 +186,6 @@ func TestViewedSnapshotMatchesHeap(t *testing.T) {
 				}
 				viewEqual(t, g, v, fmt.Sprintf("%s opts=%+v", name, opts))
 			}
-		}
-	}
-}
-
-// writeSnapshotV1 renders g in the retired version-1 layout (no alignment
-// padding, plain adjacency only), which readers must keep accepting.
-func writeSnapshotV1(t *testing.T, g *Digraph) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	var hdr [snapshotHeaderLen]byte
-	copy(hdr[:8], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], snapshotVersionV1)
-	var flags uint32
-	if g.HasInEdges() {
-		flags |= snapshotFlagInEdges
-	}
-	binary.LittleEndian.PutUint32(hdr[12:], flags)
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(g.NumEdges()))
-	binary.LittleEndian.PutUint32(hdr[32:], crc32.Checksum(hdr[:32], snapshotCRC))
-	buf.Write(hdr[:])
-	section := func(payload []byte) {
-		var lenBuf [8]byte
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(payload)))
-		buf.Write(lenBuf[:])
-		buf.Write(payload)
-		var crcBuf [4]byte
-		binary.LittleEndian.PutUint32(crcBuf[:], crc32.Checksum(payload, snapshotCRC))
-		buf.Write(crcBuf[:])
-	}
-	offBytes := func(off []int64) []byte {
-		b := make([]byte, len(off)*8)
-		for i, o := range off {
-			binary.LittleEndian.PutUint64(b[i*8:], uint64(o))
-		}
-		return b
-	}
-	adjBytes := func(adj []VertexID) []byte {
-		b := make([]byte, len(adj)*4)
-		for i, v := range adj {
-			binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
-		}
-		return b
-	}
-	section(offBytes(g.outOff))
-	section(adjBytes(g.outAdj))
-	if g.HasInEdges() {
-		section(offBytes(g.inOff))
-		section(adjBytes(g.inAdj))
-	}
-	return buf.Bytes()
-}
-
-// TestSnapshotV1Compat: version-1 files keep loading byte-identically via
-// both the streaming reader and the auto-detecting file opener (which must
-// fall back to the heap path, never claim an in-place view of an unaligned
-// layout).
-func TestSnapshotV1Compat(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, withIn := range []bool{false, true} {
-		g := randomGraph(t, rng, 50, 400, withIn)
-		data := writeSnapshotV1(t, g)
-		rt, err := ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("v1 stream read: %v", err)
-		}
-		if !graphEqual(g, rt) {
-			t.Fatal("v1 stream read changed the graph")
-		}
-		path := filepath.Join(t.TempDir(), "v1.sgr")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		v, info, err := OpenGraphFile(path, ReadOptions{})
-		if err != nil {
-			t.Fatalf("v1 open: %v", err)
-		}
-		if info.Version != snapshotVersionV1 || info.Mapped || info.Packed {
-			t.Fatalf("v1 LoadInfo %+v", info)
-		}
-		if !graphEqual(g, v.(*Digraph)) {
-			t.Fatal("v1 open changed the graph")
-		}
-		if _, err := MapSnapshot(path); err == nil {
-			t.Fatal("MapSnapshot accepted a v1 file")
 		}
 	}
 }

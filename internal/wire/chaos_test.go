@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,8 +83,9 @@ func TestChaosTransportScript(t *testing.T) {
 }
 
 // TestWorkerSurvivesHostileSessions is the resident-worker hardening
-// satellite: garbage before the handshake, a corrupt hello, and a corrupt
-// frame mid-session must each cost exactly one session — a typed error
+// satellite: garbage before the handshake, a legacy gob peer, line noise, a
+// corrupt hello, and a corrupt frame mid-session must each cost exactly one
+// session — a typed error
 // frame where the transport still works, then a close — and the worker must
 // serve the next coordinator normally. The healthy mini-session after every
 // hostile one is the survival assertion.
@@ -103,12 +106,37 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No v3 magic, not valid gob either: the downgrade path's decoder
-		// must fail the session, not the process.
+		// No v3 magic, and the peer is gone before the refusal can be sent:
+		// the handshake must fail the session, not the process.
 		_, _ = raw.Write(bytes.Repeat([]byte{'X'}, 64))
 		raw.Close()
 		healthy(t)
 	})
+
+	for name, opening := range nonV3Openings() {
+		t.Run(name, func(t *testing.T) {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			if _, err := raw.Write(opening); err != nil {
+				t.Fatal(err)
+			}
+			// The worker answers with the mismatch as a typed error frame,
+			// then closes.
+			_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			c := NewConn(raw)
+			_, err = c.Recv()
+			if !IsRemoteError(err) || !strings.Contains(err.Error(), ErrProtocolMismatch.Error()) {
+				t.Fatalf("worker answered %v, want ErrProtocolMismatch in a typed error frame", err)
+			}
+			if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the refusal: %v, want the connection closed", err)
+			}
+			healthy(t)
+		})
+	}
 
 	t.Run("corrupt-hello", func(t *testing.T) {
 		raw, err := net.Dial("tcp", addr)

@@ -1,8 +1,8 @@
 package wire
 
 // The v3 frame codec: length-prefixed, CRC-32C-checksummed flat sections in
-// the .sgr style of internal/graph/snapshot.go, replacing gob's per-element
-// reflection with single-copy, exact-alloc decoding.
+// the .sgr style of internal/graph/snapshot.go, decoded single-copy into
+// exact-alloc slices.
 //
 // Every frame is
 //
@@ -69,20 +69,11 @@ const (
 
 	// featCompress is the hello feature bit requesting per-frame compression.
 	featCompress uint32 = 1 << 0
-
-	// helloPadding zero-pads the hello payload so the whole frame exceeds the
-	// first message length a legacy gob decoder reads from it (the magic's
-	// 'S', 0x53, is a gob uvarint length of 83: with ≥ 84 bytes on the wire
-	// the old worker's decoder fails fast and answers/closes, letting the
-	// dialer fall back to gob; with fewer it would block for more bytes,
-	// indistinguishable from a busy worker until the hello deadline).
-	helloPadding = 56
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// errNotV3Frame marks bytes that are not a v3 frame (bad magic) — the
-// signature of a legacy gob peer, which the dialing side uses to fall back.
+// errNotV3Frame marks bytes that are not a v3 frame (bad magic).
 var errNotV3Frame = errors.New("wire: not a v3 frame (bad magic)")
 
 // ---- little-endian append/read primitives ----
@@ -688,9 +679,6 @@ func appendMsgPayload(b []byte, m *Msg) ([]byte, byte, error) {
 	case KindHello:
 		b = appendU32(b, uint32(m.Version))
 		b = appendU32(b, m.Features)
-		for i := 0; i < helloPadding; i++ {
-			b = append(b, 0)
-		}
 	case KindShip:
 		b = appendShip(b, m)
 	case KindAttach:
@@ -725,12 +713,6 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 		r := &byteReader{b: payload}
 		m.Version = int(r.u32())
 		m.Features = r.u32()
-		for _, x := range r.bytes(helloPadding) {
-			if x != 0 {
-				r.fail("nonzero hello padding byte %d", x)
-				break
-			}
-		}
 		if err := r.done(); err != nil {
 			return nil, err
 		}
@@ -953,7 +935,7 @@ func decodeResult(payload []byte, res *WorkerResult) error {
 
 // ---- frame I/O ----
 
-// writeFrame emits one v3 frame, deflating the payload when compression is
+// writeFrame emits one frame, deflating the payload when compression is
 // negotiated, the payload is worth it, and it actually shrinks. Hellos stay
 // plain so negotiation never depends on what it negotiates.
 func (c *Conn) writeFrame(kind Kind, flags byte, step core.DistStep, payload []byte) error {
@@ -994,7 +976,7 @@ func (c *Conn) writeFrame(kind Kind, flags byte, step core.DistStep, payload []b
 	return nil
 }
 
-// readFrame reads and verifies one v3 frame. The returned payload is a view
+// readFrame reads and verifies one frame. The returned payload is a view
 // into the connection's scratch, valid until the next read.
 func (c *Conn) readFrame() (kind Kind, flags byte, step core.DistStep, payload []byte, err error) {
 	hdr := c.rhdr[:]

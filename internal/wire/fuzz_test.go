@@ -94,6 +94,9 @@ func FuzzWireFrame(f *testing.F) {
 		big.States = append(big.States, vs)
 	}
 	f.Add(frameBytes(f, big, true))
+	for _, opening := range nonV3Openings() {
+		f.Add(opening)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeOne(data)

@@ -1,17 +1,16 @@
 // Package wire is the network substrate of the dist execution backend: the
-// framed binary protocol (v3) that a coordinator (engine.Dist) speaks with
-// snaple-worker processes over TCP, plus the worker-side session loop
-// (worker.go) shared by cmd/snaple-worker and in-process test workers, and a
-// legacy gob protocol (v2) retained for mixed-version fleets.
+// framed binary protocol (v3) that a coordinator (engine.Dist, engine.Fleet)
+// speaks with snaple-worker processes over TCP, plus the worker-side session
+// loop (worker.go) shared by cmd/snaple-worker and in-process test workers.
 //
-// One TCP connection carries one prediction job. The ship/ready handshake
-// and the collect exchange are strictly half-duplex; inside a superstep the
-// v3 protocol pipelines — workers stream gather partials up in fixed-size
-// chunks while concurrently draining the foreign partials the coordinator
-// routes back, and likewise for the refresh/mirror round:
+// One TCP connection carries one prediction job at a time. The ship/ready
+// handshake and the collect exchange are strictly half-duplex; inside a
+// superstep the protocol pipelines — workers stream gather partials up in
+// fixed-size chunks while concurrently draining the foreign partials the
+// coordinator routes back, and likewise for the refresh/mirror round:
 //
 //	coordinator                       worker
-//	----------- hello ------------->          protocol + feature negotiation
+//	----------- hello ------------->          version check + feature negotiation
 //	<---------- hello --------------          (granted features echoed back)
 //	----------- ship -------------->          partition payload + job spec
 //	<---------- ready --------------          (or error: bad payload/config)
@@ -26,17 +25,15 @@
 //	----------- collect ----------->
 //	<---------- result -------------          master predictions + stats
 //
-// v3 frames are length-prefixed, CRC-32C-checksummed flat sections (see
+// Frames are length-prefixed, CRC-32C-checksummed flat sections (see
 // frame.go for the exact layout); batch payloads decode as single-copy,
 // exact-alloc slices, and the coordinator routes individual records without
 // decoding them at all. Optional per-frame flate compression is negotiated
 // through the hello feature bits.
 //
-// A v3 dialer recognises a legacy gob peer (the hello reply is not a v3
-// frame) and redials speaking v2, unless pinned to v3; a v3 listener peeks
-// the first four bytes and serves gob when they are not the frame magic.
-// Old coordinators and workers therefore interoperate with new ones in
-// either direction, at the legacy protocol's cost.
+// There is one protocol version. Worker and coordinator ship from one tree,
+// so a peer that opens with anything but a v3 hello — an older build, a stray
+// client — is refused with ErrProtocolMismatch on whichever side notices.
 //
 // Conn counts bytes and messages in both directions: the dist backend's
 // Stats.CrossBytes/CrossMsgs are measured on the wire (everything after the
@@ -47,7 +44,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -60,15 +56,16 @@ import (
 	"snaple/internal/graph"
 )
 
-// Protocol versions. A worker rejects a ship whose version differs from the
-// one its connection negotiated — version skew must fail loudly, not
-// silently change semantics (v2 itself exists because query scoping did).
-const (
-	// ProtocolV2 is the legacy gob envelope protocol.
-	ProtocolV2 = 2
-	// ProtocolV3 is the framed binary protocol (frame.go).
-	ProtocolV3 = 3
-)
+// ProtocolV3 is the one protocol version this build speaks: the framed binary
+// protocol of frame.go. Hello, ship and attach all carry it, and a worker
+// rejects any other value — version skew must fail loudly, not silently
+// change semantics.
+const ProtocolV3 = 3
+
+// ErrProtocolMismatch marks a handshake with a peer that does not speak
+// ProtocolV3: its opening bytes were not a v3 frame (builds before v3 spoke a
+// gob envelope, v2), or its hello named another version.
+var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only v3 and the peer does not (pre-v3 builds spoke gob v2); rebuild worker and coordinator from the same tree")
 
 // Kind discriminates the Msg envelope and the v3 frame header.
 type Kind uint8
@@ -81,17 +78,17 @@ const (
 	// KindStepBegin starts a superstep (coordinator → worker).
 	KindStepBegin
 	// KindPartials carries gather partials for vertices mastered elsewhere
-	// (worker → coordinator). On v3 a superstep sends any number of chunks,
-	// the last one final-flagged.
+	// (worker → coordinator). A superstep sends any number of chunks, the
+	// last one final-flagged.
 	KindPartials
 	// KindForeign carries partials routed from other partitions for vertices
-	// mastered here (coordinator → worker). Chunked like KindPartials on v3.
+	// mastered here (coordinator → worker). Chunked like KindPartials.
 	KindForeign
 	// KindRefresh carries refreshed master state for vertices with remote
-	// mirrors (worker → coordinator). Chunked on v3.
+	// mirrors (worker → coordinator). Chunked.
 	KindRefresh
 	// KindMirrors carries refreshed state routed to this partition's mirror
-	// copies (coordinator → worker). Chunked on v3.
+	// copies (coordinator → worker). Chunked.
 	KindMirrors
 	// KindCollect requests the final results (coordinator → worker).
 	KindCollect
@@ -100,7 +97,7 @@ const (
 	KindResult
 	// KindError aborts the session; Err holds the cause (either direction).
 	KindError
-	// KindHello opens a v3 connection in both directions: the dialer's
+	// KindHello opens a connection in both directions: the dialer's
 	// requested version and feature bits, answered with the granted ones.
 	KindHello
 	// KindAttach starts a job on a resident worker — one that pinned its
@@ -351,7 +348,7 @@ type WorkerResult struct {
 
 // Msg is the single envelope every wire exchange uses. Kind selects which
 // payload fields are meaningful; the rest stay zero and cost nothing on the
-// wire (v3 encodes only the kind's payload; gob omits zero-valued fields).
+// wire (a frame encodes only its kind's payload).
 type Msg struct {
 	Kind     Kind
 	Version  int    // KindShip, KindAttach, KindHello
@@ -361,7 +358,7 @@ type Msg struct {
 	Attach   AttachSpec // KindAttach
 	Step     core.DistStep
 	// Final marks the last superstep on KindStepBegin (no refresh/mirror
-	// round follows) and the last chunk of a v3 streaming phase on
+	// round follows) and the last chunk of a streaming phase on
 	// KindPartials/KindForeign/KindRefresh/KindMirrors.
 	Final    bool
 	Partials []core.DistPartial // KindPartials, KindForeign
@@ -370,7 +367,7 @@ type Msg struct {
 	Err      string             // KindError
 }
 
-// RawFrame is one received v3 frame with its payload left encoded — the
+// RawFrame is one received frame with its payload left encoded — the
 // coordinator's routing input. Payload is a view into the connection's
 // scratch, valid only until the next Recv or RecvRaw.
 type RawFrame struct {
@@ -427,24 +424,18 @@ var errRemote = errors.New("remote error")
 // means the worker is dead.
 func IsRemoteError(err error) bool { return errors.Is(err, errRemote) }
 
-// Conn is a message stream over a transport, speaking either the v3 frame
-// protocol or the legacy gob protocol, with traffic counting. It is not safe
-// for concurrent Sends or concurrent Recvs, but one sender and one receiver
-// may run concurrently — the v3 supersteps pipeline exactly that way.
+// Conn is a frame stream over a transport, with traffic counting. It is not
+// safe for concurrent Sends or concurrent Recvs, but one sender and one
+// receiver may run concurrently — the supersteps pipeline exactly that way.
 type Conn struct {
 	crw    *countingRW
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	closer io.Closer
 
-	proto    int
 	compress bool
 
-	// gob machinery (v2 only), built lazily so v3 connections never pay for it.
-	genc *gob.Encoder
-	gdec *gob.Decoder
-
-	// v3 scratch, reused across frames.
+	// scratch, reused across frames.
 	whdr   [frameHeaderSize]byte
 	rhdr   [frameHeaderSize]byte
 	rdBuf  []byte // wire payload
@@ -457,8 +448,8 @@ type Conn struct {
 }
 
 // NewConn wraps a transport (net.Conn in production, net.Pipe in tests) in
-// the v3 frame protocol, without a hello exchange — both ends must already
-// agree (Dial/Serve negotiate; tests pair NewConn with NewConn).
+// the frame protocol, without a hello exchange (Dial/Serve run one; tests
+// pair NewConn with NewConn).
 func NewConn(rwc io.ReadWriteCloser) *Conn {
 	crw := &countingRW{rw: rwc}
 	return &Conn{
@@ -466,33 +457,14 @@ func NewConn(rwc io.ReadWriteCloser) *Conn {
 		br:     bufio.NewReader(crw),
 		bw:     bufio.NewWriter(crw),
 		closer: rwc,
-		proto:  ProtocolV3,
 	}
 }
 
-// NewGobConn wraps a transport in the legacy gob protocol (v2).
-func NewGobConn(rwc io.ReadWriteCloser) *Conn {
-	c := NewConn(rwc)
-	c.downgradeGob()
-	return c
-}
-
-// downgradeGob switches a fresh connection to the gob protocol. Reads go
-// through the existing bufio.Reader, so bytes peeked during negotiation are
-// preserved.
-func (c *Conn) downgradeGob() *Conn {
-	c.proto = ProtocolV2
-	return c
-}
-
-// Proto returns the connection's protocol version (ProtocolV2 or ProtocolV3).
-func (c *Conn) Proto() int { return c.proto }
-
-// SetCompression toggles per-frame flate compression on a v3 connection.
-// Production connections negotiate it via the hello feature bits; this is
-// for endpoints created with NewConn directly (tests, benches).
+// SetCompression toggles per-frame flate compression. Production connections
+// negotiate it via the hello feature bits; this is for endpoints created with
+// NewConn directly (tests, benches).
 func (c *Conn) SetCompression(on bool) {
-	c.compress = on && c.proto == ProtocolV3
+	c.compress = on
 	if c.compress {
 		c.preallocCompression()
 	}
@@ -500,12 +472,8 @@ func (c *Conn) SetCompression(on bool) {
 
 // DialOptions configures DialWith.
 type DialOptions struct {
-	// Proto pins the protocol: 0 negotiates (v3 preferred, gob fallback for
-	// legacy workers), ProtocolV2 forces gob, ProtocolV3 requires v3 and
-	// fails on a legacy peer.
-	Proto int
-	// Compress requests per-frame flate compression (v3 only, subject to
-	// the worker granting it).
+	// Compress requests per-frame flate compression (subject to the worker
+	// granting it).
 	Compress bool
 	// HelloTimeout bounds the version handshake (default 2 minutes — a
 	// worker busy with another session answers nothing at all, and that must
@@ -513,29 +481,16 @@ type DialOptions struct {
 	HelloTimeout time.Duration
 }
 
-// Dial connects to a worker address, negotiating the newest protocol both
-// ends speak.
+// Dial connects to a worker address and runs the hello handshake.
 func Dial(addr string) (*Conn, error) {
 	return DialWith(addr, DialOptions{})
 }
 
-// DialWith connects to a worker address with explicit protocol options.
+// DialWith is Dial with explicit options. A peer that answers the hello with
+// anything but a v3 hello fails with ErrProtocolMismatch; one that answers
+// nothing (a worker busy with another session, or a non-v3 listener that
+// stays silent) fails with a timeout after HelloTimeout.
 func DialWith(addr string, o DialOptions) (*Conn, error) {
-	switch o.Proto {
-	case 0, ProtocolV2, ProtocolV3:
-	default:
-		return nil, fmt.Errorf("wire: unsupported protocol %d", o.Proto)
-	}
-	dialGob := func() (*Conn, error) {
-		nc, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
-		}
-		return NewGobConn(nc), nil
-	}
-	if o.Proto == ProtocolV2 {
-		return dialGob()
-	}
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
@@ -543,25 +498,12 @@ func DialWith(addr string, o DialOptions) (*Conn, error) {
 	c := NewConn(nc)
 	if err := c.hello(o); err != nil {
 		c.Close()
-		var nerr net.Error
-		switch {
-		case errors.As(err, &nerr) && nerr.Timeout():
-			// A busy worker, not an old one: the ship would hang the same way.
-			return nil, fmt.Errorf("wire: hello to %s: %w", addr, err)
-		case errors.Is(err, errRemote):
-			// The peer understood us and said no.
-			return nil, err
-		case o.Proto == ProtocolV3:
-			return nil, fmt.Errorf("wire: %s speaks the legacy gob protocol (v2) or is unreachable, and protocol v3 was required: %v", addr, err)
-		}
-		// Anything else — bad magic, EOF, a reset from a gob decoder choking
-		// on our frame — is the signature of a legacy worker: redial in v2.
-		return dialGob()
+		return nil, fmt.Errorf("wire: hello to %s: %w", addr, err)
 	}
 	return c, nil
 }
 
-// hello runs the dialer's half of the v3 negotiation.
+// hello runs the dialer's half of the handshake.
 func (c *Conn) hello(o DialOptions) error {
 	t := o.HelloTimeout
 	if t == 0 {
@@ -576,73 +518,59 @@ func (c *Conn) hello(o DialOptions) error {
 	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolV3, Features: feat}); err != nil {
 		return err
 	}
-	m, err := c.Recv()
+	m, err := c.recvHello()
 	if err != nil {
 		return err
 	}
-	if m.Kind != KindHello {
-		return fmt.Errorf("wire: expected hello reply, got %s", m.Kind)
-	}
-	if m.Version != ProtocolV3 {
-		return fmt.Errorf("wire: peer negotiated protocol %d, expected %d", m.Version, ProtocolV3)
-	}
 	if o.Compress && m.Features&featCompress != 0 {
-		c.compress = true
-		c.preallocCompression()
+		c.SetCompression(true)
 	}
 	return nil
 }
 
-// accept runs the listener's half of the negotiation: peek the first bytes,
-// answer a v3 hello with the granted features, or fall back to gob for a
-// legacy coordinator (the peeked bytes stay buffered for its decoder).
-// On error the partially-negotiated conn is returned alongside it when one
-// exists, so the caller can report the failure to the peer before closing.
-func accept(rwc io.ReadWriteCloser, o ServeOptions) (*Conn, error) {
-	if o.MaxProto == ProtocolV2 {
-		return NewGobConn(rwc), nil
-	}
+// accept runs the listener's half of the handshake: read the dialer's hello
+// and answer it with the granted features. The conn is returned even on
+// error, so the caller can report the failure to the peer before closing.
+func accept(rwc io.ReadWriteCloser) (*Conn, error) {
 	c := NewConn(rwc)
-	magic, err := c.br.Peek(len(frameMagic))
-	if err != nil {
-		return c, fmt.Errorf("wire: handshake peek: %w", err)
-	}
-	if string(magic) != frameMagic {
-		return c.downgradeGob(), nil
-	}
-	m, err := c.Expect(KindHello)
+	m, err := c.recvHello()
 	if err != nil {
 		return c, err
-	}
-	if m.Version != ProtocolV3 {
-		return c, fmt.Errorf("wire: peer requested protocol %d, worker speaks %d", m.Version, ProtocolV3)
 	}
 	grant := m.Features & featCompress
 	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolV3, Features: grant}); err != nil {
 		return c, err
 	}
-	if grant&featCompress != 0 {
-		c.compress = true
-		c.preallocCompression()
+	if grant != 0 {
+		c.SetCompression(true)
 	}
 	return c, nil
 }
 
+// recvHello reads the peer's hello, on either side of the handshake. The
+// magic is peeked first so a peer that is not speaking v3 at all — its first
+// four bytes settle that — is named as such instead of surfacing as a frame
+// decode error.
+func (c *Conn) recvHello() (*Msg, error) {
+	magic, err := c.br.Peek(len(frameMagic))
+	if err != nil {
+		return nil, fmt.Errorf("wire: handshake: %w", err)
+	}
+	if string(magic) != frameMagic {
+		return nil, fmt.Errorf("%w (peer opened with %q, not a v3 frame)", ErrProtocolMismatch, magic)
+	}
+	m, err := c.Expect(KindHello)
+	if err != nil {
+		return nil, err
+	}
+	if m.Version != ProtocolV3 {
+		return nil, fmt.Errorf("%w (peer hello names v%d)", ErrProtocolMismatch, m.Version)
+	}
+	return m, nil
+}
+
 // Send encodes one message.
 func (c *Conn) Send(m *Msg) error {
-	if c.proto == ProtocolV2 {
-		if c.genc == nil {
-			c.genc = gob.NewEncoder(c.bw)
-		}
-		if err := c.genc.Encode(m); err != nil {
-			return fmt.Errorf("wire: send %s: %w", m.Kind, err)
-		}
-		if err := c.bw.Flush(); err != nil {
-			return fmt.Errorf("wire: send %s: %w", m.Kind, err)
-		}
-		c.crw.msgOut.Add(1)
-		return nil
-	}
 	payload, flags, err := appendMsgPayload(c.encBuf[:0], m)
 	if err != nil {
 		return err
@@ -651,13 +579,10 @@ func (c *Conn) Send(m *Msg) error {
 	return c.writeFrame(m.Kind, flags, m.Step, payload)
 }
 
-// SendRaw sends a pre-encoded batch payload as one v3 frame, final-flagged
+// SendRaw sends a pre-encoded batch payload as one frame, final-flagged
 // when it ends the phase — the zero-copy path workers and the coordinator
 // stream chunks through.
 func (c *Conn) SendRaw(kind Kind, step core.DistStep, final bool, payload []byte) error {
-	if c.proto != ProtocolV3 {
-		return fmt.Errorf("wire: SendRaw on a v%d connection", c.proto)
-	}
 	var flags byte
 	if final {
 		flags |= flagFinal
@@ -665,27 +590,9 @@ func (c *Conn) SendRaw(kind Kind, step core.DistStep, final bool, payload []byte
 	return c.writeFrame(kind, flags, step, payload)
 }
 
-// Recv decodes the next message into a fresh envelope. (Both protocols
-// allocate exactly the message's payload; gob additionally merges into
-// presized fields, so reusing an envelope would leak state across messages.)
+// Recv decodes the next message into a fresh envelope, allocating exactly
+// the message's payload.
 func (c *Conn) Recv() (*Msg, error) {
-	if c.proto == ProtocolV2 {
-		if c.gdec == nil {
-			c.gdec = gob.NewDecoder(c.br)
-		}
-		m := new(Msg)
-		if err := c.gdec.Decode(m); err != nil {
-			if err == io.EOF {
-				return nil, err
-			}
-			return nil, fmt.Errorf("wire: recv: %w", err)
-		}
-		c.crw.msgIn.Add(1)
-		if m.Kind == KindError {
-			return m, fmt.Errorf("wire: %w: %s", errRemote, m.Err)
-		}
-		return m, nil
-	}
 	kind, flags, step, payload, err := c.readFrame()
 	if err != nil {
 		if err == io.EOF {
@@ -703,12 +610,9 @@ func (c *Conn) Recv() (*Msg, error) {
 	return m, nil
 }
 
-// RecvRaw reads the next v3 frame without decoding its payload. An error
+// RecvRaw reads the next frame without decoding its payload. An error
 // frame surfaces as an error, like Recv's.
 func (c *Conn) RecvRaw() (RawFrame, error) {
-	if c.proto != ProtocolV3 {
-		return RawFrame{}, fmt.Errorf("wire: RecvRaw on a v%d connection", c.proto)
-	}
 	kind, flags, step, payload, err := c.readFrame()
 	if err != nil {
 		if err == io.EOF {

@@ -1,17 +1,20 @@
 package wire
 
 import (
+	"encoding/hex"
+	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
+	"time"
 
 	"snaple/internal/core"
 	"snaple/internal/graph"
 )
 
-// pipePair returns two ends of an in-memory v3 message stream.
+// pipePair returns two ends of an in-memory message stream.
 func pipePair(t *testing.T) (*Conn, *Conn) {
 	t.Helper()
 	a, b := net.Pipe()
@@ -29,25 +32,38 @@ func zipPair(t *testing.T) (*Conn, *Conn) {
 	return ca, cb
 }
 
-// gobPair returns two ends of a legacy (v2) message stream.
-func gobPair(t *testing.T) (*Conn, *Conn) {
-	t.Helper()
-	a, b := net.Pipe()
-	ca, cb := NewGobConn(a), NewGobConn(b)
-	t.Cleanup(func() { ca.Close(); cb.Close() })
-	return ca, cb
-}
-
 // protoPairs lists the encoder/decoder pairings every lossless-codec test
-// runs through: the v3 frame protocol plain and compressed, and the legacy
-// gob protocol.
+// runs through: the frame protocol plain and compressed.
 var protoPairs = []struct {
 	name string
 	pair func(t *testing.T) (*Conn, *Conn)
 }{
 	{"v3", pipePair},
 	{"v3-flate", zipPair},
-	{"gob", gobPair},
+}
+
+// legacyGobOpening is what a pre-v3 peer sends first: the opening message of
+// a gob stream (the type descriptor of the v2 Msg envelope), captured from
+// the last build that spoke it.
+var legacyGobOpening = mustHex("ff927f030101034d736701ff8000010c01044b696e64010600010756657273696f6e" +
+	"0104000108466561747572657301060001034a6f6201ff820001045061727401ff8400010641747461636801ff8c" +
+	"00010453746570010400010546696e616c01020001085061727469616c7301ff9c00010653746174657301ffa600" +
+	"0106526573756c7401ffa8000103457272010c000000")
+
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// nonV3Openings are the peers the handshake must refuse by name: a legacy
+// gob build and line noise.
+func nonV3Openings() map[string][]byte {
+	noise := make([]byte, 64)
+	rand.New(rand.NewSource(3)).Read(noise)
+	return map[string][]byte{"legacy-gob-hello": legacyGobOpening, "random-bytes": noise}
 }
 
 // roundTrip pushes m through a real encoder/decoder pair and returns the
@@ -67,9 +83,8 @@ func roundTrip(t *testing.T, m *Msg, pair func(t *testing.T) (*Conn, *Conn)) *Ms
 	return got
 }
 
-// normalize maps empty slices to nil recursively via gob's own convention:
-// gob does not distinguish nil from empty, so lossless means "equal after
-// normalization".
+// normalizeMsg maps empty slices to nil recursively: the codec does not
+// distinguish nil from empty, so lossless means "equal after normalization".
 func normalizeMsg(m *Msg) {
 	if len(m.Partials) == 0 {
 		m.Partials = nil
@@ -134,8 +149,8 @@ func normalizeMsg(m *Msg) {
 }
 
 // checkLossless asserts that a message survives the wire bit for bit on
-// every protocol pairing (modulo the shared nil/empty unification: neither
-// codec distinguishes a nil slice from an empty one).
+// every pairing (modulo the nil/empty unification: the codec does not
+// distinguish a nil slice from an empty one).
 func checkLossless(t *testing.T, m *Msg) {
 	t.Helper()
 	want := *m
@@ -405,8 +420,8 @@ type errInjected struct{}
 
 func (errInjected) Error() string { return "injected failure" }
 
-// serveWorkers runs a real listening worker fleet for negotiation tests and
-// returns its address.
+// serveWorkers runs a real listening worker for handshake tests and returns
+// its address.
 func serveWorkers(t *testing.T, o ServeOptions) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -419,12 +434,12 @@ func serveWorkers(t *testing.T, o ServeOptions) string {
 }
 
 // runMiniSession drives a complete (zero-superstep) session over c: ship an
-// empty partition, await ready, collect the result. It proves the negotiated
-// protocol actually works end to end, not just that the handshake returned.
+// empty partition, await ready, collect the result. It proves the connection
+// actually works end to end, not just that the handshake returned.
 func runMiniSession(t *testing.T, c *Conn) {
 	t.Helper()
 	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-	ship := &Msg{Kind: KindShip, Version: c.Proto(), Job: job, Part: Partition{Part: 3}}
+	ship := &Msg{Kind: KindShip, Version: ProtocolV3, Job: job, Part: Partition{Part: 3}}
 	if err := c.Send(ship); err != nil {
 		t.Fatalf("ship: %v", err)
 	}
@@ -443,65 +458,85 @@ func runMiniSession(t *testing.T, c *Conn) {
 	}
 }
 
-// TestProtocolNegotiation covers the mixed-version handshake matrix: v3
-// both ends (with compression granted), a v3 coordinator downgrading to a
-// legacy gob worker, a v3-pinned coordinator failing clearly against that
-// worker, and a v2-pinned coordinator against a v3-capable worker.
-func TestProtocolNegotiation(t *testing.T) {
-	t.Run("v3-with-compression", func(t *testing.T) {
+// TestHandshake covers the hello exchange: compression granted between two
+// v3 ends, and the version contract against peers that are not — each side
+// names the mismatch with ErrProtocolMismatch, and a dialer facing a peer
+// that answers nothing gives up at HelloTimeout instead of hanging.
+func TestHandshake(t *testing.T) {
+	t.Run("compression-granted", func(t *testing.T) {
 		addr := serveWorkers(t, ServeOptions{})
 		c, err := DialWith(addr, DialOptions{Compress: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if c.Proto() != ProtocolV3 {
-			t.Fatalf("negotiated v%d, want v3", c.Proto())
-		}
 		if !c.compress {
 			t.Fatal("compression requested but not granted")
 		}
 		runMiniSession(t, c)
 	})
-	t.Run("downgrade-to-legacy-worker", func(t *testing.T) {
-		// A MaxProto-2 fleet stands in for old worker binaries: its gob
-		// decoder chokes on the v3 hello, the dialer recognises the legacy
-		// peer and redials speaking gob.
-		addr := serveWorkers(t, ServeOptions{MaxProto: ProtocolV2})
-		c, err := DialWith(addr, DialOptions{})
+	// fakeListener accepts one connection, reads the dialer's hello, answers
+	// with reply (nothing when nil) and holds the connection until the dialer
+	// closes it.
+	fakeListener := func(t *testing.T, reply []byte) string {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if c.Proto() != ProtocolV2 {
-			t.Fatalf("negotiated v%d, want v2 fallback", c.Proto())
-		}
-		runMiniSession(t, c)
-	})
-	t.Run("v3-required-fails-clearly", func(t *testing.T) {
-		addr := serveWorkers(t, ServeOptions{MaxProto: ProtocolV2})
-		c, err := DialWith(addr, DialOptions{Proto: ProtocolV3})
+		t.Cleanup(func() { l.Close() })
+		go func() {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			_, _ = c.Write(reply)
+			_, _ = io.Copy(io.Discard, c)
+		}()
+		return l.Addr().String()
+	}
+	for name, opening := range nonV3Openings() {
+		t.Run("dial/"+name, func(t *testing.T) {
+			c, err := DialWith(fakeListener(t, opening), DialOptions{HelloTimeout: 5 * time.Second})
+			if err == nil {
+				c.Close()
+				t.Fatal("dial succeeded against a non-v3 listener")
+			}
+			if !errors.Is(err, ErrProtocolMismatch) {
+				t.Fatalf("err = %v, want ErrProtocolMismatch", err)
+			}
+		})
+		t.Run("accept/"+name, func(t *testing.T) {
+			a, b := net.Pipe()
+			defer a.Close()
+			errc := make(chan error, 1)
+			go func() { errc <- ServeConn(b) }()
+			go func() { _, _ = a.Write(opening) }()
+			// The worker names the mismatch to the peer in a typed error frame
+			// before closing, and returns it.
+			if _, err := NewConn(a).Recv(); !IsRemoteError(err) {
+				t.Fatalf("peer saw %v, want the worker's typed error frame", err)
+			}
+			if err := <-errc; !errors.Is(err, ErrProtocolMismatch) {
+				t.Fatalf("ServeConn returned %v, want ErrProtocolMismatch", err)
+			}
+		})
+	}
+	t.Run("dial/silent-listener", func(t *testing.T) {
+		const helloTimeout = 300 * time.Millisecond
+		start := time.Now()
+		c, err := DialWith(fakeListener(t, nil), DialOptions{HelloTimeout: helloTimeout})
 		if err == nil {
 			c.Close()
-			t.Fatal("v3-pinned dial succeeded against a legacy worker")
+			t.Fatal("dial succeeded against a listener that never answers")
 		}
-		if !strings.Contains(err.Error(), "legacy gob protocol") {
-			t.Fatalf("unhelpful error for a legacy peer: %v", err)
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("err = %v, want a timeout", err)
 		}
-	})
-	t.Run("v2-pinned-against-v3-worker", func(t *testing.T) {
-		// The reverse skew: an old coordinator (pinned to gob) against a new
-		// worker, which must peek the non-frame bytes and serve gob.
-		addr := serveWorkers(t, ServeOptions{})
-		c, err := DialWith(addr, DialOptions{Proto: ProtocolV2})
-		if err != nil {
-			t.Fatal(err)
+		if d := time.Since(start); d > 10*helloTimeout {
+			t.Fatalf("dial took %v with a %v hello timeout", d, helloTimeout)
 		}
-		defer c.Close()
-		if c.Proto() != ProtocolV2 {
-			t.Fatalf("negotiated v%d, want v2", c.Proto())
-		}
-		runMiniSession(t, c)
 	})
 }
 

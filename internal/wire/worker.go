@@ -22,11 +22,6 @@ const streamChunkBytes = 64 << 10
 
 // ServeOptions configures a worker's listening side.
 type ServeOptions struct {
-	// MaxProto caps the protocol the worker negotiates: 0 (or ProtocolV3)
-	// accepts v3 hellos and falls back to gob for legacy coordinators;
-	// ProtocolV2 serves gob only — a stand-in for an old worker binary in
-	// mixed-version fleet tests.
-	MaxProto int
 	// Resident pins a packed partition for the worker's lifetime. A resident
 	// worker accepts KindAttach jobs (a fingerprint handshake instead of a
 	// partition transfer) and serves connections concurrently, so several
@@ -45,7 +40,7 @@ func Serve(l net.Listener, logf func(format string, args ...any)) error {
 	return ServeWith(l, logf, ServeOptions{})
 }
 
-// ServeWith is Serve with explicit protocol options.
+// ServeWith is Serve with explicit options.
 func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOptions) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -88,7 +83,7 @@ func ServeConn(rwc io.ReadWriteCloser) error {
 	return ServeConnWith(rwc, ServeOptions{})
 }
 
-// ServeConnWith is ServeConn with explicit protocol options.
+// ServeConnWith is ServeConn with explicit options.
 //
 // A resident worker serves hostile input: a coordinator may die mid-frame, a
 // chaos test may flip bits, a stray client may speak garbage. Every such
@@ -98,14 +93,10 @@ func ServeConn(rwc io.ReadWriteCloser) error {
 // the session (a decode bug reached by malformed input) is converted to the
 // same shape instead of taking the process down.
 func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
-	conn, err := accept(rwc, o)
+	conn, err := accept(rwc)
 	if err != nil {
-		if conn != nil {
-			conn.SendError(err)
-			conn.Close()
-		} else {
-			rwc.Close()
-		}
+		conn.SendError(err)
+		conn.Close()
 		return err
 	}
 	defer conn.Close()
@@ -165,12 +156,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 		}
 		switch m.Kind {
 		case KindStepBegin:
-			if conn.Proto() == ProtocolV3 {
-				err = s.runStepV3(m.Step, m.Final)
-			} else {
-				err = s.runStepV2(m.Step, m.Final)
-			}
-			if err != nil {
+			if err := s.runStep(m.Step, m.Final); err != nil {
 				conn.SendError(err)
 				return err
 			}
@@ -198,8 +184,8 @@ type recRef struct {
 const selfChunk = int32(-1)
 
 // session is a worker's state for one job: the compute partition plus the
-// master/mirror roles the coordinator elected, and (on v3) the reusable
-// streaming buffers of the pipelined superstep.
+// master/mirror roles the coordinator elected, and the reusable streaming
+// buffers of the pipelined superstep.
 type session struct {
 	conn      *Conn
 	partIdx   int
@@ -208,7 +194,7 @@ type session struct {
 	hasRemote []bool
 	busyNS    atomic.Int64 // gather/apply/refresh goroutines all contribute
 
-	// v3 per-step state, reused across supersteps.
+	// per-step state, reused across supersteps.
 	sendBB BatchBuilder // outgoing chunk under construction (sender goroutine)
 	// regather marks a partition whose masters can recompute their own
 	// partial at apply time (core.DistPartition.GatherVertex) — the normal
@@ -233,8 +219,8 @@ type session struct {
 // worker's resident shard by fingerprint, carrying only the job config and
 // (for scoped queries) the sparse per-vertex roles the coordinator elected.
 func startSession(conn *Conn, m *Msg, resident *ResidentShard) (*session, error) {
-	if m.Version != conn.Proto() {
-		return nil, fmt.Errorf("wire: protocol version %d, worker speaks %d", m.Version, conn.Proto())
+	if m.Version != ProtocolV3 {
+		return nil, fmt.Errorf("wire: protocol version %d, worker speaks %d", m.Version, ProtocolV3)
 	}
 	cfg, err := m.Job.Config()
 	if err != nil {
@@ -363,7 +349,7 @@ func (s *session) prewarm() {
 
 func (s *session) addBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
 
-// resetStep readies the reusable v3 buffers for one superstep.
+// resetStep readies the reusable buffers for one superstep.
 func (s *session) resetStep() {
 	n := len(s.part.Locals())
 	if len(s.applied) != n {
@@ -384,14 +370,13 @@ func (s *session) resetStep() {
 	s.chunkN = 0
 }
 
-// runStepV3 executes one superstep on the pipelined v3 protocol: a sender
-// goroutine streams gather partials up in chunks as the gather loop produces
-// them, while this goroutine concurrently drains the foreign partials the
-// coordinator routes back — communication overlaps compute on both sides of
-// the connection. Masters without remote mirrors apply inline during the
+// runStep executes one pipelined superstep: a sender goroutine streams gather
+// partials up in chunks as the gather loop produces them, while this
+// goroutine concurrently drains the foreign partials the coordinator routes
+// back — communication overlaps compute on both sides of the connection. Masters without remote mirrors apply inline during the
 // gather (no other partition can contribute to them); the rest apply after
 // both streams end. The refresh round pipelines the same way.
-func (s *session) runStepV3(step core.DistStep, final bool) error {
+func (s *session) runStep(step core.DistStep, final bool) error {
 	s.resetStep()
 	gerr := make(chan error, 1)
 	go func() { gerr <- s.gatherAndSend(step) }()
@@ -650,94 +635,6 @@ func (s *session) sendRefresh(step core.DistStep) error {
 	}
 	s.addBusy(time.Since(t0))
 	return s.conn.SendRaw(KindRefresh, step, true, bb.Payload())
-}
-
-// runStepV2 executes one superstep on the legacy gob protocol, barriered
-// exactly as protocol v2 always was: gather, exchange partials through the
-// coordinator, apply at the masters and (unless final) broadcast refreshed
-// state back through the coordinator to the mirrors.
-func (s *session) runStepV2(step core.DistStep, final bool) error {
-	t0 := time.Now()
-	partials, err := s.part.Gather(step)
-	if err != nil {
-		return err
-	}
-	// Split: partials for vertices mastered here wait for the apply phase;
-	// the rest go up to the coordinator for routing.
-	locals := s.part.Locals()
-	mine := make([][]core.DistPartial, len(locals))
-	var foreign []core.DistPartial
-	for _, dp := range partials {
-		li, _ := s.part.LocalIndex(dp.V) // gather only emits local vertices
-		if s.isMaster[li] {
-			mine[li] = append(mine[li], dp)
-		} else {
-			foreign = append(foreign, dp)
-		}
-	}
-	s.addBusy(time.Since(t0))
-
-	if err := s.conn.Send(&Msg{Kind: KindPartials, Step: step, Partials: foreign}); err != nil {
-		return err
-	}
-	fm, err := s.conn.Expect(KindForeign)
-	if err != nil {
-		return err
-	}
-	if fm.Step != step {
-		return fmt.Errorf("wire: foreign partials for %v during %v", fm.Step, step)
-	}
-
-	t0 = time.Now()
-	for _, dp := range fm.Partials {
-		li, ok := s.part.LocalIndex(dp.V)
-		if !ok || !s.isMaster[li] {
-			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", dp.V)
-		}
-		mine[li] = append(mine[li], dp)
-	}
-	for li, v := range locals {
-		if !s.isMaster[li] {
-			continue
-		}
-		if err := s.part.Apply(step, v, mine[li]); err != nil {
-			return err
-		}
-	}
-	if final {
-		// The last superstep's output is read back through collect; mirrors
-		// never consume it, so the refresh round is skipped entirely.
-		s.addBusy(time.Since(t0))
-		return nil
-	}
-	var states []VertexState
-	for li, v := range locals {
-		if !s.isMaster[li] || !s.hasRemote[li] {
-			continue
-		}
-		d, _ := s.part.State(v)
-		states = append(states, VertexState{V: v, Data: d})
-	}
-	s.addBusy(time.Since(t0))
-
-	if err := s.conn.Send(&Msg{Kind: KindRefresh, Step: step, States: states}); err != nil {
-		return err
-	}
-	mm, err := s.conn.Expect(KindMirrors)
-	if err != nil {
-		return err
-	}
-	if mm.Step != step {
-		return fmt.Errorf("wire: mirror refresh for %v during %v", mm.Step, step)
-	}
-	t0 = time.Now()
-	for _, vs := range mm.States {
-		if err := s.part.SetState(vs.V, vs.Data); err != nil {
-			return err
-		}
-	}
-	s.addBusy(time.Since(t0))
-	return nil
 }
 
 // collect assembles the partition's master predictions and cost report.

@@ -80,34 +80,38 @@ echo "$plain_out"
 echo "==> CLI auto-spawn path (-spawn forks its own workers)"
 PATH="$workdir:$PATH" "$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist -spawn 2 -eval
 
-echo "==> mixed-version fleet: a 4th worker that speaks only the legacy gob protocol"
-"$workdir/snaple-worker" -listen 127.0.0.1:0 -max-proto 2 \
-  >"$workdir/worker4.out" 2>"$workdir/worker4.err" &
+echo "==> a listener that is not a v3 worker must fail the run with the protocol-mismatch error"
+# One-shot stand-in for an older build or a stray service on the worker port:
+# it answers the coordinator's hello with bytes that are not a v3 frame.
+# (python3 rather than `nc -l`: it can bind port 0 and announce the address
+# the way the workers do.)
+python3 -c '
+import socket
+s = socket.socket(); s.bind(("127.0.0.1", 0)); s.listen(1)
+print("listening %s:%d" % s.getsockname(), flush=True)
+c, _ = s.accept(); c.recv(4096); c.sendall(b"HTTP/1.1 400 Bad Request\r\n\r\n"); c.recv(4096)
+' >"$workdir/stranger.out" &
 pids+=($!)
-legacy_addr=""
+stranger_addr=""
 for _ in $(seq 1 100); do
-  line="$(head -n1 "$workdir/worker4.out" 2>/dev/null || true)"
+  line="$(head -n1 "$workdir/stranger.out" 2>/dev/null || true)"
   case "$line" in
-    "listening "*) legacy_addr="${line#listening }"; break ;;
+    "listening "*) stranger_addr="${line#listening }"; break ;;
   esac
   sleep 0.1
 done
-if [ -z "$legacy_addr" ]; then
-  echo "legacy worker never announced its address" >&2
+if [ -z "$stranger_addr" ]; then
+  echo "non-v3 listener never announced its address" >&2
   exit 1
 fi
-"$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist \
-  -addrs "$addr_list,$legacy_addr" -eval
-
-echo "==> pinning -wire-proto 3 against the legacy worker must fail clearly"
-if v3_out="$("$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist \
-    -addrs "$legacy_addr" -wire-proto 3 -eval 2>&1)"; then
-  echo "required-v3 run against a legacy worker unexpectedly succeeded" >&2
+if mismatch_out="$("$workdir/snaple" -dataset gowalla -scale 0.3 -engine dist \
+    -addrs "$stranger_addr" -eval 2>&1)"; then
+  echo "run against a non-v3 listener unexpectedly succeeded" >&2
   exit 1
 fi
-case "$v3_out" in
-  *"legacy gob protocol"*) ;;
-  *) echo "required-v3 failure lacks a clear diagnosis: $v3_out" >&2; exit 1 ;;
+case "$mismatch_out" in
+  *"protocol mismatch"*"rebuild worker and coordinator from the same tree"*) ;;
+  *) echo "non-v3 listener failure lacks a clear diagnosis: $mismatch_out" >&2; exit 1 ;;
 esac
 
 echo "==> -wire-compress shrinks the measured cross-node traffic"
@@ -136,18 +140,18 @@ go test -race -count=1 \
 
 echo "==> chaos: SIGKILL a replicated worker mid-run, output must be byte-identical"
 "$workdir/snaple-worker" -listen 127.0.0.1:0 \
-  >"$workdir/worker5.out" 2>"$workdir/worker5.err" &
+  >"$workdir/worker4.out" 2>"$workdir/worker4.err" &
 pids+=($!)
 extra_addr=""
 for _ in $(seq 1 100); do
-  line="$(head -n1 "$workdir/worker5.out" 2>/dev/null || true)"
+  line="$(head -n1 "$workdir/worker4.out" 2>/dev/null || true)"
   case "$line" in
     "listening "*) extra_addr="${line#listening }"; break ;;
   esac
   sleep 0.1
 done
 if [ -z "$extra_addr" ]; then
-  echo "4th v3 worker never announced its address" >&2
+  echo "4th worker never announced its address" >&2
   exit 1
 fi
 fleet4="$addr_list,$extra_addr"

@@ -276,13 +276,8 @@ type ClusterOptions struct {
 	// WorkerBin locates the worker binary for SpawnWorkers (default
 	// "snaple-worker" resolved through PATH).
 	WorkerBin string
-	// WireProto pins the dist backend's wire protocol: 0 negotiates (v3
-	// with automatic fallback to the legacy gob protocol for old workers),
-	// 2 forces gob, 3 requires v3 and fails clearly against legacy workers.
-	WireProto int
-	// WireCompress enables per-frame flate compression on v3 connections
-	// (trades coordinator/worker CPU for cross-node bytes; ignored on gob
-	// connections).
+	// WireCompress enables per-frame flate compression on the dist wire
+	// (trades coordinator/worker CPU for cross-node bytes).
 	WireCompress bool
 	// Replicas ships every partition to this many dist workers (0 or 1 = no
 	// replication). With R > 1 the fleet divides into groups of R replicas
@@ -431,7 +426,6 @@ func (c ClusterOptions) toDist() (engine.Dist, error) {
 		InProc:       c.Workers,
 		Strategy:     strat,
 		Seed:         c.Seed,
-		Proto:        c.WireProto,
 		Compress:     c.WireCompress,
 		Replicas:     c.Replicas,
 		StepTimeout:  c.StepTimeout,
@@ -510,7 +504,7 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 			Addrs: o.WorkerAddrs, Replicas: o.Replicas, Strategy: strat,
 			Seed: o.Seed, StepTimeout: o.StepTimeout,
 			DialAttempts: o.DialAttempts, DialBackoff: o.DialBackoff,
-			Proto: o.WireProto, Compress: o.WireCompress,
+			Compress: o.WireCompress,
 		}
 		switch {
 		case o.Manifest != "":
