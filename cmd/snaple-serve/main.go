@@ -147,8 +147,8 @@ type serveArgs struct {
 	verify       bool
 }
 
-// heapCSR unwraps v to the compact heap-shaped CSR the fleet and mutable
-// paths require: pass-through for plain CSRs (mmap'd included), a one-time
+// heapCSR unwraps v to the compact heap-shaped CSR the mutable path
+// requires: pass-through for plain CSRs (mmap'd included), a one-time
 // decode for packed-adjacency views.
 func heapCSR(v snaple.GraphView) (*graph.Digraph, error) {
 	if g, ok := graph.AsCSR(v); ok {
@@ -196,57 +196,55 @@ func run(a serveArgs) error {
 		return err
 	}
 	var be engine.Backend
-	if a.manifest != "" {
-		// Resident fleet: the workers already hold the packed partitions, so
-		// bring-up is a fingerprint handshake per connection and the fleet
-		// stays attached for the server's lifetime. Several serve front-ends
-		// can share the same standing fleet.
+	if a.manifest != "" || a.engine == "dist" {
+		// One distributed deployment, described once: the workers at -addrs
+		// (resident ones when a -manifest says what they pinned, plain ones
+		// shipped their partition here otherwise), -spawn'ed ones, or an
+		// in-process fleet — optionally replicated so worker deaths between
+		// and during batches fail over instead of failing queries (see /statsz
+		// fleet counters and /healthz degradation). The fleet stays up for the
+		// server's lifetime, and several front-ends can share one set of
+		// resident workers.
 		if a.engine != "dist" && a.engine != "" && a.engine != "local" {
 			return fmt.Errorf("-manifest requires -engine dist (got %q)", a.engine)
 		}
-		mf, err := os.Open(a.manifest)
-		if err != nil {
-			return err
+		if a.mutable && a.manifest != "" {
+			return fmt.Errorf("-mutable is incompatible with -manifest (packed shards are frozen)")
 		}
-		man, err := graph.ReadManifest(mf)
-		mf.Close()
-		if err != nil {
-			return err
-		}
-		var fleetAddrs []string
-		if a.addrs != "" {
-			fleetAddrs = strings.Split(a.addrs, ",")
-		}
-		csr, err := heapCSR(g)
-		if err != nil {
-			return err
-		}
-		fleet, err := engine.OpenFleet(csr, engine.FleetOptions{
-			Addrs: fleetAddrs, Manifest: man, Replicas: a.replicas,
-			StepTimeout: a.stepTimeout, DialAttempts: a.dialAttempts,
-		})
-		if err != nil {
-			return err
-		}
-		defer fleet.Close()
-		fi := fleet.FleetInfo()
-		fmt.Fprintf(os.Stderr, "attached resident fleet: %d shards x %d replicas (fingerprint %016x)\n",
-			fi.Shards, fi.Replicas, fi.Fingerprint)
-		be = fleet
-	} else if a.engine == "dist" {
-		// The dist backend gets its deployment described directly: a resident
-		// worker fleet (or spawned one), optionally replicated so worker
-		// deaths between and during batches fail over instead of failing
-		// queries (see /statsz fleet counters and /healthz degradation).
-		d := engine.Dist{
+		fo := engine.FleetOptions{
 			Spawn: a.spawn, WorkerBin: a.workerBin, InProc: a.workers,
 			Seed: a.seed, Replicas: a.replicas, StepTimeout: a.stepTimeout,
 			DialAttempts: a.dialAttempts,
 		}
 		if a.addrs != "" {
-			d.Addrs = strings.Split(a.addrs, ",")
+			fo.Addrs = strings.Split(a.addrs, ",")
 		}
-		be = d
+		if a.manifest != "" {
+			mf, err := os.Open(a.manifest)
+			if err != nil {
+				return err
+			}
+			fo.Manifest, err = graph.ReadManifest(mf)
+			mf.Close()
+			if err != nil {
+				return err
+			}
+		}
+		if a.mutable {
+			// A standing fleet serves the cut it made at open; a live graph
+			// is re-cut per batch by the one-shot form of the same options.
+			be = engine.Dist(fo)
+		} else {
+			fleet, err := engine.OpenFleet(g, fo)
+			if err != nil {
+				return err
+			}
+			defer fleet.Close()
+			fi := fleet.FleetInfo()
+			fmt.Fprintf(os.Stderr, "fleet up: %d shards x %d replicas (fingerprint %016x)\n",
+				fi.Shards, fi.Replicas, fi.Fingerprint)
+			be = fleet
+		}
 	} else {
 		be, err = engine.New(a.engine, a.workers, a.seed)
 		if err != nil {

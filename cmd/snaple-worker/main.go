@@ -13,12 +13,13 @@
 //
 // The first stdout line announces the bound address as "listening <addr>",
 // which is how spawning coordinators and the CI cluster-smoke script learn
-// ephemeral ports. Without -shard, jobs are served sequentially, one TCP
-// connection each, and every job ships its partition. With -shard the worker
-// loads one partition packed by `snaple pack -shards` at startup and stays
-// resident: coordinators attach with a fingerprint handshake instead of
-// shipping, connections are served concurrently so several front-ends can
-// share the worker, and an attach for a different pack is refused. Either
+// ephemeral ports. Without -shard, coordinators are served one connection at
+// a time: each ships the worker its partition once, for the life of the
+// connection, and then opens every job on it with a fingerprint attach. With
+// -shard the worker loads one partition packed by `snaple pack -shards` at
+// startup and stays resident: coordinators attach without ever shipping (a
+// ship is refused), connections are served concurrently so several front-ends
+// can share the worker, and an attach for a different pack is refused. Either
 // way the worker keeps serving until killed (SIGINT/SIGTERM exit cleanly).
 package main
 
@@ -74,7 +75,7 @@ func run(listen string, quiet bool, shard string) error {
 		return err
 	}
 	// The announcement contract: exactly "listening <addr>" as the first
-	// stdout line (engine.Dist's spawner and scripts/cluster_smoke.sh parse
+	// stdout line (engine.Fleet's spawner and scripts/cluster_smoke.sh parse
 	// it).
 	fmt.Printf("listening %s\n", l.Addr())
 

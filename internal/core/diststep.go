@@ -282,7 +282,7 @@ func (p *DistPartition) Gather(step DistStep) ([]DistPartial, error) {
 
 // srcContiguous reports whether the partition's edges are grouped into one
 // contiguous run per source vertex — true for every partition cut from a CSR
-// graph in edge order (engine.Dist's deploy), and the precondition for the
+// graph in edge order (the engine's cut), and the precondition for the
 // run-at-a-time streaming gather. The same pass records whether the runs are
 // ascending by source (srcSorted), the extra precondition GatherVertex needs
 // to find a run by binary search. The check is linear and cached.
@@ -317,7 +317,7 @@ func (p *DistPartition) srcContiguous() bool {
 
 // CanGatherVertex reports whether GatherVertex is available: the partition's
 // edges must be grouped per source with runs ascending by local index, which
-// holds for every partition engine.Dist deploys from a CSR cut.
+// holds for every partition the engine cuts from a graph in edge order.
 func (p *DistPartition) CanGatherVertex() bool {
 	return p.srcContiguous() && p.srcSorted == 1
 }

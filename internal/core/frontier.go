@@ -207,7 +207,7 @@ func (f *Frontier) InTwoHop(v graph.VertexID) bool {
 }
 
 // Scope-mask bits: the per-vertex frontier membership shipped to dist
-// workers (wire.Partition.Scope), one bit per step family. A worker gates
+// workers (wire.ScopeEntry.Mask), one bit per step family. A worker gates
 // each superstep's gather on its source's bit, which is all it needs — the
 // global sets stay on the coordinator.
 const (

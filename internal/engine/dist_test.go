@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"snaple/internal/core"
+	"snaple/internal/graph"
 	"snaple/internal/partition"
 	"snaple/internal/wire"
 )
@@ -178,8 +179,9 @@ func TestDistMeasuredStats(t *testing.T) {
 	}
 }
 
-// TestDistRejectsCustomScore: a hand-assembled ScoreSpec cannot cross the
-// wire and must fail fast, before any connection is made.
+// TestDistRejectsCustomScore: the config is validated before any dial — a
+// hand-assembled ScoreSpec cannot cross the wire and must fail fast, as must
+// a source outside the graph.
 func TestDistRejectsCustomScore(t *testing.T) {
 	g := testGraph(t, 20, 1)
 	cfg := core.Config{Score: core.ScoreSpec{
@@ -190,6 +192,11 @@ func TestDistRejectsCustomScore(t *testing.T) {
 	_, _, err := Dist{Addrs: []string{"127.0.0.1:1"}}.Predict(g, cfg)
 	if err == nil || !strings.Contains(err.Error(), "not shippable") {
 		t.Fatalf("err = %v, want shippability failure", err)
+	}
+	cfg = core.Config{Score: mustScore(t, "linearSum"), K: 5, Sources: []graph.VertexID{20}}
+	_, _, err = Dist{Addrs: []string{"127.0.0.1:1"}}.Predict(g, cfg)
+	if err == nil || strings.Contains(err.Error(), "127.0.0.1:1") {
+		t.Fatalf("err = %v, want the out-of-range source rejected before the dial", err)
 	}
 }
 
@@ -250,8 +257,9 @@ func TestDistWireCompression(t *testing.T) {
 	}
 }
 
-// TestDistRejectsDuplicateAddrs: dialing the same worker twice would
-// deadlock its sequential session loop, so the coordinator refuses up front.
+// TestDistRejectsDuplicateAddrs: dialing the same plain worker twice would
+// deadlock its sequential session loop, so the coordinator refuses up front —
+// for the one-shot run and the standing fleet alike.
 func TestDistRejectsDuplicateAddrs(t *testing.T) {
 	g := testGraph(t, 20, 1)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, Seed: 1}
@@ -260,22 +268,44 @@ func TestDistRejectsDuplicateAddrs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "duplicate worker address") {
 		t.Fatalf("err = %v, want duplicate-address rejection", err)
 	}
+	_, err = OpenFleet(g, FleetOptions{Addrs: []string{addrs[0], addrs[0]}})
+	if err == nil || !strings.Contains(err.Error(), "duplicate worker address") {
+		t.Fatalf("OpenFleet err = %v, want duplicate-address rejection", err)
+	}
 }
 
-// TestDistWorkerCount pins the resolution order of the connection modes.
-func TestDistWorkerCount(t *testing.T) {
+// TestFleetShape pins the one rule from (connection mode, worker count,
+// Replicas) to the fleet's dimensions, for Dist and Fleet alike: Addrs beat
+// Spawn beat in-process; W external workers form W/R groups of R replicas, R
+// clamped to W and the remainder unused; an in-process fleet has InProc shards
+// of R workers each; a manifest pins the shard count and external workers must
+// fill it exactly.
+func TestFleetShape(t *testing.T) {
+	addrs := func(n int) []string { return make([]string, n) }
+	man := &graph.Manifest{Shards: 3}
 	cases := []struct {
-		d    Dist
-		want int
+		o            FleetOptions
+		shards, reps int
+		wantErr      bool
 	}{
-		{Dist{}, 2},
-		{Dist{InProc: 3}, 3},
-		{Dist{Spawn: 5}, 5},
-		{Dist{Addrs: []string{"a", "b"}, Spawn: 5, InProc: 9}, 2},
+		{o: FleetOptions{}, shards: 2, reps: 1},
+		{o: FleetOptions{InProc: 3}, shards: 3, reps: 1},
+		{o: FleetOptions{InProc: 3, Replicas: 2}, shards: 3, reps: 2},
+		{o: FleetOptions{Spawn: 5}, shards: 5, reps: 1},
+		{o: FleetOptions{Addrs: addrs(2), Spawn: 5, InProc: 9}, shards: 2, reps: 1},
+		{o: FleetOptions{Addrs: addrs(4), Replicas: 2}, shards: 2, reps: 2},
+		{o: FleetOptions{Addrs: addrs(6), Replicas: 3}, shards: 2, reps: 3},
+		{o: FleetOptions{Addrs: addrs(4), Replicas: 3}, shards: 1, reps: 3}, // the 4th worker is unused
+		{o: FleetOptions{Spawn: 2, Replicas: 5}, shards: 1, reps: 2},        // clamped to the fleet size
+		{o: FleetOptions{Manifest: man}, shards: 3, reps: 1},
+		{o: FleetOptions{Manifest: man, Addrs: addrs(6), Replicas: 2}, shards: 3, reps: 2},
+		{o: FleetOptions{Manifest: man, Addrs: addrs(5), Replicas: 2}, wantErr: true},
+		{o: FleetOptions{Manifest: man, Addrs: addrs(4)}, wantErr: true},
 	}
 	for _, c := range cases {
-		if got := c.d.workerCount(); got != c.want {
-			t.Errorf("workerCount(%+v) = %d, want %d", c.d, got, c.want)
+		shards, reps, err := c.o.shape()
+		if (err != nil) != c.wantErr || shards != c.shards || reps != c.reps {
+			t.Errorf("shape(%+v) = %d x %d, %v; want %d x %d (error: %v)", c.o, shards, reps, err, c.shards, c.reps, c.wantErr)
 		}
 	}
 }

@@ -24,7 +24,7 @@ var ErrPartitionLost = errors.New("partition lost: all replicas dead")
 // connection error or a missed phase deadline marks that worker dead here,
 // and the run continues on the survivors.
 //
-// Replication model: with replica factor R, partition p is shipped to the R
+// Replication model: with replica factor R, partition p is held by the R
 // connections groups[p]. Every replica receives identical traffic — the
 // step-begin broadcast, the foreign partials routed to the partition's
 // masters, the mirror refreshes — and therefore computes identically (all
@@ -43,7 +43,7 @@ var ErrPartitionLost = errors.New("partition lost: all replicas dead")
 // restart consumes at least one death, so the retry count is bounded by the
 // worker count.
 type distRun struct {
-	dep     *deployment
+	routes  *routing
 	conns   []*wire.Conn // nil entries: workers that never connected
 	partOf  []int        // conn index -> partition it serves
 	groups  [][]int      // partition -> conn indices (its replicas)
@@ -66,21 +66,21 @@ type distRun struct {
 // how a test kills worker W at superstep S under either coordinator.
 type stepHookKey struct{}
 
-// newDistRun wires the run state for len(dep.parts) partitions served by
+// newDistRun wires the run state for routes.parts partitions served by
 // conns, where conns[p*replicas : (p+1)*replicas] are partition p's
 // replicas. A nil connection is a worker that never dialed: it starts out
 // dead, with dialErrs[i] as the verdict.
-func newDistRun(dep *deployment, conns []*wire.Conn, dialErrs []error, replicas int, timeout time.Duration) *distRun {
+func newDistRun(routes *routing, conns []*wire.Conn, dialErrs []error, replicas int, timeout time.Duration) *distRun {
 	r := &distRun{
-		dep:       dep,
+		routes:    routes,
 		conns:     conns,
 		partOf:    make([]int, len(conns)),
-		groups:    make([][]int, len(dep.parts)),
+		groups:    make([][]int, routes.parts),
 		timeout:   timeout,
 		alive:     make([]bool, len(conns)),
 		deadErr:   make([]error, len(conns)),
 		primary:   make([]bool, len(conns)),
-		primaryOf: make([]int, len(dep.parts)),
+		primaryOf: make([]int, routes.parts),
 	}
 	for i := range conns {
 		p := i / replicas
@@ -100,18 +100,17 @@ func newDistRun(dep *deployment, conns []*wire.Conn, dialErrs []error, replicas 
 	return r
 }
 
-// predict drives everything after connect, for both coordinators: the setup
-// handshake (open(i) is connection i's job opener, a ship or an attach; phase
-// names it in errors), the supersteps with their failover retries, collect,
-// and the merge of the per-partition results into Predictions. It fills st's
-// run-cost fields; the per-partition results are returned alongside for
-// callers that aggregate the worker reports further.
+// predict drives everything after connect: the attach handshake (attach(i)
+// is connection i's job opener), the supersteps with their failover retries,
+// collect, and the merge of the per-partition results into Predictions. It
+// fills st's run-cost fields; the per-partition results are returned
+// alongside for the caller to aggregate the worker reports further.
 //
 // Cancelling ctx closes every connection, so whatever exchange is in flight
 // fails within one read/write and the run drains through its normal failure
 // paths; the deaths were then self-inflicted, and the caller gets ctx.Err()
 // rather than a fleet failure.
-func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stats, phase string, open func(i int) *wire.Msg) (pred core.Predictions, results []wire.WorkerResult, err error) {
+func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stats, attach func(i int) *wire.Msg) (pred core.Predictions, results []wire.WorkerResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -132,18 +131,18 @@ func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stat
 		}
 	}()
 
-	// Setup is the distributed graph load (or, for a resident fleet, the
-	// fingerprint handshake standing in for it): untimed like every other
-	// backend's, its traffic reported apart as ShipBytes.
+	// Setup is the fingerprint handshake standing in for the distributed
+	// graph load (which happened when the fleet opened): untimed like every
+	// other backend's, its traffic reported apart as ShipBytes.
 	base := r.traffic()
 	r.beginAttempt()
 	if err := r.lostErr("connect"); err != nil {
 		return nil, nil, err
 	}
-	if err := r.setup(open); err != nil {
-		return nil, nil, fmt.Errorf("engine: dist %s: %w", phase, err)
+	if err := r.setup(attach); err != nil {
+		return nil, nil, fmt.Errorf("engine: dist attach: %w", err)
 	}
-	if err := r.lostErr(phase); err != nil {
+	if err := r.lostErr("attach"); err != nil {
 		return nil, nil, err
 	}
 	shipped := r.traffic()
@@ -160,7 +159,7 @@ func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stat
 	// like a full run's.
 	steps := make([]core.DistStep, 0, 4)
 	for _, step := range core.DistSteps(paths) {
-		if r.dep.stepHasWork(step) {
+		if r.routes.stepHasWork(step) {
 			steps = append(steps, step)
 		}
 	}
@@ -395,33 +394,28 @@ func (r *distRun) killWorker(i int) {
 	}
 }
 
-// setup sends each live worker its job opener and waits for every Ready,
-// under the ship deadline: a worker busy with another session never reads the
-// opener, and without the bound that is a silent hang. Connection failures
+// setup sends each live worker its attach and waits for every Ready, under
+// the handshake deadline: a worker busy with another session never reads the
+// attach, and without the bound that is a silent hang. Connection failures
 // are liveness verdicts (a replica dead at setup fails over like any other
 // death); a worker's typed rejection of the job — bad config, wrong
 // fingerprint or shard — is deterministic, every replica would refuse the
 // same way, so it fails the run instead.
-func (r *distRun) setup(open func(i int) *wire.Msg) error {
+func (r *distRun) setup(attach func(i int) *wire.Msg) error {
 	var mu sync.Mutex
 	var fatal error
 	r.eachAlive(func(i int, c *wire.Conn) error {
 		_ = c.SetDeadline(time.Now().Add(shipTimeout))
 		defer func() { _ = c.SetDeadline(time.Time{}) }()
-		if err := c.Send(open(i)); err != nil {
-			return err
-		}
-		if _, err := c.Expect(wire.KindReady); err != nil {
-			if wire.IsRemoteError(err) {
-				mu.Lock()
-				if fatal == nil {
-					fatal = err
-				}
-				mu.Unlock()
+		err := sendAwaitReady(c, attach(i))
+		if wire.IsRemoteError(err) {
+			mu.Lock()
+			if fatal == nil {
+				fatal = err
 			}
-			return err
+			mu.Unlock()
 		}
-		return nil
+		return err
 	})
 	return fatal
 }
@@ -630,7 +624,7 @@ func (rt *router) forward(j int, rec []byte) {
 // routePartial routes one encoded partial record to every replica of its
 // vertex's master partition.
 func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
-	mp := rt.run.dep.masterPart[v]
+	mp := rt.run.routes.masterPart[v]
 	if mp < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
@@ -643,7 +637,7 @@ func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
 // routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
 func (rt *router) routeState(v graph.VertexID, rec []byte) error {
-	for _, mp := range rt.run.dep.mirrors[v] {
+	for _, mp := range rt.run.routes.mirrors[v] {
 		for _, j := range rt.run.groups[mp] {
 			rt.forward(j, rec)
 		}

@@ -3,7 +3,7 @@
 // it, the way SNAP pairs one algorithm API with a tuned single-machine core
 // and GiGL layers one API over interchangeable local/distributed backends.
 //
-// Four Backend implementations exist:
+// Five Backend implementations exist, four of them named (engine.Names):
 //
 //   - Serial — the single-threaded reference loop (core.ReferenceSnaple),
 //     the test oracle every other backend must match bit for bit;
@@ -14,9 +14,13 @@
 //   - Sim — the paper's system: the GAS engine over a simulated cluster
 //     with vertex-cut partitioning, master/mirror replication and full cost
 //     accounting (internal/gas, internal/partition, internal/cluster);
-//   - Dist — the same supersteps across real worker processes over TCP
+//   - Fleet — the same supersteps across real worker processes over TCP
 //     (internal/wire, cmd/snaple-worker), with cross-worker traffic
-//     measured on the wire instead of simulated.
+//     measured on the wire instead of simulated: the one distributed
+//     coordinator, which cuts the graph and places the shards once at
+//     OpenFleet and then answers any number of queries;
+//   - Dist — "dist", the one-shot form of Fleet: the same options, a fleet
+//     opened for a single Predict and closed after it.
 //
 // All backends produce bit-identical Predictions for the same (graph,
 // Config): truncation and the Γrnd relay selection are hash-keyed draws and
@@ -39,7 +43,8 @@ import (
 // from the paper's cost model; for the dist backend CrossBytes/CrossMsgs
 // and MemPeakBytes are measured — real bytes through real sockets.
 type Stats struct {
-	// Engine is the backend's name ("serial", "local", "sim" or "dist").
+	// Engine is the backend's name: "serial", "local", "sim", "dist", or
+	// "fleet" for a run on a standing Fleet.
 	Engine string
 	// Workers is the backend's resolved concurrency bound (the configured
 	// value, or GOMAXPROCS when it was 0). Small inputs may use fewer
@@ -53,20 +58,21 @@ type Stats struct {
 	// AllocBytes / AllocObjects are heap bytes and objects allocated during
 	// the run (runtime.MemStats deltas; approximate under concurrent load).
 	// Set by the serial and local backends, which are engineered to keep the
-	// per-vertex steady state allocation-free; for dist they sum the
-	// worker-reported deltas.
+	// per-vertex steady state allocation-free; for dist and fleet they sum the
+	// worker-reported deltas (or take their maximum when the workers share
+	// this process, where each delta already covers everyone).
 	AllocBytes, AllocObjects int64
 	// SimSeconds is the simulated cluster latency (sim backend only).
 	SimSeconds float64
 	// CrossBytes / CrossMsgs count cross-node traffic: simulated from the
 	// paper's cost model for sim, measured on the wire for dist (all
-	// coordinator↔worker traffic after the initial partition shipping).
+	// coordinator↔worker traffic after the attach handshake).
 	CrossBytes, CrossMsgs int64
-	// ShipBytes is the wire traffic of the setup phase that precedes the
-	// supersteps: for dist, the partitions shipped this run; for a resident
-	// fleet, the attach handshake (fingerprint plus, on scoped queries, the
-	// sparse closure roles) — never partition columns, which is the
-	// measurable point of residency. 0 for backends with no wire.
+	// ShipBytes is the wire traffic of the query's setup phase, which
+	// precedes the supersteps: the attach handshake (fingerprint plus, on
+	// scoped queries, the sparse closure roles) — never partition columns,
+	// which cross once when the fleet opens (and again only to a worker it
+	// had to reconnect). 0 for backends with no wire.
 	ShipBytes int64
 	// MemPeakBytes is the highest per-node memory footprint: simulated for
 	// sim, the largest worker-reported live heap for dist.
@@ -84,8 +90,8 @@ type Stats struct {
 	// lets callers assert a scoped query did less than a full pass without
 	// relying on wall-clock noise.
 	ScoredVertices int
-	// Replicas is the dist backend's replica factor: how many workers each
-	// partition was shipped to (1 = no replication). 0 for other backends.
+	// Replicas is the dist backend's replica factor: how many workers hold
+	// each partition (1 = no replication). 0 for other backends.
 	Replicas int
 	// WorkersDead counts the workers the dist coordinator declared dead
 	// during the run — a connection error or a missed phase deadline, each
@@ -95,8 +101,8 @@ type Stats struct {
 	// Failovers counts mid-run primary promotions: a partition whose
 	// serving replica died and a survivor took over.
 	Failovers int
-	// DialRetries counts redialed connect/spawn attempts during fleet
-	// setup (bounded retry with backoff; see Dist.DialAttempts).
+	// DialRetries counts redialed connect/spawn attempts (bounded retry with
+	// backoff; see FleetOptions.DialAttempts).
 	DialRetries int
 }
 
@@ -116,10 +122,10 @@ type Backend interface {
 	Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error)
 }
 
-// ContextBackend is a Backend whose runs can be abandoned mid-flight. The
-// dist backend implements it: cancelling the context closes every worker
+// ContextBackend is a Backend whose runs can be abandoned mid-flight. Fleet
+// and Dist implement it: cancelling the context closes every worker
 // connection, so a blocked superstep exchange fails promptly and the
-// resident workers are left reusable for the next job.
+// workers are left reusable for the next job.
 type ContextBackend interface {
 	Backend
 	// PredictCtx is Predict under a context. When ctx is cancelled the run
@@ -150,9 +156,9 @@ func Names() []string { return []string{"local", "serial", "sim", "dist"} }
 // reference loop, "sim" for the GAS engine on a default single-node type-II
 // cluster partitioned with the given seed, "dist" for the multi-process TCP
 // backend with the given number of in-process loopback workers (for real
-// worker processes or remote addresses construct a Dist directly). seed
-// drives partitioning for "sim" and "dist"; for a custom deployment
-// construct a Sim or Dist directly.
+// worker processes or remote addresses construct a Dist — or open a Fleet —
+// directly). seed drives partitioning for "sim" and "dist"; for a custom
+// deployment construct a Sim or Dist directly.
 func New(name string, workers int, seed uint64) (Backend, error) {
 	switch name {
 	case "", "local":

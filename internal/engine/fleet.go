@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"sort"
+	"os/exec"
 	"sync"
 	"time"
 
@@ -28,9 +28,9 @@ var ErrManifestMismatch = wire.ErrManifestMismatch
 // vertex and edge counts, the full adjacency stream, and the cut parameters
 // (fleet width, strategy name, seed). Pack stamps it into every shard and the
 // manifest; attach verifies it in place of re-shipping the partition — equal
-// fingerprints mean the worker's resident columns are byte-equal to what a
-// fresh ship would have produced.
-func FleetFingerprint(g *graph.Digraph, shards int, strategy string, seed uint64) uint64 {
+// fingerprints mean the worker's columns are byte-equal to what a fresh ship
+// would have produced.
+func FleetFingerprint(g graph.View, shards int, strategy string, seed uint64) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	w64 := func(x uint64) {
@@ -50,19 +50,18 @@ func FleetFingerprint(g *graph.Digraph, shards int, strategy string, seed uint64
 	return h.Sum64()
 }
 
-// PackShards vertex-cuts g into shards resident partitions using the same
-// deployment logic (and the same deterministic master election) a full
-// distributed run would compute, so a fleet attached to the packed shards is
-// bit-identical to one that shipped partitions per run. The manifest's Files
-// column is left empty — the packer names the files.
-func PackShards(g *graph.Digraph, strat partition.Strategy, seed uint64, shards int) ([]*graph.ShardFile, *graph.Manifest, error) {
+// PackShards vertex-cuts g into shards resident partitions with the same cut
+// (and the same deterministic master election) OpenFleet computes, so a fleet
+// attached to the packed shards is bit-identical to one that shipped them.
+// The manifest's Files column is left empty — the packer names the files.
+func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int) ([]*graph.ShardFile, *graph.Manifest, error) {
 	if shards <= 0 {
 		return nil, nil, fmt.Errorf("engine: pack: non-positive shard count %d", shards)
 	}
 	if strat == nil {
 		strat = partition.HashEdge{Seed: seed}
 	}
-	dep, err := Dist{Strategy: strat, Seed: seed}.deploy(g, shards, nil)
+	dep, err := cut(g, strat, seed, shards)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,103 +119,149 @@ type FleetInfo struct {
 	Fingerprint uint64
 }
 
-// FleetOptions configures OpenFleet.
+// FleetOptions configures OpenFleet (and, as Dist, a one-shot run). Three
+// ways to get workers, in priority order: Addrs, Spawn, otherwise in-process.
 type FleetOptions struct {
-	// Addrs connects to resident snaple-worker processes, shard-major:
-	// Addrs[s*Replicas+r] is replica r of shard s. Its length must be
-	// Shards*Replicas for the manifest's (or InProc's) shard count. Empty
-	// means an in-process resident fleet (loopback listeners pinned to
-	// in-memory shards) — the zero-config path tests and single-machine
-	// serving use.
+	// Addrs connects to running snaple-worker processes ("host:port" each),
+	// shard-major: Addrs[s*Replicas+r] is replica r of shard s. With a
+	// Manifest they are resident workers (started with -shard) and there must
+	// be exactly Shards*Replicas of them; without one they are plain workers,
+	// each shipped its shard once over the standing connection, and W of them
+	// form W/Replicas shards (Replicas clamped to W, the remainder unused).
 	Addrs []string
 	// Manifest pins the fleet identity: shard count, cut strategy and seed,
-	// and the fingerprint every worker must present. Nil derives all three
-	// from InProc/Strategy/Seed instead (in-process fleets only).
+	// and the fingerprint every worker must present. Nil derives all of them
+	// from the worker count (or InProc), Strategy and Seed instead.
 	Manifest *graph.Manifest
-	// InProc is the shard count of an in-process fleet when no Manifest is
-	// given (0 = 2).
+	// Spawn forks this many plain snaple-worker processes on loopback, shipped
+	// and counted like manifest-less Addrs, and tears them down at Close
+	// (requires the binary, see WorkerBin).
+	Spawn int
+	// WorkerBin locates the worker binary for Spawn (default: "snaple-worker"
+	// resolved through PATH).
+	WorkerBin string
+	// InProc is the shard count of an in-process fleet, the zero-config mode
+	// when neither Addrs nor Spawn is given (0 = 2): Replicas loopback
+	// listeners per shard, each pinned to its in-memory shard — still real TCP
+	// and real frames through the kernel, just no separate OS process and no
+	// partition bytes on the wire.
 	InProc int
-	// Replicas is the per-shard replica count (0 or 1 = no replication).
+	// Replicas is the per-shard replica count (0 or 1 = no replication). Every
+	// replica receives identical traffic and computes identically, so when a
+	// worker dies a query fails over to a surviving replica and completes with
+	// bit-identical results. Only when all replicas of a shard are gone does
+	// it fail, with ErrPartitionLost.
 	Replicas int
 	// Strategy/Seed are the cut parameters when no Manifest pins them
-	// (nil = partition.HashEdge{Seed}).
+	// (nil = partition.HashEdge{Seed}); Seed also drives master election.
 	Strategy partition.Strategy
 	Seed     uint64
-	// StepTimeout/DialAttempts/DialBackoff/Compress behave exactly as on
-	// Dist.
-	StepTimeout  time.Duration
+	// StepTimeout bounds each superstep (and the final collect): a wedged
+	// worker or a blackholed connection is then declared dead at the deadline
+	// — a failover (or, with no replicas left, ErrPartitionLost) instead of a
+	// hang. 0 means the 10-minute default; negative disables the bound (for
+	// legitimately enormous supersteps).
+	StepTimeout time.Duration
+	// DialAttempts bounds connection attempts per worker: transient dial and
+	// spawn-handshake failures are retried with exponential backoff and jitter
+	// up to this many tries (0 = 3).
 	DialAttempts int
-	DialBackoff  time.Duration
-	Compress     bool
+	// DialBackoff is the initial retry backoff, doubled after each failed
+	// attempt with jitter (0 = 150ms).
+	DialBackoff time.Duration
+	// Compress requests per-frame flate compression (subject to each worker
+	// granting it) — a cross-rack bandwidth trade.
+	Compress bool
 }
 
-// Fleet is the resident-partition coordinator: workers pinned to packed
-// shards, standing connections, and per-query routing that contacts only the
-// replica groups whose shards intersect the query's frontier closure. Where
-// Dist re-partitions and re-ships the graph on every Predict, a Fleet pays
-// for partitioning once at Open and thereafter attaches by fingerprint — the
-// per-query "ship" is a fixed-size handshake (plus, on scoped queries, the
-// sparse per-closure-vertex roles), never partition bytes.
+// shape is the one rule from the options to the fleet's dimensions. A
+// Manifest pins the shard count, and external workers must fill it exactly.
+// Without one, W external workers (Addrs, else Spawn) divide into W/R groups
+// of R replicas — R clamped to W, the remainder unused: capacity pays for
+// availability, the trade named in the paper's scale-out story. An in-process
+// fleet has InProc shards (default 2) of R workers each.
+func (o FleetOptions) shape() (shards, reps int, err error) {
+	reps = max(o.Replicas, 1)
+	workers := len(o.Addrs)
+	if workers == 0 {
+		workers = max(o.Spawn, 0)
+	}
+	switch {
+	case o.Manifest != nil:
+		shards = o.Manifest.Shards
+		if workers > 0 && workers != shards*reps {
+			return 0, 0, fmt.Errorf("engine: fleet: %d workers for %d shards x %d replicas", workers, shards, reps)
+		}
+	case workers > 0:
+		reps = min(reps, workers)
+		shards = workers / reps
+	default:
+		shards = o.InProc
+		if shards <= 0 {
+			shards = 2
+		}
+	}
+	return shards, reps, nil
+}
+
+// Fleet is the distributed coordinator: a vertex cut computed once, workers
+// that each hold one shard of it, standing connections, and per-query routing
+// that contacts only the replica groups whose shards intersect the query's
+// frontier closure. It drives the same GAS supersteps the sim backend runs:
+// workers gather locally, partials for remotely-mastered vertices are routed
+// through the coordinator to the master's worker, masters apply, and
+// refreshed state is routed back to the mirror copies. The fleet pays for
+// partitioning — and, for workers that did not pin a packed shard, shipping —
+// once at Open; every query then opens with a fingerprint attach (plus, on
+// scoped queries, the sparse per-closure-vertex roles), never partition bytes.
 //
 // A Fleet is safe for concurrent use; queries are serialised internally over
 // the standing connections. Results are bit-identical to every other backend
-// for the same (graph, Config) — the resident cut is just another placement,
-// and placement never changes results.
+// for the same (graph, Config) — the cut is just another placement, and
+// placement never changes results.
 type Fleet struct {
-	g           *graph.Digraph
+	g           graph.View
+	o           FleetOptions
 	shards      int
 	replicas    int
 	fingerprint uint64
 	seed        uint64
-	timeout     time.Duration
-	compress    bool
-	dialAtt     int
-	dialBack    time.Duration
+	timeout     time.Duration // per-superstep bound, 0 = unbounded
 
-	// Routing state derived from the cut at Open.
-	masterFull []int32   // per vertex: shard mastering it on a full run (-1 = absent)
-	mirrorFull [][]int32 // per vertex: non-master host shards, ascending
-	hostShards [][]int32 // per vertex: all host shards, ascending
-	srcShards  [][]int32 // per vertex: shards holding its out-edges, ascending
-	deg        []int32   // per vertex: full out-degree (superstep-skip table)
+	dep *deployment // the cut; parts kept only when ship
+	deg []int32     // per vertex: full out-degree (superstep-skip table)
 
-	addrs     []string // one per connection, shard-major
-	listeners []net.Listener
-	inproc    bool
+	addrs  []string // one per connection, shard-major
+	stops  []func() // in-process listeners and spawned processes, for Close
+	inproc bool
+	ship   bool // workers pinned no shard: each connection is shipped its own
 
 	mu          sync.Mutex
 	conns       []*wire.Conn // nil: never dialed or swept after death
+	openErr     []error      // why Open left a slot unconnected, until a query reports it
 	closed      bool
 	cumDead     int
 	cumFailover int
 	cumRetries  int
-	queries     int64
 }
 
-// handshakeJob is a minimal valid job used for the Open-time fingerprint
+// handshakeJob is a minimal valid job used for the connect-time fingerprint
 // verification attach; the session it starts is replaced by the first real
 // query's attach.
 var handshakeJob = wire.JobSpec{Score: "counter", Alpha: 0.9, K: 1, Paths: 2}
 
-// OpenFleet stands up (or connects to) a resident fleet for g and verifies
-// every worker's resident shard against the fleet fingerprint. With a
-// Manifest the graph must match it exactly — vertex count, edge count and
+// OpenFleet cuts g, stands up (or connects to) the workers and leaves every
+// one of them holding its shard, verified against the fleet fingerprint. With
+// a Manifest the graph must match it exactly — vertex count, edge count and
 // fingerprint — and every worker presenting a different fingerprint is
 // rejected with ErrManifestMismatch. The returned Fleet holds standing
-// connections until Close.
-func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
+// connections until Close and serves exactly the view it was opened with.
+func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 	if g == nil {
 		return nil, errors.New("engine: fleet: nil graph")
 	}
-	reps := o.Replicas
-	if reps <= 0 {
-		reps = 1
-	}
-	strat := o.Strategy
-	seed := o.Seed
-	shards := o.InProc
-	if o.Manifest != nil {
-		m := o.Manifest
+	strat, seed := o.Strategy, o.Seed
+	if m := o.Manifest; m != nil {
 		if err := m.Validate(); err != nil {
 			return nil, err
 		}
@@ -224,26 +269,25 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 			return nil, fmt.Errorf("engine: fleet: %w: manifest describes %d vertices / %d edges, graph has %d / %d",
 				ErrManifestMismatch, m.NumVertices, m.NumEdges, g.NumVertices(), g.NumEdges())
 		}
-		shards = m.Shards
 		seed = m.Seed
 		var err error
 		if strat, err = partition.ByName(m.Strategy, m.Seed); err != nil {
 			return nil, fmt.Errorf("engine: fleet: %w", err)
 		}
-	} else if len(o.Addrs) > 0 {
-		if len(o.Addrs)%reps != 0 {
-			return nil, fmt.Errorf("engine: fleet: %d addresses do not divide into replica groups of %d", len(o.Addrs), reps)
-		}
-		shards = len(o.Addrs) / reps
-	}
-	if shards <= 0 {
-		shards = 2
 	}
 	if strat == nil {
 		strat = partition.HashEdge{Seed: seed}
 	}
-	if len(o.Addrs) > 0 && len(o.Addrs) != shards*reps {
-		return nil, fmt.Errorf("engine: fleet: %d addresses for %d shards x %d replicas", len(o.Addrs), shards, reps)
+	shards, reps, err := o.shape()
+	if err != nil {
+		return nil, err
+	}
+	timeout := o.StepTimeout
+	switch {
+	case timeout < 0:
+		timeout = 0
+	case timeout == 0:
+		timeout = 10 * time.Minute
 	}
 
 	fp := FleetFingerprint(g, shards, strat.Name(), seed)
@@ -251,70 +295,54 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 		return nil, fmt.Errorf("engine: fleet: %w: manifest fingerprint %016x, graph+cut compute %016x",
 			ErrManifestMismatch, o.Manifest.Fingerprint, fp)
 	}
-
-	dep, err := Dist{Strategy: strat, Seed: seed}.deploy(g, shards, nil)
+	dep, err := cut(g, strat, seed, shards)
 	if err != nil {
 		return nil, err
 	}
 
 	f := &Fleet{
-		g: g, shards: shards, replicas: reps, fingerprint: fp, seed: seed,
-		timeout:  Dist{StepTimeout: o.StepTimeout}.stepTimeout(),
-		compress: o.Compress,
-		dialAtt:  o.DialAttempts,
-		dialBack: o.DialBackoff,
-
-		masterFull: dep.masterPart,
-		mirrorFull: dep.mirrors,
-		deg:        make([]int32, g.NumVertices()),
-		hostShards: make([][]int32, g.NumVertices()),
-		srcShards:  make([][]int32, g.NumVertices()),
-		conns:      make([]*wire.Conn, shards*reps),
+		g: g, o: o, shards: shards, replicas: reps, fingerprint: fp, seed: seed, timeout: timeout,
+		dep:     dep,
+		deg:     make([]int32, g.NumVertices()),
+		addrs:   make([]string, shards*reps),
+		conns:   make([]*wire.Conn, shards*reps),
+		openErr: make([]error, shards*reps),
 	}
 	for v := range f.deg {
 		f.deg[v] = int32(g.OutDegree(graph.VertexID(v)))
 	}
-	for v, mp := range dep.masterPart {
-		if mp < 0 {
-			continue
-		}
-		hosts := append([]int32{mp}, dep.mirrors[v]...)
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i] < hosts[j] })
-		f.hostShards[v] = hosts
-	}
-	// Which shards hold each vertex's out-edges: the query router's index.
-	// The assignment is recomputed from the (deterministic) strategy so
-	// deploy's per-shard edge lists don't have to be retained.
-	assign, err := strat.Partition(g, shards)
-	if err != nil {
-		return nil, err
-	}
-	{
-		i := 0
-		g.ForEachEdge(func(u, v graph.VertexID) {
-			p := assign.EdgeTo[i]
-			i++
-			row := f.srcShards[u]
-			for _, s := range row {
-				if s == p {
-					return
-				}
-			}
-			f.srcShards[u] = append(row, p)
-		})
-		for _, row := range f.srcShards {
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		}
-	}
 
-	if len(o.Addrs) > 0 {
-		f.addrs = append([]string(nil), o.Addrs...)
-	} else {
-		// In-process resident fleet: one loopback listener per worker, each
-		// pinned to its shard's columns. Real TCP, real frames — just no
-		// separate OS process.
+	switch {
+	case len(o.Addrs) > 0:
+		f.ship = o.Manifest == nil
+		copy(f.addrs, o.Addrs)
+		if f.ship {
+			// A plain worker serves one session at a time, so dialing the same
+			// one twice deadlocks the second hello (caught late by its
+			// timeout); reject the footgun up front instead.
+			seen := make(map[string]struct{}, len(f.addrs))
+			for _, addr := range f.addrs {
+				if _, dup := seen[addr]; dup {
+					return nil, fmt.Errorf("engine: fleet: duplicate worker address %q: each worker serves one session at a time", addr)
+				}
+				seen[addr] = struct{}{}
+			}
+		}
+	case o.Spawn > 0:
+		// connect forks each slot's process; here only the binary is resolved,
+		// so a missing one fails the open instead of counting as dead workers.
+		f.ship = true
+		if f.o.WorkerBin == "" {
+			f.o.WorkerBin = "snaple-worker"
+		}
+		if f.o.WorkerBin, err = exec.LookPath(f.o.WorkerBin); err != nil {
+			return nil, fmt.Errorf("engine: fleet: worker binary not found (build cmd/snaple-worker or set WorkerBin): %w", err)
+		}
+	default:
+		// In-process fleet: one loopback listener per worker, each pinned to
+		// its shard's columns. Real TCP, real frames — just no separate OS
+		// process.
 		f.inproc = true
-		f.addrs = make([]string, shards*reps)
 		for s := 0; s < shards; s++ {
 			res := &wire.ResidentShard{Fingerprint: fp, Shards: shards, Part: dep.parts[s]}
 			for r := 0; r < reps; r++ {
@@ -323,36 +351,30 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 					f.Close()
 					return nil, err
 				}
-				f.listeners = append(f.listeners, l)
+				f.stops = append(f.stops, func() { l.Close() })
 				go func() { _ = wire.ServeWith(l, nil, wire.ServeOptions{Resident: res}) }()
 				f.addrs[s*reps+r] = l.Addr().String()
 			}
 		}
 	}
+	if !f.ship {
+		dep.parts = nil // the workers hold them; only a shipping fleet re-sends
+	}
 
-	// Dial and verify every worker now: a fingerprint mismatch is
+	// Connect every worker now: a fingerprint mismatch or a refused shard is
 	// deterministic and should fail Open, not the first query. With
 	// replication an unreachable worker is degraded capacity, not a failed
 	// open; without it there is no replica to absorb the loss.
 	for i := range f.conns {
-		c, retries, err := f.dial(f.addrs[i])
+		c, retries, err := f.connect(i)
 		f.cumRetries += retries
-		if err == nil {
-			err = f.verify(c, i)
-			if err != nil {
-				c.Close()
-				c = nil
-			}
-		}
 		if err != nil {
-			if wire.IsManifestMismatch(err) || wire.IsRemoteError(err) || reps == 1 {
+			if wire.IsRemoteError(err) || reps == 1 {
 				f.Close()
-				if wire.IsManifestMismatch(err) && !errors.Is(err, ErrManifestMismatch) {
-					err = fmt.Errorf("%w: %v", ErrManifestMismatch, err)
-				}
-				return nil, fmt.Errorf("engine: fleet attach %s: %w", f.addrs[i], err)
+				return nil, fmt.Errorf("engine: fleet connect %s: %w", f.addrs[i], mismatchTyped(err))
 			}
 			f.cumDead++
+			f.openErr[i] = err
 			continue
 		}
 		f.conns[i] = c
@@ -360,40 +382,89 @@ func OpenFleet(g *graph.Digraph, o FleetOptions) (*Fleet, error) {
 	return f, nil
 }
 
-// dial connects to one worker with the configured bounded retry.
-func (f *Fleet) dial(addr string) (*wire.Conn, int, error) {
-	d := Dist{DialAttempts: f.dialAtt, DialBackoff: f.dialBack}
-	var c *wire.Conn
-	retries, err := d.withRetry(false, func() error {
-		var derr error
-		c, derr = wire.DialWith(addr, wire.DialOptions{Compress: f.compress})
-		return derr
-	})
+// mismatchTyped makes a worker's fingerprint rejection — which crosses the
+// wire as text — satisfy errors.Is(err, ErrManifestMismatch).
+func mismatchTyped(err error) error {
+	if wire.IsManifestMismatch(err) && !errors.Is(err, ErrManifestMismatch) {
+		return fmt.Errorf("%w: %v", ErrManifestMismatch, err)
+	}
+	return err
+}
+
+// connect brings worker slot i up, at Open and again whenever a query finds
+// the slot swept: dial with the bounded retry (a spawned fleet's first
+// connect forks the process too — one attempt = one fresh process plus its
+// hello, and a failed attempt reaps its process before the retry, so a flaky
+// worker start never leaks an orphan), then install.
+func (f *Fleet) connect(i int) (c *wire.Conn, retries int, err error) {
+	dial := func() (err error) {
+		c, err = wire.DialWith(f.addrs[i], wire.DialOptions{Compress: f.o.Compress})
+		return err
+	}
+	if f.addrs[i] != "" {
+		retries, err = f.o.withRetry(false, dial)
+	} else {
+		retries, err = f.o.withRetry(true, func() error {
+			addr, stop, err := spawnWorker(f.o.WorkerBin)
+			if err != nil {
+				return err
+			}
+			f.addrs[i] = addr
+			if err := dial(); err != nil {
+				stop()
+				f.addrs[i] = ""
+				return err
+			}
+			f.stops = append(f.stops, stop)
+			return nil
+		})
+	}
 	if err != nil {
+		return nil, retries, err
+	}
+	if err := f.install(c, i); err != nil {
+		c.Close()
 		return nil, retries, err
 	}
 	return c, retries, nil
 }
 
-// verify runs the Open-time handshake on connection i: an empty scoped
-// attach that proves the worker is resident for the right shard of the right
-// fleet. The dangling session it starts is replaced by the first query.
-func (f *Fleet) verify(c *wire.Conn, i int) error {
+// install leaves the worker behind connection i holding its shard, verified:
+// a worker that pinned none is shipped it — the one place partition bytes
+// cross the wire — and then an empty scoped attach proves the worker holds
+// the right shard of the right fleet, exactly as against a resident one. The
+// dangling session that attach starts is replaced by the first query's.
+func (f *Fleet) install(c *wire.Conn, i int) error {
 	_ = c.SetDeadline(time.Now().Add(shipTimeout))
 	defer func() { _ = c.SetDeadline(time.Time{}) }()
-	err := c.Send(&wire.Msg{
-		Kind: wire.KindAttach, Version: wire.ProtocolV3, Job: handshakeJob,
+	shard := i / f.replicas
+	if f.ship {
+		err := sendAwaitReady(c, &wire.Msg{
+			Kind: wire.KindShip, Version: wire.ProtocolVersion,
+			Shard: wire.ResidentShard{Fingerprint: f.fingerprint, Shards: f.shards, Part: f.dep.parts[shard]},
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return sendAwaitReady(c, &wire.Msg{
+		Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: handshakeJob,
 		Attach: wire.AttachSpec{
 			Fingerprint: f.fingerprint,
-			Shard:       int32(i / f.replicas),
+			Shard:       int32(shard),
 			Shards:      int32(f.shards),
 			Scoped:      true,
 		},
 	})
-	if err != nil {
+}
+
+// sendAwaitReady is one handshake round trip: a ship or an attach out, the
+// worker's Ready (or its typed refusal) back.
+func sendAwaitReady(c *wire.Conn, m *wire.Msg) error {
+	if err := c.Send(m); err != nil {
 		return err
 	}
-	_, err = c.Expect(wire.KindReady)
+	_, err := c.Expect(wire.KindReady)
 	return err
 }
 
@@ -424,8 +495,8 @@ func (f *Fleet) Stats() Stats {
 	}
 }
 
-// Close tears down the standing connections (and, for an in-process fleet,
-// its listeners). Idempotent.
+// Close tears down the standing connections and whatever the fleet started:
+// in-process listeners, spawned worker processes. Idempotent.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -439,15 +510,47 @@ func (f *Fleet) Close() error {
 			f.conns[i] = nil
 		}
 	}
-	for _, l := range f.listeners {
-		_ = l.Close()
+	for _, stop := range f.stops {
+		stop()
 	}
 	return nil
 }
 
+// query is one validated prediction request: what a run needs beyond the
+// fleet, computed before any connection is touched (or, for Dist, dialed).
+type query struct {
+	paths    int
+	job      wire.JobSpec
+	frontier *core.Frontier // nil on a full run
+	st       Stats          // the scope fields, filled
+}
+
+// newQuery validates cfg against g and computes the frontier closure.
+func newQuery(g graph.View, cfg core.Config) (*query, error) {
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	job, err := wire.JobFromConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	frontier, err := core.NewFrontier(g, cfg)
+	if err != nil {
+		return nil, err
+	}
+	q := &query{paths: cfg.Paths, job: job, frontier: frontier}
+	q.st.FrontierVertices = frontier.Size()
+	q.st.ScoredVertices = g.NumVertices()
+	if frontier != nil {
+		q.st.ScoredVertices = frontier.Pred.Len()
+	}
+	return q, nil
+}
+
 // Predict implements Backend. The graph must be the one the fleet was opened
-// with: the workers' resident shards were cut from it, and the fingerprint
-// handshake (not this call) is what proves they still agree.
+// with: the workers' shards were cut from it, and the fingerprint handshake
+// (not this call) is what proves they still agree.
 func (f *Fleet) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
 	return f.PredictCtx(context.Background(), g, cfg)
 }
@@ -456,48 +559,45 @@ func (f *Fleet) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats,
 // connections; they are redialed lazily on the next query, so a cancelled
 // query degrades latency once, never the fleet.
 func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	st := Stats{Engine: "fleet", Workers: f.shards * f.replicas, Replicas: f.replicas}
-	if csr, ok := graph.AsCSR(g); !ok {
-		return nil, st, errors.New("engine: fleet: predict over a mutated view — the fleet serves a frozen pack; compact first")
-	} else if csr != f.g {
-		return nil, st, errors.New("engine: fleet: predict over a graph the fleet was not opened with")
+	// An identity check, after unwrapping clean overlays of the same CSR: the
+	// shards were cut from f.g, and any other view — a mutated one above all
+	// — would be answered from the wrong edges.
+	if g != f.g {
+		a, aok := graph.AsCSR(g)
+		b, bok := graph.AsCSR(f.g)
+		if !aok || !bok || a != b {
+			return nil, Stats{Engine: "fleet"}, errors.New("engine: fleet: predict over a view the fleet was not opened with — it serves the cut it made at open; compact a mutated view and reopen")
+		}
 	}
-	cfg, err := cfg.Normalized()
+	q, err := newQuery(g, cfg)
 	if err != nil {
-		return nil, st, err
+		return nil, Stats{Engine: "fleet"}, err
 	}
-	job, err := wire.JobFromConfig(cfg)
-	if err != nil {
-		return nil, st, err
-	}
-	frontier, err := core.NewFrontier(g, cfg)
-	if err != nil {
-		return nil, st, err
-	}
-	st.FrontierVertices = frontier.Size()
-	st.ScoredVertices = g.NumVertices()
-	if frontier != nil {
-		st.ScoredVertices = frontier.Pred.Len()
-	}
+	return f.run(ctx, q)
+}
+
+// run executes one validated query over the standing connections.
+func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, error) {
+	st := q.st
+	st.Engine, st.Workers, st.Replicas = "fleet", f.shards*f.replicas, f.replicas
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, st, errors.New("engine: fleet: closed")
 	}
-	f.queries++
 
 	// Route: which shards does the closure touch? Only their replica groups
 	// see this query — an untouched shard's workers receive no frame at all.
-	touched, dep, entries := f.route(frontier)
+	touched, routes, entries := f.route(q.frontier)
 	if len(touched) == 0 {
 		// Isolated sources: the closure holds no edge anywhere.
-		return make(core.Predictions, g.NumVertices()), st, nil
+		return make(core.Predictions, f.g.NumVertices()), st, nil
 	}
 	st.Workers = len(touched) * f.replicas
-	st.ReplicationFactor = dep.replicationFactor()
+	st.ReplicationFactor = routes.replicationFactor()
 
-	// Standing connections for the touched groups, redialing any that a
+	// Standing connections for the touched groups, reconnecting any that a
 	// previous query's failure (or cancellation) swept. standing[i] is run
 	// connection i's slot in f.conns.
 	standing := make([]int, 0, len(touched)*f.replicas)
@@ -510,11 +610,18 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 	dialErrs := make([]error, len(standing))
 	for i, src := range standing {
 		if f.conns[src] == nil {
-			c, retries, derr := f.dial(f.addrs[src])
+			if err := f.openErr[src]; err != nil {
+				// Open went through the whole retry ladder on this worker
+				// moments ago; report that verdict once instead of paying the
+				// ladder twice, and reconnect from the next query on.
+				dialErrs[i], f.openErr[src] = err, nil
+				continue
+			}
+			c, retries, err := f.connect(src)
 			f.cumRetries += retries
 			st.DialRetries += retries
-			if derr != nil {
-				dialErrs[i] = fmt.Errorf("engine: fleet dial %s: %w", f.addrs[src], derr)
+			if err != nil {
+				dialErrs[i] = fmt.Errorf("engine: fleet connect %s: %w", f.addrs[src], err)
 				continue
 			}
 			f.conns[src] = c
@@ -522,10 +629,10 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 		conns[i] = f.conns[src]
 	}
 
-	run := newDistRun(dep, conns, dialErrs, f.replicas, f.timeout)
+	run := newDistRun(routes, conns, dialErrs, f.replicas, f.timeout)
 	// Sweep: connections the run declared dead are closed already; forget
-	// them so the next query redials, and disarm the survivors' deadlines so
-	// a standing connection never trips a stale timer between queries.
+	// them so the next query reconnects, and disarm the survivors' deadlines
+	// so a standing connection never trips a stale timer between queries.
 	defer func() {
 		for i, src := range standing {
 			if f.conns[src] == nil {
@@ -541,59 +648,91 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 		f.cumFailover += run.failoverCount()
 	}()
 
-	// Attach is the fingerprint handshake that replaces the ship phase: for
-	// an unscoped query a fixed-size frame, for a scoped one the sparse
-	// closure roles; never partition columns.
-	pred, _, err := run.predict(ctx, g, cfg.Paths, &st, "attach", func(i int) *wire.Msg {
+	// Attach is the job opener: for an unscoped query a fixed-size frame, for
+	// a scoped one the sparse closure roles; never partition columns.
+	pred, results, err := run.predict(ctx, f.g, q.paths, &st, func(i int) *wire.Msg {
 		p := run.partOf[i]
 		return &wire.Msg{
-			Kind: wire.KindAttach, Version: wire.ProtocolV3, Job: job,
+			Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: q.job,
 			Attach: wire.AttachSpec{
 				Fingerprint: f.fingerprint,
 				Shard:       touched[p],
 				Shards:      int32(f.shards),
-				Scoped:      frontier != nil,
+				Scoped:      q.frontier != nil,
 				Entries:     entries[p],
 			},
 		}
 	})
-	if wire.IsManifestMismatch(err) {
-		err = fmt.Errorf("%w: %v", ErrManifestMismatch, err)
+	for p := range results {
+		ws := &results[p].Stats
+		if f.inproc {
+			// Loopback workers share this process, so each worker's MemStats
+			// delta already covers everyone (coordinator included): summing
+			// would count the same heap N times. The max is the closest
+			// honest process-wide figure.
+			st.AllocBytes = max(st.AllocBytes, ws.AllocBytes)
+			st.AllocObjects = max(st.AllocObjects, ws.AllocObjects)
+		} else {
+			st.AllocBytes += ws.AllocBytes
+			st.AllocObjects += ws.AllocObjects
+		}
 	}
-	return pred, st, err
+	return pred, st, mismatchTyped(err)
 }
 
-// route computes the query's touched shard set and the synthetic deployment
-// the superstep router runs over. A full (unscoped) run touches every shard
-// and reuses the roles baked at pack time. A scoped run touches exactly the
+// routing is one query's view of the cut, what the superstep driver runs
+// over: how many shards take part (numbered densely in touched order) and,
+// per vertex, the one mastering it and the ones mirroring it. On a scoped
+// query it also carries the frontier and degree table of the superstep-skip
+// test.
+type routing struct {
+	parts      int
+	masterPart []int32   // per vertex; -1 when no taking-part shard hosts it
+	mirrors    [][]int32 // per vertex: taking-part hosts excluding the master
+	replicas   int       // total replica count
+	present    int       // vertices with at least one replica
+	frontier   *core.Frontier
+	deg        []int32
+}
+
+func (r *routing) replicationFactor() float64 {
+	if r.present == 0 {
+		return 0
+	}
+	return float64(r.replicas) / float64(r.present)
+}
+
+// stepHasWork reports whether any shard gathers anything in step: some vertex
+// of the step's frontier set has an out-edge (every such edge lies on a
+// touched shard). Always true on a full run.
+func (r *routing) stepHasWork(step core.DistStep) bool {
+	return r.frontier.StepHasWork(step, r.deg)
+}
+
+// route computes the query's touched shard set and the routing the superstep
+// driver runs over. A full (unscoped) run touches every shard and reuses the
+// roles baked into the shards at the cut. A scoped run touches exactly the
 // shards holding a closure out-edge, then re-elects each closure vertex's
-// master among its touched hosts — the pack-time master may sit on an
+// master among its touched hosts — the full-run master may sit on an
 // untouched shard, and any consistent election yields identical results, so
 // the restricted draw is both necessary and safe. The per-shard entries are
 // the sparse roles the attach carries.
-func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.ScopeEntry) {
+func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.ScopeEntry) {
+	dep := f.dep
 	if frontier == nil {
 		touched := make([]int32, f.shards)
 		for s := range touched {
 			touched[s] = int32(s)
 		}
-		dep := &deployment{
-			parts:      make([]wire.Partition, f.shards),
-			masterPart: f.masterFull,
-			mirrors:    f.mirrorFull,
-		}
-		for v, mp := range f.masterFull {
-			if mp >= 0 {
-				dep.replicas += len(f.hostShards[v])
-				dep.present++
-			}
-		}
-		return touched, dep, make([][]wire.ScopeEntry, f.shards)
+		return touched, &routing{
+			parts: f.shards, masterPart: dep.masterPart, mirrors: dep.mirrors,
+			replicas: dep.replicas, present: dep.present,
+		}, make([][]wire.ScopeEntry, f.shards)
 	}
 
 	touchedSet := make([]bool, f.shards)
 	for _, u := range frontier.Trunc.Members() {
-		for _, s := range f.srcShards[u] {
+		for _, s := range dep.srcShards[u] {
 			touchedSet[s] = true
 		}
 	}
@@ -611,21 +750,22 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 		return nil, nil, nil
 	}
 
-	dep := &deployment{
-		parts:      make([]wire.Partition, len(touched)),
-		masterPart: make([]int32, f.g.NumVertices()),
-		mirrors:    make([][]int32, f.g.NumVertices()),
+	n := len(dep.masterPart)
+	rt := &routing{
+		parts:      len(touched),
+		masterPart: make([]int32, n),
+		mirrors:    make([][]int32, n),
 		frontier:   frontier,
 		deg:        f.deg,
 	}
-	for v := range dep.masterPart {
-		dep.masterPart[v] = -1
+	for v := range rt.masterPart {
+		rt.masterPart[v] = -1
 	}
 	entries := make([][]wire.ScopeEntry, len(touched))
 	hosts := make([]int32, 0, 8)
 	for _, v := range frontier.Trunc.Members() {
 		hosts = hosts[:0]
-		for _, s := range f.hostShards[v] {
+		for _, s := range dep.hosts[v] {
 			if touchedSet[s] {
 				hosts = append(hosts, s)
 			}
@@ -636,10 +776,10 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 			// edges, and such shards are touched), so v needs no master.
 			continue
 		}
-		// The same keyed draw the shipped deployment uses, restricted to the
-		// touched hosts — deterministic, and placement never changes results.
+		// The same keyed draw the cut uses, restricted to the touched hosts —
+		// deterministic, and placement never changes results.
 		mp := hosts[randx.Uint64n(uint64(len(hosts)), f.seed, uint64(v), 0xA5)]
-		dep.masterPart[v] = groupOf[mp]
+		rt.masterPart[v] = groupOf[mp]
 		remote := len(hosts) > 1
 		mask := frontier.ScopeMask(v)
 		for _, s := range hosts {
@@ -659,10 +799,10 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *deployment, [][]wire.S
 					mirrors = append(mirrors, groupOf[s])
 				}
 			}
-			dep.mirrors[v] = mirrors
+			rt.mirrors[v] = mirrors
 		}
-		dep.replicas += len(hosts)
-		dep.present++
+		rt.replicas += len(hosts)
+		rt.present++
 	}
-	return touched, dep, entries
+	return touched, rt, entries
 }

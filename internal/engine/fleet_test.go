@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"snaple/internal/core"
 	"snaple/internal/graph"
@@ -72,8 +75,8 @@ func packVia(t *testing.T, g *graph.Digraph, strat partition.Strategy, seed uint
 	return files, rt
 }
 
-// TestFleetMatchesReference is the resident fleet's equivalence table: a
-// standing in-process fleet must reproduce core.ReferenceSnaple bit for bit
+// TestFleetMatchesReference is the standing fleet's equivalence table: an
+// in-process fleet must reproduce core.ReferenceSnaple bit for bit
 // across scores, policies, path lengths and fleet shapes — reusing the same
 // attached workers for every config, which is exactly the multi-job session
 // reuse production serving depends on.
@@ -277,54 +280,163 @@ func TestFleetRoutingSelectivity(t *testing.T) {
 	}
 }
 
-// TestFleetZeroShipAfterAttach pins the acceptance criterion: once workers
-// are resident, a query's pre-superstep traffic is the fingerprint handshake
-// (plus sparse closure roles when scoped), never partition bytes — constant
-// across repeats, and nowhere near the size of an actual partition transfer.
+// TestFleetZeroShipAfterAttach pins the acceptance criterion: once every
+// worker holds its shard — pinned in memory, or shipped once at open to plain
+// workers — a query's pre-superstep traffic is the fingerprint handshake (plus
+// sparse closure roles when scoped), never partition bytes: constant across
+// repeats, and below the size of even one partition.
 func TestFleetZeroShipAfterAttach(t *testing.T) {
 	g := testGraph(t, 300, 7)
-	f, err := OpenFleet(g, FleetOptions{InProc: 3, Seed: 9})
+	const shards, seed = 3, 9
+	dep, err := cut(g, partition.HashEdge{Seed: seed}, seed, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The columns of the smallest partition, at their wire widths: what
+	// shipping even one of them again would cost at the very least.
+	onePartition := int64(1) << 62
+	for _, p := range dep.parts {
+		onePartition = min(onePartition, int64(10*len(p.Locals)+8*len(p.EdgeSrc)))
+	}
+
+	for _, tc := range []struct {
+		name string
+		o    FleetOptions
+	}{
+		{"in-process", FleetOptions{InProc: shards, Seed: seed}},
+		{"shipped", FleetOptions{Addrs: workerPool(t, shards), Seed: seed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := OpenFleet(g, tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+
+			full := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
+			_, st1, err := f.Predict(g, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st2, err := f.Predict(g, full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An unscoped attach is a fixed-size frame per connection.
+			if bound := int64(512 * st1.Workers); st1.ShipBytes == 0 || st1.ShipBytes > bound {
+				t.Errorf("full-run attach traffic %d bytes, want (0, %d]", st1.ShipBytes, bound)
+			}
+			if st1.ShipBytes != st2.ShipBytes {
+				t.Errorf("attach traffic not constant across repeats: %d then %d", st1.ShipBytes, st2.ShipBytes)
+			}
+
+			scoped := full
+			scoped.Sources = []graph.VertexID{17}
+			_, st3, err := f.Predict(g, scoped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st4, err := f.Predict(g, scoped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st3.ShipBytes == 0 || st3.ShipBytes >= onePartition {
+				t.Errorf("scoped attach traffic %d bytes, want (0, %d) — partition bytes crossed?", st3.ShipBytes, onePartition)
+			}
+			if st3.ShipBytes != st4.ShipBytes {
+				t.Errorf("scoped attach traffic not constant across repeats: %d then %d", st3.ShipBytes, st4.ShipBytes)
+			}
+		})
+	}
+}
+
+// restartablePool serves n plain loopback workers like workerPool and returns
+// a kill switch that severs worker i's live connection from the worker's side
+// — what a crash and restart on the same port looks like to a coordinator:
+// the shard shipped over that connection is gone, the address answers again.
+func restartablePool(t *testing.T, n int) (addrs []string, kill func(i int)) {
+	t.Helper()
+	var mu sync.Mutex
+	live := make([]net.Conn, n)
+	addrs = make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go func() {
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				live[i] = c
+				mu.Unlock()
+				_ = wire.ServeConn(c)
+			}
+		}()
+		addrs[i] = l.Addr().String()
+	}
+	return addrs, func(i int) {
+		mu.Lock()
+		defer mu.Unlock()
+		live[i].Close()
+	}
+}
+
+// TestFleetReshipsAfterWorkerRestart: a plain worker holds its shard only as
+// long as its connection lives. Killing one between queries costs the next
+// query a failover; the one after reconnects, ships the shard again and is
+// back at full strength. Losing a whole replica group fails exactly one query
+// with ErrPartitionLost, and the next one re-ships to both and recovers.
+// Every answer matches Serial.
+func TestFleetReshipsAfterWorkerRestart(t *testing.T) {
+	g := testGraph(t, 200, 7)
+	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
+	want, _, err := Serial{}.Predict(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, kill := restartablePool(t, 4)
+	f, err := OpenFleet(g, FleetOptions{Addrs: addrs, Replicas: 2, Seed: 5, StepTimeout: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	shipped := func(i int) int64 { return f.conns[i].Counters().BytesOut }
+	partBytes := func(i int) int64 { return int64(8 * len(f.dep.parts[i/2].EdgeSrc)) }
+	query := func(wantDead int) {
+		t.Helper()
+		got, st, err := f.Predict(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			diffPredictions(t, want, got)
+		}
+		if st.WorkersDead != wantDead {
+			t.Errorf("WorkersDead = %d, want %d", st.WorkersDead, wantDead)
+		}
+	}
+	query(0)
 
-	// ~12 bytes per packed edge column row is a conservative floor for what
-	// re-shipping the partitions would cost.
-	shipFloor := int64(g.NumEdges()) * 12
-
-	full := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
-	_, st1, err := f.Predict(g, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st2, err := f.Predict(g, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An unscoped attach is a fixed-size frame per connection.
-	if bound := int64(512 * st1.Workers); st1.ShipBytes == 0 || st1.ShipBytes > bound {
-		t.Errorf("full-run attach traffic %d bytes, want (0, %d]", st1.ShipBytes, bound)
-	}
-	if st1.ShipBytes != st2.ShipBytes {
-		t.Errorf("attach traffic not constant across repeats: %d then %d", st1.ShipBytes, st2.ShipBytes)
+	kill(1)
+	query(1) // shard 0 fails over to worker 0
+	query(0) // worker 1 is redialed and shipped shard 0 again
+	if got := shipped(1); got < partBytes(1) {
+		t.Errorf("reconnected worker was sent %d bytes, less than its partition's %d — not re-shipped?", got, partBytes(1))
 	}
 
-	scoped := full
-	scoped.Sources = []graph.VertexID{17}
-	_, st3, err := f.Predict(g, scoped)
-	if err != nil {
-		t.Fatal(err)
+	kill(2)
+	kill(3)
+	if _, _, err := f.Predict(g, cfg); !errors.Is(err, ErrPartitionLost) {
+		t.Fatalf("err = %v, want ErrPartitionLost with shard 1's whole group gone", err)
 	}
-	_, st4, err := f.Predict(g, scoped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.ShipBytes == 0 || st3.ShipBytes >= shipFloor {
-		t.Errorf("scoped attach traffic %d bytes, want (0, %d) — partition bytes crossed?", st3.ShipBytes, shipFloor)
-	}
-	if st3.ShipBytes != st4.ShipBytes {
-		t.Errorf("scoped attach traffic not constant across repeats: %d then %d", st3.ShipBytes, st4.ShipBytes)
+	query(0)
+	if cum := f.Stats(); cum.WorkersDead != 3 {
+		t.Errorf("cumulative WorkersDead = %d, want 3", cum.WorkersDead)
 	}
 }
 
@@ -346,21 +458,29 @@ func TestFleetManifestMismatch(t *testing.T) {
 	})
 	t.Run("worker-vs-coordinator", func(t *testing.T) {
 		// Workers resident for g1's shards, coordinator opened over g2 with
-		// the same cut parameters: the fingerprints differ and every worker
-		// must refuse the attach.
+		// g2's own manifest (same cut parameters): the fingerprints differ and
+		// every worker must refuse the attach.
+		_, man2 := packVia(t, g2, nil, 2, 2)
 		addrs := serveResident(t, files, 1)
-		_, err := OpenFleet(g2, FleetOptions{Addrs: addrs, Seed: man.Seed})
+		_, err := OpenFleet(g2, FleetOptions{Addrs: addrs, Manifest: man2})
 		if !errors.Is(err, ErrManifestMismatch) {
 			t.Fatalf("err = %v, want ErrManifestMismatch", err)
 		}
 	})
-	t.Run("wrong-shard-count", func(t *testing.T) {
+	t.Run("no-manifest", func(t *testing.T) {
+		// Without a manifest the coordinator takes the workers for plain ones
+		// and ships; a worker that pinned a packed shard refuses, pointing at
+		// the manifest, instead of being silently overwritten.
 		addrs := serveResident(t, files, 1)
-		// Three single-replica addresses would mean a 3-shard fleet; the
-		// 2-shard residents must refuse. Reuse one worker's address twice is
-		// not allowed, so open with a manifest claiming 2 shards against one
-		// worker of each — here simply: a fleet of 2 against workers 0,0
-		// cannot be built, so instead attach shard files to wrong slots.
+		_, err := OpenFleet(g1, FleetOptions{Addrs: addrs, Seed: man.Seed})
+		if err == nil || !strings.Contains(err.Error(), "manifest") {
+			t.Fatalf("err = %v, want the workers to refuse the ship and name the manifest", err)
+		}
+	})
+	t.Run("swapped-shard-slots", func(t *testing.T) {
+		// The right workers in the wrong slots: each refuses an attach that
+		// names the other's shard.
+		addrs := serveResident(t, files, 1)
 		_, err := OpenFleet(g1, FleetOptions{Addrs: []string{addrs[1], addrs[0]}, Manifest: man})
 		if err == nil {
 			t.Fatal("swapped shard slots accepted")

@@ -82,13 +82,14 @@ func TestChaosTransportScript(t *testing.T) {
 	})
 }
 
-// TestWorkerSurvivesHostileSessions is the resident-worker hardening
-// satellite: garbage before the handshake, a legacy gob peer, line noise, a
-// corrupt hello, and a corrupt frame mid-session must each cost exactly one
-// session — a typed error
-// frame where the transport still works, then a close — and the worker must
-// serve the next coordinator normally. The healthy mini-session after every
-// hostile one is the survival assertion.
+// TestWorkerSurvivesHostileSessions is the worker hardening satellite:
+// garbage before the handshake, a legacy gob peer, line noise, a corrupt
+// hello, a corrupt frame mid-session, an attach with no shard to run over, an
+// attach for another fleet's shard and a ship to a pinned worker must each
+// cost exactly one session — a typed error frame where the transport still
+// works, then a close — and the worker must serve the next coordinator
+// normally. The healthy mini-session after every hostile one is the survival
+// assertion.
 func TestWorkerSurvivesHostileSessions(t *testing.T) {
 	addr := serveWorkers(t, ServeOptions{})
 	healthy := func(t *testing.T) {
@@ -161,18 +162,17 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		}
 		c := NewConn(raw)
 		defer c.Close()
-		if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolV3}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Expect(KindHello); err != nil {
-			t.Fatal(err)
-		}
-		job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-		if err := c.Send(&Msg{Kind: KindShip, Version: ProtocolV3, Job: job, Part: Partition{Part: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Expect(KindReady); err != nil {
-			t.Fatal(err)
+		for _, open := range []*Msg{
+			{Kind: KindHello, Version: ProtocolVersion},
+			{Kind: KindShip, Version: ProtocolVersion, Shard: miniShard},
+			miniAttach(),
+		} {
+			if err := c.Send(open); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Recv(); err != nil {
+				t.Fatalf("answer to %s: %v", open.Kind, err)
+			}
 		}
 		// Mid-session garbage where a frame header belongs. The worker must
 		// answer with a typed error frame, not die silently (and certainly
@@ -188,5 +188,76 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 			t.Fatalf("err = %v, want the worker's typed error frame", err)
 		}
 		healthy(t)
+	})
+
+	// refused sends msgs over a fresh connection to the worker at addr —
+	// every one but the last must be answered Ready — and returns the typed
+	// refusal of the last, after which the worker must have hung up.
+	refused := func(t *testing.T, addr string, msgs ...*Msg) error {
+		t.Helper()
+		c, err := DialWith(addr, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		for i, m := range msgs {
+			if err := c.Send(m); err != nil {
+				t.Fatal(err)
+			}
+			_, err := c.Expect(KindReady)
+			if i < len(msgs)-1 {
+				if err != nil {
+					t.Fatalf("%s refused: %v", m.Kind, err)
+				}
+				continue
+			}
+			if !IsRemoteError(err) {
+				t.Fatalf("%s answered %v, want a typed error frame", m.Kind, err)
+			}
+			if _, eof := c.Recv(); !errors.Is(eof, io.EOF) {
+				t.Fatalf("after the refusal: %v, want the connection closed", eof)
+			}
+			return err
+		}
+		return nil
+	}
+
+	t.Run("attach-before-any-ship", func(t *testing.T) {
+		err := refused(t, addr, miniAttach())
+		if !strings.Contains(err.Error(), "holds no shard") {
+			t.Fatalf("refusal = %v, want it to say the worker holds no shard", err)
+		}
+		healthy(t)
+	})
+
+	t.Run("attach-fingerprint-differs-from-shipped", func(t *testing.T) {
+		other := miniAttach()
+		other.Attach.Fingerprint++
+		err := refused(t, addr, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: miniShard}, other)
+		if !IsManifestMismatch(err) {
+			t.Fatalf("refusal = %v, want a manifest mismatch", err)
+		}
+		healthy(t)
+	})
+
+	t.Run("ship-to-a-pinned-worker", func(t *testing.T) {
+		pinned := serveWorkers(t, ServeOptions{Resident: &miniShard})
+		err := refused(t, pinned, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: miniShard})
+		if !strings.Contains(err.Error(), "manifest") {
+			t.Fatalf("refusal = %v, want it to point at the manifest", err)
+		}
+		// The pinned shard is untouched: an attach alone opens a job over it.
+		c, err := DialWith(pinned, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Send(miniAttach()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Expect(KindReady); err != nil {
+			t.Fatalf("attach to the pinned shard: %v", err)
+		}
 	})
 }

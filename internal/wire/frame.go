@@ -1,6 +1,6 @@
 package wire
 
-// The v3 frame codec: length-prefixed, CRC-32C-checksummed flat sections in
+// The frame codec: length-prefixed, CRC-32C-checksummed flat sections in
 // the .sgr style of internal/graph/snapshot.go, decoded single-copy into
 // exact-alloc slices.
 //
@@ -73,8 +73,8 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// errNotV3Frame marks bytes that are not a v3 frame (bad magic).
-var errNotV3Frame = errors.New("wire: not a v3 frame (bad magic)")
+// errNotFrame marks bytes that are not a frame (bad magic).
+var errNotFrame = errors.New("wire: not a frame (bad magic)")
 
 // ---- little-endian append/read primitives ----
 
@@ -349,16 +349,6 @@ func (r *byteReader) bools(n int) []bool {
 			return nil
 		}
 	}
-	return out
-}
-
-func (r *byteReader) uint8s(n int) []uint8 {
-	raw := r.bytes(n)
-	if raw == nil {
-		return nil
-	}
-	out := make([]uint8, n)
-	copy(out, raw)
 	return out
 }
 
@@ -752,7 +742,7 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 	return m, nil
 }
 
-// appendJob encodes a JobSpec (shared by the ship and attach payloads).
+// appendJob encodes a JobSpec (part of the attach payload).
 func appendJob(b []byte, j *JobSpec) []byte {
 	b = appendU32(b, uint32(len(j.Score)))
 	b = append(b, j.Score...)
@@ -838,43 +828,36 @@ func decodeAttach(payload []byte, m *Msg) error {
 	return r.done()
 }
 
-// appendShip encodes the job spec and partition payload.
+// appendShip encodes the shard a worker is to hold for the life of the
+// connection: version, fleet identity, partition columns.
 func appendShip(b []byte, m *Msg) []byte {
 	b = appendU32(b, uint32(m.Version))
-	b = appendJob(b, &m.Job)
-	p := &m.Part
+	b = appendU64(b, m.Shard.Fingerprint)
+	b = appendU32(b, uint32(m.Shard.Shards))
+	p := &m.Shard.Part
 	b = appendU32(b, uint32(p.Part))
 	b = appendU32(b, uint32(p.NumVertices))
 	b = appendU32(b, uint32(len(p.Locals)))
 	b = appendU32(b, uint32(len(p.EdgeSrc)))
-	if p.Scope != nil {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
 	b = appendVertexIDs(b, p.Locals)
 	b = appendInt32s(b, p.Deg)
 	b = appendInt32s(b, p.EdgeSrc)
 	b = appendInt32s(b, p.EdgeDst)
 	b = appendBools(b, p.IsMaster)
 	b = appendBools(b, p.HasRemote)
-	b = append(b, p.Scope...)
 	return b
 }
 
 func decodeShip(payload []byte, m *Msg) error {
 	r := &byteReader{b: payload}
 	m.Version = int(r.u32())
-	decodeJob(r, &m.Job)
-	p := &m.Part
+	m.Shard.Fingerprint = r.u64()
+	m.Shard.Shards = int(r.u32())
+	p := &m.Shard.Part
 	p.Part = int(r.u32())
 	p.NumVertices = int(r.u32())
 	nLocals := r.u32()
 	nEdges := r.u32()
-	hasScope := r.u8()
-	if hasScope > 1 {
-		r.fail("scope flag byte %d", hasScope)
-	}
 	// Minimum bytes per local: 4 (ID) + 4 (deg) + 1 (master) + 1 (remote).
 	nl := r.count(nLocals, 10)
 	ne := r.count(nEdges, 8)
@@ -884,9 +867,6 @@ func decodeShip(payload []byte, m *Msg) error {
 	p.EdgeDst = r.int32s(ne)
 	p.IsMaster = r.bools(nl)
 	p.HasRemote = r.bools(nl)
-	if hasScope == 1 {
-		p.Scope = r.uint8s(nl)
-	}
 	return r.done()
 }
 
@@ -987,7 +967,7 @@ func (c *Conn) readFrame() (kind Kind, flags byte, step core.DistStep, payload [
 		return 0, 0, 0, nil, fmt.Errorf("wire: read frame header: %w", err)
 	}
 	if string(hdr[0:4]) != frameMagic {
-		return 0, 0, 0, nil, errNotV3Frame
+		return 0, 0, 0, nil, errNotFrame
 	}
 	if got, want := crc32.Checksum(hdr[:16], castagnoli), binary.LittleEndian.Uint32(hdr[16:]); got != want {
 		return 0, 0, 0, nil, fmt.Errorf("wire: frame header CRC mismatch (%08x != %08x)", got, want)

@@ -33,7 +33,7 @@ func decodeOne(data []byte) (*Msg, error) {
 	return NewConn(src).Recv()
 }
 
-// FuzzWireFrame throws arbitrary bytes at the v3 frame decoder. Truncations,
+// FuzzWireFrame throws arbitrary bytes at the frame decoder. Truncations,
 // bit-flips and lying length prefixes must surface as clean errors — never a
 // panic, and never an allocation beyond the bytes that actually arrived
 // (readCapped grows in bounded chunks; the per-array count guards check
@@ -50,7 +50,6 @@ func FuzzWireFrame(f *testing.F) {
 		EdgeDst:   []int32{1, 2, 2},
 		IsMaster:  []bool{true, false, true},
 		HasRemote: []bool{true, false, false},
-		Scope:     []uint8{7, 7, 3},
 	}
 	partials := []core.DistPartial{
 		{V: 0, Nbrs: []graph.VertexID{2, 5}},
@@ -69,8 +68,12 @@ func FuzzWireFrame(f *testing.F) {
 		Stats: WorkerStats{Verts: 3, Edges: 3, BusySeconds: 0.5, AllocBytes: 4096, AllocObjects: 7, HeapBytes: 1 << 20},
 	}
 	seeds := []*Msg{
-		{Kind: KindHello, Version: ProtocolV3, Features: featCompress},
-		{Kind: KindShip, Version: ProtocolV3, Job: job, Part: part},
+		{Kind: KindHello, Version: ProtocolVersion, Features: featCompress},
+		{Kind: KindShip, Version: ProtocolVersion, Shard: ResidentShard{Fingerprint: 0xFEEDFACE, Shards: 2, Part: part}},
+		{Kind: KindAttach, Version: ProtocolVersion, Job: job, Attach: AttachSpec{
+			Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, Scoped: true,
+			Entries: []ScopeEntry{{V: 0, Mask: 7, Role: RoleMaster | RoleRemote}, {V: 5, Mask: 3}},
+		}},
 		{Kind: KindReady},
 		{Kind: KindStepBegin, Step: core.DistRelays, Final: true},
 		{Kind: KindPartials, Step: core.DistTruncate, Partials: partials},

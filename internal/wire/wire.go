@@ -1,19 +1,23 @@
 // Package wire is the network substrate of the dist execution backend: the
-// framed binary protocol (v3) that a coordinator (engine.Dist, engine.Fleet)
-// speaks with snaple-worker processes over TCP, plus the worker-side session
-// loop (worker.go) shared by cmd/snaple-worker and in-process test workers.
+// framed binary protocol that the coordinator (engine.Fleet) speaks with
+// snaple-worker processes over TCP, plus the worker-side session loop
+// (worker.go) shared by cmd/snaple-worker and in-process test workers.
 //
-// One TCP connection carries one prediction job at a time. The ship/ready
-// handshake and the collect exchange are strictly half-duplex; inside a
-// superstep the protocol pipelines — workers stream gather partials up in
-// fixed-size chunks while concurrently draining the foreign partials the
-// coordinator routes back, and likewise for the refresh/mirror round:
+// One TCP connection carries one prediction job at a time. The handshakes
+// and the collect exchange are strictly half-duplex; inside a superstep the
+// protocol pipelines — workers stream gather partials up in fixed-size chunks
+// while concurrently draining the foreign partials the coordinator routes
+// back, and likewise for the refresh/mirror round:
 //
 //	coordinator                       worker
 //	----------- hello ------------->          version check + feature negotiation
 //	<---------- hello --------------          (granted features echoed back)
-//	----------- ship -------------->          partition payload + job spec
-//	<---------- ready --------------          (or error: bad payload/config)
+//	once per connection, only to a worker that pinned no packed shard:
+//	----------- ship -------------->          install this shard: fingerprint + partition
+//	<---------- ready --------------          (or error: bad payload)
+//	then, per job:
+//	----------- attach ------------>          job spec + fingerprint (+ sparse scoped roles)
+//	<---------- ready --------------          (or error: bad config, fingerprint mismatch)
 //	then, per superstep:
 //	----------- step-begin -------->
 //	<>--------- partials/foreign --<>         chunked both ways concurrently;
@@ -32,12 +36,12 @@
 // through the hello feature bits.
 //
 // There is one protocol version. Worker and coordinator ship from one tree,
-// so a peer that opens with anything but a v3 hello — an older build, a stray
-// client — is refused with ErrProtocolMismatch on whichever side notices.
+// so a peer that opens with anything but a current hello — an older build, a
+// stray client — is refused with ErrProtocolMismatch on whichever side notices.
 //
 // Conn counts bytes and messages in both directions: the dist backend's
 // Stats.CrossBytes/CrossMsgs are measured on the wire (everything after the
-// ship phase), not simulated like the sim backend's.
+// attach handshake), not simulated like the sim backend's.
 package wire
 
 import (
@@ -56,24 +60,28 @@ import (
 	"snaple/internal/graph"
 )
 
-// ProtocolV3 is the one protocol version this build speaks: the framed binary
-// protocol of frame.go. Hello, ship and attach all carry it, and a worker
-// rejects any other value — version skew must fail loudly, not silently
-// change semantics.
-const ProtocolV3 = 3
+// ProtocolVersion is the one protocol version this build speaks. Hello, ship
+// and attach all carry it, and a worker rejects any other value — version
+// skew must fail loudly, not silently change semantics. It counts payload
+// layouts, not frame layouts: the frame magic is still "SWF3", so a v3 peer
+// is recognised as a frame speaker and refused by its hello's version.
+const ProtocolVersion = 4
 
 // ErrProtocolMismatch marks a handshake with a peer that does not speak
-// ProtocolV3: its opening bytes were not a v3 frame (builds before v3 spoke a
-// gob envelope, v2), or its hello named another version.
-var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only v3 and the peer does not (pre-v3 builds spoke gob v2); rebuild worker and coordinator from the same tree")
+// ProtocolVersion: its opening bytes were not a frame at all (builds before
+// v3 spoke a gob envelope), or its hello named another version.
+var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only protocol v4 and the peer does not; rebuild worker and coordinator from the same tree")
 
-// Kind discriminates the Msg envelope and the v3 frame header.
+// Kind discriminates the Msg envelope and the frame header.
 type Kind uint8
 
 const (
-	// KindShip carries the job spec and partition payload (coordinator → worker).
+	// KindShip installs a shard on a worker that pinned none at startup, for
+	// the life of the connection: the fleet identity plus the partition
+	// payload, no job (coordinator → worker). Every job then opens with
+	// KindAttach, exactly as against a resident worker.
 	KindShip Kind = iota + 1
-	// KindReady acknowledges a ship (worker → coordinator).
+	// KindReady acknowledges a ship or an attach (worker → coordinator).
 	KindReady
 	// KindStepBegin starts a superstep (coordinator → worker).
 	KindStepBegin
@@ -100,10 +108,11 @@ const (
 	// KindHello opens a connection in both directions: the dialer's
 	// requested version and feature bits, answered with the granted ones.
 	KindHello
-	// KindAttach starts a job on a resident worker — one that pinned its
-	// partition at startup from a packed shard file. It carries the job spec
-	// plus the fleet fingerprint and (for scoped runs) the sparse per-vertex
-	// scope/role entries, in place of KindShip's full partition payload.
+	// KindAttach is the one job opener: it starts a job over the shard the
+	// worker holds — pinned at startup from a packed shard file, or installed
+	// on this connection by a KindShip. It carries the job spec plus the fleet
+	// fingerprint and (for scoped runs) the sparse per-vertex scope/role
+	// entries, never partition columns.
 	KindAttach
 )
 
@@ -190,11 +199,6 @@ type Partition struct {
 	// HasRemote marks local masters that are replicated on other partitions
 	// and therefore must broadcast refreshed state after each apply.
 	HasRemote []bool
-	// Scope holds each local vertex's frontier scope mask on a query-scoped
-	// run (core.Scope* bits, aligned with Locals); nil for a full run. The
-	// coordinator derives it from the global closure so workers never need
-	// the source list, let alone the graph.
-	Scope []uint8
 }
 
 // Validate checks the payload's internal consistency (lengths and index
@@ -211,8 +215,6 @@ func (p *Partition) Validate() error {
 		return fmt.Errorf("wire: %d remote flags for %d locals", len(p.HasRemote), len(p.Locals))
 	case len(p.EdgeSrc) != len(p.EdgeDst):
 		return fmt.Errorf("wire: %d edge sources, %d edge targets", len(p.EdgeSrc), len(p.EdgeDst))
-	case p.Scope != nil && len(p.Scope) != len(p.Locals):
-		return fmt.Errorf("wire: %d scope masks for %d locals", len(p.Scope), len(p.Locals))
 	}
 	for i := range p.EdgeSrc {
 		if p.EdgeSrc[i] < 0 || int(p.EdgeSrc[i]) >= len(p.Locals) ||
@@ -233,7 +235,9 @@ const (
 )
 
 // ScopeEntry assigns one local vertex its frontier scope mask and routing
-// role for a scoped job on a resident worker. Locals without an entry are
+// role for a scoped job — the one representation of a query's scope on the
+// wire; the coordinator derives it from the global closure so workers never
+// need the source list, let alone the graph. Locals without an entry are
 // outside the closure: mask zero, no role.
 type ScopeEntry struct {
 	V    graph.VertexID
@@ -241,8 +245,8 @@ type ScopeEntry struct {
 	Role uint8 // Role* bits
 }
 
-// AttachSpec is KindAttach's payload: everything a resident worker needs to
-// start a job against its pinned partition. The fingerprint stands in for the
+// AttachSpec is KindAttach's payload: everything a worker needs to start a
+// job against the partition it holds. The fingerprint stands in for the
 // partition bytes — if it matches, coordinator and worker provably hold the
 // same (graph, cut), so nothing else needs to cross the wire.
 type AttachSpec struct {
@@ -277,9 +281,10 @@ func IsManifestMismatch(err error) bool {
 	return err != nil && IsRemoteError(err) && strings.Contains(err.Error(), manifestMismatchText)
 }
 
-// ResidentShard is the partition a resident worker pins at startup: the
-// payload a KindShip would carry, loaded once from a packed shard file, plus
-// the fleet identity the attach handshake verifies.
+// ResidentShard is the partition a worker holds across jobs plus the fleet
+// identity the attach handshake verifies: pinned at startup from a packed
+// shard file (ServeOptions.Resident), or installed for the life of one
+// connection by a KindShip, whose payload it is.
 type ResidentShard struct {
 	// Fingerprint identifies the (graph, cut) the shard was packed from.
 	Fingerprint uint64
@@ -351,11 +356,11 @@ type WorkerResult struct {
 // wire (a frame encodes only its kind's payload).
 type Msg struct {
 	Kind     Kind
-	Version  int    // KindShip, KindAttach, KindHello
-	Features uint32 // KindHello: requested/granted feature bits
-	Job      JobSpec
-	Part     Partition  // KindShip
-	Attach   AttachSpec // KindAttach
+	Version  int           // KindShip, KindAttach, KindHello
+	Features uint32        // KindHello: requested/granted feature bits
+	Job      JobSpec       // KindAttach
+	Shard    ResidentShard // KindShip
+	Attach   AttachSpec    // KindAttach
 	Step     core.DistStep
 	// Final marks the last superstep on KindStepBegin (no refresh/mirror
 	// round follows) and the last chunk of a streaming phase on
@@ -419,7 +424,7 @@ var errRemote = errors.New("remote error")
 // IsRemoteError reports whether err stems from a KindError frame the peer
 // sent — a deliberate, well-formed rejection (bad config, version skew,
 // compute failure) rather than transport noise. Coordinators use the
-// distinction to classify failures: a remote rejection of the ship is
+// distinction to classify failures: a remote rejection of a ship or attach is
 // deterministic and would repeat on every replica, while line noise just
 // means the worker is dead.
 func IsRemoteError(err error) bool { return errors.Is(err, errRemote) }
@@ -487,8 +492,8 @@ func Dial(addr string) (*Conn, error) {
 }
 
 // DialWith is Dial with explicit options. A peer that answers the hello with
-// anything but a v3 hello fails with ErrProtocolMismatch; one that answers
-// nothing (a worker busy with another session, or a non-v3 listener that
+// anything but a current hello fails with ErrProtocolMismatch; one that
+// answers nothing (a worker busy with another session, or a stranger that
 // stays silent) fails with a timeout after HelloTimeout.
 func DialWith(addr string, o DialOptions) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
@@ -515,7 +520,7 @@ func (c *Conn) hello(o DialOptions) error {
 	if o.Compress {
 		feat |= featCompress
 	}
-	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolV3, Features: feat}); err != nil {
+	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolVersion, Features: feat}); err != nil {
 		return err
 	}
 	m, err := c.recvHello()
@@ -538,7 +543,7 @@ func accept(rwc io.ReadWriteCloser) (*Conn, error) {
 		return c, err
 	}
 	grant := m.Features & featCompress
-	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolV3, Features: grant}); err != nil {
+	if err := c.Send(&Msg{Kind: KindHello, Version: ProtocolVersion, Features: grant}); err != nil {
 		return c, err
 	}
 	if grant != 0 {
@@ -548,22 +553,22 @@ func accept(rwc io.ReadWriteCloser) (*Conn, error) {
 }
 
 // recvHello reads the peer's hello, on either side of the handshake. The
-// magic is peeked first so a peer that is not speaking v3 at all — its first
-// four bytes settle that — is named as such instead of surfacing as a frame
-// decode error.
+// magic is peeked first so a peer that is not speaking frames at all — its
+// first four bytes settle that — is named as such instead of surfacing as a
+// frame decode error.
 func (c *Conn) recvHello() (*Msg, error) {
 	magic, err := c.br.Peek(len(frameMagic))
 	if err != nil {
 		return nil, fmt.Errorf("wire: handshake: %w", err)
 	}
 	if string(magic) != frameMagic {
-		return nil, fmt.Errorf("%w (peer opened with %q, not a v3 frame)", ErrProtocolMismatch, magic)
+		return nil, fmt.Errorf("%w (peer opened with %q, not a frame)", ErrProtocolMismatch, magic)
 	}
 	m, err := c.Expect(KindHello)
 	if err != nil {
 		return nil, err
 	}
-	if m.Version != ProtocolV3 {
+	if m.Version != ProtocolVersion {
 		return nil, fmt.Errorf("%w (peer hello names v%d)", ErrProtocolMismatch, m.Version)
 	}
 	return m, nil
@@ -642,7 +647,7 @@ func (c *Conn) Expect(kind Kind) (*Msg, error) {
 // supports deadlines (net.Conn and net.Pipe do; a transport that does not is
 // silently unbounded). The zero time clears the deadline. Coordinators use
 // it to keep a handshake against a busy worker — one already serving another
-// session never reads the next hello or ship — from hanging forever.
+// session never reads the next hello or attach — from hanging forever.
 func (c *Conn) SetDeadline(t time.Time) error {
 	if d, ok := c.closer.(interface{ SetDeadline(time.Time) error }); ok {
 		return d.SetDeadline(t)

@@ -127,7 +127,7 @@ func normalizeMsg(m *Msg) {
 			m.Result.Preds[i].Preds = nil
 		}
 	}
-	p := &m.Part
+	p := &m.Shard.Part
 	if len(p.Locals) == 0 {
 		p.Locals = nil
 	}
@@ -184,13 +184,6 @@ func randPartition(r *rand.Rand, n int, hub bool) Partition {
 		p.Deg = append(p.Deg, int32(r.Intn(1000)))
 		p.IsMaster = append(p.IsMaster, r.Intn(2) == 0)
 		p.HasRemote = append(p.HasRemote, r.Intn(2) == 0)
-	}
-	if r.Intn(2) == 0 {
-		// Query-scoped ship: per-local frontier masks ride along.
-		p.Scope = make([]uint8, len(p.Locals))
-		for i := range p.Scope {
-			p.Scope[i] = uint8(r.Intn(16))
-		}
 	}
 	edges := r.Intn(4 * len(p.Locals))
 	if hub {
@@ -258,7 +251,6 @@ func randStates(r *rand.Rand) []VertexState {
 // including the empty partition and hub-vertex skew.
 func TestShipRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
 	cases := []Partition{
 		randPartition(r, 0, false),   // empty partition
 		randPartition(r, 1, false),   // single vertex
@@ -268,27 +260,8 @@ func TestShipRoundTrip(t *testing.T) {
 		cases = append(cases, randPartition(r, 1+r.Intn(200), false))
 	}
 	for _, part := range cases {
-		checkLossless(t, &Msg{Kind: KindShip, Version: ProtocolV3, Job: job, Part: part})
-	}
-}
-
-// TestPartitionValidateScope pins the scope-mask length check: a scoped
-// ship whose masks do not align with the local table is rejected before the
-// worker builds anything from it.
-func TestPartitionValidateScope(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	p := randPartition(r, 50, false)
-	p.Scope = nil
-	if err := p.Validate(); err != nil {
-		t.Fatalf("nil scope rejected: %v", err)
-	}
-	p.Scope = make([]uint8, len(p.Locals))
-	if err := p.Validate(); err != nil {
-		t.Fatalf("aligned scope rejected: %v", err)
-	}
-	p.Scope = append(p.Scope, 0)
-	if err := p.Validate(); err == nil {
-		t.Fatal("misaligned scope accepted")
+		checkLossless(t, &Msg{Kind: KindShip, Version: ProtocolVersion,
+			Shard: ResidentShard{Fingerprint: r.Uint64(), Shards: 1 + r.Intn(8), Part: part}})
 	}
 }
 
@@ -433,18 +406,31 @@ func serveWorkers(t *testing.T, o ServeOptions) string {
 	return l.Addr().String()
 }
 
+// miniJob and miniShard are the smallest valid job and shard: an empty
+// partition 3 of a 4-shard fleet.
+var (
+	miniJob   = JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
+	miniShard = ResidentShard{Fingerprint: 0xF1EE7, Shards: 4, Part: Partition{Part: 3}}
+)
+
+// miniAttach opens a job over miniShard.
+func miniAttach() *Msg {
+	return &Msg{Kind: KindAttach, Version: ProtocolVersion, Job: miniJob,
+		Attach: AttachSpec{Fingerprint: miniShard.Fingerprint, Shard: 3, Shards: 4}}
+}
+
 // runMiniSession drives a complete (zero-superstep) session over c: ship an
-// empty partition, await ready, collect the result. It proves the connection
+// empty shard, attach to it, collect the result. It proves the connection
 // actually works end to end, not just that the handshake returned.
 func runMiniSession(t *testing.T, c *Conn) {
 	t.Helper()
-	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-	ship := &Msg{Kind: KindShip, Version: ProtocolV3, Job: job, Part: Partition{Part: 3}}
-	if err := c.Send(ship); err != nil {
-		t.Fatalf("ship: %v", err)
-	}
-	if _, err := c.Expect(KindReady); err != nil {
-		t.Fatalf("ready: %v", err)
+	for _, open := range []*Msg{{Kind: KindShip, Version: ProtocolVersion, Shard: miniShard}, miniAttach()} {
+		if err := c.Send(open); err != nil {
+			t.Fatalf("%s: %v", open.Kind, err)
+		}
+		if _, err := c.Expect(KindReady); err != nil {
+			t.Fatalf("ready after %s: %v", open.Kind, err)
+		}
 	}
 	if err := c.Send(&Msg{Kind: KindCollect}); err != nil {
 		t.Fatalf("collect: %v", err)

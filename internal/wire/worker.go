@@ -23,11 +23,10 @@ const streamChunkBytes = 64 << 10
 // ServeOptions configures a worker's listening side.
 type ServeOptions struct {
 	// Resident pins a packed partition for the worker's lifetime. A resident
-	// worker accepts KindAttach jobs (a fingerprint handshake instead of a
-	// partition transfer) and serves connections concurrently, so several
-	// coordinators — e.g. multiple serve front-ends — can share one standing
-	// fleet. Each session builds its own compute state over the shared
-	// read-only shard columns.
+	// worker needs no KindShip before its first KindAttach (and refuses one)
+	// and serves connections concurrently, so several coordinators — e.g.
+	// multiple serve front-ends — can share one standing fleet. Each session
+	// builds its own compute state over the shared read-only shard columns.
 	Resident *ResidentShard
 }
 
@@ -106,15 +105,17 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 			conn.SendError(err)
 		}
 	}()
-	// One connection carries a sequence of jobs: each KindShip or KindAttach
-	// replaces the current session, and collect leaves the connection open for
-	// the next job — a resident worker's coordinators re-attach per query on
-	// their standing connections. The measured window (m0) opens at the first
-	// post-Ready message of each job, not at Ready: the coordinator barriers
-	// on every worker's Ready before the first KindStepBegin, so by then all
-	// sessions (in-process ones included) have finished building and the
-	// window holds only superstep and collect work — the same boundary the
+	// One connection carries a sequence of jobs: each KindAttach replaces the
+	// current session, and collect leaves the connection open for the next job —
+	// coordinators re-attach per query on their standing connections. shard is
+	// what the attaches run over: the worker's pinned shard, or the one a
+	// KindShip installed on this connection. The measured window (m0) opens at
+	// the first post-Ready message of each job, not at Ready: the coordinator
+	// barriers on every worker's Ready before the first KindStepBegin, so by
+	// then all sessions (in-process ones included) have finished building and
+	// the window holds only superstep and collect work — the same boundary the
 	// coordinator's own wall-clock and traffic counters use.
+	shard := o.Resident
 	var s *session
 	var m0 runtime.MemStats
 	m0set := false
@@ -134,7 +135,15 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 			return err
 		}
 		if m.Kind == KindShip || m.Kind == KindAttach {
-			s, err = startSession(conn, m, o.Resident)
+			switch {
+			case m.Version != ProtocolVersion:
+				err = fmt.Errorf("wire: protocol version %d, worker speaks %d", m.Version, ProtocolVersion)
+			case m.Kind == KindShip:
+				s = nil // whatever job ran over the previous shard is over
+				shard, err = installShard(m, o.Resident)
+			default:
+				s, err = attachSession(conn, m, shard)
+			}
 			if err != nil {
 				conn.SendError(err)
 				return err
@@ -146,7 +155,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 			continue
 		}
 		if s == nil {
-			err := fmt.Errorf("wire: expected ship, got %s", m.Kind)
+			err := fmt.Errorf("wire: expected attach, got %s", m.Kind)
 			conn.SendError(err)
 			return err
 		}
@@ -211,67 +220,49 @@ type session struct {
 	applyOne  [1]core.DistPartial
 	applySc   core.DistPartial // merged-partial scratch for apply
 
-	collectPreds []VertexPreds // result storage, presized at ship
+	collectPreds []VertexPreds // result storage, presized at attach
 }
 
-// startSession builds the worker's state for one job. A KindShip message
-// carries the whole partition over the wire; a KindAttach references the
-// worker's resident shard by fingerprint, carrying only the job config and
-// (for scoped queries) the sparse per-vertex roles the coordinator elected.
-func startSession(conn *Conn, m *Msg, resident *ResidentShard) (*session, error) {
-	if m.Version != ProtocolV3 {
-		return nil, fmt.Errorf("wire: protocol version %d, worker speaks %d", m.Version, ProtocolV3)
+// installShard handles KindShip: the shipped shard becomes what this
+// connection's attaches run over, until the connection ends. A worker that
+// pinned a packed shard at startup refuses — its operator chose what it
+// serves, and a coordinator shipping to it forgot the manifest.
+func installShard(m *Msg, resident *ResidentShard) (*ResidentShard, error) {
+	if resident != nil {
+		return nil, fmt.Errorf("wire: ship to a worker resident for packed shard %d of %d: open the fleet with its manifest",
+			resident.Part.Part, resident.Shards)
+	}
+	if err := m.Shard.Part.Validate(); err != nil {
+		return nil, err
+	}
+	return &m.Shard, nil
+}
+
+// attachSession builds a job session over the shard the worker holds. The
+// fingerprint must match the coordinator's exactly — a mismatched worker would
+// compute over a different graph and silently corrupt the fold, so the
+// handshake fails with a typed error instead. Scoped attaches carry the
+// coordinator's per-query roles for just the closure vertices: everything
+// outside the entries keeps a zero scope mask, which the partition's scope
+// machinery skips entirely. Unscoped attaches reuse the roles baked into the
+// shard (copied, so a session can never mutate the shared columns).
+func attachSession(conn *Conn, m *Msg, shard *ResidentShard) (*session, error) {
+	if shard == nil {
+		return nil, errors.New("wire: attach to a worker that holds no shard (none pinned at startup, none shipped on this connection)")
 	}
 	cfg, err := m.Job.Config()
 	if err != nil {
 		return nil, err
 	}
-	if m.Kind == KindAttach {
-		return attachSession(conn, m, cfg, resident)
-	}
-	if err := m.Part.Validate(); err != nil {
-		return nil, err
-	}
-	part, err := core.NewDistPartition(cfg, m.Part.NumVertices, m.Part.Locals, m.Part.Deg, m.Part.EdgeSrc, m.Part.EdgeDst)
-	if err != nil {
-		return nil, err
-	}
-	if err := part.SetScope(m.Part.Scope); err != nil {
-		return nil, err
-	}
-	s := &session{
-		conn:      conn,
-		partIdx:   m.Part.Part,
-		part:      part,
-		isMaster:  m.Part.IsMaster,
-		hasRemote: m.Part.HasRemote,
-		regather:  part.CanGatherVertex(),
-	}
-	s.prewarm()
-	return s, nil
-}
-
-// attachSession builds a job session over the resident shard. The fingerprint
-// must match the coordinator's manifest exactly — a mismatched worker would
-// compute over a different graph and silently corrupt the fold, so the
-// handshake fails with a typed error instead. Scoped attaches carry the
-// coordinator's per-query roles for just the closure vertices: everything
-// outside the entries keeps a zero scope mask, which the partition's scope
-// machinery skips entirely. Unscoped attaches reuse the roles baked at pack
-// time (copied, so a session can never mutate the shared resident columns).
-func attachSession(conn *Conn, m *Msg, cfg core.Config, resident *ResidentShard) (*session, error) {
-	if resident == nil {
-		return nil, errors.New("wire: attach to a non-resident worker")
-	}
 	a := &m.Attach
-	if a.Fingerprint != resident.Fingerprint {
-		return nil, fmt.Errorf("wire: %s: coordinator has %016x, resident shard has %016x",
-			manifestMismatchText, a.Fingerprint, resident.Fingerprint)
+	if a.Fingerprint != shard.Fingerprint {
+		return nil, fmt.Errorf("wire: %s: coordinator has %016x, worker's shard has %016x",
+			manifestMismatchText, a.Fingerprint, shard.Fingerprint)
 	}
-	p := &resident.Part
-	if int(a.Shard) != p.Part || int(a.Shards) != resident.Shards {
-		return nil, fmt.Errorf("wire: attach for shard %d of %d, worker is resident for shard %d of %d",
-			a.Shard, a.Shards, p.Part, resident.Shards)
+	p := &shard.Part
+	if int(a.Shard) != p.Part || int(a.Shards) != shard.Shards {
+		return nil, fmt.Errorf("wire: attach for shard %d of %d, worker holds shard %d of %d",
+			a.Shard, a.Shards, p.Part, shard.Shards)
 	}
 	part, err := core.NewDistPartition(cfg, p.NumVertices, p.Locals, p.Deg, p.EdgeSrc, p.EdgeDst)
 	if err != nil {
@@ -311,7 +302,7 @@ func attachSession(conn *Conn, m *Msg, cfg core.Config, resident *ResidentShard)
 }
 
 // prewarm pays for the streaming buffers' steady-state capacity during the
-// ship handshake, before the coordinator starts timing the supersteps:
+// attach handshake, before the coordinator starts timing the supersteps:
 // the outgoing chunk builder, one foreign ref per replicated master (each
 // remote mirror partition contributes at most one record per step), a pool
 // of foreign chunk buffers, the connection's frame scratch, and the collect

@@ -17,7 +17,9 @@
 //     cluster with vertex-cut placement, master/mirror replication and cost
 //     accounting (internal/gas, internal/partition, internal/cluster); and
 //     "dist", the same supersteps across real worker processes over TCP
-//     (internal/wire, cmd/snaple-worker) with traffic measured on the wire,
+//     (internal/wire, cmd/snaple-worker) with traffic measured on the wire
+//     — one coordinator, engine.Fleet, held open by a Cluster or opened for
+//     a single run by Predict and PredictDistributed,
 //   - a Cassovary-style random-walk comparator (internal/walk),
 //   - synthetic dataset analogs and the paper's evaluation protocol
 //     (internal/gen, internal/eval),
@@ -227,10 +229,10 @@ func PredictStats(g GraphView, opts Options) (Predictions, EngineStats, error) {
 // (WorkerAddrs/SpawnWorkers/Workers). Strategy and Seed apply to both.
 type ClusterOptions struct {
 	// Graph is the graph the cluster serves. Required for OpenCluster;
-	// PredictDistributed fills it from its own argument. Resident fleets
-	// (Manifest, or bare "dist") require a frozen *Graph — compact a live
-	// view before opening one; sim and non-resident dist deployments
-	// accept any view.
+	// PredictDistributed fills it from its own argument. Any view works: a
+	// dist cluster cuts the view it is opened with (a Manifest must describe
+	// exactly that view) and serves it until Close — reopen to follow a live
+	// graph's later mutations.
 	Graph GraphView
 	// Options is the base prediction configuration every query of an open
 	// cluster runs under; Cluster.PredictFor overrides only the sources.
@@ -267,10 +269,11 @@ type ClusterOptions struct {
 	// WorkerAddrs nor SpawnWorkers is given.
 	Workers int
 	// WorkerAddrs connects the dist backend to running snaple-worker
-	// processes ("host:port" each); one partition is shipped to each.
+	// processes ("host:port" each); without a Manifest one partition is
+	// shipped to each, once, when the cluster opens.
 	WorkerAddrs []string
 	// SpawnWorkers makes the dist backend fork this many snaple-worker
-	// processes on loopback for the duration of the run (requires the
+	// processes on loopback for the life of the cluster (requires the
 	// binary; see WorkerBin). Ignored when WorkerAddrs is set.
 	SpawnWorkers int
 	// WorkerBin locates the worker binary for SpawnWorkers (default
@@ -313,9 +316,9 @@ var ErrPartitionLost = engine.ErrPartitionLost
 // Result reports a distributed run: the predictions plus the engine costs.
 type Result struct {
 	Predictions Predictions
-	// Engine is the backend that produced the result: "sim", "dist", or
-	// "fleet" for a resident-fleet run (a Cluster, or bare-dist
-	// PredictDistributed, which serves in-process resident workers).
+	// Engine is the backend that produced the result: "sim", or "fleet" for
+	// a dist deployment (a Cluster, and PredictDistributed, which opens one
+	// for the run).
 	Engine string
 	// WallSeconds is host wall-clock time of the supersteps.
 	WallSeconds float64
@@ -326,6 +329,11 @@ type Result struct {
 	// CrossBytes / CrossMsgs count cross-node traffic: simulated from the
 	// paper's cost model on "sim", measured on real sockets on "dist".
 	CrossBytes, CrossMsgs int64
+	// ShipBytes is what crossed the wire before the first superstep of this
+	// query (dist only): the attach handshake, plus the sparse closure roles
+	// when scoped. Partition bytes are not in it — they cross once, when the
+	// cluster opens.
+	ShipBytes int64
 	// MemPeakBytes is the highest per-node memory footprint (simulated on
 	// "sim", the largest worker-reported live heap on "dist").
 	MemPeakBytes int64
@@ -352,20 +360,6 @@ type Result struct {
 	DialRetries int
 }
 
-// strategy maps the string-typed vertex-cut selection onto internal/partition.
-func (c ClusterOptions) strategy() (partition.Strategy, error) {
-	switch c.Strategy {
-	case "", "hash-edge":
-		return partition.HashEdge{Seed: c.Seed}, nil
-	case "hash-source":
-		return partition.HashSource{Seed: c.Seed}, nil
-	case "greedy":
-		return partition.Greedy{}, nil
-	default:
-		return nil, fmt.Errorf("snaple: unknown strategy %q (hash-edge|hash-source|greedy)", c.Strategy)
-	}
-}
-
 // toSim maps the string-typed deployment description onto the engine
 // layer's Sim backend.
 func (c ClusterOptions) toSim() (engine.Sim, error) {
@@ -378,7 +372,7 @@ func (c ClusterOptions) toSim() (engine.Sim, error) {
 	default:
 		return engine.Sim{}, fmt.Errorf("snaple: unknown node type %q (type-I|type-II)", c.NodeType)
 	}
-	strat, err := c.strategy()
+	strat, err := partition.ByName(c.Strategy, c.Seed)
 	if err != nil {
 		return engine.Sim{}, err
 	}
@@ -401,6 +395,7 @@ func toResult(preds Predictions, st engine.Stats) *Result {
 		SimSeconds:        st.SimSeconds,
 		CrossBytes:        st.CrossBytes,
 		CrossMsgs:         st.CrossMsgs,
+		ShipBytes:         st.ShipBytes,
 		MemPeakBytes:      st.MemPeakBytes,
 		ReplicationFactor: st.ReplicationFactor,
 		FrontierVertices:  st.FrontierVertices,
@@ -410,28 +405,6 @@ func toResult(preds Predictions, st engine.Stats) *Result {
 		Failovers:         st.Failovers,
 		DialRetries:       st.DialRetries,
 	}
-}
-
-// toDist maps the deployment description onto the engine layer's Dist
-// backend (real worker processes over TCP).
-func (c ClusterOptions) toDist() (engine.Dist, error) {
-	strat, err := c.strategy()
-	if err != nil {
-		return engine.Dist{}, err
-	}
-	return engine.Dist{
-		Addrs:        c.WorkerAddrs,
-		Spawn:        c.SpawnWorkers,
-		WorkerBin:    c.WorkerBin,
-		InProc:       c.Workers,
-		Strategy:     strat,
-		Seed:         c.Seed,
-		Compress:     c.WireCompress,
-		Replicas:     c.Replicas,
-		StepTimeout:  c.StepTimeout,
-		DialAttempts: c.DialAttempts,
-		DialBackoff:  c.DialBackoff,
-	}, nil
 }
 
 // ErrManifestMismatch is returned (wrapped) when a fleet manifest does not
@@ -444,23 +417,22 @@ var ErrManifestMismatch = engine.ErrManifestMismatch
 // Cluster is a standing deployment opened once and queried many times: the
 // persistent form of PredictDistributed. For the "dist" engine the expensive
 // setup — vertex-cut partitioning, connecting the worker fleet and (for
-// non-resident workers) shipping partitions — happens at OpenCluster, and
-// every PredictFor afterwards only routes its query: against resident
-// workers a scoped query ships nothing but a fingerprint handshake and the
-// sparse closure roles, and only contacts the replica groups whose
-// partitions intersect the query's closure. Multiple servers (or
-// snaple-serve front-ends) can share one standing worker fleet.
+// workers that hold no packed shard) shipping partitions — happens at
+// OpenCluster, and every PredictFor afterwards only routes its query: it
+// ships nothing but a fingerprint handshake and the sparse closure roles, and
+// only contacts the replica groups whose partitions intersect the query's
+// closure. Multiple servers (or snaple-serve front-ends) can share one
+// standing fleet of resident workers.
 //
 // A Cluster is safe for concurrent use; queries are serialized over the
 // standing connections. Close releases the connections (and any in-process
-// workers); the resident worker processes themselves keep running for the
-// next coordinator.
+// or spawned workers); worker processes the cluster did not start keep
+// running for the next coordinator.
 type Cluster struct {
 	g    GraphView
 	opts Options
 
-	fleet *engine.Fleet // resident mode ("dist" with a manifest, or in-process)
-	dist  *engine.Dist  // per-call mode ("dist" with non-resident workers)
+	fleet *engine.Fleet // "dist"
 	sim   *engine.Sim   // per-call mode ("" / "sim")
 	simW  int           // host worker bound for the sim backend
 
@@ -476,10 +448,10 @@ type Cluster struct {
 //   - Options.Engine "" or "sim": the simulated cluster; each query runs the
 //     paper's cost model (nothing stays resident, so Open only validates).
 //   - "dist" with Manifest: attach to resident workers at WorkerAddrs.
-//   - "dist" with WorkerAddrs or SpawnWorkers (no manifest): classic
-//     non-resident workers; each query ships partitions.
-//   - "dist" bare: an in-process resident fleet of Workers loopback workers
-//     (default 2), pinned once and reused by every query.
+//   - "dist" with WorkerAddrs or SpawnWorkers (no manifest): plain workers,
+//     each shipped its partition once, here.
+//   - "dist" bare: an in-process fleet of Workers loopback workers (default
+//     2), pinned once and reused by every query.
 func OpenCluster(o ClusterOptions) (*Cluster, error) {
 	if o.Graph == nil {
 		return nil, fmt.Errorf("snaple: OpenCluster: nil graph")
@@ -496,18 +468,17 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 		}
 		c.sim, c.simW = &sim, o.Workers
 	case "dist":
-		strat, err := o.strategy()
+		strat, err := partition.ByName(o.Strategy, o.Seed)
 		if err != nil {
 			return nil, err
 		}
 		fo := engine.FleetOptions{
-			Addrs: o.WorkerAddrs, Replicas: o.Replicas, Strategy: strat,
-			Seed: o.Seed, StepTimeout: o.StepTimeout,
-			DialAttempts: o.DialAttempts, DialBackoff: o.DialBackoff,
-			Compress: o.WireCompress,
+			Addrs: o.WorkerAddrs, Spawn: o.SpawnWorkers, WorkerBin: o.WorkerBin,
+			InProc: o.Workers, Replicas: o.Replicas, Strategy: strat, Seed: o.Seed,
+			StepTimeout: o.StepTimeout, DialAttempts: o.DialAttempts,
+			DialBackoff: o.DialBackoff, Compress: o.WireCompress,
 		}
-		switch {
-		case o.Manifest != "":
+		if o.Manifest != "" {
 			f, err := os.Open(o.Manifest)
 			if err != nil {
 				return nil, fmt.Errorf("snaple: OpenCluster: %w", err)
@@ -517,45 +488,9 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			csr, ok := graph.AsCSR(o.Graph)
-			if !ok {
-				return nil, fmt.Errorf("snaple: OpenCluster: resident fleets serve a frozen graph; compact the live view first")
-			}
-			c.fleet, err = engine.OpenFleet(csr, fo)
-			if err != nil {
-				return nil, err
-			}
-		case len(o.WorkerAddrs) > 0 || o.SpawnWorkers > 0:
-			d, err := o.toDist()
-			if err != nil {
-				return nil, err
-			}
-			c.dist = &d
-		default:
-			fo.Addrs, fo.InProc = nil, o.Workers
-			if fo.InProc == 0 {
-				fo.InProc = 2 // the dist backend's loopback default
-			}
-			csr, ok := graph.AsCSR(o.Graph)
-			if !ok {
-				// The in-process fleet packs its shards from this very view,
-				// so a static overlay (an evaluation split, a held live
-				// snapshot) can fold into the frozen CSR it serves —
-				// bit-identical by the delta/compaction oracle. External
-				// fleets (manifest above) stay strict: their pack predates
-				// the overlay.
-				d, isDelta := o.Graph.(*graph.Delta)
-				if !isDelta {
-					return nil, fmt.Errorf("snaple: OpenCluster: resident fleets serve a frozen graph; compact the live view first")
-				}
-				csr = d.Materialize()
-				c.g = csr
-			}
-			var err error
-			c.fleet, err = engine.OpenFleet(csr, fo)
-			if err != nil {
-				return nil, err
-			}
+		}
+		if c.fleet, err = engine.OpenFleet(o.Graph, fo); err != nil {
+			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("snaple: OpenCluster: engine %q has no cluster deployment (sim|dist)", eng)
@@ -565,7 +500,7 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 
 // PredictFor answers "top-k for these vertices" against the standing
 // deployment: a query-scoped run whose results are bit-identical to the full
-// run's rows for the sources. On a resident fleet only the replica groups
+// run's rows for the sources. On a dist cluster only the replica groups
 // whose partitions intersect the sources' closure are contacted at all.
 // Passing nil sources runs the full graph.
 func (c *Cluster) PredictFor(sources []VertexID) (*Result, error) {
@@ -574,7 +509,7 @@ func (c *Cluster) PredictFor(sources []VertexID) (*Result, error) {
 
 // PredictForContext is PredictFor under a context: cancelling it closes the
 // query's worker connections so a blocked superstep fails promptly — the
-// resident workers stay up, and the cluster redials on the next query.
+// workers stay up, and the cluster reconnects on the next query.
 func (c *Cluster) PredictForContext(ctx context.Context, sources []VertexID) (*Result, error) {
 	opts := c.opts
 	opts.Sources = sources
@@ -598,41 +533,27 @@ func (c *Cluster) predict(ctx context.Context, opts Options) (*Result, error) {
 	if closed {
 		return nil, fmt.Errorf("snaple: cluster is closed")
 	}
-	switch {
-	case c.fleet != nil:
+	if c.fleet != nil {
 		preds, st, err := c.fleet.PredictCtx(ctx, c.g, cfg)
 		if err != nil {
 			return nil, err
 		}
-		c.setLast(st)
 		return toResult(preds, st), nil
-	case c.dist != nil:
-		preds, st, err := c.dist.PredictCtx(ctx, c.g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.setLast(st)
-		return toResult(preds, st), nil
-	default:
-		res, err := c.sim.PredictResult(c.g, cfg)
-		if res == nil {
-			return nil, err // failed before any superstep ran: nothing to report
-		}
-		st := engine.StatsFromResult(res, c.simW)
-		c.setLast(st)
-		return toResult(res.Pred, st), err
 	}
-}
-
-func (c *Cluster) setLast(st EngineStats) {
+	res, err := c.sim.PredictResult(c.g, cfg)
+	if res == nil {
+		return nil, err // failed before any superstep ran: nothing to report
+	}
+	st := engine.StatsFromResult(res, c.simW)
 	c.mu.Lock()
 	c.last = st
 	c.mu.Unlock()
+	return toResult(res.Pred, st), err
 }
 
 // Stats reports the deployment's cost counters: cumulative over the
-// cluster's lifetime for a resident fleet (worker deaths, failovers, dial
-// retries survive across queries), the last query's report otherwise.
+// cluster's lifetime for a dist fleet (worker deaths, failovers, dial
+// retries survive across queries), the last query's report for sim.
 func (c *Cluster) Stats() EngineStats {
 	if c.fleet != nil {
 		return c.fleet.Stats()
@@ -642,9 +563,9 @@ func (c *Cluster) Stats() EngineStats {
 	return c.last
 }
 
-// Close releases the cluster's standing connections and in-process workers.
-// Resident worker processes keep running for the next coordinator. Close is
-// idempotent.
+// Close releases the cluster's standing connections and the workers it
+// started (in-process or spawned). Worker processes it merely connected to
+// keep running for the next coordinator. Close is idempotent.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -786,9 +707,9 @@ func LoadGraphFile(path string, symmetrize bool) (*Graph, error) {
 // NewLive starts a live, mutable graph over a frozen base. Live.Apply
 // publishes epoch-stamped Delta views copy-on-write (readers keep whatever
 // view they hold, consistently), Live.Compact folds the overlay back into
-// a fresh CSR, and every Predict entry point accepts the views directly.
-// Resident fleets (OpenCluster) are the exception: they serve a frozen
-// pack, so compact before handing them a live graph's view.
+// a fresh CSR, and every Predict entry point accepts the views directly. A
+// dist Cluster serves the view it was opened with: reopen it to follow later
+// mutations (and compact first when attaching to a packed manifest).
 func NewLive(base *Graph) *Live { return graph.NewLive(base) }
 
 // LoadInfo describes how OpenGraphFile loaded a graph: the detected

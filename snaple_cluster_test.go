@@ -81,11 +81,7 @@ func TestClusterResident(t *testing.T) {
 // with the manifest path — and the typed mismatch when the graph disagrees.
 func TestClusterManifest(t *testing.T) {
 	g := facadeGraph(t)
-	strat, err := ClusterOptions{Seed: 11}.strategy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, man, err := engine.PackShards(g, strat, 11, 2)
+	files, man, err := engine.PackShards(g, nil, 11, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +154,65 @@ func TestClusterManifest(t *testing.T) {
 	_, err = OpenCluster(ClusterOptions{Graph: g2, Options: opts, Manifest: manPath, WorkerAddrs: addrs})
 	if !errors.Is(err, ErrManifestMismatch) {
 		t.Fatalf("err = %v, want ErrManifestMismatch", err)
+	}
+}
+
+// TestClusterPlainWorkers: a Cluster over plain workers (WorkerAddrs, no
+// manifest) pays for the cut and the shipping at OpenCluster, as its doc
+// promises — a query's pre-superstep traffic is smaller than even one
+// partition — and serves any view it is opened with, an overlay included.
+func TestClusterPlainWorkers(t *testing.T) {
+	g := facadeGraph(t)
+	view := g.WithoutEdges([]Edge{{Src: 3, Dst: g.OutNeighbors(3)[0]}}) // a dirty overlay, as an evaluation split is
+	const workers, seed = 3, 11
+	var addrs []string
+	for range workers {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go func() { _ = wire.Serve(l, nil) }()
+		addrs = append(addrs, l.Addr().String())
+	}
+	files, _, err := engine.PackShards(view, nil, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onePartition := int64(1) << 62
+	for _, sf := range files {
+		onePartition = min(onePartition, int64(8*len(sf.EdgeSrc)))
+	}
+
+	opts := Options{Score: "linearSum", KLocal: 10, Seed: 1, Engine: "dist"}
+	c, err := OpenCluster(ClusterOptions{Graph: view, Options: opts, WorkerAddrs: addrs, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	full, err := Predict(view, Options{Score: "linearSum", KLocal: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sources := range [][]VertexID{{3, 77}, {3, 77}, nil} {
+		res, err := c.PredictFor(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sources == nil {
+			if !reflect.DeepEqual(res.Predictions, full) {
+				t.Fatal("full run over plain workers differs from the local backend")
+			}
+		} else if !reflect.DeepEqual(res.Predictions[3], full[3]) || !reflect.DeepEqual(res.Predictions[77], full[77]) {
+			t.Fatal("scoped run over plain workers differs from the local backend")
+		}
+		if res.ShipBytes <= 0 || res.ShipBytes >= onePartition {
+			t.Errorf("query %d: %d bytes crossed before the supersteps, want (0, %d) — a partition re-shipped?",
+				i, res.ShipBytes, onePartition)
+		}
+	}
+	if st := c.Stats(); st.Engine != "fleet" || st.Workers != workers {
+		t.Errorf("cluster stats = %+v", st)
 	}
 }
 
