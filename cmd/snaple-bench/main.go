@@ -220,9 +220,24 @@ func runPerf(o eval.Options, w io.Writer) error {
 			Score: "linearSum", KLocal: 20, ThrGamma: 200, Seed: o.Seed,
 			Engine: engineName, Workers: o.Workers,
 		}
+		// The backends' own allocation deltas come from runtime/metrics
+		// (core.ReadHeapCounters), which books small objects a span at a
+		// time: over one 30 ms run that lag is larger than the gate's ±35%
+		// of ~200 objects. The local row therefore takes the exact MemStats
+		// delta around the call (dist keeps its worker-reported sums, which
+		// no process-wide delta can reproduce). The first reading builds the
+		// runtime's metric table, ~50 objects once per process — not the
+		// run's.
+		core.ReadHeapCounters()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		_, st, err := distPerfStats(g, opts)
+		runtime.ReadMemStats(&m1)
 		if err != nil {
 			return fmt.Errorf("%s backend: %w", engineName, err)
+		}
+		if engineName == "local" {
+			st.AllocBytes, st.AllocObjects = int64(m1.TotalAlloc-m0.TotalAlloc), int64(m1.Mallocs-m0.Mallocs)
 		}
 		rep.Rows = append(rep.Rows, eval.PerfRow{
 			Engine: st.Engine, Workers: st.Workers,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"snaple/internal/graph"
 	"snaple/internal/randx"
@@ -136,6 +137,34 @@ type Prediction struct {
 // Predictions holds the per-vertex prediction lists, indexed by vertex ID;
 // vertices without predictions have nil entries.
 type Predictions [][]Prediction
+
+// ScopedPredictions is a query-scoped run's result held sparse: the run's
+// deduplicated sources in ascending order, each paired with its prediction
+// row, so the result costs O(sources) however large the graph. A source
+// without predictions has a nil row.
+type ScopedPredictions struct {
+	Vertices []graph.VertexID
+	Rows     [][]Prediction // Rows[i] belongs to Vertices[i]
+}
+
+// Row returns v's prediction row, or nil when v has none or was not a
+// source of the run.
+func (p ScopedPredictions) Row(v graph.VertexID) []Prediction {
+	if i, ok := slices.BinarySearch(p.Vertices, v); ok {
+		return p.Rows[i]
+	}
+	return nil
+}
+
+// Dense scatters the rows into the |V|-long Predictions table the Backend
+// contract promises: n slice headers (n·24 B) whatever the closure's size.
+func (p ScopedPredictions) Dense(n int) Predictions {
+	out := make(Predictions, n)
+	for i, v := range p.Vertices {
+		out[v] = p.Rows[i]
+	}
+	return out
+}
 
 // keepTruncated reports whether the truncation of Algorithm 2 (line 3)
 // retains neighbour v of vertex u whose out-degree is deg. The decision is a

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 
 	"snaple/internal/graph"
 )
@@ -31,13 +32,39 @@ import (
 // — see steps.go), computing exactly these rows yields predictions for S
 // that are bit-identical to a full run filtered to S, on every backend.
 
-// VertexSet is a fixed-universe vertex set: a bitmap for O(1) membership
-// plus the sorted member list the scoped vertex loops iterate. Immutable
-// after construction.
+// VertexSet is a vertex set over a graph's fixed vertex range, always held
+// as the sorted member list the scoped vertex loops iterate. A small set is
+// only that list, with membership by binary search, so building and keeping
+// it costs O(members); a set that outgrew 1/bitmapShare of the range while
+// it was built also carries a bitmap over the whole range for O(1)
+// membership. Immutable after construction.
 type VertexSet struct {
-	bits    []uint64
+	bits    []uint64 // nil while the set is a plain list
 	members []graph.VertexID
 }
+
+// Two measured constants decide when a query-scoped run stops being
+// closure-sized, one per structure, each compared against the vertex range
+// |V|. Both were measured on the bench graph (200k vertices, 2M edges, 2
+// cores) and are constants, not options: the crossovers are properties of
+// the data structures, not of a deployment.
+const (
+	// bitmapShare: a set under construction switches from an appended id
+	// list to a bitmap once the list — repeats included, it is what would
+	// have to be sorted — holds more than |V|/bitmapShare ids. A |V|-bit
+	// bitmap is cheap (|V|/8 bytes, one scan to list its members) next to a
+	// sort: NewFrontier takes 11 us by list against 24 us by bitmap for a
+	// 170-vertex closure, the two are level at ~450 vertices (28 us), and
+	// by 2,200 the list takes 2x as long (150 us against 70); the reverse
+	// walk of DirtySources, ~2,900 vertices a batch, takes 300 us by list
+	// against 130 us by bitmap.
+	bitmapShare = 512
+	// denseShare: a step whose scope holds more than |V|/denseShare vertices
+	// builds its rows in an identity-indexed arena (three |V|-long offset
+	// tables a run), below that in a rank-indexed one (a binary search per
+	// row access); see NewStepArena for the measurement.
+	denseShare = 32
+)
 
 // newBits returns an empty bitmap over [0, n).
 func newBits(n int) []uint64 { return make([]uint64, (n+63)/64) }
@@ -56,23 +83,94 @@ func bitsAdd(bits []uint64, v graph.VertexID) bool {
 	return true
 }
 
-// finishSet freezes a bitmap into a VertexSet, materialising the sorted
-// member list with one scan (members come out ascending because the scan
-// walks words and bits in order).
-func finishSet(bits []uint64, size int) *VertexSet {
-	members := make([]graph.VertexID, 0, size)
-	for w, word := range bits {
+// setBuilder accumulates a VertexSet over [0, n): ids are appended as they
+// come and sorted and deduplicated once at finish, unless the list outgrows
+// n/bitmapShare first, when the builder promotes itself to a bitmap.
+type setBuilder struct {
+	n    int
+	list []graph.VertexID // while a list: unsorted, may repeat
+	bits []uint64         // once promoted
+	size int              // once promoted: bits set
+}
+
+// ensureBitmap reports whether the builder holds a bitmap once k more ids
+// are in, promoting a list that they would take past n/bitmapShare.
+func (b *setBuilder) ensureBitmap(k int) bool {
+	if b.bits == nil && len(b.list)+k > b.n/bitmapShare {
+		b.bits = newBits(b.n)
+		list := b.list
+		b.list = nil
+		b.add(list)
+	}
+	return b.bits != nil
+}
+
+// add inserts vs, which the builder never retains.
+func (b *setBuilder) add(vs []graph.VertexID) {
+	if !b.ensureBitmap(len(vs)) {
+		b.list = append(b.list, vs...)
+		return
+	}
+	for _, v := range vs {
+		if bitsAdd(b.bits, v) {
+			b.size++
+		}
+	}
+}
+
+// addFresh inserts vs and returns, in vs's own storage, the part of it that
+// may be new to the set: exactly the new members once the builder holds a
+// bitmap, all of vs — sorted and deduplicated — while it is a list (which
+// cannot tell without the sort it defers to finish). Breadth-first walks
+// expand only what it returns.
+func (b *setBuilder) addFresh(vs []graph.VertexID) []graph.VertexID {
+	if !b.ensureBitmap(len(vs)) {
+		slices.Sort(vs)
+		vs = slices.Compact(vs)
+		b.list = append(b.list, vs...)
+		return vs
+	}
+	fresh := vs[:0]
+	for _, v := range vs {
+		if bitsAdd(b.bits, v) {
+			b.size++
+			fresh = append(fresh, v)
+		}
+	}
+	return fresh
+}
+
+// finish freezes the builder into a VertexSet. A dense set materialises its
+// member list with one scan (ascending because the scan walks words and
+// bits in order).
+func (b *setBuilder) finish() *VertexSet {
+	if b.bits == nil {
+		slices.Sort(b.list)
+		return &VertexSet{members: slices.Compact(b.list)}
+	}
+	members := make([]graph.VertexID, 0, b.size)
+	for w, word := range b.bits {
 		for word != 0 {
 			members = append(members, graph.VertexID(w<<6+mathbits.TrailingZeros64(word)))
 			word &= word - 1
 		}
 	}
-	return &VertexSet{bits: bits, members: members}
+	return &VertexSet{bits: b.bits, members: members}
 }
 
 // Contains reports membership. v must lie in the universe the set was built
 // over (the graph's vertex range).
-func (s *VertexSet) Contains(v graph.VertexID) bool { return bitsContain(s.bits, v) }
+func (s *VertexSet) Contains(v graph.VertexID) bool {
+	if s.bits != nil {
+		return bitsContain(s.bits, v)
+	}
+	_, ok := slices.BinarySearch(s.members, v)
+	return ok
+}
+
+// HasBitmap reports whether the set was promoted to a bitmap while it was
+// built (see bitmapShare).
+func (s *VertexSet) HasBitmap() bool { return s.bits != nil }
 
 // Len returns the member count.
 func (s *VertexSet) Len() int { return len(s.members) }
@@ -85,7 +183,9 @@ func (s *VertexSet) Members() []graph.VertexID { return s.members }
 // vertices each of Algorithm 2's steps must materialise so the sources'
 // predictions come out bit-identical to a full run. A nil *Frontier means
 // the run is unscoped (full graph); all methods are nil-safe and report
-// every vertex as in scope.
+// every vertex as in scope. Fullness is only ever encoded that way — a
+// non-nil Frontier's sets may be empty (an isolated source has no relays),
+// and an empty set scopes its step to no vertex at all.
 type Frontier struct {
 	// Pred holds the deduplicated sources: the vertices whose predictions
 	// the run computes (step 3 / 3b scope).
@@ -104,75 +204,80 @@ type Frontier struct {
 
 // NewFrontier computes the frontier closure of cfg.Sources over g, or nil
 // when cfg.Sources is empty (an unscoped full run). It fails when a source
-// lies outside the graph's vertex range.
+// lies outside the graph's vertex range. The cost is proportional to the
+// closure's adjacency, not to the graph (until a set is promoted; see
+// bitmapShare).
 func NewFrontier(g graph.View, cfg Config) (*Frontier, error) {
 	if len(cfg.Sources) == 0 {
 		return nil, nil
 	}
 	cfg = cfg.withDefaults()
 	n := g.NumVertices()
-
-	predBits := newBits(n)
-	npred := 0
 	for _, v := range cfg.Sources {
 		if int(v) >= n {
 			return nil, fmt.Errorf("core: source vertex %d outside [0,%d)", v, n)
 		}
-		if bitsAdd(predBits, v) {
-			npred++
-		}
 	}
-	pred := finishSet(predBits, npred)
+	pred := setBuilder{n: n}
+	pred.add(cfg.Sources)
+	f := &Frontier{Pred: pred.finish()}
 
-	// Sims = Pred ∪ Γ(Pred); the bitmap starts as a copy of Pred's.
-	simsBits := make([]uint64, len(predBits))
-	copy(simsBits, predBits)
-	nsims := npred + expandOut(g, pred.Members(), simsBits)
-
-	f := &Frontier{Pred: pred}
+	// Sims = Pred ∪ Γ(Pred).
+	sims := setBuilder{n: n}
+	sims.add(f.Pred.members)
+	expandOut(g, f.Pred.members, &sims)
 	if cfg.Paths == 3 {
 		// Step 3b reads the 2-hop path list of every relay of a source, and
 		// step 3a reads the relay lists of a 2-hop vertex's own relays: the
 		// closure deepens by one hop.
-		twoBits := newBits(n)
-		ntwo := expandOut(g, pred.Members(), twoBits)
-		f.TwoHop = finishSet(twoBits, ntwo)
-		nsims += expandOut(g, f.TwoHop.Members(), simsBits)
+		two := setBuilder{n: n}
+		expandOut(g, f.Pred.members, &two)
+		f.TwoHop = two.finish()
+		expandOut(g, f.TwoHop.members, &sims)
 	}
-	f.Sims = finishSet(simsBits, nsims)
+	f.Sims = sims.finish()
 
-	truncBits := make([]uint64, len(simsBits))
-	copy(truncBits, simsBits)
-	ntrunc := f.Sims.Len() + expandOut(g, f.Sims.Members(), truncBits)
-	f.Trunc = finishSet(truncBits, ntrunc)
+	// Trunc = Sims ∪ Γ(Sims).
+	trunc := setBuilder{n: n}
+	trunc.add(f.Sims.members)
+	expandOut(g, f.Sims.members, &trunc)
+	f.Trunc = trunc.finish()
 	return f, nil
 }
 
-// expandOut adds the out-neighbours of every vertex in from to bits,
-// returning how many were newly added. Frozen CSRs walk rows directly;
-// overlay views merge each row once into a shared buffer.
-func expandOut(g graph.View, from []graph.VertexID, bits []uint64) int {
-	added := 0
+// expandOut adds the out-neighbours of every vertex in from to b. Frozen
+// CSRs hand their rows over directly; overlay views merge each row once
+// into a shared buffer.
+func expandOut(g graph.View, from []graph.VertexID, b *setBuilder) {
 	if csr, ok := graph.AsCSR(g); ok {
 		for _, u := range from {
-			for _, v := range csr.OutNeighbors(u) {
-				if bitsAdd(bits, v) {
-					added++
-				}
-			}
+			b.add(csr.OutNeighbors(u))
 		}
-		return added
+		return
 	}
 	var buf []graph.VertexID
 	for _, u := range from {
 		buf = g.AppendOutRow(buf[:0], u)
-		for _, v := range buf {
-			if bitsAdd(bits, v) {
-				added++
-			}
-		}
+		b.add(buf)
 	}
-	return added
+}
+
+// NewStepArena returns the arena step's output rows are built in:
+// identity-indexed over all n vertices on a full run (f nil), rank-indexed
+// over the step's sorted member list on a scoped one — until that list
+// holds more than n/denseShare vertices, when the |V|-long offsets table is
+// cheaper than a binary search per row access. Measured (scoped Local runs
+// through PredictScoped, p50): rank-indexed arenas are 3.7x faster at a
+// closure of 0.09% of |V| (1 source), 1.7x at 0.5%, 1.45x at 1.1%, level
+// from 2.7% to 5%, then slower: 0.9x at 10%, 0.8x at 17% and 27%.
+func NewStepArena[T any](f *Frontier, step DistStep, n int) *Arena[T] {
+	if f == nil {
+		return NewArena[T](n)
+	}
+	if set := f.StepSet(step); set.Len() <= n/denseShare {
+		return NewRankArena[T](set.Members())
+	}
+	return NewArena[T](n)
 }
 
 // Size returns the closure's vertex count (the largest set), the number the
@@ -257,9 +362,10 @@ func (s DistStep) ScopeBit() uint8 {
 	}
 }
 
-// StepSet returns the frontier set scoping step's gather sources. Nil-safe:
-// a nil receiver (unscoped run) returns nil, which the scoped-iteration
-// helpers read as "every vertex".
+// StepSet returns the frontier set scoping step's gather sources, or nil
+// when there is none: an unscoped run (nil receiver — callers decide
+// "every vertex" from the Frontier being nil, never from this result) or a
+// step the run does not execute (DistTwoHop under Paths=2).
 func (f *Frontier) StepSet(step DistStep) *VertexSet {
 	if f == nil {
 		return nil

@@ -8,8 +8,17 @@ import (
 )
 
 // frontierTestGraph builds a deterministic sparse digraph with hubs, plus
-// two trailing isolated vertices (300, 301).
+// two trailing isolated vertices (300, 301). Its 302 vertices put every
+// closure past the promotion rule (bitmapShare), i.e. on bitmaps.
 func frontierTestGraph(t *testing.T) *graph.Digraph {
+	return paddedFrontierTestGraph(t, 2)
+}
+
+// paddedFrontierTestGraph is frontierTestGraph followed by pad isolated
+// vertices instead of two. Padding changes no closure and no prediction,
+// only the size of the vertex range the promotion rule compares a closure
+// against: with enough of it small closures stay sorted lists.
+func paddedFrontierTestGraph(t *testing.T, pad int) *graph.Digraph {
 	t.Helper()
 	const n = 300
 	var edges []graph.Edge
@@ -27,12 +36,16 @@ func frontierTestGraph(t *testing.T) *graph.Digraph {
 			}
 		}
 	}
-	g, err := graph.FromEdges(n+2, edges)
+	g, err := graph.FromEdges(n+pad, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return g
 }
+
+// sparsePad is enough padding for paddedFrontierTestGraph that one-source
+// closures of ordinary vertices stay lists while a hub's is promoted.
+const sparsePad = 300 * bitmapShare
 
 func frontierCfg(t *testing.T, paths int, sources ...graph.VertexID) Config {
 	t.Helper()
@@ -44,9 +57,20 @@ func frontierCfg(t *testing.T, paths int, sources ...graph.VertexID) Config {
 }
 
 // TestNewFrontierClosure verifies the closure sets against a brute-force
-// recomputation of the dependency rules documented in frontier.go.
+// recomputation of the dependency rules documented in frontier.go, on a
+// vertex range small enough that the sets are promoted to bitmaps and on a
+// padded one where they stay sorted lists.
 func TestNewFrontierClosure(t *testing.T) {
-	g := frontierTestGraph(t)
+	forms := map[bool]int{} // Trunc.HasBitmap() -> closures seen
+	for _, g := range []*graph.Digraph{frontierTestGraph(t), paddedFrontierTestGraph(t, sparsePad)} {
+		testFrontierClosure(t, g, forms)
+	}
+	if forms[false] == 0 || forms[true] == 0 {
+		t.Fatalf("closures seen by form (bitmap -> count) = %v, want both forms", forms)
+	}
+}
+
+func testFrontierClosure(t *testing.T, g *graph.Digraph, forms map[bool]int) {
 	for _, paths := range []int{2, 3} {
 		for _, sources := range [][]graph.VertexID{
 			{0},
@@ -75,6 +99,11 @@ func TestNewFrontierClosure(t *testing.T) {
 						t.Fatalf("%s members not strictly ascending at %d", name, v)
 					}
 					prev = v
+				}
+				for u := 0; u < g.NumVertices(); u++ {
+					if v := graph.VertexID(u); set.Contains(v) != in[v] {
+						t.Fatalf("paths=%d sources=%v: %s.Contains(%d) = %v", paths, sources, name, v, !in[v])
+					}
 				}
 			}
 			addOut := func(from, into map[graph.VertexID]bool) {
@@ -117,6 +146,7 @@ func TestNewFrontierClosure(t *testing.T) {
 			if f.Size() != f.Trunc.Len() {
 				t.Fatalf("Size() = %d, want %d", f.Size(), f.Trunc.Len())
 			}
+			forms[f.Trunc.HasBitmap()]++
 		}
 	}
 }
@@ -212,5 +242,123 @@ func TestFrontierStepHasWork(t *testing.T) {
 		if !f.StepHasWork(step, deg) {
 			t.Fatalf("hub source: step %v claims no work", step)
 		}
+	}
+}
+
+// TestEachScopedEmptySetVisitsNothing pins how fullness is encoded: only a
+// nil Frontier means "every vertex". A scoped run whose step set is empty —
+// an isolated source has no relays, so TwoHop is empty under Paths=3 —
+// visits no vertex for that step, whether the empty member list happens to
+// be a nil slice or not.
+func TestEachScopedEmptySetVisitsNothing(t *testing.T) {
+	g := paddedFrontierTestGraph(t, sparsePad)
+	n := g.NumVertices()
+	count := func(f *Frontier, step DistStep) int {
+		visits := 0
+		eachScoped(n, f, step, func(graph.VertexID) { visits++ })
+		return visits
+	}
+	for _, paths := range []int{2, 3} {
+		f, err := NewFrontier(g, frontierCfg(t, paths, 300))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[DistStep]int{DistTruncate: 1, DistRelays: 1, DistTwoHop: 0, DistCombine: 1, DistCombine3: 1}
+		for step, w := range want {
+			if got := count(f, step); got != w {
+				t.Errorf("paths=%d: isolated source visits %d vertices in step %v, want %d", paths, got, step, w)
+			}
+		}
+	}
+	if got := count(nil, DistTwoHop); got != n {
+		t.Errorf("full run visits %d vertices, want %d", got, n)
+	}
+	// An empty set built from a nil list must scope to nothing, too.
+	f := &Frontier{Pred: &VertexSet{}, Sims: &VertexSet{}, Trunc: &VertexSet{}, TwoHop: &VertexSet{}}
+	for _, step := range []DistStep{DistTruncate, DistRelays, DistTwoHop, DistCombine} {
+		if got := count(f, step); got != 0 {
+			t.Errorf("empty set: step %v visits %d vertices", step, got)
+		}
+	}
+}
+
+// TestDirtySourcesMatchesReverseWalk checks the reverse closure against a
+// brute-force breadth-first walk over the union of the old and new graphs,
+// with the dirty set on both sides of the promotion rule.
+func TestDirtySourcesMatchesReverseWalk(t *testing.T) {
+	forms := map[bool]int{}
+	for _, pad := range []int{2, sparsePad} {
+		b := graph.NewBuilder(300 + pad).WithInEdges(true)
+		paddedFrontierTestGraph(t, pad).ForEachEdge(b.AddEdge)
+		base, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := base.NumVertices()
+		for _, batch := range []struct{ add, remove []graph.Edge }{
+			{add: []graph.Edge{{Src: 7, Dst: 9}}},
+			{remove: []graph.Edge{{Src: 0, Dst: base.OutNeighbors(0)[0]}}},
+			{
+				add:    []graph.Edge{{Src: 5, Dst: 250}, {Src: 300, Dst: 1}, {Src: 5, Dst: 250}, {Src: graph.VertexID(n), Dst: 1}},
+				remove: []graph.Edge{{Src: 60, Dst: base.OutNeighbors(60)[3]}, {Src: 2, Dst: graph.VertexID(n + 5)}},
+			},
+			{},
+		} {
+			inRange := func(es []graph.Edge) []graph.Edge {
+				var out []graph.Edge
+				for _, e := range es {
+					if int(e.Src) < n && int(e.Dst) < n {
+						out = append(out, e)
+					}
+				}
+				return out
+			}
+			view, err := graph.NewDelta(base).Apply(inRange(batch.add), inRange(batch.remove))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, depth := range []int{0, 2, 3} {
+				want := map[graph.VertexID]bool{}
+				level := map[graph.VertexID]bool{}
+				for _, e := range append(inRange(batch.add), inRange(batch.remove)...) {
+					level[e.Src] = true
+				}
+				for hop := 0; ; hop++ {
+					for v := range level {
+						want[v] = true
+					}
+					if hop == depth {
+						break
+					}
+					next := map[graph.VertexID]bool{}
+					for v := range level {
+						for _, w := range view.InNeighbors(v) {
+							next[w] = true
+						}
+						for _, e := range inRange(batch.remove) {
+							if e.Dst == v {
+								next[e.Src] = true
+							}
+						}
+					}
+					level = next
+				}
+				got := DirtySources(view, batch.add, batch.remove, depth)
+				if got.Len() != len(want) {
+					t.Fatalf("pad=%d depth=%d batch=%v: %d dirty, want %d", pad, depth, batch, got.Len(), len(want))
+				}
+				for i, v := range got.Members() {
+					if !want[v] || !got.Contains(v) || (i > 0 && got.Members()[i-1] >= v) {
+						t.Fatalf("pad=%d depth=%d: bad member %d at %d", pad, depth, v, i)
+					}
+				}
+				if got.Len() > 0 {
+					forms[got.HasBitmap()]++
+				}
+			}
+		}
+	}
+	if forms[false] == 0 || forms[true] == 0 {
+		t.Fatalf("dirty sets seen by form (bitmap -> count) = %v, want both forms", forms)
 	}
 }

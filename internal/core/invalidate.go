@@ -29,54 +29,45 @@ import "snaple/internal/graph"
 // (depth = Config.Paths) of a mutated edge's source endpoint, in the union
 // of the old and new graphs. g is the post-mutation view and must have
 // in-edges; added and removed are the batch as applied (out-of-range
-// endpoints are ignored). An empty batch returns an empty set.
+// endpoints are ignored). An empty batch returns an empty set. Like a
+// frontier closure the set is a sorted list sized by what the walk reaches,
+// promoted to a bitmap once that passes 1/bitmapShare of the graph; while
+// it is a list the walk deduplicates each hop but may re-expand a vertex an
+// earlier hop already reached, which changes nothing but a little work.
 func DirtySources(g graph.View, added, removed []graph.Edge, depth int) *VertexSet {
 	n := g.NumVertices()
-	bits := newBits(n)
-	size := 0
-	var frontier []graph.VertexID
-	seed := func(e graph.Edge) {
-		if int(e.Src) < n && int(e.Dst) < n && bitsAdd(bits, e.Src) {
-			size++
-			frontier = append(frontier, e.Src)
-		}
-	}
-	for _, e := range added {
-		seed(e)
-	}
-	for _, e := range removed {
-		seed(e)
-	}
+	dirty := setBuilder{n: n}
+	// level holds the vertices first reached at the current hop; hop 0 is
+	// the mutated edges' source endpoints.
+	var level []graph.VertexID
 	// Reversed removed edges: present in the old view only, so the new
 	// view's in-rows no longer carry them.
 	var revRemoved map[graph.VertexID][]graph.VertexID
+	for _, e := range added {
+		if int(e.Src) < n && int(e.Dst) < n {
+			level = append(level, e.Src)
+		}
+	}
 	for _, e := range removed {
 		if int(e.Src) < n && int(e.Dst) < n {
+			level = append(level, e.Src)
 			if revRemoved == nil {
 				revRemoved = make(map[graph.VertexID][]graph.VertexID, len(removed))
 			}
 			revRemoved[e.Dst] = append(revRemoved[e.Dst], e.Src)
 		}
 	}
-	var buf []graph.VertexID
-	for hop := 0; hop < depth && len(frontier) > 0; hop++ {
-		var next []graph.VertexID
-		for _, u := range frontier {
-			buf = g.AppendInRow(buf[:0], u)
-			for _, w := range buf {
-				if bitsAdd(bits, w) {
-					size++
-					next = append(next, w)
-				}
-			}
-			for _, w := range revRemoved[u] {
-				if bitsAdd(bits, w) {
-					size++
-					next = append(next, w)
-				}
-			}
+	for hop := 0; len(level) > 0; hop++ {
+		level = dirty.addFresh(level)
+		if hop == depth {
+			break
 		}
-		frontier = next
+		var next []graph.VertexID
+		for _, u := range level {
+			next = g.AppendInRow(next, u)
+			next = append(next, revRemoved[u]...)
+		}
+		level = next
 	}
-	return finishSet(bits, size)
+	return dirty.finish()
 }

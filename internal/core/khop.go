@@ -149,18 +149,18 @@ func ReferenceSnaple3Hop(g graph.View, cfg Config) (Predictions, error) {
 	// visit only the sources' relays).
 	f := r.Frontier()
 	twoHop := NewArena[PathCand](n)
-	eachScoped(n, f.StepSet(DistTwoHop), func(v graph.VertexID) {
+	eachScoped(n, f, DistTwoHop, func(v graph.VertexID) {
 		twoHop.SetCount(v, r.TwoHopCount(v, sims))
 	})
 	twoHop.FinishCounts()
-	eachScoped(n, f.StepSet(DistTwoHop), func(v graph.VertexID) {
+	eachScoped(n, f, DistTwoHop, func(v graph.VertexID) {
 		r.TwoHopFill(v, sims, twoHop.Row(v))
 	})
 
 	// Step 3b: final aggregation over 2- and 3-hop paths.
 	pred := make(Predictions, n)
 	var buf []Prediction
-	eachScoped(n, f.StepSet(DistCombine3), func(u graph.VertexID) {
+	eachScoped(n, f, DistCombine3, func(u graph.VertexID) {
 		start := len(buf)
 		buf = r.Combine3Append(u, trunc, sims, twoHop, s, buf)
 		if len(buf) > start {

@@ -35,7 +35,7 @@ func ReferenceSnaple(g graph.View, cfg Config) (Predictions, error) {
 	// full loop's.
 	pred := make(Predictions, n)
 	var buf []Prediction
-	eachScoped(n, r.Frontier().StepSet(DistCombine), func(u graph.VertexID) {
+	eachScoped(n, r.Frontier(), DistCombine, func(u graph.VertexID) {
 		start := len(buf)
 		buf = r.CombineAppend(u, trunc, sims, s, buf)
 		if len(buf) > start {
@@ -45,17 +45,20 @@ func ReferenceSnaple(g graph.View, cfg Config) (Predictions, error) {
 	return pred, nil
 }
 
-// eachScoped runs fn over set's members (a query-scoped pass), or over all
-// n vertices when set is nil (a full pass). Both orders are ascending.
-func eachScoped(n int, set *VertexSet, fn func(graph.VertexID)) {
-	if set == nil {
+// eachScoped runs fn over the vertices step visits: all n of them on a full
+// pass (f nil), step's frontier members on a query-scoped one — none at all
+// when that set is empty. Both orders are ascending.
+func eachScoped(n int, f *Frontier, step DistStep, fn func(graph.VertexID)) {
+	if f == nil {
 		for u := 0; u < n; u++ {
 			fn(graph.VertexID(u))
 		}
 		return
 	}
-	for _, u := range set.Members() {
-		fn(u)
+	if set := f.StepSet(step); set != nil {
+		for _, u := range set.Members() {
+			fn(u)
+		}
 	}
 }
 
@@ -65,20 +68,20 @@ func eachScoped(n int, set *VertexSet, fn func(graph.VertexID)) {
 func runSteps12(r *StepRunner, n int, s *Scratch) (*Arena[graph.VertexID], *Arena[VertexSim]) {
 	f := r.Frontier()
 	trunc := NewArena[graph.VertexID](n)
-	eachScoped(n, f.StepSet(DistTruncate), func(u graph.VertexID) {
+	eachScoped(n, f, DistTruncate, func(u graph.VertexID) {
 		trunc.SetCount(u, r.TruncateCount(u, s))
 	})
 	trunc.FinishCounts()
-	eachScoped(n, f.StepSet(DistTruncate), func(u graph.VertexID) {
+	eachScoped(n, f, DistTruncate, func(u graph.VertexID) {
 		r.TruncateFill(u, trunc.Row(u), s)
 	})
 
 	sims := NewArena[VertexSim](n)
-	eachScoped(n, f.StepSet(DistRelays), func(u graph.VertexID) {
+	eachScoped(n, f, DistRelays, func(u graph.VertexID) {
 		sims.SetCount(u, r.RelayCount(u))
 	})
 	sims.FinishCounts()
-	eachScoped(n, f.StepSet(DistRelays), func(u graph.VertexID) {
+	eachScoped(n, f, DistRelays, func(u graph.VertexID) {
 		r.RelaysFill(u, trunc, sims.Row(u), s)
 	})
 	return trunc, sims

@@ -57,26 +57,34 @@ type StepRunner struct {
 	g        graph.View
 	csr      *graph.Digraph // non-nil fast path: g is (or unwraps to) a CSR
 	cfg      Config
-	deg      []int32   // full out-degrees, static topology metadata
 	frontier *Frontier // query scope; nil = full run
 }
 
-// NewStepRunner validates cfg, fills defaults, precomputes the degree table
-// shared by all steps and — for a query-scoped run (cfg.Sources non-empty)
-// — the frontier closure that gates every step primitive.
+// NewStepRunner validates cfg, fills defaults and — for a query-scoped run
+// (cfg.Sources non-empty) — computes the frontier closure that gates every
+// step primitive. It builds nothing sized by the graph: out-degrees are read
+// from the view as the steps need them.
 func NewStepRunner(g graph.View, cfg Config) (*StepRunner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := newSnapleState(g, cfg)
 	f, err := NewFrontier(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	r := &StepRunner{g: g, cfg: cfg, deg: st.deg, frontier: f}
+	r := &StepRunner{g: g, cfg: cfg, frontier: f}
 	r.csr, _ = graph.AsCSR(g)
 	return r, nil
+}
+
+// degree returns u's full out-degree: two offset loads on the CSR fast
+// path, the view's O(1) OutDegree otherwise.
+func (r *StepRunner) degree(u graph.VertexID) int {
+	if r.csr != nil {
+		return r.csr.OutDegree(u)
+	}
+	return r.g.OutDegree(u)
 }
 
 // outRow returns u's sorted out-neighbour row: a direct CSR slice on the
@@ -130,7 +138,7 @@ func (r *StepRunner) TruncateCount(u graph.VertexID, s *Scratch) int {
 	if !r.frontier.InTrunc(u) {
 		return 0
 	}
-	deg := int(r.deg[u])
+	deg := r.degree(u)
 	if r.cfg.ThrGamma == Unlimited || deg <= r.cfg.ThrGamma {
 		return deg
 	}
@@ -152,7 +160,7 @@ func (r *StepRunner) TruncateFill(u graph.VertexID, dst []graph.VertexID, s *Scr
 		return
 	}
 	nbrs := r.outRow(u, s)
-	deg := int(r.deg[u])
+	deg := r.degree(u)
 	if r.cfg.ThrGamma == Unlimited || deg <= r.cfg.ThrGamma {
 		copy(dst, nbrs)
 		return
@@ -176,7 +184,7 @@ func (r *StepRunner) RelayCount(u graph.VertexID) int {
 	if !r.frontier.InSims(u) {
 		return 0
 	}
-	deg := int(r.deg[u])
+	deg := r.degree(u)
 	if r.cfg.KLocal != Unlimited && deg > r.cfg.KLocal {
 		return r.cfg.KLocal
 	}
@@ -195,9 +203,9 @@ func (r *StepRunner) RelaysFill(u graph.VertexID, trunc *Arena[graph.VertexID], 
 		return
 	}
 	cands := s.sims[:0]
-	uTrunc := trunc.Row(u)
+	uTrunc, degU := trunc.Row(u), r.degree(u)
 	for _, v := range nbrs {
-		sim := simScore(r.cfg.Score.Sim, u, v, uTrunc, trunc.Row(v), int(r.deg[u]), int(r.deg[v]))
+		sim := simScore(r.cfg.Score.Sim, u, v, uTrunc, trunc.Row(v), degU, r.degree(v))
 		cands = append(cands, VertexSim{V: v, Sim: sim})
 	}
 	s.sims = cands

@@ -34,12 +34,31 @@ func allocTestGraph(t testing.TB, n int) *graph.Digraph {
 	return g
 }
 
+// rankForm returns a's rows re-homed in a rank-indexed arena whose member
+// list is every vertex: the same content behind the other addressing, so a
+// test can hold the step primitives to one contract on both arena forms.
+func rankForm[T any](a *Arena[T]) *Arena[T] {
+	members := make([]graph.VertexID, a.NumRows())
+	for u := range members {
+		members[u] = graph.VertexID(u)
+	}
+	out := NewRankArena[T](members)
+	for _, u := range members {
+		out.SetCount(u, len(a.Row(u)))
+	}
+	out.FinishCounts()
+	for _, u := range members {
+		copy(out.Row(u), a.Row(u))
+	}
+	return out
+}
+
 // TestStepFunctionsAllocationFree pins the arena contract of the per-vertex
 // step primitives: once the arenas are built and the scratch buffers are
 // warm, a full pass of every fill/append function over the graph performs
 // zero heap allocations (the point of the flat-arena hot path — on a
 // billion-edge run the old slice-of-slices layout allocated per vertex per
-// step).
+// step). The contract holds on both arena forms.
 func TestStepFunctionsAllocationFree(t *testing.T) {
 	g := allocTestGraph(t, 80)
 	for _, tc := range []struct {
@@ -76,25 +95,30 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 			}
 			buf := make([]Prediction, 0, n*cfg.K)
 
-			allocs := testing.AllocsPerRun(5, func() {
-				buf = buf[:0]
-				for u := 0; u < n; u++ {
-					uid := graph.VertexID(u)
-					r.TruncateFill(uid, trunc.Row(uid), s)
-					r.RelaysFill(uid, trunc, sims.Row(uid), s)
+			for _, form := range []string{"identity", "rank"} {
+				if form == "rank" {
+					trunc, sims, twoHop = rankForm(trunc), rankForm(sims), rankForm(twoHop)
 				}
-				for u := 0; u < n; u++ {
-					uid := graph.VertexID(u)
-					if tc.paths == 3 {
-						r.TwoHopFill(uid, sims, twoHop.Row(uid))
-						buf = r.Combine3Append(uid, trunc, sims, twoHop, s, buf)
-					} else {
-						buf = r.CombineAppend(uid, trunc, sims, s, buf)
+				allocs := testing.AllocsPerRun(5, func() {
+					buf = buf[:0]
+					for u := 0; u < n; u++ {
+						uid := graph.VertexID(u)
+						r.TruncateFill(uid, trunc.Row(uid), s)
+						r.RelaysFill(uid, trunc, sims.Row(uid), s)
 					}
+					for u := 0; u < n; u++ {
+						uid := graph.VertexID(u)
+						if tc.paths == 3 {
+							r.TwoHopFill(uid, sims, twoHop.Row(uid))
+							buf = r.Combine3Append(uid, trunc, sims, twoHop, s, buf)
+						} else {
+							buf = r.CombineAppend(uid, trunc, sims, s, buf)
+						}
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s arenas: steady-state pass allocated %.1f times per run, want 0", form, allocs)
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state pass allocated %.1f times per run, want 0", allocs)
 			}
 		})
 	}
@@ -127,19 +151,24 @@ func TestStepFunctionsAllocationFreeOverlay(t *testing.T) {
 	s := r.NewScratch()
 	trunc, sims := runSteps12(r, n, s)
 	buf := make([]Prediction, 0, n*cfg.K)
-	allocs := testing.AllocsPerRun(5, func() {
-		buf = buf[:0]
-		for u := 0; u < n; u++ {
-			uid := graph.VertexID(u)
-			r.TruncateFill(uid, trunc.Row(uid), s)
-			r.RelaysFill(uid, trunc, sims.Row(uid), s)
+	for _, form := range []string{"identity", "rank"} {
+		if form == "rank" {
+			trunc, sims = rankForm(trunc), rankForm(sims)
 		}
-		for u := 0; u < n; u++ {
-			buf = r.CombineAppend(graph.VertexID(u), trunc, sims, s, buf)
+		allocs := testing.AllocsPerRun(5, func() {
+			buf = buf[:0]
+			for u := 0; u < n; u++ {
+				uid := graph.VertexID(u)
+				r.TruncateFill(uid, trunc.Row(uid), s)
+				r.RelaysFill(uid, trunc, sims.Row(uid), s)
+			}
+			for u := 0; u < n; u++ {
+				buf = r.CombineAppend(graph.VertexID(u), trunc, sims, s, buf)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s arenas: overlay steady-state pass allocated %.1f times per run, want 0", form, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("overlay steady-state pass allocated %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -30,7 +30,9 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"snaple/internal/core"
@@ -56,7 +58,8 @@ type Stats struct {
 	// paper's headline scale metric normalised to this run's graph.
 	EdgesPerSec float64
 	// AllocBytes / AllocObjects are heap bytes and objects allocated during
-	// the run (runtime.MemStats deltas; approximate under concurrent load).
+	// the run (core.ReadHeapCounters deltas; approximate under concurrent
+	// load, and small-object counts may lag a short run by up to a span).
 	// Set by the serial and local backends, which are engineered to keep the
 	// per-vertex steady state allocation-free; for dist and fleet they sum the
 	// worker-reported deltas (or take their maximum when the workers share
@@ -142,6 +145,47 @@ func PredictWithContext(ctx context.Context, be Backend, g graph.View, cfg core.
 		return cb.PredictCtx(ctx, g, cfg)
 	}
 	return be.Predict(g, cfg)
+}
+
+// ScopedBackend is a Backend that can hand a query-scoped run's result back
+// sparse — sorted (source, row) pairs — instead of scattered over a |V|-long
+// table. Local implements it; for the others the table is still part of the
+// run (ROADMAP item 1).
+type ScopedBackend interface {
+	Backend
+	// PredictScoped is Predict for a cfg with non-empty Sources, with the
+	// result left sparse. It fails on an unscoped cfg.
+	PredictScoped(g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error)
+}
+
+// errUnscoped rejects a scoped entry point called without sources.
+var errUnscoped = errors.New("engine: PredictScoped needs Config.Sources")
+
+// PredictScoped runs a query-scoped prediction (cfg.Sources non-empty) on
+// any backend and returns the sources' rows sparse: directly from a
+// ScopedBackend, otherwise by picking them out of the dense table a plain
+// Predict (PredictCtx when the backend is cancellable) returns. Rows alias
+// the run's buffers either way. It is the entry point of callers that only
+// want the sources' rows, serve's batch run above all.
+func PredictScoped(ctx context.Context, be Backend, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
+	if len(cfg.Sources) == 0 {
+		return core.ScopedPredictions{}, Stats{Engine: be.Name()}, errUnscoped
+	}
+	if sb, ok := be.(ScopedBackend); ok {
+		return sb.PredictScoped(g, cfg)
+	}
+	preds, st, err := PredictWithContext(ctx, be, g, cfg)
+	if err != nil {
+		return core.ScopedPredictions{}, st, err
+	}
+	sp := core.ScopedPredictions{Vertices: slices.Clone(cfg.Sources)}
+	slices.Sort(sp.Vertices)
+	sp.Vertices = slices.Compact(sp.Vertices)
+	sp.Rows = make([][]core.Prediction, len(sp.Vertices))
+	for i, v := range sp.Vertices {
+		sp.Rows[i] = preds[v]
+	}
+	return sp, st, nil
 }
 
 // Names lists the built-in backend names accepted by New. It is the single

@@ -21,8 +21,9 @@ func filterToSources(full core.Predictions, sources []graph.VertexID) core.Predi
 }
 
 // frontierSourceSets returns the source-set shapes the equivalence table
-// exercises on an n-vertex graph: a singleton, a hub, duplicates, a
-// deterministic random subset, and every vertex (scoped-but-complete).
+// exercises on a graph whose first n vertices carry the edges: a singleton,
+// a hub, duplicates, a deterministic random subset, and all n
+// (scoped-but-complete).
 func frontierSourceSets(n int) map[string][]graph.VertexID {
 	random := make([]graph.VertexID, 0, 25)
 	for i := 0; i < 25; i++ {
@@ -41,12 +42,85 @@ func frontierSourceSets(n int) map[string][]graph.VertexID {
 	}
 }
 
+// padGraph returns g followed by isolated vertices up to n in all. Padding
+// changes no closure and no prediction of g's own vertices; it only grows
+// the vertex range a closure is compared against by core's promotion rules
+// (a set becomes a bitmap past 1/512 of the range, a step's arena
+// identity-indexed past 1/32), so source sets that run on bitmaps and
+// identity-indexed arenas over g run on sorted lists and rank-indexed arenas
+// over the padded graph.
+func padGraph(t testing.TB, g *graph.Digraph, n int) *graph.Digraph {
+	t.Helper()
+	b := graph.NewBuilder(n).WithInEdges(g.HasInEdges())
+	g.ForEachEdge(b.AddEdge)
+	padded, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return padded
+}
+
+// sparsePad is the padded size, per vertex of a ~300-vertex test graph, at
+// which a one-source closure gets rank-indexed arenas while a hub's, a
+// 25-source one's or a Paths=3 one's is still past the arena rule.
+const sparsePad = 16
+
+// listPad is the padded size per vertex at which a one-source closure's
+// sets stay sorted lists instead of bitmaps.
+const listPad = 120
+
+// closureForms counts the forms the closures of a matrix's scoped configs
+// took — rank- or identity-indexed step arenas, list-only sets — so the
+// matrix can assert it covered both sides of core's rules.
+type closureForms struct{ rank, identity, lists int }
+
+func (c *closureForms) note(t testing.TB, g graph.View, cfg core.Config) {
+	t.Helper()
+	f, err := core.NewFrontier(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if core.NewStepArena[int](f, core.DistTruncate, g.NumVertices()).Ranked() {
+		c.rank++
+	} else {
+		c.identity++
+	}
+	if !f.Trunc.HasBitmap() {
+		c.lists++
+	}
+}
+
+func (c *closureForms) assertBothArenaForms(t testing.TB) {
+	t.Helper()
+	if c.rank == 0 || c.identity == 0 {
+		t.Fatalf("closures by form = %+v, want rank- and identity-indexed arenas", *c)
+	}
+}
+
 // TestFrontierEquivalence is the query-scoped equivalence table: on every
 // backend, for every policy, path length and worker count, predictions of a
 // run scoped to Sources=S must be bit-identical to the full run filtered to
-// S. Run under -race to also exercise the scoped sharding.
+// S — with the closure on either side of the arena rule. Run under
+// -race to also exercise the scoped sharding.
 func TestFrontierEquivalence(t *testing.T) {
-	g := testGraph(t, 300, 7)
+	small := testGraph(t, 300, 7)
+	forms := &closureForms{}
+	sets := frontierSourceSets(small.NumVertices())
+	for _, g := range []*graph.Digraph{small, padGraph(t, small, 300*sparsePad)} {
+		testFrontierEquivalence(t, g, sets, forms)
+	}
+	forms.assertBothArenaForms(t)
+	// Padded further, one-source closures are also small enough to stay
+	// sorted lists (membership by binary search on every backend).
+	testFrontierEquivalence(t, padGraph(t, small, 300*listPad), map[string][]graph.VertexID{
+		"single": sets["single"], "duplicates": sets["duplicates"],
+	}, forms)
+	if forms.lists == 0 {
+		t.Fatalf("closures by form = %+v, want some with list-only sets", *forms)
+	}
+}
+
+func testFrontierEquivalence(t *testing.T, g *graph.Digraph, sourceSets map[string][]graph.VertexID, forms *closureForms) {
 	n := g.NumVertices()
 
 	type tc struct {
@@ -79,10 +153,11 @@ func TestFrontierEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for setName, sources := range frontierSourceSets(n) {
+		for setName, sources := range sourceSets {
 			want := filterToSources(full, sources)
 			cfg := base
 			cfg.Sources = sources
+			forms.note(t, g, cfg)
 
 			backends := []struct {
 				name string
@@ -97,7 +172,7 @@ func TestFrontierEquivalence(t *testing.T) {
 				{"dist/w=3", Dist{InProc: 3, Seed: 5}},
 			}
 			for _, b := range backends {
-				name := fmt.Sprintf("%s/%s/paths=%d/%s/%s", c.score, c.policy, c.paths, setName, b.name)
+				name := fmt.Sprintf("n=%d/%s/%s/paths=%d/%s/%s", n, c.score, c.policy, c.paths, setName, b.name)
 				t.Run(name, func(t *testing.T) {
 					got, st, err := b.be.Predict(g, cfg)
 					if err != nil {

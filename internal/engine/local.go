@@ -21,7 +21,10 @@ import (
 // buffers (core.Scratch) this makes the steady-state loop allocation-free
 // per vertex: a full prediction run costs two allocations per step instead
 // of one per vertex, which on billion-edge graphs is the difference between
-// a GC tracking dozens of objects and hundreds of millions.
+// a GC tracking dozens of objects and hundreds of millions. A query-scoped
+// run restricts every pass to its step's frontier set and, while that set
+// is a small share of the graph, builds the arenas rank-indexed over it, so
+// the run allocates and touches O(closure) (core.NewStepArena).
 //
 // Workers claim vertex chunks off a shared atomic counter. Chunk boundaries
 // are degree-aware: each chunk covers at most chunkVerts vertices and
@@ -48,15 +51,51 @@ const (
 	// chunk holding a hub is cut short and its neighbours spread over other
 	// workers.
 	chunkEdges = 4096
+	// minParallelChunks is the smallest pass worth fanning out: below it
+	// the spawn/wake round of a goroutine team costs more than the pass.
+	// Measured on the bench graph (2 cores, PredictScoped p50): a 1-source
+	// run — five passes of one to three chunks over a ~170-vertex closure —
+	// takes 0.26 ms when every multi-chunk pass fans out, 0.23 ms with
+	// passes under 4 chunks inline (0.20 ms at Workers: 1); 16- and
+	// 256-source runs do not notice, their small passes being one chunk and
+	// their large ones dozens. The price is the band in between: at ~32
+	// sources a two-chunk relay pass now runs on one core (+8%).
+	minParallelChunks = 4
 )
 
-// Predict implements Backend.
+// Predict implements Backend. A query-scoped run (cfg.Sources non-empty) is
+// PredictScoped plus a scatter into the |V|-long table the contract
+// promises: the run itself costs its closure, the table n·24 B.
 func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	// Both MemStats reads sit outside the timed window so their
-	// stop-the-world pauses never inflate WallSeconds/EdgesPerSec.
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
+	m := startMeter()
+	f, rows, st, err := l.run(g, cfg)
+	if err == nil && f != nil {
+		rows = core.ScopedPredictions{Vertices: f.Pred.Members(), Rows: rows}.Dense(g.NumVertices())
+	}
+	m.stop(&st, g)
+	return rows, st, err
+}
+
+// PredictScoped implements ScopedBackend: the run of Predict with the
+// result left sparse, so nothing it allocates or touches is sized by the
+// graph (until the closure is a sizeable share of it; see core.NewStepArena).
+func (l Local) PredictScoped(g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
+	if len(cfg.Sources) == 0 {
+		return core.ScopedPredictions{}, Stats{Engine: "local"}, errUnscoped
+	}
+	m := startMeter()
+	f, rows, st, err := l.run(g, cfg)
+	m.stop(&st, g)
+	if err != nil {
+		return core.ScopedPredictions{}, st, err
+	}
+	return core.ScopedPredictions{Vertices: f.Pred.Members(), Rows: rows}, st, nil
+}
+
+// run executes Algorithm 2 and returns one prediction row per position of
+// the final step's vertex sequence: per vertex on a full run (nil
+// frontier), per member of f.Pred on a scoped one.
+func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Prediction, Stats, error) {
 	workers := l.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -65,95 +104,85 @@ func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, 
 
 	r, err := core.NewStepRunner(g, cfg)
 	if err != nil {
-		return nil, st, err
+		return nil, nil, st, err
 	}
 	n := g.NumVertices()
 
 	// Each pass iterates one step's vertex scope: all n vertices on a full
-	// run (verts nil, one shared set of chunk bounds), or the step's
-	// frontier member list on a query-scoped run — the vertex loop itself
-	// is restricted, not just the per-vertex work.
+	// run (one shared set of chunk bounds), or the step's frontier member
+	// list on a query-scoped run — the vertex loop itself is restricted, not
+	// just the per-vertex work, and so are the arenas the steps fill
+	// (core.NewStepArena).
 	f := r.Frontier()
 	var full pass
 	if f == nil {
-		full = pass{bounds: degreeChunks(g, nil)}
+		full = fullPass(g)
 	} else {
 		st.FrontierVertices = f.Size()
 	}
-	passFor := func(set *core.VertexSet) pass {
+	passFor := func(step core.DistStep) pass {
 		if f == nil {
 			return full
 		}
-		return pass{verts: set.Members(), bounds: degreeChunks(g, set.Members())}
+		return listPass(g, f.StepSet(step).Members())
 	}
 
 	// Step 1: truncated neighbourhoods Γ̂ (count pass, prefix sum, fill pass).
-	truncPass := passFor(f.StepSet(core.DistTruncate))
-	trunc := core.NewArena[graph.VertexID](n)
-	forEachVertex(r, workers, truncPass, func(w *worker, u graph.VertexID) {
+	truncPass := passFor(core.DistTruncate)
+	trunc := core.NewStepArena[graph.VertexID](f, core.DistTruncate, n)
+	forEachVertex(r, workers, truncPass, func(w *worker, _ int, u graph.VertexID) {
 		trunc.SetCount(u, r.TruncateCount(u, w.s))
 	})
 	trunc.FinishCounts()
-	forEachVertex(r, workers, truncPass, func(w *worker, u graph.VertexID) {
+	forEachVertex(r, workers, truncPass, func(w *worker, _ int, u graph.VertexID) {
 		r.TruncateFill(u, trunc.Row(u), w.s)
 	})
 
 	// Step 2: raw similarities and k_local relay selection.
-	simsPass := passFor(f.StepSet(core.DistRelays))
-	sims := core.NewArena[core.VertexSim](n)
-	forEachVertex(r, workers, simsPass, func(w *worker, u graph.VertexID) {
+	simsPass := passFor(core.DistRelays)
+	sims := core.NewStepArena[core.VertexSim](f, core.DistRelays, n)
+	forEachVertex(r, workers, simsPass, func(w *worker, _ int, u graph.VertexID) {
 		sims.SetCount(u, r.RelayCount(u))
 	})
 	sims.FinishCounts()
-	forEachVertex(r, workers, simsPass, func(w *worker, u graph.VertexID) {
+	forEachVertex(r, workers, simsPass, func(w *worker, _ int, u graph.VertexID) {
 		r.RelaysFill(u, trunc, sims.Row(u), w.s)
 	})
 
 	// Step 3: path combination and top-k aggregation. Final predictions are
 	// the run's retained output: each worker appends them to its own buffer
-	// and pred[u] aliases the region, so the per-vertex cost is amortised
+	// and rows[i] aliases the region, so the per-vertex cost is amortised
 	// append growth instead of one allocation per vertex.
-	pred := make(core.Predictions, n)
-	st.ScoredVertices = n
-	if f != nil {
-		st.ScoredVertices = f.Pred.Len()
+	combine := func(w *worker, u graph.VertexID) []core.Prediction {
+		return r.CombineAppend(u, trunc, sims, w.s, w.preds)
 	}
+	predStep := core.DistCombine
 	if r.Config().Paths == 3 {
-		twoPass := passFor(f.StepSet(core.DistTwoHop))
-		twoHop := core.NewArena[core.PathCand](n)
-		forEachVertex(r, workers, twoPass, func(w *worker, v graph.VertexID) {
+		twoPass := passFor(core.DistTwoHop)
+		twoHop := core.NewStepArena[core.PathCand](f, core.DistTwoHop, n)
+		forEachVertex(r, workers, twoPass, func(w *worker, _ int, v graph.VertexID) {
 			twoHop.SetCount(v, r.TwoHopCount(v, sims))
 		})
 		twoHop.FinishCounts()
-		forEachVertex(r, workers, twoPass, func(w *worker, v graph.VertexID) {
+		forEachVertex(r, workers, twoPass, func(w *worker, _ int, v graph.VertexID) {
 			r.TwoHopFill(v, sims, twoHop.Row(v))
 		})
-		forEachVertex(r, workers, passFor(f.StepSet(core.DistCombine3)), func(w *worker, u graph.VertexID) {
-			begin := len(w.preds)
-			w.preds = r.Combine3Append(u, trunc, sims, twoHop, w.s, w.preds)
-			if len(w.preds) > begin {
-				pred[u] = w.preds[begin:len(w.preds):len(w.preds)]
-			}
-		})
-	} else {
-		forEachVertex(r, workers, passFor(f.StepSet(core.DistCombine)), func(w *worker, u graph.VertexID) {
-			begin := len(w.preds)
-			w.preds = r.CombineAppend(u, trunc, sims, w.s, w.preds)
-			if len(w.preds) > begin {
-				pred[u] = w.preds[begin:len(w.preds):len(w.preds)]
-			}
-		})
+		predStep = core.DistCombine3
+		combine = func(w *worker, u graph.VertexID) []core.Prediction {
+			return r.Combine3Append(u, trunc, sims, twoHop, w.s, w.preds)
+		}
 	}
-
-	st.WallSeconds = time.Since(start).Seconds()
-	if st.WallSeconds > 0 {
-		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
-	}
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	st.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	st.AllocObjects = int64(m1.Mallocs - m0.Mallocs)
-	return pred, st, nil
+	predPass := passFor(predStep)
+	rows := make([][]core.Prediction, predPass.len())
+	st.ScoredVertices = len(rows)
+	forEachVertex(r, workers, predPass, func(w *worker, i int, u graph.VertexID) {
+		begin := len(w.preds)
+		w.preds = combine(w, u)
+		if len(w.preds) > begin {
+			rows[i] = w.preds[begin:len(w.preds):len(w.preds)]
+		}
+	})
+	return f, rows, st, nil
 }
 
 // worker is the per-goroutine state of a pass: the reusable step scratch
@@ -163,65 +192,73 @@ type worker struct {
 	preds []core.Prediction
 }
 
-// pass is one parallel sweep's vertex sequence: the explicit member list of
-// a frontier set (query-scoped run), or — when verts is nil — the identity
-// sequence 0..n-1 (full run). bounds index positions of the sequence.
+// pass is one parallel sweep's vertex sequence: the identity sequence
+// 0..n-1 of a full run (full set, verts unused), or the explicit member
+// list of a frontier set on a query-scoped run — which may be empty, and
+// then the pass visits nothing. bounds index positions of the sequence.
 type pass struct {
+	full   bool
 	verts  []graph.VertexID
 	bounds []int
 }
 
+// len returns the sequence's length.
+func (p pass) len() int { return p.bounds[len(p.bounds)-1] }
+
 // vertex maps a sequence position to its vertex.
 func (p pass) vertex(i int) graph.VertexID {
-	if p.verts == nil {
+	if p.full {
 		return graph.VertexID(i)
 	}
 	return p.verts[i]
 }
 
-// degreeChunks splits a vertex sequence (verts, or [0, n) when verts is
-// nil) into contiguous chunks of at most chunkVerts vertices and roughly
-// chunkEdges out-edges each. The boundaries are computed once per sequence
-// and shared by every pass over it.
-func degreeChunks(g graph.View, verts []graph.VertexID) []int {
-	n := g.NumVertices()
-	if verts != nil {
-		n = len(verts)
-	}
-	bounds := make([]int, 1, n/chunkVerts+2)
+// fullPass is the pass over every vertex of g; listPass the pass over
+// exactly verts.
+func fullPass(g graph.View) pass { return newPass(g, pass{full: true}, g.NumVertices()) }
+
+func listPass(g graph.View, verts []graph.VertexID) pass {
+	return newPass(g, pass{verts: verts}, len(verts))
+}
+
+// newPass splits p's sequence of n vertices into contiguous chunks of at
+// most chunkVerts vertices and roughly chunkEdges out-edges each. The
+// boundaries are computed once per sequence and shared by every pass over
+// it.
+func newPass(g graph.View, p pass, n int) pass {
+	p.bounds = make([]int, 1, n/chunkVerts+2)
 	vcount, edges := 0, 0
 	for i := 0; i < n; i++ {
-		u := graph.VertexID(i)
-		if verts != nil {
-			u = verts[i]
-		}
 		vcount++
-		edges += g.OutDegree(u)
+		edges += g.OutDegree(p.vertex(i))
 		if vcount >= chunkVerts || edges >= chunkEdges {
-			bounds = append(bounds, i+1)
+			p.bounds = append(p.bounds, i+1)
 			vcount, edges = 0, 0
 		}
 	}
-	if bounds[len(bounds)-1] != n {
-		bounds = append(bounds, n)
+	if p.len() != n {
+		p.bounds = append(p.bounds, n)
 	}
-	return bounds
+	return p
 }
 
-// forEachVertex executes fn for every vertex of the pass's sequence,
+// forEachVertex executes fn for every position of the pass's sequence,
 // sharding degree-aware chunks over up to workers goroutines with work
 // stealing. Each goroutine gets its own worker state; fn must write only to
-// its vertex's slot (or arena row).
-func forEachVertex(r *core.StepRunner, workers int, p pass, fn func(*worker, graph.VertexID)) {
-	n := p.bounds[len(p.bounds)-1]
+// its position's slot (or its vertex's arena row). A pass of fewer than
+// minParallelChunks chunks runs inline on the caller's goroutine.
+func forEachVertex(r *core.StepRunner, workers int, p pass, fn func(w *worker, i int, u graph.VertexID)) {
 	chunks := len(p.bounds) - 1
+	if chunks < minParallelChunks {
+		workers = 1
+	}
 	if workers > chunks {
 		workers = chunks
 	}
 	if workers <= 1 {
 		w := &worker{s: r.NewScratch()}
-		for i := 0; i < n; i++ {
-			fn(w, p.vertex(i))
+		for i, n := 0, p.len(); i < n; i++ {
+			fn(w, i, p.vertex(i))
 		}
 		return
 	}
@@ -238,10 +275,34 @@ func forEachVertex(r *core.StepRunner, workers int, p pass, fn func(*worker, gra
 					return
 				}
 				for i := p.bounds[c]; i < p.bounds[c+1]; i++ {
-					fn(w, p.vertex(i))
+					fn(w, i, p.vertex(i))
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// runMeter brackets a run for its Stats: wall clock and heap allocation
+// deltas, the latter through core.ReadHeapCounters, which costs no
+// stop-the-world pause — a serving process pays this pair on every cache
+// miss.
+type runMeter struct {
+	start time.Time
+	heap  core.HeapCounters
+}
+
+func startMeter() runMeter {
+	return runMeter{heap: core.ReadHeapCounters(), start: time.Now()}
+}
+
+// stop fills st's wall-clock, throughput and allocation fields.
+func (m runMeter) stop(st *Stats, g graph.View) {
+	st.WallSeconds = time.Since(m.start).Seconds()
+	if st.WallSeconds > 0 {
+		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
+	}
+	h := core.ReadHeapCounters()
+	st.AllocBytes = int64(h.AllocBytes - m.heap.AllocBytes)
+	st.AllocObjects = int64(h.AllocObjects - m.heap.AllocObjects)
 }

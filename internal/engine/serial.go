@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"runtime"
-	"time"
-
 	"snaple/internal/core"
 	"snaple/internal/graph"
 )
@@ -18,15 +15,10 @@ func (Serial) Name() string { return "serial" }
 
 // Predict implements Backend.
 func (Serial) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	// MemStats reads stay outside the timed window (see Local.Predict).
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
+	m := startMeter()
 	pred, err := core.ReferenceSnaple(g, cfg)
-	st := Stats{Engine: "serial", Workers: 1, WallSeconds: time.Since(start).Seconds(), ScoredVertices: g.NumVertices()}
-	if st.WallSeconds > 0 {
-		st.EdgesPerSec = float64(g.NumEdges()) / st.WallSeconds
-	}
+	st := Stats{Engine: "serial", Workers: 1, ScoredVertices: g.NumVertices()}
+	m.stop(&st, g)
 	if err == nil {
 		// The reference computed the same closure internally; recomputing it
 		// for the report costs one pass over the closure's adjacency.
@@ -35,9 +27,5 @@ func (Serial) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, e
 			st.ScoredVertices = f.Pred.Len()
 		}
 	}
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	st.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	st.AllocObjects = int64(m1.Mallocs - m0.Mallocs)
 	return pred, st, err
 }

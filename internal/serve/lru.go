@@ -79,20 +79,32 @@ func (c *lruCache) len() int {
 	return c.order.Len()
 }
 
-// invalidate removes every entry whose key satisfies pred and returns how
-// many were dropped. One pass over the key set under the lock: the caller
-// (a mutation batch) has already narrowed "may have changed" to a vertex
-// set, so the predicate is a bitmap probe, not a recomputation.
-func (c *lruCache) invalidate(pred func(cacheKey) bool) int {
+// invalidate removes the cfg-keyed entries of every vertex in dirty and
+// returns how many were dropped. It runs under the caller's mutation lock
+// as well as the cache's, so it walks whichever side is smaller: a key
+// lookup per dirty vertex when the mutation frontier is smaller than the
+// cache, one sweep of the cache with a membership probe per entry otherwise.
+func (c *lruCache) invalidate(cfg uint64, dirty *core.VertexSet) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
+	drop := func(el *list.Element) {
+		c.order.Remove(el)
+		delete(c.items, el.Value.(*lruEntry).key)
+		dropped++
+	}
+	if dirty.Len() < len(c.items) {
+		for _, v := range dirty.Members() {
+			if el, ok := c.items[cacheKey{vertex: v, cfg: cfg}]; ok {
+				drop(el)
+			}
+		}
+		return dropped
+	}
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		if key := el.Value.(*lruEntry).key; pred(key) {
-			c.order.Remove(el)
-			delete(c.items, key)
-			dropped++
+		if key := el.Value.(*lruEntry).key; key.cfg == cfg && dirty.Contains(key.vertex) {
+			drop(el)
 		}
 		el = next
 	}

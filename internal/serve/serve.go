@@ -17,9 +17,10 @@
 // Concurrent requests are micro-batched: a collector goroutine gathers
 // everything that arrives within BatchWindow (or until BatchMax distinct
 // uncached vertices accumulate), unions the uncached vertices into one
-// Config.Sources frontier, and runs a single scoped engine.Backend.Predict
-// for the whole tick — N concurrent users cost one closure computation, not
-// N. Results land in an LRU keyed by (vertex, config fingerprint), so hot
+// Config.Sources frontier, and runs a single scoped prediction
+// (engine.PredictScoped: sparse rows straight from a backend that offers
+// them, picked out of the dense table otherwise) for the whole tick — N
+// concurrent users cost one closure computation, not N. Results land in an LRU keyed by (vertex, config fingerprint), so hot
 // vertices are served without touching the engine at all; both hit and miss
 // answers slice the same cached row, making responses for a vertex
 // identical regardless of which request computed them.
@@ -348,7 +349,7 @@ func (s *Server) runBatch(batch []*batchReq, uncached map[graph.VertexID]bool) {
 			defer cancel()
 		}
 		view, epoch := s.current()
-		preds, rst, err := engine.PredictWithContext(ctx, s.be, view, cfg)
+		preds, rst, err := engine.PredictScoped(ctx, s.be, view, cfg)
 		s.stats.observeRun(rst, err)
 		if err != nil {
 			for _, r := range batch {
@@ -356,12 +357,13 @@ func (s *Server) runBatch(batch []*batchReq, uncached map[graph.VertexID]bool) {
 			}
 			return
 		}
-		for _, v := range sources {
+		for i, v := range preds.Vertices {
 			// Clone: the engine's rows alias large shared per-batch append
 			// buffers, and a cached row must not pin a whole batch's worth
 			// of memory. Empty results are kept too — "no recommendations"
 			// is as expensive to recompute as a full answer.
-			fresh[v] = append(make([]core.Prediction, 0, len(preds[v])), preds[v]...)
+			row := preds.Rows[i]
+			fresh[v] = append(make([]core.Prediction, 0, len(row)), row...)
 		}
 		// Fill the cache only while this run's view is still current: a
 		// mutation that landed mid-run has already invalidated its dirty
@@ -601,9 +603,7 @@ func (s *Server) applyEdges(w http.ResponseWriter, add, remove []graph.Edge) {
 		return
 	}
 	dirty := core.DirtySources(nd, add, remove, s.cfg.Paths)
-	invalidated := s.cache.invalidate(func(k cacheKey) bool {
-		return k.cfg == s.cfgKey && dirty.Contains(k.vertex)
-	})
+	invalidated := s.cache.invalidate(s.cfgKey, dirty)
 	s.view, s.epoch = nd, nd.Epoch()
 	overlay := nd.OverlayRows()
 	s.mu.Unlock()

@@ -142,6 +142,69 @@ func TestPredictMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSparseAndDenseBackendsServeIdentically pins engine.PredictScoped's two
+// arms behind the server: a backend offering the sparse form (engine.Local)
+// and one offering only the dense Backend.Predict (countingBackend, which
+// hides Local's PredictScoped the way Fleet, Sim, Serial and wrappers do)
+// must produce byte-identical responses and leave byte-identical rows in
+// the cache — over sources whose closures are small, past core's arena rule
+// and empty.
+func TestSparseAndDenseBackendsServeIdentically(t *testing.T) {
+	// 200 vertices with edges, then isolated padding: small closures get
+	// rank-indexed arenas in core (its rules compare them to the vertex range).
+	b := graph.NewBuilder(200 * 64)
+	testGraph(t, 200, 3).ForEachEdge(b.AddEdge)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(t, 10)
+	dense := &countingBackend{inner: engine.Local{}}
+	if _, sparse := engine.Backend(dense).(engine.ScopedBackend); sparse {
+		t.Fatal("the dense test double offers the sparse form")
+	}
+	sSparse, tsSparse := newTestServer(t, Options{Graph: g, Backend: engine.Local{}, Config: cfg, BatchWindow: time.Millisecond})
+	sDense, tsDense := newTestServer(t, Options{Graph: g, Backend: dense, Config: cfg, BatchWindow: time.Millisecond})
+
+	normalized := func(url, body string) []byte {
+		resp, pr := postPredict(t, url, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", body, resp.StatusCode)
+		}
+		pr.ServedMs = 0 // the one field that is a measurement
+		out, err := json.Marshal(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, body := range []string{
+		`{"ids":[17]}`,                         // sparse closure
+		`{"ids":[0,50,100,150,3,3,199],"k":4}`, // hubs: promoted closure
+		`{"ids":[5000,17,6000],"k":2}`,         // isolated ids around a cached one
+		`{"ids":[12799]}`,
+	} {
+		if a, b := normalized(tsSparse.URL, body), normalized(tsDense.URL, body); !bytes.Equal(a, b) {
+			t.Fatalf("%s:\nsparse backend: %s\ndense backend:  %s", body, a, b)
+		}
+	}
+	if dense.calls.Load() == 0 {
+		t.Fatal("the dense backend was never run")
+	}
+	rows := func(s *Server) map[cacheKey][]core.Prediction {
+		s.cache.mu.Lock()
+		defer s.cache.mu.Unlock()
+		out := make(map[cacheKey][]core.Prediction, len(s.cache.items))
+		for k, el := range s.cache.items {
+			out[k] = el.Value.(*lruEntry).preds
+		}
+		return out
+	}
+	if a, b := rows(sSparse), rows(sDense); len(a) != 10 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("cache rows differ (or are not the 10 distinct ids):\nsparse backend: %v\ndense backend:  %v", a, b)
+	}
+}
+
 // TestMicroBatchingCoalesces pins the batching contract: requests arriving
 // within one window share a single backend run, and identical ids are
 // served from the cache forever after.
@@ -727,21 +790,52 @@ search:
 	}
 }
 
-// TestLRUInvalidate pins the predicate sweep.
+// TestLRUInvalidate pins both arms of the invalidation — delete by key when
+// the dirty set is the smaller side, sweep the cache when it is not — to the
+// same outcome: exactly the dirty vertices' rows under the given config go.
 func TestLRUInvalidate(t *testing.T) {
-	c := newLRU(8)
-	for v := 0; v < 6; v++ {
-		c.put(cacheKey{vertex: graph.VertexID(v), cfg: 1}, nil)
+	g, err := graph.FromEdges(16, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := c.invalidate(func(k cacheKey) bool { return k.vertex%2 == 0 })
-	if n != 3 || c.len() != 3 {
-		t.Fatalf("invalidate dropped %d (len %d), want 3 (len 3)", n, c.len())
-	}
-	for v := 0; v < 6; v++ {
-		_, ok := c.get(cacheKey{vertex: graph.VertexID(v), cfg: 1})
-		if want := v%2 == 1; ok != want {
-			t.Errorf("vertex %d cached=%v, want %v", v, ok, want)
+	// depth 0: the dirty set is exactly the batch's source endpoints.
+	dirtySet := func(vs ...int) *core.VertexSet {
+		var batch []graph.Edge
+		for _, v := range vs {
+			batch = append(batch, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % 16)})
 		}
+		return core.DirtySources(g, batch, nil, 0)
+	}
+	for _, tc := range []struct {
+		name  string
+		dirty *core.VertexSet
+	}{
+		{"by key", dirtySet(0, 2, 4, 9)},
+		{"by sweep", dirtySet(0, 2, 4, 8, 9, 10, 11, 12, 13, 14)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLRU(16)
+			for v := 0; v < 6; v++ {
+				c.put(cacheKey{vertex: graph.VertexID(v), cfg: 1}, nil)
+			}
+			c.put(cacheKey{vertex: 0, cfg: 2}, nil) // another config's row for a dirty vertex
+			if byKey := tc.dirty.Len() < c.len(); byKey != (tc.name == "by key") {
+				t.Fatalf("dirty %d vs cache %d does not take the %s arm", tc.dirty.Len(), c.len(), tc.name)
+			}
+			n := c.invalidate(1, tc.dirty)
+			if n != 3 || c.len() != 4 {
+				t.Fatalf("invalidate dropped %d (len %d), want 3 (len 4)", n, c.len())
+			}
+			for v := 0; v < 6; v++ {
+				_, ok := c.get(cacheKey{vertex: graph.VertexID(v), cfg: 1})
+				if want := v%2 == 1; ok != want {
+					t.Errorf("vertex %d cached=%v, want %v", v, ok, want)
+				}
+			}
+			if _, ok := c.get(cacheKey{vertex: 0, cfg: 2}); !ok {
+				t.Error("invalidation under config 1 dropped config 2's row")
+			}
+		})
 	}
 }
 

@@ -337,7 +337,7 @@ type WorkerStats struct {
 	// excluding time blocked on the wire.
 	BusySeconds float64
 	// AllocBytes/AllocObjects are the worker process's heap deltas across the
-	// supersteps (runtime.MemStats).
+	// supersteps (core.ReadHeapCounters).
 	AllocBytes, AllocObjects int64
 	// HeapBytes is the worker's live heap after the final superstep — the
 	// dist analog of the sim backend's per-node memory footprint.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -117,7 +116,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 	// coordinator's own wall-clock and traffic counters use.
 	shard := o.Resident
 	var s *session
-	var m0 runtime.MemStats
+	var m0 core.HeapCounters
 	m0set := false
 	for {
 		m, err := conn.Recv()
@@ -160,7 +159,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 			return err
 		}
 		if !m0set {
-			runtime.ReadMemStats(&m0)
+			m0 = core.ReadHeapCounters()
 			m0set = true
 		}
 		switch m.Kind {
@@ -170,7 +169,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 				return err
 			}
 		case KindCollect:
-			if err := conn.Send(&Msg{Kind: KindResult, Result: s.collect(&m0)}); err != nil {
+			if err := conn.Send(&Msg{Kind: KindResult, Result: s.collect(m0)}); err != nil {
 				return err
 			}
 		default:
@@ -629,7 +628,7 @@ func (s *session) sendRefresh(step core.DistStep) error {
 }
 
 // collect assembles the partition's master predictions and cost report.
-func (s *session) collect(m0 *runtime.MemStats) WorkerResult {
+func (s *session) collect(m0 core.HeapCounters) WorkerResult {
 	res := WorkerResult{
 		Part: s.partIdx,
 		Stats: WorkerStats{
@@ -648,10 +647,9 @@ func (s *session) collect(m0 *runtime.MemStats) WorkerResult {
 		}
 	}
 	res.Preds = s.collectPreds
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	res.Stats.AllocBytes = int64(m1.TotalAlloc - m0.TotalAlloc)
-	res.Stats.AllocObjects = int64(m1.Mallocs - m0.Mallocs)
-	res.Stats.HeapBytes = int64(m1.HeapAlloc)
+	m1 := core.ReadHeapCounters()
+	res.Stats.AllocBytes = int64(m1.AllocBytes - m0.AllocBytes)
+	res.Stats.AllocObjects = int64(m1.AllocObjects - m0.AllocObjects)
+	res.Stats.HeapBytes = int64(m1.LiveBytes)
 	return res
 }
