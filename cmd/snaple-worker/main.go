@@ -50,23 +50,16 @@ func main() {
 	}
 }
 
-func loadShard(path string) (*wire.ResidentShard, bool, error) {
-	// The numeric partition columns alias a read-only mmap of the shard
-	// file when the platform allows, so pinning a multi-gigabyte partition
-	// costs no per-edge work; heap loading is the automatic fallback.
-	sf, mapped, err := graph.MapShardFile(path)
-	if err != nil {
-		return nil, false, err
-	}
-	return wire.ResidentFromShard(sf), mapped, nil
-}
-
 func run(listen string, quiet bool, shard string) error {
-	var resident *wire.ResidentShard
+	var resident *graph.ShardFile
 	var shardMapped bool
 	if shard != "" {
+		// Pinning is where a packed shard is checked, once: checksums and
+		// graph.ShardFile.Validate. The numeric columns alias a read-only mmap
+		// of the file when the platform allows, so a multi-gigabyte partition
+		// costs no per-edge copy; heap loading is the automatic fallback.
 		var err error
-		if resident, shardMapped, err = loadShard(shard); err != nil {
+		if resident, shardMapped, err = graph.MapShardFile(shard); err != nil {
 			return err
 		}
 	}
@@ -89,7 +82,7 @@ func run(listen string, quiet bool, shard string) error {
 				how = "mmap"
 			}
 			logf("resident for shard %d of %d (fingerprint %016x, %s)",
-				resident.Part.Part, resident.Shards, resident.Fingerprint, how)
+				resident.Shard, resident.Shards, resident.Fingerprint, how)
 		}
 	}
 

@@ -41,22 +41,19 @@ func (s step3a) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) 
 	if !s.frontier.InTwoHop(src) {
 		return nil, false
 	}
+	out := s.appendTwoHop(nil, src, dst, srcD, dstD)
+	return out, len(out) > 0
+}
+
+// appendTwoHop is step 3a's gather kernel (see appendCombine): the 2-hop
+// paths src→dst→w through the relay dst, ascending by Z.
+func (s *snapleState) appendTwoHop(out []PathCand, src, dst graph.VertexID, srcD, dstD *VData) []PathCand {
 	svz, ok := lookupSim(srcD.Sims, dst)
-	if !ok || len(dstD.Sims) == 0 {
-		return nil, false
+	if !ok {
+		return out
 	}
-	comb := s.cfg.Score.Comb.Fn
-	out := make([]PathCand, 0, len(dstD.Sims))
-	for _, ws := range dstD.Sims {
-		if ws.V == src {
-			continue
-		}
-		out = append(out, PathCand{Z: ws.V, S: comb(svz, ws.Sim)})
-	}
-	if len(out) == 0 {
-		return nil, false
-	}
-	return out, true
+	out = slices.Grow(out, len(dstD.Sims))
+	return s.appendRelayPaths(out, svz, src, nil, dstD.Sims)
 }
 
 // Sum merges sorted path lists (same as step 3).
@@ -91,30 +88,32 @@ func (s step3b) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) 
 	if !s.frontier.InPred(src) {
 		return nil, false
 	}
+	out := s.appendCombine3(nil, src, dst, srcD, dstD)
+	// Contributions interleave Sims and TwoHop candidates: restore the Z order
+	// Sum's merge expects.
+	slices.SortStableFunc(out, func(a, b PathCand) int { return cmp.Compare(a.Z, b.Z) })
+	return out, len(out) > 0
+}
+
+// appendCombine3 is step 3b's gather kernel (see appendCombine): step 3's
+// candidates through the relay dst, then dst's stored 2-hop list extended by
+// the edge (src, dst). The two halves are each ascending by Z, the whole is
+// not.
+func (s *snapleState) appendCombine3(out []PathCand, src, dst graph.VertexID, srcD, dstD *VData) []PathCand {
 	suv, ok := lookupSim(srcD.Sims, dst)
 	if !ok {
-		return nil, false
+		return out
 	}
+	out = slices.Grow(out, len(dstD.Sims)+len(dstD.TwoHop))
+	out = s.appendRelayPaths(out, suv, src, srcD.Nbrs, dstD.Sims)
 	comb := s.cfg.Score.Comb.Fn
-	out := make([]PathCand, 0, len(dstD.Sims)+len(dstD.TwoHop))
-	for _, zs := range dstD.Sims {
-		if zs.V == src || containsVertex(srcD.Nbrs, zs.V) {
-			continue
-		}
-		out = append(out, PathCand{Z: zs.V, S: comb(suv, zs.Sim)})
-	}
 	for _, pc := range dstD.TwoHop {
 		if pc.Z == src || containsVertex(srcD.Nbrs, pc.Z) {
 			continue
 		}
 		out = append(out, PathCand{Z: pc.Z, S: comb(suv, pc.S)})
 	}
-	if len(out) == 0 {
-		return nil, false
-	}
-	// Contributions interleave Sims and TwoHop candidates: restore Z order.
-	slices.SortStableFunc(out, func(a, b PathCand) int { return cmp.Compare(a.Z, b.Z) })
-	return out, true
+	return out
 }
 
 // Sum merges sorted path lists.

@@ -200,26 +200,37 @@ func (s step3) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) (
 	if !s.frontier.InPred(src) {
 		return nil, false
 	}
+	out := s.appendCombine(nil, src, dst, srcD, dstD)
+	return out, len(out) > 0
+}
+
+// appendCombine is step 3's gather kernel, shared by the sim backend's step
+// program above and the wire worker's streaming gather (diststep.go): it
+// appends the candidates edge (src, dst) contributes — one per relay z of the
+// relay dst, ascending by Z — and nothing when dst is not one of src's relays.
+func (s *snapleState) appendCombine(out []PathCand, src, dst graph.VertexID, srcD, dstD *VData) []PathCand {
 	suv, ok := lookupSim(srcD.Sims, dst)
-	if !ok {
-		return nil, false // v ∉ Du.sims.keys (line 13)
+	if !ok { // v ∉ Du.sims.keys (line 13)
+		return out
 	}
-	if len(dstD.Sims) == 0 {
-		return nil, false
-	}
+	out = slices.Grow(out, len(dstD.Sims))
+	return s.appendRelayPaths(out, suv, src, srcD.Nbrs, dstD.Sims)
+}
+
+// appendRelayPaths is the loop all three candidate kernels share: one path
+// src→v→z per relay z of v, valued suv ⊗ sim(v,z), skipping src itself and
+// anything in the sorted exclusion list (Γ̂(src) for the final steps, line
+// 15's exclusion; nil for step 3a, which keeps every path). relays ascend by
+// V, so the appended run ascends by Z.
+func (s *snapleState) appendRelayPaths(out []PathCand, suv float64, src graph.VertexID, excluded []graph.VertexID, relays []VertexSim) []PathCand {
 	comb := s.cfg.Score.Comb.Fn
-	out := make([]PathCand, 0, len(dstD.Sims))
-	for _, zs := range dstD.Sims { // ascending by V: output stays sorted
-		z := zs.V
-		if z == src || containsVertex(srcD.Nbrs, z) {
-			continue // z ∈ Γ̂(u) ∪ {u} (line 15's exclusion)
+	for _, zs := range relays {
+		if zs.V == src || containsVertex(excluded, zs.V) {
+			continue
 		}
-		out = append(out, PathCand{Z: z, S: comb(suv, zs.Sim)})
+		out = append(out, PathCand{Z: zs.V, S: comb(suv, zs.Sim)})
 	}
-	if len(out) == 0 {
-		return nil, false
-	}
-	return out, true
+	return out
 }
 
 // Sum merges two candidate lists sorted by Z, preserving order. Path values

@@ -73,23 +73,27 @@ func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (co
 	return pred, st, err
 }
 
-// deployment is the vertex cut a fleet stands on: the per-shard partition
-// payloads with their full-run roles baked in, plus the per-vertex index the
-// query router reads — which shard masters each vertex, which mirror it, and
-// which hold its out-edges.
+// deployment is the vertex cut a fleet stands on: the shards themselves —
+// complete graph.ShardFiles, fleet identity and full-run roles included, the
+// same values a pack writes, a ship carries and a worker holds — plus the
+// per-vertex index the query router reads: which shard masters each vertex,
+// which mirror it, and which hold its out-edges.
 type deployment struct {
-	parts      []wire.Partition
-	masterPart []int32   // per vertex; -1 when the vertex has no edges
-	mirrors    [][]int32 // per vertex: host shards excluding the master
-	hosts      [][]int32 // per vertex: all host shards, ascending
-	srcShards  [][]int32 // per vertex: shards holding its out-edges, ascending
-	replicas   int       // total replica count
-	present    int       // vertices with at least one replica
+	fingerprint uint64 // FleetFingerprint of (g, cut), stamped into every shard
+	parts       []*graph.ShardFile
+	masterPart  []int32   // per vertex; -1 when the vertex has no edges
+	mirrors     [][]int32 // per vertex: host shards excluding the master
+	hosts       [][]int32 // per vertex: all host shards, ascending
+	srcShards   [][]int32 // per vertex: shards holding its out-edges, ascending
+	replicas    int       // total replica count
+	present     int       // vertices with at least one replica
 }
 
 // cut vertex-cuts g into shards partitions and elects masters the same
 // deterministic way gas.Distribute does. (Placement never changes results,
-// only where each apply runs.)
+// only where each apply runs.) Edges keep the view's (src, dst) order within
+// each shard, so every shard satisfies graph.ShardFile.Validate by
+// construction — sorted Locals, non-decreasing EdgeSrc.
 func cut(g graph.View, strat partition.Strategy, seed uint64, shards int) (*deployment, error) {
 	assign, err := strat.Partition(g, shards)
 	if err != nil {
@@ -97,8 +101,9 @@ func cut(g graph.View, strat partition.Strategy, seed uint64, shards int) (*depl
 	}
 	n := g.NumVertices()
 	dep := &deployment{
-		parts:     make([]wire.Partition, shards),
-		srcShards: make([][]int32, n),
+		fingerprint: FleetFingerprint(g, shards, strat.Name(), seed),
+		parts:       make([]*graph.ShardFile, shards),
+		srcShards:   make([][]int32, n),
 	}
 
 	type rawEdge struct{ u, v graph.VertexID }
@@ -154,8 +159,8 @@ func cut(g graph.View, strat partition.Strategy, seed uint64, shards int) (*depl
 			lidx[v] = 0
 		}
 		rawEdges[p] = nil // the columns replace it; keeps the cut's peak heap down
-		dep.parts[p] = wire.Partition{
-			Part: p, NumVertices: n,
+		dep.parts[p] = &graph.ShardFile{
+			Fingerprint: dep.fingerprint, Shard: p, Shards: shards, NumVertices: n,
 			Locals: locals, Deg: deg,
 			EdgeSrc: edgeSrc, EdgeDst: edgeDst,
 			IsMaster:  make([]bool, len(locals)),

@@ -50,10 +50,11 @@ func FleetFingerprint(g graph.View, shards int, strategy string, seed uint64) ui
 	return h.Sum64()
 }
 
-// PackShards vertex-cuts g into shards resident partitions with the same cut
-// (and the same deterministic master election) OpenFleet computes, so a fleet
-// attached to the packed shards is bit-identical to one that shipped them.
-// The manifest's Files column is left empty — the packer names the files.
+// PackShards vertex-cuts g into shards resident partitions — the very cut
+// (and deterministic master election) OpenFleet computes, so a fleet attached
+// to the packed shards is bit-identical to one that shipped them — and
+// describes them in a manifest. The manifest's Files column is left empty —
+// the packer names the files.
 func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int) ([]*graph.ShardFile, *graph.Manifest, error) {
 	if shards <= 0 {
 		return nil, nil, fmt.Errorf("engine: pack: non-positive shard count %d", shards)
@@ -65,10 +66,8 @@ func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int)
 	if err != nil {
 		return nil, nil, err
 	}
-	fp := FleetFingerprint(g, shards, strat.Name(), seed)
-	files := make([]*graph.ShardFile, shards)
 	man := &graph.Manifest{
-		Fingerprint: fp,
+		Fingerprint: dep.fingerprint,
 		Shards:      shards,
 		NumVertices: g.NumVertices(),
 		NumEdges:    int64(g.NumEdges()),
@@ -79,31 +78,16 @@ func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int)
 		Masters:     make([]int64, shards),
 		Edges:       make([]int64, shards),
 	}
-	for p := range dep.parts {
-		wp := &dep.parts[p]
-		files[p] = &graph.ShardFile{
-			Fingerprint: fp,
-			Shard:       p,
-			Shards:      shards,
-			NumVertices: g.NumVertices(),
-			Locals:      wp.Locals,
-			Deg:         wp.Deg,
-			EdgeSrc:     wp.EdgeSrc,
-			EdgeDst:     wp.EdgeDst,
-			IsMaster:    wp.IsMaster,
-			HasRemote:   wp.HasRemote,
-		}
-		man.Locals[p] = int64(len(wp.Locals))
-		man.Edges[p] = int64(len(wp.EdgeSrc))
-		nm := int64(0)
-		for _, m := range wp.IsMaster {
+	for p, sf := range dep.parts {
+		man.Locals[p] = int64(len(sf.Locals))
+		man.Edges[p] = int64(len(sf.EdgeSrc))
+		for _, m := range sf.IsMaster {
 			if m {
-				nm++
+				man.Masters[p]++
 			}
 		}
-		man.Masters[p] = nm
 	}
-	return files, man, nil
+	return dep.parts, man, nil
 }
 
 // FleetInfo describes a standing fleet's topology, for operators
@@ -290,14 +274,14 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 		timeout = 10 * time.Minute
 	}
 
-	fp := FleetFingerprint(g, shards, strat.Name(), seed)
-	if o.Manifest != nil && fp != o.Manifest.Fingerprint {
-		return nil, fmt.Errorf("engine: fleet: %w: manifest fingerprint %016x, graph+cut compute %016x",
-			ErrManifestMismatch, o.Manifest.Fingerprint, fp)
-	}
 	dep, err := cut(g, strat, seed, shards)
 	if err != nil {
 		return nil, err
+	}
+	fp := dep.fingerprint
+	if o.Manifest != nil && fp != o.Manifest.Fingerprint {
+		return nil, fmt.Errorf("engine: fleet: %w: manifest fingerprint %016x, graph+cut compute %016x",
+			ErrManifestMismatch, o.Manifest.Fingerprint, fp)
 	}
 
 	f := &Fleet{
@@ -340,11 +324,10 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 		}
 	default:
 		// In-process fleet: one loopback listener per worker, each pinned to
-		// its shard's columns. Real TCP, real frames — just no separate OS
-		// process.
+		// its shard. Real TCP, real frames — just no separate OS process.
 		f.inproc = true
 		for s := 0; s < shards; s++ {
-			res := &wire.ResidentShard{Fingerprint: fp, Shards: shards, Part: dep.parts[s]}
+			res := dep.parts[s]
 			for r := 0; r < reps; r++ {
 				l, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
@@ -441,7 +424,7 @@ func (f *Fleet) install(c *wire.Conn, i int) error {
 	if f.ship {
 		err := sendAwaitReady(c, &wire.Msg{
 			Kind: wire.KindShip, Version: wire.ProtocolVersion,
-			Shard: wire.ResidentShard{Fingerprint: f.fingerprint, Shards: f.shards, Part: f.dep.parts[shard]},
+			Shard: *f.dep.parts[shard],
 		})
 		if err != nil {
 			return err

@@ -23,8 +23,7 @@ import (
 func serveResident(t *testing.T, files []*graph.ShardFile, replicas int) []string {
 	t.Helper()
 	addrs := make([]string, 0, len(files)*replicas)
-	for _, sf := range files {
-		res := wire.ResidentFromShard(sf)
+	for _, res := range files {
 		for r := 0; r < replicas; r++ {
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -537,5 +536,121 @@ func TestFleetFailover(t *testing.T) {
 	}
 	if cum := f.Stats(); cum.WorkersDead == 0 {
 		t.Errorf("cumulative stats lost the death: %+v", cum)
+	}
+}
+
+// TestFleetCoordinatorsShareResidentWorkers is the immutability pin for a
+// worker's shard: two coordinators hold standing connections to the same
+// resident workers and run overlapping scoped queries at once, so every
+// session on both connections reads the one pinned graph.ShardFile
+// concurrently. Nothing about that shard may be written after it is validated
+// (-race watches this test), and every answer is Serial's, bit for bit.
+func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
+	g := testGraph(t, 300, 7)
+	files, man := packVia(t, g, nil, 11, 2)
+	addrs := serveResident(t, files, 1)
+
+	base := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
+	full, _, err := Serial{}.Predict(g, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := frontierSourceSets(g.NumVertices())
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f, err := OpenFleet(g, FleetOptions{Addrs: addrs, Manifest: man})
+			if err != nil {
+				t.Errorf("coordinator %d: %v", c, err)
+				return
+			}
+			defer f.Close()
+			for round := 0; round < 4; round++ {
+				for name, sources := range sets {
+					cfg := base
+					cfg.Sources = sources
+					got, _, err := f.Predict(g, cfg)
+					if err != nil {
+						t.Errorf("coordinator %d, %s: %v", c, name, err)
+						return
+					}
+					if !reflect.DeepEqual(filterToSources(full, sources), got) {
+						t.Errorf("coordinator %d, %s: scoped run over the shared worker diverges from Serial", c, name)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAttachDoesNoPerShardWork pins the worker half of "a query costs its
+// closure": through a resident worker's real attach path — frame decode,
+// fingerprint check, session build, Ready — an empty scoped attach allocates
+// the same number of objects on a shard and on the same cut of a graph ten
+// times the size. The job's own columns grow in bytes with the shard's locals
+// (the per-query overlay is ROADMAP item 1's remainder) but not in count, and
+// nothing is validated, indexed or tabulated per attach: the shard was checked
+// once, when the worker pinned it, and its sorted Locals are the index.
+func TestAttachDoesNoPerShardWork(t *testing.T) {
+	attachAllocs := func(n int) float64 {
+		g := testGraph(t, n, 7)
+		files, man := packVia(t, g, nil, 11, 2)
+		c, err := wire.DialWith(serveResident(t, files[:1], 1)[0], wire.DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		attach := &wire.Msg{
+			Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: handshakeJob,
+			Attach: wire.AttachSpec{Fingerprint: man.Fingerprint, Shard: 0, Shards: 2, Scoped: true},
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := sendAwaitReady(c, attach); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, big := attachAllocs(300), attachAllocs(3000)
+	t.Logf("objects per empty scoped attach: %.0f on the small shard, %.0f on the 10x one", small, big)
+	if big-small > 2 || small-big > 2 {
+		t.Fatalf("an attach allocates %.0f objects on a shard and %.0f on one 10x the size: per-shard work crept into the attach path", small, big)
+	}
+}
+
+// TestCutEmitsValidShards pins the trust an in-process fleet places in its
+// own cut: those shards reach their workers without passing through a loader
+// or a ship, so nothing validates them at run time — every strategy, over a
+// plain CSR and over a mutated overlay, must emit shards the one validator
+// accepts (sorted Locals, sorted source runs), stamped with the fleet
+// identity.
+func TestCutEmitsValidShards(t *testing.T) {
+	g := testGraph(t, 200, 7)
+	for name, view := range map[string]graph.View{"csr": g, "delta": mutatedView(t, g)} {
+		for _, strat := range []partition.Strategy{
+			partition.HashEdge{Seed: 9}, partition.HashSource{Seed: 9}, partition.Greedy{},
+		} {
+			const shards = 3
+			dep, err := cut(view, strat, 9, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges := 0
+			for p, sf := range dep.parts {
+				if err := sf.Validate(); err != nil {
+					t.Errorf("%s/%s: shard %d: %v", name, strat.Name(), p, err)
+				}
+				if sf.Fingerprint != dep.fingerprint || sf.Shard != p || sf.Shards != shards || sf.NumVertices != view.NumVertices() {
+					t.Errorf("%s/%s: shard %d carries the wrong fleet identity: %+v", name, strat.Name(), p, sf)
+				}
+				edges += len(sf.EdgeSrc)
+			}
+			if edges != view.NumEdges() {
+				t.Errorf("%s/%s: shards hold %d edges of %d", name, strat.Name(), edges, view.NumEdges())
+			}
+		}
 	}
 }

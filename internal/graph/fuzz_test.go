@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -201,6 +202,109 @@ func FuzzReadPacked(f *testing.F) {
 		}
 		if !graphEqual(g, g2) {
 			t.Fatal("packed round trip changed the graph")
+		}
+	})
+}
+
+// hostileShards are shards that encode cleanly and break exactly one
+// invariant ShardFile.Validate owns.
+func hostileShards() map[string]*ShardFile {
+	out := map[string]*ShardFile{}
+	mutate := func(name string, f func(s *ShardFile)) {
+		s := testShard()
+		f(s)
+		out[name] = s
+	}
+	mutate("descending-locals", func(s *ShardFile) { slices.Reverse(s.Locals) })
+	mutate("duplicate-local", func(s *ShardFile) { s.Locals[1] = s.Locals[0] })
+	mutate("local-beyond-graph", func(s *ShardFile) { s.Locals[4] = VertexID(s.NumVertices) })
+	mutate("descending-edge-sources", func(s *ShardFile) { slices.Reverse(s.EdgeSrc) })
+	mutate("edge-index-out-of-range", func(s *ShardFile) { s.EdgeDst[0] = int32(len(s.Locals)) })
+	mutate("negative-edge-index", func(s *ShardFile) { s.EdgeSrc[0] = -1 })
+	mutate("shard-index-outside-fleet", func(s *ShardFile) { s.Shard = s.Shards })
+	mutate("column-length-mismatch", func(s *ShardFile) { s.Deg = s.Deg[:len(s.Deg)-1] })
+	return out
+}
+
+// TestShardLoadersRefuseHostileShards: a shard that breaks an invariant is
+// refused by the validator itself and by both loaders a worker pins through,
+// so `snaple-worker -shard` can never come up over one.
+func TestShardLoadersRefuseHostileShards(t *testing.T) {
+	for name, s := range hostileShards() {
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+		var buf bytes.Buffer
+		if err := encodeShard(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadShard(bytes.NewReader(buf.Bytes())); err == nil {
+			t.Errorf("%s: ReadShard accepted it", name)
+		}
+		img := alignedBytes(int64(buf.Len()))
+		copy(img, buf.Bytes())
+		if _, err := viewShard(img); err == nil {
+			t.Errorf("%s: viewShard accepted it", name)
+		}
+	}
+}
+
+// FuzzShard holds the two shard loaders — the streaming ReadShard and the
+// in-place viewShard behind MapShardFile — to one verdict on the same bytes:
+// both reject, or both yield equal shards that pass Validate. Neither may
+// panic, and a lying header count must be rejected before it is allocated,
+// not after.
+func FuzzShard(f *testing.F) {
+	empty := &ShardFile{Fingerprint: 1, Shards: 1}
+	for _, s := range []*ShardFile{testShard(), empty} {
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, s := range hostileShards() {
+		var buf bytes.Buffer
+		if err := encodeShard(&buf, s); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(shardMagic))
+	f.Add([]byte("not a shard"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		streamed, serr := ReadShard(bytes.NewReader(data))
+		img := alignedBytes(int64(len(data)))
+		copy(img, data)
+		viewed, verr := viewShard(img)
+		runtime.ReadMemStats(&m1)
+		// Same bound as FuzzReadPacked: the slack covers the loaders' fixed
+		// buffers and harness noise, never a column sized by a lying header.
+		if grew := int64(m1.TotalAlloc - m0.TotalAlloc); grew > 64<<20 {
+			t.Fatalf("decoding %d input bytes allocated %d bytes", len(data), grew)
+		}
+		if (serr == nil) != (verr == nil) {
+			t.Fatalf("loaders disagree: ReadShard %v, viewShard %v", serr, verr)
+		}
+		if serr != nil {
+			return
+		}
+		for _, s := range []*ShardFile{streamed, viewed} {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("accepted shard fails Validate: %v", err)
+			}
+		}
+		a, b := streamed, viewed
+		if a.Fingerprint != b.Fingerprint || a.Shard != b.Shard || a.Shards != b.Shards || a.NumVertices != b.NumVertices ||
+			!slices.Equal(a.Locals, b.Locals) || !slices.Equal(a.Deg, b.Deg) ||
+			!slices.Equal(a.EdgeSrc, b.EdgeSrc) || !slices.Equal(a.EdgeDst, b.EdgeDst) ||
+			!slices.Equal(a.IsMaster, b.IsMaster) || !slices.Equal(a.HasRemote, b.HasRemote) {
+			t.Fatalf("loaders disagree on the shard:\nstreamed %+v\nviewed   %+v", a, b)
 		}
 	})
 }

@@ -77,11 +77,16 @@ func KnownMagic(b []byte) bool {
 	return false
 }
 
-// ShardFile is one resident partition: the vertex-cut share a worker pins at
-// startup. The columns are exactly what the wire ship payload would carry —
-// local vertex table, aligned degree/role columns, edges as local indices —
-// plus the fleet identity (fingerprint, shard index, fleet width) that the
-// attach handshake verifies in place of the transfer.
+// ShardFile is one worker's share of a vertex cut, and the only description
+// of it: what engine's cut builds, what `snaple pack -shards` writes, what a
+// KindShip frame carries, what a worker holds across jobs and what
+// core.DistPartition runs over. Beside the columns — local vertex table,
+// aligned degree/role columns, edges as local indices — it carries the fleet
+// identity (fingerprint, shard index, fleet width) the attach handshake
+// verifies in place of a transfer.
+//
+// A shard is immutable once validated: a worker shares one across every
+// session of every connection, read-only.
 type ShardFile struct {
 	// Fingerprint identifies the (graph, cut) this shard was packed from; a
 	// coordinator attaching with a different fingerprint is rejected.
@@ -92,19 +97,25 @@ type ShardFile struct {
 	Shards int
 	// NumVertices is the global vertex count.
 	NumVertices int
-	// Locals holds the sorted global IDs of the vertices replicated here.
+	// Locals holds the sorted global IDs of the vertices replicated here; a
+	// vertex's position in it is its local index.
 	Locals []VertexID
 	// Deg holds the full out-degree of each local vertex, aligned with Locals.
 	Deg []int32
-	// EdgeSrc/EdgeDst are the partition's edges as indices into Locals.
+	// EdgeSrc/EdgeDst are the partition's edges as indices into Locals, in
+	// global (src, dst) order: EdgeSrc is non-decreasing, so each source's
+	// edges form one contiguous run and the runs ascend.
 	EdgeSrc, EdgeDst []int32
-	// IsMaster/HasRemote are the full-run roles baked at pack time (scoped
+	// IsMaster/HasRemote are the full-run roles baked at the cut (scoped
 	// attaches override them per query).
 	IsMaster, HasRemote []bool
 }
 
-// Validate checks the shard's internal consistency — the same invariants a
-// worker would otherwise trip over mid-superstep.
+// Validate is the one shard validator: every invariant a worker relies on
+// mid-superstep, checked once — by ReadShard and MapShardFile when a worker
+// pins a packed shard, by the wire worker when a KindShip installs one.
+// Everything downstream (core.NewDistPartition, the gather, the attach) trusts
+// a validated shard and re-checks nothing.
 func (s *ShardFile) Validate() error {
 	switch {
 	case s.Shards <= 0 || s.Shard < 0 || s.Shard >= s.Shards:
@@ -123,11 +134,18 @@ func (s *ShardFile) Validate() error {
 			return fmt.Errorf("graph: shard: local table not strictly increasing in [0,%d) at row %d", s.NumVertices, i)
 		}
 	}
-	for i := range s.EdgeSrc {
-		if s.EdgeSrc[i] < 0 || int(s.EdgeSrc[i]) >= len(s.Locals) ||
-			s.EdgeDst[i] < 0 || int(s.EdgeDst[i]) >= len(s.Locals) {
+	n, prev := len(s.Locals), int32(0)
+	for i, si := range s.EdgeSrc {
+		if di := s.EdgeDst[i]; si < 0 || int(si) >= n || di < 0 || int(di) >= n {
 			return fmt.Errorf("graph: shard: edge %d outside the local table", i)
 		}
+		// Sorted source runs are what the streaming gather walks and what
+		// GatherVertex binary-searches; every cut produces them (View edge
+		// order is (src, dst) and Locals ascend).
+		if si < prev {
+			return fmt.Errorf("graph: shard: edge sources not non-decreasing at edge %d", i)
+		}
+		prev = si
 	}
 	return nil
 }
@@ -137,6 +155,12 @@ func WriteShard(w io.Writer, s *ShardFile) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
+	return encodeShard(w, s)
+}
+
+// encodeShard is WriteShard without the validation (tests encode broken
+// shards through it to prove the loaders refuse them).
+func encodeShard(w io.Writer, s *ShardFile) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var hdr [shardHeaderLen]byte
 	copy(hdr[:8], shardMagic)

@@ -25,12 +25,13 @@ import (
 // skips per-element decode and the big heap copies, which is what lets a
 // worker pin a multi-gigabyte partition in milliseconds of allocator time.
 //
-// The mapping is pinned for the life of the process: the aliased columns
-// routinely outlive the ShardFile itself (ResidentFromShard copies the
-// slice headers and drops the struct), so tying an unmap to the struct's
-// collection would pull pages out from under a live reader. Residents pin
-// their shard forever anyway; callers that map many files pay one bounded
-// mapping each.
+// The mapping's owner is the ShardFile: a resident worker holds that one
+// struct for its whole life and every session reads the aliased columns
+// through it. The mapping is nonetheless pinned for the life of the process
+// rather than unmapped when the struct is collected — column slices are plain
+// Go slices, a caller may keep one past the struct, and an unmap under a live
+// reader is a fault, not an error. Residents pin their shard forever anyway;
+// callers that map many files pay one bounded mapping each.
 func MapShardFile(path string) (*ShardFile, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {

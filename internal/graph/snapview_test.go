@@ -273,6 +273,7 @@ func TestMapShardFile(t *testing.T) {
 		big.EdgeSrc = append(big.EdgeSrc, int32(rng.Intn(nl)))
 		big.EdgeDst = append(big.EdgeDst, int32(rng.Intn(nl)))
 	}
+	slices.Sort(big.EdgeSrc) // sorted source runs, as every cut emits
 	dir := t.TempDir()
 	for i, sf := range []*ShardFile{testShard(), big} {
 		var buf bytes.Buffer
@@ -301,10 +302,10 @@ func TestMapShardFile(t *testing.T) {
 }
 
 // TestMapShardFileColumnsSurviveGC pins the lifetime contract of a mapped
-// shard: resident workers copy the column slice headers out of the
-// ShardFile (wire.ResidentFromShard) and drop the struct, so the mapping
-// must stay valid after the ShardFile is collected. A munmap tied to the
-// struct's GC would make the reads below fault.
+// shard: the columns are plain slices a caller may keep past the ShardFile
+// they came from, so the mapping must stay valid after the struct is
+// collected. A munmap tied to the struct's GC would make the reads below
+// fault.
 func TestMapShardFileColumnsSurviveGC(t *testing.T) {
 	sf := testShard()
 	var buf bytes.Buffer

@@ -85,8 +85,8 @@ func TestChaosTransportScript(t *testing.T) {
 // TestWorkerSurvivesHostileSessions is the worker hardening satellite:
 // garbage before the handshake, a legacy gob peer, line noise, a corrupt
 // hello, a corrupt frame mid-session, an attach with no shard to run over, an
-// attach for another fleet's shard and a ship to a pinned worker must each
-// cost exactly one session — a typed error frame where the transport still
+// attach for another fleet's shard, a ship to a pinned worker and a ship of a
+// shard that breaks an invariant must each cost exactly one session — a typed error frame where the transport still
 // works, then a close — and the worker must serve the next coordinator
 // normally. The healthy mini-session after every hostile one is the survival
 // assertion.
@@ -240,6 +240,19 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		}
 		healthy(t)
 	})
+
+	// A shipped shard is checked exactly as a pinned one, at install: a broken
+	// one gets a typed refusal, no Ready, no session — and never an attach
+	// that fails later, or a gather that quietly detours.
+	for name, shard := range hostileShards() {
+		t.Run("ship-"+name, func(t *testing.T) {
+			err := refused(t, addr, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: shard})
+			if name != "column-length-mismatch" && !strings.Contains(err.Error(), "ship refused: graph: shard:") {
+				t.Fatalf("refusal = %v, want the shard validator's verdict", err)
+			}
+			healthy(t)
+		})
+	}
 
 	t.Run("ship-to-a-pinned-worker", func(t *testing.T) {
 		pinned := serveWorkers(t, ServeOptions{Resident: &miniShard})

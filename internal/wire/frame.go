@@ -831,42 +831,45 @@ func decodeAttach(payload []byte, m *Msg) error {
 // appendShip encodes the shard a worker is to hold for the life of the
 // connection: version, fleet identity, partition columns.
 func appendShip(b []byte, m *Msg) []byte {
+	s := &m.Shard
 	b = appendU32(b, uint32(m.Version))
-	b = appendU64(b, m.Shard.Fingerprint)
-	b = appendU32(b, uint32(m.Shard.Shards))
-	p := &m.Shard.Part
-	b = appendU32(b, uint32(p.Part))
-	b = appendU32(b, uint32(p.NumVertices))
-	b = appendU32(b, uint32(len(p.Locals)))
-	b = appendU32(b, uint32(len(p.EdgeSrc)))
-	b = appendVertexIDs(b, p.Locals)
-	b = appendInt32s(b, p.Deg)
-	b = appendInt32s(b, p.EdgeSrc)
-	b = appendInt32s(b, p.EdgeDst)
-	b = appendBools(b, p.IsMaster)
-	b = appendBools(b, p.HasRemote)
+	b = appendU64(b, s.Fingerprint)
+	b = appendU32(b, uint32(s.Shards))
+	b = appendU32(b, uint32(s.Shard))
+	b = appendU32(b, uint32(s.NumVertices))
+	b = appendU32(b, uint32(len(s.Locals)))
+	b = appendU32(b, uint32(len(s.EdgeSrc)))
+	b = appendVertexIDs(b, s.Locals)
+	b = appendInt32s(b, s.Deg)
+	b = appendInt32s(b, s.EdgeSrc)
+	b = appendInt32s(b, s.EdgeDst)
+	b = appendBools(b, s.IsMaster)
+	b = appendBools(b, s.HasRemote)
 	return b
 }
 
+// decodeShip decodes a ship payload into m.Shard. It bounds every count by
+// the bytes that arrived and nothing more: the shard's own invariants are
+// graph.ShardFile.Validate's, run where the worker installs it.
 func decodeShip(payload []byte, m *Msg) error {
 	r := &byteReader{b: payload}
+	s := &m.Shard
 	m.Version = int(r.u32())
-	m.Shard.Fingerprint = r.u64()
-	m.Shard.Shards = int(r.u32())
-	p := &m.Shard.Part
-	p.Part = int(r.u32())
-	p.NumVertices = int(r.u32())
+	s.Fingerprint = r.u64()
+	s.Shards = int(r.u32())
+	s.Shard = int(r.u32())
+	s.NumVertices = int(r.u32())
 	nLocals := r.u32()
 	nEdges := r.u32()
 	// Minimum bytes per local: 4 (ID) + 4 (deg) + 1 (master) + 1 (remote).
 	nl := r.count(nLocals, 10)
 	ne := r.count(nEdges, 8)
-	p.Locals = r.vertexIDs(nl)
-	p.Deg = r.int32s(nl)
-	p.EdgeSrc = r.int32s(ne)
-	p.EdgeDst = r.int32s(ne)
-	p.IsMaster = r.bools(nl)
-	p.HasRemote = r.bools(nl)
+	s.Locals = r.vertexIDs(nl)
+	s.Deg = r.int32s(nl)
+	s.EdgeSrc = r.int32s(ne)
+	s.EdgeDst = r.int32s(ne)
+	s.IsMaster = r.bools(nl)
+	s.HasRemote = r.bools(nl)
 	return r.done()
 }
 

@@ -42,8 +42,8 @@ func decodeOne(data []byte) (*Msg, error) {
 // is byte-stable.
 func FuzzWireFrame(f *testing.F) {
 	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-	part := Partition{
-		Part: 1, NumVertices: 6,
+	shard := graph.ShardFile{
+		Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, NumVertices: 6,
 		Locals:    []graph.VertexID{0, 2, 5},
 		Deg:       []int32{2, 1, 0},
 		EdgeSrc:   []int32{0, 0, 1},
@@ -69,7 +69,7 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	seeds := []*Msg{
 		{Kind: KindHello, Version: ProtocolVersion, Features: featCompress},
-		{Kind: KindShip, Version: ProtocolVersion, Shard: ResidentShard{Fingerprint: 0xFEEDFACE, Shards: 2, Part: part}},
+		{Kind: KindShip, Version: ProtocolVersion, Shard: shard},
 		{Kind: KindAttach, Version: ProtocolVersion, Job: job, Attach: AttachSpec{
 			Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, Scoped: true,
 			Entries: []ScopeEntry{{V: 0, Mask: 7, Role: RoleMaster | RoleRemote}, {V: 5, Mask: 3}},
@@ -83,6 +83,9 @@ func FuzzWireFrame(f *testing.F) {
 		{Kind: KindCollect},
 		{Kind: KindResult, Result: result},
 		{Kind: KindError, Err: "injected failure"},
+	}
+	for _, hostile := range hostileShards() {
+		seeds = append(seeds, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: hostile})
 	}
 	for _, m := range seeds {
 		f.Add(frameBytes(f, m, false))

@@ -177,54 +177,6 @@ func (j JobSpec) Config() (core.Config, error) {
 	return cfg.Normalized()
 }
 
-// Partition is the serializable description of one worker's share of the
-// vertex-cut: its local vertex table, the out-degrees of those vertices, the
-// partition's edges as indices into the table, and the master/mirror roles
-// the coordinator elected. It is everything core.NewDistPartition needs plus
-// the routing roles the worker consults per superstep.
-type Partition struct {
-	// Part is the partition index in [0, workers).
-	Part int
-	// NumVertices is the global vertex count.
-	NumVertices int
-	// Locals holds the sorted global IDs of the vertices replicated here.
-	Locals []graph.VertexID
-	// Deg holds the full out-degree of each local vertex, aligned with Locals.
-	Deg []int32
-	// EdgeSrc/EdgeDst are the partition's edges as indices into Locals, in
-	// global CSR order.
-	EdgeSrc, EdgeDst []int32
-	// IsMaster marks the local vertices whose master copy lives here.
-	IsMaster []bool
-	// HasRemote marks local masters that are replicated on other partitions
-	// and therefore must broadcast refreshed state after each apply.
-	HasRemote []bool
-}
-
-// Validate checks the payload's internal consistency (lengths and index
-// ranges the worker would otherwise discover mid-run).
-func (p *Partition) Validate() error {
-	switch {
-	case p.Part < 0:
-		return fmt.Errorf("wire: negative partition index %d", p.Part)
-	case len(p.Deg) != len(p.Locals):
-		return fmt.Errorf("wire: %d degrees for %d locals", len(p.Deg), len(p.Locals))
-	case len(p.IsMaster) != len(p.Locals):
-		return fmt.Errorf("wire: %d master flags for %d locals", len(p.IsMaster), len(p.Locals))
-	case len(p.HasRemote) != len(p.Locals):
-		return fmt.Errorf("wire: %d remote flags for %d locals", len(p.HasRemote), len(p.Locals))
-	case len(p.EdgeSrc) != len(p.EdgeDst):
-		return fmt.Errorf("wire: %d edge sources, %d edge targets", len(p.EdgeSrc), len(p.EdgeDst))
-	}
-	for i := range p.EdgeSrc {
-		if p.EdgeSrc[i] < 0 || int(p.EdgeSrc[i]) >= len(p.Locals) ||
-			p.EdgeDst[i] < 0 || int(p.EdgeDst[i]) >= len(p.Locals) {
-			return fmt.Errorf("wire: edge %d outside the local table", i)
-		}
-	}
-	return nil
-}
-
 // Role bits of a ScopeEntry.
 const (
 	// RoleMaster marks the vertex's master copy for this query.
@@ -281,40 +233,6 @@ func IsManifestMismatch(err error) bool {
 	return err != nil && IsRemoteError(err) && strings.Contains(err.Error(), manifestMismatchText)
 }
 
-// ResidentShard is the partition a worker holds across jobs plus the fleet
-// identity the attach handshake verifies: pinned at startup from a packed
-// shard file (ServeOptions.Resident), or installed for the life of one
-// connection by a KindShip, whose payload it is.
-type ResidentShard struct {
-	// Fingerprint identifies the (graph, cut) the shard was packed from.
-	Fingerprint uint64
-	// Shards is the fleet width of the cut.
-	Shards int
-	// Part is the pinned partition with its baked full-run roles; Part.Part
-	// is this worker's shard index.
-	Part Partition
-}
-
-// ResidentFromShard adapts a loaded shard snapshot into the worker's pinned
-// partition. The columns are shared, not copied: sessions treat them as
-// read-only (attach copies the role columns before any per-query override).
-func ResidentFromShard(s *graph.ShardFile) *ResidentShard {
-	return &ResidentShard{
-		Fingerprint: s.Fingerprint,
-		Shards:      s.Shards,
-		Part: Partition{
-			Part:        s.Shard,
-			NumVertices: s.NumVertices,
-			Locals:      s.Locals,
-			Deg:         s.Deg,
-			EdgeSrc:     s.EdgeSrc,
-			EdgeDst:     s.EdgeDst,
-			IsMaster:    s.IsMaster,
-			HasRemote:   s.HasRemote,
-		},
-	}
-}
-
 // VertexState pairs a vertex with its full replica state, for master→mirror
 // refreshes.
 type VertexState struct {
@@ -356,11 +274,11 @@ type WorkerResult struct {
 // wire (a frame encodes only its kind's payload).
 type Msg struct {
 	Kind     Kind
-	Version  int           // KindShip, KindAttach, KindHello
-	Features uint32        // KindHello: requested/granted feature bits
-	Job      JobSpec       // KindAttach
-	Shard    ResidentShard // KindShip
-	Attach   AttachSpec    // KindAttach
+	Version  int             // KindShip, KindAttach, KindHello
+	Features uint32          // KindHello: requested/granted feature bits
+	Job      JobSpec         // KindAttach
+	Shard    graph.ShardFile // KindShip: the shard to hold, columns and fleet identity
+	Attach   AttachSpec      // KindAttach
 	Step     core.DistStep
 	// Final marks the last superstep on KindStepBegin (no refresh/mirror
 	// round follows) and the last chunk of a streaming phase on

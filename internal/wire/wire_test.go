@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,7 +128,7 @@ func normalizeMsg(m *Msg) {
 			m.Result.Preds[i].Preds = nil
 		}
 	}
-	p := &m.Shard.Part
+	p := &m.Shard
 	if len(p.Locals) == 0 {
 		p.Locals = nil
 	}
@@ -164,10 +165,11 @@ func checkLossless(t *testing.T, m *Msg) {
 	}
 }
 
-// randPartition generates a partition payload. n=0 produces the empty
-// partition; hub makes one local vertex own almost every edge.
-func randPartition(r *rand.Rand, n int, hub bool) Partition {
-	p := Partition{Part: r.Intn(8), NumVertices: n}
+// randPartition generates a valid shard of an 8-wide fleet, sorted source
+// runs included, as a cut emits them. n=0 produces the empty partition; hub
+// makes one local vertex own almost every edge.
+func randPartition(r *rand.Rand, n int, hub bool) graph.ShardFile {
+	p := graph.ShardFile{Fingerprint: r.Uint64(), Shard: r.Intn(8), Shards: 8, NumVertices: n}
 	if n == 0 {
 		return p
 	}
@@ -197,6 +199,7 @@ func randPartition(r *rand.Rand, n int, hub bool) Partition {
 		p.EdgeSrc = append(p.EdgeSrc, src)
 		p.EdgeDst = append(p.EdgeDst, int32(r.Intn(len(p.Locals))))
 	}
+	slices.Sort(p.EdgeSrc)
 	return p
 }
 
@@ -251,7 +254,7 @@ func randStates(r *rand.Rand) []VertexState {
 // including the empty partition and hub-vertex skew.
 func TestShipRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	cases := []Partition{
+	cases := []graph.ShardFile{
 		randPartition(r, 0, false),   // empty partition
 		randPartition(r, 1, false),   // single vertex
 		randPartition(r, 4000, true), // hub vertex with thousands of edges
@@ -260,8 +263,10 @@ func TestShipRoundTrip(t *testing.T) {
 		cases = append(cases, randPartition(r, 1+r.Intn(200), false))
 	}
 	for _, part := range cases {
-		checkLossless(t, &Msg{Kind: KindShip, Version: ProtocolVersion,
-			Shard: ResidentShard{Fingerprint: r.Uint64(), Shards: 1 + r.Intn(8), Part: part}})
+		if err := part.Validate(); err != nil {
+			t.Fatalf("generator emitted an invalid shard: %v", err)
+		}
+		checkLossless(t, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: part})
 	}
 }
 
@@ -410,8 +415,42 @@ func serveWorkers(t *testing.T, o ServeOptions) string {
 // partition 3 of a 4-shard fleet.
 var (
 	miniJob   = JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
-	miniShard = ResidentShard{Fingerprint: 0xF1EE7, Shards: 4, Part: Partition{Part: 3}}
+	miniShard = graph.ShardFile{Fingerprint: 0xF1EE7, Shard: 3, Shards: 4}
 )
+
+// hostileShards are ship payloads that encode and decode cleanly but break a
+// shard invariant: each must be refused where it is installed, by the one
+// validator, never discovered at an attach or mid-superstep. The last one
+// cannot even be framed consistently — a ship carries one count per column
+// family — so it dies in the decoder instead; either way no Ready.
+func hostileShards() map[string]graph.ShardFile {
+	good := func() graph.ShardFile {
+		return graph.ShardFile{
+			Fingerprint: 0xF1EE7, Shard: 3, Shards: 4, NumVertices: 6,
+			Locals:    []graph.VertexID{0, 2, 5},
+			Deg:       []int32{2, 1, 0},
+			EdgeSrc:   []int32{0, 0, 1},
+			EdgeDst:   []int32{1, 2, 2},
+			IsMaster:  []bool{true, false, true},
+			HasRemote: []bool{true, false, false},
+		}
+	}
+	out := map[string]graph.ShardFile{}
+	mutate := func(name string, f func(s *graph.ShardFile)) {
+		s := good()
+		f(&s)
+		out[name] = s
+	}
+	mutate("descending-locals", func(s *graph.ShardFile) { s.Locals = []graph.VertexID{5, 2, 0} })
+	mutate("duplicate-local", func(s *graph.ShardFile) { s.Locals = []graph.VertexID{0, 2, 2} })
+	mutate("local-beyond-graph", func(s *graph.ShardFile) { s.Locals = []graph.VertexID{0, 2, 6} })
+	mutate("descending-edge-sources", func(s *graph.ShardFile) { s.EdgeSrc = []int32{1, 0, 0} })
+	mutate("edge-index-out-of-range", func(s *graph.ShardFile) { s.EdgeDst = []int32{1, 2, 3} })
+	mutate("negative-edge-index", func(s *graph.ShardFile) { s.EdgeSrc = []int32{-1, 0, 1} })
+	mutate("shard-index-outside-fleet", func(s *graph.ShardFile) { s.Shard = 4 })
+	mutate("column-length-mismatch", func(s *graph.ShardFile) { s.Deg = s.Deg[:2] })
+	return out
+}
 
 // miniAttach opens a job over miniShard.
 func miniAttach() *Msg {

@@ -21,12 +21,15 @@ const streamChunkBytes = 64 << 10
 
 // ServeOptions configures a worker's listening side.
 type ServeOptions struct {
-	// Resident pins a packed partition for the worker's lifetime. A resident
-	// worker needs no KindShip before its first KindAttach (and refuses one)
-	// and serves connections concurrently, so several coordinators — e.g.
-	// multiple serve front-ends — can share one standing fleet. Each session
-	// builds its own compute state over the shared read-only shard columns.
-	Resident *ResidentShard
+	// Resident pins a shard for the worker's lifetime. It must be validated —
+	// loaded through graph.MapShardFile / ReadShard, or built by the engine's
+	// cut — because nothing below re-checks it. A resident worker needs no
+	// KindShip before its first KindAttach (and refuses one) and serves
+	// connections concurrently, so several coordinators — e.g. multiple serve
+	// front-ends — can share one standing fleet. Every session on every
+	// connection reads the one shard and never writes it; each builds only
+	// its own per-job state.
+	Resident *graph.ShardFile
 }
 
 // Serve accepts coordinator sessions on l until the listener is closed,
@@ -54,9 +57,8 @@ func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOpt
 		logf("session from %s", c.RemoteAddr())
 		if o.Resident != nil {
 			// A resident worker is shared infrastructure: several coordinators
-			// hold standing connections at once, so sessions run concurrently.
-			// Each attach builds its own compute state over the shared
-			// read-only shard columns, so sessions never alias mutable state.
+			// hold standing connections at once, so sessions run concurrently
+			// over the one immutable shard.
 			go func(c net.Conn) {
 				if err := ServeConnWith(c, o); err != nil {
 					logf("session from %s failed: %v", c.RemoteAddr(), err)
@@ -181,39 +183,28 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 }
 
 // recRef locates one buffered partial record: a local vertex index plus the
-// record's extent inside a foreign chunk (or, with chunk == selfChunk, the
-// session's own-partials buffer).
+// record's extent inside a foreign chunk.
 type recRef struct {
 	li       int32
 	chunk    int32
 	off, end int32
 }
 
-const selfChunk = int32(-1)
-
-// session is a worker's state for one job: the compute partition plus the
-// master/mirror roles the coordinator elected, and the reusable streaming
-// buffers of the pipelined superstep.
+// session is a worker's state for one job: the shard it runs over, the
+// per-job compute state, the master/mirror roles the coordinator elected, and
+// the reusable streaming buffers of the pipelined superstep.
 type session struct {
 	conn      *Conn
-	partIdx   int
+	shard     *graph.ShardFile // shared and immutable; see ServeOptions.Resident
 	part      *core.DistPartition
-	isMaster  []bool
+	isMaster  []bool // read-only: an unscoped job aliases the shard's baked roles
 	hasRemote []bool
 	busyNS    atomic.Int64 // gather/apply/refresh goroutines all contribute
 
 	// per-step state, reused across supersteps.
-	sendBB BatchBuilder // outgoing chunk under construction (sender goroutine)
-	// regather marks a partition whose masters can recompute their own
-	// partial at apply time (core.DistPartition.GatherVertex) — the normal
-	// case for deployed partitions. Without it, replicated masters' own
-	// partials are kept across the exchange as records in selfBuf.
-	regather  bool
-	selfBuf   []byte  // own partials for replicated masters, as records
-	selfOff   []int64 // per local: offset into selfBuf, -1 = none
-	selfEnd   []int64
-	applied   []bool   // per local: master applied inline during gather
-	chunkBufs [][]byte // received foreign chunk payloads
+	sendBB    BatchBuilder // outgoing chunk under construction (sender goroutine)
+	applied   []bool       // per local: master applied inline during gather
+	chunkBufs [][]byte     // received foreign chunk payloads
 	chunkN    int
 	frefs     []recRef // refs into chunkBufs, built by the receive loop
 	applyOne  [1]core.DistPartial
@@ -222,30 +213,34 @@ type session struct {
 	collectPreds []VertexPreds // result storage, presized at attach
 }
 
-// installShard handles KindShip: the shipped shard becomes what this
-// connection's attaches run over, until the connection ends. A worker that
-// pinned a packed shard at startup refuses — its operator chose what it
-// serves, and a coordinator shipping to it forgot the manifest.
-func installShard(m *Msg, resident *ResidentShard) (*ResidentShard, error) {
+// installShard handles KindShip: the shipped shard, once validated, becomes
+// what this connection's attaches run over, until the connection ends. This
+// is the one check a shard that arrived as bytes from the network ever gets,
+// and the same one a pinned shard got at load. A worker that pinned a packed
+// shard at startup refuses — its operator chose what it serves, and a
+// coordinator shipping to it forgot the manifest.
+func installShard(m *Msg, resident *graph.ShardFile) (*graph.ShardFile, error) {
 	if resident != nil {
 		return nil, fmt.Errorf("wire: ship to a worker resident for packed shard %d of %d: open the fleet with its manifest",
-			resident.Part.Part, resident.Shards)
+			resident.Shard, resident.Shards)
 	}
-	if err := m.Shard.Part.Validate(); err != nil {
-		return nil, err
+	if err := m.Shard.Validate(); err != nil {
+		return nil, fmt.Errorf("wire: ship refused: %w", err)
 	}
 	return &m.Shard, nil
 }
 
-// attachSession builds a job session over the shard the worker holds. The
-// fingerprint must match the coordinator's exactly — a mismatched worker would
-// compute over a different graph and silently corrupt the fold, so the
+// attachSession opens a job session over the shard the worker holds, and does
+// no per-shard work beyond allocating the job's own O(locals) columns: the
+// shard was validated where it was pinned or installed and is its own index.
+// The fingerprint must match the coordinator's exactly — a mismatched worker
+// would compute over a different graph and silently corrupt the fold, so the
 // handshake fails with a typed error instead. Scoped attaches carry the
 // coordinator's per-query roles for just the closure vertices: everything
 // outside the entries keeps a zero scope mask, which the partition's scope
-// machinery skips entirely. Unscoped attaches reuse the roles baked into the
-// shard (copied, so a session can never mutate the shared columns).
-func attachSession(conn *Conn, m *Msg, shard *ResidentShard) (*session, error) {
+// machinery skips entirely. Unscoped attaches run under the roles baked into
+// the shard.
+func attachSession(conn *Conn, m *Msg, shard *graph.ShardFile) (*session, error) {
 	if shard == nil {
 		return nil, errors.New("wire: attach to a worker that holds no shard (none pinned at startup, none shipped on this connection)")
 	}
@@ -258,43 +253,31 @@ func attachSession(conn *Conn, m *Msg, shard *ResidentShard) (*session, error) {
 		return nil, fmt.Errorf("wire: %s: coordinator has %016x, worker's shard has %016x",
 			manifestMismatchText, a.Fingerprint, shard.Fingerprint)
 	}
-	p := &shard.Part
-	if int(a.Shard) != p.Part || int(a.Shards) != shard.Shards {
+	if int(a.Shard) != shard.Shard || int(a.Shards) != shard.Shards {
 		return nil, fmt.Errorf("wire: attach for shard %d of %d, worker holds shard %d of %d",
-			a.Shard, a.Shards, p.Part, shard.Shards)
+			a.Shard, a.Shards, shard.Shard, shard.Shards)
 	}
-	part, err := core.NewDistPartition(cfg, p.NumVertices, p.Locals, p.Deg, p.EdgeSrc, p.EdgeDst)
+	part, err := core.NewDistPartition(cfg, shard)
 	if err != nil {
 		return nil, err
 	}
-	n := len(p.Locals)
-	isMaster := make([]bool, n)
-	hasRemote := make([]bool, n)
+	s := &session{conn: conn, shard: shard, part: part, isMaster: shard.IsMaster, hasRemote: shard.HasRemote}
 	if a.Scoped {
+		n := len(shard.Locals)
 		scope := make([]uint8, n)
+		s.isMaster, s.hasRemote = make([]bool, n), make([]bool, n)
 		for _, e := range a.Entries {
 			li, ok := part.LocalIndex(e.V)
 			if !ok {
-				return nil, fmt.Errorf("wire: attach scope entry for vertex %d, which is not local to shard %d", e.V, p.Part)
+				return nil, fmt.Errorf("wire: attach scope entry for vertex %d, which is not local to shard %d", e.V, shard.Shard)
 			}
 			scope[li] = e.Mask
-			isMaster[li] = e.Role&RoleMaster != 0
-			hasRemote[li] = e.Role&RoleRemote != 0
+			s.isMaster[li] = e.Role&RoleMaster != 0
+			s.hasRemote[li] = e.Role&RoleRemote != 0
 		}
 		if err := part.SetScope(scope); err != nil {
 			return nil, err
 		}
-	} else {
-		copy(isMaster, p.IsMaster)
-		copy(hasRemote, p.HasRemote)
-	}
-	s := &session{
-		conn:      conn,
-		partIdx:   p.Part,
-		part:      part,
-		isMaster:  isMaster,
-		hasRemote: hasRemote,
-		regather:  part.CanGatherVertex(),
 	}
 	s.prewarm()
 	return s, nil
@@ -341,21 +324,10 @@ func (s *session) addBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
 
 // resetStep readies the reusable buffers for one superstep.
 func (s *session) resetStep() {
-	n := len(s.part.Locals())
-	if len(s.applied) != n {
+	if n := len(s.shard.Locals); len(s.applied) != n {
 		s.applied = make([]bool, n)
 	}
 	clear(s.applied)
-	if !s.regather {
-		if len(s.selfOff) != n {
-			s.selfOff = make([]int64, n)
-			s.selfEnd = make([]int64, n)
-		}
-		for i := range s.selfOff {
-			s.selfOff[i] = -1
-		}
-		s.selfBuf = s.selfBuf[:0]
-	}
 	s.frefs = s.frefs[:0]
 	s.chunkN = 0
 }
@@ -427,11 +399,12 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 		}
 		t0 := time.Now()
 		err = ForEachStateRecord(f.Payload, func(v graph.VertexID, rec []byte) error {
-			d, ok := s.part.MutableState(v)
+			li, ok := s.part.LocalIndex(v)
 			if !ok {
 				return fmt.Errorf("wire: refresh for vertex %d, which is not local", v)
 			}
-			got, err := DecodeStateRecordInto(rec, d)
+			// Decoded in place, reusing the capacity the previous refresh left.
+			got, err := DecodeStateRecordInto(rec, s.part.Data(li))
 			if err != nil {
 				return err
 			}
@@ -456,8 +429,9 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 }
 
 // gatherAndSend runs the streaming gather, routing each partial as it is
-// produced: masters without mirrors apply inline, replicated masters buffer
-// their record locally, everything else is chunked up to the coordinator.
+// produced: masters without mirrors apply inline, replicated masters drop
+// theirs (applyMasters re-gathers it), everything else is chunked up to the
+// coordinator.
 // A final (possibly empty) chunk ends the stream; on a compute error the
 // coordinator is told directly so the whole run unwinds instead of waiting
 // on a final chunk that will never come.
@@ -473,16 +447,10 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 				// payload is still hot scratch.
 				s.applied[li] = true
 				s.applyOne[0] = *dp
-				return s.part.Apply(step, dp.V, s.applyOne[:1])
+				return s.part.Apply(step, li, s.applyOne[:1])
 			}
-			if s.regather {
-				// applyMasters recomputes this partial on demand — no copy,
-				// no growing record buffer across the exchange.
-				return nil
-			}
-			s.selfOff[li] = int64(len(s.selfBuf))
-			s.selfBuf = appendPartialRecord(s.selfBuf, dp)
-			s.selfEnd[li] = int64(len(s.selfBuf))
+			// applyMasters recomputes this partial on demand — no copy, no
+			// growing record buffer across the exchange.
 			return nil
 		}
 		bb.AppendPartial(dp)
@@ -533,7 +501,7 @@ func (s *session) bufferForeign(payload []byte) error {
 		if !ok || !s.isMaster[li] {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
-		s.frefs = append(s.frefs, recRef{li: int32(li), chunk: ci, off: int32(off), end: int32(end)})
+		s.frefs = append(s.frefs, recRef{li: li, chunk: ci, off: int32(off), end: int32(end)})
 		off = end
 	}
 	if off != len(buf) {
@@ -542,17 +510,19 @@ func (s *session) bufferForeign(payload []byte) error {
 	return nil
 }
 
-// applyMasters folds each master's own and foreign partials and applies.
-// Every master applies every step — with no contribution anywhere the apply
-// still runs and clears the step's output field, exactly like the serial
-// engine's empty gather.
+// applyMasters folds each master's own and foreign partials and applies: the
+// own partial is re-gathered on the spot (core.DistPartition.GatherVertex),
+// the foreign ones decoded out of the buffered chunks. Every master applies
+// every step — with no contribution anywhere the apply still runs and clears
+// the step's output field, exactly like the serial engine's empty gather.
 func (s *session) applyMasters(step core.DistStep) error {
 	sort.Slice(s.frefs, func(i, j int) bool { return s.frefs[i].li < s.frefs[j].li })
 	fi := 0
 	var rg core.DistPartial
-	for li, v := range s.part.Locals() {
+	for i, v := range s.shard.Locals {
+		li := int32(i)
 		start := fi
-		for fi < len(s.frefs) && s.frefs[fi].li == int32(li) {
+		for fi < len(s.frefs) && s.frefs[fi].li == li {
 			fi++
 		}
 		if !s.isMaster[li] {
@@ -567,21 +537,10 @@ func (s *session) applyMasters(step core.DistStep) error {
 		sc.Sims = sc.Sims[:0]
 		sc.Cands = sc.Cands[:0]
 		n := 0
-		if s.regather {
-			ok, err := s.part.GatherVertex(step, int32(li), &rg)
-			if err != nil {
-				return err
-			}
-			if ok {
-				sc.Nbrs = append(sc.Nbrs, rg.Nbrs...)
-				sc.Sims = append(sc.Sims, rg.Sims...)
-				sc.Cands = append(sc.Cands, rg.Cands...)
-				n++
-			}
-		} else if s.selfOff[li] >= 0 {
-			if err := decodePartialRecordInto(s.selfBuf[s.selfOff[li]:s.selfEnd[li]], sc); err != nil {
-				return err
-			}
+		if s.part.GatherVertex(step, li, &rg) {
+			sc.Nbrs = append(sc.Nbrs, rg.Nbrs...)
+			sc.Sims = append(sc.Sims, rg.Sims...)
+			sc.Cands = append(sc.Cands, rg.Cands...)
 			n++
 		}
 		for _, r := range s.frefs[start:fi] {
@@ -595,7 +554,7 @@ func (s *session) applyMasters(step core.DistStep) error {
 			s.applyOne[0] = *sc
 			parts = s.applyOne[:1]
 		}
-		if err := s.part.Apply(step, v, parts); err != nil {
+		if err := s.part.Apply(step, li, parts); err != nil {
 			return err
 		}
 	}
@@ -608,12 +567,11 @@ func (s *session) sendRefresh(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	for li, v := range s.part.Locals() {
+	for li, v := range s.shard.Locals {
 		if !s.isMaster[li] || !s.hasRemote[li] {
 			continue
 		}
-		d, _ := s.part.State(v)
-		bb.AppendState(v, &d)
+		bb.AppendState(v, s.part.Data(int32(li)))
 		if bb.Len() >= streamChunkBytes {
 			s.addBusy(time.Since(t0))
 			if err := s.conn.SendRaw(KindRefresh, step, false, bb.Payload()); err != nil {
@@ -630,20 +588,19 @@ func (s *session) sendRefresh(step core.DistStep) error {
 // collect assembles the partition's master predictions and cost report.
 func (s *session) collect(m0 core.HeapCounters) WorkerResult {
 	res := WorkerResult{
-		Part: s.partIdx,
+		Part: s.shard.Shard,
 		Stats: WorkerStats{
-			Verts:       len(s.part.Locals()),
-			Edges:       s.part.NumEdges(),
+			Verts:       len(s.shard.Locals),
+			Edges:       len(s.shard.EdgeSrc),
 			BusySeconds: time.Duration(s.busyNS.Load()).Seconds(),
 		},
 	}
-	for li, v := range s.part.Locals() {
+	for li, v := range s.shard.Locals {
 		if !s.isMaster[li] {
 			continue
 		}
-		d, _ := s.part.State(v)
-		if len(d.Pred) > 0 {
-			s.collectPreds = append(s.collectPreds, VertexPreds{V: v, Preds: d.Pred})
+		if pred := s.part.Data(int32(li)).Pred; len(pred) > 0 {
+			s.collectPreds = append(s.collectPreds, VertexPreds{V: v, Preds: pred})
 		}
 	}
 	res.Preds = s.collectPreds

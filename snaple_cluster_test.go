@@ -114,7 +114,7 @@ func TestClusterManifest(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go func() { _ = wire.ServeWith(l, nil, wire.ServeOptions{Resident: wire.ResidentFromShard(loaded)}) }()
+		go func() { _ = wire.ServeWith(l, nil, wire.ServeOptions{Resident: loaded}) }()
 		addrs = append(addrs, l.Addr().String())
 	}
 	manPath := filepath.Join(dir, "g.sgr.manifest")
