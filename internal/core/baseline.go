@@ -133,8 +133,10 @@ func (bstep3) Gather(_, _ graph.VertexID, _, dstD *bdata, _ *struct{}) ([]nbrLis
 
 // Sum implements gas.Program. Duplicated candidates (z reachable through
 // several neighbours) are deduplicated in Apply; carrying them until then is
-// exactly the redundant transfer of the naive approach.
-func (bstep3) Sum(a, b []nbrList) []nbrList { return append(a, b...) }
+// exactly the redundant transfer of the naive approach. a may be a
+// neighbour's stored Two, which other vertices gather too: clipping it makes
+// the append copy instead of writing into that row's spare capacity.
+func (bstep3) Sum(a, b []nbrList) []nbrList { return append(a[:len(a):len(a)], b...) }
 
 // Apply scores every distinct 2-hop candidate with Jaccard on the full
 // neighbourhoods and keeps the top k (Algorithm 1, line 2 restricted to

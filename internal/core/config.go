@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"snaple/internal/graph"
-	"snaple/internal/randx"
 )
 
 // SelectionPolicy chooses which k_local neighbours each vertex keeps as path
@@ -165,19 +164,3 @@ func (p ScopedPredictions) Dense(n int) Predictions {
 	}
 	return out
 }
-
-// keepTruncated reports whether the truncation of Algorithm 2 (line 3)
-// retains neighbour v of vertex u whose out-degree is deg. The decision is a
-// hash draw keyed by (seed, u, v), so it is independent of evaluation order
-// and identical across the distributed and serial implementations.
-func keepTruncated(seed uint64, u, v graph.VertexID, deg, thr int) bool {
-	if thr == Unlimited || deg <= thr {
-		return true
-	}
-	return randx.Float64(seed^truncSalt, uint64(u), uint64(v)) < float64(thr)/float64(deg)
-}
-
-const (
-	truncSalt  = 0x51AF1E01
-	rndSelSalt = 0x51AF1E02
-)

@@ -10,19 +10,20 @@ import (
 // This file is the wire worker's scheduler of Algorithm 2: DistPartition runs
 // the gather and sum+apply phases of every superstep over one shard of a
 // vertex-cut, with the mirror/master exchange carried over TCP by
-// internal/wire instead of the in-memory gref tables of gas.Distribute. It
-// owns no step logic of its own — the gather bodies are the kernels the sim
-// backend's step programs call (keepTruncated, simScore, appendCombine,
-// appendTwoHop, appendCombine3 in snaple.go / khop.go) and the applies are
-// those programs' Apply methods; what is here is the streaming loop over a
-// shard's sorted source runs and the per-query replica state.
+// internal/wire instead of the in-memory gref tables of gas.Distribute. Like
+// StepRunner and the sim backend's GAS programs it owns no step logic: the
+// gathers are steps.go's per-edge kernels (keepTruncated, Similarity.Score,
+// appendCombine, appendTwoHop, appendCombine3) and the applies its per-vertex
+// ones (applyTruncate, applyRelays, applyTwoHop, applyCombine). What is here
+// is the streaming loop over a shard's sorted source runs and the per-job
+// replica state.
 //
 // Determinism across substrates holds for the same reason it does between
 // the serial, local and sim backends: every random draw is hash-keyed by
-// (seed, vertex IDs) and every fold canonicalises its input before reducing
-// (step 1 and 2 applies sort, Aggregator.FoldPaths sorts path values), so
-// partials may arrive from the network in any order without changing a bit
-// of the output.
+// (seed, vertex IDs) and every apply canonicalises its input before reducing
+// (the applies sort, Aggregator.FoldPaths sorts path values), so partials
+// may arrive from the network in any order without changing a bit of the
+// output.
 
 // DistStep identifies one superstep of Algorithm 2's distributed pipeline.
 type DistStep int
@@ -91,7 +92,7 @@ type DistPartial struct {
 // both for cmd/snaple-worker). Local vertices are addressed by local index —
 // their position in the shard's sorted Locals.
 type DistPartition struct {
-	st *snapleState // cfg only: degrees come from the shard, scoping from scope
+	cfg Config // degrees come from the shard, scoping from scope
 	// shard is the static half: validated once where the worker pinned or
 	// installed it, immutable, shared read-only with every other session.
 	shard *graph.ShardFile
@@ -106,6 +107,9 @@ type DistPartition struct {
 	gatherIDs   []graph.VertexID
 	gatherSims  []VertexSim
 	gatherCands []PathCand
+	// s is the applies' scratch: applies run one at a time, on the session's
+	// gather goroutine and then after it.
+	s Scratch
 }
 
 // NewDistPartition opens a job over a validated shard (graph.ShardFile's
@@ -117,14 +121,14 @@ func NewDistPartition(cfg Config, shard *graph.ShardFile) (*DistPartition, error
 		return nil, err
 	}
 	return &DistPartition{
-		st:    &snapleState{cfg: cfg},
+		cfg:   cfg,
 		shard: shard,
 		data:  make([]VData, len(shard.Locals)),
 	}, nil
 }
 
 // Config returns the partition's configuration with defaults applied.
-func (p *DistPartition) Config() Config { return p.st.cfg }
+func (p *DistPartition) Config() Config { return p.cfg }
 
 // SetScope installs the per-local frontier scope masks of a query-scoped
 // run (one Scope* bitmask per local vertex, aligned with the shard's Locals).
@@ -187,17 +191,17 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(li int32, dp *Dist
 // the source contributed. dp's slices alias the partition's gather scratch,
 // valid until the next gatherRun call.
 //
-// The bodies are the step programs' gather kernels, with two divergences from
-// the sim backend's schedule that cannot change a bit of the output: scoping
-// is the shipped scope masks instead of a frontier (a worker holds one shard
-// and cannot compute the global closure), and candidate lists are left in
-// edge order without the gas engine's sorted merge — Apply canonicalises
-// (sortPathCands + value-sorting folds) before any order could matter.
+// The bodies are the per-edge gather kernels, with two divergences from the
+// sim backend's schedule that cannot change a bit of the output: scoping is
+// the shipped scope masks instead of a frontier (a worker holds one shard and
+// cannot compute the global closure), and candidate lists are left in edge
+// order without the gas engine's sorted merge — the applies canonicalise
+// before any order could matter.
 func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPartial) bool {
 	if !p.inScope(step, si) {
 		return false
 	}
-	cfg := &p.st.cfg
+	cfg := &p.cfg
 	sh := p.shard
 	src, srcD := sh.Locals[si], &p.data[si]
 	*dp = DistPartial{V: src}
@@ -214,25 +218,24 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 	case DistRelays:
 		sims := p.gatherSims[:0]
 		for _, di := range sh.EdgeDst[i:j] {
-			dst := sh.Locals[di]
 			sims = append(sims, VertexSim{
-				V:   dst,
-				Sim: simScore(cfg.Score.Sim, src, dst, srcD.Nbrs, p.data[di].Nbrs, int(sh.Deg[si]), int(sh.Deg[di])),
+				V:   sh.Locals[di],
+				Sim: cfg.Score.Sim.Score(srcD.Nbrs, p.data[di].Nbrs, int(sh.Deg[si]), int(sh.Deg[di])),
 			})
 		}
 		p.gatherSims, dp.Sims = sims, sims
 		return true // every edge contributes a similarity, and j > i
 	default:
-		kernel := (*snapleState).appendCombine
+		kernel := appendCombine
 		switch step {
 		case DistTwoHop:
-			kernel = (*snapleState).appendTwoHop
+			kernel = appendTwoHop
 		case DistCombine3:
-			kernel = (*snapleState).appendCombine3
+			kernel = appendCombine3
 		}
 		cands := p.gatherCands[:0]
 		for _, di := range sh.EdgeDst[i:j] {
-			cands = kernel(p.st, cands, src, sh.Locals[di], srcD, &p.data[di])
+			cands = kernel(cfg.Score.Comb, cands, src, sh.Locals[di], srcD, &p.data[di])
 		}
 		p.gatherCands, dp.Cands = cands, cands
 		return len(cands) > 0
@@ -273,54 +276,34 @@ func (p *DistPartition) GatherVertex(step DistStep, li int32, dp *DistPartial) b
 func (p *DistPartition) Apply(step DistStep, li int32, parts []DistPartial) error {
 	v, d := p.shard.Locals[li], &p.data[li]
 	// A single partial (the streaming session's pre-merged case) skips the
-	// concatenation alloc and feeds its slices to apply directly; the cand
-	// steps still canonicalise, which may reorder the caller's slice in
-	// place — harmless, callers hand over scratch or routing copies.
-	one := len(parts) == 1
+	// concatenation alloc and feeds its slices to the apply directly; the
+	// applies canonicalise, which may reorder the caller's slice in place —
+	// harmless, callers hand over scratch or routing copies.
+	cands := func(dp *DistPartial) []PathCand { return dp.Cands }
 	switch step {
 	case DistTruncate:
-		var sum []graph.VertexID
-		if one {
-			sum = parts[0].Nbrs
-		} else {
-			for _, dp := range parts {
-				sum = append(sum, dp.Nbrs...)
-			}
-		}
-		step1{p.st}.Apply(v, d, sum, len(sum) > 0)
+		d.Nbrs = applyTruncate(concat(parts, func(dp *DistPartial) []graph.VertexID { return dp.Nbrs }))
 	case DistRelays:
-		var sum []VertexSim
-		if one {
-			sum = parts[0].Sims
-		} else {
-			for _, dp := range parts {
-				sum = append(sum, dp.Sims...)
-			}
-		}
-		step2{p.st}.Apply(v, d, sum, len(sum) > 0)
-	case DistCombine, DistTwoHop, DistCombine3:
-		var sum []PathCand
-		if one {
-			sum = parts[0].Cands
-		} else {
-			for _, dp := range parts {
-				sum = append(sum, dp.Cands...)
-			}
-		}
-		// The gas engine merges partials Z-sorted; concatenation needs one
-		// sort to restore the grouping Apply expects. Equal-Z value order is
-		// irrelevant: FoldPaths sorts each group's values before folding.
-		sortPathCands(sum)
-		switch step {
-		case DistCombine:
-			step3{p.st}.Apply(v, d, sum, len(sum) > 0)
-		case DistTwoHop:
-			step3a{p.st}.Apply(v, d, sum, len(sum) > 0)
-		default:
-			step3b{p.st}.Apply(v, d, sum, len(sum) > 0)
-		}
+		d.Sims = p.s.applyRelays(&p.cfg, v, concat(parts, func(dp *DistPartial) []VertexSim { return dp.Sims }))
+	case DistTwoHop:
+		d.TwoHop = applyTwoHop(concat(parts, cands))
+	case DistCombine, DistCombine3:
+		d.Pred = p.s.applyCombine(&p.cfg, concat(parts, cands))
 	default:
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}
 	return nil
+}
+
+// concat joins one payload column of parts, handing a single part's slice
+// over as is.
+func concat[T any](parts []DistPartial, col func(*DistPartial) []T) []T {
+	if len(parts) == 1 {
+		return col(&parts[0])
+	}
+	var sum []T
+	for i := range parts {
+		sum = append(sum, col(&parts[i])...)
+	}
+	return sum
 }

@@ -387,9 +387,10 @@ func (f *Frontier) StepSet(step DistStep) *VertexSet {
 // StepHasWork reports whether step has any gather source with an out-edge —
 // the superstep-skip test: a step whose scope set has no out-edges gathers
 // nothing anywhere, and applying nothing writes the same nil state skipping
-// leaves behind, so substrates may omit the superstep entirely. deg is the
-// full out-degree table. Nil-safe: an unscoped run always has work.
-func (f *Frontier) StepHasWork(step DistStep, deg []int32) bool {
+// leaves behind, so substrates may omit the superstep entirely. Out-degrees
+// are read from g, the view the frontier was computed over. Nil-safe: an
+// unscoped run always has work.
+func (f *Frontier) StepHasWork(step DistStep, g graph.View) bool {
 	if f == nil {
 		return true
 	}
@@ -398,7 +399,7 @@ func (f *Frontier) StepHasWork(step DistStep, deg []int32) bool {
 		return false
 	}
 	for _, v := range set.Members() {
-		if deg[v] > 0 {
+		if g.OutDegree(v) > 0 {
 			return true
 		}
 	}

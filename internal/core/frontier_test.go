@@ -174,8 +174,7 @@ func TestNewFrontierEdgeCases(t *testing.T) {
 	if f.StepSet(DistCombine) != nil {
 		t.Fatal("nil frontier StepSet non-nil")
 	}
-	deg := []int32{0}
-	if !f.StepHasWork(DistCombine, deg) {
+	if !f.StepHasWork(DistCombine, g) {
 		t.Fatal("nil frontier has no work")
 	}
 }
@@ -219,17 +218,13 @@ func TestFrontierScopeMaskMatchesSets(t *testing.T) {
 // isolated sources.
 func TestFrontierStepHasWork(t *testing.T) {
 	g := frontierTestGraph(t)
-	deg := make([]int32, g.NumVertices())
-	for u := 0; u < g.NumVertices(); u++ {
-		deg[u] = int32(g.OutDegree(graph.VertexID(u)))
-	}
 
 	f, err := NewFrontier(g, frontierCfg(t, 2, 300, 301)) // both isolated
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range []DistStep{DistTruncate, DistRelays, DistCombine} {
-		if f.StepHasWork(step, deg) {
+		if f.StepHasWork(step, g) {
 			t.Fatalf("isolated sources: step %v claims work", step)
 		}
 	}
@@ -239,7 +234,7 @@ func TestFrontierStepHasWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, step := range []DistStep{DistTruncate, DistRelays, DistCombine} {
-		if !f.StepHasWork(step, deg) {
+		if !f.StepHasWork(step, g) {
 			t.Fatalf("hub source: step %v claims no work", step)
 		}
 	}

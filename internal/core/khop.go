@@ -30,42 +30,27 @@ import (
 
 // step3a materialises at every vertex v its sampled 2-hop path list
 // {(w, sim(v,z) ⊗ sim(z,w)) : z ∈ sims(v), w ∈ sims(z), w ≠ v}.
-type step3a struct{ *snapleState }
+type step3a struct{ r *StepRunner }
 
 // Direction implements gas.Program.
 func (step3a) Direction() gas.Direction { return gas.Out }
 
 // Gather emits v's 2-hop paths through the edge (v,z); only edges to
-// relays contribute.
-func (s step3a) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
-	if !s.frontier.InTwoHop(src) {
+// relays contribute (appendTwoHop).
+func (p step3a) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
+	if !p.r.frontier.InTwoHop(src) {
 		return nil, false
 	}
-	out := s.appendTwoHop(nil, src, dst, srcD, dstD)
+	out := appendTwoHop(p.r.cfg.Score.Comb, nil, src, dst, srcD, dstD)
 	return out, len(out) > 0
-}
-
-// appendTwoHop is step 3a's gather kernel (see appendCombine): the 2-hop
-// paths src→dst→w through the relay dst, ascending by Z.
-func (s *snapleState) appendTwoHop(out []PathCand, src, dst graph.VertexID, srcD, dstD *VData) []PathCand {
-	svz, ok := lookupSim(srcD.Sims, dst)
-	if !ok {
-		return out
-	}
-	out = slices.Grow(out, len(dstD.Sims))
-	return s.appendRelayPaths(out, svz, src, nil, dstD.Sims)
 }
 
 // Sum merges sorted path lists (same as step 3).
 func (step3a) Sum(a, b []PathCand) []PathCand { return step3{}.Sum(a, b) }
 
-// Apply stores the flat 2-hop path list, sorted by candidate.
-func (step3a) Apply(_ graph.VertexID, d *VData, sum []PathCand, has bool) {
-	if !has {
-		d.TwoHop = nil
-		return
-	}
-	d.TwoHop = append([]PathCand(nil), sum...)
+// Apply implements gas.Program (applyTwoHop).
+func (step3a) Apply(_ graph.VertexID, d *VData, sum []PathCand, _ bool) {
+	d.TwoHop = applyTwoHop(sum)
 }
 
 // VertexBytes implements gas.Program.
@@ -77,51 +62,31 @@ func (step3a) VertexBytes(v *VData) int64 { return vdataBytes(v) }
 func (step3a) GatherBytes(g []PathCand) int64 { return 12 * int64(len(g)) }
 
 // step3b combines 2-hop and 3-hop paths into final predictions.
-type step3b struct{ *snapleState }
+type step3b struct{ r *StepRunner }
 
 // Direction implements gas.Program.
 func (step3b) Direction() gas.Direction { return gas.Out }
 
 // Gather emits, for the edge (u,v) with relay v: the 2-hop paths u→v→z and
-// the 3-hop paths u→v→(z→w) obtained by extending v's stored 2-hop list.
-func (s step3b) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
-	if !s.frontier.InPred(src) {
+// the 3-hop paths u→v→(z→w) obtained by extending v's stored 2-hop list
+// (appendCombine3).
+func (p step3b) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
+	if !p.r.frontier.InPred(src) {
 		return nil, false
 	}
-	out := s.appendCombine3(nil, src, dst, srcD, dstD)
+	out := appendCombine3(p.r.cfg.Score.Comb, nil, src, dst, srcD, dstD)
 	// Contributions interleave Sims and TwoHop candidates: restore the Z order
 	// Sum's merge expects.
 	slices.SortStableFunc(out, func(a, b PathCand) int { return cmp.Compare(a.Z, b.Z) })
 	return out, len(out) > 0
 }
 
-// appendCombine3 is step 3b's gather kernel (see appendCombine): step 3's
-// candidates through the relay dst, then dst's stored 2-hop list extended by
-// the edge (src, dst). The two halves are each ascending by Z, the whole is
-// not.
-func (s *snapleState) appendCombine3(out []PathCand, src, dst graph.VertexID, srcD, dstD *VData) []PathCand {
-	suv, ok := lookupSim(srcD.Sims, dst)
-	if !ok {
-		return out
-	}
-	out = slices.Grow(out, len(dstD.Sims)+len(dstD.TwoHop))
-	out = s.appendRelayPaths(out, suv, src, srcD.Nbrs, dstD.Sims)
-	comb := s.cfg.Score.Comb.Fn
-	for _, pc := range dstD.TwoHop {
-		if pc.Z == src || containsVertex(srcD.Nbrs, pc.Z) {
-			continue
-		}
-		out = append(out, PathCand{Z: pc.Z, S: comb(suv, pc.S)})
-	}
-	return out
-}
-
 // Sum merges sorted path lists.
 func (step3b) Sum(a, b []PathCand) []PathCand { return step3{}.Sum(a, b) }
 
 // Apply aggregates per candidate and selects the top-k (same as step 3).
-func (s step3b) Apply(u graph.VertexID, d *VData, sum []PathCand, has bool) {
-	step3{s.snapleState}.Apply(u, d, sum, has)
+func (p step3b) Apply(u graph.VertexID, d *VData, sum []PathCand, has bool) {
+	step3(p).Apply(u, d, sum, has)
 }
 
 // VertexBytes implements gas.Program.

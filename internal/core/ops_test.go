@@ -24,11 +24,6 @@ func TestSimilarityTable(t *testing.T) {
 		{"jaccard identical", Jaccard{}, a, a, 0, 0, 1},
 		{"jaccard disjoint", Jaccard{}, a, []graph.VertexID{9}, 0, 0, 0},
 		{"jaccard empty", Jaccard{}, empty, empty, 0, 0, 0},
-		{"common", CommonNeighbors{}, a, b, 0, 0, 2},
-		{"cosine", Cosine{}, a, b, 0, 0, 2 / math.Sqrt(12)},
-		{"cosine empty", Cosine{}, empty, b, 0, 0, 0},
-		{"overlap", Overlap{}, a, b, 0, 0, 2.0 / 3.0},
-		{"overlap empty", Overlap{}, a, empty, 0, 0, 0},
 		{"invdeg", InverseDegree{}, a, b, 7, 4, 0.25},
 		{"invdeg zero", InverseDegree{}, a, b, 7, 0, 0},
 	}

@@ -1,15 +1,16 @@
 // Package core implements SNAPLE, the paper's contribution: a link-prediction
 // scoring framework built from a raw vertex similarity, a path combinator ⊗
-// and a path aggregator ⊕ (Section 3). Algorithm 2 is decomposed into
-// per-vertex step primitives (steps.go) consumed by every execution backend
-// of internal/engine: the serial reference loop (the test oracle), the
-// parallel shared-memory backend, and the three-superstep GAS program of the
-// simulated cluster (Section 4). The package also contains the BASELINE
-// comparison system (a direct 2-hop implementation of Algorithm 1).
+// and a path aggregator ⊕ (Section 3). Algorithm 2 is written once, as one
+// kernel set over rows (steps.go); every substrate is a scheduler of it:
+// StepRunner for the serial reference loop (the test oracle), the parallel
+// shared-memory backend and the supervised features; the GAS step programs
+// (Section 4) for the simulated cluster; DistPartition for the wire worker.
+// The package also contains the BASELINE comparison system (a direct 2-hop
+// implementation of Algorithm 1).
 package core
 
 import (
-	"math"
+	"sort"
 
 	"snaple/internal/graph"
 )
@@ -24,6 +25,12 @@ type Similarity interface {
 	// Score computes sim(u,v). uNbrs and vNbrs are sorted ascending and must
 	// be treated as read-only.
 	Score(uNbrs, vNbrs []graph.VertexID, uDeg, vDeg int) float64
+}
+
+// containsVertex binary-searches a sorted vertex list.
+func containsVertex(nbrs []graph.VertexID, v graph.VertexID) bool {
+	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
+	return i < len(nbrs) && nbrs[i] == v
 }
 
 // gallopRatio is the length skew beyond which intersectionSize switches from
@@ -120,51 +127,6 @@ func (Jaccard) Score(uNbrs, vNbrs []graph.VertexID, _, _ int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// CommonNeighbors is |Γ(u) ∩ Γ(v)|, the simplest Liben-Nowell/Kleinberg
-// metric.
-type CommonNeighbors struct{}
-
-// Name implements Similarity.
-func (CommonNeighbors) Name() string { return "common" }
-
-// Score implements Similarity.
-func (CommonNeighbors) Score(uNbrs, vNbrs []graph.VertexID, _, _ int) float64 {
-	return float64(intersectionSize(uNbrs, vNbrs))
-}
-
-// Cosine is |Γ(u) ∩ Γ(v)| / sqrt(|Γ(u)|·|Γ(v)|).
-type Cosine struct{}
-
-// Name implements Similarity.
-func (Cosine) Name() string { return "cosine" }
-
-// Score implements Similarity.
-func (Cosine) Score(uNbrs, vNbrs []graph.VertexID, _, _ int) float64 {
-	if len(uNbrs) == 0 || len(vNbrs) == 0 {
-		return 0
-	}
-	inter := intersectionSize(uNbrs, vNbrs)
-	return float64(inter) / math.Sqrt(float64(len(uNbrs))*float64(len(vNbrs)))
-}
-
-// Overlap is |Γ(u) ∩ Γ(v)| / min(|Γ(u)|, |Γ(v)|).
-type Overlap struct{}
-
-// Name implements Similarity.
-func (Overlap) Name() string { return "overlap" }
-
-// Score implements Similarity.
-func (Overlap) Score(uNbrs, vNbrs []graph.VertexID, _, _ int) float64 {
-	m := len(uNbrs)
-	if len(vNbrs) < m {
-		m = len(vNbrs)
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(intersectionSize(uNbrs, vNbrs)) / float64(m)
-}
-
 // InverseDegree is 1/|Γ(v)|, the per-edge transition probability of a random
 // walk; combined with the sum combinator and Sum aggregator it yields the
 // paper's PPR-like score (Table 3, grey row).
@@ -183,8 +145,5 @@ func (InverseDegree) Score(_, _ []graph.VertexID, _, vDeg int) float64 {
 
 var (
 	_ Similarity = Jaccard{}
-	_ Similarity = CommonNeighbors{}
-	_ Similarity = Cosine{}
-	_ Similarity = Overlap{}
 	_ Similarity = InverseDegree{}
 )

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"snaple/internal/cluster"
@@ -103,27 +105,42 @@ func TestGASMatchesSerialReference(t *testing.T) {
 }
 
 // TestGASBaselineMatchesSerialReference: the distributed BASELINE equals its
-// serial oracle exactly.
+// serial oracle exactly, over community graphs of two sizes and six seeds,
+// hash-edge cuts of 1, 3 and 8 parts and a greedy cut, on one host worker and
+// on several. Two vertices gathering through the same neighbour must not
+// share storage for their partial sums (gas.Program's Sum contract).
 func TestGASBaselineMatchesSerialReference(t *testing.T) {
-	g := communityGraph(t, 250, 31)
-	want, err := ReferenceBaseline(g, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 3, 6} {
-		assign, err := partition.Greedy{}.Partition(g, parts)
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{300, 800} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			g := communityGraph(t, n, seed)
+			want, err := ReferenceBaseline(g, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, parts := range []int{1, 3, 8} {
+				strategies := []partition.Strategy{partition.HashEdge{Seed: seed}}
+				if seed == 1 {
+					strategies = append(strategies, partition.Greedy{})
+				}
+				for _, strat := range strategies {
+					assign, err := strat.Partition(g, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, workers := range []int{1, 4} {
+						cl, err := cluster.New(cluster.Config{Nodes: 2, Spec: cluster.TypeII()}, parts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := PredictBaselineGASWorkers(g, assign, cl, 5, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						predictionsEqual(t, res.Pred, want, fmt.Sprintf("baseline n=%d seed=%d %s/%d workers=%d", n, seed, strat.Name(), parts, workers))
+					}
+				}
+			}
 		}
-		cl, err := cluster.New(cluster.Config{Nodes: 2, Spec: cluster.TypeII()}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := PredictBaselineGAS(g, assign, cl, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		predictionsEqual(t, res.Pred, want, "baseline")
 	}
 }
 
@@ -253,6 +270,10 @@ func TestSelectionPolicies(t *testing.T) {
 	cfgMax := Config{KLocal: 2, Policy: SelectMax}
 	cfgMin := Config{KLocal: 2, Policy: SelectMin}
 	cfgRnd := Config{KLocal: 2, Policy: SelectRnd, Seed: 123}
+	selectRelays := func(cfg Config, u graph.VertexID, cands []VertexSim) []VertexSim {
+		var s Scratch
+		return s.applyRelays(&cfg, u, slices.Clone(cands))
+	}
 
 	max := selectRelays(cfgMax, 0, cands)
 	if len(max) != 2 || max[0].V != 1 || max[1].V != 4 {

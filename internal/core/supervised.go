@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"snaple/internal/graph"
 	"snaple/internal/randx"
@@ -27,7 +29,14 @@ import (
 // vector; see pathFeatures.
 const numPathFeatures = 6
 
-// pathFeatures turns a candidate's path descriptors into features:
+// featurePath is one kept 2-hop path u→v→z of a candidate z: its
+// linear-combination value sim(u,v) ⊗ sim(v,z) (α=0.9) and 1/|Γ(v)|.
+type featurePath struct {
+	z      graph.VertexID
+	s, inv float64
+}
+
+// pathFeatures turns a candidate's paths into features:
 //
 //	0: linear-combination Sum  (the paper's linearSum, α=0.9)
 //	1: path count              (counter)
@@ -35,18 +44,17 @@ const numPathFeatures = 6
 //	3: mean path similarity    (linearMean)
 //	4: max path similarity
 //	5: min path similarity
-func pathFeatures(suv, svz []float64, invDeg []float64) [numPathFeatures]float64 {
+func pathFeatures(paths []featurePath) [numPathFeatures]float64 {
 	var f [numPathFeatures]float64
-	n := len(suv)
+	n := len(paths)
 	if n == 0 {
 		return f
 	}
-	lin := Linear(0.9).Fn
 	minS, maxS := math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		s := lin(suv[i], svz[i])
+	for _, p := range paths {
+		s := p.s
 		f[0] += s
-		f[2] += invDeg[i]
+		f[2] += p.inv
 		f[3] += s
 		if s > maxS {
 			maxS = s
@@ -115,86 +123,56 @@ func (m *SupervisedModel) score(f [numPathFeatures]float64) float64 {
 }
 
 // candidateFeatures computes, for every vertex u of g, the feature vector
-// of every k_local-sampled 2-hop candidate. It mirrors ReferenceSnaple's
-// structure (steps 1-3) with Jaccard relays.
-func candidateFeatures(g graph.View, klocal, thr int, seed uint64) []map[graph.VertexID][numPathFeatures]float64 {
-	cfg := Config{
+// of every k_local-sampled 2-hop candidate: ReferenceSnaple's steps 1-2
+// (runSteps12, Jaccard relays) and then its step-3 candidate kernel, with
+// the paths of each candidate kept apart for the features instead of folded.
+func candidateFeatures(g graph.View, klocal, thr int, seed uint64) ([]map[graph.VertexID][numPathFeatures]float64, error) {
+	r, err := NewStepRunner(g, Config{
 		Score:    ScoreSpec{Name: "features", Sim: Jaccard{}, Comb: Linear(0.9), Agg: AggSum()},
 		K:        1,
 		KLocal:   klocal,
 		ThrGamma: thr,
 		Seed:     seed,
+	})
+	if err != nil {
+		return nil, err
 	}
-	st := newSnapleState(g, cfg)
 	n := g.NumVertices()
+	s := r.NewScratch()
+	trunc, sims := runSteps12(r, n, s)
 
-	trunc := make([][]graph.VertexID, n)
-	for u := 0; u < n; u++ {
-		uid := graph.VertexID(u)
-		all := g.OutNeighbors(uid)
-		kept := make([]graph.VertexID, 0, len(all))
-		for _, v := range all {
-			if keepTruncated(seed, uid, v, int(st.deg[u]), thr) {
-				kept = append(kept, v)
-			}
-		}
-		trunc[u] = kept
-	}
-	sims := make([][]VertexSim, n)
-	for u := 0; u < n; u++ {
-		uid := graph.VertexID(u)
-		nbrs := g.OutNeighbors(uid)
-		if len(nbrs) == 0 {
-			continue
-		}
-		cands := make([]VertexSim, 0, len(nbrs))
-		for _, v := range nbrs {
-			cands = append(cands, VertexSim{
-				V:   v,
-				Sim: simScore(cfg.Score.Sim, uid, v, trunc[u], trunc[v], int(st.deg[u]), int(st.deg[v])),
-			})
-		}
-		sims[u] = selectRelays(cfg, uid, cands)
-	}
-
-	type pathSet struct{ suv, svz, inv []float64 }
 	out := make([]map[graph.VertexID][numPathFeatures]float64, n)
-	for u := 0; u < n; u++ {
+	var cands []PathCand
+	var paths []featurePath
+	for u := range n {
 		uid := graph.VertexID(u)
-		if len(sims[u]) == 0 {
-			continue
-		}
-		paths := make(map[graph.VertexID]*pathSet)
-		for _, vs := range sims[u] {
-			for _, zs := range sims[vs.V] {
-				z := zs.V
-				if z == uid || containsVertex(trunc[u], z) {
-					continue
-				}
-				ps := paths[z]
-				if ps == nil {
-					ps = &pathSet{}
-					paths[z] = ps
-				}
-				ps.suv = append(ps.suv, vs.Sim)
-				ps.svz = append(ps.svz, zs.Sim)
-				inv := 0.0
-				if d := st.deg[vs.V]; d > 0 {
-					inv = 1 / float64(d)
-				}
-				ps.inv = append(ps.inv, inv)
+		uTrunc := trunc.Row(uid)
+		paths = paths[:0]
+		for _, vs := range sims.Row(uid) {
+			cands = appendRelayPaths(r.cfg.Score.Comb, cands[:0], vs.Sim, uid, uTrunc, sims.Row(vs.V))
+			inv := 1 / float64(r.degree(vs.V)) // read only when v has relays, i.e. out-edges
+			for _, pc := range cands {
+				paths = append(paths, featurePath{z: pc.Z, s: pc.S, inv: inv})
 			}
 		}
 		if len(paths) == 0 {
 			continue
 		}
-		feats := make(map[graph.VertexID][numPathFeatures]float64, len(paths))
-		for z, ps := range paths {
-			feats[z] = pathFeatures(ps.suv, ps.svz, ps.inv)
+		// Group by candidate; the stable sort keeps each group's paths in
+		// relay order, the order the features sum them in.
+		slices.SortStableFunc(paths, func(a, b featurePath) int { return cmp.Compare(a.z, b.z) })
+		feats := make(map[graph.VertexID][numPathFeatures]float64)
+		for i := 0; i < len(paths); {
+			j := i + 1
+			for j < len(paths) && paths[j].z == paths[i].z {
+				j++
+			}
+			feats[paths[i].z] = pathFeatures(paths[i:j])
+			i = j
 		}
 		out[u] = feats
 	}
-	return out
+	return out, nil
 }
 
 // TrainSupervised learns a scoring function on g: it hides one edge per
@@ -225,7 +203,10 @@ func TrainSupervised(g graph.View, cfg SupervisedConfig) (*SupervisedModel, erro
 		return nil, fmt.Errorf("core: supervised training needs vertices with degree > 3")
 	}
 	train := graph.Without(g, removed)
-	feats := candidateFeatures(train, cfg.KLocal, cfg.ThrGamma, cfg.Seed)
+	feats, err := candidateFeatures(train, cfg.KLocal, cfg.ThrGamma, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 
 	// Assemble the labelled set. Only vertices whose hidden edge actually
 	// appears among the candidates can teach discrimination; each
@@ -317,7 +298,10 @@ func (m *SupervisedModel) Predict(g graph.View, k int) (Predictions, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: supervised k=%d, need >= 1", k)
 	}
-	feats := candidateFeatures(g, m.cfg.KLocal, m.cfg.ThrGamma, m.cfg.Seed)
+	feats, err := candidateFeatures(g, m.cfg.KLocal, m.cfg.ThrGamma, m.cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	pred := make(Predictions, g.NumVertices())
 	for u, fm := range feats {
 		if len(fm) == 0 {

@@ -8,12 +8,9 @@ import (
 )
 
 func TestPathFeatures(t *testing.T) {
-	suv := []float64{0.4, 0.2}
-	svz := []float64{0.6, 0.2}
-	inv := []float64{0.5, 0.25}
-	f := pathFeatures(suv, svz, inv)
 	lin := Linear(0.9).Fn
 	s1, s2 := lin(0.4, 0.6), lin(0.2, 0.2)
+	f := pathFeatures([]featurePath{{z: 3, s: s1, inv: 0.5}, {z: 3, s: s2, inv: 0.25}})
 	if math.Abs(f[0]-(s1+s2)) > 1e-12 {
 		t.Errorf("linearSum feature = %v, want %v", f[0], s1+s2)
 	}
@@ -30,7 +27,7 @@ func TestPathFeatures(t *testing.T) {
 		t.Errorf("max/min features = %v/%v", f[4], f[5])
 	}
 	// Empty path set -> zero vector.
-	if pathFeatures(nil, nil, nil) != ([numPathFeatures]float64{}) {
+	if pathFeatures(nil) != ([numPathFeatures]float64{}) {
 		t.Error("empty features not zero")
 	}
 }

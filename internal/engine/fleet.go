@@ -213,7 +213,6 @@ type Fleet struct {
 	timeout     time.Duration // per-superstep bound, 0 = unbounded
 
 	dep *deployment // the cut; parts kept only when ship
-	deg []int32     // per vertex: full out-degree (superstep-skip table)
 
 	addrs  []string // one per connection, shard-major
 	stops  []func() // in-process listeners and spawned processes, for Close
@@ -287,13 +286,9 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 	f := &Fleet{
 		g: g, o: o, shards: shards, replicas: reps, fingerprint: fp, seed: seed, timeout: timeout,
 		dep:     dep,
-		deg:     make([]int32, g.NumVertices()),
 		addrs:   make([]string, shards*reps),
 		conns:   make([]*wire.Conn, shards*reps),
 		openErr: make([]error, shards*reps),
-	}
-	for v := range f.deg {
-		f.deg[v] = int32(g.OutDegree(graph.VertexID(v)))
 	}
 
 	switch {
@@ -666,7 +661,7 @@ func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, err
 // routing is one query's view of the cut, what the superstep driver runs
 // over: how many shards take part (numbered densely in touched order) and,
 // per vertex, the one mastering it and the ones mirroring it. On a scoped
-// query it also carries the frontier and degree table of the superstep-skip
+// query it also carries the frontier and the view of the superstep-skip
 // test.
 type routing struct {
 	parts      int
@@ -675,7 +670,7 @@ type routing struct {
 	replicas   int       // total replica count
 	present    int       // vertices with at least one replica
 	frontier   *core.Frontier
-	deg        []int32
+	g          graph.View
 }
 
 func (r *routing) replicationFactor() float64 {
@@ -689,7 +684,7 @@ func (r *routing) replicationFactor() float64 {
 // of the step's frontier set has an out-edge (every such edge lies on a
 // touched shard). Always true on a full run.
 func (r *routing) stepHasWork(step core.DistStep) bool {
-	return r.frontier.StepHasWork(step, r.deg)
+	return r.frontier.StepHasWork(step, r.g)
 }
 
 // route computes the query's touched shard set and the routing the superstep
@@ -739,7 +734,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		masterPart: make([]int32, n),
 		mirrors:    make([][]int32, n),
 		frontier:   frontier,
-		deg:        f.deg,
+		g:          f.g,
 	}
 	for v := range rt.masterPart {
 		rt.masterPart[v] = -1

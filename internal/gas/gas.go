@@ -30,7 +30,12 @@
 // Contracts programs must follow (all SNAPLE/BASELINE programs do):
 //
 //   - Sum(a, b) may mutate and return a, and may consume b; partial sums are
-//     discarded after the step.
+//     discarded after the step. But a Sum may not write into storage that a
+//     Gather returned from vertex state: several vertices gather the same
+//     neighbour's row, within one partition and across concurrent ones, so
+//     appending into its spare capacity corrupts their partials (clip it,
+//     a[:len(a):len(a)], before appending).
+//   - Apply may reorder sum in place; it is a partial sum too.
 //   - Apply must *replace* reference-typed fields of V rather than mutating
 //     their backing storage in place, because mirrors share that storage
 //     until the next broadcast.

@@ -7,9 +7,9 @@
 //
 // The package is a facade over the repository's internals:
 //
-//   - the SNAPLE scoring framework: Algorithm 2 decomposed into reusable
-//     per-vertex step primitives, plus the naive BASELINE comparison system
-//     (internal/core),
+//   - the SNAPLE scoring framework: Algorithm 2 written once as a kernel set
+//     that every backend schedules, plus the naive BASELINE comparison
+//     system (internal/core),
 //   - a pluggable execution layer (internal/engine) with four backends
 //     behind one interface: "local", a parallel shared-memory engine that
 //     shards vertex ranges over goroutines; "serial", the single-threaded
