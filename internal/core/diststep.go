@@ -21,9 +21,9 @@ import (
 // Determinism across substrates holds for the same reason it does between
 // the serial, local and sim backends: every random draw is hash-keyed by
 // (seed, vertex IDs) and every apply canonicalises its input before reducing
-// (the applies sort, Aggregator.FoldPaths sorts path values), so partials
-// may arrive from the network in any order without changing a bit of the
-// output.
+// (the applies sort or merge it, Aggregator.FoldPaths sorts path values), so
+// partials may arrive from the network in any order without changing a bit
+// of the output.
 
 // DistStep identifies one superstep of Algorithm 2's distributed pipeline.
 type DistStep int
@@ -276,9 +276,9 @@ func (p *DistPartition) GatherVertex(step DistStep, li int32, dp *DistPartial) b
 func (p *DistPartition) Apply(step DistStep, li int32, parts []DistPartial) error {
 	v, d := p.shard.Locals[li], &p.data[li]
 	// A single partial (the streaming session's pre-merged case) skips the
-	// concatenation alloc and feeds its slices to the apply directly; the
-	// applies canonicalise, which may reorder the caller's slice in place —
-	// harmless, callers hand over scratch or routing copies.
+	// concatenation alloc and feeds its slices to the apply directly; step 2's
+	// apply sorts in place, which may reorder the caller's slice — harmless,
+	// callers hand over scratch or routing copies.
 	cands := func(dp *DistPartial) []PathCand { return dp.Cands }
 	switch step {
 	case DistTruncate:
@@ -286,9 +286,9 @@ func (p *DistPartition) Apply(step DistStep, li int32, parts []DistPartial) erro
 	case DistRelays:
 		d.Sims = p.s.applyRelays(&p.cfg, v, concat(parts, func(dp *DistPartial) []VertexSim { return dp.Sims }))
 	case DistTwoHop:
-		d.TwoHop = applyTwoHop(concat(parts, cands))
+		d.TwoHop = p.s.applyTwoHop(v, concat(parts, cands), nil)
 	case DistCombine, DistCombine3:
-		d.Pred = p.s.applyCombine(&p.cfg, concat(parts, cands))
+		d.Pred = p.s.applyCombine(&p.cfg, v, concat(parts, cands), nil)
 	default:
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}

@@ -49,8 +49,9 @@ func (p step3a) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) 
 func (step3a) Sum(a, b []PathCand) []PathCand { return step3{}.Sum(a, b) }
 
 // Apply implements gas.Program (applyTwoHop).
-func (step3a) Apply(_ graph.VertexID, d *VData, sum []PathCand, _ bool) {
-	d.TwoHop = applyTwoHop(sum)
+func (step3a) Apply(u graph.VertexID, d *VData, sum []PathCand, _ bool) {
+	var s Scratch
+	d.TwoHop = s.applyTwoHop(u, sum, nil)
 }
 
 // VertexBytes implements gas.Program.
@@ -118,7 +119,7 @@ func ReferenceSnaple3Hop(g graph.View, cfg Config) (Predictions, error) {
 	})
 	twoHop.FinishCounts()
 	eachScoped(n, f, DistTwoHop, func(v graph.VertexID) {
-		r.TwoHopFill(v, sims, twoHop.Row(v))
+		r.TwoHopFill(v, sims, twoHop.Row(v), s)
 	})
 
 	// Step 3b: final aggregation over 2- and 3-hop paths.

@@ -97,9 +97,12 @@ func AggGeom() Aggregator {
 // copy of the values and folds ⊕pre in ascending order before applying
 // ⊕post. The sort makes aggregation bit-deterministic regardless of the
 // order paths were discovered in — the distributed engine and the serial
-// reference therefore produce identical floats. (⊕pre is commutative, so
-// sorting does not change the defined result, only the floating-point
-// rounding path.)
+// reference therefore produce identical floats, and step 3's merge may hand
+// a candidate's paths over in any order. (⊕pre is commutative, so sorting
+// does not change the defined result, only the floating-point rounding
+// path.) The step-3 kernels fold through foldGroup, which is this function
+// with the sort skipped for one or two values, ordered by the sort's own
+// comparison.
 func (a Aggregator) FoldPaths(values []float64) float64 {
 	return a.FoldPathsInPlace(append([]float64(nil), values...))
 }

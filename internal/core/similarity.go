@@ -10,7 +10,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"snaple/internal/graph"
 )
@@ -29,8 +29,8 @@ type Similarity interface {
 
 // containsVertex binary-searches a sorted vertex list.
 func containsVertex(nbrs []graph.VertexID, v graph.VertexID) bool {
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	_, ok := slices.BinarySearch(nbrs, v)
+	return ok
 }
 
 // gallopRatio is the length skew beyond which intersectionSize switches from

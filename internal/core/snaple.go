@@ -107,7 +107,8 @@ func (step2) GatherBytes(g []VertexSim) int64 { return 12 * int64(len(g)) }
 // ---- Step 3: combine and aggregate path similarities (lines 12-20) ----
 
 // Gather lists use the PathCand type of steps.go, kept sorted by Z so that
-// Sum is a linear merge and Apply sees per-candidate groups contiguously.
+// Sum is a linear merge and GatherBytes prices a partial per distinct
+// candidate. Apply would merge any concatenation of ascending runs.
 
 type step3 struct{ r *StepRunner }
 
@@ -125,9 +126,8 @@ func (p step3) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) (
 }
 
 // Sum merges two candidate lists sorted by Z, preserving order. Path values
-// for the same candidate stay adjacent; they are folded in Apply (sorted
-// first, so the result is independent of merge order — see
-// Aggregator.FoldPaths).
+// for the same candidate stay adjacent; they are folded in Apply, whose fold
+// is independent of their order (see Aggregator.FoldPaths).
 func (step3) Sum(a, b []PathCand) []PathCand {
 	out := make([]PathCand, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -146,9 +146,9 @@ func (step3) Sum(a, b []PathCand) []PathCand {
 }
 
 // Apply implements gas.Program (applyCombine).
-func (p step3) Apply(_ graph.VertexID, d *VData, sum []PathCand, _ bool) {
+func (p step3) Apply(u graph.VertexID, d *VData, sum []PathCand, _ bool) {
 	var s Scratch
-	d.Pred = s.applyCombine(&p.r.cfg, sum)
+	d.Pred = s.applyCombine(&p.r.cfg, u, sum, nil)
 }
 
 // VertexBytes implements gas.Program.

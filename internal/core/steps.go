@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"snaple/internal/graph"
 	"snaple/internal/randx"
@@ -17,11 +16,23 @@ import (
 //   - step 1: keepTruncated (the hash-keyed Γ̂ draw);
 //   - step 2: Similarity.Score, relayCount and Scratch.selectRelays (the
 //     k_local policy);
-//   - step 3: appendRelayPaths and appendExtendedPaths (line 15's candidate
-//     rule, through one relay), Scratch.appendFoldSorted (⊕ and top-k);
+//   - step 3: pathMerge, the one merge of Z-ascending runs (line 15's
+//     exclusion as a forward cursor over Γ̂(u), ⊗ per kept path), drained by
+//     Scratch.appendTopK (⊕ via foldGroup, then top-k) or appendPaths (3a's
+//     sorted path list); appendRelayPaths and appendExtendedPaths are line
+//     15 through one relay, for the per-edge gathers;
 //   - the per-edge gathers appendCombine / appendTwoHop / appendCombine3 and
 //     the per-vertex applies applyTruncate / applyRelays / applyTwoHop /
 //     applyCombine, which a GAS substrate calls around the exchange.
+//
+// Step 3 never comparison-sorts its candidates. Every input it sees is
+// already a concatenation of Z-ascending runs: the relay rows of u's relays
+// (V-sorted by construction), their stored 2-hop lists (which TwoHopFill
+// and applyTwoHop write through the merge), and a GAS sum (the gathers'
+// ascending runs in arrival order). pathMerge splits its input at each
+// descent and merges the runs pairwise, so a candidate's paths meet in one
+// group. Line 15 is then a cursor over the sorted Γ̂(u) that only moves
+// forward as Z rises, and an excluded group costs no ⊗.
 //
 // Every substrate is a scheduler of these kernels and owns no step logic:
 //
@@ -44,30 +55,26 @@ import (
 // All kernels are deterministic in (graph, Config): truncation and the Γrnd
 // selection draw from hashes keyed by (seed, u, v), selection breaks ties by
 // id, and aggregation folds path values in sorted order
-// (Aggregator.FoldPaths), so every scheduler produces bit-identical
-// Predictions however it orders the work.
+// (Aggregator.FoldPaths; foldGroup orders groups of one or two values with
+// the sort's own comparison instead of calling it), so every scheduler
+// produces bit-identical Predictions however it orders the work — and the
+// merge may hand a group's values over in any order.
 
 // PathCand is one path's contribution to candidate Z: the combined
-// path-similarity of equation (8). Lists are kept sorted by Z so grouping is
-// a linear scan and merging preserves order.
+// path-similarity of equation (8). Lists are built as Z-ascending runs, so
+// the step-3 merge (pathMerge) groups them without a comparison sort.
 type PathCand struct {
 	Z graph.VertexID
 	S float64
 }
 
-// sortPathCands orders candidates by Z ascending. Values for the same Z may
-// appear in any relative order: FoldPaths sorts them before folding.
-func sortPathCands(cands []PathCand) {
-	slices.SortFunc(cands, func(a, b PathCand) int { return cmp.Compare(a.Z, b.Z) })
-}
-
 // lookupSim binary-searches a V-sorted similarity list.
 func lookupSim(sims []VertexSim, v graph.VertexID) (float64, bool) {
-	i := sort.Search(len(sims), func(i int) bool { return sims[i].V >= v })
-	if i < len(sims) && sims[i].V == v {
-		return sims[i].Sim, true
+	i, ok := slices.BinarySearchFunc(sims, v, func(s VertexSim, v graph.VertexID) int { return cmp.Compare(s.V, v) })
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return sims[i].Sim, true
 }
 
 // ---- Step 1 kernel: truncated neighbourhoods Γ̂ (Algorithm 2, lines 1-6) ----
@@ -148,59 +155,228 @@ func (s *Scratch) selectRelays(cfg *Config, u graph.VertexID, cands, dst []Verte
 
 // ---- Step 3 kernels: combine and aggregate path similarities (lines 12-20) ----
 
-// excluded is line 15's exclusion: candidate z of u is dropped when it is u
-// itself or in the sorted list excl (Γ̂(u) for the final steps, nil for step
-// 3a, which keeps every path but the one back to u).
-func excluded(u graph.VertexID, excl []graph.VertexID, z graph.VertexID) bool {
-	return z == u || containsVertex(excl, z)
+// exclusion is line 15's Γ̂(u) ∪ {u}, asked about candidates in ascending
+// order: a forward cursor over the sorted excl (Γ̂(u) for the final steps,
+// nil for step 3a, which keeps every path but the one back to u), so a whole
+// run costs one pass over excl instead of a binary search per candidate.
+type exclusion struct {
+	u    graph.VertexID
+	excl []graph.VertexID
+	i    int // excl[:i] is below every candidate asked about so far
 }
 
-// appendRelayPaths is line 15 through one relay v of u: one candidate per
-// relay z of v, valued suv ⊗ sim(v,z), unless excluded. relays ascend by V,
-// so the appended run ascends by Z.
+// has reports whether candidate z is excluded. z must not be below the
+// previous query's.
+func (x *exclusion) has(z graph.VertexID) bool {
+	for x.i < len(x.excl) && x.excl[x.i] < z {
+		x.i++
+	}
+	return z == x.u || (x.i < len(x.excl) && x.excl[x.i] == z)
+}
+
+// appendRelayPaths is line 15 through one relay v of u, for a per-edge
+// gather: one candidate per relay z of v, valued suv ⊗ sim(v,z), unless
+// excluded. relays ascend by V, so the appended run ascends by Z.
 func appendRelayPaths(comb Combinator, out []PathCand, suv float64, u graph.VertexID, excl []graph.VertexID, relays []VertexSim) []PathCand {
+	x := exclusion{u: u, excl: excl}
 	for _, zs := range relays {
-		if !excluded(u, excl, zs.V) {
+		if !x.has(zs.V) {
 			out = append(out, PathCand{Z: zs.V, S: comb.Fn(suv, zs.Sim)})
 		}
 	}
 	return out
 }
 
-// appendExtendedPaths is appendRelayPaths over v's stored 2-hop list (the
-// 3-hop extension, khop.go): each path v→z→w extends to u→v→(z→w), valued
-// suv ⊗ sim*(v,w).
+// appendExtendedPaths is appendRelayPaths over v's stored Z-ascending 2-hop
+// list (the 3-hop extension, khop.go): each path v→z→w extends to
+// u→v→(z→w), valued suv ⊗ sim*(v,w).
 func appendExtendedPaths(comb Combinator, out []PathCand, suv float64, u graph.VertexID, excl []graph.VertexID, paths []PathCand) []PathCand {
+	x := exclusion{u: u, excl: excl}
 	for _, pc := range paths {
-		if !excluded(u, excl, pc.Z) {
+		if !x.has(pc.Z) {
 			out = append(out, PathCand{Z: pc.Z, S: comb.Fn(suv, pc.S)})
 		}
 	}
 	return out
 }
 
-// appendFoldSorted groups Z-sorted path candidates, folds each group with
-// the aggregator and appends the top-k predictions, best first, to dst.
-func (s *Scratch) appendFoldSorted(cands []PathCand, cfg *Config, dst []Prediction) []Prediction {
+// pathEntry is one path in the merge: candidate z, reached through input
+// src, valued suv[src] ⊗ x — or x itself when the merge has no ⊗.
+type pathEntry struct {
+	z   graph.VertexID
+	src int32
+	x   float64
+}
+
+// pathMerge is step 3's one merge kernel (lines 15-19). Its input is a
+// concatenation of Z-ascending runs — relay rows, stored path lists,
+// gathered sums — which it splits at every descent and merges pairwise,
+// ping-ponging between two buffers, into one Z-ascending list; then it
+// yields that list one Z-group at a time. Line 15's exclusion is a forward
+// cursor advanced as Z rises, and an excluded group is dropped without
+// evaluating its ⊗. It lives in Scratch, so its buffers are reused across
+// vertices.
+type pathMerge struct {
+	ents, tmp []pathEntry                // the input, then the merged list; tmp is the other buffer
+	bounds    []int                      // the runs' bounds in ents, while merging
+	suv       []float64                  // per input: s(u,v) of its relay v
+	comb      func(a, b float64) float64 // ⊗; nil takes each x as it is
+	x         exclusion
+	pos       int       // ents[pos:] is not yet yielded
+	vals      []float64 // the current group's path values
+}
+
+// reset empties the merge for candidate vertex u, with ⊗ = comb (nil for
+// inputs already combined) and exclusion list excl.
+func (m *pathMerge) reset(comb func(a, b float64) float64, u graph.VertexID, excl []graph.VertexID) {
+	m.ents, m.suv, m.pos = m.ents[:0], m.suv[:0], 0
+	m.comb = comb
+	m.x = exclusion{u: u, excl: excl}
+}
+
+// addRelays adds the V-sorted relay row rel of a relay v with s(u,v) = suv.
+func (m *pathMerge) addRelays(suv float64, rel []VertexSim) {
+	src := int32(len(m.suv))
+	m.suv = append(m.suv, suv)
+	for _, zs := range rel {
+		m.ents = append(m.ents, pathEntry{z: zs.V, src: src, x: zs.Sim})
+	}
+}
+
+// addPaths adds a path list — any concatenation of Z-ascending runs —
+// whose entries contribute suv ⊗ S (S itself when comb is nil).
+func (m *pathMerge) addPaths(suv float64, paths []PathCand) {
+	src := int32(len(m.suv))
+	m.suv = append(m.suv, suv)
+	for _, pc := range paths {
+		m.ents = append(m.ents, pathEntry{z: pc.Z, src: src, x: pc.S})
+	}
+}
+
+// merge splits the input at every descent and merges the runs pairwise,
+// pass after pass, into one Z-ascending list, ready for next.
+func (m *pathMerge) merge() {
+	b := append(m.bounds[:0], 0)
+	for i := 1; i < len(m.ents); i++ {
+		if m.ents[i].z < m.ents[i-1].z {
+			b = append(b, i)
+		}
+	}
+	b = append(b, len(m.ents))
+	m.bounds = b
+	if len(b) <= 2 {
+		return // one run, or none
+	}
+	src, dst := m.ents, slices.Grow(m.tmp[:0], len(m.ents))[:len(m.ents)]
+	for len(b) > 2 {
+		k := 1
+		for i := 0; i+1 < len(b); i += 2 {
+			lo, mid, hi := b[i], b[i+1], b[i+1]
+			if i+2 < len(b) {
+				hi = b[i+2]
+			}
+			mergePair(dst[lo:hi], src[lo:mid], src[mid:hi])
+			b[k] = hi
+			k++
+		}
+		b = b[:k]
+		src, dst = dst, src
+	}
+	m.ents, m.tmp = src, dst
+}
+
+// mergePair merges the Z-ascending runs a and b into dst, which must have
+// room for both.
+func mergePair(dst, a, b []pathEntry) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		// Branch-free: which run supplies dst[k] is a coin flip on
+		// interleaved ids, so a branch would mispredict half the time.
+		pair := [2]pathEntry{a[i], b[j]}
+		t := int((uint64(pair[1].z) - uint64(pair[0].z)) >> 63) // 1 when b's head is lower
+		dst[k] = pair[t]
+		i += 1 - t
+		j += t
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// next returns the next Z-group that line 15 keeps: its candidate and its
+// path values in no particular order (foldGroup sorts them), valid until
+// the next call; false once the list is exhausted.
+func (m *pathMerge) next() (graph.VertexID, []float64, bool) {
+	ents := m.ents
+	for m.pos < len(ents) {
+		i, z := m.pos, ents[m.pos].z
+		j := i + 1
+		for j < len(ents) && ents[j].z == z {
+			j++
+		}
+		m.pos = j
+		if m.x.has(z) {
+			continue
+		}
+		vals := m.vals[:0]
+		for _, e := range ents[i:j] {
+			v := e.x
+			if m.comb != nil {
+				v = m.comb(m.suv[e.src], v)
+			}
+			vals = append(vals, v)
+		}
+		if cap(vals) != cap(m.vals) {
+			m.vals = vals // grown: keep the larger buffer
+		}
+		return z, vals, true
+	}
+	return 0, nil, false
+}
+
+// appendPaths drains the merge into dst as one Z-ascending path list.
+func (m *pathMerge) appendPaths(dst []PathCand) []PathCand {
+	m.merge()
+	for z, vals, ok := m.next(); ok; z, vals, ok = m.next() {
+		for _, v := range vals {
+			dst = append(dst, PathCand{Z: z, S: v})
+		}
+	}
+	return dst
+}
+
+// foldGroup is line 19 for one candidate: Aggregator.FoldPathsInPlace,
+// whose sort-before-fold rule keeps results independent of the order paths
+// arrive in. Groups of one or two values skip the sort but fold in the same
+// ascending order, compared as sort.Float64s compares.
+func foldGroup(agg Aggregator, vals []float64) float64 {
+	switch len(vals) {
+	case 1:
+		return agg.Post(vals[0], 1)
+	case 2:
+		lo, hi := vals[0], vals[1]
+		if cmp.Less(hi, lo) {
+			lo, hi = hi, lo
+		}
+		return agg.Post(agg.Pre(lo, hi), 2)
+	}
+	return agg.FoldPathsInPlace(vals)
+}
+
+// appendTopK drains the merge, folding each group (line 19), and appends
+// the top-k predictions (line 20), best first, to dst.
+func (s *Scratch) appendTopK(cfg *Config, dst []Prediction) []Prediction {
 	if s.coll == nil {
 		s.coll = topk.New(cfg.K)
 	}
 	s.coll.Reset()
-	vals := s.vals
-	for i := 0; i < len(cands); {
-		j := i
-		for j < len(cands) && cands[j].Z == cands[i].Z {
-			j++
-		}
-		vals = vals[:0]
-		for _, pc := range cands[i:j] {
-			vals = append(vals, pc.S)
-		}
-		s.coll.Push(uint32(cands[i].Z), cfg.Score.Agg.FoldPathsInPlace(vals))
-		i = j
+	m := &s.merge
+	m.merge()
+	for z, vals, ok := m.next(); ok; z, vals, ok = m.next() {
+		s.coll.Push(uint32(z), foldGroup(cfg.Score.Agg, vals))
 	}
-	s.vals = vals
 	s.items = s.coll.AppendResult(s.items[:0])
+	dst = slices.Grow(dst, len(s.items))
 	for _, it := range s.items {
 		dst = append(dst, Prediction{Vertex: graph.VertexID(it.ID), Score: it.Score})
 	}
@@ -211,8 +387,8 @@ func (s *Scratch) appendFoldSorted(cands []PathCand, cfg *Config, dst []Predicti
 //
 // A GAS scheduler builds a step's row for u edge by edge, in whatever order
 // its partitions and the network deliver the pieces, then applies: the apply
-// canonicalises the row (sorts it) and keeps exactly what StepRunner's fill
-// writes for u. An empty row applies to nil.
+// canonicalises the row (sorts or merges it) and keeps exactly what
+// StepRunner's fill writes for u. An empty row applies to nil.
 
 // appendCombine is step 3's gather for the edge (u, v): the candidates
 // through v, ascending by Z, or nothing when v is not one of u's relays
@@ -272,26 +448,32 @@ func (s *Scratch) applyRelays(cfg *Config, u graph.VertexID, sum []VertexSim) []
 	return out
 }
 
-// applyTwoHop is step 3a's apply: the flat 2-hop path list, sorted by
-// candidate.
-func applyTwoHop(sum []PathCand) []PathCand {
+// The step-3 applies take u's gathered sum: Z-ascending runs concatenated in
+// whatever order they arrived, which the merge splits at each descent. The
+// gathers applied line 15 already, so the merge's exclusion (u itself, no
+// Γ̂(u)) drops nothing. Both append to dst and read sum without modifying it.
+
+// applyTwoHop is step 3a's apply: the 2-hop paths merged into one
+// Z-ascending list.
+func (s *Scratch) applyTwoHop(u graph.VertexID, sum, dst []PathCand) []PathCand {
 	if len(sum) == 0 {
-		return nil
+		return dst
 	}
-	paths := slices.Clone(sum)
-	sortPathCands(paths)
-	return paths
+	s.merge.reset(nil, u, nil)
+	s.merge.addPaths(0, sum)
+	return s.merge.appendPaths(slices.Grow(dst, len(sum)))
 }
 
-// applyCombine is the final step's apply (3 or 3b): the gathered candidates,
-// sorted by Z in place, folded per candidate (⊕pre then ⊕post, line 19) into
-// the top-k predictions (line 20).
-func (s *Scratch) applyCombine(cfg *Config, sum []PathCand) []Prediction {
+// applyCombine is the final step's apply (3 or 3b): the candidates merged,
+// folded per candidate (⊕pre then ⊕post, line 19) and reduced to the top-k
+// predictions (line 20).
+func (s *Scratch) applyCombine(cfg *Config, u graph.VertexID, sum []PathCand, dst []Prediction) []Prediction {
 	if len(sum) == 0 {
-		return nil
+		return dst
 	}
-	sortPathCands(sum)
-	return s.appendFoldSorted(sum, cfg, nil)
+	s.merge.reset(nil, u, nil)
+	s.merge.addPaths(0, sum)
+	return s.appendTopK(cfg, dst)
 }
 
 // ---- StepRunner: the per-vertex scheduler over arenas ----
@@ -365,8 +547,7 @@ func (r *StepRunner) Frontier() *Frontier { return r.frontier }
 // DistPartition; the zero value is ready for the applies.
 type Scratch struct {
 	sims    []VertexSim
-	cands   []PathCand
-	vals    []float64
+	merge   pathMerge
 	items   []topk.Item
 	chosen  []graph.VertexID
 	row     []graph.VertexID // merged-row buffer for overlay views (outRow)
@@ -465,17 +646,12 @@ func (r *StepRunner) CombineAppend(u graph.VertexID, trunc *Arena[graph.VertexID
 	if !r.frontier.InPred(u) {
 		return dst
 	}
-	cands := s.cands[:0]
-	uTrunc := trunc.Row(u)
+	m := &s.merge
+	m.reset(r.cfg.Score.Comb.Fn, u, trunc.Row(u))
 	for _, vs := range sims.Row(u) {
-		cands = appendRelayPaths(r.cfg.Score.Comb, cands, vs.Sim, u, uTrunc, sims.Row(vs.V))
+		m.addRelays(vs.Sim, sims.Row(vs.V))
 	}
-	s.cands = cands
-	if len(cands) == 0 {
-		return dst
-	}
-	sortPathCands(cands)
-	return s.appendFoldSorted(cands, &r.cfg, dst)
+	return s.appendTopK(&r.cfg, dst)
 }
 
 // TwoHopCount returns the length of v's sampled 2-hop path list for step 3a
@@ -497,18 +673,20 @@ func (r *StepRunner) TwoHopCount(v graph.VertexID, sims *Arena[VertexSim]) int {
 }
 
 // TwoHopFill writes v's sampled 2-hop path list {(w, sim(v,z) ⊗ sim(z,w)) :
-// z ∈ sims(v), w ∈ sims(z), w ≠ v} into dst, which must have length
-// TwoHopCount(v). See khop.go for the fold-direction discussion.
-func (r *StepRunner) TwoHopFill(v graph.VertexID, sims *Arena[VertexSim], dst []PathCand) {
+// z ∈ sims(v), w ∈ sims(z), w ≠ v}, ascending by w, into dst, which must
+// have length TwoHopCount(v). See khop.go for the fold-direction discussion.
+func (r *StepRunner) TwoHopFill(v graph.VertexID, sims *Arena[VertexSim], dst []PathCand, s *Scratch) {
 	if !r.frontier.InTwoHop(v) {
 		return
 	}
+	m := &s.merge
+	m.reset(r.cfg.Score.Comb.Fn, v, nil)
+	for _, zs := range sims.Row(v) {
+		m.addRelays(zs.Sim, sims.Row(zs.V))
+	}
 	// Clipped to the row: a miscount reallocates instead of overwriting the
 	// next row.
-	out := dst[:0:len(dst)]
-	for _, zs := range sims.Row(v) {
-		out = appendRelayPaths(r.cfg.Score.Comb, out, zs.Sim, v, nil, sims.Row(zs.V))
-	}
+	m.appendPaths(dst[:0:len(dst)])
 }
 
 // Combine3Append runs step 3b of the 3-hop extension for u: it aggregates
@@ -519,17 +697,11 @@ func (r *StepRunner) Combine3Append(u graph.VertexID, trunc *Arena[graph.VertexI
 	if !r.frontier.InPred(u) {
 		return dst
 	}
-	comb := r.cfg.Score.Comb
-	cands := s.cands[:0]
-	uTrunc := trunc.Row(u)
+	m := &s.merge
+	m.reset(r.cfg.Score.Comb.Fn, u, trunc.Row(u))
 	for _, vs := range sims.Row(u) {
-		cands = appendRelayPaths(comb, cands, vs.Sim, u, uTrunc, sims.Row(vs.V))
-		cands = appendExtendedPaths(comb, cands, vs.Sim, u, uTrunc, twoHop.Row(vs.V))
+		m.addRelays(vs.Sim, sims.Row(vs.V))
+		m.addPaths(vs.Sim, twoHop.Row(vs.V))
 	}
-	s.cands = cands
-	if len(cands) == 0 {
-		return dst
-	}
-	sortPathCands(cands)
-	return s.appendFoldSorted(cands, &r.cfg, dst)
+	return s.appendTopK(&r.cfg, dst)
 }

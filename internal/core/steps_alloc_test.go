@@ -109,7 +109,7 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 					for u := 0; u < n; u++ {
 						uid := graph.VertexID(u)
 						if tc.paths == 3 {
-							r.TwoHopFill(uid, sims, twoHop.Row(uid))
+							r.TwoHopFill(uid, sims, twoHop.Row(uid), s)
 							buf = r.Combine3Append(uid, trunc, sims, twoHop, s, buf)
 						} else {
 							buf = r.CombineAppend(uid, trunc, sims, s, buf)
@@ -118,6 +118,41 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 				})
 				if allocs != 0 {
 					t.Errorf("%s arenas: steady-state pass allocated %.1f times per run, want 0", form, allocs)
+				}
+
+				// The GAS schedulers' step-3 applies, over every vertex's sums
+				// gathered edge by edge, through the same warm Scratch.
+				comb := cfg.Score.Comb
+				data := make([]VData, n)
+				for u := range data {
+					uid := graph.VertexID(u)
+					data[u] = VData{Nbrs: trunc.Row(uid), Sims: sims.Row(uid), TwoHop: twoHop.Row(uid)}
+				}
+				sums, twoSums := make([][]PathCand, n), make([][]PathCand, n)
+				paths := 0
+				for u := range n {
+					uid := graph.VertexID(u)
+					for _, v := range g.OutNeighbors(uid) {
+						if tc.paths == 3 {
+							twoSums[u] = appendTwoHop(comb, twoSums[u], uid, v, &data[u], &data[v])
+							sums[u] = appendCombine3(comb, sums[u], uid, v, &data[u], &data[v])
+						} else {
+							sums[u] = appendCombine(comb, sums[u], uid, v, &data[u], &data[v])
+						}
+					}
+					paths += len(twoSums[u])
+				}
+				twoBuf := make([]PathCand, 0, paths)
+				allocs = testing.AllocsPerRun(5, func() {
+					buf, twoBuf = buf[:0], twoBuf[:0]
+					for u := range n {
+						uid := graph.VertexID(u)
+						twoBuf = s.applyTwoHop(uid, twoSums[u], twoBuf)
+						buf = s.applyCombine(&cfg, uid, sums[u], buf)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s arenas: step-3 applies allocated %.1f times per run, want 0", form, allocs)
 				}
 			}
 		})

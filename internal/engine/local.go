@@ -150,9 +150,11 @@ func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Pred
 	})
 
 	// Step 3: path combination and top-k aggregation. Final predictions are
-	// the run's retained output: each worker appends them to its own buffer
-	// and rows[i] aliases the region, so the per-vertex cost is amortised
-	// append growth instead of one allocation per vertex.
+	// the run's retained output: each worker appends them to its current
+	// block and rows[i] aliases the region. A row never moves: when a block
+	// has no room left for a full row of K, the worker starts a new one
+	// (nextBlock), so a full pass allocates about what it keeps.
+	k := r.Config().K
 	combine := func(w *worker, u graph.VertexID) []core.Prediction {
 		return r.CombineAppend(u, trunc, sims, w.s, w.preds)
 	}
@@ -165,7 +167,7 @@ func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Pred
 		})
 		twoHop.FinishCounts()
 		forEachVertex(r, workers, twoPass, func(w *worker, _ int, v graph.VertexID) {
-			r.TwoHopFill(v, sims, twoHop.Row(v))
+			r.TwoHopFill(v, sims, twoHop.Row(v), w.s)
 		})
 		predStep = core.DistCombine3
 		combine = func(w *worker, u graph.VertexID) []core.Prediction {
@@ -176,6 +178,9 @@ func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Pred
 	rows := make([][]core.Prediction, predPass.len())
 	st.ScoredVertices = len(rows)
 	forEachVertex(r, workers, predPass, func(w *worker, i int, u graph.VertexID) {
+		if cap(w.preds)-len(w.preds) < k {
+			w.preds = make([]core.Prediction, 0, nextBlock(cap(w.preds), k))
+		}
 		begin := len(w.preds)
 		w.preds = combine(w, u)
 		if len(w.preds) > begin {
@@ -186,10 +191,20 @@ func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Pred
 }
 
 // worker is the per-goroutine state of a pass: the reusable step scratch
-// plus the retained prediction buffer of step 3.
+// plus the current block of step 3's retained predictions.
 type worker struct {
 	s     *core.Scratch
 	preds []core.Prediction
+}
+
+// maxBlock caps a step-3 prediction block at 1 MiB (64 Ki predictions of
+// 16 B), so a worker's unused tail stays small beside the pass's output.
+const maxBlock = 64 << 10
+
+// nextBlock sizes a worker's next prediction block: twice the previous one,
+// starting at 16 rows of k and capped at maxBlock, but never below 16 rows.
+func nextBlock(prev, k int) int {
+	return max(16*k, min(2*prev, maxBlock))
 }
 
 // pass is one parallel sweep's vertex sequence: the identity sequence

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"snaple/internal/core"
+	"snaple/internal/gen"
 	"snaple/internal/graph"
 )
 
@@ -194,6 +196,53 @@ func TestScopedAllocationTracksClosure(t *testing.T) {
 			t.Errorf("paths=%d: dense Predict allocated %d B, want the %d B row-header table plus the run's ~%d B",
 				paths, dense, header, onBig)
 		}
+	}
+}
+
+// TestFullPassAllocatesWhatItRetains pins step 3's block chain: a full
+// Local pass on a power-law graph allocates at most 1.3× what it keeps —
+// the trunc and sims arenas, the retained predictions and the rows table.
+// Growing one prediction buffer per worker by doubling allocated several
+// times the output instead. Each worker may leave up to its last block
+// unused, so the ratio is pinned at a fixed worker count.
+func TestFullPassAllocatesWhatItRetains(t *testing.T) {
+	stream, err := gen.NewPowerLawStream(20_000, 200_000, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := stream.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 20, KLocal: 20, ThrGamma: 200, Seed: 42}
+	r, err := core.NewStepRunner(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.NewScratch()
+	n := g.NumVertices()
+	var truncLen, simsLen int
+	for u := range n {
+		truncLen += r.TruncateCount(graph.VertexID(u), s)
+		simsLen += r.RelayCount(graph.VertexID(u))
+	}
+	preds, st, err := Local{Workers: 2}.Predict(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	predLen := 0
+	for _, row := range preds {
+		predLen += len(row)
+	}
+	retained := truncLen*int(unsafe.Sizeof(graph.VertexID(0))) +
+		simsLen*int(unsafe.Sizeof(core.VertexSim{})) +
+		predLen*int(unsafe.Sizeof(core.Prediction{})) +
+		n*int(unsafe.Sizeof([]core.Prediction(nil))) + // the rows table
+		2*(n+1)*int(unsafe.Sizeof(int64(0))) // the arenas' offsets
+	ratio := float64(st.AllocBytes) / float64(retained)
+	t.Logf("full pass allocated %d B for %d B retained (%.2f×)", st.AllocBytes, retained, ratio)
+	if ratio > 1.3 {
+		t.Errorf("allocation is %.2f× the retained bytes, want <= 1.3×", ratio)
 	}
 }
 
