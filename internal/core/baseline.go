@@ -55,11 +55,8 @@ func nbrListsBytes(ls []nbrList) int64 {
 
 type bstep1 struct{}
 
-// Direction implements gas.Program.
-func (bstep1) Direction() gas.Direction { return gas.Out }
-
 // Gather emits {v}.
-func (bstep1) Gather(_, dst graph.VertexID, _, _ *bdata, _ *struct{}) ([]graph.VertexID, bool) {
+func (bstep1) Gather(_, dst graph.VertexID, _, _ *bdata) ([]graph.VertexID, bool) {
 	return []graph.VertexID{dst}, true
 }
 
@@ -87,12 +84,9 @@ func (bstep1) GatherBytes(g []graph.VertexID) int64 { return 4 * int64(len(g)) }
 
 type bstep2 struct{}
 
-// Direction implements gas.Program.
-func (bstep2) Direction() gas.Direction { return gas.Out }
-
 // Gather emits (v, Γ(v)) — the full neighbour list travels the edge, the
 // data flow equation (7) warns about.
-func (bstep2) Gather(_, dst graph.VertexID, _, dstD *bdata, _ *struct{}) ([]nbrList, bool) {
+func (bstep2) Gather(_, dst graph.VertexID, _, dstD *bdata) ([]nbrList, bool) {
 	return []nbrList{{V: dst, Nbrs: dstD.Nbrs}}, true
 }
 
@@ -120,11 +114,8 @@ func (bstep2) GatherBytes(g []nbrList) int64 { return nbrListsBytes(g) }
 
 type bstep3 struct{ k int }
 
-// Direction implements gas.Program.
-func (bstep3) Direction() gas.Direction { return gas.Out }
-
 // Gather forwards the neighbour's stored (z, Γ(z)) map to u.
-func (bstep3) Gather(_, _ graph.VertexID, _, dstD *bdata, _ *struct{}) ([]nbrList, bool) {
+func (bstep3) Gather(_, _ graph.VertexID, _, dstD *bdata) ([]nbrList, bool) {
 	if len(dstD.Two) == 0 {
 		return nil, false
 	}
@@ -194,23 +185,23 @@ func PredictBaselineGASWorkers(g graph.View, assign partition.Assignment, cl *cl
 	if k < 1 {
 		return nil, fmt.Errorf("core: baseline k=%d, need >= 1", k)
 	}
-	dg, err := gas.Distribute[bdata, struct{}](g, assign, cl, gas.Options{Workers: workers})
+	dg, err := gas.Distribute[bdata](g, assign, cl, gas.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{ReplicationFactor: dg.ReplicationFactor()}
 
-	s1, err := gas.RunStep[bdata, struct{}, []graph.VertexID](dg, bstep1{})
+	s1, err := gas.RunStep[bdata, []graph.VertexID](dg, bstep1{})
 	res.record(s1)
 	if err != nil {
 		return res, fmt.Errorf("baseline step 1: %w", err)
 	}
-	s2, err := gas.RunStep[bdata, struct{}, []nbrList](dg, bstep2{})
+	s2, err := gas.RunStep[bdata, []nbrList](dg, bstep2{})
 	res.record(s2)
 	if err != nil {
 		return res, fmt.Errorf("baseline step 2: %w", err)
 	}
-	s3, err := gas.RunStep[bdata, struct{}, []nbrList](dg, bstep3{k: k})
+	s3, err := gas.RunStep[bdata, []nbrList](dg, bstep3{k: k})
 	res.record(s3)
 	if err != nil {
 		return res, fmt.Errorf("baseline step 3: %w", err)

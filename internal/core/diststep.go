@@ -9,8 +9,9 @@ import (
 
 // This file is the wire worker's scheduler of Algorithm 2: DistPartition runs
 // the gather and sum+apply phases of every superstep over one shard of a
-// vertex-cut, with the mirror/master exchange carried over TCP by
-// internal/wire instead of the in-memory gref tables of gas.Distribute. Like
+// vertex-cut — the very shard partition.NewCut builds for the sim's GAS
+// engine — with the mirror/master exchange carried over TCP by internal/wire
+// where the sim moves it in memory. Like
 // StepRunner and the sim backend's GAS programs it owns no step logic: the
 // gathers are steps.go's per-edge kernels (keepTruncated, Similarity.Score,
 // appendCombine, appendTwoHop, appendCombine3) and the applies its per-vertex

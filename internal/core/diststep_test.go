@@ -8,58 +8,24 @@ import (
 	"testing"
 
 	"snaple/internal/graph"
+	"snaple/internal/partition"
 )
 
 // handCut splits g's edges over two shards by hand — edge i of the view's
 // (src, dst) order goes to shard i%2, so nearly every vertex is replicated on
-// both — and elects the lowest host of each vertex its master. It is the
-// smallest thing that yields shards the way engine's cut does: sorted Locals,
-// sorted source runs, full-run roles baked in.
+// both — and builds the shards from that assignment with partition.NewCut,
+// the one builder every scheduler's shards come from.
 func handCut(t *testing.T, g graph.View) []*graph.ShardFile {
 	t.Helper()
-	const shards = 2
-	type edge struct{ u, v graph.VertexID }
-	var edges [shards][]edge
-	i := 0
-	g.ForEachEdge(func(u, v graph.VertexID) {
-		edges[i%shards] = append(edges[i%shards], edge{u, v})
-		i++
-	})
-	out := make([]*graph.ShardFile, shards)
-	for p := range out {
-		sf := &graph.ShardFile{Fingerprint: 0xC07, Shard: p, Shards: shards, NumVertices: g.NumVertices()}
-		for _, e := range edges[p] {
-			sf.Locals = append(sf.Locals, e.u, e.v)
-		}
-		slices.Sort(sf.Locals)
-		sf.Locals = slices.Compact(sf.Locals)
-		for _, v := range sf.Locals {
-			sf.Deg = append(sf.Deg, int32(g.OutDegree(v)))
-		}
-		for _, e := range edges[p] {
-			si, _ := slices.BinarySearch(sf.Locals, e.u)
-			di, _ := slices.BinarySearch(sf.Locals, e.v)
-			sf.EdgeSrc = append(sf.EdgeSrc, int32(si))
-			sf.EdgeDst = append(sf.EdgeDst, int32(di))
-		}
-		sf.IsMaster = make([]bool, len(sf.Locals))
-		sf.HasRemote = make([]bool, len(sf.Locals))
-		out[p] = sf
+	a := partition.Assignment{Parts: 2, EdgeTo: make([]int32, g.NumEdges())}
+	for i := range a.EdgeTo {
+		a.EdgeTo[i] = int32(i % 2)
 	}
-	for li, v := range out[0].Locals {
-		_, both := slices.BinarySearch(out[1].Locals, v)
-		out[0].IsMaster[li], out[0].HasRemote[li] = true, both
+	c, err := partition.NewCut(g, a, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for li, v := range out[1].Locals {
-		_, both := slices.BinarySearch(out[0].Locals, v)
-		out[1].IsMaster[li] = !both
-	}
-	for _, sf := range out {
-		if err := sf.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
+	return c.Shards
 }
 
 func clonePartial(dp *DistPartial) DistPartial {

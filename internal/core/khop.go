@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"snaple/internal/gas"
 	"snaple/internal/graph"
 )
 
@@ -32,12 +31,9 @@ import (
 // {(w, sim(v,z) ⊗ sim(z,w)) : z ∈ sims(v), w ∈ sims(z), w ≠ v}.
 type step3a struct{ r *StepRunner }
 
-// Direction implements gas.Program.
-func (step3a) Direction() gas.Direction { return gas.Out }
-
 // Gather emits v's 2-hop paths through the edge (v,z); only edges to
 // relays contribute (appendTwoHop).
-func (p step3a) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
+func (p step3a) Gather(src, dst graph.VertexID, srcD, dstD *VData) ([]PathCand, bool) {
 	if !p.r.frontier.InTwoHop(src) {
 		return nil, false
 	}
@@ -65,13 +61,10 @@ func (step3a) GatherBytes(g []PathCand) int64 { return 12 * int64(len(g)) }
 // step3b combines 2-hop and 3-hop paths into final predictions.
 type step3b struct{ r *StepRunner }
 
-// Direction implements gas.Program.
-func (step3b) Direction() gas.Direction { return gas.Out }
-
 // Gather emits, for the edge (u,v) with relay v: the 2-hop paths u→v→z and
 // the 3-hop paths u→v→(z→w) obtained by extending v's stored 2-hop list
 // (appendCombine3).
-func (p step3b) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
+func (p step3b) Gather(src, dst graph.VertexID, srcD, dstD *VData) ([]PathCand, bool) {
 	if !p.r.frontier.InPred(src) {
 		return nil, false
 	}

@@ -45,12 +45,9 @@ func vdataBytes(v *VData) int64 {
 
 type step1 struct{ r *StepRunner }
 
-// Direction implements gas.Program.
-func (step1) Direction() gas.Direction { return gas.Out }
-
 // Gather emits {v}, or nothing when the truncation draw rejects the edge
 // (or, on a scoped run, when src's neighbourhood is outside the closure).
-func (p step1) Gather(src, dst graph.VertexID, _, _ *VData, _ *struct{}) ([]graph.VertexID, bool) {
+func (p step1) Gather(src, dst graph.VertexID, _, _ *VData) ([]graph.VertexID, bool) {
 	cfg := &p.r.cfg
 	if !p.r.frontier.InTrunc(src) || !keepTruncated(cfg.Seed, src, dst, p.r.degree(src), cfg.ThrGamma) {
 		return nil, false
@@ -76,11 +73,8 @@ func (step1) GatherBytes(g []graph.VertexID) int64 { return 4 * int64(len(g)) }
 
 type step2 struct{ r *StepRunner }
 
-// Direction implements gas.Program.
-func (step2) Direction() gas.Direction { return gas.Out }
-
 // Gather emits (v, sim(u,v)) computed on the truncated neighbourhoods.
-func (p step2) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]VertexSim, bool) {
+func (p step2) Gather(src, dst graph.VertexID, srcD, dstD *VData) ([]VertexSim, bool) {
 	if !p.r.frontier.InSims(src) {
 		return nil, false
 	}
@@ -112,12 +106,9 @@ func (step2) GatherBytes(g []VertexSim) int64 { return 12 * int64(len(g)) }
 
 type step3 struct{ r *StepRunner }
 
-// Direction implements gas.Program.
-func (step3) Direction() gas.Direction { return gas.Out }
-
 // Gather emits one path-candidate per kept 2-hop path u→v→z through the
 // relay v (Algorithm 2, lines 13-15; appendCombine).
-func (p step3) Gather(src, dst graph.VertexID, srcD, dstD *VData, _ *struct{}) ([]PathCand, bool) {
+func (p step3) Gather(src, dst graph.VertexID, srcD, dstD *VData) ([]PathCand, bool) {
 	if !p.r.frontier.InPred(src) {
 		return nil, false
 	}
@@ -206,7 +197,7 @@ func PredictGASWorkers(g graph.View, assign partition.Assignment, cl *cluster.Cl
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dg, err := gas.Distribute[VData, struct{}](g, assign, cl, gas.Options{Seed: cfg.Seed, Workers: workers})
+	dg, err := gas.Distribute[VData](g, assign, cl, gas.Options{Seed: cfg.Seed, Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -229,14 +220,14 @@ func PredictGASWorkers(g graph.View, assign partition.Assignment, cl *cluster.Cl
 	skip := func(step DistStep) bool { return !r.frontier.StepHasWork(step, g) }
 
 	if !skip(DistTruncate) {
-		s1, err := gas.RunStep[VData, struct{}, []graph.VertexID](dg, step1{r})
+		s1, err := gas.RunStep[VData, []graph.VertexID](dg, step1{r})
 		res.record(s1)
 		if err != nil {
 			return res, fmt.Errorf("snaple step 1: %w", err)
 		}
 	}
 	if !skip(DistRelays) {
-		s2, err := gas.RunStep[VData, struct{}, []VertexSim](dg, step2{r})
+		s2, err := gas.RunStep[VData, []VertexSim](dg, step2{r})
 		res.record(s2)
 		if err != nil {
 			return res, fmt.Errorf("snaple step 2: %w", err)
@@ -246,21 +237,21 @@ func PredictGASWorkers(g graph.View, assign partition.Assignment, cl *cluster.Cl
 		// The footnote-2 extension: materialise 2-hop path lists, then
 		// aggregate 2- and 3-hop paths together (khop.go).
 		if !skip(DistTwoHop) {
-			s3a, err := gas.RunStep[VData, struct{}, []PathCand](dg, step3a{r})
+			s3a, err := gas.RunStep[VData, []PathCand](dg, step3a{r})
 			res.record(s3a)
 			if err != nil {
 				return res, fmt.Errorf("snaple step 3a: %w", err)
 			}
 		}
 		if !skip(DistCombine3) {
-			s3b, err := gas.RunStep[VData, struct{}, []PathCand](dg, step3b{r})
+			s3b, err := gas.RunStep[VData, []PathCand](dg, step3b{r})
 			res.record(s3b)
 			if err != nil {
 				return res, fmt.Errorf("snaple step 3b: %w", err)
 			}
 		}
 	} else if !skip(DistCombine) {
-		s3, err := gas.RunStep[VData, struct{}, []PathCand](dg, step3{r})
+		s3, err := gas.RunStep[VData, []PathCand](dg, step3{r})
 		res.record(s3)
 		if err != nil {
 			return res, fmt.Errorf("snaple step 3: %w", err)

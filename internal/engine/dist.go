@@ -11,14 +11,12 @@ import (
 	"os"
 	"os/exec"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
 	"snaple/internal/core"
 	"snaple/internal/graph"
 	"snaple/internal/partition"
-	"snaple/internal/randx"
 	"snaple/internal/wire"
 )
 
@@ -73,156 +71,63 @@ func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (co
 	return pred, st, err
 }
 
-// deployment is the vertex cut a fleet stands on: the shards themselves —
-// complete graph.ShardFiles, fleet identity and full-run roles included, the
-// same values a pack writes, a ship carries and a worker holds — plus the
-// per-vertex index the query router reads: which shard masters each vertex,
-// which mirror it, and which hold its out-edges.
+// deployment is the vertex cut a fleet stands on — partition.NewCut's
+// shards, stamped with the fleet's identity: the same values a pack writes, a
+// ship carries and a worker holds — plus the one index the query router
+// reads that the cut lacks: which shards hold each vertex's out-edges.
 type deployment struct {
-	fingerprint uint64 // FleetFingerprint of (g, cut), stamped into every shard
-	parts       []*graph.ShardFile
-	masterPart  []int32   // per vertex; -1 when the vertex has no edges
-	mirrors     [][]int32 // per vertex: host shards excluding the master
-	hosts       [][]int32 // per vertex: all host shards, ascending
-	srcShards   [][]int32 // per vertex: shards holding its out-edges, ascending
-	replicas    int       // total replica count
-	present     int       // vertices with at least one replica
+	*partition.Cut
+	fingerprint uint64  // FleetFingerprint of (g, cut), stamped into every shard
+	srcStart    []int   // v's source shards are srcShards[srcStart[v]:srcStart[v+1]]
+	srcShards   []int32 // per vertex, the shards holding its out-edges, ascending
 }
 
-// cut vertex-cuts g into shards partitions and elects masters the same
-// deterministic way gas.Distribute does. (Placement never changes results,
-// only where each apply runs.) Edges keep the view's (src, dst) order within
-// each shard, so every shard satisfies graph.ShardFile.Validate by
-// construction — sorted Locals, non-decreasing EdgeSrc.
+// cut vertex-cuts g into shards partitions: strat's placement, NewCut's
+// shards and masters, and the fleet fingerprint stamped into every shard.
 func cut(g graph.View, strat partition.Strategy, seed uint64, shards int) (*deployment, error) {
 	assign, err := strat.Partition(g, shards)
 	if err != nil {
 		return nil, err
 	}
+	c, err := partition.NewCut(g, assign, seed)
+	if err != nil {
+		return nil, err
+	}
+	dep := &deployment{Cut: c, fingerprint: FleetFingerprint(g, shards, strat.Name(), seed)}
+	for _, sf := range c.Shards {
+		sf.Fingerprint = dep.fingerprint
+	}
+
+	// Source shards by count, prefix and fill. A shard's source runs ascend,
+	// one per vertex with out-edges there, and the shards are walked in
+	// order, so every row ascends.
+	eachSource := func(fn func(p int32, v graph.VertexID)) {
+		for p, sf := range c.Shards {
+			for i, si := range sf.EdgeSrc {
+				if i == 0 || si != sf.EdgeSrc[i-1] {
+					fn(int32(p), sf.Locals[si])
+				}
+			}
+		}
+	}
 	n := g.NumVertices()
-	dep := &deployment{
-		fingerprint: FleetFingerprint(g, shards, strat.Name(), seed),
-		parts:       make([]*graph.ShardFile, shards),
-		srcShards:   make([][]int32, n),
+	dep.srcStart = make([]int, n+1)
+	eachSource(func(_ int32, v graph.VertexID) { dep.srcStart[v+1]++ })
+	for v := range n {
+		dep.srcStart[v+1] += dep.srcStart[v]
 	}
-
-	type rawEdge struct{ u, v graph.VertexID }
-	rawEdges := make([][]rawEdge, shards)
-	{
-		sizes := make([]int, shards)
-		for _, p := range assign.EdgeTo {
-			sizes[p]++
-		}
-		for p := range rawEdges {
-			rawEdges[p] = make([]rawEdge, 0, sizes[p])
-		}
-		i := 0
-		g.ForEachEdge(func(u, v graph.VertexID) {
-			p := assign.EdgeTo[i]
-			i++
-			rawEdges[p] = append(rawEdges[p], rawEdge{u, v})
-			if !slices.Contains(dep.srcShards[u], p) {
-				dep.srcShards[u] = append(dep.srcShards[u], p)
-			}
-		})
-		for _, row := range dep.srcShards {
-			slices.Sort(row)
-		}
-	}
-
-	// lidx maps a vertex to its index+1 in the partition being built (0 = not
-	// local to it): one array shared by every partition, reset after each.
-	lidx := make([]int32, n)
-	for p := 0; p < shards; p++ {
-		locals := []graph.VertexID{} // non-nil even when empty, as a decoded shard's is
-		for _, e := range rawEdges[p] {
-			for _, v := range [2]graph.VertexID{e.u, e.v} {
-				if lidx[v] == 0 {
-					lidx[v] = 1
-					locals = append(locals, v)
-				}
-			}
-		}
-		slices.Sort(locals)
-		deg := make([]int32, len(locals))
-		for i, v := range locals {
-			lidx[v] = int32(i) + 1
-			deg[i] = int32(g.OutDegree(v))
-		}
-		edgeSrc := make([]int32, len(rawEdges[p]))
-		edgeDst := make([]int32, len(rawEdges[p]))
-		for i, e := range rawEdges[p] {
-			edgeSrc[i] = lidx[e.u] - 1
-			edgeDst[i] = lidx[e.v] - 1
-		}
-		for _, v := range locals {
-			lidx[v] = 0
-		}
-		rawEdges[p] = nil // the columns replace it; keeps the cut's peak heap down
-		dep.parts[p] = &graph.ShardFile{
-			Fingerprint: dep.fingerprint, Shard: p, Shards: shards, NumVertices: n,
-			Locals: locals, Deg: deg,
-			EdgeSrc: edgeSrc, EdgeDst: edgeDst,
-			IsMaster:  make([]bool, len(locals)),
-			HasRemote: make([]bool, len(locals)),
-		}
-	}
-
-	// Master election among each vertex's hosts, in ascending shard order —
-	// the same deterministic draw gas.Distribute uses.
-	type vp struct {
-		v graph.VertexID
-		p int32
-	}
-	var pairs []vp
-	for p := 0; p < shards; p++ {
-		for _, v := range dep.parts[p].Locals {
-			pairs = append(pairs, vp{v, int32(p)})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].v != pairs[j].v {
-			return pairs[i].v < pairs[j].v
-		}
-		return pairs[i].p < pairs[j].p
+	dep.srcShards = make([]int32, dep.srcStart[n])
+	fill := slices.Clone(dep.srcStart[:n])
+	eachSource(func(p int32, v graph.VertexID) {
+		dep.srcShards[fill[v]] = p
+		fill[v]++
 	})
-	hostStore := make([]int32, len(pairs)) // every hosts row, back to back
-	for i := range pairs {
-		hostStore[i] = pairs[i].p
-	}
-	dep.masterPart = make([]int32, n)
-	dep.mirrors = make([][]int32, n)
-	dep.hosts = make([][]int32, n)
-	for v := range dep.masterPart {
-		dep.masterPart[v] = -1
-	}
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].v == pairs[i].v {
-			j++
-		}
-		v := pairs[i].v
-		hosts := hostStore[i:j:j]
-		mp := hosts[randx.Uint64n(uint64(len(hosts)), seed, uint64(v), 0xA5)]
-		dep.hosts[v] = hosts
-		dep.masterPart[v] = mp
-		mi, _ := slices.BinarySearch(dep.parts[mp].Locals, v)
-		dep.parts[mp].IsMaster[mi] = true
-		dep.parts[mp].HasRemote[mi] = len(hosts) > 1
-		if len(hosts) > 1 {
-			mirrors := make([]int32, 0, len(hosts)-1)
-			for _, p := range hosts {
-				if p != mp {
-					mirrors = append(mirrors, p)
-				}
-			}
-			dep.mirrors[v] = mirrors
-		}
-		dep.replicas += len(hosts)
-		dep.present++
-		i = j
-	}
 	return dep, nil
+}
+
+// sources returns the shards holding u's out-edges, ascending.
+func (d *deployment) sources(u graph.VertexID) []int32 {
+	return d.srcShards[d.srcStart[u]:d.srcStart[u+1]]
 }
 
 // retryableDial reports whether a connect failure is worth another attempt:

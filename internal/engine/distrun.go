@@ -624,7 +624,7 @@ func (rt *router) forward(j int, rec []byte) {
 // routePartial routes one encoded partial record to every replica of its
 // vertex's master partition.
 func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
-	mp := rt.run.routes.masterPart[v]
+	mp := rt.run.routes.master(v)
 	if mp < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
@@ -637,8 +637,12 @@ func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
 // routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
 func (rt *router) routeState(v graph.VertexID, rec []byte) error {
-	for _, mp := range rt.run.routes.mirrors[v] {
-		for _, j := range rt.run.groups[mp] {
+	mp := rt.run.routes.master(v)
+	for _, p := range rt.run.routes.hosts(v) {
+		if p == mp {
+			continue
+		}
+		for _, j := range rt.run.groups[p] {
 			rt.forward(j, rec)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"snaple/internal/core"
 	"snaple/internal/graph"
 	"snaple/internal/partition"
-	"snaple/internal/randx"
 	"snaple/internal/wire"
 )
 
@@ -78,7 +77,7 @@ func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int)
 		Masters:     make([]int64, shards),
 		Edges:       make([]int64, shards),
 	}
-	for p, sf := range dep.parts {
+	for p, sf := range dep.Shards {
 		man.Locals[p] = int64(len(sf.Locals))
 		man.Edges[p] = int64(len(sf.EdgeSrc))
 		for _, m := range sf.IsMaster {
@@ -87,7 +86,7 @@ func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int)
 			}
 		}
 	}
-	return dep.parts, man, nil
+	return dep.Shards, man, nil
 }
 
 // FleetInfo describes a standing fleet's topology, for operators
@@ -322,7 +321,7 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 		// its shard. Real TCP, real frames — just no separate OS process.
 		f.inproc = true
 		for s := 0; s < shards; s++ {
-			res := dep.parts[s]
+			res := dep.Shards[s]
 			for r := 0; r < reps; r++ {
 				l, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
@@ -336,7 +335,7 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 		}
 	}
 	if !f.ship {
-		dep.parts = nil // the workers hold them; only a shipping fleet re-sends
+		dep.Shards = nil // the workers hold them; only a shipping fleet re-sends
 	}
 
 	// Connect every worker now: a fingerprint mismatch or a refused shard is
@@ -419,7 +418,7 @@ func (f *Fleet) install(c *wire.Conn, i int) error {
 	if f.ship {
 		err := sendAwaitReady(c, &wire.Msg{
 			Kind: wire.KindShip, Version: wire.ProtocolVersion,
-			Shard: *f.dep.parts[shard],
+			Shard: *f.dep.Shards[shard],
 		})
 		if err != nil {
 			return err
@@ -573,7 +572,7 @@ func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, err
 		return make(core.Predictions, f.g.NumVertices()), st, nil
 	}
 	st.Workers = len(touched) * f.replicas
-	st.ReplicationFactor = routes.replicationFactor()
+	st.ReplicationFactor = routes.rf
 
 	// Standing connections for the touched groups, reconnecting any that a
 	// previous query's failure (or cancellation) swept. standing[i] is run
@@ -660,24 +659,35 @@ func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, err
 
 // routing is one query's view of the cut, what the superstep driver runs
 // over: how many shards take part (numbered densely in touched order) and,
-// per vertex, the one mastering it and the ones mirroring it. On a scoped
-// query it also carries the frontier and the view of the superstep-skip
-// test.
+// per vertex, the one mastering it and the ones hosting it. A full run routes
+// by the cut itself; a scoped one by its own re-election, and also carries
+// the frontier and the view of the superstep-skip test.
 type routing struct {
 	parts      int
-	masterPart []int32   // per vertex; -1 when no taking-part shard hosts it
-	mirrors    [][]int32 // per vertex: taking-part hosts excluding the master
-	replicas   int       // total replica count
-	present    int       // vertices with at least one replica
+	cut        *partition.Cut // full run: every shard takes part
+	masterPart []int32        // scoped: per vertex; -1 when no taking-part shard hosts it
+	hostParts  [][]int32      // scoped: per vertex, its taking-part hosts when there are several
+	rf         float64        // replication factor over the taking-part shards
 	frontier   *core.Frontier
 	g          graph.View
 }
 
-func (r *routing) replicationFactor() float64 {
-	if r.present == 0 {
-		return 0
+// master returns the taking part holding v's master copy, -1 for none.
+func (r *routing) master(v graph.VertexID) int32 {
+	if r.cut != nil {
+		return r.cut.Master(v)
 	}
-	return float64(r.replicas) / float64(r.present)
+	return r.masterPart[v]
+}
+
+// hosts returns the taking parts replicating v, ascending; a vertex with a
+// single host may get nil, since only its mirrors are ever routed to.
+func (r *routing) hosts(v graph.VertexID) []int32 {
+	if r.cut != nil {
+		hosts, _ := r.cut.Replicas(v)
+		return hosts
+	}
+	return r.hostParts[v]
 }
 
 // stepHasWork reports whether any shard gathers anything in step: some vertex
@@ -702,15 +712,13 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		for s := range touched {
 			touched[s] = int32(s)
 		}
-		return touched, &routing{
-			parts: f.shards, masterPart: dep.masterPart, mirrors: dep.mirrors,
-			replicas: dep.replicas, present: dep.present,
-		}, make([][]wire.ScopeEntry, f.shards)
+		return touched, &routing{parts: f.shards, cut: dep.Cut, rf: dep.ReplicationFactor()},
+			make([][]wire.ScopeEntry, f.shards)
 	}
 
 	touchedSet := make([]bool, f.shards)
 	for _, u := range frontier.Trunc.Members() {
-		for _, s := range dep.srcShards[u] {
+		for _, s := range dep.sources(u) {
 			touchedSet[s] = true
 		}
 	}
@@ -728,11 +736,11 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		return nil, nil, nil
 	}
 
-	n := len(dep.masterPart)
+	n := dep.NumVertices()
 	rt := &routing{
 		parts:      len(touched),
 		masterPart: make([]int32, n),
-		mirrors:    make([][]int32, n),
+		hostParts:  make([][]int32, n),
 		frontier:   frontier,
 		g:          f.g,
 	}
@@ -741,9 +749,11 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 	}
 	entries := make([][]wire.ScopeEntry, len(touched))
 	hosts := make([]int32, 0, 8)
+	replicas, present := 0, 0
 	for _, v := range frontier.Trunc.Members() {
 		hosts = hosts[:0]
-		for _, s := range dep.hosts[v] {
+		all, _ := dep.Replicas(v)
+		for _, s := range all {
 			if touchedSet[s] {
 				hosts = append(hosts, s)
 			}
@@ -754,9 +764,8 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 			// edges, and such shards are touched), so v needs no master.
 			continue
 		}
-		// The same keyed draw the cut uses, restricted to the touched hosts —
-		// deterministic, and placement never changes results.
-		mp := hosts[randx.Uint64n(uint64(len(hosts)), f.seed, uint64(v), 0xA5)]
+		// The cut's election, restricted to the touched hosts.
+		mp := partition.ElectMaster(hosts, f.seed, v)
 		rt.masterPart[v] = groupOf[mp]
 		remote := len(hosts) > 1
 		mask := frontier.ScopeMask(v)
@@ -771,16 +780,15 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 			entries[groupOf[s]] = append(entries[groupOf[s]], wire.ScopeEntry{V: v, Mask: mask, Role: role})
 		}
 		if remote {
-			mirrors := make([]int32, 0, len(hosts)-1)
-			for _, s := range hosts {
-				if s != mp {
-					mirrors = append(mirrors, groupOf[s])
-				}
+			parts := make([]int32, len(hosts))
+			for i, s := range hosts {
+				parts[i] = groupOf[s]
 			}
-			rt.mirrors[v] = mirrors
+			rt.hostParts[v] = parts
 		}
-		rt.replicas += len(hosts)
-		rt.present++
+		replicas += len(hosts)
+		present++
 	}
+	rt.rf = float64(replicas) / float64(present)
 	return touched, rt, entries
 }

@@ -294,7 +294,7 @@ func TestFleetZeroShipAfterAttach(t *testing.T) {
 	// The columns of the smallest partition, at their wire widths: what
 	// shipping even one of them again would cost at the very least.
 	onePartition := int64(1) << 62
-	for _, p := range dep.parts {
+	for _, p := range dep.Shards {
 		onePartition = min(onePartition, int64(10*len(p.Locals)+8*len(p.EdgeSrc)))
 	}
 
@@ -405,7 +405,7 @@ func TestFleetReshipsAfterWorkerRestart(t *testing.T) {
 	}
 	defer f.Close()
 	shipped := func(i int) int64 { return f.conns[i].Counters().BytesOut }
-	partBytes := func(i int) int64 { return int64(8 * len(f.dep.parts[i/2].EdgeSrc)) }
+	partBytes := func(i int) int64 { return int64(8 * len(f.dep.Shards[i/2].EdgeSrc)) }
 	query := func(wantDead int) {
 		t.Helper()
 		got, st, err := f.Predict(g, cfg)
@@ -639,7 +639,7 @@ func TestCutEmitsValidShards(t *testing.T) {
 				t.Fatal(err)
 			}
 			edges := 0
-			for p, sf := range dep.parts {
+			for p, sf := range dep.Shards {
 				if err := sf.Validate(); err != nil {
 					t.Errorf("%s/%s: shard %d: %v", name, strat.Name(), p, err)
 				}

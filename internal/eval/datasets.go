@@ -13,8 +13,27 @@ import (
 // analog is generated by the community/homophily model with parameters
 // matched to the original's character: directedness, relative edge count
 // ordering (gowalla < pokec < livejournal < orkut < twitter) and relative
-// density (orkut densest, gowalla sparsest). DESIGN.md §4 documents why this
-// substitution preserves the behaviours the experiments measure.
+// density (orkut densest, gowalla sparsest).
+//
+// What the substitution keeps, parameter by parameter:
+//   - Gamma, MinDeg and MaxDeg give heavy-tailed out-degrees, so hub
+//     neighbourhoods exceed thrΓ and the relays exceed k_local: the sampling
+//     of Algorithm 2 binds as on the crawls, BASELINE's per-vertex state
+//     grows with the squared degrees, and a vertex cut replicates the hubs.
+//   - Communities and the generator's homophily and triangle-closure
+//     fractions (PLocal, PClose in Generate) put future links among 2-hop
+//     neighbours (Section 2.2), the signal every score ranks, so recall
+//     responds to thrΓ, k_local, the policy and the score.
+//   - N and MinDeg keep Table 4's order of size and density, and Symmetric
+//     keeps gowalla and orkut undirected: the comparisons across datasets
+//     (time growing with edges, BASELINE running out of memory first on
+//     the densest and largest) keep their direction.
+//
+// What it does not keep: absolute scale (2k–24k vertices at Scale = 1,
+// against 0.2M–41M), hence absolute times, memory and recall values, which
+// are only compared as trends and ratios; and the crawls' own structure
+// beyond degree and community — their reciprocity, degree correlations and
+// the growth history behind real held-out links.
 type Dataset struct {
 	// Name matches the paper's dataset name.
 	Name string

@@ -9,8 +9,11 @@ import (
 	"snaple/internal/partition"
 )
 
-// Ablations beyond the paper's figures: sensitivity of the design choices
-// DESIGN.md calls out. These are extensions, not reproductions.
+// Ablations beyond the paper's figures: the sensitivity of three design
+// choices the paper fixes — the linear combinator's α (0.9), the vertex-cut
+// strategy (PowerGraph's replication-versus-balance trade-off) and the path
+// length (2 hops, with footnote 2's 3-hop extension). These are extensions,
+// not reproductions.
 
 // AlphaRow is one point of the α sweep for the linear combinator.
 type AlphaRow struct {

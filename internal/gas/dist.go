@@ -3,12 +3,10 @@ package gas
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"snaple/internal/cluster"
 	"snaple/internal/graph"
 	"snaple/internal/partition"
-	"snaple/internal/randx"
 )
 
 // gref points at the copy of a vertex inside a specific partition.
@@ -17,34 +15,21 @@ type gref struct {
 	idx  int32
 }
 
-// part is one partition's share of the distributed graph.
-type part[V, E any] struct {
-	id      int
-	globals []graph.VertexID         // sorted global IDs of local vertices
-	index   map[graph.VertexID]int32 // global -> local
-	data    []V                      // vertex state, one per local vertex
-	edges   []E                      // edge state, aligned with edgeSrc/edgeDst
-	edgeSrc []int32                  // local source index per local edge
-	edgeDst []int32                  // local target index per local edge
-
-	master   []gref // per local vertex: location of its master copy
-	isMaster []bool // per local vertex: this partition holds the master copy
-	// Master-side collection lists, per local vertex (nil unless master):
-	// the partitions that may produce gather partials for it, in ascending
-	// partition order, and the mirrors to refresh after apply.
-	gatherOut [][]gref
-	gatherIn  [][]gref
-	mirrors   [][]int32 // partition IDs holding replicas (excluding self)
+// part is one partition: the fleet's shard for it — local vertex table, edges
+// as local indices, master flags — plus the vertex state of its replicas.
+type part[V any] struct {
+	*graph.ShardFile
+	data   []V    // vertex state, one per local vertex
+	master []gref // per local vertex: location of its master copy
 }
 
 // DistGraph is a graph distributed over a simulated cluster, ready to run
 // GAS supersteps. Build one with Distribute.
-type DistGraph[V, E any] struct {
-	g       graph.View
+type DistGraph[V any] struct {
+	cut     *partition.Cut
 	cl      *cluster.Cluster
-	parts   []*part[V, E]
+	parts   []part[V]
 	workers int
-	seed    uint64
 	mem     *memLedger
 }
 
@@ -57,197 +42,52 @@ type Options struct {
 	Seed uint64
 }
 
-// Distribute places g's edges on cl's partitions according to assign and
-// builds the replica/master structures. The V and E states start as zero
-// values; use InitVertices to set initial vertex state.
-func Distribute[V, E any](g graph.View, assign partition.Assignment, cl *cluster.Cluster, opts Options) (*DistGraph[V, E], error) {
-	if g == nil {
-		return nil, fmt.Errorf("gas: nil graph")
-	}
-	if len(assign.EdgeTo) != g.NumEdges() {
-		return nil, fmt.Errorf("gas: assignment covers %d edges, graph has %d", len(assign.EdgeTo), g.NumEdges())
-	}
+// Distribute places g's edges on cl's partitions according to assign — the
+// vertex cut partition.NewCut builds, the same shards a fleet runs over —
+// and gives every replica a zero V; use InitVertices to set initial state.
+func Distribute[V any](g graph.View, assign partition.Assignment, cl *cluster.Cluster, opts Options) (*DistGraph[V], error) {
 	if cl.Parts() != assign.Parts {
 		return nil, fmt.Errorf("%w: assignment %d, cluster %d", ErrMismatchedParts, assign.Parts, cl.Parts())
+	}
+	cut, err := partition.NewCut(g, assign, opts.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("gas: %w", err)
 	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	nparts := assign.Parts
-	dg := &DistGraph[V, E]{g: g, cl: cl, workers: workers, seed: opts.Seed}
-	dg.parts = make([]*part[V, E], nparts)
-	for p := range dg.parts {
-		dg.parts[p] = &part[V, E]{id: p}
+	dg := &DistGraph[V]{cut: cut, cl: cl, workers: workers, parts: make([]part[V], len(cut.Shards))}
+	for p, sf := range cut.Shards {
+		dg.parts[p] = part[V]{ShardFile: sf, data: make([]V, len(sf.Locals)), master: make([]gref, len(sf.Locals))}
 	}
-
-	// Pass 1: raw per-partition edge lists in global IDs.
-	type rawEdge struct{ u, v graph.VertexID }
-	rawEdges := make([][]rawEdge, nparts)
-	{
-		i := 0
-		g.ForEachEdge(func(u, v graph.VertexID) {
-			p := assign.EdgeTo[i]
-			rawEdges[p] = append(rawEdges[p], rawEdge{u, v})
-			i++
-		})
-	}
-
-	// Pass 2: per-partition vertex tables and localized edges.
-	for p, pt := range dg.parts {
-		seen := make(map[graph.VertexID]struct{}, len(rawEdges[p]))
-		for _, e := range rawEdges[p] {
-			seen[e.u] = struct{}{}
-			seen[e.v] = struct{}{}
-		}
-		pt.globals = make([]graph.VertexID, 0, len(seen))
-		for v := range seen {
-			pt.globals = append(pt.globals, v)
-		}
-		sort.Slice(pt.globals, func(i, j int) bool { return pt.globals[i] < pt.globals[j] })
-		pt.index = make(map[graph.VertexID]int32, len(pt.globals))
-		for i, v := range pt.globals {
-			pt.index[v] = int32(i)
-		}
-		pt.data = make([]V, len(pt.globals))
-		pt.edges = make([]E, len(rawEdges[p]))
-		pt.edgeSrc = make([]int32, len(rawEdges[p]))
-		pt.edgeDst = make([]int32, len(rawEdges[p]))
-		// CSR order within the partition: edges arrive sorted by (u,v)
-		// because ForEachEdge walks the global CSR.
-		for i, e := range rawEdges[p] {
-			pt.edgeSrc[i] = pt.index[e.u]
-			pt.edgeDst[i] = pt.index[e.v]
-		}
-		pt.master = make([]gref, len(pt.globals))
-		pt.isMaster = make([]bool, len(pt.globals))
-	}
-
-	// Pass 3: replica lists per vertex -> master election + mirror lists +
-	// gather-source lists. Build (vertex, part) pairs sorted by vertex.
-	type vp struct {
-		v graph.VertexID
-		p int32
-	}
-	pairs := make([]vp, 0)
-	for p, pt := range dg.parts {
-		for _, v := range pt.globals {
-			pairs = append(pairs, vp{v, int32(p)})
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].v != pairs[j].v {
-			return pairs[i].v < pairs[j].v
-		}
-		return pairs[i].p < pairs[j].p
-	})
-
-	// hasOut/hasIn: whether a vertex has gatherable edges in a partition.
-	hasDir := func(pt *part[V, E]) (out, in []bool) {
-		out = make([]bool, len(pt.globals))
-		in = make([]bool, len(pt.globals))
-		for i := range pt.edgeSrc {
-			out[pt.edgeSrc[i]] = true
-			in[pt.edgeDst[i]] = true
-		}
-		return out, in
-	}
-	outFlags := make([][]bool, nparts)
-	inFlags := make([][]bool, nparts)
-	for p, pt := range dg.parts {
-		outFlags[p], inFlags[p] = hasDir(pt)
-	}
-
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j].v == pairs[i].v {
-			j++
-		}
-		v := pairs[i].v
-		replicas := pairs[i:j] // ascending partition order
-		masterPos := int(randx.Uint64n(uint64(len(replicas)), opts.Seed, uint64(v), 0xA5))
-		mp := replicas[masterPos].p
-		mpt := dg.parts[mp]
-		mIdx := mpt.index[v]
-		mpt.isMaster[mIdx] = true
-		if mpt.gatherOut == nil {
-			mpt.gatherOut = make([][]gref, len(mpt.globals))
-			mpt.gatherIn = make([][]gref, len(mpt.globals))
-			mpt.mirrors = make([][]int32, len(mpt.globals))
-		}
-		for _, r := range replicas {
-			rpt := dg.parts[r.p]
-			li := rpt.index[v]
-			rpt.master[li] = gref{part: mp, idx: mIdx}
-			if outFlags[r.p][li] {
-				mpt.gatherOut[mIdx] = append(mpt.gatherOut[mIdx], gref{part: r.p, idx: li})
+	for p, sf := range cut.Shards {
+		for li, isM := range sf.IsMaster {
+			if !isM {
+				continue
 			}
-			if inFlags[r.p][li] {
-				mpt.gatherIn[mIdx] = append(mpt.gatherIn[mIdx], gref{part: r.p, idx: li})
+			at := gref{part: int32(p), idx: int32(li)}
+			shards, locals := cut.Replicas(sf.Locals[li])
+			for k, s := range shards {
+				dg.parts[s].master[locals[k]] = at
 			}
-			if r.p != mp {
-				mpt.mirrors[mIdx] = append(mpt.mirrors[mIdx], r.p)
-			}
-		}
-		i = j
-	}
-	// Partitions that master no vertex still need non-nil master-side
-	// slices for uniform access.
-	for _, pt := range dg.parts {
-		if pt.gatherOut == nil {
-			pt.gatherOut = make([][]gref, len(pt.globals))
-			pt.gatherIn = make([][]gref, len(pt.globals))
-			pt.mirrors = make([][]int32, len(pt.globals))
 		}
 	}
 	return dg, nil
 }
 
-// Graph returns the underlying topology.
-func (dg *DistGraph[V, E]) Graph() graph.View { return dg.g }
-
-// Cluster returns the cluster the graph is distributed over.
-func (dg *DistGraph[V, E]) Cluster() *cluster.Cluster { return dg.cl }
-
-// Parts returns the number of partitions.
-func (dg *DistGraph[V, E]) Parts() int { return len(dg.parts) }
-
 // ReplicationFactor returns the average number of replicas per non-isolated
 // vertex, the key traffic driver of vertex-cut engines.
-func (dg *DistGraph[V, E]) ReplicationFactor() float64 {
-	replicas, vertices := 0, 0
-	for _, pt := range dg.parts {
-		replicas += len(pt.globals)
-		for _, m := range pt.isMaster {
-			if m {
-				vertices++
-			}
-		}
-	}
-	if vertices == 0 {
-		return 0
-	}
-	return float64(replicas) / float64(vertices)
-}
+func (dg *DistGraph[V]) ReplicationFactor() float64 { return dg.cut.ReplicationFactor() }
 
 // InitVertices sets the state of every replica of every vertex to fn(id).
 // fn must be deterministic; it is invoked once per replica. No traffic is
 // charged (this models the initial graph-load, which the paper's timings
 // exclude).
-func (dg *DistGraph[V, E]) InitVertices(fn func(graph.VertexID) V) {
+func (dg *DistGraph[V]) InitVertices(fn func(graph.VertexID) V) {
 	for _, pt := range dg.parts {
-		for i, v := range pt.globals {
+		for i, v := range pt.Locals {
 			pt.data[i] = fn(v)
-		}
-	}
-}
-
-// InitEdges sets every edge state to fn(u, v). fn must be deterministic.
-func (dg *DistGraph[V, E]) InitEdges(fn func(u, v graph.VertexID) E) {
-	for _, pt := range dg.parts {
-		for i := range pt.edges {
-			pt.edges[i] = fn(pt.globals[pt.edgeSrc[i]], pt.globals[pt.edgeDst[i]])
 		}
 	}
 }
@@ -256,34 +96,12 @@ func (dg *DistGraph[V, E]) InitEdges(fn func(u, v graph.VertexID) E) {
 // distributed graph (vertices with no edges are absent), in ascending vertex
 // order within each partition and ascending partition order across
 // partitions. The pointer is valid only during the call.
-func (dg *DistGraph[V, E]) ForEachMaster(fn func(graph.VertexID, *V)) {
+func (dg *DistGraph[V]) ForEachMaster(fn func(graph.VertexID, *V)) {
 	for _, pt := range dg.parts {
-		for i, isM := range pt.isMaster {
+		for i, isM := range pt.IsMaster {
 			if isM {
-				fn(pt.globals[i], &pt.data[i])
+				fn(pt.Locals[i], &pt.data[i])
 			}
 		}
 	}
-}
-
-// ForEachEdgeState visits every edge's state alongside its endpoints, in
-// partition order. The pointer is valid only during the call.
-func (dg *DistGraph[V, E]) ForEachEdgeState(fn func(u, v graph.VertexID, e *E)) {
-	for _, pt := range dg.parts {
-		for i := range pt.edges {
-			fn(pt.globals[pt.edgeSrc[i]], pt.globals[pt.edgeDst[i]], &pt.edges[i])
-		}
-	}
-}
-
-// MasterData returns a pointer to the master copy of v's state, or nil if v
-// is not present (no edges). Intended for tests and result extraction.
-func (dg *DistGraph[V, E]) MasterData(v graph.VertexID) *V {
-	for _, pt := range dg.parts {
-		if li, ok := pt.index[v]; ok {
-			m := pt.master[li]
-			return &dg.parts[m.part].data[m.idx]
-		}
-	}
-	return nil
 }

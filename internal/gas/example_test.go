@@ -11,19 +11,18 @@ import (
 
 // pageRank is a classic GAS program (the PowerGraph paper's running
 // example), included to document that the engine is not specific to link
-// prediction: rank(v) = 0.15 + 0.85 * Σ_{u→v} rank(u)/outdeg(u),
-// gathered over in-edges.
+// prediction: rank(v) = 0.15 + 0.85 * Σ_{u→v} rank(u)/outdeg(u). The sum
+// runs over v's in-edges, so the program runs over the transposed graph,
+// where they are v's out-edges; outDeg is the original graph's.
 type pageRank struct {
 	outDeg []int
 }
 
-func (pageRank) Direction() gas.Direction { return gas.In }
-
-func (p pageRank) Gather(src, _ graph.VertexID, srcData, _ *float64, _ *struct{}) (float64, bool) {
-	if p.outDeg[src] == 0 {
+func (p pageRank) Gather(_, dst graph.VertexID, _, dstData *float64) (float64, bool) {
+	if p.outDeg[dst] == 0 {
 		return 0, false
 	}
-	return *srcData / float64(p.outDeg[src]), true
+	return *dstData / float64(p.outDeg[dst]), true
 }
 
 func (pageRank) Sum(a, b float64) float64 { return a + b }
@@ -39,11 +38,16 @@ func (pageRank) GatherBytes(float64) int64  { return 8 }
 // over two simulated nodes and prints the highest-ranked vertex.
 func ExampleRunStep() {
 	// A star pointing at vertex 0, plus a 2-cycle between 0 and 1.
-	g := graph.MustFromEdges(5, []graph.Edge{
+	edges := []graph.Edge{
 		{Src: 1, Dst: 0}, {Src: 2, Dst: 0}, {Src: 3, Dst: 0}, {Src: 4, Dst: 0},
 		{Src: 0, Dst: 1},
-	})
-	assign, err := partition.HashEdge{Seed: 1}.Partition(g, 4)
+	}
+	g := graph.MustFromEdges(5, edges)
+	for i, e := range edges {
+		edges[i] = graph.Edge{Src: e.Dst, Dst: e.Src}
+	}
+	gt := graph.MustFromEdges(5, edges) // the transpose
+	assign, err := partition.HashEdge{Seed: 1}.Partition(gt, 4)
 	if err != nil {
 		panic(err)
 	}
@@ -51,7 +55,7 @@ func ExampleRunStep() {
 	if err != nil {
 		panic(err)
 	}
-	dg, err := gas.Distribute[float64, struct{}](g, assign, cl, gas.Options{})
+	dg, err := gas.Distribute[float64](gt, assign, cl, gas.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -59,7 +63,7 @@ func ExampleRunStep() {
 
 	prog := pageRank{outDeg: g.OutDegrees()}
 	for i := 0; i < 30; i++ {
-		if _, err := gas.RunStep[float64, struct{}, float64](dg, prog); err != nil {
+		if _, err := gas.RunStep[float64, float64](dg, prog); err != nil {
 			panic(err)
 		}
 	}

@@ -9,23 +9,29 @@
 // backend, which runs the same algorithm over shared memory without any of
 // this machinery — the two are bit-identical by construction.
 //
-// Edges are placed on partitions by a vertex-cut (internal/partition); a
-// vertex whose edges span several partitions is replicated, with one replica
-// designated master. A superstep (RunStep) then executes the three GAS
-// phases with bulk-synchronous semantics:
+// Edges are placed on partitions by the vertex cut of internal/partition
+// (partition.NewCut), so a sim partition is exactly the shard a fleet worker
+// holds: a vertex whose edges span several partitions is replicated, with one
+// replica designated master. A superstep (RunStep) then executes with
+// bulk-synchronous semantics:
 //
-//	gather  — every partition folds the user's Gather over its local edges,
-//	          producing one partial sum per local vertex (Σ of eq. 3);
+//	gather  — every partition folds the program's Gather over its local
+//	          edges, at each edge's source (the out-edges of eq. 3), producing
+//	          one partial sum per local vertex;
 //	sum+apply — each master collects the partial sums of its vertex from the
 //	          hosting partitions (cross-node transfers are charged to the
 //	          cluster accountant) and runs Apply (eq. 4);
-//	scatter — optionally, the new vertex data updates local edge state
-//	          (eq. 5); then masters broadcast the fresh vertex data to all
-//	          mirrors (also charged).
+//	broadcast — mirrors pull the refreshed vertex data from their master
+//	          (also charged).
 //
-// The engine is generic over the vertex data V, edge data E and the gather
-// type G, so one distributed graph can run a pipeline of steps with
-// different gather types — exactly what SNAPLE's Algorithm 2 needs.
+// That is all SNAPLE and BASELINE need: every step of Algorithm 2 and of
+// Algorithm 1 gathers over out-edges and keeps its state on vertices, so the
+// engine has no in-edge gather, no scatter phase and no edge state. A
+// computation over in-edges gathers over the transposed graph instead.
+//
+// The engine is generic over the vertex data V and the gather type G, so one
+// distributed graph can run a pipeline of steps with different gather types
+// — exactly what SNAPLE's Algorithm 2 needs.
 //
 // Contracts programs must follow (all SNAPLE/BASELINE programs do):
 //
@@ -44,43 +50,17 @@ package gas
 
 import (
 	"errors"
-	"fmt"
 
 	"snaple/internal/graph"
 )
 
-// Direction selects which edges a program gathers over.
-type Direction int
-
-const (
-	// Out gathers at each vertex u over its outgoing edges (u,v) — the
-	// direction used by every program in the paper (eq. 3).
-	Out Direction = iota
-	// In gathers at each vertex v over its incoming edges (u,v).
-	In
-)
-
-// String implements fmt.Stringer.
-func (d Direction) String() string {
-	switch d {
-	case Out:
-		return "out"
-	case In:
-		return "in"
-	default:
-		return fmt.Sprintf("Direction(%d)", int(d))
-	}
-}
-
-// Program is one GAS superstep specification. V is the vertex state, E the
-// edge state, G the gather/partial-sum type.
-type Program[V, E, G any] interface {
-	// Direction reports which adjacency the gather phase walks.
-	Direction() Direction
-	// Gather produces the contribution of one edge to the gather sum of the
-	// gathering endpoint (src for Out, dst for In). Returning false means
-	// "no contribution" (the paper's empty-set returns).
-	Gather(src, dst graph.VertexID, srcData, dstData *V, edge *E) (G, bool)
+// Program is one GAS superstep specification. V is the vertex state, G the
+// gather/partial-sum type.
+type Program[V, G any] interface {
+	// Gather produces the contribution of the edge (src, dst) to src's gather
+	// sum. Returning false means "no contribution" (the paper's empty-set
+	// returns).
+	Gather(src, dst graph.VertexID, srcData, dstData *V) (G, bool)
 	// Sum folds two gather values (the user-defined generalized sum ⊕pre /
 	// union of eq. 3). It may mutate and return a; b may be consumed.
 	Sum(a, b G) G
@@ -95,21 +75,6 @@ type Program[V, E, G any] interface {
 	GatherBytes(G) int64
 }
 
-// Scatterer is an optional Program extension running the scatter phase
-// (eq. 5): after apply, every local edge in the program's direction sees the
-// refreshed data of its gathering endpoint and may update its edge state.
-type Scatterer[V, E, G any] interface {
-	Scatter(src, dst graph.VertexID, srcData *V, edge *E)
-}
-
-// Errors returned by the engine.
-var (
-	// ErrMismatchedParts reports an assignment whose partition count differs
-	// from the cluster's.
-	ErrMismatchedParts = errors.New("gas: assignment and cluster disagree on partition count")
-	// ErrNeedInEdges reports an In-direction program on a graph built
-	// without reverse adjacency. (The engine itself derives everything from
-	// edge placement, so this currently cannot happen, but the sentinel is
-	// kept for API stability of future in-gather optimisations.)
-	ErrNeedInEdges = errors.New("gas: program gathers over in-edges but graph lacks them")
-)
+// ErrMismatchedParts reports an assignment whose partition count differs
+// from the cluster's.
+var ErrMismatchedParts = errors.New("gas: assignment and cluster disagree on partition count")

@@ -44,11 +44,11 @@ func TestDegreeProgramPropertyAcrossRandomDeployments(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dg, err := Distribute[int, struct{}](g, assign, cl, Options{Seed: uint64(seed)})
+		dg, err := Distribute[int](g, assign, cl, Options{Seed: uint64(seed)})
 		if err != nil {
 			return false
 		}
-		if _, err := RunStep[int, struct{}, int](dg, degProg{dir: Out}); err != nil {
+		if _, err := RunStep[int, int](dg, degProg{}); err != nil {
 			return false
 		}
 		ok := true
@@ -86,7 +86,7 @@ func TestReplicationFactorMatchesPartitionStats(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dg, err := Distribute[int, struct{}](g, assign, cl, Options{})
+		dg, err := Distribute[int](g, assign, cl, Options{})
 		if err != nil {
 			return false
 		}
@@ -103,13 +103,13 @@ func TestReplicationFactorMatchesPartitionStats(t *testing.T) {
 // snapshot, under arbitrary step sequences.
 func TestTrafficConservation(t *testing.T) {
 	g := testGraph(t, 90, 700, 12)
-	dg := distribute[[]graph.VertexID, struct{}](t, g, 6, 3, 0)
+	dg := distribute[[]graph.VertexID](t, g, 6, 3, 0)
 	for i := 0; i < 3; i++ {
-		if _, err := RunStep[[]graph.VertexID, struct{}, []graph.VertexID](dg, nbrProg{}); err != nil {
+		if _, err := RunStep[[]graph.VertexID, []graph.VertexID](dg, nbrProg{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	tr := dg.Cluster().Snapshot()
+	tr := dg.cl.Snapshot()
 	var in, out int64
 	for n := range tr.NodeIn {
 		in += tr.NodeIn[n]

@@ -85,7 +85,7 @@ type memLedger struct {
 	chargedVert []int64
 }
 
-func (dg *DistGraph[V, E]) ledger() *memLedger {
+func (dg *DistGraph[V]) ledger() *memLedger {
 	if dg.mem == nil {
 		dg.mem = &memLedger{chargedVert: make([]int64, len(dg.parts))}
 	}
@@ -96,11 +96,10 @@ func (dg *DistGraph[V, E]) ledger() *memLedger {
 // it returns the stats so far and an error wrapping
 // cluster.ErrMemoryExhausted; the distributed state is then unusable for
 // further steps.
-func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats, error) {
+func RunStep[V, G any](dg *DistGraph[V], prog Program[V, G]) (StepStats, error) {
 	start := time.Now()
 	cl := dg.cl
 	nparts := len(dg.parts)
-	dir := prog.Direction()
 	led := dg.ledger()
 
 	snap0 := cl.Snapshot()
@@ -125,8 +124,8 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 	runParallel(dg.workers, nparts, func(p int) {
 		t0 := time.Now()
 		pt := dg.parts[p]
-		partial := make([]G, len(pt.globals))
-		hs := make([]bool, len(pt.globals))
+		partial := make([]G, len(pt.Locals))
+		hs := make([]bool, len(pt.Locals))
 		var pending int64
 		flush := func() bool {
 			if pending == 0 {
@@ -142,24 +141,20 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 			}
 			return true
 		}
-		for i := range pt.edgeSrc {
+		for i, si := range pt.EdgeSrc {
 			if aborted.Load() {
 				break
 			}
-			si, di := pt.edgeSrc[i], pt.edgeDst[i]
-			gi := si
-			if dir == In {
-				gi = di
-			}
-			gval, ok := prog.Gather(pt.globals[si], pt.globals[di], &pt.data[si], &pt.data[di], &pt.edges[i])
+			di := pt.EdgeDst[i]
+			gval, ok := prog.Gather(pt.Locals[si], pt.Locals[di], &pt.data[si], &pt.data[di])
 			if !ok {
 				continue
 			}
 			pending += prog.GatherBytes(gval)
-			if !hs[gi] {
-				partial[gi], hs[gi] = gval, true
+			if !hs[si] {
+				partial[si], hs[si] = gval, true
 			} else {
-				partial[gi] = prog.Sum(partial[gi], gval)
+				partial[si] = prog.Sum(partial[si], gval)
 			}
 			if pending >= flushChunk && !flush() {
 				break
@@ -186,26 +181,26 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 	}
 
 	// ---- Phase B: masters collect partials, sum, apply. ----
+	//
+	// A master collects from its vertex's hosts in ascending partition
+	// order; has already skips the replicas that produced no partial.
 	runParallel(dg.workers, nparts, func(p int) {
 		t0 := time.Now()
 		pt := dg.parts[p]
-		for li, isM := range pt.isMaster {
+		for li, isM := range pt.IsMaster {
 			if !isM {
 				continue
 			}
-			sources := pt.gatherOut[li]
-			if dir == In {
-				sources = pt.gatherIn[li]
-			}
+			hosts, locals := dg.cut.Replicas(pt.Locals[li])
 			var acc G
 			have := false
-			for _, r := range sources {
-				if !has[r.part][r.idx] {
+			for k, r := range hosts {
+				if !has[r][locals[k]] {
 					continue
 				}
-				contrib := partials[r.part][r.idx]
-				if int(r.part) != p {
-					cl.Transfer(int(r.part), p, prog.GatherBytes(contrib))
+				contrib := partials[r][locals[k]]
+				if int(r) != p {
+					cl.Transfer(int(r), p, prog.GatherBytes(contrib))
 				}
 				if !have {
 					acc, have = contrib, true
@@ -213,13 +208,13 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 					acc = prog.Sum(acc, contrib)
 				}
 			}
-			prog.Apply(pt.globals[li], &pt.data[li], acc, have)
+			prog.Apply(pt.Locals[li], &pt.data[li], acc, have)
 		}
 		busyB[p] = time.Since(t0).Seconds()
 	})
 	snapB := cl.Snapshot()
 
-	// ---- Phase C: mirrors pull refreshed vertex data; then scatter. ----
+	// ---- Phase C: mirrors pull refreshed vertex data. ----
 	//
 	// The refreshed vertex state (masters' apply output plus every mirror
 	// copy) is re-charged incrementally as it is accounted, so replication
@@ -231,7 +226,6 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 		_ = clStoreRelease(cl, p, led.chargedVert[p])
 		led.chargedVert[p] = 0
 	}
-	scatterer, hasScatter := any(prog).(Scatterer[V, E, G])
 	vertErrs := make([]error, nparts)
 	aborted.Store(false)
 	runParallel(dg.workers, nparts, func(p int) {
@@ -252,7 +246,7 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 			}
 			return true
 		}
-		for li := range pt.globals {
+		for li := range pt.Locals {
 			if aborted.Load() {
 				break
 			}
@@ -268,12 +262,6 @@ func RunStep[V, E, G any](dg *DistGraph[V, E], prog Program[V, E, G]) (StepStats
 			}
 		}
 		flush()
-		if hasScatter && !aborted.Load() {
-			for i := range pt.edgeSrc {
-				si, di := pt.edgeSrc[i], pt.edgeDst[i]
-				scatterer.Scatter(pt.globals[si], pt.globals[di], &pt.data[si], &pt.edges[i])
-			}
-		}
 		busyC[p] = time.Since(t0).Seconds()
 	})
 
@@ -307,7 +295,7 @@ func clStoreRelease(cl *cluster.Cluster, p int, n int64) error {
 }
 
 // finishStats assembles the common part of StepStats.
-func (dg *DistGraph[V, E]) finishStats(start time.Time, snap0 cluster.Traffic, busy, busyA, busyB, busyC []float64) StepStats {
+func (dg *DistGraph[V]) finishStats(start time.Time, snap0 cluster.Traffic, busy, busyA, busyB, busyC []float64) StepStats {
 	after := dg.cl.Snapshot()
 	for p := range busy {
 		busy[p] = busyA[p] + busyB[p] + busyC[p]

@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -305,6 +308,72 @@ func FuzzShard(f *testing.F) {
 			!slices.Equal(a.EdgeSrc, b.EdgeSrc) || !slices.Equal(a.EdgeDst, b.EdgeDst) ||
 			!slices.Equal(a.IsMaster, b.IsMaster) || !slices.Equal(a.HasRemote, b.HasRemote) {
 			t.Fatalf("loaders disagree on the shard:\nstreamed %+v\nviewed   %+v", a, b)
+		}
+	})
+}
+
+// FuzzReadManifest holds the manifest decoder to the discipline of the other
+// four: it never panics, allocates in proportion to its input however its
+// section lengths lie, decides the same whether or not the reader's length
+// is known, and anything it accepts re-encodes through WriteManifest to the
+// very bytes it was read from (the format tolerates trailing bytes after the
+// last section, as a snapshot does).
+func FuzzReadManifest(f *testing.F) {
+	one := &Manifest{Fingerprint: 7, Shards: 1, Strategy: "greedy", Files: []string{"g.sgr.0"},
+		Locals: []int64{0}, Masters: []int64{0}, Edges: []int64{0}}
+	var valid []byte
+	for _, m := range []*Manifest{testManifest(), one} {
+		var buf bytes.Buffer
+		if err := WriteManifest(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		valid = buf.Bytes()
+		f.Add(valid)
+	}
+	for _, n := range []int{0, 8, manifestHeaderLen - 1, manifestHeaderLen, manifestHeaderLen + 9, len(valid) - 1} {
+		f.Add(bytes.Clone(valid[:n])) // truncated
+	}
+	for _, i := range []int{3, 20, manifestHeaderLen + 2, len(valid) - 2} {
+		flipped := bytes.Clone(valid)
+		flipped[i] ^= 0x10
+		f.Add(flipped)
+	}
+	// Lying section lengths: the strategy's, then the file list's.
+	filesAt := manifestHeaderLen + 8 + len(one.Strategy) + 4
+	for _, at := range []int{manifestHeaderLen, filesAt} {
+		for _, n := range []uint64{1 << 40, 64 << 20, 1 << 10} {
+			lying := bytes.Clone(valid)
+			binary.LittleEndian.PutUint64(lying[at:], n)
+			f.Add(lying)
+		}
+	}
+	f.Add([]byte(manifestMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			return
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sized, serr := ReadManifest(bytes.NewReader(data))
+		streamed, uerr := ReadManifest(struct{ io.Reader }{bytes.NewReader(data)}) // length unknown
+		runtime.ReadMemStats(&m1)
+		// The slack covers the two decodes' fixed buffers and harness noise,
+		// never a section sized by a lying prefix.
+		if grew := int64(m1.TotalAlloc - m0.TotalAlloc); grew > 8<<20+16*int64(len(data)) {
+			t.Fatalf("decoding %d input bytes allocated %d bytes", len(data), grew)
+		}
+		if (serr == nil) != (uerr == nil) || !reflect.DeepEqual(sized, streamed) {
+			t.Fatalf("known and unknown lengths disagree: %v / %v", serr, uerr)
+		}
+		if serr != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteManifest(&buf, sized); err != nil {
+			t.Fatalf("accepted manifest does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("re-encoding changed the manifest's bytes:\n in %x\nout %x", data, buf.Bytes())
 		}
 	})
 }

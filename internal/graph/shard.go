@@ -78,12 +78,12 @@ func KnownMagic(b []byte) bool {
 }
 
 // ShardFile is one worker's share of a vertex cut, and the only description
-// of it: what engine's cut builds, what `snaple pack -shards` writes, what a
-// KindShip frame carries, what a worker holds across jobs and what
-// core.DistPartition runs over. Beside the columns — local vertex table,
-// aligned degree/role columns, edges as local indices — it carries the fleet
-// identity (fingerprint, shard index, fleet width) the attach handshake
-// verifies in place of a transfer.
+// of it: what partition.NewCut builds, what `snaple pack -shards` writes, what
+// a KindShip frame carries, what a worker holds across jobs, what
+// core.DistPartition runs over and what a sim partition is. Beside the
+// columns — local vertex table, aligned degree/role columns, edges as local
+// indices — it carries the fleet identity (fingerprint, shard index, fleet
+// width) the attach handshake verifies in place of a transfer.
 //
 // A shard is immutable once validated: a worker shares one across every
 // session of every connection, read-only.
@@ -483,7 +483,7 @@ func (s *sectionReader) freeBytes(maxLen int64) ([]byte, error) {
 		}
 		s.limit -= int64(n) + 12
 	}
-	out := make([]byte, 0, n)
+	out := make([]byte, 0, s.startCap(int64(n), 1))
 	err := s.consume(int64(n), func(chunk []byte) { out = append(out, chunk...) })
 	if err != nil {
 		return nil, err

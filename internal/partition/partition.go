@@ -1,12 +1,17 @@
-// Package partition assigns graph edges to partitions (vertex-cut
-// placement, as in PowerGraph/GraphLab).
+// Package partition owns the vertex cut (as in PowerGraph/GraphLab): where
+// each edge goes, and what the partitions that result hold.
 //
 // In the GAS engines the paper targets, edges — not vertices — are the unit
 // of placement: a vertex whose edges land on several partitions is
 // replicated there (one master, several mirrors), and the replication factor
 // determines the synchronisation traffic the engine pays per superstep.
-// This package provides hash-based and greedy strategies plus the statistics
-// (replication factor, balance) used by the ablation benches.
+// A Strategy (hash-based or greedy) decides the placement as an Assignment;
+// NewCut turns an Assignment into the partitions themselves — one
+// graph.ShardFile each, with replica rows and masters elected by
+// ElectMaster — and is the only builder of them: the sim engine, a pack and
+// a fleet all run over its shards. ComputeStats evaluates an Assignment
+// independently of the cut (replication factor, balance) for the ablation
+// benches.
 package partition
 
 import (
