@@ -285,22 +285,20 @@ func BenchmarkSnapleDistributed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Score: "linearSum", KLocal: 20, ThrGamma: 200, Seed: 42}
-	cl := ClusterOptions{Nodes: 4, NodeType: "type-II", Seed: 1}
+	opts := Options{Score: "linearSum", KLocal: 20, ThrGamma: 200, Seed: 42,
+		Engine: "sim", Nodes: 4, NodeType: "type-II"}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var last *Result
+	var last EngineStats
 	for i := 0; i < b.N; i++ {
-		res, err := PredictDistributed(g, opts, cl)
+		_, st, err := PredictStats(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = res
+		last = st
 	}
-	if last != nil {
-		b.ReportMetric(last.SimSeconds, "simsec")
-		b.ReportMetric(float64(last.CrossBytes)/(1<<20), "crossMB")
-	}
+	b.ReportMetric(last.SimSeconds, "simsec")
+	b.ReportMetric(float64(last.CrossBytes)/(1<<20), "crossMB")
 }
 
 func BenchmarkBaselineDistributed(b *testing.B) {
@@ -308,21 +306,19 @@ func BenchmarkBaselineDistributed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl := ClusterOptions{Nodes: 4, NodeType: "type-II", Seed: 1}
+	opts := Options{Nodes: 4, NodeType: "type-II", Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
-	var last *Result
+	var last EngineStats
 	for i := 0; i < b.N; i++ {
-		res, err := PredictBaseline(g, 5, cl)
+		_, st, err := PredictBaseline(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = res
+		last = st
 	}
-	if last != nil {
-		b.ReportMetric(last.SimSeconds, "simsec")
-		b.ReportMetric(float64(last.CrossBytes)/(1<<20), "crossMB")
-	}
+	b.ReportMetric(last.SimSeconds, "simsec")
+	b.ReportMetric(float64(last.CrossBytes)/(1<<20), "crossMB")
 }
 
 func BenchmarkWalkEngine(b *testing.B) {

@@ -37,7 +37,6 @@ import (
 
 	"snaple"
 	"snaple/internal/core"
-	distengine "snaple/internal/engine"
 	"snaple/internal/eval"
 	"snaple/internal/graph"
 	"snaple/internal/randx"
@@ -216,9 +215,11 @@ func runPerf(o eval.Options, w io.Writer) error {
 		Vertices: g.NumVertices(), Edges: g.NumEdges(),
 	}
 	for _, engineName := range perfEngines {
+		// The dist row measures the wire compressed — the cross-rack shape
+		// whose cross_bytes the baseline pins (the CLI's -wire-compress).
 		opts := snaple.Options{
 			Score: "linearSum", KLocal: 20, ThrGamma: 200, Seed: o.Seed,
-			Engine: engineName, Workers: o.Workers,
+			Engine: engineName, Workers: o.Workers, WireCompress: true,
 		}
 		// The backends' own allocation deltas come from runtime/metrics
 		// (core.ReadHeapCounters), which books small objects a span at a
@@ -231,7 +232,7 @@ func runPerf(o eval.Options, w io.Writer) error {
 		core.ReadHeapCounters()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		_, st, err := distPerfStats(g, opts)
+		_, st, err := snaple.PredictStats(g, opts)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			return fmt.Errorf("%s backend: %w", engineName, err)
@@ -283,31 +284,6 @@ func runPerf(o eval.Options, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "wrote %s\n", perfOutPath)
 	return nil
-}
-
-// distPerfStats runs one perf-tracked backend. The dist backend is
-// constructed directly so the bench measures it with wire compression on —
-// the configuration whose cross_bytes the baseline pins (the cross-rack
-// shape, matching the CLI's -wire-compress); every other engine goes through
-// the public API unchanged.
-func distPerfStats(g *snaple.Graph, opts snaple.Options) (snaple.Predictions, snaple.EngineStats, error) {
-	if opts.Engine != "dist" {
-		return snaple.PredictStats(g, opts)
-	}
-	spec, err := core.ScoreByName(opts.Score, 0.9)
-	if err != nil {
-		return nil, snaple.EngineStats{}, err
-	}
-	pol, err := core.PolicyByName(opts.Policy)
-	if err != nil {
-		return nil, snaple.EngineStats{}, err
-	}
-	cfg := core.Config{
-		Score: spec, Policy: pol,
-		KLocal: opts.KLocal, ThrGamma: opts.ThrGamma, Seed: opts.Seed,
-	}
-	d := distengine.Dist{InProc: opts.Workers, Seed: opts.Seed, Compress: true}
-	return d.Predict(g, cfg)
 }
 
 // ingestPerf measures the two graph-loading paths on the perf graph: the

@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -14,29 +16,34 @@ func TestRunErrors(t *testing.T) {
 	if err := os.WriteFile(file, []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := serveArgs{
-		in: file, listen: "127.0.0.1:0",
-		score: "linearSum", alpha: 0.9, kmax: 5, klocal: 4, thr: 10,
-		policy: "max", paths: 2, seed: 1, engine: "local",
+	base := []string{
+		"-in", file, "-listen", "127.0.0.1:0",
+		"-score", "linearSum", "-alpha", "0.9", "-kmax", "5", "-klocal", "4", "-thr", "10",
+		"-policy", "max", "-paths", "2", "-seed", "1", "-engine", "local",
 	}
+	manifest := filepath.Join(t.TempDir(), "g.sgr.manifest")
 	for _, tc := range []struct {
-		name   string
-		mutate func(*serveArgs)
+		name string
+		args []string
+		want string // a substring of the error, when the reason matters
 	}{
-		{"missing in", func(a *serveArgs) { a.in = "" }},
-		{"absent file", func(a *serveArgs) { a.in = filepath.Join(t.TempDir(), "nope.txt") }},
-		{"bad score", func(a *serveArgs) { a.score = "nope" }},
-		{"bad policy", func(a *serveArgs) { a.policy = "nope" }},
-		{"bad engine", func(a *serveArgs) { a.engine = "nope" }},
-		{"bad paths", func(a *serveArgs) { a.paths = 5 }},
-		{"bad kmax", func(a *serveArgs) { a.kmax = -1 }},
-		{"unbindable listen", func(a *serveArgs) { a.listen = "256.0.0.1:99999" }},
+		{"missing in", []string{"-in", ""}, ""},
+		{"absent file", []string{"-in", filepath.Join(t.TempDir(), "nope.txt")}, ""},
+		{"bad score", []string{"-score", "nope"}, ""},
+		{"bad policy", []string{"-policy", "nope"}, ""},
+		{"bad engine", []string{"-engine", "nope"}, ""},
+		{"bad paths", []string{"-paths", "5"}, ""},
+		{"bad kmax", []string{"-kmax", "-1"}, ""},
+		{"unbindable listen", []string{"-listen", "256.0.0.1:99999"}, ""},
+		// The manifest does not exist: both combinations must be refused
+		// before it is read.
+		{"mutable manifest", []string{"-mutable", "-manifest", manifest}, "-mutable is incompatible with -manifest"},
+		{"manifest on sim", []string{"-manifest", manifest, "-engine", "sim"}, "manifest requires engine dist"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			args := base
-			tc.mutate(&args)
-			if err := run(args); err == nil {
-				t.Fatal("want error")
+			err := run(append(slices.Clip(base), tc.args...))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}

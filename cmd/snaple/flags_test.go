@@ -10,7 +10,8 @@ import (
 
 // TestFlagsGolden pins the command line as `snaple -h` prints it: every
 // flag's name, value type and default, recorded before the prediction and
-// deployment flags came from one binder shared with snaple-serve.
+// deployment flags came from one binder shared with snaple-serve. The only
+// flag gone since is -serial, the deprecated alias of -engine serial.
 func TestFlagsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
@@ -36,7 +37,6 @@ func TestFlagsGolden(t *testing.T) {
 		`-score string "linearSum"`,
 		"-scores",
 		"-seed uint 42",
-		"-serial",
 		"-sources string",
 		"-spawn int",
 		"-step-timeout duration",

@@ -21,6 +21,12 @@
 //	snaple -dataset gowalla -system baseline -nodes 4 -eval
 //	snaple -dataset gowalla -engine dist -spawn 3 -eval
 //	snaple -dataset gowalla -engine dist -addrs host1:7777,host2:7777 -eval
+//
+// Every prediction and deployment flag sets one field of snaple.Options:
+// -score -alpha -klocal -thr -policy -seed -engine -workers -addrs -spawn
+// -worker-bin -replicas -step-timeout -dial-attempts through the binder
+// snaple-serve shares (Options.BindFlags), and -k -nodes -nodetype
+// -strategy -budget -wire-compress here.
 package main
 
 import (
@@ -43,123 +49,20 @@ import (
 )
 
 func main() {
+	var err error
 	if len(os.Args) > 1 && os.Args[1] == "pack" {
-		if err := runPack(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "snaple: pack:", err)
-			os.Exit(1)
+		if err = runPack(os.Args[2:], os.Stdout); err != nil {
+			err = fmt.Errorf("pack: %w", err)
 		}
-		return
+	} else {
+		err = run(os.Args[1:])
 	}
-	var (
-		in        = flag.String("in", "", "input edge-list file (SNAP format)")
-		symmetric = flag.Bool("symmetric", false, "treat the input as undirected")
-		dataset   = flag.String("dataset", "", "generate a dataset analog instead of reading a file")
-		scale     = flag.Float64("scale", 1.0, "dataset scale multiplier")
-		seed      = flag.Uint64("seed", 42, "run seed")
-
-		system = flag.String("system", "snaple", "predictor: snaple|baseline|walks")
-		score  = flag.String("score", "linearSum", "SNAPLE score (see -scores)")
-		scores = flag.Bool("scores", false, "list available scores and exit")
-		k      = flag.Int("k", 5, "predictions per vertex")
-		klocal = flag.Int("klocal", 20, "relay sample size (0 = unlimited)")
-		thr    = flag.Int("thr", 200, "truncation threshold thrGamma (0 = unlimited)")
-		policy = flag.String("policy", "max", "relay selection policy: max|min|rnd")
-		alpha  = flag.Float64("alpha", 0.9, "linear combinator alpha")
-
-		// The backend set comes from the engine layer's single source of
-		// truth, so this help text can never silently miss a backend.
-		engineF  = flag.String("engine", "sim", "execution backend for -system snaple: "+strings.Join(snaple.EngineNames(), "|"))
-		workers  = flag.Int("workers", 0, "worker goroutines for the chosen backend (0 = GOMAXPROCS; for -engine dist: loopback worker count, 0 = 2)")
-		serial   = flag.Bool("serial", false, "deprecated: same as -engine serial")
-		nodes    = flag.Int("nodes", 1, "simulated cluster nodes")
-		nodeType = flag.String("nodetype", "type-II", "node type: type-I|type-II")
-		strategy = flag.String("strategy", "hash-edge", "vertex-cut strategy: hash-edge|hash-source|greedy")
-		budget   = flag.Int64("budget", 0, "per-node memory budget in bytes (0 = node capacity)")
-
-		addrs        = flag.String("addrs", "", "comma-separated snaple-worker addresses for -engine dist")
-		spawn        = flag.Int("spawn", 0, "auto-spawn this many local snaple-worker processes for -engine dist")
-		workerBin    = flag.String("worker-bin", "", "snaple-worker binary for -spawn (default: found on PATH)")
-		wireCompress = flag.Bool("wire-compress", false, "compress dist wire frames (flate)")
-		replicas     = flag.Int("replicas", 0, "ship every partition to this many dist workers; a worker death then fails over to a survivor with bit-identical results (0 or 1 = no replication)")
-		stepTimeout  = flag.Duration("step-timeout", 0, "per-phase deadline on dist superstep exchanges; a wedged worker is declared dead at the deadline (0 = 10m default, negative = unbounded)")
-		dialAttempts = flag.Int("dial-attempts", 0, "connect/spawn attempts per dist worker, retried with exponential backoff (0 = 3)")
-		dump         = flag.String("dump", "", "write predictions to FILE as 'vertex<TAB>target<TAB>hexfloat' lines (byte-stable across runs; for scripted equivalence checks)")
-
-		sources = flag.String("sources", "", "scope the prediction to these source vertices: comma-separated IDs, or @FILE with whitespace-separated IDs ('#' comments); empty = all vertices")
-
-		walks = flag.Int("walks", 100, "walks per vertex (system=walks)")
-		depth = flag.Int("depth", 3, "walk depth (system=walks)")
-
-		doEval = flag.Bool("eval", false, "hide one edge per vertex and report recall")
-		vertex = flag.Int("vertex", -1, "print predictions for this vertex")
-		verify = flag.Bool("verify", false, "fully re-verify snapshot checksums and row invariants on load (mapped loads default to the cheap structural checks)")
-	)
-	flag.Parse()
-
-	if *scores {
-		for _, s := range snaple.ScoreNames() {
-			fmt.Println(s)
-		}
-		return
-	}
-	engineSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			engineSet = true
-		}
-	})
-	if err := run(runArgs{
-		in: *in, symmetric: *symmetric, dataset: *dataset, scale: *scale, seed: *seed,
-		system: *system, score: *score, k: *k, klocal: *klocal, thr: *thr,
-		policy: *policy, alpha: *alpha, engine: *engineF, engineSet: engineSet,
-		workers: *workers, serial: *serial,
-		nodes: *nodes, nodeType: *nodeType, strategy: *strategy, budget: *budget,
-		addrs: *addrs, spawn: *spawn, workerBin: *workerBin,
-		wireCompress: *wireCompress, sources: *sources,
-		replicas: *replicas, stepTimeout: *stepTimeout, dialAttempts: *dialAttempts,
-		dump:  *dump,
-		walks: *walks, depth: *depth, doEval: *doEval, vertex: *vertex,
-		verify: *verify,
-	}); err != nil {
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "snaple:", err)
 		os.Exit(1)
 	}
-}
-
-type runArgs struct {
-	in           string
-	symmetric    bool
-	dataset      string
-	scale        float64
-	seed         uint64
-	system       string
-	score        string
-	k, klocal    int
-	thr          int
-	policy       string
-	alpha        float64
-	engine       string
-	engineSet    bool
-	workers      int
-	serial       bool
-	nodes        int
-	nodeType     string
-	strategy     string
-	budget       int64
-	addrs        string
-	spawn        int
-	workerBin    string
-	wireCompress bool
-	sources      string
-	replicas     int
-	stepTimeout  time.Duration
-	dialAttempts int
-	dump         string
-	walks        int
-	depth        int
-	doEval       bool
-	vertex       int
-	verify       bool
 }
 
 // parseSources parses the -sources flag: a comma-separated ID list, or
@@ -202,25 +105,67 @@ func parseSources(s string) ([]snaple.VertexID, error) {
 	return out, nil
 }
 
-func run(a runArgs) error {
+// run is one prediction invocation: args are the command line after the
+// program name. The prediction and deployment settings parse straight into
+// one snaple.Options, whose literal below holds every default they have.
+func run(args []string) error {
+	opts := snaple.Options{
+		Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Policy: "max",
+		Seed: 42, Engine: "sim", Nodes: 1, NodeType: "type-II", Strategy: "hash-edge",
+	}
+	fs := flag.NewFlagSet("snaple", flag.ContinueOnError)
+	opts.BindFlags(fs)
+	fs.IntVar(&opts.K, "k", opts.K, "predictions per vertex")
+	fs.IntVar(&opts.Nodes, "nodes", opts.Nodes, "simulated cluster nodes")
+	fs.StringVar(&opts.NodeType, "nodetype", opts.NodeType, "node type: type-I|type-II")
+	fs.StringVar(&opts.Strategy, "strategy", opts.Strategy, "vertex-cut strategy: hash-edge|hash-source|greedy")
+	fs.Int64Var(&opts.MemBudgetBytes, "budget", opts.MemBudgetBytes, "per-node memory budget in bytes (0 = node capacity)")
+	fs.BoolVar(&opts.WireCompress, "wire-compress", opts.WireCompress, "compress dist wire frames (flate)")
+	var (
+		in        = fs.String("in", "", "input edge-list file (SNAP format)")
+		symmetric = fs.Bool("symmetric", false, "treat the input as undirected")
+		dataset   = fs.String("dataset", "", "generate a dataset analog instead of reading a file")
+		scale     = fs.Float64("scale", 1.0, "dataset scale multiplier")
+		verify    = fs.Bool("verify", false, "fully re-verify snapshot checksums and row invariants on load (mapped loads default to the cheap structural checks)")
+
+		system  = fs.String("system", "snaple", "predictor: snaple|baseline|walks")
+		scores  = fs.Bool("scores", false, "list available scores and exit")
+		sources = fs.String("sources", "", "scope the prediction to these source vertices: comma-separated IDs, or @FILE with whitespace-separated IDs ('#' comments); empty = all vertices")
+		walks   = fs.Int("walks", 100, "walks per vertex (system=walks)")
+		depth   = fs.Int("depth", 3, "walk depth (system=walks)")
+
+		doEval = fs.Bool("eval", false, "hide one edge per vertex and report recall")
+		vertex = fs.Int("vertex", -1, "print predictions for this vertex")
+		dump   = fs.String("dump", "", "write predictions to FILE as 'vertex<TAB>target<TAB>hexfloat' lines (byte-stable across runs; for scripted equivalence checks)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *scores {
+		for _, s := range snaple.ScoreNames() {
+			fmt.Println(s)
+		}
+		return nil
+	}
+
 	// gv is the view predictions run over: the loaded CSR (possibly mmap'd
 	// or packed), or the split's remove-only overlay when evaluating.
-	gv, err := load(a)
+	gv, err := load(*in, *dataset, *scale, opts.Seed, snaple.GraphReadOptions{Symmetrize: *symmetric, Verify: *verify})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("graph: %s\n", gv)
 
 	var split *snaple.Split
-	if a.doEval {
+	if *doEval {
 		// The split hides edges behind an overlay built from a heap-shaped
 		// CSR, so packed views decode once here; mapped plain CSRs pass
 		// through (the overlay never mutates its base).
-		g, err := heapGraph(gv)
+		g, err := graph.HeapCSR(gv)
 		if err != nil {
 			return err
 		}
-		split, err = snaple.NewSplit(g, 1, a.seed)
+		split, err = snaple.NewSplit(g, 1, opts.Seed)
 		if err != nil {
 			return err
 		}
@@ -228,106 +173,60 @@ func run(a runArgs) error {
 		gv = split.Train
 	}
 
-	eng := a.engine
-	if a.serial {
-		// Back-compat: -serial predates -engine. Honour it only when -engine
-		// was not given explicitly; a contradictory combination is an error.
-		if a.engineSet && a.engine != "serial" {
-			return fmt.Errorf("-serial conflicts with -engine %s", a.engine)
-		}
-		eng = "serial"
-	}
-	if eng == "" {
-		eng = "sim" // zero-value runArgs (direct run() callers): the flag default
-	}
 	// Validate up front so a typo'd -engine errors for every -system, not
 	// just snaple (the only system the backend choice applies to).
-	if !slices.Contains(snaple.EngineNames(), eng) {
-		return fmt.Errorf("unknown engine %q (%s)", eng, strings.Join(snaple.EngineNames(), "|"))
+	if !slices.Contains(snaple.EngineNames(), opts.Engine) {
+		return fmt.Errorf("unknown engine %q (%s)", opts.Engine, strings.Join(snaple.EngineNames(), "|"))
 	}
-	srcs, err := parseSources(a.sources)
+	srcs, err := parseSources(*sources)
 	if err != nil {
 		return err
 	}
-	if srcs != nil && a.system != "snaple" {
+	if srcs != nil && *system != "snaple" {
 		return fmt.Errorf("-sources only applies to -system snaple")
 	}
-	if srcs != nil && a.doEval {
+	if srcs != nil && *doEval {
 		// Recall's denominator is every vertex's hidden edge; a scoped run
 		// only predicts for the sources, so the figure would be silently
 		// deflated to near zero. Refuse rather than mislead.
 		return fmt.Errorf("-sources cannot be combined with -eval: recall is defined over all vertices, a scoped run predicts only for the sources")
 	}
-	opts := snaple.Options{
-		Score: a.score, Alpha: a.alpha, K: a.k, KLocal: a.klocal,
-		ThrGamma: a.thr, Policy: a.policy, Seed: a.seed,
-		Engine: eng, Workers: a.workers, Sources: srcs,
-	}
-	cl := snaple.ClusterOptions{
-		Nodes: a.nodes, NodeType: a.nodeType, Strategy: a.strategy,
-		MemBudgetBytes: a.budget, Seed: a.seed, Workers: a.workers,
-		SpawnWorkers: a.spawn, WorkerBin: a.workerBin,
-		WireCompress: a.wireCompress, Replicas: a.replicas,
-		StepTimeout: a.stepTimeout, DialAttempts: a.dialAttempts,
-	}
-	if a.addrs != "" {
-		cl.WorkerAddrs = strings.Split(a.addrs, ",")
-	}
+	opts.Sources = srcs
 
-	var preds snaple.Predictions
+	var (
+		preds snaple.Predictions
+		st    snaple.EngineStats
+	)
 	start := time.Now()
-	switch a.system {
+	switch *system {
 	case "snaple":
-		if eng == "sim" || eng == "dist" {
-			// Both deployment-aware backends go through PredictDistributed,
-			// which reports cluster costs: simulated for sim, measured on
-			// the wire for dist.
-			var res *snaple.Result
-			res, err = snaple.PredictDistributed(gv, opts, cl)
-			if res != nil {
-				preds = res.Predictions
-				printStats(res)
-			}
-		} else {
-			var st snaple.EngineStats
-			preds, st, err = snaple.PredictStats(gv, opts)
-			if err == nil {
-				fmt.Printf("engine: %s workers=%d %.2fs %.0f edges/s alloc=%.1fMiB (%d objects)\n",
-					st.Engine, st.Workers, st.WallSeconds, st.EdgesPerSec,
-					float64(st.AllocBytes)/(1<<20), st.AllocObjects)
-				if st.FrontierVertices > 0 {
-					fmt.Printf("frontier: %d sources -> %d-vertex closure (of %d)\n",
-						st.ScoredVertices, st.FrontierVertices, gv.NumVertices())
-				}
-			}
-		}
+		preds, st, err = snaple.PredictStats(gv, opts)
 	case "baseline":
-		var res *snaple.Result
-		res, err = snaple.PredictBaseline(gv, a.k, cl)
-		if res != nil {
-			preds = res.Predictions
-			printStats(res)
-		}
+		preds, st, err = snaple.PredictBaseline(gv, opts)
 	case "walks":
-		preds, err = snaple.PredictWalks(gv, a.walks, a.depth, a.k, a.seed)
+		preds, err = snaple.PredictWalks(gv, *walks, *depth, opts.K, opts.Seed)
 	default:
-		return fmt.Errorf("unknown system %q (snaple|baseline|walks)", a.system)
+		return fmt.Errorf("unknown system %q (snaple|baseline|walks)", *system)
+	}
+	exhausted := errors.Is(err, snaple.ErrMemoryExhausted)
+	if st.Engine != "" && (err == nil || exhausted) {
+		printStats(st, gv.NumVertices())
+	}
+	if exhausted {
+		fmt.Printf("RESOURCE EXHAUSTION: %v\n", err)
+		return nil
 	}
 	if err != nil {
-		if errors.Is(err, snaple.ErrMemoryExhausted) {
-			fmt.Printf("RESOURCE EXHAUSTION: %v\n", err)
-			return nil
-		}
 		return err
 	}
 	fmt.Printf("predicted in %.2fs (host wall)\n", time.Since(start).Seconds())
 
-	if a.vertex >= 0 {
-		if a.vertex >= len(preds) || len(preds[a.vertex]) == 0 {
-			fmt.Printf("vertex %d: no predictions\n", a.vertex)
+	if *vertex >= 0 {
+		if *vertex >= len(preds) || len(preds[*vertex]) == 0 {
+			fmt.Printf("vertex %d: no predictions\n", *vertex)
 		} else {
-			fmt.Printf("vertex %d predictions:\n", a.vertex)
-			for i, p := range preds[a.vertex] {
+			fmt.Printf("vertex %d predictions:\n", *vertex)
+			for i, p := range preds[*vertex] {
 				fmt.Printf("  %d. vertex %d (score %.4f)\n", i+1, p.Vertex, p.Score)
 			}
 		}
@@ -338,13 +237,13 @@ func run(a runArgs) error {
 	}
 	fmt.Printf("predictions: %d across %d vertices\n", total, len(preds))
 	if split != nil {
-		fmt.Printf("recall@%d: %.4f\n", a.k, snaple.Recall(preds, split))
+		fmt.Printf("recall@%d: %.4f\n", opts.K, snaple.Recall(preds, split))
 	}
-	if a.dump != "" {
-		if err := writeDump(a.dump, preds); err != nil {
+	if *dump != "" {
+		if err := writeDump(*dump, preds); err != nil {
 			return err
 		}
-		fmt.Printf("dumped %d predictions to %s\n", total, a.dump)
+		fmt.Printf("dumped %d predictions to %s\n", total, *dump)
 	}
 	return nil
 }
@@ -372,56 +271,31 @@ func writeDump(path string, preds snaple.Predictions) error {
 	return f.Close()
 }
 
-func load(a runArgs) (snaple.GraphView, error) {
+// load opens the -in file or generates the -dataset analog.
+func load(in, dataset string, scale float64, seed uint64, ro snaple.GraphReadOptions) (snaple.GraphView, error) {
 	switch {
-	case a.in != "" && a.dataset != "":
+	case in != "" && dataset != "":
 		return nil, fmt.Errorf("use either -in or -dataset, not both")
-	case a.in != "":
+	case in != "":
 		// Format (text edge list vs binary snapshot) is detected by magic
 		// bytes, so packed and plain graphs are interchangeable here.
 		// Format-v2 snapshots arrive zero-copy: mmap'd when the platform
 		// allows, aliased from one aligned read otherwise.
 		start := time.Now()
-		v, info, err := snaple.OpenGraphFile(a.in, snaple.GraphReadOptions{
-			Symmetrize: a.symmetric, Verify: a.verify,
-		})
+		v, info, err := snaple.OpenGraphFile(in, ro)
 		if err != nil {
 			return nil, err
 		}
 		el := time.Since(start).Seconds()
-		how := "parsed text"
-		if info.Version > 0 {
-			how = "heap"
-			if info.Mapped {
-				how = "mmap"
-			}
-			how = fmt.Sprintf("snapshot v%d, %s", info.Version, how)
-			if info.Packed {
-				how += ", packed adjacency"
-			}
-		}
 		fmt.Printf("loaded %s in %.3fs: %.1f MiB at %.0f MB/s (%s)\n",
-			a.in, el, float64(info.Bytes)/(1<<20),
-			float64(info.Bytes)/1e6/max(el, 1e-9), how)
+			in, el, float64(info.Bytes)/(1<<20),
+			float64(info.Bytes)/1e6/max(el, 1e-9), info)
 		return v, nil
-	case a.dataset != "":
-		return snaple.Dataset(a.dataset, a.scale, a.seed)
+	case dataset != "":
+		return snaple.Dataset(dataset, scale, seed)
 	default:
 		return nil, fmt.Errorf("need -in FILE or -dataset NAME")
 	}
-}
-
-// heapGraph unwraps gv to the heap-shaped CSR some paths require: a
-// pass-through for plain CSRs (including mmap'd ones) and a one-time
-// decode for packed-adjacency views.
-func heapGraph(gv snaple.GraphView) (*snaple.Graph, error) {
-	if g, ok := graph.AsCSR(gv); ok {
-		return g, nil
-	}
-	if p, ok := gv.(*graph.Packed); ok {
-		return p.Decode()
-	}
-	return nil, fmt.Errorf("cannot materialise %s as a CSR", gv)
 }
 
 // runPack implements `snaple pack`: one-time conversion of a graph file
@@ -596,22 +470,31 @@ func writeOutput(path string, write func(io.Writer) error) error {
 	return nil
 }
 
-func printStats(r *snaple.Result) {
-	if r.FrontierVertices > 0 {
-		fmt.Printf("frontier: %d sources -> %d-vertex closure\n", r.ScoredVertices, r.FrontierVertices)
+// printStats reports what a run cost: the closure of a scoped run, then
+// throughput and heap churn for the in-memory backends, the simulated
+// cluster's costs for sim, measured traffic and fleet health for dist.
+func printStats(st snaple.EngineStats, vertices int) {
+	if st.FrontierVertices > 0 {
+		fmt.Printf("frontier: %d sources -> %d-vertex closure (of %d)\n",
+			st.ScoredVertices, st.FrontierVertices, vertices)
 	}
-	if r.Engine == "dist" || r.Engine == "fleet" {
+	switch st.Engine {
+	case "sim":
+		fmt.Printf("engine: sim=%.3fs cross=%.1fMiB msgs=%d peak=%.1fMiB/node rf=%.2f\n",
+			st.SimSeconds, float64(st.CrossBytes)/(1<<20), st.CrossMsgs,
+			float64(st.MemPeakBytes)/(1<<20), st.ReplicationFactor)
+	case "dist", "fleet":
 		// Everything here is measured, not simulated: real sockets, real
 		// heap. The raw byte count rides along so scripts (cluster_smoke.sh's
 		// compression check) can compare runs without MiB rounding.
 		fmt.Printf("engine: %s wall=%.3fs cross=%.1fMiB (%d B) msgs=%d (measured) peak=%.1fMiB/worker rf=%.2f\n",
-			r.Engine, r.WallSeconds, float64(r.CrossBytes)/(1<<20), r.CrossBytes, r.CrossMsgs,
-			float64(r.MemPeakBytes)/(1<<20), r.ReplicationFactor)
+			st.Engine, st.WallSeconds, float64(st.CrossBytes)/(1<<20), st.CrossBytes, st.CrossMsgs,
+			float64(st.MemPeakBytes)/(1<<20), st.ReplicationFactor)
 		fmt.Printf("fleet: replicas=%d dead=%d failovers=%d dial-retries=%d\n",
-			r.Replicas, r.WorkersDead, r.Failovers, r.DialRetries)
-		return
+			st.Replicas, st.WorkersDead, st.Failovers, st.DialRetries)
+	default:
+		fmt.Printf("engine: %s workers=%d %.2fs %.0f edges/s alloc=%.1fMiB (%d objects)\n",
+			st.Engine, st.Workers, st.WallSeconds, st.EdgesPerSec,
+			float64(st.AllocBytes)/(1<<20), st.AllocObjects)
 	}
-	fmt.Printf("engine: sim=%.3fs cross=%.1fMiB msgs=%d peak=%.1fMiB/node rf=%.2f\n",
-		r.SimSeconds, float64(r.CrossBytes)/(1<<20), r.CrossMsgs,
-		float64(r.MemPeakBytes)/(1<<20), r.ReplicationFactor)
 }

@@ -18,19 +18,19 @@ func TestLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	tests := []struct {
-		name    string
-		args    runArgs
-		wantErr bool
+		name        string
+		in, dataset string
+		wantErr     bool
 	}{
-		{"from file", runArgs{in: file}, false},
-		{"from dataset", runArgs{dataset: "gowalla", scale: 0.1, seed: 1}, false},
-		{"both", runArgs{in: file, dataset: "gowalla"}, true},
-		{"neither", runArgs{}, true},
-		{"missing file", runArgs{in: filepath.Join(dir, "absent.txt")}, true},
+		{"from file", file, "", false},
+		{"from dataset", "", "gowalla", false},
+		{"both", file, "gowalla", true},
+		{"neither", "", "", true},
+		{"missing file", filepath.Join(dir, "absent.txt"), "", true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			g, err := load(tt.args)
+			g, err := load(tt.in, tt.dataset, 0.1, 1, snaple.GraphReadOptions{})
 			if tt.wantErr {
 				if err == nil {
 					t.Error("want error")
@@ -63,7 +63,7 @@ func TestPack(t *testing.T) {
 		t.Fatal(err)
 	}
 	sgr := filepath.Join(dir, "g.sgr") // default: input path with .sgr extension
-	g, err := load(runArgs{in: sgr})
+	g, err := load(sgr, "", 0, 0, snaple.GraphReadOptions{})
 	if err != nil {
 		t.Fatalf("load packed: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestPack(t *testing.T) {
 	if err := runPack([]string{"-in", sgr, "-out", repacked}, &out); err != nil {
 		t.Fatalf("re-pack: %v", err)
 	}
-	g2, err := load(runArgs{in: repacked})
+	g2, err := load(repacked, "", 0, 0, snaple.GraphReadOptions{})
 	if err != nil || g2.NumEdges() != 3 {
 		t.Fatalf("re-packed graph: %s err=%v", g2, err)
 	}
@@ -116,14 +116,14 @@ func TestLoadAutoDetect(t *testing.T) {
 	if err := os.WriteFile(text, []byte("0 1\n1 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gText, err := load(runArgs{in: text})
+	gText, err := load(text, "", 0, 0, snaple.GraphReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := runPack([]string{"-in", text}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	gSnap, err := load(runArgs{in: filepath.Join(dir, "g.sgr")})
+	gSnap, err := load(filepath.Join(dir, "g.sgr"), "", 0, 0, snaple.GraphReadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,10 @@ func TestLoadAutoDetect(t *testing.T) {
 // the engine layer knows, including dist, must be accepted by the CLI and
 // enumerated in its error message for a bogus engine.
 func TestEngineListIsShared(t *testing.T) {
-	args := runArgs{
-		dataset: "gowalla", scale: 0.1, seed: 1, system: "walks",
-		walks: 2, depth: 2, k: 1, engine: "nope", engineSet: true,
-	}
-	err := run(args)
+	err := run([]string{
+		"-dataset", "gowalla", "-scale", "0.1", "-seed", "1", "-system", "walks",
+		"-walks", "2", "-depth", "2", "-k", "1", "-engine", "nope",
+	})
 	if err == nil {
 		t.Fatal("bogus engine accepted")
 	}
@@ -185,44 +184,36 @@ func TestParseSources(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	base := runArgs{
-		dataset: "gowalla", scale: 0.1, seed: 1,
-		system: "snaple", score: "linearSum", k: 5, klocal: 10, thr: 50,
-		policy: "max", alpha: 0.9, nodes: 2, nodeType: "type-I",
-		strategy: "hash-edge", doEval: true, vertex: 3,
+	base := []string{
+		"-dataset", "gowalla", "-scale", "0.1", "-seed", "1",
+		"-system", "snaple", "-score", "linearSum", "-k", "5", "-klocal", "10", "-thr", "50",
+		"-policy", "max", "-alpha", "0.9", "-nodes", "2", "-nodetype", "type-I",
+		"-strategy", "hash-edge", "-eval", "-vertex", "3",
 	}
 	for _, tc := range []struct {
-		name   string
-		mutate func(*runArgs)
-		ok     bool
+		name string
+		args []string
+		ok   bool
 	}{
-		{"snaple distributed", func(*runArgs) {}, true},
-		{"snaple serial", func(a *runArgs) { a.serial = true }, true},
-		{"snaple dist loopback", func(a *runArgs) { a.engine = "dist"; a.engineSet = true; a.workers = 2 }, true},
-		{"baseline", func(a *runArgs) { a.system = "baseline" }, true},
-		{"walks", func(a *runArgs) { a.system = "walks"; a.walks = 10; a.depth = 3 }, true},
-		{"bad system", func(a *runArgs) { a.system = "nope" }, false},
-		{"bad score", func(a *runArgs) { a.score = "nope" }, false},
-		{"bad engine", func(a *runArgs) { a.engine = "nope"; a.engineSet = true }, false},
-		{"exhaustion reported not fatal", func(a *runArgs) { a.system = "baseline"; a.budget = 1024 }, true},
-		{"scoped local", func(a *runArgs) { a.engine = "local"; a.engineSet = true; a.sources = "3,5,9"; a.doEval = false }, true},
-		{"scoped sim", func(a *runArgs) { a.sources = "0,1"; a.doEval = false }, true},
-		{"scoped dist", func(a *runArgs) {
-			a.engine = "dist"
-			a.engineSet = true
-			a.workers = 2
-			a.sources = "3"
-			a.doEval = false
-		}, true},
-		{"sources bad id", func(a *runArgs) { a.sources = "3,x" }, false},
-		{"sources out of range", func(a *runArgs) { a.engine = "local"; a.engineSet = true; a.sources = "99999999"; a.doEval = false }, false},
-		{"sources wrong system", func(a *runArgs) { a.system = "walks"; a.sources = "1"; a.doEval = false }, false},
-		{"sources with eval rejected", func(a *runArgs) { a.engine = "local"; a.engineSet = true; a.sources = "1" }, false},
+		{"snaple distributed", nil, true},
+		{"snaple serial", []string{"-engine", "serial"}, true},
+		{"snaple dist loopback", []string{"-engine", "dist", "-workers", "2"}, true},
+		{"baseline", []string{"-system", "baseline"}, true},
+		{"walks", []string{"-system", "walks", "-walks", "10", "-depth", "3"}, true},
+		{"bad system", []string{"-system", "nope"}, false},
+		{"bad score", []string{"-score", "nope"}, false},
+		{"bad engine", []string{"-engine", "nope"}, false},
+		{"exhaustion reported not fatal", []string{"-system", "baseline", "-budget", "1024"}, true},
+		{"scoped local", []string{"-engine", "local", "-sources", "3,5,9", "-eval=false"}, true},
+		{"scoped sim", []string{"-sources", "0,1", "-eval=false"}, true},
+		{"scoped dist", []string{"-engine", "dist", "-workers", "2", "-sources", "3", "-eval=false"}, true},
+		{"sources bad id", []string{"-sources", "3,x"}, false},
+		{"sources out of range", []string{"-engine", "local", "-sources", "99999999", "-eval=false"}, false},
+		{"sources wrong system", []string{"-system", "walks", "-sources", "1", "-eval=false"}, false},
+		{"sources with eval rejected", []string{"-engine", "local", "-sources", "1"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			args := base
-			tc.mutate(&args)
-			err := run(args)
+			err := run(append(slices.Clip(base), tc.args...))
 			if tc.ok && err != nil {
 				t.Fatalf("run failed: %v", err)
 			}

@@ -141,6 +141,37 @@ type LoadInfo struct {
 	Bytes int64
 }
 
+// String names the load path the way the commands report it: "parsed
+// text", or the snapshot version, "mmap" or "heap", and whether the
+// adjacency stayed packed.
+func (i LoadInfo) String() string {
+	if i.Version == 0 {
+		return "parsed text"
+	}
+	how := "heap"
+	if i.Mapped {
+		how = "mmap"
+	}
+	s := fmt.Sprintf("snapshot v%d, %s", i.Version, how)
+	if i.Packed {
+		s += ", packed adjacency"
+	}
+	return s
+}
+
+// HeapCSR returns v as the heap-shaped CSR that evaluation splits and live
+// overlays are built over: v itself for a plain CSR (mmap'd included) or a
+// clean overlay of one, a one-time decode for packed adjacency.
+func HeapCSR(v View) (*Digraph, error) {
+	if g, ok := AsCSR(v); ok {
+		return g, nil
+	}
+	if p, ok := v.(*Packed); ok {
+		return p.Decode()
+	}
+	return nil, fmt.Errorf("graph: cannot materialise %s as a CSR", v)
+}
+
 // OpenGraphFile loads a graph from path like ReadGraphFile but preserves
 // the storage representation instead of forcing a heap CSR: plain
 // snapshots are mmap'd and viewed in place (unless ReadOptions.NoMap or
@@ -255,16 +286,9 @@ func ReadGraphFile(path string, opts ReadOptions) (*Digraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *Digraph
-	switch t := v.(type) {
-	case *Digraph:
-		g = t
-	case *Packed:
-		if g, err = t.Decode(); err != nil {
-			return nil, fmt.Errorf("graph: %s: %w", path, err)
-		}
-	default:
-		return nil, fmt.Errorf("graph: %s: unexpected view %T", path, v)
+	g, err := HeapCSR(v)
+	if err != nil {
+		return nil, fmt.Errorf("graph: %s: %w", path, err)
 	}
 	if opts.WithInEdges && !g.HasInEdges() {
 		g.buildInAdjacency()

@@ -325,10 +325,7 @@ func ReadSnapshot(r io.Reader) (*Digraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p, ok := v.(*Packed); ok {
-		return p.Decode()
-	}
-	return v.(*Digraph), nil
+	return HeapCSR(v)
 }
 
 // readSnapshotStream reads a snapshot out of a stream with full verification,

@@ -62,8 +62,10 @@ type Options struct {
 	Graph graph.View
 	// Mutable enables POST /v1/edges: the server wraps Graph in a
 	// graph.Live and serves the current view of it, invalidating cached
-	// rows frontier-aware on every batch. Requires an in-memory backend
-	// (resident fleets pin a frozen pack and cannot follow mutations).
+	// rows frontier-aware on every batch. A standing fleet backend is
+	// refused (it serves the one cut it made at open); the one-shot
+	// engine.Dist follows mutations by cutting and shipping each batch run's
+	// view afresh.
 	Mutable bool
 	// CompactAt triggers a background compaction when the overlay reaches
 	// this many dirty rows (0 = never auto-compact). Mutable only.
@@ -446,7 +448,8 @@ type PredictResponse struct {
 
 // HealthResponse is the /healthz reply.
 type HealthResponse struct {
-	Status    string  `json:"status"`
+	Status string `json:"status"`
+	// Engine names the backend as InfoResponse.Engine does.
 	Engine    string  `json:"engine"`
 	Vertices  int     `json:"vertices"`
 	Edges     int     `json:"edges"`
@@ -460,6 +463,11 @@ type HealthResponse struct {
 // agree on it) and, when the backend is a resident fleet, the fleet
 // topology and pack fingerprint.
 type InfoResponse struct {
+	// Engine is the backend's name, and on a distributed deployment it names
+	// the mode: "fleet" is a standing fleet, cut once at start-up; "dist" is
+	// the one-shot form a mutable server runs, which cuts the whole current
+	// view and ships it to the workers afresh on every batch run — the
+	// documented cost of following mutations on a distributed backend.
 	Engine   string `json:"engine"`
 	Vertices int    `json:"vertices"`
 	Edges    int    `json:"edges"`

@@ -7,6 +7,10 @@
 //
 // The package is a facade over the repository's internals:
 //
+//   - one configuration, Options (internal/deploy): Algorithm 2's inputs
+//     plus the deployment that runs them, resolved in one place into the
+//     kernels' config and the backend — every entry point takes it, and the
+//     snaple commands bind their shared flags into it,
 //   - the SNAPLE scoring framework: Algorithm 2 written once as a kernel set
 //     that every backend schedules, plus the naive BASELINE comparison
 //     system (internal/core),
@@ -19,7 +23,7 @@
 //     "dist", the same supersteps across real worker processes over TCP
 //     (internal/wire, cmd/snaple-worker) with traffic measured on the wire
 //     — one coordinator, engine.Fleet, held open by a Cluster or opened for
-//     a single run by Predict and PredictDistributed,
+//     a single run by PredictStats,
 //   - a Cassovary-style random-walk comparator (internal/walk),
 //   - synthetic dataset analogs and the paper's evaluation protocol
 //     (internal/gen, internal/eval),
@@ -35,14 +39,20 @@
 //     per tick with an LRU result cache in front.
 //
 // All four backends produce bit-identical predictions for the same
-// Options; they differ only in speed and in which costs they report.
+// Options; they differ only in speed and in which costs they report. Every
+// entry point that reports costs returns (Predictions, EngineStats, error).
 //
-// Quick start:
+// Quick start — predict, then run the same Options on a simulated
+// two-node cluster:
 //
 //	g, _ := snaple.Dataset("livejournal", 0.2, 42)
 //	split, _ := snaple.NewSplit(g, 1, 42)
-//	preds, _ := snaple.Predict(split.Train, snaple.Options{Score: "linearSum", KLocal: 20})
+//	opts := snaple.Options{Score: "linearSum", KLocal: 20}
+//	preds, _ := snaple.Predict(split.Train, opts)
 //	fmt.Printf("recall@5 = %.3f\n", snaple.Recall(preds, split))
+//	opts.Engine, opts.Nodes = "sim", 2
+//	_, st, _ := snaple.PredictStats(split.Train, opts)
+//	fmt.Printf("cross-node traffic: %d B\n", st.CrossBytes)
 package snaple
 
 import (
@@ -51,15 +61,14 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"snaple/internal/cluster"
 	"snaple/internal/core"
+	"snaple/internal/deploy"
 	"snaple/internal/engine"
 	"snaple/internal/eval"
 	"snaple/internal/gen"
 	"snaple/internal/graph"
-	"snaple/internal/partition"
 	"snaple/internal/walk"
 )
 
@@ -91,73 +100,16 @@ type (
 	Split = eval.Split
 )
 
-// Options configures a SNAPLE prediction (Algorithm 2's inputs).
-type Options struct {
-	// Score names a Table 3 configuration (default "linearSum"):
-	// linearSum, euclSum, geomSum, PPR, counter, linearMean, euclMean,
-	// geomMean, linearGeom, euclGeom, geomGeom.
-	Score string
-	// Alpha parameterises the linear combinator (default 0.9).
-	Alpha float64
-	// K is the number of predictions per vertex (default 5).
-	K int
-	// KLocal bounds the per-vertex relay sample (0 = unlimited).
-	KLocal int
-	// ThrGamma is the neighbourhood truncation threshold (0 = unlimited;
-	// the paper defaults to 200).
-	ThrGamma int
-	// Policy selects relays: "max" (default), "min" or "rnd" (Section 5.6).
-	Policy string
-	// Paths is the maximum explored path length: 2 (default, the paper's
-	// setting) or 3 (the footnote-2 extension).
-	Paths int
-	// Seed drives truncation and the rnd policy.
-	Seed uint64
-	// Engine selects the execution backend used by Predict: "local" (the
-	// default: parallel shared-memory), "serial" (the single-threaded
-	// reference), "sim" (the GAS engine on a default single-node simulated
-	// cluster) or "dist" (real worker processes over TCP, served in-process
-	// on loopback by default; use PredictDistributed to configure either
-	// deployment). All backends return bit-identical predictions.
-	Engine string
-	// Workers bounds the goroutines of the chosen backend (0 = GOMAXPROCS).
-	// For "dist" it is the worker count (0 = 2 loopback workers).
-	Workers int
-	// Sources optionally scopes the run to a query frontier: when
-	// non-empty, only these vertices receive predictions and every backend
-	// restricts its work to the exact closure their predictions depend on
-	// (2 hops out; 3 for Paths=3). The results are bit-identical to the
-	// full run's, filtered to the sources. This is the online per-user
-	// shape — see PredictFor and cmd/snaple-serve.
-	Sources []VertexID
-}
-
-func (o Options) toCore() (core.Config, error) {
-	if o.Score == "" {
-		o.Score = "linearSum"
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.9
-	}
-	spec, err := core.ScoreByName(o.Score, o.Alpha)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg := core.Config{
-		Score:    spec,
-		K:        o.K,
-		KLocal:   o.KLocal,
-		ThrGamma: o.ThrGamma,
-		Paths:    o.Paths,
-		Seed:     o.Seed,
-		Sources:  o.Sources,
-	}
-	cfg.Policy, err = core.PolicyByName(o.Policy)
-	if err != nil {
-		return core.Config{}, err
-	}
-	return cfg, nil
-}
+// Options configures a SNAPLE run: Algorithm 2's inputs (Score, Alpha, K,
+// KLocal, ThrGamma, Policy, Paths, Seed), the backend (Engine, Workers), an
+// optional query frontier (Sources) and, for the "sim" and "dist" engines,
+// the deployment: the simulated cluster (Nodes, NodeType, Partitions,
+// MemBudgetBytes) or the worker fleet (Manifest, WorkerAddrs, SpawnWorkers,
+// WorkerBin, WireCompress, Replicas, StepTimeout, DialAttempts,
+// DialBackoff), cut by Strategy. Every entry point takes the same Options,
+// and "" means "local" at every one of them. The fields are documented in
+// internal/deploy; BindFlags binds the flags the snaple commands share.
+type Options = deploy.Options
 
 // ScoreNames lists the Table 3 scoring configurations.
 func ScoreNames() []string { return core.ScoreNames() }
@@ -181,8 +133,7 @@ func Predict(g GraphView, opts Options) (Predictions, error) {
 // the full run's rows for the same Options. It is the one-shot form of what
 // cmd/snaple-serve serves continuously.
 func PredictFor(g GraphView, sources []VertexID, opts Options) (Predictions, error) {
-	opts.Sources = sources
-	return Predict(g, opts)
+	return PredictForContext(context.Background(), g, sources, opts)
 }
 
 // PredictForContext is PredictFor under a context deadline or cancellation.
@@ -192,115 +143,36 @@ func PredictFor(g GraphView, sources []VertexID, opts Options) (Predictions, err
 // in microseconds and simply ignore ctx.
 func PredictForContext(ctx context.Context, g GraphView, sources []VertexID, opts Options) (Predictions, error) {
 	opts.Sources = sources
-	cfg, err := opts.toCore()
-	if err != nil {
-		return nil, err
-	}
-	be, err := engine.New(opts.Engine, opts.Workers, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	preds, _, err := engine.PredictWithContext(ctx, be, g, cfg)
+	preds, _, err := predict(ctx, g, opts)
 	return preds, err
 }
 
 // EngineStats reports what a prediction run cost: wall-clock time, ingest
 // throughput (EdgesPerSec), heap churn (AllocBytes/AllocObjects, local and
-// serial backends) and the simulated-cluster costs (sim backend only).
+// serial backends), the simulated-cluster costs (sim) and the measured wire
+// traffic and fleet health (dist).
 type EngineStats = engine.Stats
 
-// PredictStats is Predict with the backend's cost report, for callers that
-// track the performance trajectory (cmd/snaple, cmd/snaple-bench).
+// PredictStats is Predict with the backend's cost report. It runs every
+// deployment: opts.Engine "sim" with the simulated cluster its deployment
+// fields describe, "dist" on a worker fleet opened for this one run (hold a
+// Cluster open to pay for the cut and the shipping once). On a simulated
+// run that exhausts its memory budget the report carries the partial costs
+// alongside an error wrapping ErrMemoryExhausted.
 func PredictStats(g GraphView, opts Options) (Predictions, EngineStats, error) {
-	cfg, err := opts.toCore()
-	if err != nil {
-		return nil, EngineStats{}, err
-	}
-	be, err := engine.New(opts.Engine, opts.Workers, opts.Seed)
-	if err != nil {
-		return nil, EngineStats{}, err
-	}
-	return be.Predict(g, cfg)
+	return predict(context.Background(), g, opts)
 }
 
-// ClusterOptions describes the deployment for distributed runs: the
-// simulated cluster of the "sim" backend (Nodes/NodeType/Partitions/
-// MemBudgetBytes) or the real worker fleet of the "dist" backend
-// (WorkerAddrs/SpawnWorkers/Workers). Strategy and Seed apply to both.
-type ClusterOptions struct {
-	// Graph is the graph the cluster serves. Required for OpenCluster;
-	// PredictDistributed fills it from its own argument. Any view works: a
-	// dist cluster cuts the view it is opened with (a Manifest must describe
-	// exactly that view) and serves it until Close — reopen to follow a live
-	// graph's later mutations.
-	Graph GraphView
-	// Options is the base prediction configuration every query of an open
-	// cluster runs under; Cluster.PredictFor overrides only the sources.
-	Options Options
-	// Manifest is the path of a fleet manifest written by `snaple pack
-	// -shards`. When set (with Options.Engine "dist"), OpenCluster attaches
-	// to resident snaple-worker processes — started with -shard, each
-	// holding one packed partition — at WorkerAddrs (shard-major when
-	// Replicas > 1) instead of shipping partitions: attaching is a
-	// fingerprint handshake, and a worker resident for a different pack is
-	// refused with ErrManifestMismatch.
-	Manifest string
-	// Nodes is the number of simulated cluster nodes (default 1; sim only).
-	Nodes int
-	// NodeType is "type-I" (8 cores, 32 GB, GbE) or "type-II" (20 cores,
-	// 128 GB, 10GbE; the default) — the paper's two machine classes (sim
-	// only).
-	NodeType string
-	// Partitions overrides the partition count (default one per core; sim
-	// only — the dist backend always uses one partition per worker).
-	Partitions int
-	// Strategy selects the vertex-cut: "hash-edge" (default), "hash-source"
-	// or "greedy".
-	Strategy string
-	// MemBudgetBytes optionally caps per-node memory (0 = the node spec's
-	// capacity). Exceeding it aborts with an error wrapping
-	// ErrMemoryExhausted (sim only).
-	MemBudgetBytes int64
-	// Seed drives partitioning and master election.
-	Seed uint64
-	// Workers bounds the host goroutines processing partitions
-	// (0 = GOMAXPROCS). It never affects results or simulated costs. For
-	// the dist backend it is the loopback worker count used when neither
-	// WorkerAddrs nor SpawnWorkers is given.
-	Workers int
-	// WorkerAddrs connects the dist backend to running snaple-worker
-	// processes ("host:port" each); without a Manifest one partition is
-	// shipped to each, once, when the cluster opens.
-	WorkerAddrs []string
-	// SpawnWorkers makes the dist backend fork this many snaple-worker
-	// processes on loopback for the life of the cluster (requires the
-	// binary; see WorkerBin). Ignored when WorkerAddrs is set.
-	SpawnWorkers int
-	// WorkerBin locates the worker binary for SpawnWorkers (default
-	// "snaple-worker" resolved through PATH).
-	WorkerBin string
-	// WireCompress enables per-frame flate compression on the dist wire
-	// (trades coordinator/worker CPU for cross-node bytes).
-	WireCompress bool
-	// Replicas ships every partition to this many dist workers (0 or 1 = no
-	// replication). With R > 1 the fleet divides into groups of R replicas
-	// computing identically, so a worker death mid-run fails over to a
-	// survivor and the run completes with bit-identical predictions; only
-	// when all R replicas of a partition die does the run fail, with
-	// ErrPartitionLost (dist only).
-	Replicas int
-	// StepTimeout bounds each dist superstep exchange phase (and the final
-	// collect): a wedged or blackholed worker is declared dead at the
-	// deadline instead of hanging the run. 0 = the 10-minute default;
-	// negative disables the bound (dist only).
-	StepTimeout time.Duration
-	// DialAttempts bounds connect/spawn attempts per dist worker during
-	// fleet setup; transient failures are retried with exponential backoff
-	// and jitter (0 = 3 attempts).
-	DialAttempts int
-	// DialBackoff is the initial retry backoff for DialAttempts, doubled
-	// after each failed attempt with jitter (0 = 150ms; dist only).
-	DialBackoff time.Duration
+func predict(ctx context.Context, g GraphView, opts Options) (Predictions, EngineStats, error) {
+	cfg, err := opts.Config()
+	if err != nil {
+		return nil, EngineStats{}, err
+	}
+	be, err := opts.Backend(g, false)
+	if err != nil {
+		return nil, EngineStats{}, err
+	}
+	return engine.PredictWithContext(ctx, be, g, cfg)
 }
 
 // ErrMemoryExhausted is returned (wrapped) when a simulated node exceeds its
@@ -309,103 +181,9 @@ var ErrMemoryExhausted = cluster.ErrMemoryExhausted
 
 // ErrPartitionLost is returned (wrapped) by dist runs when every replica of
 // some partition has died — the one fleet state failover cannot mask. With
-// ClusterOptions.Replicas = 1 any single worker death reports it; with
-// R > 1 it takes R deaths in the same replica group.
+// Options.Replicas = 1 any single worker death reports it; with R > 1 it
+// takes R deaths in the same replica group.
 var ErrPartitionLost = engine.ErrPartitionLost
-
-// Result reports a distributed run: the predictions plus the engine costs.
-type Result struct {
-	Predictions Predictions
-	// Engine is the backend that produced the result: "sim", or "fleet" for
-	// a dist deployment (a Cluster, and PredictDistributed, which opens one
-	// for the run).
-	Engine string
-	// WallSeconds is host wall-clock time of the supersteps.
-	WallSeconds float64
-	// SimSeconds is the simulated cluster latency (compute makespan over
-	// the configured cores plus network transfer time; sim only — the dist
-	// backend's latency IS WallSeconds).
-	SimSeconds float64
-	// CrossBytes / CrossMsgs count cross-node traffic: simulated from the
-	// paper's cost model on "sim", measured on real sockets on "dist".
-	CrossBytes, CrossMsgs int64
-	// ShipBytes is what crossed the wire before the first superstep of this
-	// query (dist only): the attach handshake, plus the sparse closure roles
-	// when scoped. Partition bytes are not in it — they cross once, when the
-	// cluster opens.
-	ShipBytes int64
-	// MemPeakBytes is the highest per-node memory footprint (simulated on
-	// "sim", the largest worker-reported live heap on "dist").
-	MemPeakBytes int64
-	// ReplicationFactor is the average replicas per vertex of the
-	// vertex-cut.
-	ReplicationFactor float64
-	// FrontierVertices is the query closure's vertex count when the run was
-	// scoped (Options.Sources non-empty); 0 on a full run.
-	FrontierVertices int
-	// ScoredVertices is how many vertices the final combine step visited:
-	// the source count on a scoped run, NumVertices on a full run.
-	ScoredVertices int
-	// Replicas is the dist replica factor the run used (1 = no
-	// replication; 0 on sim).
-	Replicas int
-	// WorkersDead counts dist workers declared dead during the run (conn
-	// errors and missed phase deadlines), each masked by a failover.
-	WorkersDead int
-	// Failovers counts mid-run primary promotions: a partition whose
-	// serving replica died and a survivor took over (dist only).
-	Failovers int
-	// DialRetries counts redialed connect/spawn attempts during dist fleet
-	// setup (see ClusterOptions.DialAttempts).
-	DialRetries int
-}
-
-// toSim maps the string-typed deployment description onto the engine
-// layer's Sim backend.
-func (c ClusterOptions) toSim() (engine.Sim, error) {
-	var spec cluster.NodeSpec
-	switch c.NodeType {
-	case "", "type-II":
-		spec = cluster.TypeII()
-	case "type-I":
-		spec = cluster.TypeI()
-	default:
-		return engine.Sim{}, fmt.Errorf("snaple: unknown node type %q (type-I|type-II)", c.NodeType)
-	}
-	strat, err := partition.ByName(c.Strategy, c.Seed)
-	if err != nil {
-		return engine.Sim{}, err
-	}
-	return engine.Sim{
-		Nodes:          c.Nodes,
-		Spec:           spec,
-		Partitions:     c.Partitions,
-		Strategy:       strat,
-		MemBudgetBytes: c.MemBudgetBytes,
-		Seed:           c.Seed,
-		Workers:        c.Workers,
-	}, nil
-}
-
-func toResult(preds Predictions, st engine.Stats) *Result {
-	return &Result{
-		Predictions:       preds,
-		Engine:            st.Engine,
-		WallSeconds:       st.WallSeconds,
-		SimSeconds:        st.SimSeconds,
-		CrossBytes:        st.CrossBytes,
-		CrossMsgs:         st.CrossMsgs,
-		ShipBytes:         st.ShipBytes,
-		MemPeakBytes:      st.MemPeakBytes,
-		ReplicationFactor: st.ReplicationFactor,
-		FrontierVertices:  st.FrontierVertices,
-		ScoredVertices:    st.ScoredVertices,
-		Replicas:          st.Replicas,
-		WorkersDead:       st.WorkersDead,
-		Failovers:         st.Failovers,
-		DialRetries:       st.DialRetries,
-	}
-}
 
 // ErrManifestMismatch is returned (wrapped) when a fleet manifest does not
 // describe the graph being served, or when a resident snaple-worker turns
@@ -414,87 +192,61 @@ func toResult(preds Predictions, st engine.Stats) *Result {
 // caught the disagreement before any superstep ran.
 var ErrManifestMismatch = engine.ErrManifestMismatch
 
-// Cluster is a standing deployment opened once and queried many times: the
-// persistent form of PredictDistributed. For the "dist" engine the expensive
-// setup — vertex-cut partitioning, connecting the worker fleet and (for
-// workers that hold no packed shard) shipping partitions — happens at
-// OpenCluster, and every PredictFor afterwards only routes its query: it
-// ships nothing but a fingerprint handshake and the sparse closure roles, and
-// only contacts the replica groups whose partitions intersect the query's
-// closure. Multiple servers (or snaple-serve front-ends) can share one
-// standing fleet of resident workers.
+// Cluster is a standing deployment opened once and queried many times. For
+// the "dist" engine the expensive setup — vertex-cut partitioning,
+// connecting the worker fleet and (for workers that hold no packed shard)
+// shipping partitions — happens at OpenCluster, and every PredictFor
+// afterwards only routes its query: it ships nothing but a fingerprint
+// handshake and the sparse closure roles, and only contacts the replica
+// groups whose partitions intersect the query's closure. Multiple servers
+// (or snaple-serve front-ends) can share one standing fleet of resident
+// workers.
 //
 // A Cluster is safe for concurrent use; queries are serialized over the
 // standing connections. Close releases the connections (and any in-process
 // or spawned workers); worker processes the cluster did not start keep
 // running for the next coordinator.
 type Cluster struct {
-	g    GraphView
-	opts Options
-
-	fleet *engine.Fleet // "dist"
-	sim   *engine.Sim   // per-call mode ("" / "sim")
-	simW  int           // host worker bound for the sim backend
+	g     GraphView
+	opts  Options
+	be    engine.Backend
+	fleet *engine.Fleet // be, on "dist"
 
 	mu     sync.Mutex
-	last   EngineStats
+	last   EngineStats // the last sim query's report
 	closed bool
 }
 
 // OpenCluster validates o eagerly — a bogus score, policy, node type,
 // strategy or a manifest that does not match the graph all fail here, never
-// on the first query — and brings the deployment up:
+// on the first query — and brings up the deployment that serves g until
+// Close (reopen to follow a live graph's later mutations):
 //
-//   - Options.Engine "" or "sim": the simulated cluster; each query runs the
-//     paper's cost model (nothing stays resident, so Open only validates).
+//   - Engine "sim": the simulated cluster; each query runs the paper's cost
+//     model (nothing stays resident, so Open only validates).
 //   - "dist" with Manifest: attach to resident workers at WorkerAddrs.
 //   - "dist" with WorkerAddrs or SpawnWorkers (no manifest): plain workers,
 //     each shipped its partition once, here.
 //   - "dist" bare: an in-process fleet of Workers loopback workers (default
 //     2), pinned once and reused by every query.
-func OpenCluster(o ClusterOptions) (*Cluster, error) {
-	if o.Graph == nil {
+//
+// Every other engine, "" included, has no cluster deployment.
+func OpenCluster(g GraphView, o Options) (*Cluster, error) {
+	if g == nil {
 		return nil, fmt.Errorf("snaple: OpenCluster: nil graph")
 	}
-	if _, err := o.Options.toCore(); err != nil {
+	if o.Engine != "sim" && o.Engine != "dist" {
+		return nil, fmt.Errorf("snaple: OpenCluster: engine %q has no cluster deployment (sim|dist)", o.Engine)
+	}
+	if _, err := o.Config(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{g: o.Graph, opts: o.Options}
-	switch eng := o.Options.Engine; eng {
-	case "", "sim":
-		sim, err := o.toSim()
-		if err != nil {
-			return nil, err
-		}
-		c.sim, c.simW = &sim, o.Workers
-	case "dist":
-		strat, err := partition.ByName(o.Strategy, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		fo := engine.FleetOptions{
-			Addrs: o.WorkerAddrs, Spawn: o.SpawnWorkers, WorkerBin: o.WorkerBin,
-			InProc: o.Workers, Replicas: o.Replicas, Strategy: strat, Seed: o.Seed,
-			StepTimeout: o.StepTimeout, DialAttempts: o.DialAttempts,
-			DialBackoff: o.DialBackoff, Compress: o.WireCompress,
-		}
-		if o.Manifest != "" {
-			f, err := os.Open(o.Manifest)
-			if err != nil {
-				return nil, fmt.Errorf("snaple: OpenCluster: %w", err)
-			}
-			fo.Manifest, err = graph.ReadManifest(f)
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-		}
-		if c.fleet, err = engine.OpenFleet(o.Graph, fo); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("snaple: OpenCluster: engine %q has no cluster deployment (sim|dist)", eng)
+	be, err := o.Backend(g, true)
+	if err != nil {
+		return nil, err
 	}
+	c := &Cluster{g: g, opts: o, be: be}
+	c.fleet, _ = be.(*engine.Fleet)
 	return c, nil
 }
 
@@ -503,52 +255,43 @@ func OpenCluster(o ClusterOptions) (*Cluster, error) {
 // run's rows for the sources. On a dist cluster only the replica groups
 // whose partitions intersect the sources' closure are contacted at all.
 // Passing nil sources runs the full graph.
-func (c *Cluster) PredictFor(sources []VertexID) (*Result, error) {
+func (c *Cluster) PredictFor(sources []VertexID) (Predictions, EngineStats, error) {
 	return c.PredictForContext(context.Background(), sources)
 }
 
 // PredictForContext is PredictFor under a context: cancelling it closes the
 // query's worker connections so a blocked superstep fails promptly — the
 // workers stay up, and the cluster reconnects on the next query.
-func (c *Cluster) PredictForContext(ctx context.Context, sources []VertexID) (*Result, error) {
+func (c *Cluster) PredictForContext(ctx context.Context, sources []VertexID) (Predictions, EngineStats, error) {
 	opts := c.opts
 	opts.Sources = sources
 	return c.predict(ctx, opts)
 }
 
-// Predict runs the cluster's base Options as-is (a full-graph pass unless
+// Predict runs the cluster's Options as-is (a full-graph pass unless
 // Options.Sources scopes it).
-func (c *Cluster) Predict() (*Result, error) {
+func (c *Cluster) Predict() (Predictions, EngineStats, error) {
 	return c.predict(context.Background(), c.opts)
 }
 
-func (c *Cluster) predict(ctx context.Context, opts Options) (*Result, error) {
-	cfg, err := opts.toCore()
+func (c *Cluster) predict(ctx context.Context, opts Options) (Predictions, EngineStats, error) {
+	cfg, err := opts.Config()
 	if err != nil {
-		return nil, err
+		return nil, EngineStats{}, err
 	}
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return nil, fmt.Errorf("snaple: cluster is closed")
+		return nil, EngineStats{}, fmt.Errorf("snaple: cluster is closed")
 	}
-	if c.fleet != nil {
-		preds, st, err := c.fleet.PredictCtx(ctx, c.g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return toResult(preds, st), nil
+	preds, st, err := engine.PredictWithContext(ctx, c.be, c.g, cfg)
+	if c.fleet == nil && st.Engine != "" { // a sim run that got as far as a superstep
+		c.mu.Lock()
+		c.last = st
+		c.mu.Unlock()
 	}
-	res, err := c.sim.PredictResult(c.g, cfg)
-	if res == nil {
-		return nil, err // failed before any superstep ran: nothing to report
-	}
-	st := engine.StatsFromResult(res, c.simW)
-	c.mu.Lock()
-	c.last = st
-	c.mu.Unlock()
-	return toResult(res.Pred, st), err
+	return preds, st, err
 }
 
 // Stats reports the deployment's cost counters: cumulative over the
@@ -580,43 +323,30 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// PredictDistributed runs SNAPLE's Algorithm 2 on a configured deployment:
-// by default the GAS engine over a simulated cluster (the engine layer's
-// "sim" backend, with the paper's cost model), or — when opts.Engine is
-// "dist" — across real worker processes over TCP, with the traffic fields
-// measured on the wire. Results are bit-identical to Predict for the same
-// Options, independent of the deployment.
-//
-// It is the one-shot convenience path: OpenCluster, one prediction, Close.
-// Callers issuing more than one query should hold the *Cluster open instead,
-// so the fleet setup (partitioning, connecting, any shipping) is paid once.
-func PredictDistributed(g GraphView, opts Options, cl ClusterOptions) (*Result, error) {
-	cl.Graph, cl.Options = g, opts
-	c, err := OpenCluster(cl)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	return c.Predict()
-}
-
 // PredictBaseline runs the paper's BASELINE (a direct 2-hop Jaccard
-// implementation of Algorithm 1 on the GAS engine). On large graphs with
-// bounded budgets it fails with ErrMemoryExhausted — by design.
-func PredictBaseline(g GraphView, k int, cl ClusterOptions) (*Result, error) {
-	sim, err := cl.toSim()
+// implementation of Algorithm 1 on the GAS engine) for the top opts.K
+// (default 5) on the simulated cluster opts describes, whatever its Engine.
+// On large graphs with bounded budgets it fails with ErrMemoryExhausted — by
+// design — and the report carries the costs up to the failing step.
+func PredictBaseline(g GraphView, opts Options) (Predictions, EngineStats, error) {
+	cfg, err := opts.Config()
 	if err != nil {
-		return nil, err
+		return nil, EngineStats{}, err
 	}
-	assign, clu, err := sim.Deploy(g)
+	opts.Engine = "sim"
+	be, err := opts.Backend(g, false)
 	if err != nil {
-		return nil, err
+		return nil, EngineStats{}, err
 	}
-	res, err := core.PredictBaselineGASWorkers(g, assign, clu, k, cl.Workers)
+	assign, clu, err := be.(engine.Sim).Deploy(g)
+	if err != nil {
+		return nil, EngineStats{}, err
+	}
+	res, err := core.PredictBaselineGASWorkers(g, assign, clu, cfg.K, opts.Workers)
 	if res == nil {
-		return nil, err
+		return nil, EngineStats{}, err
 	}
-	return toResult(res.Pred, engine.StatsFromResult(res, cl.Workers)), err
+	return res.Pred, engine.StatsFromResult(res, opts.Workers), err
 }
 
 // PredictWalks runs the Cassovary-style single-machine comparator: w random

@@ -18,35 +18,35 @@ import (
 // the one-shot facade, accumulate stats, close idempotently.
 func TestClusterResident(t *testing.T) {
 	g := facadeGraph(t)
-	opts := Options{Score: "linearSum", KLocal: 10, Seed: 1, Engine: "dist"}
+	opts := Options{Score: "linearSum", KLocal: 10, Seed: 1, Engine: "dist", Workers: 3}
 	full, err := Predict(g, Options{Score: "linearSum", KLocal: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	c, err := OpenCluster(ClusterOptions{Graph: g, Options: opts, Workers: 3, Seed: 9})
+	c, err := OpenCluster(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	res, err := c.Predict()
+	preds, st, err := c.Predict()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Predictions, full) {
+	if !reflect.DeepEqual(preds, full) {
 		t.Fatal("resident full run differs from the local backend")
 	}
-	if res.Engine != "fleet" {
-		t.Errorf("engine = %q", res.Engine)
+	if st.Engine != "fleet" {
+		t.Errorf("engine = %q", st.Engine)
 	}
 
 	for _, sources := range [][]VertexID{{3}, {77, 201}, {399, 399, 0}} {
-		res, err := c.PredictFor(sources)
+		preds, _, err := c.PredictFor(sources)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v, row := range res.Predictions {
+		for v, row := range preds {
 			isSource := false
 			for _, s := range sources {
 				if int(s) == v {
@@ -71,7 +71,7 @@ func TestClusterResident(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err) // idempotent
 	}
-	if _, err := c.Predict(); err == nil {
+	if _, _, err := c.Predict(); err == nil {
 		t.Error("predict on a closed cluster succeeded")
 	}
 }
@@ -127,8 +127,8 @@ func TestClusterManifest(t *testing.T) {
 	}
 	mf.Close()
 
-	opts := Options{Score: "linearSum", KLocal: 10, Seed: 1, Engine: "dist"}
-	c, err := OpenCluster(ClusterOptions{Graph: g, Options: opts, Manifest: manPath, WorkerAddrs: addrs})
+	opts := Options{Score: "linearSum", KLocal: 10, Seed: 1, Engine: "dist", Manifest: manPath, WorkerAddrs: addrs}
+	c, err := OpenCluster(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestClusterManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.PredictFor([]VertexID{3, 77})
+	preds, _, err := c.PredictFor([]VertexID{3, 77})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Predictions[3], full[3]) || !reflect.DeepEqual(res.Predictions[77], full[77]) {
+	if !reflect.DeepEqual(preds[3], full[3]) || !reflect.DeepEqual(preds[77], full[77]) {
 		t.Fatal("manifest fleet differs from the local backend")
 	}
 
@@ -151,7 +151,7 @@ func TestClusterManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = OpenCluster(ClusterOptions{Graph: g2, Options: opts, Manifest: manPath, WorkerAddrs: addrs})
+	_, err = OpenCluster(g2, opts)
 	if !errors.Is(err, ErrManifestMismatch) {
 		t.Fatalf("err = %v, want ErrManifestMismatch", err)
 	}
@@ -184,31 +184,31 @@ func TestClusterPlainWorkers(t *testing.T) {
 		onePartition = min(onePartition, int64(8*len(sf.EdgeSrc)))
 	}
 
-	opts := Options{Score: "linearSum", KLocal: 10, Seed: 1, Engine: "dist"}
-	c, err := OpenCluster(ClusterOptions{Graph: view, Options: opts, WorkerAddrs: addrs, Seed: seed})
+	opts := Options{Score: "linearSum", KLocal: 10, Seed: seed, Engine: "dist", WorkerAddrs: addrs}
+	c, err := OpenCluster(view, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	full, err := Predict(view, Options{Score: "linearSum", KLocal: 10, Seed: 1})
+	full, err := Predict(view, Options{Score: "linearSum", KLocal: 10, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sources := range [][]VertexID{{3, 77}, {3, 77}, nil} {
-		res, err := c.PredictFor(sources)
+		preds, st, err := c.PredictFor(sources)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sources == nil {
-			if !reflect.DeepEqual(res.Predictions, full) {
+			if !reflect.DeepEqual(preds, full) {
 				t.Fatal("full run over plain workers differs from the local backend")
 			}
-		} else if !reflect.DeepEqual(res.Predictions[3], full[3]) || !reflect.DeepEqual(res.Predictions[77], full[77]) {
+		} else if !reflect.DeepEqual(preds[3], full[3]) || !reflect.DeepEqual(preds[77], full[77]) {
 			t.Fatal("scoped run over plain workers differs from the local backend")
 		}
-		if res.ShipBytes <= 0 || res.ShipBytes >= onePartition {
+		if st.ShipBytes <= 0 || st.ShipBytes >= onePartition {
 			t.Errorf("query %d: %d bytes crossed before the supersteps, want (0, %d) — a partition re-shipped?",
-				i, res.ShipBytes, onePartition)
+				i, st.ShipBytes, onePartition)
 		}
 	}
 	if st := c.Stats(); st.Engine != "fleet" || st.Workers != workers {
@@ -218,16 +218,20 @@ func TestClusterPlainWorkers(t *testing.T) {
 
 func TestOpenClusterErrors(t *testing.T) {
 	g := facadeGraph(t)
-	cases := map[string]ClusterOptions{
-		"nil-graph":      {Options: Options{Engine: "dist"}},
-		"bogus-engine":   {Graph: g, Options: Options{Engine: "serial"}},
-		"bogus-score":    {Graph: g, Options: Options{Score: "bogus"}},
-		"bogus-nodetype": {Graph: g, NodeType: "bogus"},
-		"bogus-strategy": {Graph: g, Options: Options{Engine: "dist"}, Strategy: "bogus"},
-		"bad-manifest":   {Graph: g, Options: Options{Engine: "dist"}, Manifest: "/nonexistent/path.manifest"},
+	if _, err := OpenCluster(nil, Options{Engine: "dist"}); err == nil {
+		t.Error("nil graph: accepted")
 	}
-	for name, cl := range cases {
-		if _, err := OpenCluster(cl); err == nil {
+	cases := map[string]Options{
+		"empty-engine":   {},
+		"bogus-engine":   {Engine: "serial"},
+		"bogus-score":    {Engine: "sim", Score: "bogus"},
+		"bogus-paths":    {Engine: "dist", Paths: 5},
+		"bogus-nodetype": {Engine: "sim", NodeType: "bogus"},
+		"bogus-strategy": {Engine: "dist", Strategy: "bogus"},
+		"bad-manifest":   {Engine: "dist", Manifest: "/nonexistent/path.manifest"},
+	}
+	for name, o := range cases {
+		if _, err := OpenCluster(g, o); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -48,23 +48,11 @@ func costsOf(p Predictions, st EngineStats, simulated bool) facadeCosts {
 	return c
 }
 
-// resultStats splits a facade Result into the predictions and the engine
-// report it copies.
-func resultStats(r *Result) (Predictions, EngineStats) {
-	return r.Predictions, EngineStats{
-		Engine: r.Engine, WallSeconds: r.WallSeconds, SimSeconds: r.SimSeconds,
-		CrossBytes: r.CrossBytes, CrossMsgs: r.CrossMsgs, ShipBytes: r.ShipBytes,
-		MemPeakBytes: r.MemPeakBytes, ReplicationFactor: r.ReplicationFactor,
-		FrontierVertices: r.FrontierVertices, ScoredVertices: r.ScoredVertices,
-		Replicas: r.Replicas, WorkersDead: r.WorkersDead, Failovers: r.Failovers,
-		DialRetries: r.DialRetries,
-	}
-}
-
 // goldenFacadeCosts holds, per deployment, the costs the facade reported
 // before Options absorbed the deployment fields: every value was recorded
-// through PredictDistributed, PredictBaseline and OpenCluster with one seed
-// for the run and the cut.
+// through the entry points of that API (PredictDistributed, PredictBaseline
+// and OpenCluster, each with one seed for the run and the cut), and now comes
+// back through PredictStats, PredictBaseline and OpenCluster.
 var goldenFacadeCosts = map[string]facadeCosts{
 	"sim/hash-edge/full":   {0xa981750d67043409, 5398, 0x40192e147ae147ae, 0, 400, 389836, 228204},
 	"sim/hash-edge/scoped": {0xbef92cc0dd452f, 3571, 0x40192e147ae147ae, 23, 3, 96588, 35156},
@@ -84,7 +72,7 @@ var goldenFacadeCosts = map[string]facadeCosts{
 // and standing.
 func TestFacadeCostsGolden(t *testing.T) {
 	g := facadeGraph(t)
-	base := Options{Score: "linearSum", KLocal: 6, ThrGamma: 12, Policy: "rnd", Seed: 5}
+	base := Options{Score: "linearSum", KLocal: 6, ThrGamma: 12, Policy: "rnd", Seed: 5, Workers: 1}
 	sources := []VertexID{3, 77, 201}
 	check := func(key string, got facadeCosts) {
 		t.Helper()
@@ -96,16 +84,14 @@ func TestFacadeCostsGolden(t *testing.T) {
 	for _, strategy := range []string{"hash-edge", "greedy"} {
 		for _, scoped := range []bool{false, true} {
 			opts := base
+			opts.Engine, opts.Nodes, opts.NodeType, opts.Strategy = "sim", 2, "type-I", strategy
 			if scoped {
 				opts.Sources = sources
 			}
-			res, err := PredictDistributed(g, opts, ClusterOptions{
-				Nodes: 2, NodeType: "type-I", Strategy: strategy, Seed: opts.Seed, Workers: 1,
-			})
+			p, st, err := PredictStats(g, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, st := resultStats(res)
 			key := "sim/" + strategy + "/full"
 			if scoped {
 				key = "sim/" + strategy + "/scoped"
@@ -114,44 +100,40 @@ func TestFacadeCostsGolden(t *testing.T) {
 		}
 	}
 
-	res, err := PredictBaseline(g, 5, ClusterOptions{Nodes: 2, NodeType: "type-II", Seed: base.Seed, Workers: 1})
+	bl := base
+	bl.K, bl.Nodes, bl.NodeType = 5, 2, "type-II"
+	p, st, err := PredictBaseline(g, bl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, st := resultStats(res)
 	check("baseline", costsOf(p, st, true))
 
 	dist := base
-	dist.Engine = "dist"
+	dist.Engine, dist.Workers = "dist", 2
 	for _, scoped := range []bool{false, true} {
 		opts := dist
 		key := "dist/one-shot/full"
 		if scoped {
 			opts.Sources, key = sources, "dist/one-shot/scoped"
 		}
-		res, err := PredictDistributed(g, opts, ClusterOptions{Seed: opts.Seed, Workers: 2})
+		p, st, err := PredictStats(g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, st := resultStats(res)
 		check(key, costsOf(p, st, false))
 	}
 
-	c, err := OpenCluster(ClusterOptions{Graph: g, Options: dist, Seed: dist.Seed, Workers: 2})
+	c, err := OpenCluster(g, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err = c.Predict()
-	if err != nil {
+	if p, st, err = c.Predict(); err != nil {
 		t.Fatal(err)
 	}
-	p, st = resultStats(res)
 	check("dist/cluster/full", costsOf(p, st, false))
-	res, err = c.PredictFor(sources)
-	if err != nil {
+	if p, st, err = c.PredictFor(sources); err != nil {
 		t.Fatal(err)
 	}
-	p, st = resultStats(res)
 	check("dist/cluster/scoped", costsOf(p, st, false))
 }

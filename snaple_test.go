@@ -141,11 +141,17 @@ func TestPredictDefaultsAndErrors(t *testing.T) {
 	if _, err := Predict(g, Options{Policy: "bogus"}); err == nil {
 		t.Error("bogus policy accepted")
 	}
-	if _, err := PredictDistributed(g, Options{}, ClusterOptions{NodeType: "bogus"}); err == nil {
+	if _, err := Predict(g, Options{Engine: "sim", NodeType: "bogus"}); err == nil {
 		t.Error("bogus node type accepted")
 	}
-	if _, err := PredictDistributed(g, Options{}, ClusterOptions{Strategy: "bogus"}); err == nil {
+	if _, err := Predict(g, Options{Engine: "sim", Strategy: "bogus"}); err == nil {
 		t.Error("bogus strategy accepted")
+	}
+	if _, err := Predict(g, Options{Engine: "bogus"}); err == nil {
+		t.Error("bogus engine accepted")
+	}
+	if _, err := Predict(g, Options{Engine: "local", Manifest: "graph.sgr.manifest"}); err == nil {
+		t.Error("manifest accepted without the dist engine")
 	}
 }
 
@@ -157,19 +163,19 @@ func TestDistributedMatchesSerialViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range []string{"hash-edge", "greedy"} {
-		res, err := PredictDistributed(g, opts, ClusterOptions{
-			Nodes: 2, NodeType: "type-I", Strategy: strategy, Seed: 5,
-		})
+		sim := opts
+		sim.Engine, sim.Nodes, sim.NodeType, sim.Strategy = "sim", 2, "type-I", strategy
+		preds, st, err := PredictStats(g, sim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Predictions, want) {
+		if !reflect.DeepEqual(preds, want) {
 			t.Fatalf("distributed (%s) differs from serial", strategy)
 		}
-		if res.ReplicationFactor < 1 {
-			t.Errorf("RF = %v", res.ReplicationFactor)
+		if st.ReplicationFactor < 1 {
+			t.Errorf("RF = %v", st.ReplicationFactor)
 		}
-		if res.CrossBytes == 0 {
+		if st.CrossBytes == 0 {
 			t.Error("expected cross-node traffic on 2 nodes")
 		}
 	}
@@ -177,16 +183,19 @@ func TestDistributedMatchesSerialViaFacade(t *testing.T) {
 
 func TestBaselineFacadeAndExhaustion(t *testing.T) {
 	g := facadeGraph(t)
-	res, err := PredictBaseline(g, 5, ClusterOptions{Nodes: 2, NodeType: "type-II"})
+	preds, _, err := PredictBaseline(g, Options{Nodes: 2, NodeType: "type-II"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Predictions) == 0 {
+	if len(preds) == 0 {
 		t.Fatal("baseline produced nothing")
 	}
-	_, err = PredictBaseline(g, 5, ClusterOptions{Nodes: 2, MemBudgetBytes: 1024})
+	_, st, err := PredictBaseline(g, Options{Nodes: 2, MemBudgetBytes: 1024})
 	if !errors.Is(err, ErrMemoryExhausted) {
 		t.Fatalf("want ErrMemoryExhausted, got %v", err)
+	}
+	if st.Engine != "sim" || st.MemPeakBytes <= 1024 {
+		t.Errorf("exhausted run reports %+v, want the partial sim costs", st)
 	}
 }
 
