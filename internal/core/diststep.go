@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"snaple/internal/graph"
@@ -16,8 +19,9 @@ import (
 // gathers are steps.go's per-edge kernels (keepTruncated, Similarity.Score,
 // appendCombine, appendTwoHop, appendCombine3) and the applies its per-vertex
 // ones (applyTruncate, applyRelays, applyTwoHop, applyCombine). What is here
-// is the streaming loop over a shard's sorted source runs and the per-job
-// replica state.
+// is the per-job state — indexed by the job's slots, the shard's locals on a
+// full run and the closure's vertices on a scoped one — and the streaming
+// loop over the slots' edge runs.
 //
 // Determinism across substrates holds for the same reason it does between
 // the serial, local and sim backends: every random draw is hash-keyed by
@@ -87,110 +91,261 @@ type DistPartial struct {
 }
 
 // DistPartition is one job's compute state over one shard of a vertex-cut:
-// the edges assigned to one worker plus a local replica of every endpoint's
-// state. It is the compute half of a dist worker; routing partials to masters
-// and refreshed state to mirrors is the caller's job (internal/wire carries
-// both for cmd/snaple-worker). Local vertices are addressed by local index —
-// their position in the shard's sorted Locals.
+// the edges assigned to one worker plus a replica of the state of every
+// vertex the job holds. It is the compute half of a dist worker; routing
+// partials to masters and refreshed state to mirrors is the caller's job
+// (internal/wire carries both for cmd/snaple-worker).
+//
+// The job's vertices are its slots, numbered densely in ascending vertex
+// order, and every per-job column — replica state, scope masks, edge runs —
+// is indexed by slot. Like Arena, a job comes in two index forms: a full job
+// (NewDistPartition) has one slot per local of the shard, slot i being local
+// index i; a query-scoped job (NewScopedDistPartition) has one slot per
+// vertex of the coordinator's closure entries and allocates and walks
+// nothing of the shard's length. Gather, apply and the apply-time re-gather
+// are the same loops in both forms.
 type DistPartition struct {
 	cfg Config // degrees come from the shard, scoping from scope
 	// shard is the static half: validated once where the worker pinned or
 	// installed it, immutable, shared read-only with every other session.
 	shard *graph.ShardFile
-	data  []VData // replica state, one per local vertex
-	// scope holds each local vertex's frontier scope mask on a
-	// query-scoped run (Scope* bits, frontier.go), nil on a full run. The
-	// coordinator computes the global closure and ships only these local
-	// bits; the gather consults the source's bit for the running step.
+
+	// locals holds each slot's local index, nil in the full form (where the
+	// slot is the local index); verts each slot's vertex (the shard's Locals
+	// in the full form).
+	locals []int32
+	verts  []graph.VertexID
+	// runs holds each slot's out-edges on the shard and where their
+	// destinations' slots start in dstSlot, resolved once at open. In the full
+	// form dstSlot is the shard's EdgeDst itself.
+	runs    []edgeRun
+	dstSlot []int32 // -1: a destination outside the job, read as empty state
+	data    []VData // replica state, one per slot
+	// scope holds each slot's frontier scope mask on a query-scoped job
+	// (Scope* bits, frontier.go), nil on a full one. The coordinator computes
+	// the global closure and ships only these bits; the gather consults the
+	// source's bit for the running step.
 	scope []uint8
 
 	// The gather's per-source scratch, reused across runs and supersteps.
 	gatherIDs   []graph.VertexID
 	gatherSims  []VertexSim
 	gatherCands []PathCand
+	// none is the state of a destination outside the job: zero, never written.
+	none VData
 	// s is the applies' scratch: applies run one at a time, on the session's
 	// gather goroutine and then after it.
 	s Scratch
 }
 
-// NewDistPartition opens a job over a validated shard (graph.ShardFile's
-// Validate is the one check; nothing is re-checked or indexed here). It
-// allocates only the per-job replica state.
+// edgeRun is one slot's out-edges, EdgeSrc/EdgeDst[lo:hi] of the shard, whose
+// destinations' slots are dstSlot[dst : dst+hi-lo].
+type edgeRun struct{ lo, hi, dst int }
+
+// ErrScopeOrder rejects a scoped job whose vertices are not strictly
+// ascending: the slot form is a sorted list, and a worker refuses hostile
+// input rather than sorting it silently.
+var ErrScopeOrder = errors.New("core: dist partition: scope vertices not strictly ascending")
+
+// NewDistPartition opens a full job over a validated shard (graph.ShardFile's
+// Validate is the one check; nothing is re-checked here): one slot per local
+// vertex. It allocates the per-job replica state and each local's edge run,
+// found in one pass over the shard's sorted sources.
 func NewDistPartition(cfg Config, shard *graph.ShardFile) (*DistPartition, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	return &DistPartition{
-		cfg:   cfg,
-		shard: shard,
-		data:  make([]VData, len(shard.Locals)),
-	}, nil
+	p := &DistPartition{cfg: cfg, shard: shard, verts: shard.Locals, dstSlot: shard.EdgeDst,
+		data: make([]VData, len(shard.Locals))}
+	p.resolveRuns()
+	return p, nil
+}
+
+// NewScopedDistPartition opens a query-scoped job over a validated shard: one
+// slot per vertex of verts, which must be local to the shard and strictly
+// ascending, with scope[i] the scope mask of verts[i]. The partition keeps
+// both slices. Every table it builds is sized by verts and by their out-edges
+// on the shard: the slots' local indices and edge runs are found by galloping
+// forward through the shard's sorted columns, and the slot of every
+// destination a gather reads state from by one sort of those edges merged
+// with the slot list.
+func NewScopedDistPartition(cfg Config, shard *graph.ShardFile, verts []graph.VertexID, scope []uint8) (*DistPartition, error) {
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	if len(scope) != len(verts) {
+		return nil, fmt.Errorf("core: dist partition: %d scope masks for %d vertices", len(scope), len(verts))
+	}
+	p := &DistPartition{cfg: cfg, shard: shard, verts: verts, scope: scope,
+		locals: make([]int32, len(verts)), data: make([]VData, len(verts))}
+	li := 0
+	for i, v := range verts {
+		if i > 0 && v <= verts[i-1] {
+			return nil, fmt.Errorf("%w: vertex %d after %d", ErrScopeOrder, v, verts[i-1])
+		}
+		if li = seek(shard.Locals, li, v); li == len(shard.Locals) || shard.Locals[li] != v {
+			return nil, fmt.Errorf("core: dist partition: vertex %d is not local to shard %d", v, shard.Shard)
+		}
+		p.locals[i] = int32(li)
+	}
+	p.resolveRuns()
+	if err := p.resolveDestinations(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// resolveRuns finds every slot's edge run. Slots ascend and so do the shard's
+// source runs, so each search gallops forward from the previous run's end:
+// one step per slot in the full form, O(log gap) per slot in the scoped one.
+func (p *DistPartition) resolveRuns() {
+	edgeSrc := p.shard.EdgeSrc
+	p.runs = make([]edgeRun, len(p.verts))
+	e := 0
+	for s := range p.runs {
+		li := p.local(int32(s))
+		lo := seek(edgeSrc, e, li)
+		e = seek(edgeSrc, lo, li+1)
+		p.runs[s] = edgeRun{lo: lo, hi: e, dst: lo}
+	}
+}
+
+// resolveDestinations builds dstSlot for a scoped job: for every edge of a
+// slot that gathers in a step reading its destinations' state (every step but
+// the truncation, which reads only their ids), the destination's slot, or -1
+// when the destination is outside the job. The edges are keyed by destination
+// local index, sorted once and merged with the ascending slot list — no
+// search per edge. A key packs the destination above the edge's position, so
+// the edges read must number fewer than 2^32.
+func (p *DistPartition) resolveDestinations() error {
+	edgeDst := p.shard.EdgeDst
+	n := 0
+	for s, r := range p.runs {
+		if p.scope[s]&^ScopeTrunc != 0 {
+			p.runs[s].dst = n
+			n += r.hi - r.lo
+		}
+	}
+	if uint64(n) > math.MaxUint32 {
+		return fmt.Errorf("core: dist partition: %d edges read destination state, more than a scoped job indexes", n)
+	}
+	keys := make([]uint64, 0, n)
+	for s, r := range p.runs {
+		if p.scope[s]&^ScopeTrunc != 0 {
+			for k, di := range edgeDst[r.lo:r.hi] {
+				keys = append(keys, uint64(di)<<32|uint64(r.dst+k))
+			}
+		}
+	}
+	slices.Sort(keys)
+	p.dstSlot = make([]int32, n)
+	s := 0
+	for _, key := range keys {
+		di := int32(key >> 32)
+		for s < len(p.locals) && p.locals[s] < di {
+			s++
+		}
+		slot := int32(-1)
+		if s < len(p.locals) && p.locals[s] == di {
+			slot = int32(s)
+		}
+		p.dstSlot[uint32(key)] = slot
+	}
+	return nil
+}
+
+// seek returns the first index i >= from with xs[i] >= x (len(xs) if none),
+// for ascending xs: an exponential search forward from from, so a target k
+// places away costs O(log k).
+func seek[T cmp.Ordered](xs []T, from int, x T) int {
+	lo, bound := from, 1
+	for lo+bound <= len(xs) && xs[lo+bound-1] < x {
+		lo += bound
+		bound *= 2
+	}
+	i, _ := slices.BinarySearch(xs[lo:min(lo+bound, len(xs))], x)
+	return lo + i
 }
 
 // Config returns the partition's configuration with defaults applied.
 func (p *DistPartition) Config() Config { return p.cfg }
 
-// SetScope installs the per-local frontier scope masks of a query-scoped
-// run (one Scope* bitmask per local vertex, aligned with the shard's Locals).
-// A nil scope restores the full-run behaviour.
-func (p *DistPartition) SetScope(scope []uint8) error {
-	if scope != nil && len(scope) != len(p.data) {
-		return fmt.Errorf("core: dist partition: %d scope masks for %d local vertices", len(scope), len(p.data))
+// NumSlots returns the job's vertex count: the shard's locals on a full job,
+// the closure entries on a scoped one.
+func (p *DistPartition) NumSlots() int { return len(p.verts) }
+
+// Vertex returns slot s's vertex.
+func (p *DistPartition) Vertex(s int32) graph.VertexID { return p.verts[s] }
+
+// local returns slot s's local index in the shard.
+func (p *DistPartition) local(s int32) int32 {
+	if p.locals == nil {
+		return s
 	}
-	p.scope = scope
-	return nil
+	return p.locals[s]
 }
 
-// inScope reports whether local vertex li gathers during step.
-func (p *DistPartition) inScope(step DistStep, li int32) bool {
-	return p.scope == nil || p.scope[li]&step.ScopeBit() != 0
+// Slot returns v's slot, if the job holds v: a binary search of the job's
+// ascending vertices.
+func (p *DistPartition) Slot(v graph.VertexID) (int32, bool) {
+	s, ok := slices.BinarySearch(p.verts, v)
+	return int32(s), ok
 }
 
-// LocalIndex returns the local index of v, if v is a local vertex: a binary
-// search of the shard's sorted Locals, so the job needs no index of its own.
-func (p *DistPartition) LocalIndex(v graph.VertexID) (int32, bool) {
-	li, ok := slices.BinarySearch(p.shard.Locals, v)
-	return int32(li), ok
+// inScope reports whether slot s gathers during step.
+func (p *DistPartition) inScope(step DistStep, s int32) bool {
+	return p.scope == nil || p.scope[s]&step.ScopeBit() != 0
 }
 
-// Data returns local vertex li's replica: what a master broadcasts and
-// collect reads, and where a mirror's refresh is decoded in place.
-func (p *DistPartition) Data(li int32) *VData { return &p.data[li] }
+// Data returns slot s's replica: what a master broadcasts and collect reads,
+// and where a mirror's refresh is decoded in place.
+func (p *DistPartition) Data(s int32) *VData { return &p.data[s] }
 
-// GatherStream runs step's gather phase one source vertex at a time, handing
-// emit each contributing source's partial as soon as its edge run completes —
-// the producer side of the pipelined superstep, which streams partials onto
-// the wire while later sources are still gathering. The DistPartial (and its
+// dstData returns the state of the destination of the k-th edge of run r.
+func (p *DistPartition) dstData(r edgeRun, k int) *VData {
+	if ds := p.dstSlot[r.dst+k]; ds >= 0 {
+		return &p.data[ds]
+	}
+	return &p.none
+}
+
+// GatherStream runs step's gather phase one slot at a time, handing emit each
+// contributing slot's partial as soon as its edge run completes — the
+// producer side of the pipelined superstep, which streams partials onto the
+// wire while later slots are still gathering. The DistPartial (and its
 // slices) is scratch owned by the partition, valid only during the emit call;
-// emit must encode or copy, not retain. Partials arrive ascending by local
-// index, one per contributing source. An emit error aborts the stream and is
-// returned.
-func (p *DistPartition) GatherStream(step DistStep, emit func(li int32, dp *DistPartial) error) error {
+// emit must encode or copy, not retain. Partials arrive ascending by slot
+// (so by vertex), one per contributing source. An emit error aborts the
+// stream and is returned.
+func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistPartial) error) error {
 	if step < DistTruncate || step > DistCombine3 {
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}
-	edgeSrc := p.shard.EdgeSrc
 	var dp DistPartial
-	for i := 0; i < len(edgeSrc); {
-		si := edgeSrc[i]
-		j := i + 1
-		for j < len(edgeSrc) && edgeSrc[j] == si {
-			j++
-		}
-		if p.gatherRun(step, si, i, j, &dp) {
-			if err := emit(si, &dp); err != nil {
+	for s := range p.runs {
+		if p.GatherVertex(step, int32(s), &dp) {
+			if err := emit(int32(s), &dp); err != nil {
 				return err
 			}
 		}
-		i = j
 	}
 	return nil
 }
 
-// gatherRun gathers one source's edge run [i,j) into dp, reporting whether
-// the source contributed. dp's slices alias the partition's gather scratch,
-// valid until the next gatherRun call.
+// GatherVertex runs step's gather for the single slot s, filling dp exactly
+// as GatherStream's emit for that slot would and reporting whether it
+// contributed. dp's slices alias the partition's gather scratch, valid until
+// the next gather call.
+//
+// Called directly, it is the apply-time twin of the streaming gather: a
+// master that also gathers locally recomputes its own partial on demand
+// instead of keeping an encoded copy across the superstep's exchange.
+// Re-gathering after other vertices have applied is exact: apply writes only
+// the step's output field, which the same step's gather never reads — the
+// same property that lets GatherStream's inline applies run mid-stream. The
+// slot's edge run was resolved when the job opened.
 //
 // The bodies are the per-edge gather kernels, with two divergences from the
 // sim backend's schedule that cannot change a bit of the output: scoping is
@@ -198,18 +353,19 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(li int32, dp *Dist
 // cannot compute the global closure), and candidate lists are left in edge
 // order without the gas engine's sorted merge — the applies canonicalise
 // before any order could matter.
-func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPartial) bool {
-	if !p.inScope(step, si) {
+func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bool {
+	r := p.runs[s]
+	if r.lo == r.hi || !p.inScope(step, s) {
 		return false
 	}
 	cfg := &p.cfg
 	sh := p.shard
-	src, srcD := sh.Locals[si], &p.data[si]
+	src, srcD, srcDeg := p.verts[s], &p.data[s], int(sh.Deg[p.local(s)])
 	*dp = DistPartial{V: src}
 	switch step {
 	case DistTruncate:
-		ids, srcDeg := p.gatherIDs[:0], int(sh.Deg[si])
-		for _, di := range sh.EdgeDst[i:j] {
+		ids := p.gatherIDs[:0]
+		for _, di := range sh.EdgeDst[r.lo:r.hi] {
 			if dst := sh.Locals[di]; keepTruncated(cfg.Seed, src, dst, srcDeg, cfg.ThrGamma) {
 				ids = append(ids, dst)
 			}
@@ -218,14 +374,14 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 		return len(ids) > 0
 	case DistRelays:
 		sims := p.gatherSims[:0]
-		for _, di := range sh.EdgeDst[i:j] {
+		for k, di := range sh.EdgeDst[r.lo:r.hi] {
 			sims = append(sims, VertexSim{
 				V:   sh.Locals[di],
-				Sim: cfg.Score.Sim.Score(srcD.Nbrs, p.data[di].Nbrs, int(sh.Deg[si]), int(sh.Deg[di])),
+				Sim: cfg.Score.Sim.Score(srcD.Nbrs, p.dstData(r, k).Nbrs, srcDeg, int(sh.Deg[di])),
 			})
 		}
 		p.gatherSims, dp.Sims = sims, sims
-		return true // every edge contributes a similarity, and j > i
+		return true // every edge contributes a similarity, and the run is not empty
 	default:
 		kernel := appendCombine
 		switch step {
@@ -235,47 +391,22 @@ func (p *DistPartition) gatherRun(step DistStep, si int32, i, j int, dp *DistPar
 			kernel = appendCombine3
 		}
 		cands := p.gatherCands[:0]
-		for _, di := range sh.EdgeDst[i:j] {
-			cands = kernel(cfg.Score.Comb, cands, src, sh.Locals[di], srcD, &p.data[di])
+		for k, di := range sh.EdgeDst[r.lo:r.hi] {
+			cands = kernel(cfg.Score.Comb, cands, src, sh.Locals[di], srcD, p.dstData(r, k))
 		}
 		p.gatherCands, dp.Cands = cands, cands
 		return len(cands) > 0
 	}
 }
 
-// GatherVertex re-runs step's gather for the single local vertex li, filling
-// dp exactly as GatherStream's emit for that vertex would and reporting
-// whether it contributed. dp's slices alias the partition's gather scratch,
-// valid until the next gather call.
-//
-// This is the apply-time twin of the streaming gather: a master that also
-// gathers locally recomputes its own partial on demand instead of keeping an
-// encoded copy across the superstep's exchange. Re-gathering after other
-// vertices have applied is exact: apply writes only the step's output field,
-// which the same step's gather never reads — the same property that lets
-// GatherStream's inline applies run mid-stream. The run is found by binary
-// search, which a validated shard's non-decreasing EdgeSrc allows.
-func (p *DistPartition) GatherVertex(step DistStep, li int32, dp *DistPartial) bool {
-	edgeSrc := p.shard.EdgeSrc
-	i, found := slices.BinarySearch(edgeSrc, li)
-	if !found {
-		return false // no out-edges here, so no contribution
-	}
-	j := i + 1
-	for j < len(edgeSrc) && edgeSrc[j] == li {
-		j++
-	}
-	return p.gatherRun(step, li, i, j, dp)
-}
-
-// Apply runs step's sum+apply phase for local vertex li, mastered on this
-// partition: it folds parts — the local partial plus any partials received
-// from other partitions, in any order — and updates li's replica, which
+// Apply runs step's sum+apply phase for slot s, mastered on this partition:
+// it folds parts — the local partial plus any partials received from other
+// partitions, in any order — and updates s's replica, which
 // becomes the authoritative copy to broadcast. parts may be empty (no edge
 // anywhere contributed); apply still runs, clearing the step's output field
 // exactly as the gas engine does for an empty gather.
-func (p *DistPartition) Apply(step DistStep, li int32, parts []DistPartial) error {
-	v, d := p.shard.Locals[li], &p.data[li]
+func (p *DistPartition) Apply(step DistStep, s int32, parts []DistPartial) error {
+	v, d := p.verts[s], &p.data[s]
 	// A single partial (the streaming session's pre-merged case) skips the
 	// concatenation alloc and feeds its slices to the apply directly; step 2's
 	// apply sorts in place, which may reorder the caller's slice — harmless,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -35,81 +36,92 @@ func clonePartial(dp *DistPartial) DistPartial {
 // runHandCut plays the coordinator for DistPartitions over shards, with no
 // wire in between: per superstep every shard streams its gather, every master
 // applies the partials of all shards, and every mirror is refreshed with its
-// master's state. Along the way it holds GatherVertex to GatherStream: the
-// re-gather of any local vertex is exactly what the stream emitted for it,
-// or nothing where the stream emitted nothing.
+// master's state. A scoped run opens each shard's job over exactly the
+// closure's vertices local to it, the way a worker opens one from the
+// attach's entries. Along the way it holds GatherVertex to GatherStream: the
+// re-gather of any slot is exactly what the stream emitted for it, or
+// nothing where the stream emitted nothing.
 func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions, error) {
 	parts := make([]*DistPartition, len(shards))
 	for p, sf := range shards {
-		part, err := NewDistPartition(cfg, sf)
+		var part *DistPartition
+		var err error
+		if f == nil {
+			part, err = NewDistPartition(cfg, sf)
+		} else {
+			var verts []graph.VertexID
+			var scope []uint8
+			for _, v := range sf.Locals {
+				if m := f.ScopeMask(v); m != 0 {
+					verts, scope = append(verts, v), append(scope, m)
+				}
+			}
+			part, err = NewScopedDistPartition(cfg, sf, verts, scope)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if f != nil {
-			scope := make([]uint8, len(sf.Locals))
-			for li, v := range sf.Locals {
-				scope[li] = f.ScopeMask(v)
-			}
-			if err := part.SetScope(scope); err != nil {
-				return nil, err
-			}
-		}
 		parts[p] = part
+	}
+	isMaster := func(p int, s int32) bool {
+		li, _ := slices.BinarySearch(shards[p].Locals, parts[p].Vertex(s))
+		return shards[p].IsMaster[li]
 	}
 	for _, step := range DistSteps(parts[0].Config().Paths) {
 		byVertex := map[graph.VertexID][]DistPartial{}
 		for p, part := range parts {
 			emitted := map[int32]DistPartial{}
 			last := int32(-1)
-			err := part.GatherStream(step, func(li int32, dp *DistPartial) error {
-				if li <= last || dp.V != shards[p].Locals[li] {
-					return fmt.Errorf("%v shard %d: emit for local %d (vertex %d) after local %d", step, p, li, dp.V, last)
+			err := part.GatherStream(step, func(s int32, dp *DistPartial) error {
+				if s <= last || dp.V != part.Vertex(s) {
+					return fmt.Errorf("%v shard %d: emit for slot %d (vertex %d) after slot %d", step, p, s, dp.V, last)
 				}
-				last = li
-				emitted[li] = clonePartial(dp)
+				last = s
+				emitted[s] = clonePartial(dp)
 				byVertex[dp.V] = append(byVertex[dp.V], clonePartial(dp))
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			for li := range shards[p].Locals {
+			for s := range int32(part.NumSlots()) {
 				var dp DistPartial
-				ok := part.GatherVertex(step, int32(li), &dp)
-				want, streamed := emitted[int32(li)]
+				ok := part.GatherVertex(step, s, &dp)
+				want, streamed := emitted[s]
 				if ok != streamed || (ok && !reflect.DeepEqual(clonePartial(&dp), want)) {
-					return nil, fmt.Errorf("%v shard %d local %d: GatherVertex = %+v (%v), the stream emitted %+v (%v)",
-						step, p, li, dp, ok, want, streamed)
+					return nil, fmt.Errorf("%v shard %d slot %d: GatherVertex = %+v (%v), the stream emitted %+v (%v)",
+						step, p, s, dp, ok, want, streamed)
 				}
 			}
 		}
-		for p, sf := range shards {
-			for li, v := range sf.Locals {
-				if sf.IsMaster[li] {
-					if err := parts[p].Apply(step, int32(li), byVertex[v]); err != nil {
+		for p, part := range parts {
+			for s := range int32(part.NumSlots()) {
+				if isMaster(p, s) {
+					if err := part.Apply(step, s, byVertex[part.Vertex(s)]); err != nil {
 						return nil, err
 					}
 				}
 			}
 		}
-		for p, sf := range shards {
-			for li, v := range sf.Locals {
-				if sf.IsMaster[li] {
+		for p, part := range parts {
+			for s := range int32(part.NumSlots()) {
+				if isMaster(p, s) {
 					continue
 				}
-				mli, ok := parts[1-p].LocalIndex(v)
-				if !ok || !shards[1-p].IsMaster[mli] {
+				v := part.Vertex(s)
+				ms, ok := parts[1-p].Slot(v)
+				if !ok || !isMaster(1-p, ms) {
 					return nil, fmt.Errorf("vertex %d has no master", v)
 				}
-				*parts[p].Data(int32(li)) = *parts[1-p].Data(mli)
+				*part.Data(s) = *parts[1-p].Data(ms)
 			}
 		}
 	}
 	pred := make(Predictions, shards[0].NumVertices)
-	for p, sf := range shards {
-		for li, v := range sf.Locals {
-			if d := parts[p].Data(int32(li)); sf.IsMaster[li] && len(d.Pred) > 0 {
-				pred[v] = d.Pred
+	for p, part := range parts {
+		for s := range int32(part.NumSlots()) {
+			if d := part.Data(s); isMaster(p, s) && len(d.Pred) > 0 {
+				pred[part.Vertex(s)] = d.Pred
 			}
 		}
 	}
@@ -199,6 +211,61 @@ func TestDistPartitionsShareOneShard(t *testing.T) {
 	for p, sf := range shards {
 		if !reflect.DeepEqual(*sf, before[p]) {
 			t.Fatalf("shard %d was written while jobs ran over it", p)
+		}
+	}
+}
+
+// TestScopedDistPartitionRejectsBadScope pins the scoped open's input
+// contract: the vertices are the attach's entries, which a worker takes from
+// the network, so repeated or descending ones fail with ErrScopeOrder and a
+// vertex the shard does not hold fails too — neither is sorted or skipped
+// silently.
+func TestScopedDistPartitionRejectsBadScope(t *testing.T) {
+	sf := handCut(t, communityGraph(t, 120, 5))[0]
+	cfg := Config{Score: mustScore(t, "linearSum"), K: 5, Seed: 1}
+	a, b := sf.Locals[3], sf.Locals[9]
+	for _, c := range []struct {
+		name  string
+		verts []graph.VertexID
+		order bool
+	}{
+		{"descending", []graph.VertexID{b, a}, true},
+		{"repeated", []graph.VertexID{a, a}, true},
+		{"not-local", []graph.VertexID{a, graph.VertexID(sf.NumVertices + 7)}, false},
+	} {
+		_, err := NewScopedDistPartition(cfg, sf, c.verts, make([]uint8, len(c.verts)))
+		if err == nil || errors.Is(err, ErrScopeOrder) != c.order {
+			t.Errorf("%s: err = %v, ErrScopeOrder expected: %v", c.name, err, c.order)
+		}
+	}
+	if _, err := NewScopedDistPartition(cfg, sf, []graph.VertexID{a, b}, []uint8{ScopeTrunc}); err == nil {
+		t.Error("two vertices with one scope mask accepted")
+	}
+	p, err := NewScopedDistPartition(cfg, sf, []graph.VertexID{a, b}, []uint8{ScopeTrunc, ScopePred})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumSlots() != 2 || p.Vertex(1) != b {
+		t.Errorf("slots: %d, slot 1 = vertex %d", p.NumSlots(), p.Vertex(1))
+	}
+	if s, ok := p.Slot(b); !ok || s != 1 {
+		t.Errorf("Slot(%d) = %d, %v", b, s, ok)
+	}
+	if _, ok := p.Slot(sf.Locals[5]); ok {
+		t.Error("Slot found a local outside the job")
+	}
+}
+
+// TestSeek holds the galloping search to slices.BinarySearch from every
+// starting point, including past the answer's run and at the end.
+func TestSeek(t *testing.T) {
+	xs := []int32{0, 0, 1, 3, 3, 3, 4, 9, 9, 12}
+	for from := range len(xs) + 1 {
+		for x := int32(-1); x <= 13; x++ {
+			want, _ := slices.BinarySearch(xs[from:], x)
+			if got := seek(xs, from, x); got != from+want {
+				t.Errorf("seek(from %d, %d) = %d, want %d", from, x, got, from+want)
+			}
 		}
 	}
 }

@@ -287,8 +287,10 @@ func TestDistPartitionLost(t *testing.T) {
 // TestDistCancelMidSuperstep pins the cancellation satellite: a context
 // cancelled while a superstep is stalled must return promptly (well under
 // 2× the phase deadline) with ctx's error, close every worker connection,
-// and leave the resident workers reusable for the next job.
+// leave the resident workers reusable for the next job, and leave no
+// watcher or session goroutine behind.
 func TestDistCancelMidSuperstep(t *testing.T) {
+	checkGoroutines(t)
 	g := testGraph(t, 200, 7)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
 	// Worker 0 stalls for 1s inside its first partial stream — long enough
@@ -329,6 +331,56 @@ func TestDistCancelMidSuperstep(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		diffPredictions(t, want, got)
+	}
+}
+
+// TestFleetScopedCancelMidSuperstep is the cancellation pin of the sparse
+// entry point on a standing fleet: PredictScoped under a context cancelled
+// mid-superstep returns ctx's error promptly, the next query redials the
+// swept connection and answers Serial's rows, and closing the fleet leaves
+// no goroutine behind.
+func TestFleetScopedCancelMidSuperstep(t *testing.T) {
+	checkGoroutines(t)
+	g := testGraph(t, 200, 7)
+	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42,
+		Sources: []graph.VertexID{50, 3, 101}}
+	// Worker 0's standing session — the fleet's first — stalls 1s inside the
+	// first query's partial stream.
+	addrs := chaosPool(t, 2, func(w int) []wire.ChaosEvent {
+		if w != 0 {
+			return nil
+		}
+		return []wire.ChaosEvent{{Dir: wire.ChaosWrites, Op: wire.ChaosDelay, At: 1024, Delay: time.Second}}
+	})
+	const deadline = 5 * time.Second
+	f, err := OpenFleet(g, FleetOptions{Addrs: addrs, Seed: 42, StepTimeout: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, _, err = f.PredictScoped(ctx, g, cfg)
+	if wall := time.Since(start); !errors.Is(err, context.Canceled) || wall >= 2*deadline {
+		t.Fatalf("err = %v after %v, want context.Canceled well within %v", err, wall, 2*deadline)
+	}
+
+	full, err := core.ReferenceSnaple(g, core.Config{Score: cfg.Score, K: 5, KLocal: 4, ThrGamma: 10, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := f.PredictScoped(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatalf("query after the cancel: %v", err)
+	}
+	for i, v := range got.Vertices {
+		if !reflect.DeepEqual(got.Rows[i], full[v]) {
+			t.Fatalf("vertex %d: %v, want %v", v, got.Rows[i], full[v])
+		}
 	}
 }
 

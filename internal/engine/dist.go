@@ -56,19 +56,35 @@ func (d Dist) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, e
 // session end and stay reusable for the next job. The config is validated
 // before any worker is dialed.
 func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
+	_, preds, st, err := d.run(ctx, g, cfg)
+	return denseResult(g, preds, st, err)
+}
+
+// PredictScoped implements ScopedBackend: PredictCtx for a cfg with Sources,
+// with the sources' rows handed back sparse.
+func (d Dist) PredictScoped(ctx context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
+	if len(cfg.Sources) == 0 {
+		return core.ScopedPredictions{}, Stats{Engine: "dist"}, errUnscoped
+	}
+	q, preds, st, err := d.run(ctx, g, cfg)
+	return scopedResult(q, preds, st, err)
+}
+
+// run opens a fleet on g, runs the one query and closes the fleet.
+func (d Dist) run(ctx context.Context, g graph.View, cfg core.Config) (*query, []wire.VertexPreds, Stats, error) {
 	q, err := newQuery(g, cfg)
 	if err != nil {
-		return nil, Stats{Engine: "dist"}, err
+		return nil, nil, Stats{Engine: "dist"}, err
 	}
 	f, err := OpenFleet(g, FleetOptions(d))
 	if err != nil {
-		return nil, Stats{Engine: "dist"}, fmt.Errorf("engine: dist: %w", err)
+		return nil, nil, Stats{Engine: "dist"}, fmt.Errorf("engine: dist: %w", err)
 	}
 	defer f.Close()
-	pred, st, err := f.run(ctx, q)
+	preds, st, err := f.run(ctx, q)
 	st.Engine = "dist"
 	st.DialRetries = f.Stats().DialRetries // the open's dials are this run's
-	return pred, st, err
+	return q, preds, st, err
 }
 
 // deployment is the vertex cut a fleet stands on — partition.NewCut's

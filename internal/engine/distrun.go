@@ -102,15 +102,17 @@ func newDistRun(routes *routing, conns []*wire.Conn, dialErrs []error, replicas 
 
 // predict drives everything after connect: the attach handshake (attach(i)
 // is connection i's job opener), the supersteps with their failover retries,
-// collect, and the merge of the per-partition results into Predictions. It
-// fills st's run-cost fields; the per-partition results are returned
-// alongside for the caller to aggregate the worker reports further.
+// collect, and the merge of the per-partition results: every partition's
+// master predictions in one list, one entry per vertex that has any (masters
+// are disjoint across partitions, so the merge is a concatenation). It fills
+// st's run-cost fields; the per-partition results are returned alongside for
+// the caller to aggregate the worker reports further.
 //
 // Cancelling ctx closes every connection, so whatever exchange is in flight
 // fails within one read/write and the run drains through its normal failure
 // paths; the deaths were then self-inflicted, and the caller gets ctx.Err()
 // rather than a fleet failure.
-func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stats, attach func(i int) *wire.Msg) (pred core.Predictions, results []wire.WorkerResult, err error) {
+func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stats, attach func(i int) *wire.Msg) (preds []wire.VertexPreds, results []wire.WorkerResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -190,11 +192,13 @@ func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stat
 	if err != nil {
 		return nil, nil, err
 	}
-	pred = make(core.Predictions, g.NumVertices())
+	n := 0
 	for p := range results {
-		for _, vp := range results[p].Preds {
-			pred[vp.V] = vp.Preds
-		}
+		n += len(results[p].Preds)
+	}
+	preds = make([]wire.VertexPreds, 0, n)
+	for p := range results {
+		preds = append(preds, results[p].Preds...)
 		st.MemPeakBytes = max(st.MemPeakBytes, results[p].Stats.HeapBytes)
 	}
 	st.WallSeconds = time.Since(start).Seconds()
@@ -204,7 +208,7 @@ func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stat
 	cross := r.traffic().Sub(shipped)
 	st.CrossBytes = cross.BytesIn + cross.BytesOut
 	st.CrossMsgs = cross.MsgsIn + cross.MsgsOut
-	return pred, results, nil
+	return preds, results, nil
 }
 
 // traffic sums the connections' counters so far (dead ones keep theirs).
@@ -624,7 +628,7 @@ func (rt *router) forward(j int, rec []byte) {
 // routePartial routes one encoded partial record to every replica of its
 // vertex's master partition.
 func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
-	mp := rt.run.routes.master(v)
+	mp, _ := rt.run.routes.roles(v)
 	if mp < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
@@ -637,8 +641,8 @@ func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
 // routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
 func (rt *router) routeState(v graph.VertexID, rec []byte) error {
-	mp := rt.run.routes.master(v)
-	for _, p := range rt.run.routes.hosts(v) {
+	mp, hosts := rt.run.routes.roles(v)
+	for _, p := range hosts {
 		if p == mp {
 			continue
 		}

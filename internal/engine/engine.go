@@ -149,13 +149,15 @@ func PredictWithContext(ctx context.Context, be Backend, g graph.View, cfg core.
 
 // ScopedBackend is a Backend that can hand a query-scoped run's result back
 // sparse — sorted (source, row) pairs — instead of scattered over a |V|-long
-// table. Local implements it; for the others the table is still part of the
-// run (ROADMAP item 1).
+// table. Local, Fleet and Dist implement it, and none of their scoped runs
+// builds that table; Sim and Serial stay dense on purpose.
 type ScopedBackend interface {
 	Backend
 	// PredictScoped is Predict for a cfg with non-empty Sources, with the
-	// result left sparse. It fails on an unscoped cfg.
-	PredictScoped(g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error)
+	// result left sparse. It fails on an unscoped cfg. Backends with a remote
+	// side abandon the run when ctx is cancelled, as PredictCtx does; the
+	// in-memory one ignores ctx.
+	PredictScoped(ctx context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error)
 }
 
 // errUnscoped rejects a scoped entry point called without sources.
@@ -163,16 +165,17 @@ var errUnscoped = errors.New("engine: PredictScoped needs Config.Sources")
 
 // PredictScoped runs a query-scoped prediction (cfg.Sources non-empty) on
 // any backend and returns the sources' rows sparse: directly from a
-// ScopedBackend, otherwise by picking them out of the dense table a plain
-// Predict (PredictCtx when the backend is cancellable) returns. Rows alias
-// the run's buffers either way. It is the entry point of callers that only
-// want the sources' rows, serve's batch run above all.
+// ScopedBackend, otherwise (Sim, Serial, wrappers that hide the method) by
+// picking them out of the dense table a plain Predict (PredictCtx when the
+// backend is cancellable) returns. Rows alias the run's buffers either way.
+// It is the entry point of callers that only want the sources' rows, serve's
+// batch run above all.
 func PredictScoped(ctx context.Context, be Backend, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
 	if len(cfg.Sources) == 0 {
 		return core.ScopedPredictions{}, Stats{Engine: be.Name()}, errUnscoped
 	}
 	if sb, ok := be.(ScopedBackend); ok {
-		return sb.PredictScoped(g, cfg)
+		return sb.PredictScoped(ctx, g, cfg)
 	}
 	preds, st, err := PredictWithContext(ctx, be, g, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"hash/fnv"
 	"net"
 	"os/exec"
+	"slices"
 	"sync"
 	"time"
 
@@ -197,6 +199,10 @@ func (o FleetOptions) shape() (shards, reps int, err error) {
 // partitioning — and, for workers that did not pin a packed shard, shipping —
 // once at Open; every query then opens with a fingerprint attach (plus, on
 // scoped queries, the sparse per-closure-vertex roles), never partition bytes.
+// A scoped query costs its closure on every side: the coordinator's routing
+// tables are indexed by the closure's members, each worker's session by its
+// entries, and PredictScoped hands the sources' rows back sparse — only the
+// dense Predict builds a |V|-long table, for its contract.
 //
 // A Fleet is safe for concurrent use; queries are serialised internally over
 // the standing connections. Results are bit-identical to every other backend
@@ -534,8 +540,27 @@ func (f *Fleet) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats,
 
 // PredictCtx implements ContextBackend. Cancelling ctx closes the query's
 // connections; they are redialed lazily on the next query, so a cancelled
-// query degrades latency once, never the fleet.
+// query degrades latency once, never the fleet. The run itself is sparse;
+// the |V|-long table is built here, for the dense contract.
 func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
+	_, preds, st, err := f.runView(ctx, g, cfg)
+	return denseResult(g, preds, st, err)
+}
+
+// PredictScoped implements ScopedBackend: PredictCtx for a cfg with Sources,
+// with the sources' rows handed back sparse, so neither the run nor its
+// result allocates anything sized by the graph.
+func (f *Fleet) PredictScoped(ctx context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
+	if len(cfg.Sources) == 0 {
+		return core.ScopedPredictions{}, Stats{Engine: "fleet"}, errUnscoped
+	}
+	q, preds, st, err := f.runView(ctx, g, cfg)
+	return scopedResult(q, preds, st, err)
+}
+
+// runView validates g against the fleet's view and cfg against g, then runs
+// the query.
+func (f *Fleet) runView(ctx context.Context, g graph.View, cfg core.Config) (*query, []wire.VertexPreds, Stats, error) {
 	// An identity check, after unwrapping clean overlays of the same CSR: the
 	// shards were cut from f.g, and any other view — a mutated one above all
 	// — would be answered from the wrong edges.
@@ -543,18 +568,54 @@ func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (
 		a, aok := graph.AsCSR(g)
 		b, bok := graph.AsCSR(f.g)
 		if !aok || !bok || a != b {
-			return nil, Stats{Engine: "fleet"}, errors.New("engine: fleet: predict over a view the fleet was not opened with — it serves the cut it made at open; compact a mutated view and reopen")
+			return nil, nil, Stats{Engine: "fleet"}, errors.New("engine: fleet: predict over a view the fleet was not opened with — it serves the cut it made at open; compact a mutated view and reopen")
 		}
 	}
 	q, err := newQuery(g, cfg)
 	if err != nil {
-		return nil, Stats{Engine: "fleet"}, err
+		return nil, nil, Stats{Engine: "fleet"}, err
 	}
-	return f.run(ctx, q)
+	preds, st, err := f.run(ctx, q)
+	return q, preds, st, err
 }
 
-// run executes one validated query over the standing connections.
-func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, error) {
+// denseResult scatters a run's predictions over the |V|-long table
+// Backend.Predict promises — the one place a distributed run pays n·24 B.
+func denseResult(g graph.View, preds []wire.VertexPreds, st Stats, err error) (core.Predictions, Stats, error) {
+	if err != nil {
+		return nil, st, err
+	}
+	out := make(core.Predictions, g.NumVertices())
+	for _, vp := range preds {
+		out[vp.V] = vp.Preds
+	}
+	return out, st, nil
+}
+
+// scopedResult pairs a scoped run's deduplicated sources with their rows; a
+// source no master reported has none.
+func scopedResult(q *query, preds []wire.VertexPreds, st Stats, err error) (core.ScopedPredictions, Stats, error) {
+	if err != nil {
+		return core.ScopedPredictions{}, st, err
+	}
+	slices.SortFunc(preds, func(a, b wire.VertexPreds) int { return cmp.Compare(a.V, b.V) })
+	sp := core.ScopedPredictions{Vertices: q.frontier.Pred.Members()}
+	sp.Rows = make([][]core.Prediction, len(sp.Vertices))
+	i := 0
+	for j, v := range sp.Vertices {
+		for i < len(preds) && preds[i].V < v {
+			i++
+		}
+		if i < len(preds) && preds[i].V == v {
+			sp.Rows[j] = preds[i].Preds
+		}
+	}
+	return sp, st, nil
+}
+
+// run executes one validated query over the standing connections and returns
+// the masters' predictions, one entry per vertex that has any.
+func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, error) {
 	st := q.st
 	st.Engine, st.Workers, st.Replicas = "fleet", f.shards*f.replicas, f.replicas
 
@@ -568,8 +629,9 @@ func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, err
 	// see this query — an untouched shard's workers receive no frame at all.
 	touched, routes, entries := f.route(q.frontier)
 	if len(touched) == 0 {
-		// Isolated sources: the closure holds no edge anywhere.
-		return make(core.Predictions, f.g.NumVertices()), st, nil
+		// Isolated sources: the closure holds no edge anywhere, and no
+		// source has a prediction.
+		return nil, st, nil
 	}
 	st.Workers = len(touched) * f.replicas
 	st.ReplicationFactor = routes.rf
@@ -627,7 +689,7 @@ func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, err
 
 	// Attach is the job opener: for an unscoped query a fixed-size frame, for
 	// a scoped one the sparse closure roles; never partition columns.
-	pred, results, err := run.predict(ctx, f.g, q.paths, &st, func(i int) *wire.Msg {
+	preds, results, err := run.predict(ctx, f.g, q.paths, &st, func(i int) *wire.Msg {
 		p := run.partOf[i]
 		return &wire.Msg{
 			Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: q.job,
@@ -654,40 +716,42 @@ func (f *Fleet) run(ctx context.Context, q *query) (core.Predictions, Stats, err
 			st.AllocObjects += ws.AllocObjects
 		}
 	}
-	return pred, st, mismatchTyped(err)
+	return preds, st, mismatchTyped(err)
 }
 
 // routing is one query's view of the cut, what the superstep driver runs
 // over: how many shards take part (numbered densely in touched order) and,
 // per vertex, the one mastering it and the ones hosting it. A full run routes
-// by the cut itself; a scoped one by its own re-election, and also carries
-// the frontier and the view of the superstep-skip test.
+// by the cut itself; a scoped one by its own re-election over the closure,
+// rank-indexed over the closure's sorted members, and also carries the
+// frontier and the view of the superstep-skip test.
 type routing struct {
-	parts      int
-	cut        *partition.Cut // full run: every shard takes part
-	masterPart []int32        // scoped: per vertex; -1 when no taking-part shard hosts it
-	hostParts  [][]int32      // scoped: per vertex, its taking-part hosts when there are several
-	rf         float64        // replication factor over the taking-part shards
+	parts int
+	cut   *partition.Cut // full run: every shard takes part
+	// Scoped: per closure member (frontier.Trunc's i-th), the taking part
+	// holding its master (-1 when no taking-part shard hosts it) and, when
+	// several host it, its taking-part hosts hostParts[hostAt[i]:hostAt[i+1]].
+	masterPart []int32
+	hostAt     []int32
+	hostParts  []int32
+	rf         float64 // replication factor over the taking-part shards
 	frontier   *core.Frontier
 	g          graph.View
 }
 
-// master returns the taking part holding v's master copy, -1 for none.
-func (r *routing) master(v graph.VertexID) int32 {
+// roles returns the taking part holding v's master copy (-1 for none) and the
+// taking parts replicating v, ascending; a vertex with a single host may get
+// no hosts, since only its mirrors are ever routed to.
+func (r *routing) roles(v graph.VertexID) (master int32, hosts []int32) {
 	if r.cut != nil {
-		return r.cut.Master(v)
+		hosts, _ = r.cut.Replicas(v)
+		return r.cut.Master(v), hosts
 	}
-	return r.masterPart[v]
-}
-
-// hosts returns the taking parts replicating v, ascending; a vertex with a
-// single host may get nil, since only its mirrors are ever routed to.
-func (r *routing) hosts(v graph.VertexID) []int32 {
-	if r.cut != nil {
-		hosts, _ := r.cut.Replicas(v)
-		return hosts
+	i, ok := slices.BinarySearch(r.frontier.Trunc.Members(), v)
+	if !ok {
+		return -1, nil
 	}
-	return r.hostParts[v]
+	return r.masterPart[i], r.hostParts[r.hostAt[i]:r.hostAt[i+1]]
 }
 
 // stepHasWork reports whether any shard gathers anything in step: some vertex
@@ -704,7 +768,9 @@ func (r *routing) stepHasWork(step core.DistStep) bool {
 // master among its touched hosts — the full-run master may sit on an
 // untouched shard, and any consistent election yields identical results, so
 // the restricted draw is both necessary and safe. The per-shard entries are
-// the sparse roles the attach carries.
+// the sparse roles the attach carries, ascending by vertex as the worker
+// requires; the scoped routing is indexed by the closure's members, so
+// nothing here is sized by the graph.
 func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.ScopeEntry) {
 	dep := f.dep
 	if frontier == nil {
@@ -716,8 +782,9 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 			make([][]wire.ScopeEntry, f.shards)
 	}
 
+	members := frontier.Trunc.Members()
 	touchedSet := make([]bool, f.shards)
-	for _, u := range frontier.Trunc.Members() {
+	for _, u := range members {
 		for _, s := range dep.sources(u) {
 			touchedSet[s] = true
 		}
@@ -736,21 +803,19 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		return nil, nil, nil
 	}
 
-	n := dep.NumVertices()
 	rt := &routing{
 		parts:      len(touched),
-		masterPart: make([]int32, n),
-		hostParts:  make([][]int32, n),
+		masterPart: make([]int32, len(members)),
+		hostAt:     make([]int32, len(members)+1),
 		frontier:   frontier,
 		g:          f.g,
-	}
-	for v := range rt.masterPart {
-		rt.masterPart[v] = -1
 	}
 	entries := make([][]wire.ScopeEntry, len(touched))
 	hosts := make([]int32, 0, 8)
 	replicas, present := 0, 0
-	for _, v := range frontier.Trunc.Members() {
+	for i, v := range members {
+		rt.masterPart[i] = -1
+		rt.hostAt[i+1] = rt.hostAt[i]
 		hosts = hosts[:0]
 		all, _ := dep.Replicas(v)
 		for _, s := range all {
@@ -766,7 +831,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		}
 		// The cut's election, restricted to the touched hosts.
 		mp := partition.ElectMaster(hosts, f.seed, v)
-		rt.masterPart[v] = groupOf[mp]
+		rt.masterPart[i] = groupOf[mp]
 		remote := len(hosts) > 1
 		mask := frontier.ScopeMask(v)
 		for _, s := range hosts {
@@ -780,11 +845,10 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 			entries[groupOf[s]] = append(entries[groupOf[s]], wire.ScopeEntry{V: v, Mask: mask, Role: role})
 		}
 		if remote {
-			parts := make([]int32, len(hosts))
-			for i, s := range hosts {
-				parts[i] = groupOf[s]
+			for _, s := range hosts {
+				rt.hostParts = append(rt.hostParts, groupOf[s])
 			}
-			rt.hostParts[v] = parts
+			rt.hostAt[i+1] = int32(len(rt.hostParts))
 		}
 		replicas += len(hosts)
 		present++

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -220,9 +221,11 @@ func digestRows(sources []graph.VertexID, row func(graph.VertexID) []core.Predic
 // TestFleetScopedGolden holds scoped fleet queries to values recorded
 // independently of the session and routing layouts: on in-process fleets of
 // 2 and 3 shards with 1 and 2 replicas, every query's rows, cross bytes,
-// cross messages and closure sizes come back exactly. The rows are also
-// Serial's, filtered to the sources.
+// cross messages and closure sizes come back exactly, through the dense and
+// the sparse entry point alike. The rows are also Serial's, filtered to the
+// sources.
 func TestFleetScopedGolden(t *testing.T) {
+	checkGoroutines(t)
 	g := scopedGoldenGraph(t)
 	base := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 8, ThrGamma: 20, Seed: 42}
 	oracles := map[string]core.Predictions{} // Serial's full runs, by score/policy/paths
@@ -249,6 +252,20 @@ func TestFleetScopedGolden(t *testing.T) {
 			}
 			if want, ok := goldenFleetScoped[key]; !ok || got != want {
 				t.Errorf("%q: %#v, want %#v", key, got, want)
+			}
+			// The sparse entry point runs the same query and hands back the
+			// same rows.
+			sparse, sst, err := f.PredictScoped(context.Background(), g, cfg)
+			if err != nil {
+				t.Fatalf("%s: scoped: %v", key, err)
+			}
+			gotSparse := fleetGolden{
+				rows:       digestRows(sparse.Vertices, sparse.Row),
+				crossBytes: sst.CrossBytes, crossMsgs: sst.CrossMsgs,
+				frontier: sst.FrontierVertices, scored: sst.ScoredVertices,
+			}
+			if gotSparse != got || len(sparse.Vertices) != got.scored {
+				t.Errorf("%q: PredictScoped gives %#v over %d sources, Predict %#v", key, gotSparse, len(sparse.Vertices), got)
 			}
 			variant := fmt.Sprintf("%s/%v/%d", cfg.Score.Name, cfg.Policy, cfg.Paths)
 			full, ok := oracles[variant]

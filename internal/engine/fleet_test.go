@@ -2,16 +2,19 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"snaple/internal/core"
+	"snaple/internal/gen"
 	"snaple/internal/graph"
 	"snaple/internal/partition"
 	"snaple/internal/wire"
@@ -35,6 +38,32 @@ func serveResident(t *testing.T, files []*graph.ShardFile, replicas int) []strin
 		}
 	}
 	return addrs
+}
+
+// checkGoroutines fails t unless, once the test and every cleanup registered
+// after this call have run, the process's goroutine count settles back to
+// what it was here: closing a fleet must end its watchers, its in-process
+// workers' sessions and its listeners. Call it first, so that its cleanup
+// runs last. The count is polled, since a closed connection's goroutines exit
+// asynchronously.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			n := runtime.NumGoroutine()
+			if n <= before {
+				return
+			}
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<20)
+				t.Errorf("%d goroutines outlive the test (%d before it):\n%s", n-before, before, buf[:runtime.Stack(buf, true)])
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 }
 
 // packVia round-trips PackShards' output through the on-disk encoding, so
@@ -491,6 +520,7 @@ func TestFleetManifestMismatch(t *testing.T) {
 // fleet serving — the next query fails over to the survivor and the one
 // after redials nothing that is not needed.
 func TestFleetFailover(t *testing.T) {
+	checkGoroutines(t)
 	g := testGraph(t, 150, 11)
 	f, err := OpenFleet(g, FleetOptions{InProc: 2, Replicas: 2, Seed: 5})
 	if err != nil {
@@ -546,6 +576,7 @@ func TestFleetFailover(t *testing.T) {
 // concurrently. Nothing about that shard may be written after it is validated
 // (-race watches this test), and every answer is Serial's, bit for bit.
 func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
+	checkGoroutines(t)
 	g := testGraph(t, 300, 7)
 	files, man := packVia(t, g, nil, 11, 2)
 	addrs := serveResident(t, files, 1)
@@ -587,16 +618,18 @@ func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAttachDoesNoPerShardWork pins the worker half of "a query costs its
+// TestAttachDoesNoPerShardWork pins the attach half of "a query costs its
 // closure": through a resident worker's real attach path — frame decode,
 // fingerprint check, session build, Ready — an empty scoped attach allocates
-// the same number of objects on a shard and on the same cut of a graph ten
-// times the size. The job's own columns grow in bytes with the shard's locals
-// (the per-query overlay is ROADMAP item 1's remainder) but not in count, and
-// nothing is validated, indexed or tabulated per attach: the shard was checked
-// once, when the worker pinned it, and its sorted Locals are the index.
+// the same objects and the same bytes on a shard and on the same cut of a
+// graph ten times the size. A scoped session's columns are sized by its
+// entries, the connection's streaming buffers are inherited from the previous
+// session, and nothing is validated, indexed or tabulated per attach: the
+// shard was checked once, when the worker pinned it, and its sorted columns
+// are the index.
 func TestAttachDoesNoPerShardWork(t *testing.T) {
-	attachAllocs := func(n int) float64 {
+	type cost struct{ objects, bytes float64 }
+	attachCost := func(n int) cost {
 		g := testGraph(t, n, 7)
 		files, man := packVia(t, g, nil, 11, 2)
 		c, err := wire.DialWith(serveResident(t, files[:1], 1)[0], wire.DialOptions{})
@@ -608,16 +641,104 @@ func TestAttachDoesNoPerShardWork(t *testing.T) {
 			Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: handshakeJob,
 			Attach: wire.AttachSpec{Fingerprint: man.Fingerprint, Shard: 0, Shards: 2, Scoped: true},
 		}
-		return testing.AllocsPerRun(20, func() {
+		once := func() {
 			if err := sendAwaitReady(c, attach); err != nil {
 				t.Fatal(err)
 			}
+		}
+		const runs = 20
+		objects := testing.AllocsPerRun(runs, once)
+		bytes := allocatedBy(func() {
+			for range runs {
+				once()
+			}
 		})
+		return cost{objects, float64(bytes) / runs}
 	}
-	small, big := attachAllocs(300), attachAllocs(3000)
-	t.Logf("objects per empty scoped attach: %.0f on the small shard, %.0f on the 10x one", small, big)
-	if big-small > 2 || small-big > 2 {
-		t.Fatalf("an attach allocates %.0f objects on a shard and %.0f on one 10x the size: per-shard work crept into the attach path", small, big)
+	small, big := attachCost(300), attachCost(3000)
+	t.Logf("per empty scoped attach: %.0f objects / %.0f B on the small shard, %.0f / %.0f B on the 10x one",
+		small.objects, small.bytes, big.objects, big.bytes)
+	if big.objects-small.objects > 2 || small.objects-big.objects > 2 {
+		t.Errorf("an attach allocates %.0f objects on a shard and %.0f on one 10x the size: per-shard work crept into the attach path", small.objects, big.objects)
+	}
+	if big.bytes > small.bytes+256 {
+		t.Errorf("an attach allocates %.0f B on a shard and %.0f B on one 10x the size: a column sized by the shard crept into the attach path", small.bytes, big.bytes)
+	}
+}
+
+// TestScopedSessionTracksClosure is the worker's O(closure) pin, the fleet
+// twin of TestScopedAllocationTracksClosure: the same 8-id query through a
+// resident 2-shard fleet over a graph G, and over G plus a disjoint component
+// ten times its size — which grows every shard's locals and edges but not the
+// query's closure — allocates about the same bytes on the real path, attach
+// through supersteps to collect. The measure covers the whole process: both
+// in-process workers and the coordinator, whose routing and result are
+// closure-sized too.
+func TestScopedSessionTracksClosure(t *testing.T) {
+	const n = 5000
+	powerLaw := func(n int, edges int64, seed uint64) *graph.Digraph {
+		stream, err := gen.NewPowerLawStream(n, edges, 2, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := stream.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := powerLaw(n, 5*n, 3)
+	other := powerLaw(10*n, 50*n, 4)
+	b := graph.NewBuilder(11 * n)
+	g.ForEachEdge(b.AddEdge)
+	other.ForEachEdge(func(u, v graph.VertexID) { b.AddEdge(u+n, v+n) })
+	big, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 10, KLocal: 8, ThrGamma: 50, Seed: 42,
+		Sources: []graph.VertexID{17, 230, 999, 1500, 2222, 3001, 4096, 4999}}
+	type run struct {
+		bytes  uint64
+		rows   core.ScopedPredictions
+		st     Stats
+		locals int
+	}
+	query := func(g graph.View) run {
+		dep, err := cut(g, partition.HashEdge{Seed: 9}, 9, 2) // the cut the fleet makes
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r run
+		for _, sf := range dep.Shards {
+			r.locals += len(sf.Locals)
+		}
+		f, err := OpenFleet(g, FleetOptions{InProc: 2, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		r.bytes = allocatedBy(func() {
+			if r.rows, r.st, err = f.PredictScoped(context.Background(), g, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return r
+	}
+	onG, onBig := query(g), query(big)
+	t.Logf("closure %d vertices: %d B over %d shard locals, %d B over %d",
+		onG.st.FrontierVertices, onG.bytes, onG.locals, onBig.bytes, onBig.locals)
+	if onBig.locals < 5*onG.locals {
+		t.Fatalf("the disjoint component grew the shards' locals only %d -> %d", onG.locals, onBig.locals)
+	}
+	if !reflect.DeepEqual(onG.rows, onBig.rows) || onG.st.FrontierVertices != onBig.st.FrontierVertices ||
+		onG.st.CrossBytes != onBig.st.CrossBytes {
+		t.Fatalf("the disjoint component changed the query: %+v / %+v", onG.st, onBig.st)
+	}
+	if lo, hi := min(onG.bytes, onBig.bytes), max(onG.bytes, onBig.bytes); float64(hi) > 1.5*float64(lo) {
+		t.Errorf("a scoped fleet query allocated %d B over %d shard locals and %d B over %d: not closure-sized",
+			onG.bytes, onG.locals, onBig.bytes, onBig.locals)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -79,7 +80,8 @@ func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, 
 // PredictScoped implements ScopedBackend: the run of Predict with the
 // result left sparse, so nothing it allocates or touches is sized by the
 // graph (until the closure is a sizeable share of it; see core.NewStepArena).
-func (l Local) PredictScoped(g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
+// The run has no remote side to abandon, so ctx is ignored.
+func (l Local) PredictScoped(_ context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
 	if len(cfg.Sources) == 0 {
 		return core.ScopedPredictions{}, Stats{Engine: "local"}, errUnscoped
 	}

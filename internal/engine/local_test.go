@@ -103,7 +103,7 @@ func TestPredictScopedMatchesPredict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sparse, st, err := Local{Workers: 3}.PredictScoped(g, cfg)
+			sparse, st, err := Local{Workers: 3}.PredictScoped(context.Background(), g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestPredictScopedMatchesPredict(t *testing.T) {
 			if row := sparse.Row(8); row != nil {
 				t.Errorf("Row of a non-source = %v, want nil", row)
 			}
-			for _, be := range []Backend{Local{Workers: 1}, Serial{}} {
+			for _, be := range []Backend{Local{Workers: 1}, Serial{}, Dist{InProc: 2, Seed: 9}} {
 				got, _, err := PredictScoped(context.Background(), be, g, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -135,7 +135,7 @@ func TestPredictScopedMatchesPredict(t *testing.T) {
 			}
 		}
 	}
-	for _, be := range []Backend{Local{}, Serial{}} {
+	for _, be := range []Backend{Local{}, Serial{}, Dist{InProc: 2}} {
 		if _, _, err := PredictScoped(context.Background(), be, small, localCfg(t)); err == nil {
 			t.Errorf("%s: PredictScoped accepted a config without Sources", be.Name())
 		}
@@ -174,7 +174,7 @@ func TestScopedAllocationTracksClosure(t *testing.T) {
 		cfg.Sources = []graph.VertexID{17}
 		scoped := func(g graph.View) uint64 {
 			return allocatedBy(func() {
-				if _, _, err := (Local{}).PredictScoped(g, cfg); err != nil {
+				if _, _, err := (Local{}).PredictScoped(context.Background(), g, cfg); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -273,7 +273,7 @@ func TestLocalIsolatedSourceDoesClosureSizedWork(t *testing.T) {
 		var sparse core.ScopedPredictions
 		var st Stats
 		bytes := allocatedBy(func() {
-			if sparse, st, err = (Local{}).PredictScoped(g, cfg); err != nil {
+			if sparse, st, err = (Local{}).PredictScoped(context.Background(), g, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

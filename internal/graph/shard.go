@@ -139,9 +139,9 @@ func (s *ShardFile) Validate() error {
 		if di := s.EdgeDst[i]; si < 0 || int(si) >= n || di < 0 || int(di) >= n {
 			return fmt.Errorf("graph: shard: edge %d outside the local table", i)
 		}
-		// Sorted source runs are what the streaming gather walks and what
-		// GatherVertex binary-searches; every cut produces them (View edge
-		// order is (src, dst) and Locals ascend).
+		// Sorted source runs are what a job resolves its slots' edge runs
+		// from, searching forward once per attach; every cut produces them
+		// (View edge order is (src, dst) and Locals ascend).
 		if si < prev {
 			return fmt.Errorf("graph: shard: edge sources not non-decreasing at edge %d", i)
 		}

@@ -44,6 +44,21 @@ func TestInfo(t *testing.T) {
 	if info.Fleet != nil {
 		t.Errorf("local backend reported a fleet: %+v", info.Fleet)
 	}
+	checkEngineNamed(t, ts.URL, "local")
+}
+
+// checkEngineNamed pins that /statsz and /healthz name the engine mode
+// exactly as /v1/info does.
+func checkEngineNamed(t *testing.T, url, want string) {
+	t.Helper()
+	var snap Snapshot
+	if resp := getJSON(t, url+"/statsz", &snap); resp.StatusCode != http.StatusOK || snap.Engine != want {
+		t.Errorf("/statsz: status %d, engine %q, want %q", resp.StatusCode, snap.Engine, want)
+	}
+	var h HealthResponse
+	if resp := getJSON(t, url+"/healthz", &h); resp.StatusCode != http.StatusOK || h.Engine != want {
+		t.Errorf("/healthz: status %d, engine %q, want %q", resp.StatusCode, h.Engine, want)
+	}
 }
 
 // TestInfoFleet checks the topology block two front-ends sharing a fleet
@@ -69,6 +84,7 @@ func TestInfoFleet(t *testing.T) {
 	if *info.Fleet != want {
 		t.Errorf("fleet block = %+v, want %+v", *info.Fleet, want)
 	}
+	checkEngineNamed(t, ts.URL, "fleet")
 }
 
 // TestErrorShape pins the uniform error contract: every endpoint, every

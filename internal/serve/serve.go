@@ -844,6 +844,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.stats.snapshot()
+	snap.Engine = s.be.Name()
 	snap.CacheSize = s.cache.len()
 	snap.CacheCap = s.cache.cap
 	snap.UptimeSec = time.Since(s.started).Seconds()

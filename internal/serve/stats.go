@@ -148,6 +148,9 @@ func (s *serverStats) isDegraded() bool {
 
 // Snapshot is the /statsz payload.
 type Snapshot struct {
+	// Engine names the backend as InfoResponse.Engine does ("local",
+	// "fleet", "dist", …), so a latency figure reads with its mode.
+	Engine       string  `json:"engine"`
 	Requests     int64   `json:"requests"`
 	IDs          int64   `json:"ids"`
 	Errors       int64   `json:"errors"`

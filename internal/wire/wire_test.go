@@ -483,6 +483,53 @@ func runMiniSession(t *testing.T, c *Conn) {
 	}
 }
 
+// TestAttachRejectsHostileEntries pins the scoped attach's input contract on
+// a resident worker: a session's slots are the entries in the order they
+// arrive, so entries out of vertex order, repeated, or naming a vertex the
+// shard does not hold are refused with a typed error and no Ready — and the
+// worker serves the next connection's well-formed attach.
+func TestAttachRejectsHostileEntries(t *testing.T) {
+	shard := &graph.ShardFile{
+		Fingerprint: 0xF1EE7, Shard: 3, Shards: 4, NumVertices: 6,
+		Locals:    []graph.VertexID{0, 2, 5},
+		Deg:       []int32{2, 1, 0},
+		EdgeSrc:   []int32{0, 0, 1},
+		EdgeDst:   []int32{1, 2, 2},
+		IsMaster:  []bool{true, false, true},
+		HasRemote: []bool{true, false, false},
+	}
+	if err := shard.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	addr := serveWorkers(t, ServeOptions{Resident: shard})
+	attach := func(entries ...ScopeEntry) error {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		m := miniAttach()
+		m.Attach.Scoped, m.Attach.Entries = true, entries
+		if err := c.Send(m); err != nil {
+			return err
+		}
+		_, err = c.Expect(KindReady)
+		return err
+	}
+	for name, entries := range map[string][]ScopeEntry{
+		"descending": {{V: 5, Mask: 1}, {V: 0, Mask: 1}},
+		"repeated":   {{V: 2, Mask: 1}, {V: 2, Mask: 3}},
+		"not-local":  {{V: 0, Mask: 1}, {V: 4, Mask: 1}},
+	} {
+		if err := attach(entries...); err == nil || !IsRemoteError(err) {
+			t.Errorf("%s: attach err = %v, want the worker's typed refusal", name, err)
+		}
+	}
+	if err := attach(ScopeEntry{V: 0, Mask: 1, Role: RoleMaster}, ScopeEntry{V: 5, Mask: 3}); err != nil {
+		t.Fatalf("well-formed attach after the refusals: %v", err)
+	}
+}
+
 // TestHandshake covers the hello exchange: compression granted between two
 // v3 ends, and the version contract against peers that are not — each side
 // names the mismatch with ErrProtocolMismatch, and a dialer facing a peer

@@ -1,12 +1,12 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +28,8 @@ type ServeOptions struct {
 	// connections concurrently, so several coordinators — e.g. multiple serve
 	// front-ends — can share one standing fleet. Every session on every
 	// connection reads the one shard and never writes it; each builds only
-	// its own per-job state.
+	// its own per-job state, sized by the job's vertices: the closure's
+	// entries on a scoped attach, never the shard's length.
 	Resident *graph.ShardFile
 }
 
@@ -118,6 +119,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 	// coordinator's own wall-clock and traffic counters use.
 	shard := o.Resident
 	var s *session
+	var bufs streams // the connection's streaming buffers, inherited by every session on it
 	var m0 core.HeapCounters
 	m0set := false
 	for {
@@ -143,7 +145,7 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 				s = nil // whatever job ran over the previous shard is over
 				shard, err = installShard(m, o.Resident)
 			default:
-				s, err = attachSession(conn, m, shard)
+				s, err = attachSession(conn, m, shard, &bufs)
 			}
 			if err != nil {
 				conn.SendError(err)
@@ -182,35 +184,45 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 	}
 }
 
-// recRef locates one buffered partial record: a local vertex index plus the
-// record's extent inside a foreign chunk.
+// recRef locates one buffered partial record: a slot plus the record's
+// extent inside a foreign chunk.
 type recRef struct {
-	li       int32
+	slot     int32
 	chunk    int32
 	off, end int32
 }
 
+// streams is a connection's reusable streaming state: the outgoing chunk
+// builder, the foreign chunk buffers and their record refs, and the collect
+// round's result list. Coordinators re-attach per query on their standing
+// connections, so each new session inherits these from the previous one
+// instead of allocating them again.
+type streams struct {
+	sendBB       BatchBuilder // outgoing chunk under construction (sender goroutine)
+	chunkBufs    [][]byte     // received foreign chunk payloads
+	frefs        []recRef     // refs into chunkBufs, built by the receive loop
+	collectPreds []VertexPreds
+}
+
 // session is a worker's state for one job: the shard it runs over, the
 // per-job compute state, the master/mirror roles the coordinator elected, and
-// the reusable streaming buffers of the pipelined superstep.
+// the connection's streaming buffers. Every per-job column is indexed by the
+// partition's slots: the shard's locals on a full job, the attach's entries
+// on a scoped one.
 type session struct {
 	conn      *Conn
 	shard     *graph.ShardFile // shared and immutable; see ServeOptions.Resident
 	part      *core.DistPartition
-	isMaster  []bool // read-only: an unscoped job aliases the shard's baked roles
+	isMaster  []bool // per slot; a full job aliases the shard's baked roles, read-only
 	hasRemote []bool
 	busyNS    atomic.Int64 // gather/apply/refresh goroutines all contribute
 
 	// per-step state, reused across supersteps.
-	sendBB    BatchBuilder // outgoing chunk under construction (sender goroutine)
-	applied   []bool       // per local: master applied inline during gather
-	chunkBufs [][]byte     // received foreign chunk payloads
-	chunkN    int
-	frefs     []recRef // refs into chunkBufs, built by the receive loop
-	applyOne  [1]core.DistPartial
-	applySc   core.DistPartial // merged-partial scratch for apply
-
-	collectPreds []VertexPreds // result storage, presized at attach
+	*streams
+	applied  []bool // per slot: master applied inline during gather
+	chunkN   int
+	applyOne [1]core.DistPartial
+	applySc  core.DistPartial // merged-partial scratch for apply
 }
 
 // installShard handles KindShip: the shipped shard, once validated, becomes
@@ -230,17 +242,19 @@ func installShard(m *Msg, resident *graph.ShardFile) (*graph.ShardFile, error) {
 	return &m.Shard, nil
 }
 
-// attachSession opens a job session over the shard the worker holds, and does
-// no per-shard work beyond allocating the job's own O(locals) columns: the
-// shard was validated where it was pinned or installed and is its own index.
-// The fingerprint must match the coordinator's exactly — a mismatched worker
-// would compute over a different graph and silently corrupt the fold, so the
-// handshake fails with a typed error instead. Scoped attaches carry the
-// coordinator's per-query roles for just the closure vertices: everything
-// outside the entries keeps a zero scope mask, which the partition's scope
-// machinery skips entirely. Unscoped attaches run under the roles baked into
-// the shard.
-func attachSession(conn *Conn, m *Msg, shard *graph.ShardFile) (*session, error) {
+// attachSession opens a job session over the shard the worker holds. The
+// shard was validated where it was pinned or installed and is its own index,
+// so the attach does no per-shard work. The fingerprint must match the
+// coordinator's exactly — a mismatched worker would compute over a different
+// graph and silently corrupt the fold, so the handshake fails with a typed
+// error instead. A scoped attach carries the coordinator's per-query roles
+// for just the closure vertices, in ascending vertex order (out-of-order or
+// repeated entries fail with core.ErrScopeOrder): the session holds one slot
+// per entry and allocates and walks nothing of the shard's length. An
+// unscoped attach runs one slot per local under the roles baked into the
+// shard. Either way the session takes over the connection's streaming
+// buffers from the previous one.
+func attachSession(conn *Conn, m *Msg, shard *graph.ShardFile, bufs *streams) (*session, error) {
 	if shard == nil {
 		return nil, errors.New("wire: attach to a worker that holds no shard (none pinned at startup, none shipped on this connection)")
 	}
@@ -257,66 +271,69 @@ func attachSession(conn *Conn, m *Msg, shard *graph.ShardFile) (*session, error)
 		return nil, fmt.Errorf("wire: attach for shard %d of %d, worker holds shard %d of %d",
 			a.Shard, a.Shards, shard.Shard, shard.Shards)
 	}
-	part, err := core.NewDistPartition(cfg, shard)
-	if err != nil {
-		return nil, err
-	}
-	s := &session{conn: conn, shard: shard, part: part, isMaster: shard.IsMaster, hasRemote: shard.HasRemote}
+	s := &session{conn: conn, shard: shard, streams: bufs}
 	if a.Scoped {
-		n := len(shard.Locals)
-		scope := make([]uint8, n)
+		n := len(a.Entries)
+		verts, scope := make([]graph.VertexID, n), make([]uint8, n)
 		s.isMaster, s.hasRemote = make([]bool, n), make([]bool, n)
-		for _, e := range a.Entries {
-			li, ok := part.LocalIndex(e.V)
-			if !ok {
-				return nil, fmt.Errorf("wire: attach scope entry for vertex %d, which is not local to shard %d", e.V, shard.Shard)
-			}
-			scope[li] = e.Mask
-			s.isMaster[li] = e.Role&RoleMaster != 0
-			s.hasRemote[li] = e.Role&RoleRemote != 0
+		for i, e := range a.Entries {
+			verts[i], scope[i] = e.V, e.Mask
+			s.isMaster[i] = e.Role&RoleMaster != 0
+			s.hasRemote[i] = e.Role&RoleRemote != 0
 		}
-		if err := part.SetScope(scope); err != nil {
-			return nil, err
-		}
+		s.part, err = core.NewScopedDistPartition(cfg, shard, verts, scope)
+	} else {
+		s.isMaster, s.hasRemote = shard.IsMaster, shard.HasRemote
+		s.part, err = core.NewDistPartition(cfg, shard)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("wire: attach: %w", err)
+	}
+	s.applied = make([]bool, s.part.NumSlots())
 	s.prewarm()
 	return s, nil
 }
 
-// prewarm pays for the streaming buffers' steady-state capacity during the
-// attach handshake, before the coordinator starts timing the supersteps:
-// the outgoing chunk builder, one foreign ref per replicated master (each
-// remote mirror partition contributes at most one record per step), a pool
-// of foreign chunk buffers, the connection's frame scratch, and the collect
+// prewarm readies the streaming buffers' steady-state capacity during the
+// attach handshake, before the coordinator starts timing the supersteps: the
+// outgoing chunk builder, one foreign ref per replicated master (each remote
+// mirror partition contributes at most one record per step), a pool of
+// foreign chunk buffers, the connection's frame scratch, and the collect
 // round's result storage (its size is bounded by K predictions per master).
-// The pool still grows lazily past the prewarmed count on partitions with
-// heavier exchanges.
+// Buffers the connection already holds are reused: only the first attach on
+// a connection pays for them.
 func (s *session) prewarm() {
 	s.sendBB.Reset()
 	s.sendBB.Grow(streamChunkBytes + streamChunkBytes/4)
 	nMasters, nR := 0, 0
-	for li, m := range s.isMaster {
+	for i, m := range s.isMaster {
 		if !m {
 			continue
 		}
 		nMasters++
-		if s.hasRemote[li] {
+		if s.hasRemote[i] {
 			nR++
 		}
 	}
-	s.frefs = make([]recRef, 0, 2*nR)
+	s.frefs = slices.Grow(s.frefs[:0], 2*nR)
+	// The connection keeps this many foreign chunk buffers between jobs; a
+	// heavier exchange grows the pool for its own job only.
 	const prewarmChunks = 24
-	s.chunkBufs = make([][]byte, 0, prewarmChunks)
-	for range prewarmChunks {
+	if len(s.chunkBufs) > prewarmChunks {
+		clear(s.chunkBufs[prewarmChunks:])
+		s.chunkBufs = s.chunkBufs[:prewarmChunks]
+	}
+	for len(s.chunkBufs) < prewarmChunks {
 		s.chunkBufs = append(s.chunkBufs, make([]byte, 0, streamChunkBytes+streamChunkBytes/4))
 	}
-	s.collectPreds = make([]VertexPreds, 0, nMasters)
+	clear(s.collectPreds)
+	s.collectPreds = slices.Grow(s.collectPreds[:0], nMasters)
 	const predictionBytes = 12 // u32 vertex + f64 score
 	resultBound := 64 + nMasters*(8+s.part.Config().K*predictionBytes)
-	s.conn.encBuf = slices.Grow(s.conn.encBuf, resultBound)
+	s.conn.encBuf = slices.Grow(s.conn.encBuf[:0], resultBound)
 	chunk := streamChunkBytes + streamChunkBytes/4
-	s.conn.rdBuf = slices.Grow(s.conn.rdBuf, chunk)
-	s.conn.rawBuf = slices.Grow(s.conn.rawBuf, chunk)
+	s.conn.rdBuf = slices.Grow(s.conn.rdBuf[:0], chunk)
+	s.conn.rawBuf = slices.Grow(s.conn.rawBuf[:0], chunk)
 	s.conn.zwBuf.Grow(chunk)
 }
 
@@ -324,9 +341,6 @@ func (s *session) addBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
 
 // resetStep readies the reusable buffers for one superstep.
 func (s *session) resetStep() {
-	if n := len(s.shard.Locals); len(s.applied) != n {
-		s.applied = make([]bool, n)
-	}
 	clear(s.applied)
 	s.frefs = s.frefs[:0]
 	s.chunkN = 0
@@ -399,12 +413,12 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 		}
 		t0 := time.Now()
 		err = ForEachStateRecord(f.Payload, func(v graph.VertexID, rec []byte) error {
-			li, ok := s.part.LocalIndex(v)
+			slot, ok := s.part.Slot(v)
 			if !ok {
-				return fmt.Errorf("wire: refresh for vertex %d, which is not local", v)
+				return fmt.Errorf("wire: refresh for vertex %d, which this job does not hold", v)
 			}
 			// Decoded in place, reusing the capacity the previous refresh left.
-			got, err := DecodeStateRecordInto(rec, s.part.Data(li))
+			got, err := DecodeStateRecordInto(rec, s.part.Data(slot))
 			if err != nil {
 				return err
 			}
@@ -439,15 +453,15 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	err := s.part.GatherStream(step, func(li int32, dp *core.DistPartial) error {
-		if s.isMaster[li] {
-			if !s.hasRemote[li] {
+	err := s.part.GatherStream(step, func(slot int32, dp *core.DistPartial) error {
+		if s.isMaster[slot] {
+			if !s.hasRemote[slot] {
 				// No other partition replicates this vertex, so no foreign
 				// partial can arrive: fold it down right now, while the
 				// payload is still hot scratch.
-				s.applied[li] = true
+				s.applied[slot] = true
 				s.applyOne[0] = *dp
-				return s.part.Apply(step, li, s.applyOne[:1])
+				return s.part.Apply(step, slot, s.applyOne[:1])
 			}
 			// applyMasters recomputes this partial on demand — no copy, no
 			// growing record buffer across the exchange.
@@ -472,7 +486,7 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 }
 
 // bufferForeign copies one routed foreign chunk into the session's reusable
-// chunk buffers and indexes its records by local vertex.
+// chunk buffers and indexes its records by slot.
 func (s *session) bufferForeign(payload []byte) error {
 	if len(payload) < 4 {
 		return fmt.Errorf("wire: foreign chunk of %d bytes", len(payload))
@@ -497,11 +511,11 @@ func (s *session) bufferForeign(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		li, ok := s.part.LocalIndex(v)
-		if !ok || !s.isMaster[li] {
+		slot, ok := s.part.Slot(v)
+		if !ok || !s.isMaster[slot] {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
-		s.frefs = append(s.frefs, recRef{li: li, chunk: ci, off: int32(off), end: int32(end)})
+		s.frefs = append(s.frefs, recRef{slot: slot, chunk: ci, off: int32(off), end: int32(end)})
 		off = end
 	}
 	if off != len(buf) {
@@ -516,28 +530,25 @@ func (s *session) bufferForeign(payload []byte) error {
 // every step — with no contribution anywhere the apply still runs and clears
 // the step's output field, exactly like the serial engine's empty gather.
 func (s *session) applyMasters(step core.DistStep) error {
-	sort.Slice(s.frefs, func(i, j int) bool { return s.frefs[i].li < s.frefs[j].li })
+	slices.SortFunc(s.frefs, func(a, b recRef) int { return cmp.Compare(a.slot, b.slot) })
 	fi := 0
 	var rg core.DistPartial
-	for i, v := range s.shard.Locals {
-		li := int32(i)
+	for slot, master := range s.isMaster {
+		si := int32(slot)
 		start := fi
-		for fi < len(s.frefs) && s.frefs[fi].li == li {
+		for fi < len(s.frefs) && s.frefs[fi].slot == si {
 			fi++
 		}
-		if !s.isMaster[li] {
+		if !master || s.applied[slot] {
 			continue // bufferForeign already rejected refs to non-masters
 		}
-		if s.applied[li] {
-			continue
-		}
 		sc := &s.applySc
-		sc.V = v
+		sc.V = s.part.Vertex(si)
 		sc.Nbrs = sc.Nbrs[:0]
 		sc.Sims = sc.Sims[:0]
 		sc.Cands = sc.Cands[:0]
 		n := 0
-		if s.part.GatherVertex(step, li, &rg) {
+		if s.part.GatherVertex(step, si, &rg) {
 			sc.Nbrs = append(sc.Nbrs, rg.Nbrs...)
 			sc.Sims = append(sc.Sims, rg.Sims...)
 			sc.Cands = append(sc.Cands, rg.Cands...)
@@ -554,7 +565,7 @@ func (s *session) applyMasters(step core.DistStep) error {
 			s.applyOne[0] = *sc
 			parts = s.applyOne[:1]
 		}
-		if err := s.part.Apply(step, li, parts); err != nil {
+		if err := s.part.Apply(step, si, parts); err != nil {
 			return err
 		}
 	}
@@ -567,11 +578,12 @@ func (s *session) sendRefresh(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	for li, v := range s.shard.Locals {
-		if !s.isMaster[li] || !s.hasRemote[li] {
+	for slot, master := range s.isMaster {
+		if !master || !s.hasRemote[slot] {
 			continue
 		}
-		bb.AppendState(v, s.part.Data(int32(li)))
+		si := int32(slot)
+		bb.AppendState(s.part.Vertex(si), s.part.Data(si))
 		if bb.Len() >= streamChunkBytes {
 			s.addBusy(time.Since(t0))
 			if err := s.conn.SendRaw(KindRefresh, step, false, bb.Payload()); err != nil {
@@ -595,12 +607,10 @@ func (s *session) collect(m0 core.HeapCounters) WorkerResult {
 			BusySeconds: time.Duration(s.busyNS.Load()).Seconds(),
 		},
 	}
-	for li, v := range s.shard.Locals {
-		if !s.isMaster[li] {
-			continue
-		}
-		if pred := s.part.Data(int32(li)).Pred; len(pred) > 0 {
-			s.collectPreds = append(s.collectPreds, VertexPreds{V: v, Preds: pred})
+	for slot, master := range s.isMaster {
+		si := int32(slot)
+		if pred := s.part.Data(si).Pred; master && len(pred) > 0 {
+			s.collectPreds = append(s.collectPreds, VertexPreds{V: s.part.Vertex(si), Preds: pred})
 		}
 	}
 	res.Preds = s.collectPreds
