@@ -1,6 +1,6 @@
 // Command snaple runs link prediction on a graph: SNAPLE on one of the
 // pluggable execution backends (parallel shared-memory "local", serial
-// reference, the simulated distributed GAS engine "sim", or the real
+// reference, the simulated cluster "sim", or the real
 // multi-process TCP engine "dist"), the naive BASELINE, or the random-walk
 // comparator. Graph inputs may be SNAP-style text edge lists or binary CSR
 // snapshots (.sgr); the format is auto-detected by magic bytes, and the

@@ -1,8 +1,9 @@
 // Package cluster models the testbed of the paper's evaluation: a set of
 // identical nodes with core counts, memory capacities and network links.
 //
-// The GAS engine maps its partitions onto cluster nodes and charges every
-// cross-node message to an Accountant. Two things come out of that:
+// The sim backend (engine.Sim) maps the partitions of its vertex cut onto
+// cluster nodes and charges every cross-node transfer and every byte of
+// vertex and gather state to a Cluster. Two things come out of that:
 //
 //   - a simulated cost model (compute makespan over the configured cores
 //     plus transfer time over the configured bandwidth), which lets the

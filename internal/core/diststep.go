@@ -10,23 +10,24 @@ import (
 	"snaple/internal/graph"
 )
 
-// This file is the wire worker's scheduler of Algorithm 2: DistPartition runs
+// This file is Algorithm 2's one distributed scheduler: DistPartition runs
 // the gather and sum+apply phases of every superstep over one shard of a
-// vertex-cut — the very shard partition.NewCut builds for the sim's GAS
-// engine — with the mirror/master exchange carried over TCP by internal/wire
-// where the sim moves it in memory. Like
-// StepRunner and the sim backend's GAS programs it owns no step logic: the
-// gathers are steps.go's per-edge kernels (keepTruncated, Similarity.Score,
-// appendCombine, appendTwoHop, appendCombine3) and the applies its per-vertex
-// ones (applyTruncate, applyRelays, applyTwoHop, applyCombine). What is here
-// is the per-job state — indexed by the job's slots, the shard's locals on a
-// full run and the closure's vertices on a scoped one — and the streaming
-// loop over the slots' edge runs.
+// vertex cut (partition.NewCut). Two drivers move what it produces: a fleet
+// worker (internal/wire) streams partials to their masters and refreshed
+// state to the mirrors over TCP, and the sim backend (engine.Sim) hands them
+// over in memory and prices them with the paper's cost model (inprocess.go).
+// Like StepRunner it owns no step logic: the gathers are steps.go's per-edge
+// kernels (keepTruncated, Similarity.Score, appendCombine, appendTwoHop,
+// appendCombine3) and the applies its per-vertex ones (applyTruncate,
+// applyRelays, applyTwoHop, applyCombine). What is here is the per-job state
+// — indexed by the job's slots, the shard's locals on a full run and the
+// closure's vertices on a scoped one — and the streaming loop over the slots'
+// edge runs.
 //
 // Determinism across substrates holds for the same reason it does between
-// the serial, local and sim backends: every random draw is hash-keyed by
-// (seed, vertex IDs) and every apply canonicalises its input before reducing
-// (the applies sort or merge it, Aggregator.FoldPaths sorts path values), so
+// the serial and local backends: every random draw is hash-keyed by (seed,
+// vertex IDs) and every apply canonicalises its input before reducing (the
+// applies sort or merge it, Aggregator.FoldPaths sorts path values), so
 // partials may arrive from the network in any order without changing a bit
 // of the output.
 
@@ -47,7 +48,21 @@ const (
 	// DistCombine3 is step 3b of the 3-hop extension: aggregate 2- and 3-hop
 	// paths into final predictions.
 	DistCombine3
+	// DistReplicate is BASELINE's step 2: replicate each neighbour's full
+	// neighbourhood onto u (baseline.go). In process only.
+	DistReplicate
+	// DistJaccard is BASELINE's step 3: forward the replicated lists to the
+	// 2-hop sources and score with Jaccard. In process only.
+	DistJaccard
 )
+
+// ErrInProcessStep rejects one of BASELINE's step kinds outside the
+// in-process driver: they gather into a column only BASELINE jobs allocate,
+// and no partial record or frame of the wire carries it.
+var ErrInProcessStep = errors.New("core: step runs only in process")
+
+// inProcess reports whether s is one of BASELINE's in-process step kinds.
+func (s DistStep) inProcess() bool { return s == DistReplicate || s == DistJaccard }
 
 // String implements fmt.Stringer.
 func (s DistStep) String() string {
@@ -62,6 +77,10 @@ func (s DistStep) String() string {
 		return "twohop"
 	case DistCombine3:
 		return "combine3"
+	case DistReplicate:
+		return "replicate"
+	case DistJaccard:
+		return "jaccard"
 	default:
 		return fmt.Sprintf("DistStep(%d)", int(s))
 	}
@@ -75,6 +94,25 @@ func DistSteps(paths int) []DistStep {
 		return []DistStep{DistTruncate, DistRelays, DistTwoHop, DistCombine3}
 	}
 	return []DistStep{DistTruncate, DistRelays, DistCombine}
+}
+
+// VertexSim pairs a neighbour with its raw similarity (one entry of the
+// Du.sims dictionary of Algorithm 2).
+type VertexSim struct {
+	V   graph.VertexID
+	Sim float64
+}
+
+// VData is the per-vertex state of Algorithm 2: the (truncated)
+// neighbourhood Γ̂, the k_local most similar neighbours, and the final
+// predictions. TwoHop is only populated by the 3-hop extension (khop.go).
+// It is exported because the dist backend ships it between worker processes
+// during master→mirror refreshes (internal/wire encodes it as a state record).
+type VData struct {
+	Nbrs   []graph.VertexID // Γ̂(u), sorted ascending
+	Sims   []VertexSim      // selected relays, sorted by V ascending
+	TwoHop []PathCand       // sampled 2-hop paths (3-hop extension only)
+	Pred   []Prediction     // final top-k, best first
 }
 
 // DistPartial is one partition's gather partial sum for one vertex in one
@@ -92,9 +130,10 @@ type DistPartial struct {
 
 // DistPartition is one job's compute state over one shard of a vertex-cut:
 // the edges assigned to one worker plus a replica of the state of every
-// vertex the job holds. It is the compute half of a dist worker; routing
-// partials to masters and refreshed state to mirrors is the caller's job
-// (internal/wire carries both for cmd/snaple-worker).
+// vertex the job holds. It is the compute half of a dist worker and of a sim
+// partition; routing partials to masters and refreshed state to mirrors is
+// the caller's job (internal/wire carries both for cmd/snaple-worker, and
+// engine.Sim hands them over in memory).
 //
 // The job's vertices are its slots, numbered densely in ascending vertex
 // order, and every per-job column — replica state, scope masks, edge runs —
@@ -136,6 +175,14 @@ type DistPartition struct {
 	// s is the applies' scratch: applies run one at a time, on the session's
 	// gather goroutine and then after it.
 	s Scratch
+
+	// The in-process driver's state (inprocess.go), unused on a fleet worker:
+	// the per-edge price sink of the running gather, the step's partials held
+	// for the masters, and BASELINE's replicated lists, which only BASELINE
+	// jobs allocate (NewBaselinePartition).
+	meter func(bytes int64) bool
+	held  heldPartials
+	two   [][]nbrList
 }
 
 // edgeRun is one slot's out-edges, EdgeSrc/EdgeDst[lo:hi] of the shard, whose
@@ -156,10 +203,14 @@ func NewDistPartition(cfg Config, shard *graph.ShardFile) (*DistPartition, error
 	if err != nil {
 		return nil, err
 	}
+	return newFullPartition(cfg, shard), nil
+}
+
+func newFullPartition(cfg Config, shard *graph.ShardFile) *DistPartition {
 	p := &DistPartition{cfg: cfg, shard: shard, verts: shard.Locals, dstSlot: shard.EdgeDst,
 		data: make([]VData, len(shard.Locals))}
 	p.resolveRuns()
-	return p, nil
+	return p
 }
 
 // NewScopedDistPartition opens a query-scoped job over a validated shard: one
@@ -320,6 +371,9 @@ func (p *DistPartition) dstData(r edgeRun, k int) *VData {
 // (so by vertex), one per contributing source. An emit error aborts the
 // stream and is returned.
 func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistPartial) error) error {
+	if step.inProcess() {
+		return fmt.Errorf("%w: %v", ErrInProcessStep, step)
+	}
 	if step < DistTruncate || step > DistCombine3 {
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}
@@ -347,12 +401,11 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistP
 // same property that lets GatherStream's inline applies run mid-stream. The
 // slot's edge run was resolved when the job opened.
 //
-// The bodies are the per-edge gather kernels, with two divergences from the
-// sim backend's schedule that cannot change a bit of the output: scoping is
-// the shipped scope masks instead of a frontier (a worker holds one shard and
-// cannot compute the global closure), and candidate lists are left in edge
-// order without the gas engine's sorted merge — the applies canonicalise
-// before any order could matter.
+// The bodies are the per-edge gather kernels. Scoping is the scope masks (a
+// worker holds one shard and cannot compute the global closure), and
+// candidate lists are left in edge order — the applies canonicalise before
+// any order could matter. Under the in-process driver each contributing edge
+// is priced as it is gathered (price), and a false meter stops the gather.
 func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bool {
 	r := p.runs[s]
 	if r.lo == r.hi || !p.inScope(step, s) {
@@ -368,6 +421,9 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 		for _, di := range sh.EdgeDst[r.lo:r.hi] {
 			if dst := sh.Locals[di]; keepTruncated(cfg.Seed, src, dst, srcDeg, cfg.ThrGamma) {
 				ids = append(ids, dst)
+				if !p.price(4) {
+					break
+				}
 			}
 		}
 		p.gatherIDs, dp.Nbrs = ids, ids
@@ -379,6 +435,9 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 				V:   sh.Locals[di],
 				Sim: cfg.Score.Sim.Score(srcD.Nbrs, p.dstData(r, k).Nbrs, srcDeg, int(sh.Deg[di])),
 			})
+			if !p.price(12) {
+				break
+			}
 		}
 		p.gatherSims, dp.Sims = sims, sims
 		return true // every edge contributes a similarity, and the run is not empty
@@ -392,7 +451,11 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 		}
 		cands := p.gatherCands[:0]
 		for k, di := range sh.EdgeDst[r.lo:r.hi] {
+			n := len(cands)
 			cands = kernel(cfg.Score.Comb, cands, src, sh.Locals[di], srcD, p.dstData(r, k))
+			if p.meter != nil && len(cands) > n && !p.meter(p.candBytes(step, cands[n:])) {
+				break
+			}
 		}
 		p.gatherCands, dp.Cands = cands, cands
 		return len(cands) > 0
@@ -404,7 +467,7 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 // partitions, in any order — and updates s's replica, which
 // becomes the authoritative copy to broadcast. parts may be empty (no edge
 // anywhere contributed); apply still runs, clearing the step's output field
-// exactly as the gas engine does for an empty gather.
+// exactly as an empty gather does on every scheduler.
 func (p *DistPartition) Apply(step DistStep, s int32, parts []DistPartial) error {
 	v, d := p.verts[s], &p.data[s]
 	// A single partial (the streaming session's pre-merged case) skips the

@@ -3,91 +3,8 @@ package core
 import (
 	"testing"
 
-	"snaple/internal/cluster"
 	"snaple/internal/graph"
-	"snaple/internal/partition"
 )
-
-// TestDegenerateGraphs: the full distributed pipeline must handle empty and
-// near-empty graphs without panicking or predicting anything.
-func TestDegenerateGraphs(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() *graph.Digraph
-	}{
-		{"empty", func() *graph.Digraph { return graph.MustFromEdges(0, nil) }},
-		{"isolated vertices", func() *graph.Digraph { return graph.MustFromEdges(5, nil) }},
-		{"single edge", func() *graph.Digraph {
-			return graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1}})
-		}},
-		{"self loops only", func() *graph.Digraph {
-			b := graph.NewBuilder(3).KeepSelfLoops(true)
-			b.AddEdge(0, 0)
-			b.AddEdge(1, 1)
-			g, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		}},
-		{"two-cycle", func() *graph.Digraph {
-			return graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			g := tc.build()
-			cfg := Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 5, Seed: 1}
-
-			ref, err := ReferenceSnaple(g, cfg)
-			if err != nil {
-				t.Fatalf("serial: %v", err)
-			}
-			assign, err := partition.HashEdge{}.Partition(g, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cl, err := cluster.New(cluster.Config{Nodes: 1, Spec: cluster.TypeI()}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := PredictGAS(g, assign, cl, cfg)
-			if err != nil {
-				t.Fatalf("distributed: %v", err)
-			}
-			predictionsEqual(t, res.Pred, ref, tc.name)
-			// None of these graphs have any 2-hop candidate outside Γ ∪ {u}
-			// — except the two-cycle, where 0→1→0 is excluded as self.
-			for u, ps := range res.Pred {
-				if len(ps) != 0 {
-					t.Errorf("vertex %d got predictions %v on a degenerate graph", u, ps)
-				}
-			}
-		})
-	}
-}
-
-// TestBaselineDegenerate: same for the BASELINE pipeline.
-func TestBaselineDegenerate(t *testing.T) {
-	g := graph.MustFromEdges(3, []graph.Edge{{Src: 0, Dst: 1}})
-	assign, err := partition.HashEdge{}.Partition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.Config{Nodes: 1, Spec: cluster.TypeI()}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := PredictBaselineGAS(g, assign, cl, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u, ps := range res.Pred {
-		if len(ps) != 0 {
-			t.Errorf("vertex %d got %v", u, ps)
-		}
-	}
-}
 
 // TestHighKLocalOnTinyGraph: KLocal larger than any degree behaves like
 // unlimited.

@@ -6,10 +6,6 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
-
-	"snaple/internal/cluster"
-	"snaple/internal/graph"
-	"snaple/internal/partition"
 )
 
 // predictionsHash is an FNV-1a digest of a full prediction table: every
@@ -211,71 +207,6 @@ func TestPredictionsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("baseline", p)
-}
-
-// TestSimCostsGolden pins the sim backend's deterministic costs to values
-// recorded before the step programs became schedulers of steps.go's kernels:
-// Section 5's reproduction stands on what the GAS programs' GatherBytes and
-// VertexBytes price, so moving their receivers may not move a byte. Every
-// figure, the peak included, is pinned at each host worker count: within a
-// phase every charge is positive, so the peak does not depend on how the
-// partitions interleave.
-func TestSimCostsGolden(t *testing.T) {
-	g := communityGraph(t, 500, 91)
-	sources := []graph.VertexID{0, 17, 123, 301}
-	cases := []struct {
-		paths  int
-		scoped bool
-		policy SelectionPolicy
-		cross  int64
-		msgs   int64
-		mem    int64
-	}{
-		{2, false, SelectMax, 410016, 6052, 129664},
-		{2, false, SelectRnd, 411376, 6050, 131056},
-		{2, true, SelectMax, 102888, 3740, 19364},
-		{2, true, SelectRnd, 102888, 3740, 19364},
-		{3, false, SelectMax, 897836, 7914, 256272},
-		{3, false, SelectRnd, 901080, 7915, 262892},
-		{3, true, SelectMax, 195732, 5256, 28812},
-		{3, true, SelectRnd, 195676, 5255, 28780},
-	}
-	const rfBits = 0x400fc28f5c28f5c3 // 3.97
-	for _, tc := range cases {
-		cfg := Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, ThrGamma: 12,
-			Policy: tc.policy, Paths: tc.paths, Seed: 3}
-		if tc.paths == 3 {
-			cfg.KLocal = 4
-		}
-		if tc.scoped {
-			cfg.Sources = sources
-		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("paths=%d/scoped=%v/policy=%v/workers=%d", tc.paths, tc.scoped, tc.policy, workers), func(t *testing.T) {
-				assign, err := partition.HashEdge{Seed: 11}.Partition(g, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cl, err := cluster.New(cluster.Config{Nodes: 3, Spec: cluster.TypeI()}, 6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := PredictGASWorkers(g, assign, cl, cfg, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Total.CrossBytes != tc.cross || res.Total.CrossMsgs != tc.msgs {
-					t.Errorf("cross = %d B / %d msgs, want %d / %d", res.Total.CrossBytes, res.Total.CrossMsgs, tc.cross, tc.msgs)
-				}
-				if got := math.Float64bits(res.ReplicationFactor); got != rfBits {
-					t.Errorf("replication factor %v (%#x), want %#x", res.ReplicationFactor, got, uint64(rfBits))
-				}
-				if res.Total.MemPeakBytes != tc.mem {
-					t.Errorf("peak memory %d B, want %d", res.Total.MemPeakBytes, tc.mem)
-				}
-			})
-		}
-	}
 }
 
 // TestTrainSupervisedGolden pins the trained model bit for bit to values

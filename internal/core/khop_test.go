@@ -40,25 +40,6 @@ func TestThreeHopFindsDistantCandidates(t *testing.T) {
 	}
 }
 
-func TestThreeHopGASMatchesSerial(t *testing.T) {
-	g := communityGraph(t, 300, 91)
-	cases := []Config{
-		{Score: mustScore(t, "linearSum"), K: 5, KLocal: 5, Paths: 3, Seed: 1},
-		{Score: mustScore(t, "counter"), K: 5, KLocal: 4, Paths: 3, Seed: 2},
-		{Score: mustScore(t, "geomMean"), K: 5, KLocal: 4, ThrGamma: 10, Paths: 3, Seed: 3},
-	}
-	for _, cfg := range cases {
-		want, err := ReferenceSnaple(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, parts := range []int{1, 5} {
-			res := runGAS(t, g, cfg, parts, 2)
-			predictionsEqual(t, res.Pred, want, cfg.Score.Name+"-3hop")
-		}
-	}
-}
-
 func TestThreeHopCandidateBound(t *testing.T) {
 	// Candidates <= klocal^2 + klocal^3 per vertex.
 	g := communityGraph(t, 400, 93)

@@ -8,12 +8,12 @@ import (
 )
 
 // ReferenceSnaple executes SNAPLE's scoring (Sections 3-4) serially on a
-// single machine, with semantics bit-identical to PredictGAS and to the
-// parallel shared-memory backend (internal/engine): the same hash-keyed
-// truncation draws, the same relay selection, the same sorted-fold
-// aggregation and the same tie-breaking. The other substrates are required
-// by tests to agree exactly; this loop also serves as an in-process
-// predictor for small graphs and as the test oracle.
+// single machine, with semantics bit-identical to the distributed supersteps
+// (DistPartition) and to the parallel shared-memory backend
+// (internal/engine): the same hash-keyed truncation draws, the same relay
+// selection, the same sorted-fold aggregation and the same tie-breaking. The
+// other substrates are required by tests to agree exactly; this loop also
+// serves as an in-process predictor for small graphs and as the test oracle.
 func ReferenceSnaple(g graph.View, cfg Config) (Predictions, error) {
 	if cfg.withDefaults().Paths == 3 {
 		return ReferenceSnaple3Hop(g, cfg)

@@ -3,8 +3,8 @@
 // and a path aggregator ⊕ (Section 3). Algorithm 2 is written once, as one
 // kernel set over rows (steps.go); every substrate is a scheduler of it:
 // StepRunner for the serial reference loop (the test oracle), the parallel
-// shared-memory backend and the supervised features; the GAS step programs
-// (Section 4) for the simulated cluster; DistPartition for the wire worker.
+// shared-memory backend and the supervised features; DistPartition, the GAS
+// supersteps of Section 4, for the wire worker and the simulated cluster.
 // The package also contains the BASELINE comparison system (a direct 2-hop
 // implementation of Algorithm 1).
 package core

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"testing"
 
-	"snaple/internal/cluster"
 	"snaple/internal/gen"
 	"snaple/internal/graph"
-	"snaple/internal/partition"
 )
 
 func communityGraph(t testing.TB, n int, seed uint64) *graph.Digraph {
@@ -29,23 +25,6 @@ func mustScore(t testing.TB, name string) ScoreSpec {
 		t.Fatal(err)
 	}
 	return s
-}
-
-func runGAS(t testing.TB, g *graph.Digraph, cfg Config, parts, nodes int) *Result {
-	t.Helper()
-	assign, err := partition.HashEdge{Seed: 11}.Partition(g, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.Config{Nodes: nodes, Spec: cluster.TypeI()}, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := PredictGAS(g, assign, cl, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 // predictionsEqual demands bit-identical vertices and scores.
@@ -69,89 +48,17 @@ func predictionsEqual(t *testing.T, got, want Predictions, label string) {
 	}
 }
 
-// TestGASMatchesSerialReference is the central correctness test: the
-// distributed Algorithm 2 must equal the serial reference bit-for-bit, for
-// every score family, policy, truncation/sampling setting and partitioning.
-func TestGASMatchesSerialReference(t *testing.T) {
-	g := communityGraph(t, 400, 21)
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"linearSum unlimited", Config{Score: mustScore(t, "linearSum"), K: 5, Seed: 1}},
-		{"linearSum klocal=8", Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 8, Seed: 1}},
-		{"linearSum thr=5", Config{Score: mustScore(t, "linearSum"), K: 5, ThrGamma: 5, Seed: 1}},
-		{"linearSum thr=5 klocal=4", Config{Score: mustScore(t, "linearSum"), K: 5, ThrGamma: 5, KLocal: 4, Seed: 2}},
-		{"counter", Config{Score: mustScore(t, "counter"), K: 5, KLocal: 8, Seed: 3}},
-		{"PPR", Config{Score: mustScore(t, "PPR"), K: 5, KLocal: 8, Seed: 3}},
-		{"euclMean", Config{Score: mustScore(t, "euclMean"), K: 5, KLocal: 8, Seed: 4}},
-		{"geomGeom", Config{Score: mustScore(t, "geomGeom"), K: 5, KLocal: 8, Seed: 4}},
-		{"policy min", Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, Policy: SelectMin, Seed: 5}},
-		{"policy rnd", Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, Policy: SelectRnd, Seed: 5}},
-		{"k=10", Config{Score: mustScore(t, "linearSum"), K: 10, KLocal: 8, Seed: 6}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := ReferenceSnaple(g, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, parts := range []int{1, 4, 7} {
-				res := runGAS(t, g, tc.cfg, parts, 3)
-				predictionsEqual(t, res.Pred, want, tc.name)
-			}
-		})
-	}
-}
-
-// TestGASBaselineMatchesSerialReference: the distributed BASELINE equals its
-// serial oracle exactly, over community graphs of two sizes and six seeds,
-// hash-edge cuts of 1, 3 and 8 parts and a greedy cut, on one host worker and
-// on several. Two vertices gathering through the same neighbour must not
-// share storage for their partial sums (gas.Program's Sum contract).
-func TestGASBaselineMatchesSerialReference(t *testing.T) {
-	for _, n := range []int{300, 800} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			g := communityGraph(t, n, seed)
-			want, err := ReferenceBaseline(g, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, parts := range []int{1, 3, 8} {
-				strategies := []partition.Strategy{partition.HashEdge{Seed: seed}}
-				if seed == 1 {
-					strategies = append(strategies, partition.Greedy{})
-				}
-				for _, strat := range strategies {
-					assign, err := strat.Partition(g, parts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, workers := range []int{1, 4} {
-						cl, err := cluster.New(cluster.Config{Nodes: 2, Spec: cluster.TypeII()}, parts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := PredictBaselineGASWorkers(g, assign, cl, 5, workers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						predictionsEqual(t, res.Pred, want, fmt.Sprintf("baseline n=%d seed=%d %s/%d workers=%d", n, seed, strat.Name(), parts, workers))
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPredictionsExcludeExistingEdges: no prediction may already be a
 // neighbour or the vertex itself (the argtopk domain of Algorithm 1).
 func TestPredictionsExcludeExistingEdges(t *testing.T) {
 	g := communityGraph(t, 300, 41)
 	cfg := Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 10, Seed: 7}
-	res := runGAS(t, g, cfg, 4, 2)
+	pred, err := ReferenceSnaple(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checked := 0
-	for u, preds := range res.Pred {
+	for u, preds := range pred {
 		uid := graph.VertexID(u)
 		for _, p := range preds {
 			if p.Vertex == uid {
@@ -164,7 +71,7 @@ func TestPredictionsExcludeExistingEdges(t *testing.T) {
 		t.Fatal("no predictions produced at all")
 	}
 	// Without truncation, Γ̂ = Γ, so no prediction may be an existing edge.
-	for u, preds := range res.Pred {
+	for u, preds := range pred {
 		for _, p := range preds {
 			if g.HasEdge(graph.VertexID(u), p.Vertex) {
 				t.Fatalf("vertex %d predicted existing neighbour %d", u, p.Vertex)
@@ -178,8 +85,11 @@ func TestPredictionsExcludeExistingEdges(t *testing.T) {
 func TestScoresSortedDescending(t *testing.T) {
 	g := communityGraph(t, 300, 43)
 	cfg := Config{Score: mustScore(t, "linearSum"), K: 8, KLocal: 10, Seed: 9}
-	res := runGAS(t, g, cfg, 3, 2)
-	for u, preds := range res.Pred {
+	pred, err := ReferenceSnaple(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, preds := range pred {
 		for i := 1; i < len(preds); i++ {
 			a, b := preds[i-1], preds[i]
 			if a.Score < b.Score || (a.Score == b.Score && a.Vertex > b.Vertex) {
@@ -379,89 +289,5 @@ func TestScoreRegistryComplete(t *testing.T) {
 	}
 	if len(SumFamilyScores()) != 5 {
 		t.Error("Sum family should list 5 scores (Figures 8-10)")
-	}
-}
-
-// TestBaselineExhaustsRestrictedMemory reproduces the Section 5.3 failure:
-// with a tight per-node budget, BASELINE dies of memory exhaustion while
-// SNAPLE completes on the same cluster.
-func TestBaselineExhaustsRestrictedMemory(t *testing.T) {
-	g := communityGraph(t, 1500, 61)
-	const parts = 4
-	assign, err := partition.HashEdge{Seed: 5}.Partition(g, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Calibrated between the two systems' peaks on this workload:
-	// BASELINE needs ~3.7 MB per node, SNAPLE ~0.73 MB.
-	budget := int64(1536 * 1024)
-	mkCluster := func() *cluster.Cluster {
-		cl, err := cluster.New(cluster.Config{Nodes: 2, Spec: cluster.TypeI(), MemBudgetBytes: budget}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cl
-	}
-	_, err = PredictBaselineGAS(g, assign, mkCluster(), 5)
-	if !errors.Is(err, cluster.ErrMemoryExhausted) {
-		t.Fatalf("baseline should exhaust memory, got %v", err)
-	}
-	cfg := Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 20, ThrGamma: 200, Seed: 1}
-	if _, err := PredictGAS(g, assign, mkCluster(), cfg); err != nil {
-		t.Fatalf("SNAPLE should fit in the same budget, got %v", err)
-	}
-}
-
-// TestSnapleCheaperThanBaseline: on identical deployments SNAPLE must move
-// fewer bytes and peak lower than BASELINE — the paper's core claim.
-func TestSnapleCheaperThanBaseline(t *testing.T) {
-	g := communityGraph(t, 800, 71)
-	const parts = 6
-	assign, err := partition.HashEdge{Seed: 3}.Partition(g, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(fn func(cl *cluster.Cluster) (*Result, error)) *Result {
-		cl, err := cluster.New(cluster.Config{Nodes: 3, Spec: cluster.TypeI()}, parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fn(cl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	snaple := run(func(cl *cluster.Cluster) (*Result, error) {
-		return PredictGAS(g, assign, cl, Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 20, ThrGamma: 200, Seed: 1})
-	})
-	base := run(func(cl *cluster.Cluster) (*Result, error) {
-		return PredictBaselineGAS(g, assign, cl, 5)
-	})
-	if snaple.Total.CrossBytes >= base.Total.CrossBytes {
-		t.Errorf("SNAPLE moved %d cross-node bytes, BASELINE %d — expected SNAPLE lower",
-			snaple.Total.CrossBytes, base.Total.CrossBytes)
-	}
-	if snaple.Total.MemPeakBytes >= base.Total.MemPeakBytes {
-		t.Errorf("SNAPLE peaked at %d bytes, BASELINE %d — expected SNAPLE lower",
-			snaple.Total.MemPeakBytes, base.Total.MemPeakBytes)
-	}
-}
-
-func TestPredictGASValidatesConfig(t *testing.T) {
-	g := communityGraph(t, 50, 81)
-	assign, err := partition.HashEdge{}.Partition(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, err := cluster.New(cluster.Config{Nodes: 1, Spec: cluster.TypeI()}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PredictGAS(g, assign, cl, Config{K: -1}); err == nil {
-		t.Error("invalid config accepted")
-	}
-	if _, err := PredictBaselineGAS(g, assign, cl, 0); err == nil {
-		t.Error("baseline k=0 accepted")
 	}
 }

@@ -39,10 +39,9 @@ import (
 //   - StepRunner (below) runs them per vertex over arenas, for the parallel
 //     shared-memory backend (internal/engine), the serial references
 //     (reference.go, khop.go) and the supervised features (supervised.go);
-//   - the GAS step programs step1/2/3/3a/3b (snaple.go, khop.go) run the
-//     gathers per edge and the applies per master, for the simulated cluster;
-//   - DistPartition (diststep.go) runs the same gathers over a shard's source
-//     runs and the same applies, for the wire worker.
+//   - DistPartition (diststep.go) runs the gathers per edge over a shard's
+//     source runs and the applies per master, for the wire worker and, in
+//     process, for the simulated cluster.
 //
 // StepRunner follows the Arena build protocol (arena.go): every step runs a
 // cheap count pass (TruncateCount, RelayCount, TwoHopCount) and then a fill

@@ -49,7 +49,7 @@ type Options struct {
 	Seed uint64
 	// Engine selects the backend: "local" (or "", the default: parallel
 	// shared-memory), "serial" (the single-threaded reference), "sim" (the
-	// GAS engine over the simulated cluster the deployment fields describe)
+	// GAS supersteps over the simulated cluster the deployment fields describe)
 	// or "dist" (real worker processes over TCP). All backends return
 	// bit-identical predictions.
 	Engine string

@@ -200,8 +200,8 @@ func TestDistRejectsCustomScore(t *testing.T) {
 	}
 }
 
-// TestDistInProc covers the zero-config mode engine.New returns: the
-// backend serves its own loopback workers and still matches the oracle.
+// TestDistInProc covers the zero-config mode: the backend serves its own
+// loopback workers and still matches the oracle.
 func TestDistInProc(t *testing.T) {
 	g := testGraph(t, 120, 2)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, ThrGamma: 10, Seed: 3}
@@ -209,11 +209,7 @@ func TestDistInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := New("dist", 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := be.Predict(g, cfg)
+	got, st, err := Dist{InProc: 3, Seed: 3}.Predict(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,11 @@
 //     three steps directly over the CSR with goroutine sharding over vertex
 //     ranges and per-worker scratch buffers (no replication, no cost
 //     accounting): the fastest way to predict on one machine;
-//   - Sim — the paper's system: the GAS engine over a simulated cluster
-//     with vertex-cut partitioning, master/mirror replication and full cost
-//     accounting (internal/gas, internal/partition, internal/cluster);
+//   - Sim — the paper's system: Algorithm 2's GAS supersteps over a
+//     simulated cluster with vertex-cut partitioning, master/mirror
+//     replication and full cost accounting (internal/partition,
+//     internal/cluster), driving the fleet's scheduler, core.DistPartition,
+//     in process;
 //   - Fleet — the same supersteps across real worker processes over TCP
 //     (internal/wire, cmd/snaple-worker), with cross-worker traffic
 //     measured on the wire instead of simulated: the one distributed
@@ -31,9 +33,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
-	"strings"
 
 	"snaple/internal/core"
 	"snaple/internal/graph"
@@ -191,32 +191,8 @@ func PredictScoped(ctx context.Context, be Backend, g graph.View, cfg core.Confi
 	return sp, st, nil
 }
 
-// Names lists the built-in backend names accepted by New. It is the single
-// source of truth for the backend set: every help text and error message
-// that enumerates backends (engine.New, cmd/snaple, cmd/snaple-bench) must
-// derive from it, so a new backend can never be silently missing from one
-// of the lists.
+// Names lists the built-in backend names. It is the single source of truth
+// for the backend set: every help text and error message that enumerates
+// backends (deploy.Options, cmd/snaple, cmd/snaple-bench) must derive from
+// it, so a new backend can never be silently missing from one of the lists.
 func Names() []string { return []string{"local", "serial", "sim", "dist"} }
-
-// New returns a backend by name: "local" (or "") for the parallel
-// shared-memory backend with the given worker bound, "serial" for the
-// reference loop, "sim" for the GAS engine on a default single-node type-II
-// cluster partitioned with the given seed, "dist" for the multi-process TCP
-// backend with the given number of in-process loopback workers (for real
-// worker processes or remote addresses construct a Dist — or open a Fleet —
-// directly). seed drives partitioning for "sim" and "dist"; for a custom
-// deployment construct a Sim or Dist directly.
-func New(name string, workers int, seed uint64) (Backend, error) {
-	switch name {
-	case "", "local":
-		return Local{Workers: workers}, nil
-	case "serial":
-		return Serial{}, nil
-	case "sim":
-		return Sim{Nodes: 1, Workers: workers, Seed: seed}, nil
-	case "dist":
-		return Dist{InProc: workers, Seed: seed}, nil
-	default:
-		return nil, fmt.Errorf("engine: unknown backend %q (%s)", name, strings.Join(Names(), "|"))
-	}
-}

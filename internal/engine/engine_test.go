@@ -172,25 +172,6 @@ func TestSerialMatchesReference(t *testing.T) {
 	}
 }
 
-func TestNewFactory(t *testing.T) {
-	for _, name := range append(Names(), "") {
-		be, err := New(name, 2, 42)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		want := name
-		if want == "" {
-			want = "local"
-		}
-		if be.Name() != want {
-			t.Errorf("New(%q).Name() = %q", name, be.Name())
-		}
-	}
-	if _, err := New("bogus", 0, 0); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}
-
 func TestBackendsRejectInvalidConfig(t *testing.T) {
 	g := testGraph(t, 20, 1)
 	bad := core.Config{Score: mustScore(t, "linearSum"), K: -1}

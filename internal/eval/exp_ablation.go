@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"snaple/internal/cluster"
 	"snaple/internal/core"
 	"snaple/internal/partition"
 )
@@ -45,11 +44,11 @@ func RunAlphaSweep(opts Options) (*AlphaSweep, error) {
 			return nil, err
 		}
 		cfg := core.Config{Score: spec, K: 5, KLocal: 20, ThrGamma: 200, Seed: opts.Seed}
-		res, err := runSnaple(opts, split.Train, dep, cfg)
+		pred, _, err := runSnaple(opts, split.Train, dep, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("alpha sweep %v: %w", alpha, err)
 		}
-		rec := Recall(res.Pred, split)
+		rec := Recall(pred, split)
 		out.Rows = append(out.Rows, AlphaRow{Dataset: "livejournal", Alpha: alpha, Recall: rec})
 		opts.logf("alpha: %.2f recall=%.3f", alpha, rec)
 	}
@@ -106,13 +105,9 @@ func RunPartitionAblation(opts Options) (*PartitionAblation, error) {
 			return nil, err
 		}
 		stats := partition.ComputeStats(split.Train, assign)
-		cl, err := cluster.New(cluster.Config{
-			Nodes: dep.Nodes, Spec: dep.Spec, MemBudgetBytes: dep.Budget,
-		}, dep.Cores())
-		if err != nil {
-			return nil, err
-		}
-		res, err := core.PredictGASWorkers(split.Train, assign, cl, cfg, opts.Workers)
+		sim := opts.sim(dep, opts.Seed)
+		sim.Strategy = strat
+		pred, st, err := sim.Predict(split.Train, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("partition ablation %s: %w", strat.Name(), err)
 		}
@@ -120,9 +115,9 @@ func RunPartitionAblation(opts Options) (*PartitionAblation, error) {
 			Strategy:          strat.Name(),
 			ReplicationFactor: stats.ReplicationFactor,
 			Balance:           stats.Balance,
-			CrossBytes:        res.Total.CrossBytes,
-			SimSeconds:        res.Total.SimSeconds(),
-			Recall:            Recall(res.Pred, split),
+			CrossBytes:        st.CrossBytes,
+			SimSeconds:        st.SimSeconds,
+			Recall:            Recall(pred, split),
 		}
 		out.Rows = append(out.Rows, row)
 		opts.logf("partition: %s rf=%.2f cross=%dMiB recall=%.3f",
@@ -174,13 +169,13 @@ func RunKHopAblation(opts Options) (*KHopAblation, error) {
 				return nil, err
 			}
 			cfg.Paths = paths
-			res, err := runSnaple(opts, split.Train, dep, cfg)
+			pred, st, err := runSnaple(opts, split.Train, dep, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("khop ablation paths=%d: %w", paths, err)
 			}
 			row := KHopRow{
 				Dataset: "livejournal", Paths: paths, KLocal: klocal,
-				Recall: Recall(res.Pred, split), Seconds: res.Total.SimSeconds(),
+				Recall: Recall(pred, split), Seconds: st.SimSeconds,
 			}
 			out.Rows = append(out.Rows, row)
 			opts.logf("khop: paths=%d klocal=%d recall=%.3f sim=%.3fs",

@@ -57,11 +57,9 @@ func RunExhaustion(opts Options) (*Exhaustion, error) {
 			return nil, err
 		}
 		// BASELINE under budget.
-		bres, berr := runBaseline(opts, split.Train, dep, 5, opts.Seed)
+		_, bst, berr := opts.sim(dep, opts.Seed).PredictBaseline(split.Train, 5)
 		row := ExhaustionRow{Dataset: name, System: "BASELINE", Completed: berr == nil}
-		if bres != nil {
-			row.PeakBytes = bres.Total.MemPeakBytes
-		}
+		row.PeakBytes = bst.MemPeakBytes
 		if berr != nil {
 			if !errors.Is(berr, cluster.ErrMemoryExhausted) {
 				return nil, fmt.Errorf("exhaustion: baseline on %s failed unexpectedly: %w", name, berr)
@@ -76,11 +74,9 @@ func RunExhaustion(opts Options) (*Exhaustion, error) {
 		if err != nil {
 			return nil, err
 		}
-		sres, serr := runSnaple(opts, split.Train, dep, cfg)
+		_, sst, serr := runSnaple(opts, split.Train, dep, cfg)
 		srow := ExhaustionRow{Dataset: name, System: "SNAPLE", Completed: serr == nil}
-		if sres != nil {
-			srow.PeakBytes = sres.Total.MemPeakBytes
-		}
+		srow.PeakBytes = sst.MemPeakBytes
 		if serr != nil {
 			if !errors.Is(serr, cluster.ErrMemoryExhausted) {
 				return nil, fmt.Errorf("exhaustion: snaple on %s failed unexpectedly: %w", name, serr)

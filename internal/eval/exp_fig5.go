@@ -50,7 +50,7 @@ func RunFigure5(opts Options) (*Figure5, error) {
 				return nil, err
 			}
 			for _, dep := range deployments {
-				res, err := runSnaple(opts, split.Train, dep.d, cfg)
+				pred, st, err := runSnaple(opts, split.Train, dep.d, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig5: %s on %s: %w", name, dep.d, err)
 				}
@@ -61,8 +61,8 @@ func RunFigure5(opts Options) (*Figure5, error) {
 					NodeType:   dep.nodeType,
 					Cores:      dep.d.Cores(),
 					KLocal:     klocal,
-					Seconds:    res.Total.SimSeconds(),
-					Recall:     Recall(res.Pred, split),
+					Seconds:    st.SimSeconds,
+					Recall:     Recall(pred, split),
 				}
 				fig.Points = append(fig.Points, p)
 				opts.logf("fig5: %s klocal=%d %s sim=%.3fs recall=%.3f",

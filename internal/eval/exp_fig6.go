@@ -58,11 +58,11 @@ func RunFigure6(opts Options) (*Figure6, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runSnaple(opts, split.Train, dep, cfg)
+			pred, _, err := runSnaple(opts, split.Train, dep, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig6: %s thr=%d: %w", name, thr, err)
 			}
-			rec := Recall(res.Pred, split)
+			rec := Recall(pred, split)
 			if thr == 10 {
 				recallAt10 = rec
 			}

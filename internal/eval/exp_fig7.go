@@ -41,11 +41,11 @@ func RunFigure7(opts Options) (*Figure7, error) {
 					return nil, err
 				}
 				cfg.Policy = pol
-				res, err := runSnaple(opts, split.Train, dep, cfg)
+				pred, _, err := runSnaple(opts, split.Train, dep, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig7: %s %s klocal=%d: %w", score, pol, klocal, err)
 				}
-				rec := Recall(res.Pred, split)
+				rec := Recall(pred, split)
 				fig.Rows = append(fig.Rows, Figure7Row{
 					Score: score, Policy: pol.String(), KLocal: klocal, Recall: rec,
 				})

@@ -50,13 +50,13 @@ func RunFigure8(opts Options) (*Figure8, error) {
 					if err != nil {
 						return nil, err
 					}
-					res, err := runSnaple(opts, split.Train, dep, cfg)
+					pred, st, err := runSnaple(opts, split.Train, dep, cfg)
 					if err != nil {
 						return nil, fmt.Errorf("fig8: %s %s klocal=%d: %w", name, score, klocal, err)
 					}
 					p := Figure8Point{
 						Dataset: name, Score: score, Aggregator: agg, KLocal: klocal,
-						Seconds: res.Total.SimSeconds(), Recall: Recall(res.Pred, split),
+						Seconds: st.SimSeconds, Recall: Recall(pred, split),
 					}
 					fig.Points = append(fig.Points, p)
 					opts.logf("fig8: %s %s klocal=%d sim=%.3fs recall=%.3f",

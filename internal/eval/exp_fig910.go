@@ -41,12 +41,12 @@ func RunFigure9(opts Options) (*Figure9, error) {
 				return nil, err
 			}
 			cfg.K = 20
-			res, err := runSnaple(opts, split.Train, dep, cfg)
+			pred, _, err := runSnaple(opts, split.Train, dep, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("fig9: %s %s: %w", name, score, err)
 			}
 			for _, k := range ks {
-				rec := RecallAt(res.Pred, split, k)
+				rec := RecallAt(pred, split, k)
 				fig.Rows = append(fig.Rows, Figure9Row{Dataset: name, Score: score, K: k, Recall: rec})
 				opts.logf("fig9: %s %s k=%d recall=%.3f", name, score, k, rec)
 			}
@@ -127,11 +127,11 @@ func RunFigure10(opts Options) (*Figure10, error) {
 				if err != nil {
 					return nil, err
 				}
-				res, err := runSnaple(opts, split.Train, dep, cfg)
+				pred, _, err := runSnaple(opts, split.Train, dep, cfg)
 				if err != nil {
 					return nil, fmt.Errorf("fig10: %s %s removed=%d: %w", name, score, removed, err)
 				}
-				rec := Recall(res.Pred, split)
+				rec := Recall(pred, split)
 				fig.Rows = append(fig.Rows, Figure10Row{
 					Dataset: name, Score: score, Removed: removed, Recall: rec,
 				})

@@ -62,12 +62,12 @@ func RunTable5(opts Options) (*Table5, error) {
 		}
 		opts.logf("table5: %s train=%s removed=%d", name, split.Train, split.NumRemoved)
 
-		base, err := runBaseline(opts, split.Train, dep, 5, opts.Seed)
+		basePred, baseSt, err := opts.sim(dep, opts.Seed).PredictBaseline(split.Train, 5)
 		if err != nil {
 			return nil, fmt.Errorf("table5: baseline on %s: %w", name, err)
 		}
-		baseRecall := Recall(base.Pred, split)
-		baseSeconds := base.Total.SimSeconds()
+		baseRecall := Recall(basePred, split)
+		baseSeconds := baseSt.SimSeconds
 		t5.Rows = append(t5.Rows, Table5Row{
 			Dataset: name, System: "BASELINE",
 			Recall: baseRecall, Seconds: baseSeconds, Gain: 1, Speedup: 1,
@@ -79,12 +79,12 @@ func RunTable5(opts Options) (*Table5, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := runSnaple(opts, split.Train, dep, cfg)
+			pred, st, err := runSnaple(opts, split.Train, dep, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("table5: %s %s: %w", name, c.Score, err)
 			}
-			rec := Recall(res.Pred, split)
-			sec := res.Total.SimSeconds()
+			rec := Recall(pred, split)
+			sec := st.SimSeconds
 			row := Table5Row{
 				Dataset: name, System: c.Score, ThrGamma: c.Thr, KLocal: c.KLocal,
 				Recall: rec, Seconds: sec,

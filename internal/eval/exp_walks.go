@@ -129,7 +129,7 @@ func RunTable6(opts Options, fig11 *Figure11) (*Table6, error) {
 			return nil, err
 		}
 		start := time.Now()
-		res, err := runSnaple(opts, split.Train, dep, cfg)
+		pred, _, err := runSnaple(opts, split.Train, dep, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table6: snaple on %s: %w", name, err)
 		}
@@ -140,7 +140,7 @@ func RunTable6(opts Options, fig11 *Figure11) (*Table6, error) {
 			Depth:            best.Depth,
 			CassovaryRecall:  best.Recall,
 			CassovarySeconds: best.Seconds,
-			SnapleRecall:     Recall(res.Pred, split),
+			SnapleRecall:     Recall(pred, split),
 			SnapleSeconds:    wall,
 		}
 		if wall > 0 {

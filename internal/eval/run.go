@@ -6,8 +6,8 @@ import (
 
 	"snaple/internal/cluster"
 	"snaple/internal/core"
+	"snaple/internal/deploy"
 	"snaple/internal/engine"
-	"snaple/internal/gas"
 	"snaple/internal/graph"
 )
 
@@ -93,55 +93,20 @@ func (o Options) sim(d Deployment, seed uint64) engine.Sim {
 	}
 }
 
-// backend maps the experiment options onto an engine backend for the given
-// deployment (which only the sim backend consults). It delegates name
-// resolution to engine.New; only the empty-name default differs — eval
-// defaults to "sim" because the paper's tables report simulated costs.
-func (o Options) backend(d Deployment, seed uint64) (engine.Backend, error) {
-	name := o.Engine
-	if name == "" {
-		name = "sim"
+// runSnaple runs Algorithm 2 over g on the backend selected by opts: the
+// simulated cluster d by default, any other engine through deploy.Options'
+// one resolver. The predictions are identical across backends. The sim
+// backend reports the simulated costs; the others report only their own, so
+// the simulated cost fields read zero.
+func runSnaple(opts Options, g graph.View, d Deployment, cfg core.Config) (core.Predictions, engine.Stats, error) {
+	if opts.Engine == "" || opts.Engine == "sim" {
+		return opts.sim(d, cfg.Seed).Predict(g, cfg)
 	}
-	be, err := engine.New(name, o.Workers, seed)
+	be, err := deploy.Options{Engine: opts.Engine, Workers: opts.Workers, Seed: cfg.Seed}.Backend(g, false)
 	if err != nil {
-		return nil, fmt.Errorf("eval: %w", err)
+		return nil, engine.Stats{}, fmt.Errorf("eval: %w", err)
 	}
-	if _, ok := be.(engine.Sim); ok {
-		return o.sim(d, seed), nil // replace the default deployment with d's
-	}
-	return be, nil
-}
-
-// runSnaple runs Algorithm 2 over g on the backend selected by opts (the
-// simulated cluster d by default). The predictions are identical across
-// backends. The sim backend fills the full cost report (per-superstep
-// breakdown included); the shared-memory backends report only host wall
-// time, leaving the simulated cost fields zero.
-func runSnaple(opts Options, g graph.View, d Deployment, cfg core.Config) (*core.Result, error) {
-	be, err := opts.backend(d, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if sim, ok := be.(engine.Sim); ok {
-		return sim.PredictResult(g, cfg)
-	}
-	preds, st, err := be.Predict(g, cfg)
-	if err != nil {
-		return nil, err // match the sim branch's nil-on-error contract
-	}
-	res := &core.Result{Pred: preds}
-	res.Total = gas.StepStats{WallSeconds: st.WallSeconds}
-	return res, err
-}
-
-// runBaseline distributes g over d and runs the naive BASELINE (always on
-// the sim substrate: the experiment's point is its cost blow-up).
-func runBaseline(opts Options, g graph.View, d Deployment, k int, seed uint64) (*core.Result, error) {
-	assign, cl, err := opts.sim(d, seed).Deploy(g)
-	if err != nil {
-		return nil, err
-	}
-	return core.PredictBaselineGASWorkers(g, assign, cl, k, opts.Workers)
+	return be.Predict(g, cfg)
 }
 
 // snapleConfig assembles a Config from a Table 3 score name with the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -261,69 +260,6 @@ func parallelRanges(workers, n int, fn func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// buildSortSlice is the original builder — materialise, comparison-sort and
-// deduplicate the full edge list — kept unexported as the baseline that
-// BenchmarkBuildCSR measures the counting-sort builder against.
-func (b *Builder) buildSortSlice() (*Digraph, error) {
-	n := b.numVertices
-	edges := append([]Edge(nil), b.edges...)
-	for _, e := range edges {
-		if int(e.Src) >= n || int(e.Dst) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) with %d vertices: %w",
-				e.Src, e.Dst, n, errInvalidVertex)
-		}
-	}
-	if b.symmetrize {
-		rev := make([]Edge, 0, len(edges))
-		for _, e := range edges {
-			rev = append(rev, Edge{e.Dst, e.Src})
-		}
-		edges = append(edges, rev...)
-	}
-	if !b.keepLoops {
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	// Deduplicate in place.
-	dedup := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			dedup = append(dedup, e)
-		}
-	}
-	edges = dedup
-
-	g := &Digraph{
-		numVertices: n,
-		outOff:      make([]int64, n+1),
-		outAdj:      make([]VertexID, len(edges)),
-	}
-	for _, e := range edges {
-		g.outOff[e.Src+1]++
-	}
-	for u := 0; u < n; u++ {
-		g.outOff[u+1] += g.outOff[u]
-	}
-	for i, e := range edges {
-		g.outAdj[i] = e.Dst
-	}
-	if b.withInEdges {
-		g.buildInAdjacency()
-	}
-	return g, nil
 }
 
 // buildInAdjacency fills inOff/inAdj from the out-CSR with a counting sort,

@@ -530,6 +530,40 @@ func TestAttachRejectsHostileEntries(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesInProcessSteps: BASELINE's step kinds run only in the
+// sim's in-process driver, and no frame carries their lists. A worker asked
+// for one refuses the superstep with a typed error, reported to the
+// coordinator and returned.
+func TestWorkerRefusesInProcessSteps(t *testing.T) {
+	for _, step := range []core.DistStep{core.DistReplicate, core.DistJaccard} {
+		a, b := net.Pipe()
+		errc := make(chan error, 1)
+		go func() { errc <- ServeConn(b) }()
+		c := NewConn(a)
+		if err := c.hello(DialOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for _, open := range []*Msg{{Kind: KindShip, Version: ProtocolVersion, Shard: miniShard}, miniAttach()} {
+			if err := c.Send(open); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Expect(KindReady); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Send(&Msg{Kind: KindStepBegin, Step: step}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Recv(); !IsRemoteError(err) {
+			t.Fatalf("%v: coordinator saw %v, want the worker's typed error frame", step, err)
+		}
+		c.Close()
+		if err := <-errc; !errors.Is(err, core.ErrInProcessStep) {
+			t.Fatalf("%v: ServeConn returned %v, want core.ErrInProcessStep", step, err)
+		}
+	}
+}
+
 // TestHandshake covers the hello exchange: compression granted between two
 // v3 ends, and the version contract against peers that are not — each side
 // names the mismatch with ErrProtocolMismatch, and a dialer facing a peer

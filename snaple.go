@@ -17,10 +17,10 @@
 //   - a pluggable execution layer (internal/engine) with four backends
 //     behind one interface: "local", a parallel shared-memory engine that
 //     shards vertex ranges over goroutines; "serial", the single-threaded
-//     reference loop; "sim", the paper's GAS engine over a simulated
+//     reference loop; "sim", the paper's GAS supersteps over a simulated
 //     cluster with vertex-cut placement, master/mirror replication and cost
-//     accounting (internal/gas, internal/partition, internal/cluster); and
-//     "dist", the same supersteps across real worker processes over TCP
+//     accounting (internal/partition, internal/cluster); and "dist", the
+//     same supersteps across real worker processes over TCP
 //     (internal/wire, cmd/snaple-worker) with traffic measured on the wire
 //     — one coordinator, engine.Fleet, held open by a Cluster or opened for
 //     a single run by PredictStats,
@@ -324,7 +324,7 @@ func (c *Cluster) Close() error {
 }
 
 // PredictBaseline runs the paper's BASELINE (a direct 2-hop Jaccard
-// implementation of Algorithm 1 on the GAS engine) for the top opts.K
+// implementation of Algorithm 1 as GAS supersteps) for the top opts.K
 // (default 5) on the simulated cluster opts describes, whatever its Engine.
 // On large graphs with bounded budgets it fails with ErrMemoryExhausted — by
 // design — and the report carries the costs up to the failing step.
@@ -338,15 +338,7 @@ func PredictBaseline(g GraphView, opts Options) (Predictions, EngineStats, error
 	if err != nil {
 		return nil, EngineStats{}, err
 	}
-	assign, clu, err := be.(engine.Sim).Deploy(g)
-	if err != nil {
-		return nil, EngineStats{}, err
-	}
-	res, err := core.PredictBaselineGASWorkers(g, assign, clu, cfg.K, opts.Workers)
-	if res == nil {
-		return nil, EngineStats{}, err
-	}
-	return res.Pred, engine.StatsFromResult(res, opts.Workers), err
+	return be.(engine.Sim).PredictBaseline(g, cfg.K)
 }
 
 // PredictWalks runs the Cassovary-style single-machine comparator: w random
