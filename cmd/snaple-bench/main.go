@@ -84,62 +84,13 @@ type experiment struct {
 
 func experiments() []experiment {
 	return []experiment{
-		{id: "table5", run: func(o eval.Options, w io.Writer) error {
-			t, err := eval.RunTable5(o)
-			if err != nil {
-				return err
-			}
-			t.Fprint(w)
-			return nil
-		}},
-		{id: "fig5", run: func(o eval.Options, w io.Writer) error {
-			f, err := eval.RunFigure5(o)
-			if err != nil {
-				return err
-			}
-			f.Fprint(w)
-			return nil
-		}},
-		{id: "fig6", run: func(o eval.Options, w io.Writer) error {
-			f, err := eval.RunFigure6(o)
-			if err != nil {
-				return err
-			}
-			f.Fprint(w)
-			return nil
-		}},
-		{id: "fig7", run: func(o eval.Options, w io.Writer) error {
-			f, err := eval.RunFigure7(o)
-			if err != nil {
-				return err
-			}
-			f.Fprint(w)
-			return nil
-		}},
-		{id: "fig8", run: func(o eval.Options, w io.Writer) error {
-			f, err := eval.RunFigure8(o)
-			if err != nil {
-				return err
-			}
-			f.Fprint(w)
-			return nil
-		}},
-		{id: "fig9", run: func(o eval.Options, w io.Writer) error {
-			f, err := eval.RunFigure9(o)
-			if err != nil {
-				return err
-			}
-			f.Fprint(w)
-			return nil
-		}},
-		{id: "fig10", run: func(o eval.Options, w io.Writer) error {
-			f, err := eval.RunFigure10(o)
-			if err != nil {
-				return err
-			}
-			f.Fprint(w)
-			return nil
-		}},
+		{id: "table5", run: printed(eval.RunTable5)},
+		{id: "fig5", run: printed(eval.RunFigure5)},
+		{id: "fig6", run: printed(eval.RunFigure6)},
+		{id: "fig7", run: printed(eval.RunFigure7)},
+		{id: "fig8", run: printed(eval.RunFigure8)},
+		{id: "fig9", run: printed(eval.RunFigure9)},
+		{id: "fig10", run: printed(eval.RunFigure10)},
 		{id: "fig11+table6", run: func(o eval.Options, w io.Writer) error {
 			f, err := eval.RunFigure11(o)
 			if err != nil {
@@ -154,44 +105,35 @@ func experiments() []experiment {
 			t.Fprint(w)
 			return nil
 		}},
-		{id: "exhaustion", run: func(o eval.Options, w io.Writer) error {
-			e, err := eval.RunExhaustion(o)
-			if err != nil {
-				return err
-			}
-			e.Fprint(w)
-			return nil
-		}},
-		{id: "supervised", run: func(o eval.Options, w io.Writer) error {
-			s, err := eval.RunSupervised(o)
-			if err != nil {
-				return err
-			}
-			s.Fprint(w)
-			return nil
-		}},
+		{id: "exhaustion", run: printed(eval.RunExhaustion)},
+		{id: "supervised", run: printed(eval.RunSupervised)},
 		{id: "perf", run: runPerf, explicitOnly: true},
 		{id: "scale", run: runScale, explicitOnly: true},
 		{id: "ablations", run: func(o eval.Options, w io.Writer) error {
-			a, err := eval.RunAlphaSweep(o)
-			if err != nil {
-				return err
+			for i, ab := range []func(eval.Options, io.Writer) error{
+				printed(eval.RunAlphaSweep), printed(eval.RunPartitionAblation), printed(eval.RunKHopAblation),
+			} {
+				if i > 0 {
+					fmt.Fprintln(w)
+				}
+				if err := ab(o, w); err != nil {
+					return err
+				}
 			}
-			a.Fprint(w)
-			fmt.Fprintln(w)
-			p, err := eval.RunPartitionAblation(o)
-			if err != nil {
-				return err
-			}
-			p.Fprint(w)
-			fmt.Fprintln(w)
-			k, err := eval.RunKHopAblation(o)
-			if err != nil {
-				return err
-			}
-			k.Fprint(w)
 			return nil
 		}},
+	}
+}
+
+// printed adapts an experiment whose result renders itself into a runner.
+func printed[R interface{ Fprint(io.Writer) }](runExp func(eval.Options) (R, error)) func(eval.Options, io.Writer) error {
+	return func(o eval.Options, w io.Writer) error {
+		r, err := runExp(o)
+		if err != nil {
+			return err
+		}
+		r.Fprint(w)
+		return nil
 	}
 }
 

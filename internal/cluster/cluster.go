@@ -17,6 +17,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -61,9 +62,10 @@ func (c Config) budget() int64 {
 	return c.Spec.MemBytes
 }
 
-// String renders the configuration like the paper reports deployments.
+// String renders the configuration like the paper reports deployments:
+// "80 cores (4 type-II nodes)".
 func (c Config) String() string {
-	return fmt.Sprintf("%d %s nodes (%d cores)", c.Nodes, c.Spec.Name, c.TotalCores())
+	return fmt.Sprintf("%d cores (%d %s nodes)", c.TotalCores(), c.Nodes, c.Spec.Name)
 }
 
 // ErrMemoryExhausted is returned (wrapped) when a node exceeds its memory
@@ -85,8 +87,6 @@ type Cluster struct {
 	nodeOut    []int64 // per node, bytes sent (cross-node only)
 	crossBytes int64
 	crossMsgs  int64
-	localBytes int64
-	localMsgs  int64
 }
 
 // New builds a cluster for the given number of partitions. Partitions are
@@ -112,27 +112,16 @@ func New(cfg Config, parts int) (*Cluster, error) {
 	return c, nil
 }
 
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
-// Parts returns the number of partitions mapped onto the cluster.
-func (c *Cluster) Parts() int { return len(c.nodeOf) }
-
-// NodeOf returns the node hosting partition p.
-func (c *Cluster) NodeOf(p int) int { return c.nodeOf[p] }
-
 // Transfer charges a message of size bytes from partition from to partition
-// to. Messages between partitions of the same node are counted but free of
-// network cost. Safe for concurrent use.
+// to. Messages between partitions of the same node cost nothing. Safe for
+// concurrent use.
 func (c *Cluster) Transfer(from, to int, bytes int64) {
 	nf, nt := c.nodeOf[from], c.nodeOf[to]
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if nf == nt {
-		c.localBytes += bytes
-		c.localMsgs++
 		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.crossBytes += bytes
 	c.crossMsgs++
 	c.nodeOut[nf] += bytes
@@ -161,7 +150,6 @@ func (c *Cluster) StoreMem(p int, delta int64) error {
 // Traffic is a point-in-time snapshot of the accounting state.
 type Traffic struct {
 	CrossBytes, CrossMsgs int64
-	LocalBytes, LocalMsgs int64
 	NodeIn, NodeOut       []int64
 	MemPeak               []int64
 }
@@ -170,25 +158,17 @@ type Traffic struct {
 func (c *Cluster) Snapshot() Traffic {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t := Traffic{
-		CrossBytes: c.crossBytes, CrossMsgs: c.crossMsgs,
-		LocalBytes: c.localBytes, LocalMsgs: c.localMsgs,
-		NodeIn:  append([]int64(nil), c.nodeIn...),
-		NodeOut: append([]int64(nil), c.nodeOut...),
-		MemPeak: append([]int64(nil), c.memPeak...),
-	}
-	return t
+	return Traffic{CrossBytes: c.crossBytes, CrossMsgs: c.crossMsgs,
+		NodeIn: slices.Clone(c.nodeIn), NodeOut: slices.Clone(c.nodeOut), MemPeak: slices.Clone(c.memPeak)}
 }
 
 // MaxMemPeak returns the largest per-node peak memory recorded.
 func (t Traffic) MaxMemPeak() int64 {
-	var max int64
+	var peak int64
 	for _, m := range t.MemPeak {
-		if m > max {
-			max = m
-		}
+		peak = max(peak, m)
 	}
-	return max
+	return peak
 }
 
 // NetSeconds estimates the time to drain the traffic delta between two
@@ -201,16 +181,9 @@ func (c *Cluster) NetSeconds(before, after Traffic) float64 {
 		return 0
 	}
 	var worst float64
-	for n := 0; n < c.cfg.Nodes; n++ {
-		in := float64(after.NodeIn[n] - before.NodeIn[n])
-		out := float64(after.NodeOut[n] - before.NodeOut[n])
-		v := in
-		if out > v {
-			v = out
-		}
-		if v/bw > worst {
-			worst = v / bw
-		}
+	for n := range c.cfg.Nodes {
+		in, out := after.NodeIn[n]-before.NodeIn[n], after.NodeOut[n]-before.NodeOut[n]
+		worst = max(worst, float64(max(in, out))/bw)
 	}
 	return worst
 }
@@ -221,16 +194,7 @@ func (c *Cluster) NetSeconds(before, after Traffic) float64 {
 func (c *Cluster) ComputeSeconds(taskSeconds []float64) float64 {
 	var sum, longest float64
 	for _, s := range taskSeconds {
-		sum += s
-		if s > longest {
-			longest = s
-		}
+		sum, longest = sum+s, max(longest, s)
 	}
-	if c.cfg.TotalCores() == 0 {
-		return longest
-	}
-	if spread := sum / float64(c.cfg.TotalCores()); spread > longest {
-		return spread
-	}
-	return longest
+	return max(longest, sum/float64(c.cfg.TotalCores()))
 }

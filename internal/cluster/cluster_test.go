@@ -29,27 +29,23 @@ func TestNewValidation(t *testing.T) {
 
 func TestRoundRobinPlacement(t *testing.T) {
 	c := newTestCluster(t, 3, 7, 0)
-	want := []int{0, 1, 2, 0, 1, 2, 0}
-	for p, n := range want {
-		if c.NodeOf(p) != n {
-			t.Errorf("NodeOf(%d) = %d, want %d", p, c.NodeOf(p), n)
+	// A transfer to partition 0 crosses nodes unless p shares node 0.
+	for p, n := range []int{0, 1, 2, 0, 1, 2, 0} {
+		before := c.Snapshot().CrossMsgs
+		c.Transfer(p, 0, 1)
+		if crossed := c.Snapshot().CrossMsgs > before; crossed != (n != 0) {
+			t.Errorf("partition %d: crossed=%v, want it on node %d", p, crossed, n)
 		}
-	}
-	if c.Parts() != 7 {
-		t.Errorf("Parts = %d", c.Parts())
 	}
 }
 
 func TestTransferAccounting(t *testing.T) {
 	c := newTestCluster(t, 2, 4, 0)
 	// parts 0,2 on node 0; parts 1,3 on node 1.
-	c.Transfer(0, 2, 100) // same node: local
+	c.Transfer(0, 2, 100) // same node: free
 	c.Transfer(0, 1, 40)  // cross
 	c.Transfer(3, 0, 60)  // cross
 	tr := c.Snapshot()
-	if tr.LocalBytes != 100 || tr.LocalMsgs != 1 {
-		t.Errorf("local: %d bytes %d msgs", tr.LocalBytes, tr.LocalMsgs)
-	}
 	if tr.CrossBytes != 100 || tr.CrossMsgs != 2 {
 		t.Errorf("cross: %d bytes %d msgs", tr.CrossBytes, tr.CrossMsgs)
 	}

@@ -103,11 +103,5 @@ func (p *DistPartition) applyLists(step DistStep, s int32, sum []nbrList) {
 		seen[z] = struct{}{}
 		coll.Push(uint32(z), jac.Score(d.Nbrs, sum[i].Nbrs, 0, 0))
 	}
-	d.Pred = nil
-	if items := coll.Result(); len(items) > 0 {
-		d.Pred = make([]Prediction, len(items))
-		for i, it := range items {
-			d.Pred[i] = Prediction{Vertex: graph.VertexID(it.ID), Score: it.Score}
-		}
-	}
+	d.Pred = appendItems(nil, coll.Result())
 }

@@ -117,15 +117,7 @@ func ReferenceBaseline(g graph.View, k int) (Predictions, error) {
 				coll.Push(uint32(z), jac.Score(nbrs, g.OutNeighbors(z), 0, 0))
 			}
 		}
-		items := coll.Result()
-		if len(items) == 0 {
-			continue
-		}
-		out := make([]Prediction, len(items))
-		for i, it := range items {
-			out[i] = Prediction{Vertex: graph.VertexID(it.ID), Score: it.Score}
-		}
-		pred[uid] = out
+		pred[uid] = appendItems(nil, coll.Result())
 	}
 	return pred, nil
 }

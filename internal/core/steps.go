@@ -375,8 +375,14 @@ func (s *Scratch) appendTopK(cfg *Config, dst []Prediction) []Prediction {
 		s.coll.Push(uint32(z), foldGroup(cfg.Score.Agg, vals))
 	}
 	s.items = s.coll.AppendResult(s.items[:0])
-	dst = slices.Grow(dst, len(s.items))
-	for _, it := range s.items {
+	return appendItems(dst, s.items)
+}
+
+// appendItems appends a top-k result to dst as predictions, best first: nil
+// stays nil when there are none.
+func appendItems(dst []Prediction, items []topk.Item) []Prediction {
+	dst = slices.Grow(dst, len(items))
+	for _, it := range items {
 		dst = append(dst, Prediction{Vertex: graph.VertexID(it.ID), Score: it.Score})
 	}
 	return dst

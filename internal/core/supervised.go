@@ -311,12 +311,7 @@ func (m *SupervisedModel) Predict(g graph.View, k int) (Predictions, error) {
 		for z, f := range fm {
 			coll.Push(uint32(z), m.score(f))
 		}
-		items := coll.Result()
-		out := make([]Prediction, len(items))
-		for i, it := range items {
-			out[i] = Prediction{Vertex: graph.VertexID(it.ID), Score: it.Score}
-		}
-		pred[u] = out
+		pred[u] = appendItems(nil, coll.Result())
 	}
 	return pred, nil
 }

@@ -100,7 +100,7 @@ func RunPartitionAblation(opts Options) (*PartitionAblation, error) {
 		partition.HashSource{Seed: opts.Seed},
 		partition.Greedy{},
 	} {
-		assign, err := strat.Partition(split.Train, dep.Cores())
+		assign, err := strat.Partition(split.Train, dep.TotalCores())
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"snaple/internal/cluster"
+	"snaple/internal/engine"
 )
 
 // ExhaustionRow records whether one system survived one dataset under a
@@ -46,45 +48,41 @@ const DefaultExhaustionBudget = int64(128 << 20)
 // enforces no budget and would fabricate the survival column.
 func RunExhaustion(opts Options) (*Exhaustion, error) {
 	opts = opts.withDefaults()
-	opts.Engine = "sim"
 	out := &Exhaustion{BudgetBytes: DefaultExhaustionBudget}
 	dep := FourTypeII()
-	dep.Budget = out.BudgetBytes
-
+	dep.MemBudgetBytes = out.BudgetBytes
+	sim := opts.sim(dep, opts.Seed)
+	cfg, err := snapleConfig("linearSum", 200, 20, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	// record adds one system's row: running out of memory is a verdict, any
+	// other failure aborts the experiment.
+	record := func(name, system string, st engine.Stats, err error) error {
+		row := ExhaustionRow{Dataset: name, System: system, Completed: err == nil, PeakBytes: st.MemPeakBytes}
+		if err != nil {
+			if !errors.Is(err, cluster.ErrMemoryExhausted) {
+				return fmt.Errorf("exhaustion: %s on %s failed unexpectedly: %w", strings.ToLower(system), name, err)
+			}
+			row.Err = "memory exhausted"
+		}
+		out.Rows = append(out.Rows, row)
+		opts.logf("exhaustion: %s %s completed=%v peak=%dMiB", name, system, row.Completed, row.PeakBytes>>20)
+		return nil
+	}
 	for _, name := range DatasetNames() {
 		split, _, err := loadSplit(name, opts, 1)
 		if err != nil {
 			return nil, err
 		}
-		// BASELINE under budget.
-		_, bst, berr := opts.sim(dep, opts.Seed).PredictBaseline(split.Train, 5)
-		row := ExhaustionRow{Dataset: name, System: "BASELINE", Completed: berr == nil}
-		row.PeakBytes = bst.MemPeakBytes
-		if berr != nil {
-			if !errors.Is(berr, cluster.ErrMemoryExhausted) {
-				return nil, fmt.Errorf("exhaustion: baseline on %s failed unexpectedly: %w", name, berr)
-			}
-			row.Err = "memory exhausted"
-		}
-		out.Rows = append(out.Rows, row)
-		opts.logf("exhaustion: %s BASELINE completed=%v peak=%dMiB", name, row.Completed, row.PeakBytes>>20)
-
-		// SNAPLE under the same budget.
-		cfg, err := snapleConfig("linearSum", 200, 20, opts.Seed)
-		if err != nil {
+		_, bst, berr := sim.PredictBaseline(split.Train, 5)
+		if err := record(name, "BASELINE", bst, berr); err != nil {
 			return nil, err
 		}
-		_, sst, serr := runSnaple(opts, split.Train, dep, cfg)
-		srow := ExhaustionRow{Dataset: name, System: "SNAPLE", Completed: serr == nil}
-		srow.PeakBytes = sst.MemPeakBytes
-		if serr != nil {
-			if !errors.Is(serr, cluster.ErrMemoryExhausted) {
-				return nil, fmt.Errorf("exhaustion: snaple on %s failed unexpectedly: %w", name, serr)
-			}
-			srow.Err = "memory exhausted"
+		_, sst, serr := sim.Predict(split.Train, cfg)
+		if err := record(name, "SNAPLE", sst, serr); err != nil {
+			return nil, err
 		}
-		out.Rows = append(out.Rows, srow)
-		opts.logf("exhaustion: %s SNAPLE completed=%v peak=%dMiB", name, srow.Completed, srow.PeakBytes>>20)
 	}
 	return out, nil
 }

@@ -3,6 +3,9 @@ package eval
 import (
 	"fmt"
 	"io"
+	"slices"
+
+	"snaple/internal/cluster"
 )
 
 // Figure5Point is one point of the scalability plot: the execution time of
@@ -28,15 +31,9 @@ type Figure5 struct {
 // twitter-rv analogs (the paper's 68M/223M/1.4B-edge series).
 func RunFigure5(opts Options) (*Figure5, error) {
 	opts = opts.withDefaults()
-	deployments := []struct {
-		d        Deployment
-		nodeType string
-	}{
-		{TypeIDeployment(8), "type-I"},   // 64 cores
-		{TypeIDeployment(16), "type-I"},  // 128 cores
-		{TypeIDeployment(32), "type-I"},  // 256 cores
-		{TypeIIDeployment(4), "type-II"}, // 80 cores
-		{TypeIIDeployment(8), "type-II"}, // 160 cores
+	deployments := []cluster.Config{
+		TypeIDeployment(8), TypeIDeployment(16), TypeIDeployment(32), // 64, 128, 256 cores
+		TypeIIDeployment(4), TypeIIDeployment(8), // 80, 160 cores
 	}
 	fig := &Figure5{}
 	for _, name := range []string{"livejournal", "orkut", "twitter-rv"} {
@@ -50,23 +47,23 @@ func RunFigure5(opts Options) (*Figure5, error) {
 				return nil, err
 			}
 			for _, dep := range deployments {
-				pred, st, err := runSnaple(opts, split.Train, dep.d, cfg)
+				pred, st, err := runSnaple(opts, split.Train, dep, cfg)
 				if err != nil {
-					return nil, fmt.Errorf("fig5: %s on %s: %w", name, dep.d, err)
+					return nil, fmt.Errorf("fig5: %s on %s: %w", name, dep, err)
 				}
 				p := Figure5Point{
 					Dataset:    name,
 					Edges:      split.Train.NumEdges(),
-					Deployment: dep.d.String(),
-					NodeType:   dep.nodeType,
-					Cores:      dep.d.Cores(),
+					Deployment: dep.String(),
+					NodeType:   dep.Spec.Name,
+					Cores:      dep.TotalCores(),
 					KLocal:     klocal,
 					Seconds:    st.SimSeconds,
 					Recall:     Recall(pred, split),
 				}
 				fig.Points = append(fig.Points, p)
 				opts.logf("fig5: %s klocal=%d %s sim=%.3fs recall=%.3f",
-					name, klocal, dep.d, p.Seconds, p.Recall)
+					name, klocal, dep, p.Seconds, p.Recall)
 			}
 		}
 	}
@@ -112,18 +109,12 @@ func (f *Figure5) Fprint(w io.Writer) {
 }
 
 func (f *Figure5) coresFor(nodeType string) []int {
-	seen := map[int]bool{}
 	var out []int
 	for _, p := range f.Points {
-		if p.NodeType == nodeType && !seen[p.Cores] {
-			seen[p.Cores] = true
+		if p.NodeType == nodeType {
 			out = append(out, p.Cores)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

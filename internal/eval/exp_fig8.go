@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Figure8Point is one (time, recall) point: a score configuration at one
@@ -111,7 +110,5 @@ func (f *Figure8) BestRecall(dataset string) (Figure8Point, bool) {
 
 // String summarises the sweep extent.
 func (f *Figure8) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "figure8{%d points}", len(f.Points))
-	return b.String()
+	return fmt.Sprintf("figure8{%d points}", len(f.Points))
 }

@@ -64,29 +64,6 @@ func (f *Figure9) Fprint(w io.Writer) {
 	}
 }
 
-// RecallAt computes recall using only the first k predictions per vertex.
-func RecallAt(pred core.Predictions, s *Split, k int) float64 {
-	if s.NumRemoved == 0 {
-		return 0
-	}
-	hits := 0
-	for u, hidden := range s.Removed {
-		if int(u) >= len(pred) {
-			continue
-		}
-		ps := pred[u]
-		if len(ps) > k {
-			ps = ps[:k]
-		}
-		for _, p := range ps {
-			if containsID(hidden, p.Vertex) {
-				hits++
-			}
-		}
-	}
-	return float64(hits) / float64(s.NumRemoved)
-}
-
 // Figure10Row is one point of Figure 10: recall when r edges per vertex are
 // hidden.
 type Figure10Row struct {

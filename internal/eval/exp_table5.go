@@ -3,6 +3,8 @@ package eval
 import (
 	"fmt"
 	"io"
+
+	"snaple/internal/cluster"
 )
 
 // Table5Row is one line of Table 5: a system/configuration evaluated on one
@@ -23,27 +25,24 @@ type Table5Row struct {
 // Table5 reproduces Table 5: BASELINE against 12 SNAPLE configurations on
 // gowalla, pokec and livejournal, on the 80-core type-II deployment.
 type Table5 struct {
-	Deployment Deployment
+	Deployment cluster.Config
 	Datasets   []string
 	Rows       []Table5Row
 }
 
-// Table5Configs returns the paper's 12 SNAPLE configurations: the scores
-// linearSum, counter and PPR crossed with thrΓ and klocal ∈ {∞, 20}.
-func Table5Configs() []struct {
+// Table5Config is one SNAPLE configuration of Table 5.
+type Table5Config struct {
 	Score       string
 	Thr, KLocal int
-} {
-	var out []struct {
-		Score       string
-		Thr, KLocal int
-	}
+}
+
+// Table5Configs returns the paper's 12 SNAPLE configurations: the scores
+// linearSum, counter and PPR crossed with thrΓ and klocal ∈ {∞, 20}.
+func Table5Configs() []Table5Config {
+	var out []Table5Config
 	for _, lim := range [][2]int{{0, 0}, {20, 0}, {0, 20}, {20, 20}} {
 		for _, score := range []string{"linearSum", "counter", "PPR"} {
-			out = append(out, struct {
-				Score       string
-				Thr, KLocal int
-			}{score, lim[0], lim[1]})
+			out = append(out, Table5Config{score, lim[0], lim[1]})
 		}
 	}
 	return out

@@ -5,6 +5,8 @@ package eval
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"snaple/internal/core"
 	"snaple/internal/graph"
@@ -40,10 +42,7 @@ func MakeSplit(g *graph.Digraph, perVertex int, seed uint64) (*Split, error) {
 		if deg <= 3 {
 			continue
 		}
-		r := perVertex
-		if r > deg-1 {
-			r = deg - 1 // "we removed all the edges except one"
-		}
+		r := min(perVertex, deg-1) // "we removed all the edges except one"
 		nbrs := g.OutNeighbors(uid)
 		// Rank neighbours by a per-(u,v) hash and hide the r smallest —
 		// a uniform sample without replacement, independent of order.
@@ -56,7 +55,7 @@ func MakeSplit(g *graph.Digraph, perVertex int, seed uint64) (*Split, error) {
 		for _, it := range chosen {
 			hidden = append(hidden, graph.VertexID(it.ID))
 		}
-		sortIDs(hidden)
+		slices.Sort(hidden)
 		s.Removed[uid] = hidden
 		for _, v := range hidden {
 			removedEdges = append(removedEdges, graph.Edge{Src: uid, Dst: v})
@@ -70,7 +69,10 @@ func MakeSplit(g *graph.Digraph, perVertex int, seed uint64) (*Split, error) {
 // Recall returns the fraction of hidden edges recovered by pred — the
 // paper's quality metric. (Precision is proportional to recall in this
 // protocol and therefore not reported; see Section 5.2.)
-func Recall(pred core.Predictions, s *Split) float64 {
+func Recall(pred core.Predictions, s *Split) float64 { return RecallAt(pred, s, math.MaxInt) }
+
+// RecallAt computes recall using only the first k predictions per vertex.
+func RecallAt(pred core.Predictions, s *Split, k int) float64 {
 	if s.NumRemoved == 0 {
 		return 0
 	}
@@ -79,32 +81,11 @@ func Recall(pred core.Predictions, s *Split) float64 {
 		if int(u) >= len(pred) {
 			continue
 		}
-		for _, p := range pred[u] {
-			if containsID(hidden, p.Vertex) {
+		for _, p := range pred[u][:min(k, len(pred[u]))] {
+			if _, ok := slices.BinarySearch(hidden, p.Vertex); ok {
 				hits++
 			}
 		}
 	}
 	return float64(hits) / float64(s.NumRemoved)
-}
-
-func containsID(sorted []graph.VertexID, v graph.VertexID) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
-}
-
-func sortIDs(v []graph.VertexID) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -50,47 +50,29 @@ func (o Options) logf(format string, args ...any) {
 	fmt.Fprintf(o.Log, format+"\n", args...)
 }
 
-// Deployment describes the simulated cluster an experiment runs on. The
-// paper's reference deployments are provided as constructors.
-type Deployment struct {
-	Nodes int
-	Spec  cluster.NodeSpec
-	// Budget optionally overrides the per-node memory budget.
-	Budget int64
-}
-
-// Cores returns the deployment's total core count (the unit the paper's
-// scalability plots use).
-func (d Deployment) Cores() int { return d.Nodes * d.Spec.Cores }
-
-// String renders like the paper: "80 cores (4 type-II nodes)".
-func (d Deployment) String() string {
-	return fmt.Sprintf("%d cores (%d %s nodes)", d.Cores(), d.Nodes, d.Spec.Name)
-}
+// The paper's reference deployments: the simulated clusters the experiments
+// run on.
 
 // FourTypeII is the 80-core deployment of Table 5.
-func FourTypeII() Deployment { return Deployment{Nodes: 4, Spec: cluster.TypeII()} }
+func FourTypeII() cluster.Config { return cluster.Config{Nodes: 4, Spec: cluster.TypeII()} }
 
 // OneTypeII is the single-machine deployment of Table 6.
-func OneTypeII() Deployment { return Deployment{Nodes: 1, Spec: cluster.TypeII()} }
+func OneTypeII() cluster.Config { return cluster.Config{Nodes: 1, Spec: cluster.TypeII()} }
 
 // TypeIDeployment returns an n-node type-I deployment (8 cores each).
-func TypeIDeployment(nodes int) Deployment {
-	return Deployment{Nodes: nodes, Spec: cluster.TypeI()}
+func TypeIDeployment(nodes int) cluster.Config {
+	return cluster.Config{Nodes: nodes, Spec: cluster.TypeI()}
 }
 
 // TypeIIDeployment returns an n-node type-II deployment (20 cores each).
-func TypeIIDeployment(nodes int) Deployment {
-	return Deployment{Nodes: nodes, Spec: cluster.TypeII()}
+func TypeIIDeployment(nodes int) cluster.Config {
+	return cluster.Config{Nodes: nodes, Spec: cluster.TypeII()}
 }
 
 // sim maps a deployment onto the engine layer's Sim backend with the
 // experiment-wide worker bound.
-func (o Options) sim(d Deployment, seed uint64) engine.Sim {
-	return engine.Sim{
-		Nodes: d.Nodes, Spec: d.Spec, MemBudgetBytes: d.Budget,
-		Seed: seed, Workers: o.Workers,
-	}
+func (o Options) sim(d cluster.Config, seed uint64) engine.Sim {
+	return engine.Sim{Nodes: d.Nodes, Spec: d.Spec, MemBudgetBytes: d.MemBudgetBytes, Seed: seed, Workers: o.Workers}
 }
 
 // runSnaple runs Algorithm 2 over g on the backend selected by opts: the
@@ -98,7 +80,7 @@ func (o Options) sim(d Deployment, seed uint64) engine.Sim {
 // one resolver. The predictions are identical across backends. The sim
 // backend reports the simulated costs; the others report only their own, so
 // the simulated cost fields read zero.
-func runSnaple(opts Options, g graph.View, d Deployment, cfg core.Config) (core.Predictions, engine.Stats, error) {
+func runSnaple(opts Options, g graph.View, d cluster.Config, cfg core.Config) (core.Predictions, engine.Stats, error) {
 	if opts.Engine == "" || opts.Engine == "sim" {
 		return opts.sim(d, cfg.Seed).Predict(g, cfg)
 	}
