@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"snaple/internal/core"
@@ -33,14 +35,9 @@ func decodeOne(data []byte) (*Msg, error) {
 	return NewConn(src).Recv()
 }
 
-// FuzzWireFrame throws arbitrary bytes at the frame decoder. Truncations,
-// bit-flips and lying length prefixes must surface as clean errors — never a
-// panic, and never an allocation beyond the bytes that actually arrived
-// (readCapped grows in bounded chunks; the per-array count guards check
-// declared element counts against the remaining payload). Any input that
-// does decode must re-encode canonically: decode → encode → decode → encode
-// is byte-stable.
-func FuzzWireFrame(f *testing.F) {
+// fuzzSeedMsgs is one message of every kind, hostile shard ships, and a
+// mirrors batch big and repetitive enough that compression shrinks it.
+func fuzzSeedMsgs() []*Msg {
 	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
 	shard := graph.ShardFile{
 		Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, NumVertices: 6,
@@ -84,11 +81,9 @@ func FuzzWireFrame(f *testing.F) {
 		{Kind: KindResult, Result: result},
 		{Kind: KindError, Err: "injected failure"},
 	}
-	for _, hostile := range hostileShards() {
-		seeds = append(seeds, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: hostile})
-	}
-	for _, m := range seeds {
-		f.Add(frameBytes(f, m, false))
+	hostile := hostileShards()
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		seeds = append(seeds, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: hostile[name]})
 	}
 	// A compressed frame needs a payload big and repetitive enough to shrink.
 	big := &Msg{Kind: KindMirrors, Step: core.DistRelays}
@@ -99,7 +94,20 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		big.States = append(big.States, vs)
 	}
-	f.Add(frameBytes(f, big, true))
+	return append(seeds, big)
+}
+
+// FuzzWireFrame throws arbitrary bytes at the frame decoder. Truncations,
+// bit-flips and lying length prefixes must surface as clean errors — never a
+// panic, and never an allocation beyond the bytes that actually arrived
+// (readCapped grows in bounded chunks; the per-array count guards check
+// declared element counts against the remaining payload). Any input that
+// does decode must re-encode canonically: decode → encode → decode → encode
+// is byte-stable.
+func FuzzWireFrame(f *testing.F) {
+	for _, m := range fuzzSeedMsgs() {
+		f.Add(frameBytes(f, m, m.Kind == KindMirrors && len(m.States) > 1))
+	}
 	for _, opening := range nonV3Openings() {
 		f.Add(opening)
 	}
