@@ -443,14 +443,14 @@ func (r *distRun) runStep(step core.DistStep, final bool) {
 	})
 	// Partials flow up and are routed to the master partitions' replica
 	// groups as foreign partials.
-	r.exchange(step, wire.KindPartials, wire.KindForeign, wire.ForEachPartialRecord, r.rt.routePartial)
+	r.exchange(step, wire.KindPartials, wire.KindForeign, r.rt.routePartial)
 	if final {
 		return
 	}
 	// Refresh round: serving replicas push fresh master state up, the
 	// coordinator fans each vertex's state out to every replica of every
 	// partition holding one of its mirrors.
-	r.exchange(step, wire.KindRefresh, wire.KindMirrors, wire.ForEachStateRecord, r.rt.routeState)
+	r.exchange(step, wire.KindRefresh, wire.KindMirrors, r.rt.routeState)
 }
 
 // exchange runs one routing phase of a superstep: drain every live worker's
@@ -460,9 +460,7 @@ func (r *distRun) runStep(step core.DistStep, final bool) {
 // possibly empty, the terminator its next phase waits for. Each half re-arms
 // the deadline on the survivors: a stalled worker consumes its own window,
 // not the windows of the phases that finish the attempt after its death.
-func (r *distRun) exchange(step core.DistStep, up, down wire.Kind,
-	walk func(payload []byte, fn func(graph.VertexID, []byte) error) error,
-	route func(v graph.VertexID, rec []byte) error) {
+func (r *distRun) exchange(step core.DistStep, up, down wire.Kind, route func(v graph.VertexID, rec []byte) error) {
 	rt := r.rt
 	rt.reset(step, down)
 	r.armDeadline()
@@ -477,7 +475,7 @@ func (r *distRun) exchange(step core.DistStep, up, down wire.Kind,
 				return fmt.Errorf("%s for %v during %v %s", f.Kind, f.Step, step, up)
 			}
 			if serving {
-				if err := walk(f.Payload, route); err != nil {
+				if err := wire.ForEachRecord(up, f.Payload, route); err != nil {
 					return err
 				}
 			}

@@ -130,11 +130,11 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // FuzzReadPacked hammers the packed-adjacency decode surface: varint
-// corruption, truncation, padding abuse and lying headers. Both the
-// streaming reader and the in-place view (in cheap and verifying modes)
-// must never panic, never let a lying length or degree force a huge
-// allocation, agree on the graph when they both accept, and anything
-// accepted must satisfy the CSR invariants after decode.
+// corruption, truncation, padding abuse and lying headers. ReadSnapshot
+// (the verifying view plus a decode) and the cheap in-place view behind
+// mapped loads must never panic, never let a lying length or degree force
+// a huge allocation, agree on the graph when they both accept, and
+// anything accepted must satisfy the CSR invariants after decode.
 func FuzzReadPacked(f *testing.F) {
 	for _, g := range []*Digraph{
 		MustFromEdges(5, []Edge{{0, 1}, {0, 4}, {1, 2}, {3, 0}, {4, 3}}),
@@ -182,8 +182,8 @@ func FuzzReadPacked(f *testing.F) {
 		if err := validateCSR(g.NumVertices(), g.outOff, g.outAdj, "out"); err != nil {
 			t.Fatalf("accepted snapshot violates CSR invariants: %v", err)
 		}
-		// When the in-place view also accepts (it only handles v2), a packed
-		// view must decode to the same graph the streaming reader produced.
+		// When the cheap view also accepts, a packed view must decode to the
+		// same graph ReadSnapshot produced.
 		if verr == nil {
 			if p, ok := v.(*Packed); ok {
 				dec, err := p.Decode()
@@ -191,7 +191,7 @@ func FuzzReadPacked(f *testing.F) {
 					t.Fatalf("cheap view accepted rows Decode rejects: %v", err)
 				}
 				if !graphEqual(g, dec) {
-					t.Fatal("in-place packed view disagrees with the streaming reader")
+					t.Fatal("cheap packed view disagrees with ReadSnapshot")
 				}
 			}
 		}
@@ -230,8 +230,9 @@ func hostileShards() map[string]*ShardFile {
 }
 
 // TestShardLoadersRefuseHostileShards: a shard that breaks an invariant is
-// refused by the validator itself and by both loaders a worker pins through,
-// so `snaple-worker -shard` can never come up over one.
+// refused by the validator itself and by the shard decoder a worker pins
+// through (ReadShard's and MapShardFile's one viewer), so `snaple-worker
+// -shard` can never come up over one.
 func TestShardLoadersRefuseHostileShards(t *testing.T) {
 	for name, s := range hostileShards() {
 		if err := s.Validate(); err == nil {
@@ -244,19 +245,16 @@ func TestShardLoadersRefuseHostileShards(t *testing.T) {
 		if _, err := ReadShard(bytes.NewReader(buf.Bytes())); err == nil {
 			t.Errorf("%s: ReadShard accepted it", name)
 		}
-		img := alignedBytes(int64(buf.Len()))
-		copy(img, buf.Bytes())
-		if _, err := viewShard(img); err == nil {
-			t.Errorf("%s: viewShard accepted it", name)
-		}
 	}
 }
 
-// FuzzShard holds the two shard loaders — the streaming ReadShard and the
-// in-place viewShard behind MapShardFile — to one verdict on the same bytes:
-// both reject, or both yield equal shards that pass Validate. Neither may
-// panic, and a lying header count must be rejected before it is allocated,
-// not after.
+// FuzzShard holds the shard decoder — one in-place viewer behind ReadShard
+// and MapShardFile — to FuzzReadManifest's discipline: it never panics,
+// rejects a lying header count before allocating it, decides the same
+// whether or not the reader's length is known, and anything it accepts
+// passes Validate and re-encodes through WriteShard to the very bytes it was
+// read from (trailing bytes after the last section are tolerated). That
+// last property is what the strict 0/1 role bytes buy.
 func FuzzShard(f *testing.F) {
 	empty := &ShardFile{Fingerprint: 1, Shards: 1}
 	for _, s := range []*ShardFile{testShard(), empty} {
@@ -281,33 +279,29 @@ func FuzzShard(f *testing.F) {
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		streamed, serr := ReadShard(bytes.NewReader(data))
-		img := alignedBytes(int64(len(data)))
-		copy(img, data)
-		viewed, verr := viewShard(img)
+		sized, serr := ReadShard(bytes.NewReader(data))
+		streamed, uerr := ReadShard(struct{ io.Reader }{bytes.NewReader(data)}) // length unknown
 		runtime.ReadMemStats(&m1)
 		// Same bound as FuzzReadPacked: the slack covers the loaders' fixed
 		// buffers and harness noise, never a column sized by a lying header.
 		if grew := int64(m1.TotalAlloc - m0.TotalAlloc); grew > 64<<20 {
 			t.Fatalf("decoding %d input bytes allocated %d bytes", len(data), grew)
 		}
-		if (serr == nil) != (verr == nil) {
-			t.Fatalf("loaders disagree: ReadShard %v, viewShard %v", serr, verr)
+		if (serr == nil) != (uerr == nil) || !reflect.DeepEqual(sized, streamed) {
+			t.Fatalf("known and unknown lengths disagree: %v / %v", serr, uerr)
 		}
 		if serr != nil {
 			return
 		}
-		for _, s := range []*ShardFile{streamed, viewed} {
-			if err := s.Validate(); err != nil {
-				t.Fatalf("accepted shard fails Validate: %v", err)
-			}
+		if err := sized.Validate(); err != nil {
+			t.Fatalf("accepted shard fails Validate: %v", err)
 		}
-		a, b := streamed, viewed
-		if a.Fingerprint != b.Fingerprint || a.Shard != b.Shard || a.Shards != b.Shards || a.NumVertices != b.NumVertices ||
-			!slices.Equal(a.Locals, b.Locals) || !slices.Equal(a.Deg, b.Deg) ||
-			!slices.Equal(a.EdgeSrc, b.EdgeSrc) || !slices.Equal(a.EdgeDst, b.EdgeDst) ||
-			!slices.Equal(a.IsMaster, b.IsMaster) || !slices.Equal(a.HasRemote, b.HasRemote) {
-			t.Fatalf("loaders disagree on the shard:\nstreamed %+v\nviewed   %+v", a, b)
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, sized); err != nil {
+			t.Fatalf("accepted shard does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("re-encoding changed the shard's bytes:\n in %x\nout %x", data, buf.Bytes())
 		}
 	})
 }

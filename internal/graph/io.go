@@ -212,50 +212,22 @@ func OpenGraphFile(path string, opts ReadOptions) (View, LoadInfo, error) {
 }
 
 // openSnapshotFile views an opened .sgr file in place: mmap'd, or one
-// aligned heap read.
+// aligned heap read. The mapping is pinned for the life of the process:
+// rows handed out by OutNeighbors/InNeighbors alias it and may outlive the
+// view object, so unmapping on the view's collection could fault a live
+// reader; consumers load a snapshot once and serve from it, so the leak is
+// one bounded mapping per opened file.
 func openSnapshotFile(f *os.File, path string, opts ReadOptions) (View, LoadInfo, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, LoadInfo{}, fmt.Errorf("graph: %s: %w", path, err)
-	}
-	size := fi.Size()
-	info := LoadInfo{Format: FormatSnapshot, Bytes: size}
-	var hdr [snapshotHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return nil, info, fmt.Errorf("graph: %s: read header: %w", path, err)
-	}
-	h, err := parseSnapshotHeader(hdr[:])
+	info := LoadInfo{Format: FormatSnapshot, Version: snapshotVersion}
+	v, mapped, err := openImage(f, !opts.NoMap, snapshotImage, func(data []byte, mapped bool) (View, error) {
+		info.Bytes = int64(len(data))
+		return viewSnapshot(data, opts.Verify || !mapped)
+	})
 	if err != nil {
 		return nil, info, fmt.Errorf("graph: %s: %w", path, err)
 	}
-	info.Version = int(h.version)
-	info.Packed = h.packed()
-	if !opts.NoMap && mmapSupported {
-		if m, merr := mmapFile(f, size); merr == nil {
-			v, verr := viewSnapshot(m, opts.Verify)
-			if verr != nil {
-				munmapBytes(m)
-				return nil, info, fmt.Errorf("graph: %s: %w", path, verr)
-			}
-			// The mapping is pinned for the life of the process. Rows
-			// handed out by OutNeighbors/InNeighbors alias it and may
-			// outlive the view object, so unmapping on the view's
-			// collection could fault a live reader; consumers load a
-			// snapshot once and serve from it, so the leak is one
-			// bounded mapping per opened file.
-			info.Mapped = true
-			return finishSnapshotView(v, info, opts, path)
-		}
-		// Any mmap failure falls back to the aligned heap read below.
-	}
-	data := alignedBytes(size)
-	if _, err := f.ReadAt(data, 0); err != nil {
-		return nil, info, fmt.Errorf("graph: %s: read: %w", path, err)
-	}
-	v, verr := viewSnapshot(data, true)
-	if verr != nil {
-		return nil, info, fmt.Errorf("graph: %s: %w", path, verr)
-	}
+	info.Mapped = mapped
+	_, info.Packed = v.(*Packed)
 	return finishSnapshotView(v, info, opts, path)
 }
 

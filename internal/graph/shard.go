@@ -21,8 +21,9 @@ import (
 // is a durable tier and queries only route to it.
 //
 // Both formats reuse the .sgr section discipline (u64 length prefix,
-// streamed CRC-32C payload, u32 trailer) so corruption is caught at load,
-// never mid-superstep.
+// payload, CRC-32C u32 trailer) so corruption is caught at load, never
+// mid-superstep, and both decode the way a snapshot does: one in-place
+// viewer (viewShard, viewManifest) over a whole-file image, mapped or read.
 //
 // Shard layout (all integers little-endian):
 //
@@ -175,17 +176,16 @@ func encodeShard(w io.Writer, s *ShardFile) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("graph: shard: write header: %w", err)
 	}
-	buf := make([]byte, snapshotChunk)
-	if err := writeAdjSection(bw, s.Locals, buf); err != nil {
+	if err := writeColumn(bw, s.Locals); err != nil {
 		return err
 	}
 	for _, col := range [][]int32{s.Deg, s.EdgeSrc, s.EdgeDst} {
-		if err := writeInt32Section(bw, col, buf); err != nil {
+		if err := writeColumn(bw, col); err != nil {
 			return err
 		}
 	}
 	for _, col := range [][]bool{s.IsMaster, s.HasRemote} {
-		if err := writeBoolSection(bw, col, buf); err != nil {
+		if err := writeColumn(bw, col); err != nil {
 			return err
 		}
 	}
@@ -196,33 +196,40 @@ func encodeShard(w io.Writer, s *ShardFile) error {
 }
 
 // ReadShard loads a resident partition written by WriteShard, verifying its
-// checksums and structural invariants.
+// checksums and structural invariants. It is MapShardFile's decoder over a
+// heap image of the reader's bytes.
 func ReadShard(r io.Reader) (*ShardFile, error) {
-	sr := &sectionReader{r: bufio.NewReaderSize(r, 1<<20), buf: make([]byte, snapshotChunk), limit: sourceLimit(r)}
-	var hdr [shardHeaderLen]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: shard: read header: %w", err)
+	data, err := readImage(r, shardImage)
+	if err != nil {
+		return nil, err
 	}
-	if sr.limit >= 0 {
-		sr.limit -= shardHeaderLen
+	return viewShard(data)
+}
+
+// parseShardHeader validates a shard's fixed header — magic, version,
+// checksum, plausible counts — and returns the shard it describes, columns
+// unset, with its local and edge counts.
+func parseShardHeader(hdr []byte) (*ShardFile, int64, int64, error) {
+	if len(hdr) < shardHeaderLen {
+		return nil, 0, 0, fmt.Errorf("graph: shard: truncated header (%d bytes)", len(hdr))
 	}
 	if string(hdr[:8]) != shardMagic {
-		return nil, fmt.Errorf("graph: shard: bad magic %q", hdr[:8])
+		return nil, 0, 0, fmt.Errorf("graph: shard: bad magic %q", hdr[:8])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != shardVersion {
-		return nil, fmt.Errorf("graph: shard: unsupported version %d (want %d)", v, shardVersion)
+		return nil, 0, 0, fmt.Errorf("graph: shard: unsupported version %d (want %d)", v, shardVersion)
 	}
 	if want, got := crc32.Checksum(hdr[:52], snapshotCRC), binary.LittleEndian.Uint32(hdr[52:]); want != got {
-		return nil, fmt.Errorf("graph: shard: header checksum mismatch")
+		return nil, 0, 0, fmt.Errorf("graph: shard: header checksum mismatch")
 	}
 	v64 := binary.LittleEndian.Uint64(hdr[28:])
 	l64 := binary.LittleEndian.Uint64(hdr[36:])
 	e64 := binary.LittleEndian.Uint64(hdr[44:])
 	if v64 > 1<<32 || l64 > v64 {
-		return nil, fmt.Errorf("graph: shard: implausible vertex counts (%d locals of %d)", l64, v64)
+		return nil, 0, 0, fmt.Errorf("graph: shard: implausible vertex counts (%d locals of %d)", l64, v64)
 	}
 	if e64 > math.MaxInt64/8 {
-		return nil, fmt.Errorf("graph: shard: implausible edge count %d", e64)
+		return nil, 0, 0, fmt.Errorf("graph: shard: implausible edge count %d", e64)
 	}
 	s := &ShardFile{
 		Fingerprint: binary.LittleEndian.Uint64(hdr[20:]),
@@ -230,25 +237,7 @@ func ReadShard(r io.Reader) (*ShardFile, error) {
 		Shards:      int(binary.LittleEndian.Uint32(hdr[16:])),
 		NumVertices: int(v64),
 	}
-	var err error
-	if s.Locals, err = sr.vertexIDs(int64(l64)); err != nil {
-		return nil, err
-	}
-	cols := []*[]int32{&s.Deg, &s.EdgeSrc, &s.EdgeDst}
-	for i, elems := range []int64{int64(l64), int64(e64), int64(e64)} {
-		if *cols[i], err = sr.int32s(elems); err != nil {
-			return nil, err
-		}
-	}
-	for _, col := range []*[]bool{&s.IsMaster, &s.HasRemote} {
-		if *col, err = sr.bools(int64(l64)); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s, int64(l64), int64(e64), nil
 }
 
 // Manifest describes a packed shard set: the fleet identity every worker and
@@ -308,15 +297,13 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("graph: manifest: write header: %w", err)
 	}
-	buf := make([]byte, snapshotChunk)
-	if err := writeBytesSection(bw, []byte(m.Strategy), buf); err != nil {
-		return err
-	}
-	if err := writeBytesSection(bw, []byte(strings.Join(m.Files, "\n")), buf); err != nil {
-		return err
+	for _, str := range []string{m.Strategy, strings.Join(m.Files, "\n")} {
+		if err := writeColumn(bw, []byte(str)); err != nil {
+			return err
+		}
 	}
 	for _, col := range [][]int64{m.Locals, m.Masters, m.Edges} {
-		if err := writeOffsetSection(bw, col, buf); err != nil {
+		if err := writeColumn(bw, col); err != nil {
 			return err
 		}
 	}
@@ -328,13 +315,18 @@ func WriteManifest(w io.Writer, m *Manifest) error {
 
 // ReadManifest loads a fleet manifest written by WriteManifest.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	sr := &sectionReader{r: bufio.NewReaderSize(r, 64<<10), buf: make([]byte, snapshotChunk), limit: sourceLimit(r)}
-	var hdr [manifestHeaderLen]byte
-	if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: manifest: read header: %w", err)
+	data, err := readImage(r, manifestImage)
+	if err != nil {
+		return nil, err
 	}
-	if sr.limit >= 0 {
-		sr.limit -= manifestHeaderLen
+	return viewManifest(data)
+}
+
+// parseManifestHeader validates a manifest's fixed header and returns the
+// manifest it describes, sections unset.
+func parseManifestHeader(hdr []byte) (*Manifest, error) {
+	if len(hdr) < manifestHeaderLen {
+		return nil, fmt.Errorf("graph: manifest: truncated header (%d bytes)", len(hdr))
 	}
 	if string(hdr[:8]) != manifestMagic {
 		return nil, fmt.Errorf("graph: manifest: bad magic %q", hdr[:8])
@@ -355,138 +347,35 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	if m.Shards <= 0 || m.Shards > 1<<20 {
 		return nil, fmt.Errorf("graph: manifest: implausible shard count %d", m.Shards)
 	}
-	strat, err := sr.freeBytes(1 << 10)
+	return m, nil
+}
+
+// viewManifest parses a complete manifest image.
+func viewManifest(data []byte) (*Manifest, error) {
+	m, err := parseManifestHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	w := &sectionWalker{data: data, pos: manifestHeaderLen, align: 1, prefix: "graph: manifest", verify: true}
+	strat, err := w.sized(1<<10, "strategy")
+	if err != nil {
+		return nil, err
+	}
+	files, err := w.sized(64<<20, "file-list")
 	if err != nil {
 		return nil, err
 	}
 	m.Strategy = string(strat)
-	files, err := sr.freeBytes(64 << 20)
-	if err != nil {
-		return nil, err
-	}
 	m.Files = strings.Split(string(files), "\n")
-	cols := []*[]int64{&m.Locals, &m.Masters, &m.Edges}
-	for _, col := range cols {
-		if *col, err = sr.int64s(int64(m.Shards)); err != nil {
+	for _, col := range []*[]int64{&m.Locals, &m.Masters, &m.Edges} {
+		b, err := w.section(int64(m.Shards)*8, "count")
+		if err != nil {
 			return nil, err
 		}
+		*col = viewColumn[int64](b)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// ---- section helpers beyond snapshot.go's ----
-
-func writeInt32Section(w io.Writer, col []int32, buf []byte) error {
-	return writeSection(w, int64(len(col))*4, func(yield func([]byte) error) error {
-		i := 0
-		for i < len(col) {
-			k := 0
-			for i < len(col) && k+4 <= len(buf) {
-				binary.LittleEndian.PutUint32(buf[k:], uint32(col[i]))
-				k += 4
-				i++
-			}
-			if err := yield(buf[:k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func writeBoolSection(w io.Writer, col []bool, buf []byte) error {
-	return writeSection(w, int64(len(col)), func(yield func([]byte) error) error {
-		i := 0
-		for i < len(col) {
-			k := 0
-			for i < len(col) && k < len(buf) {
-				if col[i] {
-					buf[k] = 1
-				} else {
-					buf[k] = 0
-				}
-				k++
-				i++
-			}
-			if err := yield(buf[:k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func writeBytesSection(w io.Writer, b, buf []byte) error {
-	return writeSection(w, int64(len(b)), func(yield func([]byte) error) error {
-		for len(b) > 0 {
-			k := min(len(b), len(buf))
-			copy(buf, b[:k])
-			if err := yield(buf[:k]); err != nil {
-				return err
-			}
-			b = b[k:]
-		}
-		return nil
-	})
-}
-
-func (s *sectionReader) int32s(elems int64) ([]int32, error) {
-	if err := s.begin(elems * 4); err != nil {
-		return nil, err
-	}
-	out := make([]int32, 0, s.startCap(elems, 4))
-	err := s.consume(elems*4, func(chunk []byte) {
-		for i := 0; i < len(chunk); i += 4 {
-			out = append(out, int32(binary.LittleEndian.Uint32(chunk[i:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (s *sectionReader) bools(elems int64) ([]bool, error) {
-	if err := s.begin(elems); err != nil {
-		return nil, err
-	}
-	out := make([]bool, 0, s.startCap(elems, 1))
-	err := s.consume(elems, func(chunk []byte) {
-		for _, b := range chunk {
-			out = append(out, b != 0)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// freeBytes reads a variable-length byte section whose length comes from the
-// section's own prefix (unlike begin, which validates against header counts),
-// bounded by maxLen against a lying prefix.
-func (s *sectionReader) freeBytes(maxLen int64) ([]byte, error) {
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(s.r, lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("graph: manifest: truncated section header: %w", err)
-	}
-	n := binary.LittleEndian.Uint64(lenBuf[:])
-	if int64(n) < 0 || int64(n) > maxLen {
-		return nil, fmt.Errorf("graph: manifest: section of %d bytes exceeds the %d-byte bound", n, maxLen)
-	}
-	if s.limit >= 0 {
-		if int64(n)+12 > s.limit {
-			return nil, fmt.Errorf("graph: manifest: truncated: section of %d bytes exceeds remaining input", n)
-		}
-		s.limit -= int64(n) + 12
-	}
-	out := make([]byte, 0, s.startCap(int64(n), 1))
-	err := s.consume(int64(n), func(chunk []byte) { out = append(out, chunk...) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -2,6 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -185,6 +190,100 @@ func TestKnownMagic(t *testing.T) {
 	} {
 		if KnownMagic(b) {
 			t.Errorf("%s recognised as ours", name)
+		}
+	}
+}
+
+// TestShardRoleBytesStrict: a role byte must be 0 or 1 on disk, as it must
+// be in a ship frame. A hand-made shard whose first master flag is 2 under a
+// correct CRC is refused by ReadShard and by MapShardFile alike — accepting
+// it would load a shard that does not re-encode to its own bytes.
+func TestShardRoleBytesStrict(t *testing.T) {
+	s := testShard()
+	var buf bytes.Buffer
+	if err := WriteShard(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	l, e := len(s.Locals), len(s.EdgeSrc)
+	at := shardHeaderLen + (12 + 4*l) + (12 + 4*l) + 2*(12+4*e) + 8 // IsMaster payload
+	if got := binary.LittleEndian.Uint64(data[at-8:]); got != uint64(l) {
+		t.Fatalf("role section length %d at %d, want %d", got, at-8, l)
+	}
+	data[at] = 2
+	binary.LittleEndian.PutUint32(data[at+l:], crc32.Checksum(data[at:at+l], snapshotCRC))
+	if _, err := ReadShard(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not 0 or 1") {
+		t.Errorf("ReadShard: %v, want the role byte refused", err)
+	}
+	path := filepath.Join(t.TempDir(), "role.sgr.1")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := MapShardFile(path); err == nil || !strings.Contains(err.Error(), "not 0 or 1") {
+		t.Errorf("MapShardFile: %v, want the role byte refused", err)
+	}
+}
+
+// endless is a reader of unknown length: head, then zeros forever. It counts
+// what it hands out.
+type endless struct {
+	head []byte
+	read int
+}
+
+func (r *endless) Read(p []byte) (int, error) {
+	n := copy(p, r.head)
+	r.head = r.head[n:]
+	clear(p[n:])
+	r.read += len(p)
+	return len(p), nil
+}
+
+// TestLoadersRejectHeaderFirst: a loader handed a never-ending reader whose
+// header is foreign or corrupt returns its error having read no more than the
+// header, so a -manifest or -shard path pointed at some huge file costs a
+// header read, not a whole-file one.
+func TestLoadersRejectHeaderFirst(t *testing.T) {
+	var snap, shard, man bytes.Buffer
+	if err := WriteSnapshot(&snap, MustFromEdges(3, []Edge{{0, 1}, {1, 2}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteShard(&shard, testShard()); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(&man, testManifest()); err != nil {
+		t.Fatal(err)
+	}
+	loaders := []struct {
+		name   string
+		valid  []byte
+		hdrLen int
+		load   func(io.Reader) error
+	}{
+		{"snapshot", snap.Bytes(), snapshotHeaderLen, func(r io.Reader) error { _, err := ReadSnapshot(r); return err }},
+		{"shard", shard.Bytes(), shardHeaderLen, func(r io.Reader) error { _, err := ReadShard(r); return err }},
+		{"manifest", man.Bytes(), manifestHeaderLen, func(r io.Reader) error { _, err := ReadManifest(r); return err }},
+	}
+	for _, l := range loaders {
+		for _, breakage := range []struct {
+			name string
+			at   int
+			want string
+		}{
+			{"magic", 0, "bad magic"},
+			{"version", 8, "unsupported version"},
+			{"header-crc", l.hdrLen - 1, "header checksum mismatch"},
+		} {
+			hdr := bytes.Clone(l.valid[:l.hdrLen])
+			hdr[breakage.at] ^= 0x40
+			r := &endless{head: hdr}
+			err := l.load(r)
+			if err == nil || !strings.Contains(err.Error(), breakage.want) {
+				t.Errorf("%s with a bad %s: %v, want %q", l.name, breakage.name, err, breakage.want)
+			}
+			if r.read > l.hdrLen {
+				t.Errorf("%s with a bad %s: read %d bytes before refusing a %d-byte header", l.name, breakage.name, r.read, l.hdrLen)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // Binary CSR snapshot format (.sgr).
@@ -53,19 +54,20 @@ import (
 // bytes rather than elements; such snapshots surface as a *Packed view
 // (see packed.go).
 //
-// Every streamed load ends with a full structural validation (monotone
-// offsets, strictly increasing in-range rows) so a corrupt or hand-made
-// file is rejected here rather than poisoning binary searches later; the
-// mapped load path defers the O(edges) row checks behind ReadOptions.Verify
-// but always validates the offset columns, which is what keeps row slicing
-// memory-safe. Trailing bytes after the last section are ignored.
+// Every heap load (ReadSnapshot, or OpenGraphFile with NoMap) reads the
+// file into one aligned image and ends with a full structural validation
+// (monotone offsets, strictly increasing in-range rows), so a corrupt or
+// hand-made file is rejected here rather than poisoning binary searches
+// later; the mapped load path defers the O(edges) row checks behind
+// ReadOptions.Verify but always validates the offset columns, which is what
+// keeps row slicing memory-safe. Trailing bytes after the last section are ignored.
 const (
 	snapshotMagic       = "SNAPLSGR"
 	snapshotVersion     = 2
 	snapshotFlagInEdges = 1 << 0
 	snapshotFlagPacked  = 1 << 1
 	snapshotHeaderLen   = 36
-	snapshotChunk       = 256 << 10 // multiple of both element sizes
+	snapshotChunk       = 256 << 10 // packed-row write batch
 	snapshotAlign       = 8
 )
 
@@ -111,16 +113,15 @@ func WriteSnapshotOpts(w io.Writer, g *Digraph, o SnapshotOptions) error {
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("graph: snapshot: write header: %w", err)
 	}
-	buf := make([]byte, snapshotChunk)
 	outOff := g.outOff
 	if outOff == nil {
 		outOff = []int64{0} // zero-value Digraph
 	}
-	if err := writeSnapshotPair(cw, outOff, g.outAdj, o.Packed, buf); err != nil {
+	if err := writeSnapshotPair(cw, outOff, g.outAdj, o.Packed); err != nil {
 		return err
 	}
 	if g.HasInEdges() {
-		if err := writeSnapshotPair(cw, g.inOff, g.inAdj, o.Packed, buf); err != nil {
+		if err := writeSnapshotPair(cw, g.inOff, g.inAdj, o.Packed); err != nil {
 			return err
 		}
 	}
@@ -132,30 +133,24 @@ func WriteSnapshotOpts(w io.Writer, g *Digraph, o SnapshotOptions) error {
 
 // writeSnapshotPair emits one adjacency direction: the offset section and
 // the adjacency section, each padded to an 8-aligned start.
-func writeSnapshotPair(cw *countingWriter, off []int64, adj []VertexID, packed bool, buf []byte) error {
+func writeSnapshotPair(cw *countingWriter, off []int64, adj []VertexID, packed bool) error {
+	poff := off
 	if packed {
-		poff := packedOffsets(off, adj)
-		if err := cw.pad(); err != nil {
-			return err
-		}
-		if err := writeOffsetSection(cw, poff, buf); err != nil {
-			return err
-		}
-		if err := cw.pad(); err != nil {
-			return err
-		}
-		return writePackedAdjSection(cw, off, adj, poff[len(poff)-1], buf)
+		poff = packedOffsets(off, adj)
 	}
 	if err := cw.pad(); err != nil {
 		return err
 	}
-	if err := writeOffsetSection(cw, off, buf); err != nil {
+	if err := writeColumn(cw, poff); err != nil {
 		return err
 	}
 	if err := cw.pad(); err != nil {
 		return err
 	}
-	return writeAdjSection(cw, adj, buf)
+	if packed {
+		return writePackedAdjSection(cw, off, adj, poff[len(poff)-1])
+	}
+	return writeColumn(cw, adj)
 }
 
 // countingWriter tracks the absolute file offset so section starts can be
@@ -184,48 +179,37 @@ func (c *countingWriter) pad() error {
 	return nil
 }
 
-func writeOffsetSection(w io.Writer, off []int64, buf []byte) error {
-	return writeSection(w, int64(len(off))*8, func(yield func([]byte) error) error {
-		i := 0
-		for i < len(off) {
-			k := 0
-			for i < len(off) && k+8 <= len(buf) {
-				binary.LittleEndian.PutUint64(buf[k:], uint64(off[i]))
-				k += 8
-				i++
-			}
-			if err := yield(buf[:k]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+// writeColumn frames one fixed-width column as a section; viewColumn and
+// viewRoles are its readers.
+func writeColumn[T int32 | int64 | VertexID | bool | byte](w io.Writer, col []T) error {
+	b := columnBytes(col)
+	return writeSection(w, int64(len(b)), func(yield func([]byte) error) error { return yield(b) })
 }
 
-func writeAdjSection(w io.Writer, adj []VertexID, buf []byte) error {
-	return writeSection(w, int64(len(adj))*4, func(yield func([]byte) error) error {
-		i := 0
-		for i < len(adj) {
-			k := 0
-			for i < len(adj) && k+4 <= len(buf) {
-				binary.LittleEndian.PutUint32(buf[k:], uint32(adj[i]))
-				k += 4
-				i++
-			}
-			if err := yield(buf[:k]); err != nil {
-				return err
-			}
-		}
+// columnBytes is col's little-endian encoding: the column's own memory on
+// little-endian hosts, a byte-swapped copy elsewhere.
+func columnBytes[T int32 | int64 | VertexID | bool | byte](col []T) []byte {
+	if len(col) == 0 {
 		return nil
-	})
+	}
+	size := int(unsafe.Sizeof(col[0]))
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&col[0])), len(col)*size)
+	if hostLittleEndian || size == 1 {
+		return raw
+	}
+	out := make([]byte, len(raw))
+	for i := range out {
+		out[i] = raw[i-i%size+size-1-i%size]
+	}
+	return out
 }
 
 // writePackedAdjSection streams the delta-varint row blocks of the given
 // CSR, re-encoding on the fly (packedOffsets already sized the payload), so
 // packing never materialises the whole blob.
-func writePackedAdjSection(w io.Writer, off []int64, adj []VertexID, payloadLen int64, buf []byte) error {
+func writePackedAdjSection(w io.Writer, off []int64, adj []VertexID, payloadLen int64) error {
 	return writeSection(w, payloadLen, func(yield func([]byte) error) error {
-		out := buf[:0]
+		out := make([]byte, 0, snapshotChunk)
 		for u := 0; u+1 < len(off); u++ {
 			out = appendPackedRow(out, adj[off[u]:off[u+1]])
 			if len(out) >= snapshotChunk/2 {
@@ -321,51 +305,21 @@ func parseSnapshotHeader(hdr []byte) (snapshotHeader, error) {
 // Packed-adjacency snapshots are decoded to a plain CSR here — use
 // OpenGraphFile to keep them compressed in memory.
 func ReadSnapshot(r io.Reader) (*Digraph, error) {
-	v, err := readSnapshotStream(r)
+	data, err := readImage(r, snapshotImage)
+	if err != nil {
+		return nil, err
+	}
+	v, err := viewSnapshot(data, true)
 	if err != nil {
 		return nil, err
 	}
 	return HeapCSR(v)
 }
 
-// readSnapshotStream reads a snapshot out of a stream with full verification,
-// returning a *Digraph for plain adjacency and a *Packed for packed.
-func readSnapshotStream(r io.Reader) (View, error) {
-	limit := sourceLimit(r)
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [snapshotHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: snapshot: read header: %w", err)
-	}
-	if _, err := parseSnapshotHeader(hdr[:]); err != nil {
-		return nil, err
-	}
-	// The format is defined by its in-place layout: rebuild the file image
-	// in an 8-aligned buffer and run the same viewer the mmap path uses,
-	// with every check on.
-	var data []byte
-	if limit >= 0 {
-		data = alignedBytes(limit)
-		copy(data, hdr[:])
-		if _, err := io.ReadFull(br, data[snapshotHeaderLen:]); err != nil {
-			return nil, fmt.Errorf("graph: snapshot: read body: %w", err)
-		}
-	} else {
-		rest, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: snapshot: read body: %w", err)
-		}
-		data = alignedBytes(int64(snapshotHeaderLen) + int64(len(rest)))
-		copy(data, hdr[:])
-		copy(data[snapshotHeaderLen:], rest)
-	}
-	return viewSnapshot(data, true)
-}
-
 // sourceLimit reports how many bytes the reader can still produce, when
-// knowable (regular files and in-memory readers). A known limit lets the
-// section readers allocate exactly; an unknown one (-1) makes them grow
-// incrementally so a lying header cannot force a huge allocation.
+// knowable (regular files and in-memory readers). A known limit lets
+// readImage allocate exactly; an unknown one (-1) makes it grow with the
+// bytes that arrive, so a lying header cannot force a huge allocation.
 func sourceLimit(r io.Reader) int64 {
 	switch src := r.(type) {
 	case *os.File:
@@ -378,98 +332,6 @@ func sourceLimit(r io.Reader) int64 {
 		return int64(src.Len())
 	}
 	return -1
-}
-
-// sectionReader decodes length-prefixed, CRC-trailed sections (shard files
-// and manifests).
-type sectionReader struct {
-	r     io.Reader
-	buf   []byte
-	limit int64 // bytes remaining in the source; -1 unknown
-}
-
-// begin consumes the section's length prefix and validates it against the
-// element count implied by the snapshot header and against the source size.
-func (s *sectionReader) begin(want int64) error {
-	var lenBuf [8]byte
-	if _, err := io.ReadFull(s.r, lenBuf[:]); err != nil {
-		return fmt.Errorf("graph: snapshot: truncated section header: %w", err)
-	}
-	if got := binary.LittleEndian.Uint64(lenBuf[:]); got != uint64(want) {
-		return fmt.Errorf("graph: snapshot: section length %d does not match header counts (want %d)", got, want)
-	}
-	if s.limit >= 0 {
-		if want+12 > s.limit {
-			return fmt.Errorf("graph: snapshot: truncated: section of %d bytes exceeds remaining input", want)
-		}
-		s.limit -= want + 12
-	}
-	return nil
-}
-
-// consume streams the payload through decode in chunks, then verifies the
-// CRC trailer.
-func (s *sectionReader) consume(want int64, decode func(chunk []byte)) error {
-	crc := uint32(0)
-	for remaining := want; remaining > 0; {
-		m := int(min(int64(len(s.buf)), remaining))
-		if _, err := io.ReadFull(s.r, s.buf[:m]); err != nil {
-			return fmt.Errorf("graph: snapshot: truncated section payload: %w", err)
-		}
-		crc = crc32.Update(crc, snapshotCRC, s.buf[:m])
-		decode(s.buf[:m])
-		remaining -= int64(m)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(s.r, crcBuf[:]); err != nil {
-		return fmt.Errorf("graph: snapshot: truncated section checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(crcBuf[:]); got != crc {
-		return fmt.Errorf("graph: snapshot: section checksum mismatch")
-	}
-	return nil
-}
-
-// startCap bounds the initial slice capacity: exact when the source size is
-// known (begin already proved the payload fits), else one chunk's worth,
-// growing with the data actually read.
-func (s *sectionReader) startCap(elems, elemSize int64) int64 {
-	if s.limit >= 0 || elems <= snapshotChunk/elemSize {
-		return elems
-	}
-	return snapshotChunk / elemSize
-}
-
-func (s *sectionReader) int64s(elems int64) ([]int64, error) {
-	if err := s.begin(elems * 8); err != nil {
-		return nil, err
-	}
-	out := make([]int64, 0, s.startCap(elems, 8))
-	err := s.consume(elems*8, func(chunk []byte) {
-		for i := 0; i < len(chunk); i += 8 {
-			out = append(out, int64(binary.LittleEndian.Uint64(chunk[i:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (s *sectionReader) vertexIDs(elems int64) ([]VertexID, error) {
-	if err := s.begin(elems * 4); err != nil {
-		return nil, err
-	}
-	out := make([]VertexID, 0, s.startCap(elems, 4))
-	err := s.consume(elems*4, func(chunk []byte) {
-		for i := 0; i < len(chunk); i += 4 {
-			out = append(out, VertexID(binary.LittleEndian.Uint32(chunk[i:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // validateCSR rejects structurally invalid CSR data: offsets must start at

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"os"
 	"unsafe"
 )
 
@@ -14,7 +16,7 @@ import (
 
 // hostLittleEndian reports the host byte order. In-place column views
 // require little-endian (the on-disk order); other hosts transparently get
-// decode copies from the view* helpers below.
+// decode copies from viewColumn.
 var hostLittleEndian = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
@@ -32,51 +34,106 @@ func alignedBytes(n int64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), n)
 }
 
-// viewInt64s interprets an 8-aligned little-endian payload as []int64,
-// aliasing it in place when the host allows and decoding a copy otherwise.
-func viewInt64s(b []byte) []int64 {
-	n := len(b) / 8
-	if n == 0 {
-		return []int64{}
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))&7 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
+// imageFormat is what readImage and openImage know of a binary format: its
+// name for errors, and its fixed header's length and check, which reject a
+// foreign or corrupt file before its body is read.
+type imageFormat struct {
+	name   string
+	hdrLen int
+	check  func(hdr []byte) error
 }
 
-// viewVertexIDs is viewInt64s for the 4-byte adjacency columns.
-func viewVertexIDs(b []byte) []VertexID {
-	n := len(b) / 4
-	if n == 0 {
-		return []VertexID{}
+var (
+	snapshotImage = imageFormat{"snapshot", snapshotHeaderLen, func(h []byte) error { _, err := parseSnapshotHeader(h); return err }}
+	shardImage    = imageFormat{"shard", shardHeaderLen, func(h []byte) error { _, _, _, err := parseShardHeader(h); return err }}
+	manifestImage = imageFormat{"manifest", manifestHeaderLen, func(h []byte) error { _, err := parseManifestHeader(h); return err }}
+)
+
+// readImage reads a whole file image out of r into one 8-aligned buffer,
+// the form the in-place viewers take. The header is read and checked
+// first, so a reader that does not carry the format costs its header and
+// no more. The body is then read at exact size when the source's length is
+// known, and otherwise grows with the bytes that arrive: no header count
+// ever sizes an allocation.
+func readImage(r io.Reader, f imageFormat) ([]byte, error) {
+	hdr := make([]byte, f.hdrLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("graph: %s: read header: %w", f.name, err)
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))&3 == 0 {
-		return unsafe.Slice((*VertexID)(unsafe.Pointer(&b[0])), n)
+	if err := f.check(hdr); err != nil {
+		return nil, err
 	}
-	out := make([]VertexID, n)
-	for i := range out {
-		out[i] = VertexID(binary.LittleEndian.Uint32(b[i*4:]))
+	if rest := sourceLimit(r); rest >= 0 {
+		data := alignedBytes(int64(f.hdrLen) + rest)
+		copy(data, hdr)
+		if _, err := io.ReadFull(r, data[f.hdrLen:]); err != nil {
+			return nil, fmt.Errorf("graph: %s: read body: %w", f.name, err)
+		}
+		return data, nil
 	}
-	return out
+	data := alignedBytes(int64(f.hdrLen) + 64<<10)
+	n := copy(data, hdr)
+	for {
+		if n == len(data) {
+			grown := alignedBytes(2 * int64(len(data)))
+			copy(grown, data)
+			data = grown
+		}
+		m, err := r.Read(data[n:])
+		n += m
+		if err == io.EOF {
+			return data[:n], nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graph: %s: read body: %w", f.name, err)
+		}
+	}
 }
 
-// viewInt32s is the []int32 variant (shard degree/edge columns).
-func viewInt32s(b []byte) []int32 {
-	n := len(b) / 4
+// openImage views an opened file in place: over a read-only mapping when
+// mapIt and the platform allow, else over readImage's aligned heap copy.
+// view learns which, and a mapping it rejects is released.
+func openImage[T any](file *os.File, mapIt bool, f imageFormat, view func(data []byte, mapped bool) (T, error)) (T, bool, error) {
+	if mapIt && mmapSupported {
+		if fi, err := file.Stat(); err == nil && fi.Mode().IsRegular() {
+			if m, err := mmapFile(file, fi.Size()); err == nil {
+				v, err := view(m, true)
+				if err != nil {
+					munmapBytes(m)
+				}
+				return v, err == nil, err
+			}
+		}
+		// Any mmap failure falls back to the aligned heap read.
+	}
+	data, err := readImage(file, f)
+	if err != nil {
+		var zero T
+		return zero, false, err
+	}
+	v, err := view(data, false)
+	return v, false, err
+}
+
+// viewColumn interprets a little-endian payload of fixed-width integers as
+// []T, aliasing it in place when the host byte order and the payload's
+// alignment allow, and decoding a copy otherwise.
+func viewColumn[T int32 | int64 | VertexID](b []byte) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	n := len(b) / size
 	if n == 0 {
-		return []int32{}
+		return []T{}
 	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))&3 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]int32, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
+		if size == 8 {
+			out[i] = T(binary.LittleEndian.Uint64(b[i*8:]))
+		} else {
+			out[i] = T(binary.LittleEndian.Uint32(b[i*4:]))
+		}
 	}
 	return out
 }
@@ -166,6 +223,20 @@ func (s *sectionWalker) section(want int64, what string) ([]byte, error) {
 	return payload, nil
 }
 
+// sized returns the next section whose length only its own prefix
+// declares (the manifest's strings), refusing a prefix past maxLen.
+func (s *sectionWalker) sized(maxLen int64, what string) ([]byte, error) {
+	at := s.pos + (-s.pos & (s.align - 1))
+	if at+8 > int64(len(s.data)) {
+		return nil, fmt.Errorf("%s: truncated %s section", s.prefix, what)
+	}
+	n := binary.LittleEndian.Uint64(s.data[at:])
+	if n > uint64(maxLen) {
+		return nil, fmt.Errorf("%s: %s section of %d bytes exceeds the %d-byte bound", s.prefix, what, n, maxLen)
+	}
+	return s.section(int64(n), what)
+}
+
 // csrPair views one plain adjacency direction: offset and adjacency
 // columns, validated per the walker's verify mode.
 func (s *sectionWalker) csrPair(h snapshotHeader, what string) ([]int64, []VertexID, error) {
@@ -177,8 +248,8 @@ func (s *sectionWalker) csrPair(h snapshotHeader, what string) ([]int64, []Verte
 	if err != nil {
 		return nil, nil, err
 	}
-	off := viewInt64s(offB)
-	adj := viewVertexIDs(adjB)
+	off := viewColumn[int64](offB)
+	adj := viewColumn[VertexID](adjB)
 	if s.verify {
 		err = validateCSR(h.vertices, off, adj, what)
 	} else {
@@ -198,7 +269,7 @@ func (s *sectionWalker) packedPair(h snapshotHeader, what string) ([]int64, []by
 	if err != nil {
 		return nil, nil, err
 	}
-	off := viewInt64s(offB)
+	off := viewColumn[int64](offB)
 	blob, err := s.section(off[len(off)-1], what+"-adjacency")
 	if err != nil {
 		return nil, nil, err

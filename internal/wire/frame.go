@@ -1,8 +1,9 @@
 package wire
 
 // The frame codec: length-prefixed, CRC-32C-checksummed flat sections in
-// the .sgr style of internal/graph/snapshot.go, decoded single-copy into
-// exact-alloc slices.
+// the .sgr style of internal/graph/snapshot.go. Each element type and each
+// record kind has one decoder, in append form: Recv decodes into fresh
+// exact-size slices, a worker into the buffers it reuses.
 //
 // Every frame is
 //
@@ -139,7 +140,8 @@ func (r *byteReader) u64() uint64 {
 func (r *byteReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // count validates an element count against the remaining bytes (elemSize is
-// the minimum encoded size per element) before the caller preallocates.
+// the minimum encoded size per element) before the caller sizes anything
+// from it: the one allocation rule every decoder below runs.
 func (r *byteReader) count(n uint32, elemSize int) int {
 	if r.err != nil {
 		return 0
@@ -150,6 +152,9 @@ func (r *byteReader) count(n uint32, elemSize int) int {
 	}
 	return int(n)
 }
+
+// column consumes n elements of size bytes each, counted first.
+func (r *byteReader) column(n uint32, size int) []byte { return r.bytes(r.count(n, size) * size) }
 
 // done checks the sticky error and that the payload was consumed exactly.
 func (r *byteReader) done() error {
@@ -213,151 +218,108 @@ func appendBools(b []byte, v []bool) []byte {
 	return b
 }
 
-func (r *byteReader) vertexIDs(n int) []graph.VertexID {
-	raw := r.bytes(n * 4)
-	if raw == nil || n == 0 {
-		return nil
+// The column decoders append n decoded elements to dst: pass nil for an
+// exact-size column, dst[:0] to overwrite a reused one, dst to accumulate.
+// Each is the only decoder of its element type.
+
+// extend lengthens dst by n elements for a decoder to fill in place: an
+// exact-size slice when dst is nil, amortised growth otherwise.
+func extend[T any](dst []T, n int) []T {
+	if dst == nil && n > 0 {
+		return make([]T, n)
 	}
-	out := make([]graph.VertexID, n)
-	for i := range out {
-		out[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out
+	return slices.Grow(dst, n)[:len(dst)+n]
 }
 
-func (r *byteReader) vertexSims(n int) []core.VertexSim {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return nil
-	}
-	out := make([]core.VertexSim, n)
-	for i := range out {
-		out[i].V = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		out[i].Sim = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
-	}
-	return out
-}
-
-// vertexIDsInto and vertexSimsInto are the decode-into twins of vertexIDs /
-// vertexSims: they reuse dst's capacity so recurring decodes (the per-step
-// mirror refresh) stop allocating once the replica has seen its high-water
-// size.
-func (r *byteReader) vertexIDsInto(dst []graph.VertexID, n int) []graph.VertexID {
-	raw := r.bytes(n * 4)
-	if raw == nil || n == 0 {
-		return dst[:0]
-	}
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
+func (r *byteReader) vertexIDs(dst []graph.VertexID, n uint32) []graph.VertexID {
+	raw := r.column(n, 4)
+	k := len(dst)
+	dst = extend(dst, len(raw)/4)
+	for i := range dst[k:] {
+		dst[k+i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return dst
 }
 
-func (r *byteReader) vertexSimsInto(dst []core.VertexSim, n int) []core.VertexSim {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return dst[:0]
-	}
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i].V = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		dst[i].Sim = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
+func (r *byteReader) int32s(dst []int32, n uint32) []int32 {
+	raw := r.column(n, 4)
+	k := len(dst)
+	dst = extend(dst, len(raw)/4)
+	for i := range dst[k:] {
+		dst[k+i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return dst
 }
 
-func (r *byteReader) pathCandsInto(dst []core.PathCand, n int) []core.PathCand {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return dst[:0]
-	}
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i].Z = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		dst[i].S = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
+// pairAt reads the i-th 12-byte (vertex, float) element of raw.
+func pairAt(raw []byte, i int) (graph.VertexID, float64) {
+	b := raw[12*i : 12*i+12]
+	return graph.VertexID(binary.LittleEndian.Uint32(b)), math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+}
+
+func (r *byteReader) vertexSims(dst []core.VertexSim, n uint32) []core.VertexSim {
+	raw := r.column(n, 12)
+	k := len(dst)
+	dst = extend(dst, len(raw)/12)
+	for i := range dst[k:] {
+		dst[k+i].V, dst[k+i].Sim = pairAt(raw, i)
 	}
 	return dst
 }
 
-func (r *byteReader) predictionsInto(dst []core.Prediction, n int) []core.Prediction {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return dst[:0]
-	}
-	dst = slices.Grow(dst[:0], n)[:n]
-	for i := range dst {
-		dst[i].Vertex = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		dst[i].Score = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
+func (r *byteReader) pathCands(dst []core.PathCand, n uint32) []core.PathCand {
+	raw := r.column(n, 12)
+	k := len(dst)
+	dst = extend(dst, len(raw)/12)
+	for i := range dst[k:] {
+		dst[k+i].Z, dst[k+i].S = pairAt(raw, i)
 	}
 	return dst
 }
 
-func (r *byteReader) pathCands(n int) []core.PathCand {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return nil
+func (r *byteReader) predictions(dst []core.Prediction, n uint32) []core.Prediction {
+	raw := r.column(n, 12)
+	k := len(dst)
+	dst = extend(dst, len(raw)/12)
+	for i := range dst[k:] {
+		dst[k+i].Vertex, dst[k+i].Score = pairAt(raw, i)
 	}
-	out := make([]core.PathCand, n)
-	for i := range out {
-		out[i].Z = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		out[i].S = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
-	}
-	return out
-}
-
-func (r *byteReader) predictions(n int) []core.Prediction {
-	raw := r.bytes(n * 12)
-	if raw == nil || n == 0 {
-		return nil
-	}
-	out := make([]core.Prediction, n)
-	for i := range out {
-		out[i].Vertex = graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:]))
-		out[i].Score = math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:]))
-	}
-	return out
-}
-
-func (r *byteReader) int32s(n int) []int32 {
-	raw := r.bytes(n * 4)
-	if raw == nil || n == 0 {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return out
+	return dst
 }
 
 // bools decodes a strict 0/1 byte column (anything else is a protocol
 // error, keeping decode→encode canonical for the fuzz round-trip).
-func (r *byteReader) bools(n int) []bool {
-	raw := r.bytes(n)
-	if raw == nil || n == 0 {
-		return nil
-	}
-	out := make([]bool, n)
+func (r *byteReader) bools(dst []bool, n uint32) []bool {
+	raw := r.column(n, 1)
+	k := len(dst)
+	dst = extend(dst, len(raw))
 	for i, x := range raw {
-		switch x {
-		case 0:
-		case 1:
-			out[i] = true
-		default:
+		if x > 1 {
 			r.fail("bool byte %d at index %d", x, i)
 			return nil
 		}
+		dst[k+i] = x == 1
 	}
-	return out
+	return dst
 }
 
-// ---- partial records ----
+// ---- batch records ----
+//
+// A batch payload is a u32 record count followed by self-delimiting
+// records. A record is a u32 vertex, one u32 count per column, then the
+// columns: 4-byte IDs first, 12-byte (ID, float) pairs after. Partial
+// records carry Nbrs, Sims and Cands; state records Nbrs, Sims, TwoHop and
+// Pred.
 
-const partialRecordHeader = 16 // u32 V | u32 nNbrs | u32 nSims | u32 nCands
+// recordColumns is the column count of kind's batch records.
+func recordColumns(kind Kind) int {
+	if kind == KindRefresh || kind == KindMirrors {
+		return 4
+	}
+	return 3
+}
 
-// appendPartialRecord appends one DistPartial as a self-delimiting record:
-// header, then nNbrs×4B IDs, nSims×12B sims, nCands×12B candidates.
+// appendPartialRecord appends one DistPartial as a partial record.
 func appendPartialRecord(b []byte, dp *core.DistPartial) []byte {
 	b = appendU32(b, uint32(dp.V))
 	b = appendU32(b, uint32(len(dp.Nbrs)))
@@ -369,99 +331,7 @@ func appendPartialRecord(b []byte, dp *core.DistPartial) []byte {
 	return b
 }
 
-// partialRecordAt bounds-checks the record starting at off and returns its
-// vertex and end offset without decoding the payload.
-func partialRecordAt(b []byte, off int) (v graph.VertexID, end int, err error) {
-	if len(b)-off < partialRecordHeader {
-		return 0, 0, fmt.Errorf("wire: truncated partial record header at offset %d", off)
-	}
-	v = graph.VertexID(binary.LittleEndian.Uint32(b[off:]))
-	nN := binary.LittleEndian.Uint32(b[off+4:])
-	nS := binary.LittleEndian.Uint32(b[off+8:])
-	nC := binary.LittleEndian.Uint32(b[off+12:])
-	size := int64(partialRecordHeader) + 4*int64(nN) + 12*int64(nS) + 12*int64(nC)
-	if size > int64(len(b)-off) {
-		return 0, 0, fmt.Errorf("wire: partial record at offset %d claims %d bytes, %d remain", off, size, len(b)-off)
-	}
-	return v, off + int(size), nil
-}
-
-// ForEachPartialRecord walks a partial-batch payload (u32 record count, then
-// records), handing fn each record's vertex and raw bytes. The coordinator
-// routes on v and copies rec verbatim into the master's outgoing batch —
-// zero decode on the routing path.
-func ForEachPartialRecord(payload []byte, fn func(v graph.VertexID, rec []byte) error) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	off := 4
-	for i := uint32(0); i < n; i++ {
-		v, end, err := partialRecordAt(payload, off)
-		if err != nil {
-			return err
-		}
-		if err := fn(v, payload[off:end]); err != nil {
-			return err
-		}
-		off = end
-	}
-	if off != len(payload) {
-		return fmt.Errorf("wire: %d trailing bytes after %d batch records", len(payload)-off, n)
-	}
-	return nil
-}
-
-// DecodePartialRecord decodes one record into an exact-alloc DistPartial.
-func DecodePartialRecord(rec []byte) (core.DistPartial, error) {
-	r := &byteReader{b: rec}
-	var dp core.DistPartial
-	dp.V = graph.VertexID(r.u32())
-	nN, nS, nC := r.u32(), r.u32(), r.u32()
-	dp.Nbrs = r.vertexIDs(r.count(nN, 4))
-	dp.Sims = r.vertexSims(r.count(nS, 12))
-	dp.Cands = r.pathCands(r.count(nC, 12))
-	return dp, r.done()
-}
-
-// decodePartialRecordInto appends the record's payload into dp's slices
-// (shared apply scratch), without touching dp.V.
-func decodePartialRecordInto(rec []byte, dp *core.DistPartial) error {
-	r := &byteReader{b: rec}
-	r.u32() // vertex, already routed
-	nN, nS, nC := r.u32(), r.u32(), r.u32()
-	n := r.count(nN, 4)
-	if raw := r.bytes(n * 4); raw != nil {
-		for i := 0; i < n; i++ {
-			dp.Nbrs = append(dp.Nbrs, graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:])))
-		}
-	}
-	n = r.count(nS, 12)
-	if raw := r.bytes(n * 12); raw != nil {
-		for i := 0; i < n; i++ {
-			dp.Sims = append(dp.Sims, core.VertexSim{
-				V:   graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:])),
-				Sim: math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:])),
-			})
-		}
-	}
-	n = r.count(nC, 12)
-	if raw := r.bytes(n * 12); raw != nil {
-		for i := 0; i < n; i++ {
-			dp.Cands = append(dp.Cands, core.PathCand{
-				Z: graph.VertexID(binary.LittleEndian.Uint32(raw[12*i:])),
-				S: math.Float64frombits(binary.LittleEndian.Uint64(raw[12*i+4:])),
-			})
-		}
-	}
-	return r.done()
-}
-
-// ---- state records ----
-
-const stateRecordHeader = 20 // u32 V | u32 nNbrs | u32 nSims | u32 nTwoHop | u32 nPred
-
-// appendStateRecord appends a full VData replica as a self-delimiting record.
+// appendStateRecord appends a full VData replica as a state record.
 func appendStateRecord(b []byte, v graph.VertexID, d *core.VData) []byte {
 	b = appendU32(b, uint32(v))
 	b = appendU32(b, uint32(len(d.Nbrs)))
@@ -475,36 +345,46 @@ func appendStateRecord(b []byte, v graph.VertexID, d *core.VData) []byte {
 	return b
 }
 
-// stateRecordAt bounds-checks the state record at off; see partialRecordAt.
-func stateRecordAt(b []byte, off int) (v graph.VertexID, end int, err error) {
-	if len(b)-off < stateRecordHeader {
-		return 0, 0, fmt.Errorf("wire: truncated state record header at offset %d", off)
-	}
-	v = graph.VertexID(binary.LittleEndian.Uint32(b[off:]))
-	nN := binary.LittleEndian.Uint32(b[off+4:])
-	nS := binary.LittleEndian.Uint32(b[off+8:])
-	nT := binary.LittleEndian.Uint32(b[off+12:])
-	nP := binary.LittleEndian.Uint32(b[off+16:])
-	size := int64(stateRecordHeader) + 4*int64(nN) + 12*(int64(nS)+int64(nT)+int64(nP))
-	if size > int64(len(b)-off) {
-		return 0, 0, fmt.Errorf("wire: state record at offset %d claims %d bytes, %d remain", off, size, len(b)-off)
-	}
-	return v, off + int(size), nil
-}
-
-// ForEachStateRecord walks a state-batch payload; see ForEachPartialRecord.
-func ForEachStateRecord(payload []byte, fn func(v graph.VertexID, rec []byte) error) error {
+// batchCount reads a batch payload's record count, refusing one the payload
+// cannot hold (every record is at least its header), so callers may size
+// from it.
+func batchCount(kind Kind, payload []byte) (int, error) {
 	if len(payload) < 4 {
-		return fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
+		return 0, fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
 	}
 	n := binary.LittleEndian.Uint32(payload)
+	if int64(n)*int64(4+4*recordColumns(kind)) > int64(len(payload)-4) {
+		return 0, fmt.Errorf("wire: batch count %d exceeds payload", n)
+	}
+	return int(n), nil
+}
+
+// ForEachRecord walks a batch payload of kind, bounds-checking each record
+// and handing fn its vertex and raw bytes. It is the one record walker: the
+// coordinator routes on v and copies rec verbatim into the master's outgoing
+// batch with zero decode, and everything that decodes a record first finds
+// it here.
+func ForEachRecord(kind Kind, payload []byte, fn func(v graph.VertexID, rec []byte) error) error {
+	n, err := batchCount(kind, payload)
+	if err != nil {
+		return err
+	}
+	cols := recordColumns(kind)
+	hdr := 4 + 4*cols
 	off := 4
-	for i := uint32(0); i < n; i++ {
-		v, end, err := stateRecordAt(payload, off)
-		if err != nil {
-			return err
+	for range n {
+		if len(payload)-off < hdr {
+			return fmt.Errorf("wire: truncated %s record header at offset %d", kind, off)
 		}
-		if err := fn(v, payload[off:end]); err != nil {
+		size := int64(hdr) + 4*int64(binary.LittleEndian.Uint32(payload[off+4:]))
+		for c := 1; c < cols; c++ {
+			size += 12 * int64(binary.LittleEndian.Uint32(payload[off+4+4*c:]))
+		}
+		if size > int64(len(payload)-off) {
+			return fmt.Errorf("wire: %s record at offset %d claims %d bytes, %d remain", kind, off, size, len(payload)-off)
+		}
+		end := off + int(size)
+		if err := fn(graph.VertexID(binary.LittleEndian.Uint32(payload[off:])), payload[off:end]); err != nil {
 			return err
 		}
 		off = end
@@ -515,31 +395,28 @@ func ForEachStateRecord(payload []byte, fn func(v graph.VertexID, rec []byte) er
 	return nil
 }
 
-// DecodeStateRecord decodes one record into an exact-alloc VertexState.
-func DecodeStateRecord(rec []byte) (VertexState, error) {
-	r := &byteReader{b: rec}
-	var vs VertexState
-	vs.V = graph.VertexID(r.u32())
-	nN, nS, nT, nP := r.u32(), r.u32(), r.u32(), r.u32()
-	vs.Data.Nbrs = r.vertexIDs(r.count(nN, 4))
-	vs.Data.Sims = r.vertexSims(r.count(nS, 12))
-	vs.Data.TwoHop = r.pathCands(r.count(nT, 12))
-	vs.Data.Pred = r.predictions(r.count(nP, 12))
-	return vs, r.done()
+// decodePartialRecord is the one partial-record decoder: it appends rec's
+// columns to dp's (see the column decoders for the three uses). The vertex
+// is ForEachRecord's to report; dp.V is left to the caller.
+func decodePartialRecord(dp *core.DistPartial, rec []byte) error {
+	r := &byteReader{b: rec, off: 4}
+	nN, nS, nC := r.u32(), r.u32(), r.u32()
+	dp.Nbrs = r.vertexIDs(dp.Nbrs, nN)
+	dp.Sims = r.vertexSims(dp.Sims, nS)
+	dp.Cands = r.pathCands(dp.Cands, nC)
+	return r.done()
 }
 
-// DecodeStateRecordInto decodes one record in place over d, reusing the slice
-// capacity left by the previous refresh of the same replica. Callers that need
-// an owned copy use DecodeStateRecord instead.
-func DecodeStateRecordInto(rec []byte, d *core.VData) (graph.VertexID, error) {
-	r := &byteReader{b: rec}
-	v := graph.VertexID(r.u32())
+// decodeStateRecord is the one state-record decoder: it appends rec's
+// columns to d's, the vertex left to ForEachRecord like decodePartialRecord's.
+func decodeStateRecord(d *core.VData, rec []byte) error {
+	r := &byteReader{b: rec, off: 4}
 	nN, nS, nT, nP := r.u32(), r.u32(), r.u32(), r.u32()
-	d.Nbrs = r.vertexIDsInto(d.Nbrs, r.count(nN, 4))
-	d.Sims = r.vertexSimsInto(d.Sims, r.count(nS, 12))
-	d.TwoHop = r.pathCandsInto(d.TwoHop, r.count(nT, 12))
-	d.Pred = r.predictionsInto(d.Pred, r.count(nP, 12))
-	return v, r.done()
+	d.Nbrs = r.vertexIDs(d.Nbrs, nN)
+	d.Sims = r.vertexSims(d.Sims, nS)
+	d.TwoHop = r.pathCands(d.TwoHop, nT)
+	d.Pred = r.predictions(d.Pred, nP)
+	return r.done()
 }
 
 // ---- batch building ----
@@ -600,60 +477,6 @@ func (bb *BatchBuilder) AppendRaw(rec []byte) {
 func (bb *BatchBuilder) Payload() []byte {
 	binary.LittleEndian.PutUint32(bb.buf, bb.n)
 	return bb.buf
-}
-
-// decodePartialBatch decodes a whole batch payload (Conn.Recv's Msg path).
-func decodePartialBatch(payload []byte) ([]core.DistPartial, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if int64(n)*partialRecordHeader > int64(len(payload)-4) {
-		return nil, fmt.Errorf("wire: batch count %d exceeds payload", n)
-	}
-	var out []core.DistPartial
-	if n > 0 {
-		out = make([]core.DistPartial, 0, n)
-	}
-	err := ForEachPartialRecord(payload, func(_ graph.VertexID, rec []byte) error {
-		dp, err := DecodePartialRecord(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, dp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// decodeStateBatch decodes a whole state batch payload.
-func decodeStateBatch(payload []byte) ([]VertexState, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: batch payload too short (%d bytes)", len(payload))
-	}
-	n := binary.LittleEndian.Uint32(payload)
-	if int64(n)*stateRecordHeader > int64(len(payload)-4) {
-		return nil, fmt.Errorf("wire: batch count %d exceeds payload", n)
-	}
-	var out []VertexState
-	if n > 0 {
-		out = make([]VertexState, 0, n)
-	}
-	err := ForEachStateRecord(payload, func(_ graph.VertexID, rec []byte) error {
-		vs, err := DecodeStateRecord(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, vs)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ---- whole-message payload codecs ----
@@ -719,17 +542,35 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 			return nil, fmt.Errorf("wire: %s frame with %d payload bytes", kind, len(payload))
 		}
 	case KindPartials, KindForeign:
-		parts, err := decodePartialBatch(payload)
+		n, err := batchCount(kind, payload)
 		if err != nil {
 			return nil, err
 		}
-		m.Partials = parts
+		if n > 0 {
+			m.Partials = make([]core.DistPartial, 0, n)
+		}
+		err = ForEachRecord(kind, payload, func(v graph.VertexID, rec []byte) error {
+			m.Partials = append(m.Partials, core.DistPartial{V: v})
+			return decodePartialRecord(&m.Partials[len(m.Partials)-1], rec)
+		})
+		if err != nil {
+			return nil, err
+		}
 	case KindRefresh, KindMirrors:
-		states, err := decodeStateBatch(payload)
+		n, err := batchCount(kind, payload)
 		if err != nil {
 			return nil, err
 		}
-		m.States = states
+		if n > 0 {
+			m.States = make([]VertexState, 0, n)
+		}
+		err = ForEachRecord(kind, payload, func(v graph.VertexID, rec []byte) error {
+			m.States = append(m.States, VertexState{V: v})
+			return decodeStateRecord(&m.States[len(m.States)-1].Data, rec)
+		})
+		if err != nil {
+			return nil, err
+		}
 	case KindResult:
 		if err := decodeResult(payload, &m.Result); err != nil {
 			return nil, err
@@ -813,17 +654,12 @@ func decodeAttach(payload []byte, m *Msg) error {
 	if n > 0 {
 		a.Entries = make([]ScopeEntry, n)
 	}
-	ids := r.bytes(n * 4)
-	if ids != nil {
-		for i := range a.Entries {
-			a.Entries[i].V = graph.VertexID(binary.LittleEndian.Uint32(ids[4*i:]))
-		}
+	ids, masks, roles := r.bytes(n*4), r.bytes(n), r.bytes(n)
+	if r.err != nil {
+		return r.err
 	}
-	for i, x := range r.bytes(n) {
-		a.Entries[i].Mask = x
-	}
-	for i, x := range r.bytes(n) {
-		a.Entries[i].Role = x
+	for i := range a.Entries {
+		a.Entries[i] = ScopeEntry{V: graph.VertexID(binary.LittleEndian.Uint32(ids[4*i:])), Mask: masks[i], Role: roles[i]}
 	}
 	return r.done()
 }
@@ -859,17 +695,13 @@ func decodeShip(payload []byte, m *Msg) error {
 	s.Shards = int(r.u32())
 	s.Shard = int(r.u32())
 	s.NumVertices = int(r.u32())
-	nLocals := r.u32()
-	nEdges := r.u32()
-	// Minimum bytes per local: 4 (ID) + 4 (deg) + 1 (master) + 1 (remote).
-	nl := r.count(nLocals, 10)
-	ne := r.count(nEdges, 8)
-	s.Locals = r.vertexIDs(nl)
-	s.Deg = r.int32s(nl)
-	s.EdgeSrc = r.int32s(ne)
-	s.EdgeDst = r.int32s(ne)
-	s.IsMaster = r.bools(nl)
-	s.HasRemote = r.bools(nl)
+	nl, ne := r.u32(), r.u32()
+	s.Locals = r.vertexIDs(nil, nl)
+	s.Deg = r.int32s(nil, nl)
+	s.EdgeSrc = r.int32s(nil, ne)
+	s.EdgeDst = r.int32s(nil, ne)
+	s.IsMaster = r.bools(nil, nl)
+	s.HasRemote = r.bools(nil, nl)
 	return r.done()
 }
 
@@ -907,7 +739,7 @@ func decodeResult(payload []byte, res *WorkerResult) error {
 	for i := 0; i < n; i++ {
 		var vp VertexPreds
 		vp.V = graph.VertexID(r.u32())
-		vp.Preds = r.predictions(r.count(r.u32(), 12))
+		vp.Preds = r.predictions(nil, r.u32())
 		if r.err != nil {
 			return r.err
 		}

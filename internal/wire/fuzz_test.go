@@ -103,10 +103,12 @@ func fuzzSeedMsgs() []*Msg {
 // (readCapped grows in bounded chunks; the per-array count guards check
 // declared element counts against the remaining payload). Any input that
 // does decode must re-encode canonically: decode → encode → decode → encode
-// is byte-stable.
+// is byte-stable. Every record of an accepted batch frame must also decode
+// the way a worker decodes it, into reused scratch, to what Recv decoded.
 func FuzzWireFrame(f *testing.F) {
 	for _, m := range fuzzSeedMsgs() {
-		f.Add(frameBytes(f, m, m.Kind == KindMirrors && len(m.States) > 1))
+		f.Add(frameBytes(f, m, false))
+		f.Add(frameBytes(f, m, true))
 	}
 	for _, opening := range nonV3Openings() {
 		f.Add(opening)
@@ -120,6 +122,10 @@ func FuzzWireFrame(f *testing.F) {
 		if m.Kind == KindError {
 			return // surfaces as an error from Recv, never reaches here
 		}
+		switch m.Kind {
+		case KindPartials, KindForeign, KindRefresh, KindMirrors:
+			checkScratchDecode(t, data, m)
+		}
 		enc1 := frameBytes(t, m, false)
 		m2, err := decodeOne(enc1)
 		if err != nil {
@@ -130,4 +136,64 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("decode→encode not canonical:\nfirst  %x\nsecond %x", enc1, enc2)
 		}
 	})
+}
+
+// checkScratchDecode decodes every record of an accepted batch frame a second
+// time the way a worker does — appended to a dirty apply scratch for
+// partials, overwriting a dirty, pre-grown replica for states — and holds the
+// result to Recv's fresh decode. Records compare by their encoding, so NaN
+// scores compare equal to themselves.
+func checkScratchDecode(t *testing.T, data []byte, m *Msg) {
+	t.Helper()
+	src := &memConn{}
+	src.Write(data)
+	f, err := NewConn(src).RecvRaw()
+	if err != nil {
+		t.Fatalf("RecvRaw refused what Recv accepted: %v", err)
+	}
+	junkID := []graph.VertexID{9, 8, 7}
+	junkPair := []core.VertexSim{{V: 9, Sim: -1}, {V: 8, Sim: 2}}
+	junkCand := []core.PathCand{{Z: 9, S: 3}}
+	i := 0
+	err = ForEachRecord(f.Kind, f.Payload, func(v graph.VertexID, rec []byte) error {
+		var got, want []byte
+		if f.Kind == KindPartials || f.Kind == KindForeign {
+			sc := core.DistPartial{
+				Nbrs:  append(make([]graph.VertexID, 0, 64), junkID...),
+				Sims:  append(make([]core.VertexSim, 0, 64), junkPair...),
+				Cands: append(make([]core.PathCand, 0, 64), junkCand...),
+			}
+			if err := decodePartialRecord(&sc, rec); err != nil {
+				return err
+			}
+			if len(sc.Nbrs) < len(junkID) || !slices.Equal(sc.Nbrs[:len(junkID)], junkID) ||
+				len(sc.Sims) < len(junkPair) || !slices.Equal(sc.Sims[:len(junkPair)], junkPair) ||
+				len(sc.Cands) < len(junkCand) || !slices.Equal(sc.Cands[:len(junkCand)], junkCand) {
+				t.Fatalf("record %d: decode clobbered the scratch it appends to", i)
+			}
+			got = appendPartialRecord(nil, &core.DistPartial{V: v,
+				Nbrs: sc.Nbrs[len(junkID):], Sims: sc.Sims[len(junkPair):], Cands: sc.Cands[len(junkCand):]})
+			want = appendPartialRecord(nil, &m.Partials[i])
+		} else {
+			d := core.VData{
+				Nbrs:   append(make([]graph.VertexID, 0, 64), junkID...)[:0],
+				Sims:   append(make([]core.VertexSim, 0, 64), junkPair...)[:0],
+				TwoHop: append(make([]core.PathCand, 0, 64), junkCand...)[:0],
+				Pred:   append(make([]core.Prediction, 0, 64), core.Prediction{Vertex: 9, Score: 4})[:0],
+			}
+			if err := decodeStateRecord(&d, rec); err != nil {
+				return err
+			}
+			got = appendStateRecord(nil, v, &d)
+			want = appendStateRecord(nil, m.States[i].V, &m.States[i].Data)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d: scratch decode %x, fresh decode %x", i, got, want)
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("scratch decode refused a record Recv accepted: %v", err)
+	}
 }

@@ -184,12 +184,11 @@ func ServeConnWith(rwc io.ReadWriteCloser, o ServeOptions) (err error) {
 	}
 }
 
-// recRef locates one buffered partial record: a slot plus the record's
-// extent inside a foreign chunk.
+// recRef is one buffered partial record and the slot it applies to; rec
+// aliases one of the connection's foreign chunk buffers.
 type recRef struct {
-	slot     int32
-	chunk    int32
-	off, end int32
+	slot int32
+	rec  []byte
 }
 
 // streams is a connection's reusable streaming state: the outgoing chunk
@@ -412,20 +411,15 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 			break
 		}
 		t0 := time.Now()
-		err = ForEachStateRecord(f.Payload, func(v graph.VertexID, rec []byte) error {
+		err = ForEachRecord(KindMirrors, f.Payload, func(v graph.VertexID, rec []byte) error {
 			slot, ok := s.part.Slot(v)
 			if !ok {
 				return fmt.Errorf("wire: refresh for vertex %d, which this job does not hold", v)
 			}
-			// Decoded in place, reusing the capacity the previous refresh left.
-			got, err := DecodeStateRecordInto(rec, s.part.Data(slot))
-			if err != nil {
-				return err
-			}
-			if got != v {
-				return fmt.Errorf("wire: refresh record for %d keyed as %d", got, v)
-			}
-			return nil
+			// Overwritten in place, reusing the capacity the previous refresh left.
+			d := s.part.Data(slot)
+			d.Nbrs, d.Sims, d.TwoHop, d.Pred = d.Nbrs[:0], d.Sims[:0], d.TwoHop[:0], d.Pred[:0]
+			return decodeStateRecord(d, rec)
 		})
 		s.addBusy(time.Since(t0))
 		if err != nil {
@@ -488,9 +482,6 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 // bufferForeign copies one routed foreign chunk into the session's reusable
 // chunk buffers and indexes its records by slot.
 func (s *session) bufferForeign(payload []byte) error {
-	if len(payload) < 4 {
-		return fmt.Errorf("wire: foreign chunk of %d bytes", len(payload))
-	}
 	if len(payload) == 4 {
 		return nil // empty terminator chunk
 	}
@@ -502,26 +493,15 @@ func (s *session) bufferForeign(payload []byte) error {
 		buf = append([]byte(nil), payload...)
 		s.chunkBufs = append(s.chunkBufs, buf)
 	}
-	ci := int32(s.chunkN)
 	s.chunkN++
-	n := int(uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24)
-	off := 4
-	for i := 0; i < n; i++ {
-		v, end, err := partialRecordAt(buf, off)
-		if err != nil {
-			return err
-		}
+	return ForEachRecord(KindForeign, buf, func(v graph.VertexID, rec []byte) error {
 		slot, ok := s.part.Slot(v)
 		if !ok || !s.isMaster[slot] {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
-		s.frefs = append(s.frefs, recRef{slot: slot, chunk: ci, off: int32(off), end: int32(end)})
-		off = end
-	}
-	if off != len(buf) {
-		return fmt.Errorf("wire: %d trailing bytes after foreign chunk records", len(buf)-off)
-	}
-	return nil
+		s.frefs = append(s.frefs, recRef{slot: slot, rec: rec})
+		return nil
+	})
 }
 
 // applyMasters folds each master's own and foreign partials and applies: the
@@ -555,7 +535,7 @@ func (s *session) applyMasters(step core.DistStep) error {
 			n++
 		}
 		for _, r := range s.frefs[start:fi] {
-			if err := decodePartialRecordInto(s.chunkBufs[r.chunk][r.off:r.end], sc); err != nil {
+			if err := decodePartialRecord(sc, r.rec); err != nil {
 				return err
 			}
 			n++
