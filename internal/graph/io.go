@@ -69,8 +69,8 @@ type ReadOptions struct {
 	NoMap bool
 	// Verify runs the full structural-and-checksum validation even on the
 	// mapped load path, which otherwise defers the O(edges) row checks and
-	// validates only the header and offset columns. Streamed and heap
-	// loads always verify fully.
+	// validates only the header and offset columns. Heap loads
+	// (ReadSnapshot, NoMap) always verify fully.
 	Verify bool
 }
 

@@ -131,13 +131,13 @@ func TestPackedMatchesDigraph(t *testing.T) {
 				}
 				viewEqual(t, g, v, fmt.Sprintf("viewed packed (verify=%v)", verify))
 			}
-			// The streaming reader decodes packed snapshots to a plain CSR.
+			// ReadSnapshot decodes packed snapshots to a plain CSR.
 			rt, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !graphEqual(g, rt) {
-				t.Fatal("packed snapshot stream round trip changed the graph")
+				t.Fatal("packed snapshot heap round trip changed the graph")
 			}
 		})
 	}
@@ -251,8 +251,8 @@ func TestMapSnapshotConstantAllocation(t *testing.T) {
 	}
 }
 
-// TestMapShardFile: the mapped shard loader must agree with the streaming
-// one and report whether the zero-copy path was taken.
+// TestMapShardFile: the mapped shard load must agree with ReadShard's heap
+// load and report whether the zero-copy path was taken.
 func TestMapShardFile(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	big := testShard()
@@ -291,12 +291,12 @@ func TestMapShardFile(t *testing.T) {
 		if mapped != mmapSupported {
 			t.Errorf("shard %d: mapped=%v, mmapSupported=%v", i, mapped, mmapSupported)
 		}
-		streamed, err := ReadShard(bytes.NewReader(buf.Bytes()))
+		heap, err := ReadShard(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(streamed, mappedShard) {
-			t.Errorf("shard %d: mapped load diverges from streamed load", i)
+		if !reflect.DeepEqual(heap, mappedShard) {
+			t.Errorf("shard %d: mapped load diverges from heap load", i)
 		}
 	}
 }

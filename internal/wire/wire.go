@@ -30,9 +30,10 @@
 //	<---------- result -------------          master predictions + stats
 //
 // Frames are length-prefixed, CRC-32C-checksummed flat sections (see
-// frame.go for the exact layout); batch payloads decode as single-copy,
-// exact-alloc slices, and the coordinator routes individual records without
-// decoding them at all. Optional per-frame flate compression is negotiated
+// frame.go for the exact layout); each batch record decodes through one
+// append-form decoder, into fresh slices for Recv and reused ones for a
+// worker, and the coordinator routes individual records without decoding
+// them at all. Optional per-frame flate compression is negotiated
 // through the hello feature bits.
 //
 // There is one protocol version. Worker and coordinator ship from one tree,
