@@ -295,16 +295,6 @@ func TestDegenerateGraphs(t *testing.T) {
 		{"single edge", func() *graph.Digraph {
 			return graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1}})
 		}},
-		{"self loops only", func() *graph.Digraph {
-			b := graph.NewBuilder(3).KeepSelfLoops(true)
-			b.AddEdge(0, 0)
-			b.AddEdge(1, 1)
-			g, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return g
-		}},
 		{"two-cycle", func() *graph.Digraph {
 			return graph.MustFromEdges(2, []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 0}})
 		}},

@@ -14,7 +14,6 @@ type Builder struct {
 	edges       []Edge
 	withInEdges bool
 	symmetrize  bool
-	keepLoops   bool
 }
 
 // NewBuilder returns a builder for a graph with numVertices dense vertex IDs.
@@ -32,10 +31,8 @@ func (b *Builder) WithInEdges(on bool) *Builder { b.withInEdges = on; return b }
 // edges implicitly — they are never materialised.
 func (b *Builder) Symmetrize(on bool) *Builder { b.symmetrize = on; return b }
 
-// KeepSelfLoops retains self-loops instead of dropping them (the default).
-func (b *Builder) KeepSelfLoops(on bool) *Builder { b.keepLoops = on; return b }
-
-// AddEdge records the directed edge (u,v). Duplicates are removed at Build.
+// AddEdge records the directed edge (u,v). Duplicates and self-loops are
+// removed at Build.
 func (b *Builder) AddEdge(u, v VertexID) {
 	b.edges = append(b.edges, Edge{u, v})
 }
@@ -57,15 +54,12 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // goroutine fan-out costs more than it saves on tiny inputs.
 const parallelBuildMin = 1 << 15
 
-// Build assembles the Digraph with a two-pass counting sort: a parallel
-// count pass over the edge list fills a per-source histogram, a prefix sum
-// turns it into CSR offsets, and a parallel scatter pass places every
-// destination; per-vertex neighbour lists are then sorted and deduplicated
-// in parallel and compacted into the final arrays. The result is identical
-// to a global comparison sort — sorted, duplicate-free rows — but runs in
-// O(E + Σ_u d_u log d_u) and scales with cores instead of O(E log E) on one,
-// which is what keeps billion-edge ingest off the critical path. Self-loops
-// are dropped unless KeepSelfLoops was set. Build returns an error if any
+// Build assembles the Digraph with assembleCSR's two-pass counting sort
+// over the edge list, split into one contiguous range per worker. The
+// result is identical to a global comparison sort — sorted, duplicate-free
+// rows without self-loops — but runs in O(E + Σ_u d_u log d_u) and scales
+// with cores instead of O(E log E) on one, which is what keeps
+// billion-edge ingest off the critical path. Build returns an error if any
 // endpoint is outside [0, numVertices).
 func (b *Builder) Build() (*Digraph, error) {
 	workers := runtime.GOMAXPROCS(0)
@@ -75,120 +69,128 @@ func (b *Builder) Build() (*Digraph, error) {
 	return b.build(workers)
 }
 
-// histBudgetBytes caps the per-worker histogram block of build: with very
-// many vertices the worker count is lowered rather than allocating an
-// unbounded workers×n table.
-const histBudgetBytes = 1 << 28
-
 // build is Build with an explicit worker bound (tests force the parallel
 // path on small inputs through it).
-//
-// Concurrency model: the edge list is split into one contiguous range per
-// worker and every worker owns a private per-source histogram. The prefix
-// sum interleaves the histograms (vertex-major, worker-minor) into absolute
-// cursors, which hands each worker a reserved sub-range of every row it
-// contributes to — both passes are therefore free of atomics and of shared
-// counters, so hub vertices cost no cache-line contention.
 func (b *Builder) build(workers int) (*Digraph, error) {
-	n := b.numVertices
-	edges := b.edges
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(edges) {
-		workers = max(len(edges), 1)
-	}
-	// Histogram work (allocation + serial prefix sum) is O(workers·n): keep
-	// it proportional to the O(E) passes it serves, so vertex-heavy sparse
-	// graphs don't pay for parallelism they can't use, and bound it in
-	// absolute terms.
-	if maxW := 4 * len(edges) / (n + 1); workers > maxW {
-		workers = max(maxW, 1)
-	}
-	if maxW := int(histBudgetBytes / (8 * int64(n+1))); workers > maxW {
-		workers = max(maxW, 1)
+	n, edges, sym := b.numVertices, b.edges, b.symmetrize
+	// The histogram costs O(workers·n) to allocate and prefix-sum: keep it
+	// proportional to the O(E) passes it serves, so vertex-heavy sparse
+	// graphs don't pay for parallelism they can't use.
+	workers = max(min(workers, len(edges), 4*len(edges)/(n+1)), 1)
+	return assembleCSR(n, workers, workers, b.withInEdges,
+		func(g, groups int, row []int64) error {
+			lo, hi := edgeRange(g, groups, len(edges))
+			for _, e := range edges[lo:hi] {
+				if int(e.Src) >= n || int(e.Dst) >= n {
+					return edgeOutOfRange(e.Src, e.Dst, n)
+				}
+				if e.Src == e.Dst {
+					continue
+				}
+				row[e.Src]++
+				if sym {
+					row[e.Dst]++
+				}
+			}
+			return nil
+		},
+		func(g, groups int, cur []int64, adj []VertexID) error {
+			lo, hi := edgeRange(g, groups, len(edges))
+			for _, e := range edges[lo:hi] {
+				if e.Src == e.Dst {
+					continue
+				}
+				adj[cur[e.Src]] = e.Dst
+				cur[e.Src]++
+				if sym {
+					adj[cur[e.Dst]] = e.Src
+					cur[e.Dst]++
+				}
+			}
+			return nil
+		})
+}
+
+// edgeOutOfRange is the error every builder reports for an edge with an
+// endpoint outside [0, n).
+func edgeOutOfRange(u, v VertexID, n int) error {
+	return fmt.Errorf("graph: edge (%d,%d) with %d vertices: %w", u, v, n, errInvalidVertex)
+}
+
+// histBudgetBytes caps assembleCSR's groups×n histogram: with very many
+// vertices the group count is lowered rather than allocating an unbounded
+// table.
+const histBudgetBytes = 1 << 28
+
+// assembleCSR is the one counting sort behind every CSR this package
+// builds from edges: Builder, BuildStream and the text ingester. The
+// caller's input is split into groups, each a contiguous run of it, in
+// order; the callbacks receive the group index and the group count.
+//
+//   - count(g, groups, row) adds group g's kept edges to row, its private
+//     per-source histogram.
+//   - An interleaved prefix sum (vertex-major, group-minor) turns the rows
+//     into the duplicate-inclusive row offsets and each group's private
+//     write cursors, which hands every group a reserved sub-range of every
+//     CSR row it contributes to.
+//   - scatter(g, groups, cur, adj) places group g's destinations into adj
+//     through its cursors. Neither pass shares a counter or an atomic, so
+//     hub vertices cost no cache-line contention.
+//   - finishCSR sorts, deduplicates and compacts the rows on workers
+//     goroutines.
+//
+// groups is lowered so the histogram fits histBudgetBytes. When a pass
+// fails in some groups, the error of the lowest failing group is returned:
+// groups cover the input in order, so that is the failure a sequential
+// pass would meet first.
+func assembleCSR(n, groups, workers int, withInEdges bool,
+	count func(g, groups int, row []int64) error,
+	scatter func(g, groups int, cur []int64, adj []VertexID) error) (*Digraph, error) {
+	groups = max(min(groups, int(histBudgetBytes/(8*int64(n+1)))), 1)
+	hist := make([]int64, groups*n)
+	errs := make([]error, groups)
+	forEachWorker(groups, func(g int) { errs[g] = count(g, groups, hist[g*n:(g+1)*n]) })
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
-	// Pass 1: validate endpoints and count edges per source into each
-	// worker's histogram. Symmetrize counts the reverse direction instead of
-	// materialising it; loop handling matches the scatter pass below.
-	hist := make([]int64, workers*n)
-	firstBad := make([]int, workers)
-	forEachWorker(workers, func(w int) {
-		h := hist[w*n : (w+1)*n]
-		lo, hi := edgeRange(w, workers, len(edges))
-		firstBad[w] = len(edges)
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if int(e.Src) >= n || int(e.Dst) >= n {
-				firstBad[w] = i
-				break
-			}
-			if e.Src == e.Dst && !b.keepLoops {
-				continue
-			}
-			h[e.Src]++
-			if b.symmetrize {
-				h[e.Dst]++
-			}
-		}
-	})
-	bad := len(edges)
-	for _, fb := range firstBad {
-		bad = min(bad, fb)
-	}
-	if bad < len(edges) {
-		return nil, fmt.Errorf("graph: edge (%d,%d) with %d vertices: %w",
-			edges[bad].Src, edges[bad].Dst, n, errInvalidVertex)
-	}
-
-	// Prefix sum over (vertex, worker): off[u] is row u's start in the
-	// duplicate-inclusive layout and hist[w*n+u] becomes worker w's private
-	// write cursor inside that row.
 	off := make([]int64, n+1)
 	var total int64
 	for u := 0; u < n; u++ {
 		off[u] = total
-		for w := 0; w < workers; w++ {
-			c := hist[w*n+u]
-			hist[w*n+u] = total
+		for g := 0; g < groups; g++ {
+			c := hist[g*n+u]
+			hist[g*n+u] = total
 			total += c
 		}
 	}
 	off[n] = total
 
-	// Pass 2: scatter destinations, each worker walking its edge range in
-	// order and writing through its own cursors — deterministic layout, no
-	// synchronisation.
 	adj := make([]VertexID, total)
-	forEachWorker(workers, func(w int) {
-		h := hist[w*n : (w+1)*n]
-		lo, hi := edgeRange(w, workers, len(edges))
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if e.Src == e.Dst && !b.keepLoops {
-				continue
-			}
-			adj[h[e.Src]] = e.Dst
-			h[e.Src]++
-			if b.symmetrize {
-				adj[h[e.Dst]] = e.Src
-				h[e.Dst]++
-			}
-		}
-	})
-
-	// Pass 3: sort, deduplicate and compact the scattered rows.
-	return finishCSR(workers, n, off, adj, b.withInEdges), nil
+	forEachWorker(groups, func(g int) { errs[g] = scatter(g, groups, hist[g*n:(g+1)*n], adj) })
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+	return finishCSR(workers, n, off, adj, withInEdges), nil
 }
 
-// finishCSR is the counting-sort builder's final pass, shared with the
-// streaming text ingester: given the duplicate-inclusive scatter layout
-// (off is the per-vertex row offsets, adj the scattered destinations), it
-// sorts and deduplicates every row in place in parallel and compacts the
-// survivors into exact-sized final arrays. The scatter order within a row
-// does not matter — rows come out sorted either way — which is what lets
-// callers scatter from any sharding without synchronisation.
+// firstError returns the first non-nil error of errs.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finishCSR is assembleCSR's final pass: given the duplicate-inclusive
+// scatter layout (off is the per-vertex row offsets, adj the scattered
+// destinations), it sorts and deduplicates every row in place in parallel
+// and compacts the survivors into exact-sized final arrays. The scatter
+// order within a row does not matter — rows come out sorted either way —
+// which is what lets any grouping of the input scatter without
+// synchronisation.
 func finishCSR(workers, n int, off []int64, adj []VertexID, withInEdges bool) *Digraph {
 	g := &Digraph{numVertices: n, outOff: make([]int64, n+1)}
 	parallelRanges(workers, n, func(lo, hi int) {
@@ -214,9 +216,11 @@ func finishCSR(workers, n int, off []int64, adj []VertexID, withInEdges bool) *D
 	return g
 }
 
-// edgeRange returns worker w's contiguous share [lo, hi) of m edges.
-func edgeRange(w, workers, m int) (lo, hi int) {
-	return w * m / workers, (w + 1) * m / workers
+// edgeRange returns part w's contiguous share [lo, hi) of m items split
+// into parts parts: the edges of a worker or stream shard, the shards of a
+// histogram group.
+func edgeRange(w, parts, m int) (lo, hi int) {
+	return w * m / parts, (w + 1) * m / parts
 }
 
 // forEachWorker runs fn(0..workers-1) concurrently (inline when single).

@@ -27,9 +27,10 @@ func benchEdges(n, m int) []Edge {
 }
 
 // BenchmarkBuildCSR compares CSR construction strategies on the same edge
-// list: the legacy global sort.Slice builder, the serial counting sort, and
-// the parallel counting sort at GOMAXPROCS. Run with -benchtime=1x in CI as
-// a smoke test; on a multicore host the parallel builder should win.
+// list: the legacy global sort.Slice builder, the serial counting sort, the
+// parallel counting sort at GOMAXPROCS, and BuildStream streaming the list
+// at GOMAXPROCS. Run with -benchtime=1x in CI as a smoke test; on a
+// multicore host the parallel builders should win.
 func BenchmarkBuildCSR(b *testing.B) {
 	const n, m = 1 << 16, 1 << 19
 	edges := benchEdges(n, m)
@@ -62,6 +63,15 @@ func BenchmarkBuildCSR(b *testing.B) {
 		workers := runtime.GOMAXPROCS(0)
 		for i := 0; i < b.N; i++ {
 			if _, err := mk().build(workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		workers := runtime.GOMAXPROCS(0)
+		for i := 0; i < b.N; i++ {
+			if _, err := BuildStream(n, workers, sliceStream(edges)); err != nil {
 				b.Fatal(err)
 			}
 		}

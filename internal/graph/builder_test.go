@@ -39,15 +39,13 @@ func (b *Builder) buildSortSlice() (*Digraph, error) {
 		}
 		edges = append(edges, rev...)
 	}
-	if !b.keepLoops {
-		kept := edges[:0]
-		for _, e := range edges {
-			if e.Src != e.Dst {
-				kept = append(kept, e)
-			}
+	kept := edges[:0]
+	for _, e := range edges {
+		if e.Src != e.Dst {
+			kept = append(kept, e)
 		}
-		edges = kept
 	}
+	edges = kept
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].Src != edges[j].Src {
 			return edges[i].Src < edges[j].Src
@@ -88,13 +86,13 @@ func (b *Builder) buildSortSlice() (*Digraph, error) {
 // combinations, arbitrary duplicate/self-loop-laden inputs and worker
 // counts (forcing the parallel path on small inputs).
 func TestBuildMatchesSortSlice(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw uint8, symmetrize, keepLoops, inEdges bool) bool {
+	f := func(seed int64, nRaw, mRaw uint8, symmetrize, inEdges bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%50) + 1
 		m := int(mRaw) * 4
 		mk := func() *Builder {
 			rng := rand.New(rand.NewSource(seed)) // same edge stream per builder
-			b := NewBuilder(n).Symmetrize(symmetrize).KeepSelfLoops(keepLoops).WithInEdges(inEdges)
+			b := NewBuilder(n).Symmetrize(symmetrize).WithInEdges(inEdges)
 			for i := 0; i < m; i++ {
 				b.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
 			}
@@ -136,6 +134,64 @@ func TestBuildParallelRejectsOutOfRange(t *testing.T) {
 		}
 		if got := err.Error(); got != "graph: edge (1,7) with 3 vertices: vertex id out of range" {
 			t.Errorf("workers=%d: error = %q", workers, got)
+		}
+	}
+}
+
+// sliceStream is the EdgeStream whose shards are edgeRange's contiguous
+// slices of edges, so stream order is edge-list order.
+func sliceStream(edges []Edge) EdgeStream {
+	return func(shard, shards int, yield func(u, v VertexID)) {
+		lo, hi := edgeRange(shard, shards, len(edges))
+		for _, e := range edges[lo:hi] {
+			yield(e.Src, e.Dst)
+		}
+	}
+}
+
+// TestBuildStreamMatchesSortSlice: BuildStream over an edge list's stream
+// equals the global-sort oracle on the same list at every worker count.
+func TestBuildStreamMatchesSortSlice(t *testing.T) {
+	f := func(seed int64, nRaw, mRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := int(nRaw%50) + 1
+		b := NewBuilder(n)
+		for i := 0; i < int(mRaw)*4; i++ {
+			b.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
+		}
+		want, err := b.buildSortSlice()
+		if err != nil {
+			return false
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := BuildStream(n, workers, sliceStream(b.edges))
+			if err != nil || !graphsEqual(want, got) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestBuildStreamRejectsOutOfRange: with two bad edges in different
+// shards, every worker count reports the first one in stream order, in
+// Builder's words.
+func TestBuildStreamRejectsOutOfRange(t *testing.T) {
+	b := NewBuilder(3)
+	for _, e := range []Edge{{0, 1}, {1, 7}, {1, 2}, {2, 0}, {0, 2}, {2, 1}, {5, 0}, {1, 0}} {
+		b.AddEdge(e.Src, e.Dst)
+	}
+	_, want := b.build(1)
+	if want == nil || want.Error() != "graph: edge (1,7) with 3 vertices: vertex id out of range" {
+		t.Fatalf("Builder error = %v", want)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		_, err := BuildStream(3, workers, sliceStream(b.edges))
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("workers=%d: error = %v, want %v", workers, err, want)
 		}
 	}
 }

@@ -224,6 +224,7 @@ func hostileShards() map[string]*ShardFile {
 	mutate("descending-edge-sources", func(s *ShardFile) { slices.Reverse(s.EdgeSrc) })
 	mutate("edge-index-out-of-range", func(s *ShardFile) { s.EdgeDst[0] = int32(len(s.Locals)) })
 	mutate("negative-edge-index", func(s *ShardFile) { s.EdgeSrc[0] = -1 })
+	mutate("self-loop-edge", func(s *ShardFile) { s.EdgeDst[0] = s.EdgeSrc[0] })
 	mutate("shard-index-outside-fleet", func(s *ShardFile) { s.Shard = s.Shards })
 	mutate("column-length-mismatch", func(s *ShardFile) { s.Deg = s.Deg[:len(s.Deg)-1] })
 	return out

@@ -7,12 +7,15 @@
 // sorted, which makes membership tests (HasEdge) logarithmic and set
 // operations (Jaccard and friends in internal/core) linear merges.
 //
-// Graphs are assembled by Builder with a parallel two-pass counting sort
-// (count per-source degrees, prefix-sum into offsets, scatter destinations,
-// then sort and deduplicate each row in parallel) instead of a global
-// comparison sort over the edge list, so ingest scales with cores and with
-// edge count rather than E log E — the property that keeps billion-edge
-// graph construction (Section 5's headline scale) tractable on one machine.
+// Every graph built from edges — by Builder, BuildStream or the text
+// ingester — goes through one parallel two-pass counting sort, assembleCSR
+// (count per-source degrees, prefix-sum into offsets, scatter
+// destinations, then sort and deduplicate each row in parallel), instead
+// of a global comparison sort over the edge list, so ingest scales with
+// cores and with edge count rather than E log E — the property that keeps
+// billion-edge graph construction (Section 5's headline scale) tractable on
+// one machine. OpenGraphFile is the one file opener; ReadGraphFile wraps it
+// for callers that need a plain CSR.
 // Mutation never rewrites the CSR: Delta overlays sorted per-vertex
 // add/remove lists on an immutable base and skip-merges them on the fly
 // (WithoutEdges is the remove-only case), and the View interface lets every
@@ -156,5 +159,6 @@ func clampEdges(n int, edges []Edge) []Edge {
 	return edges
 }
 
-// errInvalidVertex is wrapped by Builder.Build for out-of-range endpoints.
+// errInvalidVertex is wrapped by edgeOutOfRange and Delta for out-of-range
+// endpoints.
 var errInvalidVertex = errors.New("vertex id out of range")

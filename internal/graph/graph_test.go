@@ -64,16 +64,6 @@ func TestBuilderDeduplicatesAndDropsLoops(t *testing.T) {
 	}
 }
 
-func TestBuilderKeepSelfLoops(t *testing.T) {
-	g, err := NewBuilder(2).KeepSelfLoops(true).buildWith([]Edge{{0, 0}, {0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasEdge(0, 0) {
-		t.Error("KeepSelfLoops dropped the loop")
-	}
-}
-
 // buildWith is a test helper adding edges then building.
 func (b *Builder) buildWith(edges []Edge) (*Digraph, error) {
 	for _, e := range edges {

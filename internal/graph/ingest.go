@@ -17,14 +17,14 @@ import (
 // (Section 5's headline scale) hurts most. The ingester below removes the
 // intermediate: the input is split into one contiguous byte-range shard
 // per worker, aligned to newline boundaries, and parsed in multiple cheap
-// passes that feed the counting-sort CSR build directly —
+// passes that feed assembleCSR, the package's one counting sort, directly —
 //
 //   - PreserveIDs mode (dense inputs, e.g. packed or written by
 //     WriteEdgeList): a scan pass finds max ID and the "# vertices:"
-//     header; a count pass fills a budget-capped groups×V cursor table; a
-//     scatter pass writes destinations straight into the
+//     header; a count pass fills assembleCSR's budget-capped groups×V
+//     histogram; a scatter pass writes destinations straight into the
 //     duplicate-inclusive CSR layout. No map, no edge list: peak memory is
-//     the CSR being built plus the capped cursor table.
+//     the CSR being built plus the capped histogram.
 //   - Remap mode (sparse raw IDs): pass 1 additionally records each
 //     shard's raw IDs in local first-appearance order with a per-shard
 //     map; merging those orders in shard order reproduces the sequential
@@ -34,11 +34,12 @@ import (
 //     O(distinct IDs) per shard in the worst case — for graphs near
 //     memory scale, pack once with PreserveIDs instead.
 //
-// After scattering, finishCSR sorts, deduplicates and compacts the rows;
-// scatter order inside a row is irrelevant because rows are sorted
-// afterwards, which is what lets any grouping of shards write without
-// synchronisation. Results are bit-identical to a sequential read for any
-// worker count.
+// Each histogram group counts and scatters a contiguous run of shards.
+// After scattering, assembleCSR's finishCSR pass sorts, deduplicates and
+// compacts the rows; scatter order inside a row is irrelevant because rows
+// are sorted afterwards, which is what lets any grouping of shards write
+// without synchronisation. Results are bit-identical to a sequential read
+// for any worker count.
 const (
 	// ingestChunkBytes is the per-read granularity of the shard scanners.
 	ingestChunkBytes = 512 << 10
@@ -50,10 +51,6 @@ const (
 	// chunked scanner raises it 64-fold and reports the line number, but an
 	// unbounded carry buffer would let one malformed line exhaust memory).
 	maxLineBytes = 64 << 20
-	// cursorBudgetBytes caps the groups×vertices count/cursor table, the
-	// analog of the builder's histBudgetBytes: with very many vertices the
-	// count/scatter fan-out is reduced rather than allocating unboundedly.
-	cursorBudgetBytes = 1 << 30
 )
 
 // parseError carries the byte offset of the line that failed so the caller
@@ -65,14 +62,6 @@ type parseError struct {
 
 func (e *parseError) Error() string { return e.err.Error() }
 func (e *parseError) Unwrap() error { return e.err }
-
-// ReadEdgeListAt parses the SNAP-style edge list stored in ra's first size
-// bytes with the streaming parallel ingester. ReadEdgeList delegates here
-// for files and in-memory buffers; use it directly to parse a random-access
-// region without an *os.File.
-func ReadEdgeListAt(ra io.ReaderAt, size int64, opts ReadOptions) (*Digraph, error) {
-	return readEdgeListAt(ra, 0, size, opts)
-}
 
 // ingest carries the state shared by the ingestion passes.
 type ingest struct {
@@ -93,6 +82,9 @@ func (in *ingest) scanShard(w int, fn func(off int64, line []byte) error) error 
 	return forEachLine(in.ra, in.start, in.shardLo(w), in.shardLo(w+1), in.end, &in.shards[w].buf, fn)
 }
 
+// readEdgeListAt parses the SNAP-style edge list stored in ra's bytes
+// [start, end) with the streaming parallel ingester; ReadEdgeList
+// delegates here for files and in-memory buffers.
 func readEdgeListAt(ra io.ReaderAt, start, end int64, opts ReadOptions) (*Digraph, error) {
 	if end < start {
 		end = start
@@ -125,84 +117,43 @@ func readEdgeListAt(ra io.ReaderAt, start, end int64, opts ReadOptions) (*Digrap
 		return nil, err
 	}
 
-	// Group shards so the groups×n count/cursor table respects the budget;
-	// each group counts and scatters its shards sequentially through one
-	// table row, which stays correct because the interleaved prefix sum
-	// below hands every group a reserved sub-range of every CSR row it
-	// contributes to.
-	groups := in.workers
-	if n > 0 {
-		if maxG := int(cursorBudgetBytes / (8 * int64(n))); groups > maxG {
-			groups = max(maxG, 1)
-		}
-	}
-	groupShards := func(g int) (int, int) { return g * in.workers / groups, (g + 1) * in.workers / groups }
-
-	cnt := make([]int64, groups*n)
-	if opts.PreserveIDs {
-		// Count pass (preserve mode): straight into the capped table.
-		cerrs := make([]error, groups)
-		forEachWorker(groups, func(g int) {
-			row := cnt[g*n : (g+1)*n]
-			lo, hi := groupShards(g)
+	// The shards are split into assembleCSR's histogram groups, each
+	// counting and scattering its shards in order through one row.
+	// Preserve mode counts in a dedicated pass straight into the row;
+	// remap mode counted during pass 1 and translates the shards' local
+	// counts. The scatter pass re-parses and places destinations. Only
+	// valid inputs reach it, so its per-line callbacks skip anything but
+	// well-formed edges.
+	csr, err := assembleCSR(n, in.workers, in.workers, opts.WithInEdges,
+		func(g, groups int, row []int64) error {
+			lo, hi := edgeRange(g, groups, in.workers)
 			for w := lo; w < hi; w++ {
-				if err := in.scanShard(w, countLine(opts, row)); err != nil {
-					cerrs[g] = err
-					return
+				if opts.PreserveIDs {
+					if err := in.scanShard(w, countLine(opts, row)); err != nil {
+						return err
+					}
+					continue
 				}
-			}
-		})
-		if err := errors.Join(cerrs...); err != nil {
-			return nil, fmt.Errorf("graph: reread: %w", err)
-		}
-	} else {
-		// Remap mode counted during pass 1; translate the per-shard local
-		// counts into the grouped table.
-		forEachWorker(groups, func(g int) {
-			row := cnt[g*n : (g+1)*n]
-			lo, hi := groupShards(g)
-			for w := lo; w < hi; w++ {
 				s := &in.shards[w]
 				for l, c := range s.counts {
 					row[s.globalOf[l]] += int64(c)
 				}
 			}
-		})
-	}
-
-	// Interleaved prefix sum (vertex-major, group-minor): off becomes the
-	// duplicate-inclusive row offsets and cnt each group's write cursors.
-	off := make([]int64, n+1)
-	var total int64
-	for u := 0; u < n; u++ {
-		off[u] = total
-		for g := 0; g < groups; g++ {
-			c := cnt[g*n+u]
-			cnt[g*n+u] = total
-			total += c
-		}
-	}
-	off[n] = total
-
-	// Scatter pass: re-parse and place destinations. Only valid inputs
-	// reach this point, so the per-line callbacks skip anything but
-	// well-formed edges.
-	adj := make([]VertexID, total)
-	rerrs := make([]error, groups)
-	forEachWorker(groups, func(g int) {
-		cur := cnt[g*n : (g+1)*n]
-		lo, hi := groupShards(g)
-		for w := lo; w < hi; w++ {
-			if err := in.scanShard(w, in.shards[w].scatter(opts, cur, adj)); err != nil {
-				rerrs[g] = err
-				return
+			return nil
+		},
+		func(g, groups int, cur []int64, adj []VertexID) error {
+			lo, hi := edgeRange(g, groups, in.workers)
+			for w := lo; w < hi; w++ {
+				if err := in.scanShard(w, in.shards[w].scatter(opts, cur, adj)); err != nil {
+					return err
+				}
 			}
-		}
-	})
-	if err := errors.Join(rerrs...); err != nil {
+			return nil
+		})
+	if err != nil {
 		return nil, fmt.Errorf("graph: reread: %w", err)
 	}
-	return finishCSR(in.workers, n, off, adj, opts.WithInEdges), nil
+	return csr, nil
 }
 
 // resolveVertexSpace merges the shards' pass-1 results into the vertex
@@ -396,31 +347,21 @@ func (s *ingestShard) scatter(opts ReadOptions, cur []int64, adj []VertexID) fun
 }
 
 // firstParseError turns the shards' errors into the sequential reader's
-// contract: the failure on the earliest bad line wins, reported with its
-// 1-based line number (counted only on the error path).
+// contract: shards cover the input in order and each stops at its first
+// failure, so the lowest failing shard holds the earliest bad line, which
+// is reported with its 1-based line number (counted only on the error
+// path).
 func firstParseError(ra io.ReaderAt, start int64, errs []error) error {
-	var best *parseError
-	var other error
-	for _, e := range errs {
-		if e == nil {
-			continue
-		}
-		var pe *parseError
-		if errors.As(e, &pe) {
-			if best == nil || pe.off < best.off {
-				best = pe
-			}
-		} else if other == nil {
-			other = e
-		}
+	err := firstError(errs)
+	var pe *parseError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &pe):
+		return fmt.Errorf("graph: line %d: %w", lineNumberAt(ra, start, pe.off), pe.err)
+	default:
+		return fmt.Errorf("graph: read: %w", err)
 	}
-	if best != nil {
-		return fmt.Errorf("graph: line %d: %w", lineNumberAt(ra, start, best.off), best.err)
-	}
-	if other != nil {
-		return fmt.Errorf("graph: read: %w", other)
-	}
-	return nil
 }
 
 // lineNumberAt returns the 1-based line number of the line starting at off.

@@ -256,7 +256,7 @@ func TestIngestNoEdgeListIntermediate(t *testing.T) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	g, err := ReadEdgeListAt(bytes.NewReader(data), int64(len(data)), opts)
+	g, err := readEdgeListAt(bytes.NewReader(data), 0, int64(len(data)), opts)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)

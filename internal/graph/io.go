@@ -82,7 +82,7 @@ type ReadOptions struct {
 // first-appearance order. Any ID is accepted up to 2^32-1.
 //
 // Regular files are parsed in place with the streaming parallel ingester
-// (see ReadEdgeListAt), whose peak memory is the CSR being built plus
+// (see ingest.go), whose peak memory is the CSR being built plus
 // per-shard counters — no edge-list intermediate. Other readers are
 // buffered in memory first, then parsed the same way.
 func ReadEdgeList(r io.Reader, opts ReadOptions) (*Digraph, error) {

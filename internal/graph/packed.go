@@ -239,11 +239,12 @@ func appendPackedNeighbors(buf []VertexID, b []byte) []VertexID {
 	return buf
 }
 
-// decodePackedRow strictly decodes one row block into dst (when non-nil,
-// it must have room for the declared degree): the degree prefix must match
-// the gap count, every gap must be ≥ 1, every neighbour inside [0, n), and
-// the block consumed exactly. Returns the decoded degree.
-func decodePackedRow(b []byte, n int, dst []VertexID) (int, error) {
+// decodePackedRow strictly decodes vertex u's row block into dst (when
+// non-nil, it must have room for the declared degree): the degree prefix
+// must match the gap count, every gap must be ≥ 1, every neighbour inside
+// [0, n) and other than u, and the block consumed exactly. Returns the
+// decoded degree.
+func decodePackedRow(b []byte, n, u int, dst []VertexID) (int, error) {
 	deg, k := binary.Uvarint(b)
 	if k <= 0 {
 		return 0, fmt.Errorf("bad degree prefix")
@@ -263,6 +264,9 @@ func decodePackedRow(b []byte, n int, dst []VertexID) (int, error) {
 		prev += int64(d)
 		if prev >= int64(n) {
 			return 0, fmt.Errorf("neighbour %d of %d vertices", prev, n)
+		}
+		if prev == int64(u) {
+			return 0, fmt.Errorf("self-loop")
 		}
 		if dst != nil {
 			dst[i] = VertexID(prev)
@@ -284,7 +288,7 @@ func validatePackedRows(n int, poff []int64, blob []byte, edges int64, what stri
 	parallelRanges(runtime.GOMAXPROCS(0), n, func(lo, hi int) {
 		var sum int64
 		for u := lo; u < hi; u++ {
-			deg, err := decodePackedRow(blob[poff[u]:poff[u+1]], n, nil)
+			deg, err := decodePackedRow(blob[poff[u]:poff[u+1]], n, u, nil)
 			if err != nil {
 				mu.Lock()
 				if vErr == nil {
@@ -349,7 +353,7 @@ func decodePackedColumn(n int, poff []int64, blob []byte, edges int64, what stri
 	adj := make([]VertexID, total)
 	parallelRanges(runtime.GOMAXPROCS(0), n, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
-			if _, err := decodePackedRow(blob[poff[u]:poff[u+1]], n, adj[off[u]:off[u+1]]); err != nil {
+			if _, err := decodePackedRow(blob[poff[u]:poff[u+1]], n, u, adj[off[u]:off[u+1]]); err != nil {
 				record(u, err)
 				return
 			}

@@ -137,8 +137,14 @@ func (s *ShardFile) Validate() error {
 	}
 	n, prev := len(s.Locals), int32(0)
 	for i, si := range s.EdgeSrc {
-		if di := s.EdgeDst[i]; si < 0 || int(si) >= n || di < 0 || int(di) >= n {
+		di := s.EdgeDst[i]
+		if si < 0 || int(si) >= n || di < 0 || int(di) >= n {
 			return fmt.Errorf("graph: shard: edge %d outside the local table", i)
+		}
+		// Locals are distinct, so equal indices are a self-loop, which no
+		// View holds.
+		if si == di {
+			return fmt.Errorf("graph: shard: edge %d is a self-loop", i)
 		}
 		// Sorted source runs are what a job resolves its slots' edge runs
 		// from, searching forward once per attach; every cut produces them

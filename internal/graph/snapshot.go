@@ -46,8 +46,8 @@ import (
 // boundary, so each payload begins at a file offset that is a multiple of 8.
 // That is what makes snapshots viewable in place: mmap the file (or read it
 // into one 8-aligned buffer) and outOff []int64 / outAdj []VertexID alias the
-// payload bytes directly, with zero per-edge work on load — see MapSnapshot
-// and OpenGraphFile.
+// payload bytes directly, with zero per-edge work on load — see
+// OpenGraphFile.
 //
 // With the packed-adjacency flag the adjacency sections hold delta-varint
 // row blocks instead of raw uint32 columns and the offset sections index
@@ -56,11 +56,12 @@ import (
 //
 // Every heap load (ReadSnapshot, or OpenGraphFile with NoMap) reads the
 // file into one aligned image and ends with a full structural validation
-// (monotone offsets, strictly increasing in-range rows), so a corrupt or
-// hand-made file is rejected here rather than poisoning binary searches
-// later; the mapped load path defers the O(edges) row checks behind
-// ReadOptions.Verify but always validates the offset columns, which is what
-// keeps row slicing memory-safe. Trailing bytes after the last section are ignored.
+// (monotone offsets, strictly increasing in-range rows without
+// self-loops), so a corrupt or hand-made file is rejected here rather than
+// poisoning binary searches later; the mapped load path defers the
+// O(edges) row checks behind ReadOptions.Verify but always validates the
+// offset columns, which is what keeps row slicing memory-safe. Trailing
+// bytes after the last section are ignored.
 const (
 	snapshotMagic       = "SNAPLSGR"
 	snapshotVersion     = 2
@@ -336,7 +337,8 @@ func sourceLimit(r io.Reader) int64 {
 
 // validateCSR rejects structurally invalid CSR data: offsets must start at
 // zero, be monotonically non-decreasing and end at len(adj), and every row
-// must be strictly increasing with all values inside [0, n). HasEdge's
+// must be strictly increasing with all values inside [0, n) and none equal
+// to the row's own vertex (View's no-self-loop contract). HasEdge's
 // binary search and the merge kernels in internal/core assume sorted
 // duplicate-free rows, so a corrupt snapshot must fail here, not there.
 func validateCSR(n int, off []int64, adj []VertexID, what string) error {
@@ -365,6 +367,10 @@ func validateCSR(n int, off []int64, adj []VertexID, what string) error {
 			for i := s; i < e; i++ {
 				if int(adj[i]) >= n {
 					record(fmt.Errorf("graph: snapshot: %s-adjacency of vertex %d references vertex %d of %d", what, u, adj[i], n))
+					return
+				}
+				if int(adj[i]) == u {
+					record(fmt.Errorf("graph: snapshot: %s-adjacency of vertex %d holds a self-loop", what, u))
 					return
 				}
 				if i > s && adj[i] <= adj[i-1] {

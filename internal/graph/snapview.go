@@ -284,30 +284,3 @@ func (s *sectionWalker) packedPair(h snapshotHeader, what string) ([]int64, []by
 	}
 	return off, blob, nil
 }
-
-// MapSnapshot opens a plain-adjacency .sgr snapshot with its CSR
-// columns aliasing a read-only mmap view of the file: zero per-edge work,
-// O(1) heap allocation independent of edge count, pages faulted in by the
-// OS as queries touch them. On platforms without mmap the file is read
-// into one aligned buffer and viewed in place the same way. Only the
-// O(vertices) offset checks run here; open through OpenGraphFile with
-// ReadOptions.Verify for full row validation.
-//
-// The mapping lives exactly as long as the returned graph: a runtime
-// cleanup unmaps it when the graph becomes unreachable, so callers must
-// keep the *Digraph alive while using any slice derived from it.
-// Packed-adjacency files are rejected; OpenGraphFile handles both layouts.
-func MapSnapshot(path string) (*Digraph, error) {
-	v, info, err := OpenGraphFile(path, ReadOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if info.Format != FormatSnapshot {
-		return nil, fmt.Errorf("graph: %s: not a snapshot; pack it with `snaple pack`", path)
-	}
-	g, ok := v.(*Digraph)
-	if !ok {
-		return nil, fmt.Errorf("graph: %s: packed-adjacency snapshot; open it with OpenGraphFile", path)
-	}
-	return g, nil
-}

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 )
 
 // EdgeStream yields the edges of shard (one of shards contiguous,
@@ -14,18 +13,17 @@ import (
 // file readers provide for free.
 type EdgeStream func(shard, shards int, yield func(u, v VertexID))
 
-// BuildStream assembles a Digraph from a replayable edge stream with the
-// same two-pass counting sort as Builder.build, but with no edge-list
-// buffer at all: pass one counts per-source degrees straight off the
-// stream, pass two scatters destinations through per-worker cursors, and
-// the shared finishCSR pass sorts, deduplicates and compacts the rows.
-// Peak memory is the CSR being built plus the per-worker histograms —
+// BuildStream assembles a Digraph from a replayable edge stream through
+// assembleCSR, the counting sort Builder uses, but with no edge-list
+// buffer at all: each histogram group drives one shard of the stream, the
+// count pass reads degrees straight off it and the scatter pass replays
+// it. Peak memory is the CSR being built plus the per-group histograms —
 // 10^9-edge inputs stream through without ever holding 10^9 Edge structs.
 //
-// Self-loops are dropped and duplicates are removed, matching Builder's
-// defaults; out-of-range endpoints are an error. workers ≤ 0 means
-// GOMAXPROCS; each worker drives its own shard of the stream, so the
-// stream must be safe to run concurrently for distinct shards.
+// Self-loops are dropped and duplicates are removed, matching Builder. An
+// out-of-range endpoint is an error naming the first such edge in stream
+// order, with Builder's message. workers ≤ 0 means GOMAXPROCS; the stream
+// must be safe to run concurrently for distinct shards.
 func BuildStream(numVertices, workers int, stream EdgeStream) (*Digraph, error) {
 	n := numVertices
 	if n < 0 {
@@ -34,57 +32,29 @@ func BuildStream(numVertices, workers int, stream EdgeStream) (*Digraph, error) 
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if maxW := int(histBudgetBytes / (8 * int64(n+1))); workers > maxW {
-		workers = max(maxW, 1)
-	}
-
-	// Pass 1: count edges per source into per-worker histograms.
-	hist := make([]int64, workers*n)
-	var bad atomic.Uint64
-	bad.Store(^uint64(0))
-	forEachWorker(workers, func(w int) {
-		h := hist[w*n : (w+1)*n]
-		stream(w, workers, func(u, v VertexID) {
-			if int(u) >= n || int(v) >= n {
-				bad.CompareAndSwap(^uint64(0), uint64(u)<<32|uint64(v))
-				return
-			}
-			if u != v {
-				h[u]++
-			}
+	return assembleCSR(n, workers, workers, false,
+		func(g, groups int, row []int64) error {
+			var err error
+			stream(g, groups, func(u, v VertexID) {
+				if int(u) >= n || int(v) >= n {
+					if err == nil {
+						err = edgeOutOfRange(u, v, n)
+					}
+					return
+				}
+				if u != v {
+					row[u]++
+				}
+			})
+			return err
+		},
+		func(g, groups int, cur []int64, adj []VertexID) error {
+			stream(g, groups, func(u, v VertexID) {
+				if u != v {
+					adj[cur[u]] = v
+					cur[u]++
+				}
+			})
+			return nil
 		})
-	})
-	if packed := bad.Load(); packed != ^uint64(0) {
-		return nil, fmt.Errorf("graph: edge (%d,%d) with %d vertices: %w",
-			uint32(packed>>32), uint32(packed), n, errInvalidVertex)
-	}
-
-	// Prefix sum over (vertex, worker): hist[w*n+u] becomes worker w's
-	// private write cursor inside row u, as in Builder.build.
-	off := make([]int64, n+1)
-	var total int64
-	for u := 0; u < n; u++ {
-		off[u] = total
-		for w := 0; w < workers; w++ {
-			c := hist[w*n+u]
-			hist[w*n+u] = total
-			total += c
-		}
-	}
-	off[n] = total
-
-	// Pass 2: replay the stream and scatter destinations.
-	adj := make([]VertexID, total)
-	forEachWorker(workers, func(w int) {
-		h := hist[w*n : (w+1)*n]
-		stream(w, workers, func(u, v VertexID) {
-			if u == v {
-				return
-			}
-			adj[h[u]] = v
-			h[u]++
-		})
-	})
-
-	return finishCSR(workers, n, off, adj, false), nil
 }

@@ -200,6 +200,15 @@ func randPartition(r *rand.Rand, n int, hub bool) graph.ShardFile {
 		p.EdgeDst = append(p.EdgeDst, int32(r.Intn(len(p.Locals))))
 	}
 	slices.Sort(p.EdgeSrc)
+	// No shard holds a self-loop: drop the pairs the sort turned into one.
+	kept := 0
+	for i, src := range p.EdgeSrc {
+		if dst := p.EdgeDst[i]; dst != src {
+			p.EdgeSrc[kept], p.EdgeDst[kept] = src, dst
+			kept++
+		}
+	}
+	p.EdgeSrc, p.EdgeDst = p.EdgeSrc[:kept], p.EdgeDst[:kept]
 	return p
 }
 

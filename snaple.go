@@ -59,7 +59,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 
 	"snaple/internal/cluster"
@@ -393,16 +392,6 @@ func ReadEdgeList(r io.Reader, symmetrize bool) (*Graph, error) {
 	return graph.ReadEdgeList(r, graph.ReadOptions{Symmetrize: symmetrize})
 }
 
-// ReadEdgeListFile is ReadEdgeList over a file path.
-func ReadEdgeListFile(path string, symmetrize bool) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("snaple: open %s: %w", path, err)
-	}
-	defer f.Close()
-	return ReadEdgeList(f, symmetrize)
-}
-
 // WriteEdgeList writes g as a SNAP-style edge list, including the
 // machine-readable "# vertices: N" header that makes save/load round trips
 // preserve isolated vertices.
@@ -417,13 +406,6 @@ type GraphReadOptions = graph.ReadOptions
 // WriteSnapshot) or a SNAP-style text edge list.
 func ReadGraphFile(path string, opts GraphReadOptions) (*Graph, error) {
 	return graph.ReadGraphFile(path, opts)
-}
-
-// LoadGraphFile is ReadGraphFile with the CLI's defaults: just the
-// undirected-input switch, which only applies to text inputs (snapshots
-// bake the edge direction in when packed).
-func LoadGraphFile(path string, symmetrize bool) (*Graph, error) {
-	return graph.ReadGraphFile(path, graph.ReadOptions{Symmetrize: symmetrize})
 }
 
 // NewLive starts a live, mutable graph over a frozen base. Live.Apply
@@ -453,10 +435,6 @@ type Packed = graph.Packed
 func OpenGraphFile(path string, opts GraphReadOptions) (GraphView, LoadInfo, error) {
 	return graph.OpenGraphFile(path, opts)
 }
-
-// MapSnapshot opens a format-v2 plain .sgr snapshot with its CSR columns
-// mmap'd in place; see OpenGraphFile for the general loader.
-func MapSnapshot(path string) (*Graph, error) { return graph.MapSnapshot(path) }
 
 // SnapshotOptions configures WriteSnapshotOpts (the packed-adjacency
 // switch).
