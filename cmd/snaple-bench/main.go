@@ -111,7 +111,7 @@ func experiments() []experiment {
 		{id: "scale", run: runScale, explicitOnly: true},
 		{id: "ablations", run: func(o eval.Options, w io.Writer) error {
 			for i, ab := range []func(eval.Options, io.Writer) error{
-				printed(eval.RunAlphaSweep), printed(eval.RunPartitionAblation), printed(eval.RunKHopAblation),
+				printed(eval.RunAlphaSweep), printed(eval.RunPartitionAblation),
 			} {
 				if i > 0 {
 					fmt.Fprintln(w)
@@ -478,10 +478,6 @@ func codecPerf(w io.Writer) (eval.PerfRow, error) {
 		for j := 0; j < 6; j++ {
 			s.Data.Nbrs = append(s.Data.Nbrs, graph.VertexID((i*3+j*7)%idSpace))
 			s.Data.Sims = append(s.Data.Sims, core.VertexSim{V: graph.VertexID((i*13 + j) % idSpace), Sim: 1 / float64(j+2)})
-		}
-		for j := 0; j < 3; j++ {
-			s.Data.TwoHop = append(s.Data.TwoHop, core.PathCand{Z: graph.VertexID((i*19 + j) % idSpace), S: float64(j) * 0.5})
-			s.Data.Pred = append(s.Data.Pred, core.Prediction{Vertex: graph.VertexID((i*23 + j) % idSpace), Score: float64(i%29) * 0.25})
 		}
 		states[i] = s
 	}

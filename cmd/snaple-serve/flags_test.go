@@ -31,7 +31,6 @@ func TestFlagsGolden(t *testing.T) {
 		`-listen string ":8080"`,
 		"-manifest snaple pack -shards",
 		"-mutable",
-		"-paths int 2",
 		`-policy string "max"`,
 		"-replicas int",
 		"-run-timeout duration",

@@ -78,12 +78,11 @@ func main() {
 func run(args []string) error {
 	opts := snaple.Options{
 		Score: "linearSum", Alpha: 0.9, K: 20, KLocal: 20, ThrGamma: 200, Policy: "max",
-		Paths: 2, Seed: 42, Engine: "local",
+		Seed: 42, Engine: "local",
 	}
 	fs := flag.NewFlagSet("snaple-serve", flag.ContinueOnError)
 	opts.BindFlags(fs)
 	fs.IntVar(&opts.K, "kmax", opts.K, "maximum servable predictions per vertex (requests may ask for any k up to this)")
-	fs.IntVar(&opts.Paths, "paths", opts.Paths, "maximum path length: 2 or 3")
 	fs.StringVar(&opts.Manifest, "manifest", opts.Manifest, "fleet manifest written by `snaple pack -shards`: attach to the resident workers at -addrs (shard-major when -replicas > 1) by fingerprint handshake instead of shipping partitions; implies -engine dist")
 	var (
 		in        = fs.String("in", "", "graph file to serve (.sgr snapshot or text edge list, auto-detected)")

@@ -19,7 +19,7 @@ func TestRunErrors(t *testing.T) {
 	base := []string{
 		"-in", file, "-listen", "127.0.0.1:0",
 		"-score", "linearSum", "-alpha", "0.9", "-kmax", "5", "-klocal", "4", "-thr", "10",
-		"-policy", "max", "-paths", "2", "-seed", "1", "-engine", "local",
+		"-policy", "max", "-seed", "1", "-engine", "local",
 	}
 	manifest := filepath.Join(t.TempDir(), "g.sgr.manifest")
 	for _, tc := range []struct {
@@ -32,7 +32,6 @@ func TestRunErrors(t *testing.T) {
 		{"bad score", []string{"-score", "nope"}, ""},
 		{"bad policy", []string{"-policy", "nope"}, ""},
 		{"bad engine", []string{"-engine", "nope"}, ""},
-		{"bad paths", []string{"-paths", "5"}, ""},
 		{"bad kmax", []string{"-kmax", "-1"}, ""},
 		{"unbindable listen", []string{"-listen", "256.0.0.1:99999"}, ""},
 		// The manifest does not exist: both combinations must be refused

@@ -71,9 +71,8 @@ type Config struct {
 	ThrGamma int
 	// Policy selects how the KLocal relays are chosen (default SelectMax).
 	Policy SelectionPolicy
-	// Paths is the maximum path length explored: 2 (the paper's setting,
-	// default) or 3 (the footnote-2 extension; candidate space grows to
-	// k_local³, so use small KLocal values).
+	// Paths is the path length scored. SNAPLE scores 2-hop paths only, so
+	// the one accepted value is 2 (0 means the same); any other is refused.
 	Paths int
 	// Seed drives truncation and the Γrnd policy.
 	Seed uint64
@@ -121,8 +120,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: ThrGamma=%d, need >= 0", c.ThrGamma)
 	case c.Policy != SelectMax && c.Policy != SelectMin && c.Policy != SelectRnd:
 		return fmt.Errorf("core: unknown selection policy %d", int(c.Policy))
-	case c.Paths != 0 && c.Paths != 2 && c.Paths != 3:
-		return fmt.Errorf("core: Paths=%d, supported values are 2 and 3", c.Paths)
+	case c.Paths != 0 && c.Paths != 2:
+		return fmt.Errorf("core: Paths=%d, SNAPLE scores 2-hop paths only", c.Paths)
 	}
 	return nil
 }

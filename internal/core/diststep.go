@@ -17,12 +17,11 @@ import (
 // state to the mirrors over TCP, and the sim backend (engine.Sim) hands them
 // over in memory and prices them with the paper's cost model (inprocess.go).
 // Like StepRunner it owns no step logic: the gathers are steps.go's per-edge
-// kernels (keepTruncated, Similarity.Score, appendCombine, appendTwoHop,
-// appendCombine3) and the applies its per-vertex ones (applyTruncate,
-// applyRelays, applyTwoHop, applyCombine). What is here is the per-job state
-// — indexed by the job's slots, the shard's locals on a full run and the
-// closure's vertices on a scoped one — and the streaming loop over the slots'
-// edge runs.
+// kernels (keepTruncated, Similarity.Score, appendCombine) and the applies
+// its per-vertex ones (applyTruncate, applyRelays, applyCombine). What is
+// here is the per-job state — indexed by the job's slots, the shard's locals
+// on a full run and the closure's vertices on a scoped one — and the
+// streaming loop over the slots' edge runs.
 //
 // Determinism across substrates holds for the same reason it does between
 // the serial and local backends: every random draw is hash-keyed by (seed,
@@ -39,15 +38,9 @@ const (
 	DistTruncate DistStep = iota + 1
 	// DistRelays is step 2: raw similarities plus the k_local relay selection.
 	DistRelays
-	// DistCombine is step 3: combine and aggregate 2-hop paths (the final
-	// superstep of the paper's 2-hop configuration).
+	// DistCombine is step 3, the final superstep: combine and aggregate
+	// 2-hop paths into predictions.
 	DistCombine
-	// DistTwoHop is step 3a of the 3-hop extension: materialise per-vertex
-	// 2-hop path lists.
-	DistTwoHop
-	// DistCombine3 is step 3b of the 3-hop extension: aggregate 2- and 3-hop
-	// paths into final predictions.
-	DistCombine3
 	// DistReplicate is BASELINE's step 2: replicate each neighbour's full
 	// neighbourhood onto u (baseline.go). In process only.
 	DistReplicate
@@ -73,10 +66,6 @@ func (s DistStep) String() string {
 		return "relays"
 	case DistCombine:
 		return "combine"
-	case DistTwoHop:
-		return "twohop"
-	case DistCombine3:
-		return "combine3"
 	case DistReplicate:
 		return "replicate"
 	case DistJaccard:
@@ -86,13 +75,8 @@ func (s DistStep) String() string {
 	}
 }
 
-// DistSteps returns the superstep pipeline for the given maximum path
-// length: steps 1, 2, 3 for the paper's 2-hop setting, steps 1, 2, 3a, 3b
-// for the footnote-2 extension.
-func DistSteps(paths int) []DistStep {
-	if paths == 3 {
-		return []DistStep{DistTruncate, DistRelays, DistTwoHop, DistCombine3}
-	}
+// DistSteps returns Algorithm 2's superstep pipeline: steps 1, 2 and 3.
+func DistSteps() []DistStep {
 	return []DistStep{DistTruncate, DistRelays, DistCombine}
 }
 
@@ -105,14 +89,14 @@ type VertexSim struct {
 
 // VData is the per-vertex state of Algorithm 2: the (truncated)
 // neighbourhood Γ̂, the k_local most similar neighbours, and the final
-// predictions. TwoHop is only populated by the 3-hop extension (khop.go).
-// It is exported because the dist backend ships it between worker processes
-// during master→mirror refreshes (internal/wire encodes it as a state record).
+// predictions. It is exported because the dist backend ships Nbrs and Sims
+// between worker processes during master→mirror refreshes (internal/wire
+// encodes them as a state record); Pred, written by the last superstep, is
+// collected from the masters and never refreshed.
 type VData struct {
-	Nbrs   []graph.VertexID // Γ̂(u), sorted ascending
-	Sims   []VertexSim      // selected relays, sorted by V ascending
-	TwoHop []PathCand       // sampled 2-hop paths (3-hop extension only)
-	Pred   []Prediction     // final top-k, best first
+	Nbrs []graph.VertexID // Γ̂(u), sorted ascending
+	Sims []VertexSim      // selected relays, sorted by V ascending
+	Pred []Prediction     // final top-k, best first
 }
 
 // DistPartial is one partition's gather partial sum for one vertex in one
@@ -125,7 +109,7 @@ type DistPartial struct {
 	V     graph.VertexID
 	Nbrs  []graph.VertexID // DistTruncate
 	Sims  []VertexSim      // DistRelays
-	Cands []PathCand       // DistCombine, DistTwoHop, DistCombine3
+	Cands []PathCand       // DistCombine
 }
 
 // DistPartition is one job's compute state over one shard of a vertex-cut:
@@ -374,7 +358,7 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistP
 	if step.inProcess() {
 		return fmt.Errorf("%w: %v", ErrInProcessStep, step)
 	}
-	if step < DistTruncate || step > DistCombine3 {
+	if step < DistTruncate || step > DistCombine {
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}
 	var dp DistPartial
@@ -442,18 +426,11 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 		p.gatherSims, dp.Sims = sims, sims
 		return true // every edge contributes a similarity, and the run is not empty
 	default:
-		kernel := appendCombine
-		switch step {
-		case DistTwoHop:
-			kernel = appendTwoHop
-		case DistCombine3:
-			kernel = appendCombine3
-		}
 		cands := p.gatherCands[:0]
 		for k, di := range sh.EdgeDst[r.lo:r.hi] {
 			n := len(cands)
-			cands = kernel(cfg.Score.Comb, cands, src, sh.Locals[di], srcD, p.dstData(r, k))
-			if p.meter != nil && len(cands) > n && !p.meter(p.candBytes(step, cands[n:])) {
+			cands = appendCombine(cfg.Score.Comb, cands, src, sh.Locals[di], srcD, p.dstData(r, k))
+			if p.meter != nil && len(cands) > n && !p.meter(p.candBytes(cands[n:])) {
 				break
 			}
 		}
@@ -474,16 +451,13 @@ func (p *DistPartition) Apply(step DistStep, s int32, parts []DistPartial) error
 	// concatenation alloc and feeds its slices to the apply directly; step 2's
 	// apply sorts in place, which may reorder the caller's slice — harmless,
 	// callers hand over scratch or routing copies.
-	cands := func(dp *DistPartial) []PathCand { return dp.Cands }
 	switch step {
 	case DistTruncate:
 		d.Nbrs = applyTruncate(concat(parts, func(dp *DistPartial) []graph.VertexID { return dp.Nbrs }))
 	case DistRelays:
 		d.Sims = p.s.applyRelays(&p.cfg, v, concat(parts, func(dp *DistPartial) []VertexSim { return dp.Sims }))
-	case DistTwoHop:
-		d.TwoHop = p.s.applyTwoHop(v, concat(parts, cands), nil)
-	case DistCombine, DistCombine3:
-		d.Pred = p.s.applyCombine(&p.cfg, v, concat(parts, cands), nil)
+	case DistCombine:
+		d.Pred = p.s.applyCombine(&p.cfg, v, concat(parts, func(dp *DistPartial) []PathCand { return dp.Cands }), nil)
 	default:
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}

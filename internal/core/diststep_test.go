@@ -67,7 +67,7 @@ func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions
 		li, _ := slices.BinarySearch(shards[p].Locals, parts[p].Vertex(s))
 		return shards[p].IsMaster[li]
 	}
-	for _, step := range DistSteps(parts[0].Config().Paths) {
+	for _, step := range DistSteps() {
 		byVertex := map[graph.VertexID][]DistPartial{}
 		for p, part := range parts {
 			emitted := map[int32]DistPartial{}
@@ -129,26 +129,19 @@ func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions
 }
 
 // TestDistPartitionMatchesReference drives DistPartition directly — the
-// streaming gather, the applies and the apply-time re-gather — through all
-// five DistSteps (1, 2, 3 on the 2-hop pipeline; 1, 2, 3a, 3b on the 3-hop
-// one), full and scoped, and demands the serial references' bits.
+// streaming gather, the applies and the apply-time re-gather — through its
+// three DistSteps, full and scoped, and demands the serial reference's bits.
 func TestDistPartitionMatchesReference(t *testing.T) {
 	g := communityGraph(t, 240, 17)
 	shards := handCut(t, g)
 	for _, cfg := range []Config{
 		{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, Seed: 1},
 		{Score: mustScore(t, "counter"), K: 5, KLocal: 4, ThrGamma: 6, Policy: SelectRnd, Seed: 2},
-		{Score: mustScore(t, "linearSum"), K: 5, KLocal: 5, Paths: 3, Seed: 3},
-		{Score: mustScore(t, "geomMean"), K: 5, KLocal: 4, ThrGamma: 10, Paths: 3, Seed: 4},
 	} {
 		for _, sources := range [][]graph.VertexID{nil, {3, 77, 200}} {
 			cfg := cfg
 			cfg.Sources = sources
-			ref := ReferenceSnaple
-			if cfg.Paths == 3 {
-				ref = ReferenceSnaple3Hop
-			}
-			want, err := ref(g, cfg)
+			want, err := ReferenceSnaple(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,9 +150,6 @@ func TestDistPartitionMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			label := cfg.Score.Name
-			if cfg.Paths == 3 {
-				label += "-3hop"
-			}
 			if sources != nil {
 				label += "-scoped"
 			}

@@ -16,16 +16,14 @@ import (
 // is answering "top-k for *these* users" interactively, and a billion-edge
 // graph cannot afford a full pass per query. Config.Sources scopes a run to
 // a source frontier: only the sources receive predictions, and only the
-// exact ≤2-hop closure their step programs read is computed (≤3-hop for the
-// Paths=3 extension).
+// exact ≤2-hop closure their step programs read is computed.
 //
 // The closure is derived from the data dependencies of steps.go's
 // primitives, which every backend shares:
 //
-//	Pred   = S                        (step 3 output: the sources themselves)
-//	TwoHop = Γ(S)                     (step 3a rows read by step 3b; Paths=3 only)
-//	Sims   = S ∪ Γ(S) [∪ Γ(TwoHop)]   (step 2 rows read by steps 3/3a/3b)
-//	Trunc  = Sims ∪ Γ(Sims)           (step 1 rows read by step 2's similarities)
+//	Pred  = S               (step 3 output: the sources themselves)
+//	Sims  = S ∪ Γ(S)        (step 2 rows read by step 3)
+//	Trunc = Sims ∪ Γ(Sims)  (step 1 rows read by step 2's similarities)
 //
 // where Γ is the out-neighbourhood. Because every step primitive is a pure
 // deterministic function of its input rows (hash-keyed draws, sorted folds
@@ -188,11 +186,8 @@ func (s *VertexSet) Members() []graph.VertexID { return s.members }
 // and an empty set scopes its step to no vertex at all.
 type Frontier struct {
 	// Pred holds the deduplicated sources: the vertices whose predictions
-	// the run computes (step 3 / 3b scope).
+	// the run computes (step 3 scope).
 	Pred *VertexSet
-	// TwoHop is the step-3a scope of the Paths=3 extension — the relays
-	// whose 2-hop path lists step 3b reads. Nil when Paths is 2.
-	TwoHop *VertexSet
 	// Sims is the step-2 scope: vertices whose relay lists some later step
 	// reads.
 	Sims *VertexSet
@@ -211,7 +206,6 @@ func NewFrontier(g graph.View, cfg Config) (*Frontier, error) {
 	if len(cfg.Sources) == 0 {
 		return nil, nil
 	}
-	cfg = cfg.withDefaults()
 	n := g.NumVertices()
 	for _, v := range cfg.Sources {
 		if int(v) >= n {
@@ -226,15 +220,6 @@ func NewFrontier(g graph.View, cfg Config) (*Frontier, error) {
 	sims := setBuilder{n: n}
 	sims.add(f.Pred.members)
 	expandOut(g, f.Pred.members, &sims)
-	if cfg.Paths == 3 {
-		// Step 3b reads the 2-hop path list of every relay of a source, and
-		// step 3a reads the relay lists of a 2-hop vertex's own relays: the
-		// closure deepens by one hop.
-		two := setBuilder{n: n}
-		expandOut(g, f.Pred.members, &two)
-		f.TwoHop = two.finish()
-		expandOut(g, f.TwoHop.members, &sims)
-	}
 	f.Sims = sims.finish()
 
 	// Trunc = Sims ∪ Γ(Sims).
@@ -301,16 +286,6 @@ func (f *Frontier) InSims(v graph.VertexID) bool { return f == nil || f.Sims.Con
 // neighbourhood.
 func (f *Frontier) InTrunc(v graph.VertexID) bool { return f == nil || f.Trunc.Contains(v) }
 
-// InTwoHop reports whether step 3a must materialise v's 2-hop path list
-// (Paths=3 runs only; false for every vertex of a scoped 2-hop run, where
-// the step never executes).
-func (f *Frontier) InTwoHop(v graph.VertexID) bool {
-	if f == nil {
-		return true
-	}
-	return f.TwoHop != nil && f.TwoHop.Contains(v)
-}
-
 // Scope-mask bits: the per-vertex frontier membership shipped to dist
 // workers (wire.ScopeEntry.Mask), one bit per step family. A worker gates
 // each superstep's gather on its source's bit, which is all it needs — the
@@ -320,8 +295,6 @@ const (
 	ScopeTrunc uint8 = 1 << iota
 	// ScopeSims marks gather sources of the relays superstep.
 	ScopeSims
-	// ScopeTwoHop marks gather sources of the two-hop superstep (Paths=3).
-	ScopeTwoHop
 	// ScopePred marks gather sources of the final combine superstep.
 	ScopePred
 )
@@ -330,7 +303,7 @@ const (
 // step.
 func (f *Frontier) ScopeMask(v graph.VertexID) uint8 {
 	if f == nil {
-		return ScopeTrunc | ScopeSims | ScopeTwoHop | ScopePred
+		return ScopeTrunc | ScopeSims | ScopePred
 	}
 	var m uint8
 	if f.Trunc.Contains(v) {
@@ -338,9 +311,6 @@ func (f *Frontier) ScopeMask(v graph.VertexID) uint8 {
 	}
 	if f.Sims.Contains(v) {
 		m |= ScopeSims
-	}
-	if f.TwoHop != nil && f.TwoHop.Contains(v) {
-		m |= ScopeTwoHop
 	}
 	if f.Pred.Contains(v) {
 		m |= ScopePred
@@ -355,9 +325,7 @@ func (s DistStep) ScopeBit() uint8 {
 		return ScopeTrunc
 	case DistRelays:
 		return ScopeSims
-	case DistTwoHop:
-		return ScopeTwoHop
-	default: // DistCombine, DistCombine3
+	default: // DistCombine
 		return ScopePred
 	}
 }
@@ -365,7 +333,7 @@ func (s DistStep) ScopeBit() uint8 {
 // StepSet returns the frontier set scoping step's gather sources, or nil
 // when there is none: an unscoped run (nil receiver — callers decide
 // "every vertex" from the Frontier being nil, never from this result) or a
-// step the run does not execute (DistTwoHop under Paths=2).
+// step outside Algorithm 2's pipeline.
 func (f *Frontier) StepSet(step DistStep) *VertexSet {
 	if f == nil {
 		return nil
@@ -375,9 +343,7 @@ func (f *Frontier) StepSet(step DistStep) *VertexSet {
 		return f.Trunc
 	case DistRelays:
 		return f.Sims
-	case DistTwoHop:
-		return f.TwoHop
-	case DistCombine, DistCombine3:
+	case DistCombine:
 		return f.Pred
 	default:
 		return nil

@@ -47,13 +47,13 @@ func paddedFrontierTestGraph(t *testing.T, pad int) *graph.Digraph {
 // closures of ordinary vertices stay lists while a hub's is promoted.
 const sparsePad = 300 * bitmapShare
 
-func frontierCfg(t *testing.T, paths int, sources ...graph.VertexID) Config {
+func frontierCfg(t *testing.T, sources ...graph.VertexID) Config {
 	t.Helper()
 	spec, err := ScoreByName("linearSum", 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 10, Paths: paths, Seed: 42, Sources: sources}
+	return Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 10, Seed: 42, Sources: sources}
 }
 
 // TestNewFrontierClosure verifies the closure sets against a brute-force
@@ -71,104 +71,94 @@ func TestNewFrontierClosure(t *testing.T) {
 }
 
 func testFrontierClosure(t *testing.T, g *graph.Digraph, forms map[bool]int) {
-	for _, paths := range []int{2, 3} {
-		for _, sources := range [][]graph.VertexID{
-			{0},
-			{7, 7, 7}, // duplicates collapse
-			{0, 60, 120, 33, 299},
-			{300}, // isolated: closure is just the source
-		} {
-			f, err := NewFrontier(g, frontierCfg(t, paths, sources...))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			want := func(name string, set *VertexSet, in map[graph.VertexID]bool) {
-				if set.Len() != len(in) {
-					t.Fatalf("paths=%d sources=%v: %s has %d members, want %d", paths, sources, name, set.Len(), len(in))
-				}
-				prev := graph.VertexID(0)
-				for i, v := range set.Members() {
-					if !in[v] {
-						t.Fatalf("paths=%d sources=%v: %s contains %d unexpectedly", paths, sources, name, v)
-					}
-					if !set.Contains(v) {
-						t.Fatalf("%s member %d not Contains()", name, v)
-					}
-					if i > 0 && v <= prev {
-						t.Fatalf("%s members not strictly ascending at %d", name, v)
-					}
-					prev = v
-				}
-				for u := 0; u < g.NumVertices(); u++ {
-					if v := graph.VertexID(u); set.Contains(v) != in[v] {
-						t.Fatalf("paths=%d sources=%v: %s.Contains(%d) = %v", paths, sources, name, v, !in[v])
-					}
-				}
-			}
-			addOut := func(from, into map[graph.VertexID]bool) {
-				for v := range from {
-					for _, w := range g.OutNeighbors(v) {
-						into[w] = true
-					}
-				}
-			}
-			clone := func(m map[graph.VertexID]bool) map[graph.VertexID]bool {
-				c := make(map[graph.VertexID]bool, len(m))
-				for k := range m {
-					c[k] = true
-				}
-				return c
-			}
-
-			pred := map[graph.VertexID]bool{}
-			for _, s := range sources {
-				pred[s] = true
-			}
-			want("Pred", f.Pred, pred)
-
-			sims := clone(pred)
-			addOut(pred, sims)
-			if paths == 3 {
-				two := map[graph.VertexID]bool{}
-				addOut(pred, two)
-				want("TwoHop", f.TwoHop, two)
-				addOut(two, sims)
-			} else if f.TwoHop != nil {
-				t.Fatalf("paths=2 run has a TwoHop set")
-			}
-			want("Sims", f.Sims, sims)
-
-			trunc := clone(sims)
-			addOut(sims, trunc)
-			want("Trunc", f.Trunc, trunc)
-
-			if f.Size() != f.Trunc.Len() {
-				t.Fatalf("Size() = %d, want %d", f.Size(), f.Trunc.Len())
-			}
-			forms[f.Trunc.HasBitmap()]++
+	for _, sources := range [][]graph.VertexID{
+		{0},
+		{7, 7, 7}, // duplicates collapse
+		{0, 60, 120, 33, 299},
+		{300}, // isolated: closure is just the source
+	} {
+		f, err := NewFrontier(g, frontierCfg(t, sources...))
+		if err != nil {
+			t.Fatal(err)
 		}
+
+		want := func(name string, set *VertexSet, in map[graph.VertexID]bool) {
+			if set.Len() != len(in) {
+				t.Fatalf("sources=%v: %s has %d members, want %d", sources, name, set.Len(), len(in))
+			}
+			prev := graph.VertexID(0)
+			for i, v := range set.Members() {
+				if !in[v] {
+					t.Fatalf("sources=%v: %s contains %d unexpectedly", sources, name, v)
+				}
+				if !set.Contains(v) {
+					t.Fatalf("%s member %d not Contains()", name, v)
+				}
+				if i > 0 && v <= prev {
+					t.Fatalf("%s members not strictly ascending at %d", name, v)
+				}
+				prev = v
+			}
+			for u := 0; u < g.NumVertices(); u++ {
+				if v := graph.VertexID(u); set.Contains(v) != in[v] {
+					t.Fatalf("sources=%v: %s.Contains(%d) = %v", sources, name, v, !in[v])
+				}
+			}
+		}
+		addOut := func(from, into map[graph.VertexID]bool) {
+			for v := range from {
+				for _, w := range g.OutNeighbors(v) {
+					into[w] = true
+				}
+			}
+		}
+		clone := func(m map[graph.VertexID]bool) map[graph.VertexID]bool {
+			c := make(map[graph.VertexID]bool, len(m))
+			for k := range m {
+				c[k] = true
+			}
+			return c
+		}
+
+		pred := map[graph.VertexID]bool{}
+		for _, s := range sources {
+			pred[s] = true
+		}
+		want("Pred", f.Pred, pred)
+
+		sims := clone(pred)
+		addOut(pred, sims)
+		want("Sims", f.Sims, sims)
+
+		trunc := clone(sims)
+		addOut(sims, trunc)
+		want("Trunc", f.Trunc, trunc)
+
+		if f.Size() != f.Trunc.Len() {
+			t.Fatalf("Size() = %d, want %d", f.Size(), f.Trunc.Len())
+		}
+		forms[f.Trunc.HasBitmap()]++
 	}
 }
 
 func TestNewFrontierEdgeCases(t *testing.T) {
 	g := frontierTestGraph(t)
-	if f, err := NewFrontier(g, frontierCfg(t, 2)); err != nil || f != nil {
+	if f, err := NewFrontier(g, frontierCfg(t)); err != nil || f != nil {
 		t.Fatalf("empty sources: got (%v, %v), want (nil, nil)", f, err)
 	}
-	if _, err := NewFrontier(g, frontierCfg(t, 2, graph.VertexID(g.NumVertices()))); err == nil {
+	if _, err := NewFrontier(g, frontierCfg(t, graph.VertexID(g.NumVertices()))); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
 
 	// Nil-receiver helpers treat everything as in scope.
 	var f *Frontier
-	if !f.InPred(1) || !f.InSims(1) || !f.InTrunc(1) || !f.InTwoHop(1) {
+	if !f.InPred(1) || !f.InSims(1) || !f.InTrunc(1) {
 		t.Fatal("nil frontier rejected a vertex")
 	}
 	if f.Size() != 0 {
 		t.Fatalf("nil frontier Size() = %d", f.Size())
 	}
-	if f.ScopeMask(3) != ScopeTrunc|ScopeSims|ScopeTwoHop|ScopePred {
+	if f.ScopeMask(3) != ScopeTrunc|ScopeSims|ScopePred {
 		t.Fatalf("nil frontier mask = %x", f.ScopeMask(3))
 	}
 	if f.StepSet(DistCombine) != nil {
@@ -183,7 +173,7 @@ func TestNewFrontierEdgeCases(t *testing.T) {
 // and the step bits to their sets.
 func TestFrontierScopeMaskMatchesSets(t *testing.T) {
 	g := frontierTestGraph(t)
-	f, err := NewFrontier(g, frontierCfg(t, 3, 0, 61))
+	f, err := NewFrontier(g, frontierCfg(t, 0, 61))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +187,6 @@ func TestFrontierScopeMaskMatchesSets(t *testing.T) {
 		}{
 			{ScopeTrunc, f.InTrunc(v), DistTruncate},
 			{ScopeSims, f.InSims(v), DistRelays},
-			{ScopeTwoHop, f.InTwoHop(v), DistTwoHop},
 			{ScopePred, f.InPred(v), DistCombine},
 		}
 		for _, c := range checks {
@@ -208,9 +197,6 @@ func TestFrontierScopeMaskMatchesSets(t *testing.T) {
 				t.Fatalf("step %v scope bit %x, want %x", c.step, c.step.ScopeBit(), c.bit)
 			}
 		}
-		if DistCombine3.ScopeBit() != ScopePred {
-			t.Fatal("combine3 not gated on Pred")
-		}
 	}
 }
 
@@ -219,7 +205,7 @@ func TestFrontierScopeMaskMatchesSets(t *testing.T) {
 func TestFrontierStepHasWork(t *testing.T) {
 	g := frontierTestGraph(t)
 
-	f, err := NewFrontier(g, frontierCfg(t, 2, 300, 301)) // both isolated
+	f, err := NewFrontier(g, frontierCfg(t, 300, 301)) // both isolated
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +215,7 @@ func TestFrontierStepHasWork(t *testing.T) {
 		}
 	}
 
-	f, err = NewFrontier(g, frontierCfg(t, 2, 0))
+	f, err = NewFrontier(g, frontierCfg(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +227,10 @@ func TestFrontierStepHasWork(t *testing.T) {
 }
 
 // TestEachScopedEmptySetVisitsNothing pins how fullness is encoded: only a
-// nil Frontier means "every vertex". A scoped run whose step set is empty —
-// an isolated source has no relays, so TwoHop is empty under Paths=3 —
-// visits no vertex for that step, whether the empty member list happens to
-// be a nil slice or not.
+// nil Frontier means "every vertex". A scoped run visits exactly its step
+// sets — an isolated source's closure is the source alone — and a step set
+// that is empty visits no vertex, whether its member list happens to be a
+// nil slice or not.
 func TestEachScopedEmptySetVisitsNothing(t *testing.T) {
 	g := paddedFrontierTestGraph(t, sparsePad)
 	n := g.NumVertices()
@@ -253,24 +239,21 @@ func TestEachScopedEmptySetVisitsNothing(t *testing.T) {
 		eachScoped(n, f, step, func(graph.VertexID) { visits++ })
 		return visits
 	}
-	for _, paths := range []int{2, 3} {
-		f, err := NewFrontier(g, frontierCfg(t, paths, 300))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[DistStep]int{DistTruncate: 1, DistRelays: 1, DistTwoHop: 0, DistCombine: 1, DistCombine3: 1}
-		for step, w := range want {
-			if got := count(f, step); got != w {
-				t.Errorf("paths=%d: isolated source visits %d vertices in step %v, want %d", paths, got, step, w)
-			}
+	f, err := NewFrontier(g, frontierCfg(t, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range DistSteps() {
+		if got := count(f, step); got != 1 {
+			t.Errorf("isolated source visits %d vertices in step %v, want 1", got, step)
 		}
 	}
-	if got := count(nil, DistTwoHop); got != n {
+	if got := count(nil, DistRelays); got != n {
 		t.Errorf("full run visits %d vertices, want %d", got, n)
 	}
 	// An empty set built from a nil list must scope to nothing, too.
-	f := &Frontier{Pred: &VertexSet{}, Sims: &VertexSet{}, Trunc: &VertexSet{}, TwoHop: &VertexSet{}}
-	for _, step := range []DistStep{DistTruncate, DistRelays, DistTwoHop, DistCombine} {
+	f = &Frontier{Pred: &VertexSet{}, Sims: &VertexSet{}, Trunc: &VertexSet{}}
+	for _, step := range DistSteps() {
 		if got := count(f, step); got != 0 {
 			t.Errorf("empty set: step %v visits %d vertices", step, got)
 		}

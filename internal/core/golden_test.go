@@ -30,8 +30,8 @@ func predictionsHash(p Predictions) uint64 {
 // configuration, keyed "score/paths=P/policy/bound", plus the BASELINE
 // oracle's, all on allocTestGraph(120). The values were recorded before
 // step 3 became a merge of Z-ascending runs: a kernel change that moves one
-// bit of one score shows here, even though every scheduler and both serial
-// oracles would still agree with each other.
+// bit of one score shows here, even though every scheduler and the serial
+// oracle would still agree with each other.
 var goldenPredictions = map[string]uint64{
 	"linearSum/paths=2/max/bound":      0x6b48e6ca2bd5420a,
 	"linearSum/paths=2/max/unlimited":  0x572fdd4e7b600df2,
@@ -39,138 +39,71 @@ var goldenPredictions = map[string]uint64{
 	"linearSum/paths=2/min/unlimited":  0x572fdd4e7b600df2,
 	"linearSum/paths=2/rnd/bound":      0x723d9e6685c25452,
 	"linearSum/paths=2/rnd/unlimited":  0x572fdd4e7b600df2,
-	"linearSum/paths=3/max/bound":      0x171ec60147a5f1c1,
-	"linearSum/paths=3/max/unlimited":  0x5a9adf46bd1ddfcd,
-	"linearSum/paths=3/min/bound":      0x3a0e4e749f8bce5,
-	"linearSum/paths=3/min/unlimited":  0x5a9adf46bd1ddfcd,
-	"linearSum/paths=3/rnd/bound":      0x2ff99e2c10ba5b55,
-	"linearSum/paths=3/rnd/unlimited":  0x5a9adf46bd1ddfcd,
 	"euclSum/paths=2/max/bound":        0x7092232d42f429da,
 	"euclSum/paths=2/max/unlimited":    0x5b95fd01bd93bc2f,
 	"euclSum/paths=2/min/bound":        0xb2c14d9293a1b00a,
 	"euclSum/paths=2/min/unlimited":    0x5b95fd01bd93bc2f,
 	"euclSum/paths=2/rnd/bound":        0xf14a16a7c26a7c9d,
 	"euclSum/paths=2/rnd/unlimited":    0x5b95fd01bd93bc2f,
-	"euclSum/paths=3/max/bound":        0x514be95c59d6e102,
-	"euclSum/paths=3/max/unlimited":    0x55956f6d291dac63,
-	"euclSum/paths=3/min/bound":        0xf117a692024cce86,
-	"euclSum/paths=3/min/unlimited":    0x55956f6d291dac63,
-	"euclSum/paths=3/rnd/bound":        0x747042e4ef209a47,
-	"euclSum/paths=3/rnd/unlimited":    0x55956f6d291dac63,
 	"geomSum/paths=2/max/bound":        0xb7c9f701cb1fbdaf,
 	"geomSum/paths=2/max/unlimited":    0x66840d398b143fd5,
 	"geomSum/paths=2/min/bound":        0x7e4cf6b3520394f7,
 	"geomSum/paths=2/min/unlimited":    0x66840d398b143fd5,
 	"geomSum/paths=2/rnd/bound":        0xd1311e3787dd5cb0,
 	"geomSum/paths=2/rnd/unlimited":    0x66840d398b143fd5,
-	"geomSum/paths=3/max/bound":        0xfbcf339f28e24a4e,
-	"geomSum/paths=3/max/unlimited":    0xb3e418ba86e578c,
-	"geomSum/paths=3/min/bound":        0xf29b45c825d624a1,
-	"geomSum/paths=3/min/unlimited":    0xb3e418ba86e578c,
-	"geomSum/paths=3/rnd/bound":        0xf20c5c72bc7708c3,
-	"geomSum/paths=3/rnd/unlimited":    0xb3e418ba86e578c,
 	"PPR/paths=2/max/bound":            0x28536f37df0883c3,
 	"PPR/paths=2/max/unlimited":        0xf8463fd60012bc5c,
 	"PPR/paths=2/min/bound":            0x6a4076891bab168f,
 	"PPR/paths=2/min/unlimited":        0xf8463fd60012bc5c,
 	"PPR/paths=2/rnd/bound":            0xcdc1007494902fdc,
 	"PPR/paths=2/rnd/unlimited":        0xf8463fd60012bc5c,
-	"PPR/paths=3/max/bound":            0x819d8c011c5c0eb,
-	"PPR/paths=3/max/unlimited":        0xb0e017dace2e760d,
-	"PPR/paths=3/min/bound":            0x6a86857bc98966d8,
-	"PPR/paths=3/min/unlimited":        0xb0e017dace2e760d,
-	"PPR/paths=3/rnd/bound":            0xb852bb292d3127d1,
-	"PPR/paths=3/rnd/unlimited":        0xb0e017dace2e760d,
 	"counter/paths=2/max/bound":        0x11f9d20f376dc01b,
 	"counter/paths=2/max/unlimited":    0xa8b7036a3c2798ba,
 	"counter/paths=2/min/bound":        0xd11ae9a8147f5ec9,
 	"counter/paths=2/min/unlimited":    0xa8b7036a3c2798ba,
 	"counter/paths=2/rnd/bound":        0xc2b03bf5bebcc334,
 	"counter/paths=2/rnd/unlimited":    0xa8b7036a3c2798ba,
-	"counter/paths=3/max/bound":        0x1df3558ce4adbe68,
-	"counter/paths=3/max/unlimited":    0x90dbe9de1d7e69ea,
-	"counter/paths=3/min/bound":        0x62da4f62901b89ef,
-	"counter/paths=3/min/unlimited":    0x90dbe9de1d7e69ea,
-	"counter/paths=3/rnd/bound":        0x21c98ef6ec0b6abd,
-	"counter/paths=3/rnd/unlimited":    0x90dbe9de1d7e69ea,
 	"linearMean/paths=2/max/bound":     0x6e752b71a7e7fc57,
 	"linearMean/paths=2/max/unlimited": 0x8c8825fe662382ed,
 	"linearMean/paths=2/min/bound":     0x9e6b9aefb0b7c597,
 	"linearMean/paths=2/min/unlimited": 0x8c8825fe662382ed,
 	"linearMean/paths=2/rnd/bound":     0x387c810da95f5d36,
 	"linearMean/paths=2/rnd/unlimited": 0x8c8825fe662382ed,
-	"linearMean/paths=3/max/bound":     0x5cc92e32db4e95eb,
-	"linearMean/paths=3/max/unlimited": 0x72c48a48e352c97,
-	"linearMean/paths=3/min/bound":     0x6d46234b5effebf,
-	"linearMean/paths=3/min/unlimited": 0x72c48a48e352c97,
-	"linearMean/paths=3/rnd/bound":     0xf425ca88873b3140,
-	"linearMean/paths=3/rnd/unlimited": 0x72c48a48e352c97,
 	"euclMean/paths=2/max/bound":       0x8202f4e0194bc290,
 	"euclMean/paths=2/max/unlimited":   0xa3b9691b75fcde34,
 	"euclMean/paths=2/min/bound":       0x155c8d93032bb4b7,
 	"euclMean/paths=2/min/unlimited":   0xa3b9691b75fcde34,
 	"euclMean/paths=2/rnd/bound":       0xc7967b3a74cdfe0c,
 	"euclMean/paths=2/rnd/unlimited":   0xa3b9691b75fcde34,
-	"euclMean/paths=3/max/bound":       0x408e41aaf1a305d5,
-	"euclMean/paths=3/max/unlimited":   0xe3d6a0fe7f089fb0,
-	"euclMean/paths=3/min/bound":       0x9225a2f2ffa87393,
-	"euclMean/paths=3/min/unlimited":   0xe3d6a0fe7f089fb0,
-	"euclMean/paths=3/rnd/bound":       0xe3f4bd8d25979e2e,
-	"euclMean/paths=3/rnd/unlimited":   0xe3d6a0fe7f089fb0,
 	"geomMean/paths=2/max/bound":       0x7fe6cda07b562a69,
 	"geomMean/paths=2/max/unlimited":   0xcacf6cb0d2801e6d,
 	"geomMean/paths=2/min/bound":       0xeec78e88fad8ce1,
 	"geomMean/paths=2/min/unlimited":   0xcacf6cb0d2801e6d,
 	"geomMean/paths=2/rnd/bound":       0x5c7621ed6ee76e02,
 	"geomMean/paths=2/rnd/unlimited":   0xcacf6cb0d2801e6d,
-	"geomMean/paths=3/max/bound":       0x7d51431a372c9cd4,
-	"geomMean/paths=3/max/unlimited":   0x5887c1f18d6f0e82,
-	"geomMean/paths=3/min/bound":       0xf486fefb4ab8bee0,
-	"geomMean/paths=3/min/unlimited":   0x5887c1f18d6f0e82,
-	"geomMean/paths=3/rnd/bound":       0x86b17a3e83b86f8a,
-	"geomMean/paths=3/rnd/unlimited":   0x5887c1f18d6f0e82,
 	"linearGeom/paths=2/max/bound":     0x8121ba83ece5caf8,
 	"linearGeom/paths=2/max/unlimited": 0x38f13200cafe483e,
 	"linearGeom/paths=2/min/bound":     0x3f3b9a6877cee6ad,
 	"linearGeom/paths=2/min/unlimited": 0x38f13200cafe483e,
 	"linearGeom/paths=2/rnd/bound":     0x2696786e751b1899,
 	"linearGeom/paths=2/rnd/unlimited": 0x38f13200cafe483e,
-	"linearGeom/paths=3/max/bound":     0xa5b21b188b7ba3ba,
-	"linearGeom/paths=3/max/unlimited": 0x9cd340ca27fabbdf,
-	"linearGeom/paths=3/min/bound":     0x3b786fc49bc2e6a0,
-	"linearGeom/paths=3/min/unlimited": 0x9cd340ca27fabbdf,
-	"linearGeom/paths=3/rnd/bound":     0x8fec41b26cd8f690,
-	"linearGeom/paths=3/rnd/unlimited": 0x9cd340ca27fabbdf,
 	"euclGeom/paths=2/max/bound":       0xf96435ee708fa2c3,
 	"euclGeom/paths=2/max/unlimited":   0x888614f7ce7d6ca6,
 	"euclGeom/paths=2/min/bound":       0x7f3b4804098ef7af,
 	"euclGeom/paths=2/min/unlimited":   0x888614f7ce7d6ca6,
 	"euclGeom/paths=2/rnd/bound":       0xeed199e921b6706f,
 	"euclGeom/paths=2/rnd/unlimited":   0x888614f7ce7d6ca6,
-	"euclGeom/paths=3/max/bound":       0x6e0bc679a16a8922,
-	"euclGeom/paths=3/max/unlimited":   0x4b8867a11d7408a8,
-	"euclGeom/paths=3/min/bound":       0x58512238200f5501,
-	"euclGeom/paths=3/min/unlimited":   0x4b8867a11d7408a8,
-	"euclGeom/paths=3/rnd/bound":       0x9e792782ae6033a2,
-	"euclGeom/paths=3/rnd/unlimited":   0x4b8867a11d7408a8,
 	"geomGeom/paths=2/max/bound":       0x78ed1dff2ebec8df,
 	"geomGeom/paths=2/max/unlimited":   0x65b90f38273a1a13,
 	"geomGeom/paths=2/min/bound":       0xfa9145bb9662eb7c,
 	"geomGeom/paths=2/min/unlimited":   0x65b90f38273a1a13,
 	"geomGeom/paths=2/rnd/bound":       0x4fe50e85e8f1ce2a,
 	"geomGeom/paths=2/rnd/unlimited":   0x65b90f38273a1a13,
-	"geomGeom/paths=3/max/bound":       0x63f490faa2989922,
-	"geomGeom/paths=3/max/unlimited":   0x685c36c2026d2e18,
-	"geomGeom/paths=3/min/bound":       0xfcd20bac6987b708,
-	"geomGeom/paths=3/min/unlimited":   0x685c36c2026d2e18,
-	"geomGeom/paths=3/rnd/bound":       0x67e120422c7a3d79,
-	"geomGeom/paths=3/rnd/unlimited":   0x685c36c2026d2e18,
 	"baseline":                         0xaaeed11bb1ba362e,
 }
 
 // TestPredictionsGolden holds the step kernels to outputs recorded
-// independently of them: all 11 scores, both path lengths, the three relay
-// policies, with thrΓ and k_local binding on the graph's hubs and with both
+// independently of them: all 11 scores, the three relay policies, with thrΓ and k_local binding on the graph's hubs and with both
 // unlimited.
 func TestPredictionsGolden(t *testing.T) {
 	g := allocTestGraph(t, 120)
@@ -182,23 +115,17 @@ func TestPredictionsGolden(t *testing.T) {
 		}
 	}
 	for _, name := range ScoreNames() {
-		for _, paths := range []int{2, 3} {
-			for _, policy := range []SelectionPolicy{SelectMax, SelectMin, SelectRnd} {
-				for _, bound := range []string{"bound", "unlimited"} {
-					cfg := Config{Score: mustScore(t, name), K: 5, Policy: policy, Paths: paths, Seed: 9}
-					if bound == "bound" {
-						cfg.ThrGamma, cfg.KLocal = 10, 5
-					}
-					ref := ReferenceSnaple
-					if paths == 3 {
-						ref = ReferenceSnaple3Hop
-					}
-					p, err := ref(g, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					check(fmt.Sprintf("%s/paths=%d/%v/%s", name, paths, policy, bound), p)
+		for _, policy := range []SelectionPolicy{SelectMax, SelectMin, SelectRnd} {
+			for _, bound := range []string{"bound", "unlimited"} {
+				cfg := Config{Score: mustScore(t, name), K: 5, Policy: policy, Seed: 9}
+				if bound == "bound" {
+					cfg.ThrGamma, cfg.KLocal = 10, 5
 				}
+				p, err := ReferenceSnaple(g, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s/paths=2/%v/%s", name, policy, bound), p)
 			}
 		}
 	}

@@ -106,12 +106,11 @@ func (p *DistPartition) CopyState(s int32, from *DistPartition, fs int32) {
 
 // VertexBytes prices slot s's replica for synchronisation and memory
 // accounting: 4 B per neighbour ID, 12 B per (id, float64) similarity entry,
-// 12 B per path or prediction entry, BASELINE's replicated lists, plus a
-// fixed header.
+// 12 B per prediction entry, BASELINE's replicated lists, plus a fixed
+// header.
 func (p *DistPartition) VertexBytes(s int32) int64 {
 	d := &p.data[s]
-	n := 24 + 4*int64(len(d.Nbrs)) + 12*int64(len(d.Sims)) +
-		12*int64(len(d.TwoHop)) + 12*int64(len(d.Pred))
+	n := 24 + 4*int64(len(d.Nbrs)) + 12*int64(len(d.Sims)) + 12*int64(len(d.Pred))
 	if p.two != nil {
 		n += nbrListsBytes(p.two[s])
 	}
@@ -134,19 +133,15 @@ func (p *DistPartition) heldBytes(step DistStep, q *heldPartials, lo, hi int) in
 	case DistReplicate, DistJaccard:
 		return nbrListsBytes(q.lists[lo:hi])
 	default:
-		return p.candBytes(step, q.cands[lo:hi])
+		return p.candBytes(q.cands[lo:hi])
 	}
 }
 
-// candBytes prices a path list: 12 B per path of step 3a's flat list, which
-// cannot be pre-folded because each entry extends differently in step 3b;
-// and one (z, σ, n) triplet, 16 B, per distinct candidate of a final step,
-// since ⊕pre could fold each group before transmission (the in-memory
-// per-path list is a determinism device; see Aggregator.FoldPaths).
-func (p *DistPartition) candBytes(step DistStep, cands []PathCand) int64 {
-	if step == DistTwoHop {
-		return 12 * int64(len(cands))
-	}
+// candBytes prices a step-3 path list: one (z, σ, n) triplet, 16 B, per
+// distinct candidate, since ⊕pre could fold each group before transmission
+// (the in-memory per-path list is a determinism device; see
+// Aggregator.FoldPaths).
+func (p *DistPartition) candBytes(cands []PathCand) int64 {
 	zs := p.held.zs[:0]
 	for _, c := range cands {
 		zs = append(zs, c.Z)

@@ -6,7 +6,7 @@ import "snaple/internal/graph"
 //
 // A cached prediction row for source s was computed from the out-rows (and
 // out-degrees) of exactly the vertices in Trunc(s), the frontier closure of
-// radius Paths around s (see the dependency derivation at the top of
+// radius 2 around s (see the dependency derivation at the top of
 // frontier.go). A mutation batch changes only the out-rows of the mutated
 // edges' *source* endpoints, so the cached row for s can change only if one
 // of those endpoints lies inside s's closure — under the pre-mutation view
@@ -17,7 +17,7 @@ import "snaple/internal/graph"
 // DirtySources inverts that membership test for a whole cache at once:
 // instead of recomputing Trunc(s) per cached source, it runs the closure
 // walk in reverse — a breadth-first walk over in-edges, seeded at the
-// mutated sources, for Paths hops. To cover both the old and the new view
+// mutated sources, for two hops. To cover both the old and the new view
 // with one walk it uses their union: the post-mutation view's in-edges plus
 // the reversed edges the batch removed (the only edges the old view had and
 // the new one lacks; edges the batch added are already in the new view).
@@ -26,8 +26,8 @@ import "snaple/internal/graph"
 
 // DirtySources returns the set of vertices whose cached predictions a
 // mutation batch may have changed: every vertex within `depth` reverse hops
-// (depth = Config.Paths) of a mutated edge's source endpoint, in the union
-// of the old and new graphs. g is the post-mutation view and must have
+// (the closure's radius, 2) of a mutated edge's source endpoint, in the
+// union of the old and new graphs. g is the post-mutation view and must have
 // in-edges; added and removed are the batch as applied (out-of-range
 // endpoints are ignored). An empty batch returns an empty set. Like a
 // frontier closure the set is a sorted list sized by what the walk reaches,

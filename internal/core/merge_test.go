@@ -127,10 +127,9 @@ func genMergeCase(rng *rand.Rand, shape string) mergeCase {
 
 // TestMergeFoldMatchesSortOracle holds the step-3 merge kernel to the
 // comparison-sort oracle it replaced, bit for bit, for all 11 scores and k
-// in {1, 3, 20}: the combining merge of CombineAppend / Combine3Append
-// (relay rows and stored path lists, each combined with its s(u,v), line 15
-// against Γ̂(u) ∪ {u}), the apply-side merge of applyCombine over an
-// arbitrary concatenation of the runs, and applyTwoHop's merged path list.
+// in {1, 3, 20}: the combining merge of CombineAppend (relay rows, each
+// combined with its s(u,v), line 15 against Γ̂(u) ∪ {u}) and the apply-side
+// merge of applyCombine over an arbitrary concatenation of the runs.
 func TestMergeFoldMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var s Scratch
@@ -144,8 +143,8 @@ func TestMergeFoldMatchesSortOracle(t *testing.T) {
 				c := genMergeCase(rng, shape)
 				label := fmt.Sprintf("%s/k=%d/case %d (%s)", name, k, i, shape)
 
-				// The combining merge: each run is a relay row or a stored
-				// path list through a relay with s(u,v) = suv.
+				// The combining merge: each run is the relay row of a relay
+				// with s(u,v) = suv.
 				var cands []PathCand
 				s.merge.reset(comb, c.u, c.excl)
 				for r, run := range c.runs {
@@ -154,15 +153,11 @@ func TestMergeFoldMatchesSortOracle(t *testing.T) {
 							cands = append(cands, PathCand{Z: pc.Z, S: comb(c.suv[r], pc.S)})
 						}
 					}
-					if r%2 == 0 {
-						rel := make([]VertexSim, len(run))
-						for j, pc := range run {
-							rel[j] = VertexSim{V: pc.Z, Sim: pc.S}
-						}
-						s.merge.addRelays(c.suv[r], rel)
-					} else {
-						s.merge.addPaths(c.suv[r], run)
+					rel := make([]VertexSim, len(run))
+					for j, pc := range run {
+						rel[j] = VertexSim{V: pc.Z, Sim: pc.S}
 					}
+					s.merge.addRelays(c.suv[r], rel)
 				}
 				sortPathCands(cands)
 				want := appendFoldSorted(cands, &cfg, nil)
@@ -186,13 +181,6 @@ func TestMergeFoldMatchesSortOracle(t *testing.T) {
 				want = appendFoldSorted(sorted, &cfg, nil)
 				if got := s.applyCombine(&cfg, c.u, sum, nil); !predsBitEqual(got, want) {
 					t.Fatalf("%s: applyCombine %v, oracle %v", label, got, want)
-				}
-				paths := s.applyTwoHop(c.u, sum, nil)
-				if !slices.IsSortedFunc(paths, func(a, b PathCand) int { return cmp.Compare(a.Z, b.Z) }) {
-					t.Fatalf("%s: applyTwoHop %v not ascending by Z", label, paths)
-				}
-				if !slices.Equal(canonicalPaths(paths), canonicalPaths(kept)) {
-					t.Fatalf("%s: applyTwoHop %v, want the paths of %v", label, paths, kept)
 				}
 			}
 		}
@@ -220,16 +208,6 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 func predsBitEqual(a, b []Prediction) bool {
 	return slices.EqualFunc(a, b, func(x, y Prediction) bool { return x.Vertex == y.Vertex && sameBits(x.Score, y.Score) })
-}
-
-// canonicalPaths orders a path list by Z and then value bits, so two lists
-// with the same paths compare equal.
-func canonicalPaths(paths []PathCand) []PathCand {
-	out := slices.Clone(paths)
-	slices.SortFunc(out, func(a, b PathCand) int {
-		return cmp.Or(cmp.Compare(a.Z, b.Z), cmp.Compare(math.Float64bits(a.S), math.Float64bits(b.S)))
-	})
-	return out
 }
 
 // BenchmarkCombineAppend times step 3 alone — CombineAppend over every

@@ -15,9 +15,6 @@ import (
 // other substrates are required by tests to agree exactly; this loop also
 // serves as an in-process predictor for small graphs and as the test oracle.
 func ReferenceSnaple(g graph.View, cfg Config) (Predictions, error) {
-	if cfg.withDefaults().Paths == 3 {
-		return ReferenceSnaple3Hop(g, cfg)
-	}
 	r, err := NewStepRunner(g, cfg)
 	if err != nil {
 		return nil, err
@@ -62,9 +59,9 @@ func eachScoped(n int, f *Frontier, step DistStep, fn func(graph.VertexID)) {
 	}
 }
 
-// runSteps12 executes steps 1 and 2 serially into fresh arenas — the shared
-// prefix of the 2-hop and 3-hop references. Scoped runs restrict each pass
-// to its frontier set; unvisited rows keep their zero count.
+// runSteps12 executes steps 1 and 2 serially into fresh arenas, the prefix
+// the reference and the supervised features share. Scoped runs restrict each
+// pass to its frontier set; unvisited rows keep their zero count.
 func runSteps12(r *StepRunner, n int, s *Scratch) (*Arena[graph.VertexID], *Arena[VertexSim]) {
 	f := r.Frontier()
 	trunc := NewArena[graph.VertexID](n)

@@ -245,9 +245,11 @@ func TestTruncationBehaviour(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	good := Config{Score: mustScore(t, "linearSum"), K: 5}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, paths := range []int{0, 2} {
+		good := Config{Score: mustScore(t, "linearSum"), K: 5, Paths: paths}
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid config (Paths=%d) rejected: %v", paths, err)
+		}
 	}
 	bad := []Config{
 		{Score: ScoreSpec{}, K: 5},
@@ -255,6 +257,9 @@ func TestConfigValidation(t *testing.T) {
 		{Score: mustScore(t, "linearSum"), K: 5, KLocal: -1},
 		{Score: mustScore(t, "linearSum"), K: 5, ThrGamma: -2},
 		{Score: mustScore(t, "linearSum"), K: 5, Policy: SelectionPolicy(9)},
+		{Score: mustScore(t, "linearSum"), K: 5, Paths: 1},
+		{Score: mustScore(t, "linearSum"), K: 5, Paths: 3},
+		{Score: mustScore(t, "linearSum"), K: 5, Paths: 4},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

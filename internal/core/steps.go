@@ -18,38 +18,38 @@ import (
 //     k_local policy);
 //   - step 3: pathMerge, the one merge of Z-ascending runs (line 15's
 //     exclusion as a forward cursor over Γ̂(u), ⊗ per kept path), drained by
-//     Scratch.appendTopK (⊕ via foldGroup, then top-k) or appendPaths (3a's
-//     sorted path list); appendRelayPaths and appendExtendedPaths are line
-//     15 through one relay, for the per-edge gathers;
-//   - the per-edge gathers appendCombine / appendTwoHop / appendCombine3 and
-//     the per-vertex applies applyTruncate / applyRelays / applyTwoHop /
-//     applyCombine, which a GAS substrate calls around the exchange.
+//     Scratch.appendTopK (⊕ via foldGroup, then top-k); appendRelayPaths is
+//     line 15 through one relay, for the per-edge gather;
+//   - the per-edge gather appendCombine and the per-vertex applies
+//     applyTruncate / applyRelays / applyCombine, which a GAS substrate
+//     calls around the exchange.
+//
+// SNAPLE scores 2-hop paths only: the paper's footnote 2 mentions longer
+// paths, and its evaluation, like every kernel here, stops at two hops.
 //
 // Step 3 never comparison-sorts its candidates. Every input it sees is
 // already a concatenation of Z-ascending runs: the relay rows of u's relays
-// (V-sorted by construction), their stored 2-hop lists (which TwoHopFill
-// and applyTwoHop write through the merge), and a GAS sum (the gathers'
-// ascending runs in arrival order). pathMerge splits its input at each
-// descent and merges the runs pairwise, so a candidate's paths meet in one
-// group. Line 15 is then a cursor over the sorted Γ̂(u) that only moves
-// forward as Z rises, and an excluded group costs no ⊗.
+// (V-sorted by construction) and a GAS sum (the gathers' ascending runs in
+// arrival order). pathMerge splits its input at each descent and merges the
+// runs pairwise, so a candidate's paths meet in one group. Line 15 is then a
+// cursor over the sorted Γ̂(u) that only moves forward as Z rises, and an
+// excluded group costs no ⊗.
 //
 // Every substrate is a scheduler of these kernels and owns no step logic:
 //
 //   - StepRunner (below) runs them per vertex over arenas, for the parallel
 //     shared-memory backend (internal/engine), the serial references
-//     (reference.go, khop.go) and the supervised features (supervised.go);
+//     (reference.go) and the supervised features (supervised.go);
 //   - DistPartition (diststep.go) runs the gathers per edge over a shard's
 //     source runs and the applies per master, for the wire worker and, in
 //     process, for the simulated cluster.
 //
 // StepRunner follows the Arena build protocol (arena.go): every step runs a
-// cheap count pass (TruncateCount, RelayCount, TwoHopCount) and then a fill
-// pass (TruncateFill, RelaysFill, TwoHopFill) into preallocated rows of one
-// flat backing array, so the steady-state loop performs zero heap
-// allocations per vertex. Final predictions append into caller-owned buffers
-// (CombineAppend, Combine3Append) because their sizes are only known after
-// aggregation.
+// cheap count pass (TruncateCount, RelayCount) and then a fill pass
+// (TruncateFill, RelaysFill) into preallocated rows of one flat backing
+// array, so the steady-state loop performs zero heap allocations per vertex.
+// Final predictions append into a caller-owned buffer (CombineAppend)
+// because their sizes are only known after aggregation.
 //
 // All kernels are deterministic in (graph, Config): truncation and the Γrnd
 // selection draw from hashes keyed by (seed, u, v), selection breaks ties by
@@ -155,9 +155,9 @@ func (s *Scratch) selectRelays(cfg *Config, u graph.VertexID, cands, dst []Verte
 // ---- Step 3 kernels: combine and aggregate path similarities (lines 12-20) ----
 
 // exclusion is line 15's Γ̂(u) ∪ {u}, asked about candidates in ascending
-// order: a forward cursor over the sorted excl (Γ̂(u) for the final steps,
-// nil for step 3a, which keeps every path but the one back to u), so a whole
-// run costs one pass over excl instead of a binary search per candidate.
+// order: a forward cursor over the sorted excl (Γ̂(u); nil for step 3's
+// apply, whose gathered input line 15 already filtered), so a whole run
+// costs one pass over excl instead of a binary search per candidate.
 type exclusion struct {
 	u    graph.VertexID
 	excl []graph.VertexID
@@ -186,19 +186,6 @@ func appendRelayPaths(comb Combinator, out []PathCand, suv float64, u graph.Vert
 	return out
 }
 
-// appendExtendedPaths is appendRelayPaths over v's stored Z-ascending 2-hop
-// list (the 3-hop extension, khop.go): each path v→z→w extends to
-// u→v→(z→w), valued suv ⊗ sim*(v,w).
-func appendExtendedPaths(comb Combinator, out []PathCand, suv float64, u graph.VertexID, excl []graph.VertexID, paths []PathCand) []PathCand {
-	x := exclusion{u: u, excl: excl}
-	for _, pc := range paths {
-		if !x.has(pc.Z) {
-			out = append(out, PathCand{Z: pc.Z, S: comb.Fn(suv, pc.S)})
-		}
-	}
-	return out
-}
-
 // pathEntry is one path in the merge: candidate z, reached through input
 // src, valued suv[src] ⊗ x — or x itself when the merge has no ⊗.
 type pathEntry struct {
@@ -208,10 +195,10 @@ type pathEntry struct {
 }
 
 // pathMerge is step 3's one merge kernel (lines 15-19). Its input is a
-// concatenation of Z-ascending runs — relay rows, stored path lists,
-// gathered sums — which it splits at every descent and merges pairwise,
-// ping-ponging between two buffers, into one Z-ascending list; then it
-// yields that list one Z-group at a time. Line 15's exclusion is a forward
+// concatenation of Z-ascending runs — relay rows or gathered sums — which it
+// splits at every descent and merges pairwise, ping-ponging between two
+// buffers, into one Z-ascending list; then it yields that list one Z-group
+// at a time. Line 15's exclusion is a forward
 // cursor advanced as Z rises, and an excluded group is dropped without
 // evaluating its ⊗. It lives in Scratch, so its buffers are reused across
 // vertices.
@@ -242,13 +229,11 @@ func (m *pathMerge) addRelays(suv float64, rel []VertexSim) {
 	}
 }
 
-// addPaths adds a path list — any concatenation of Z-ascending runs —
-// whose entries contribute suv ⊗ S (S itself when comb is nil).
-func (m *pathMerge) addPaths(suv float64, paths []PathCand) {
-	src := int32(len(m.suv))
-	m.suv = append(m.suv, suv)
+// addPaths adds an already-combined path list — any concatenation of
+// Z-ascending runs — to a merge reset with no ⊗: each entry contributes S.
+func (m *pathMerge) addPaths(paths []PathCand) {
 	for _, pc := range paths {
-		m.ents = append(m.ents, pathEntry{z: pc.Z, src: src, x: pc.S})
+		m.ents = append(m.ents, pathEntry{z: pc.Z, x: pc.S})
 	}
 }
 
@@ -333,17 +318,6 @@ func (m *pathMerge) next() (graph.VertexID, []float64, bool) {
 	return 0, nil, false
 }
 
-// appendPaths drains the merge into dst as one Z-ascending path list.
-func (m *pathMerge) appendPaths(dst []PathCand) []PathCand {
-	m.merge()
-	for z, vals, ok := m.next(); ok; z, vals, ok = m.next() {
-		for _, v := range vals {
-			dst = append(dst, PathCand{Z: z, S: v})
-		}
-	}
-	return dst
-}
-
 // foldGroup is line 19 for one candidate: Aggregator.FoldPathsInPlace,
 // whose sort-before-fold rule keeps results independent of the order paths
 // arrive in. Groups of one or two values skip the sort but fold in the same
@@ -407,30 +381,6 @@ func appendCombine(comb Combinator, out []PathCand, u, v graph.VertexID, uD, vD 
 	return appendRelayPaths(comb, out, suv, u, uD.Nbrs, vD.Sims)
 }
 
-// appendTwoHop is step 3a's gather for the edge (u, v): u's 2-hop paths
-// through the relay v, ascending by Z.
-func appendTwoHop(comb Combinator, out []PathCand, u, v graph.VertexID, uD, vD *VData) []PathCand {
-	suv, ok := lookupSim(uD.Sims, v)
-	if !ok {
-		return out
-	}
-	out = slices.Grow(out, len(vD.Sims))
-	return appendRelayPaths(comb, out, suv, u, nil, vD.Sims)
-}
-
-// appendCombine3 is step 3b's gather for the edge (u, v): step 3's
-// candidates through the relay v, then v's stored 2-hop list extended by the
-// edge. The two halves are each ascending by Z, the whole is not.
-func appendCombine3(comb Combinator, out []PathCand, u, v graph.VertexID, uD, vD *VData) []PathCand {
-	suv, ok := lookupSim(uD.Sims, v)
-	if !ok {
-		return out
-	}
-	out = slices.Grow(out, len(vD.Sims)+len(vD.TwoHop))
-	out = appendRelayPaths(comb, out, suv, u, uD.Nbrs, vD.Sims)
-	return appendExtendedPaths(comb, out, suv, u, uD.Nbrs, vD.TwoHop)
-}
-
 // applyTruncate is step 1's apply: Γ̂(u) is the gathered sample, sorted.
 func applyTruncate(sum []graph.VertexID) []graph.VertexID {
 	if len(sum) == 0 {
@@ -453,31 +403,18 @@ func (s *Scratch) applyRelays(cfg *Config, u graph.VertexID, sum []VertexSim) []
 	return out
 }
 
-// The step-3 applies take u's gathered sum: Z-ascending runs concatenated in
-// whatever order they arrived, which the merge splits at each descent. The
-// gathers applied line 15 already, so the merge's exclusion (u itself, no
-// Γ̂(u)) drops nothing. Both append to dst and read sum without modifying it.
-
-// applyTwoHop is step 3a's apply: the 2-hop paths merged into one
-// Z-ascending list.
-func (s *Scratch) applyTwoHop(u graph.VertexID, sum, dst []PathCand) []PathCand {
-	if len(sum) == 0 {
-		return dst
-	}
-	s.merge.reset(nil, u, nil)
-	s.merge.addPaths(0, sum)
-	return s.merge.appendPaths(slices.Grow(dst, len(sum)))
-}
-
-// applyCombine is the final step's apply (3 or 3b): the candidates merged,
-// folded per candidate (⊕pre then ⊕post, line 19) and reduced to the top-k
-// predictions (line 20).
+// applyCombine is step 3's apply: u's gathered sum — Z-ascending runs
+// concatenated in whatever order they arrived, which the merge splits at
+// each descent — merged, folded per candidate (⊕pre then ⊕post, line 19) and
+// reduced to the top-k predictions (line 20), appended to dst. The gathers
+// applied line 15 already, so the merge's exclusion (u itself, no Γ̂(u))
+// drops nothing. sum is read, not modified.
 func (s *Scratch) applyCombine(cfg *Config, u graph.VertexID, sum []PathCand, dst []Prediction) []Prediction {
 	if len(sum) == 0 {
 		return dst
 	}
 	s.merge.reset(nil, u, nil)
-	s.merge.addPaths(0, sum)
+	s.merge.addPaths(sum)
 	return s.appendTopK(cfg, dst)
 }
 
@@ -655,58 +592,6 @@ func (r *StepRunner) CombineAppend(u graph.VertexID, trunc *Arena[graph.VertexID
 	m.reset(r.cfg.Score.Comb.Fn, u, trunc.Row(u))
 	for _, vs := range sims.Row(u) {
 		m.addRelays(vs.Sim, sims.Row(vs.V))
-	}
-	return s.appendTopK(&r.cfg, dst)
-}
-
-// TwoHopCount returns the length of v's sampled 2-hop path list for step 3a
-// of the 3-hop extension: Σ_{z ∈ sims(v)} |sims(z) \ {v}|. Relay lists are
-// V-sorted, so the self-exclusion is a binary search per relay.
-func (r *StepRunner) TwoHopCount(v graph.VertexID, sims *Arena[VertexSim]) int {
-	if !r.frontier.InTwoHop(v) {
-		return 0
-	}
-	n := 0
-	for _, zs := range sims.Row(v) {
-		row := sims.Row(zs.V)
-		n += len(row)
-		if _, ok := lookupSim(row, v); ok {
-			n--
-		}
-	}
-	return n
-}
-
-// TwoHopFill writes v's sampled 2-hop path list {(w, sim(v,z) ⊗ sim(z,w)) :
-// z ∈ sims(v), w ∈ sims(z), w ≠ v}, ascending by w, into dst, which must
-// have length TwoHopCount(v). See khop.go for the fold-direction discussion.
-func (r *StepRunner) TwoHopFill(v graph.VertexID, sims *Arena[VertexSim], dst []PathCand, s *Scratch) {
-	if !r.frontier.InTwoHop(v) {
-		return
-	}
-	m := &s.merge
-	m.reset(r.cfg.Score.Comb.Fn, v, nil)
-	for _, zs := range sims.Row(v) {
-		m.addRelays(zs.Sim, sims.Row(zs.V))
-	}
-	// Clipped to the row: a miscount reallocates instead of overwriting the
-	// next row.
-	m.appendPaths(dst[:0:len(dst)])
-}
-
-// Combine3Append runs step 3b of the 3-hop extension for u: it aggregates
-// u's 2-hop paths together with the 3-hop paths obtained by extending each
-// relay's stored 2-hop list by the edge (u,v), appending the top-k
-// predictions to dst like CombineAppend.
-func (r *StepRunner) Combine3Append(u graph.VertexID, trunc *Arena[graph.VertexID], sims *Arena[VertexSim], twoHop *Arena[PathCand], s *Scratch, dst []Prediction) []Prediction {
-	if !r.frontier.InPred(u) {
-		return dst
-	}
-	m := &s.merge
-	m.reset(r.cfg.Score.Comb.Fn, u, trunc.Row(u))
-	for _, vs := range sims.Row(u) {
-		m.addRelays(vs.Sim, sims.Row(vs.V))
-		m.addPaths(vs.Sim, twoHop.Row(vs.V))
 	}
 	return s.appendTopK(&r.cfg, dst)
 }

@@ -61,22 +61,13 @@ func rankForm[T any](a *Arena[T]) *Arena[T] {
 // step). The contract holds on both arena forms.
 func TestStepFunctionsAllocationFree(t *testing.T) {
 	g := allocTestGraph(t, 80)
-	for _, tc := range []struct {
-		policy SelectionPolicy
-		paths  int
-	}{
-		{SelectMax, 2},
-		{SelectMin, 2},
-		{SelectRnd, 2},
-		{SelectMax, 3},
-	} {
-		t.Run(fmt.Sprintf("policy=%v/paths=%d", tc.policy, tc.paths), func(t *testing.T) {
+	for _, policy := range []SelectionPolicy{SelectMax, SelectMin, SelectRnd} {
+		t.Run(fmt.Sprintf("policy=%v", policy), func(t *testing.T) {
 			spec, err := ScoreByName("linearSum", 0.9)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 8,
-				Policy: tc.policy, Paths: tc.paths, Seed: 7}
+			cfg := Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 8, Policy: policy, Seed: 7}
 			r, err := NewStepRunner(g, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -86,18 +77,11 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 
 			// Build the arenas once; the measured region refills them.
 			trunc, sims := runSteps12(r, n, s)
-			twoHop := NewArena[PathCand](n)
-			if tc.paths == 3 {
-				for v := 0; v < n; v++ {
-					twoHop.SetCount(graph.VertexID(v), r.TwoHopCount(graph.VertexID(v), sims))
-				}
-				twoHop.FinishCounts()
-			}
 			buf := make([]Prediction, 0, n*cfg.K)
 
 			for _, form := range []string{"identity", "rank"} {
 				if form == "rank" {
-					trunc, sims, twoHop = rankForm(trunc), rankForm(sims), rankForm(twoHop)
+					trunc, sims = rankForm(trunc), rankForm(sims)
 				}
 				allocs := testing.AllocsPerRun(5, func() {
 					buf = buf[:0]
@@ -107,48 +91,32 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 						r.RelaysFill(uid, trunc, sims.Row(uid), s)
 					}
 					for u := 0; u < n; u++ {
-						uid := graph.VertexID(u)
-						if tc.paths == 3 {
-							r.TwoHopFill(uid, sims, twoHop.Row(uid), s)
-							buf = r.Combine3Append(uid, trunc, sims, twoHop, s, buf)
-						} else {
-							buf = r.CombineAppend(uid, trunc, sims, s, buf)
-						}
+						buf = r.CombineAppend(graph.VertexID(u), trunc, sims, s, buf)
 					}
 				})
 				if allocs != 0 {
 					t.Errorf("%s arenas: steady-state pass allocated %.1f times per run, want 0", form, allocs)
 				}
 
-				// The GAS schedulers' step-3 applies, over every vertex's sums
+				// The GAS schedulers' step-3 apply, over every vertex's sum
 				// gathered edge by edge, through the same warm Scratch.
 				comb := cfg.Score.Comb
 				data := make([]VData, n)
 				for u := range data {
 					uid := graph.VertexID(u)
-					data[u] = VData{Nbrs: trunc.Row(uid), Sims: sims.Row(uid), TwoHop: twoHop.Row(uid)}
+					data[u] = VData{Nbrs: trunc.Row(uid), Sims: sims.Row(uid)}
 				}
-				sums, twoSums := make([][]PathCand, n), make([][]PathCand, n)
-				paths := 0
+				sums := make([][]PathCand, n)
 				for u := range n {
 					uid := graph.VertexID(u)
 					for _, v := range g.OutNeighbors(uid) {
-						if tc.paths == 3 {
-							twoSums[u] = appendTwoHop(comb, twoSums[u], uid, v, &data[u], &data[v])
-							sums[u] = appendCombine3(comb, sums[u], uid, v, &data[u], &data[v])
-						} else {
-							sums[u] = appendCombine(comb, sums[u], uid, v, &data[u], &data[v])
-						}
+						sums[u] = appendCombine(comb, sums[u], uid, v, &data[u], &data[v])
 					}
-					paths += len(twoSums[u])
 				}
-				twoBuf := make([]PathCand, 0, paths)
 				allocs = testing.AllocsPerRun(5, func() {
-					buf, twoBuf = buf[:0], twoBuf[:0]
+					buf = buf[:0]
 					for u := range n {
-						uid := graph.VertexID(u)
-						twoBuf = s.applyTwoHop(uid, twoSums[u], twoBuf)
-						buf = s.applyCombine(&cfg, uid, sums[u], buf)
+						buf = s.applyCombine(&cfg, graph.VertexID(u), sums[u], buf)
 					}
 				})
 				if allocs != 0 {
@@ -156,54 +124,6 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStepFunctionsAllocationFreeOverlay pins the same steady-state
-// contract on the overlay slow path: a StepRunner over a graph.Delta with
-// pending mutations merges rows through the Scratch's reused buffer, so
-// once warm it too performs zero allocations per pass.
-func TestStepFunctionsAllocationFreeOverlay(t *testing.T) {
-	base := allocTestGraph(t, 80)
-	v := func(u int) graph.VertexID { return graph.VertexID(u) }
-	d, err := graph.NewDelta(base).Apply(
-		[]graph.Edge{{Src: v(1), Dst: v(70)}, {Src: v(20), Dst: v(3)}},
-		[]graph.Edge{{Src: v(0), Dst: base.OutNeighbors(0)[0]}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := ScoreByName("linearSum", 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 8, Seed: 7}
-	r, err := NewStepRunner(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := d.NumVertices()
-	s := r.NewScratch()
-	trunc, sims := runSteps12(r, n, s)
-	buf := make([]Prediction, 0, n*cfg.K)
-	for _, form := range []string{"identity", "rank"} {
-		if form == "rank" {
-			trunc, sims = rankForm(trunc), rankForm(sims)
-		}
-		allocs := testing.AllocsPerRun(5, func() {
-			buf = buf[:0]
-			for u := 0; u < n; u++ {
-				uid := graph.VertexID(u)
-				r.TruncateFill(uid, trunc.Row(uid), s)
-				r.RelaysFill(uid, trunc, sims.Row(uid), s)
-			}
-			for u := 0; u < n; u++ {
-				buf = r.CombineAppend(graph.VertexID(u), trunc, sims, s, buf)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s arenas: overlay steady-state pass allocated %.1f times per run, want 0", form, allocs)
-		}
 	}
 }
 
@@ -216,7 +136,7 @@ func TestCountPassesMatchFills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Score: spec, K: 5, KLocal: 3, ThrGamma: 6, Paths: 3, Seed: 3}
+	cfg := Config{Score: spec, K: 5, KLocal: 3, ThrGamma: 6, Seed: 3}
 	r, err := NewStepRunner(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -231,22 +151,6 @@ func TestCountPassesMatchFills(t *testing.T) {
 		}
 		if got, want := r.RelayCount(uid), len(sims.Row(uid)); got != want {
 			t.Errorf("RelayCount(%d) = %d, row length %d", u, got, want)
-		}
-	}
-	// TwoHopCount is validated against a straightforward recount of the
-	// nested fill loop.
-	for v := 0; v < n; v++ {
-		vid := graph.VertexID(v)
-		want := 0
-		for _, zs := range sims.Row(vid) {
-			for _, ws := range sims.Row(zs.V) {
-				if ws.V != vid {
-					want++
-				}
-			}
-		}
-		if got := r.TwoHopCount(vid, sims); got != want {
-			t.Errorf("TwoHopCount(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

@@ -41,8 +41,8 @@ type Options struct {
 	ThrGamma int
 	// Policy selects relays: "max" (default), "min" or "rnd" (Section 5.6).
 	Policy string
-	// Paths is the maximum explored path length: 2 (default, the paper's
-	// setting) or 3 (the footnote-2 extension).
+	// Paths is the path length scored: 2, the paper's setting (0 means the
+	// same). SNAPLE scores 2-hop paths only; any other value is refused.
 	Paths int
 	// Seed drives truncation and the rnd policy, and on "sim" and "dist"
 	// the vertex cut and master election.
@@ -61,8 +61,8 @@ type Options struct {
 	// Sources optionally scopes the run to a query frontier: when
 	// non-empty, only these vertices receive predictions and every backend
 	// restricts its work to the exact closure their predictions depend on
-	// (2 hops out; 3 for Paths=3). The results are bit-identical to the
-	// full run's, filtered to the sources.
+	// (2 hops out). The results are bit-identical to the full run's,
+	// filtered to the sources.
 	Sources []graph.VertexID
 
 	// Manifest is the path of a fleet manifest written by `snaple pack

@@ -71,21 +71,12 @@ func chaosPool(t *testing.T, n int, events func(worker int) []wire.ChaosEvent) [
 // connection without telling the liveness tracker, so the death is
 // discovered exactly the way a real crash is — by the step's exchange
 // failing — and the coordinator must fail over and re-run the step on the
-// survivor. Both a serving replica and a standby die here, across a 3-step
-// (Paths=2) and a 4-step (Paths=3) schedule, under both coordinators: Dist
+// survivor. Both a serving replica and a standby die here, at each of the
+// three supersteps, under both coordinators: Dist
 // shipping per run and a resident Fleet attaching by fingerprint share the
 // superstep driver, so they share its failover.
 func TestDistChaosKillAtEachStep(t *testing.T) {
 	g := testGraph(t, 200, 7)
-	cases := []struct {
-		score string
-		pol   core.SelectionPolicy
-		paths int
-		steps int
-	}{
-		{"linearSum", core.SelectMax, 2, 3},
-		{"PPR", core.SelectRnd, 3, 4},
-	}
 	const workers, replicas = 4, 2
 	backends := []struct {
 		name string
@@ -103,45 +94,40 @@ func TestDistChaosKillAtEachStep(t *testing.T) {
 			return f
 		}},
 	}
-	for _, c := range cases {
-		cfg := core.Config{
-			Score: mustScore(t, c.score), K: 5, KLocal: 4, ThrGamma: 10,
-			Policy: c.pol, Paths: c.paths, Seed: 42,
-		}
-		want, err := core.ReferenceSnaple(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, be := range backends {
-			for kill := 0; kill < workers; kill++ {
-				for at := 0; at < c.steps; at++ {
-					name := fmt.Sprintf("%s/%s/paths=%d/kill=%d/step=%d", be.name, c.score, c.paths, kill, at)
-					t.Run(name, func(t *testing.T) {
-						ctx := withStepHook(func(si int, r *distRun) {
-							if si == at {
-								r.killWorker(kill)
-							}
-						})
-						got, st, err := be.open(t).PredictCtx(ctx, g, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(want, got) {
-							diffPredictions(t, want, got)
-						}
-						if st.Replicas != replicas || st.Workers != workers {
-							t.Errorf("stats = %+v, want %d workers at %d replicas", st, workers, replicas)
-						}
-						if st.WorkersDead != 1 {
-							t.Errorf("WorkersDead = %d, want 1", st.WorkersDead)
-						}
-						// Killing a serving replica forces a promotion; killing a
-						// standby only sheds redundancy.
-						if st.Failovers > 1 {
-							t.Errorf("Failovers = %d, want 0 or 1", st.Failovers)
+	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
+	want, err := core.ReferenceSnaple(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range backends {
+		for kill := 0; kill < workers; kill++ {
+			for at := range len(core.DistSteps()) {
+				name := fmt.Sprintf("%s/kill=%d/step=%d", be.name, kill, at)
+				t.Run(name, func(t *testing.T) {
+					ctx := withStepHook(func(si int, r *distRun) {
+						if si == at {
+							r.killWorker(kill)
 						}
 					})
-				}
+					got, st, err := be.open(t).PredictCtx(ctx, g, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						diffPredictions(t, want, got)
+					}
+					if st.Replicas != replicas || st.Workers != workers {
+						t.Errorf("stats = %+v, want %d workers at %d replicas", st, workers, replicas)
+					}
+					if st.WorkersDead != 1 {
+						t.Errorf("WorkersDead = %d, want 1", st.WorkersDead)
+					}
+					// Killing a serving replica forces a promotion; killing a
+					// standby only sheds redundancy.
+					if st.Failovers > 1 {
+						t.Errorf("Failovers = %d, want 0 or 1", st.Failovers)
+					}
+				})
 			}
 		}
 	}

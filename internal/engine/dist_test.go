@@ -58,24 +58,20 @@ func TestDistMatchesReference(t *testing.T) {
 		policy core.SelectionPolicy
 		thr    int
 		klocal int
-		paths  int
 		seed   uint64
 	}
 	cases := []tc{
 		// Policy × sampling cross for the default score.
-		{"linearSum", core.SelectMax, core.Unlimited, core.Unlimited, 2, 1},
-		{"linearSum", core.SelectMax, 10, 4, 2, 42},
-		{"linearSum", core.SelectMin, 10, 4, 2, 42},
-		{"linearSum", core.SelectRnd, 10, 4, 2, 42},
-		{"linearSum", core.SelectRnd, core.Unlimited, 4, 2, 1},
+		{"linearSum", core.SelectMax, core.Unlimited, core.Unlimited, 1},
+		{"linearSum", core.SelectMax, 10, 4, 42},
+		{"linearSum", core.SelectMin, 10, 4, 42},
+		{"linearSum", core.SelectRnd, 10, 4, 42},
+		{"linearSum", core.SelectRnd, core.Unlimited, 4, 1},
 		// Every aggregator family and the identity-aware PPR similarity.
-		{"PPR", core.SelectMax, 10, 4, 2, 42},
-		{"counter", core.SelectMax, 10, 4, 2, 42},
-		{"geomMean", core.SelectMax, 10, 4, 2, 42},
-		{"euclGeom", core.SelectMax, 10, 4, 2, 42},
-		// The 3-hop extension (4 supersteps with a TwoHop refresh).
-		{"linearSum", core.SelectMax, 10, 3, 3, 42},
-		{"geomSum", core.SelectRnd, core.Unlimited, 3, 3, 1},
+		{"PPR", core.SelectMax, 10, 4, 42},
+		{"counter", core.SelectMax, 10, 4, 42},
+		{"geomMean", core.SelectMax, 10, 4, 42},
+		{"euclGeom", core.SelectMax, 10, 4, 42},
 	}
 
 	workerCounts := []int{1, 2, 4}
@@ -103,7 +99,6 @@ func TestDistMatchesReference(t *testing.T) {
 			KLocal:   c.klocal,
 			ThrGamma: c.thr,
 			Policy:   c.policy,
-			Paths:    c.paths,
 			Seed:     c.seed,
 		}
 		want, err := core.ReferenceSnaple(g, cfg)
@@ -111,8 +106,8 @@ func TestDistMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range workerCounts {
-			name := fmt.Sprintf("%s/%s/thr=%d/klocal=%d/paths=%d/seed=%d/workers=%d",
-				c.score, c.policy, c.thr, c.klocal, c.paths, c.seed, workers)
+			name := fmt.Sprintf("%s/%s/thr=%d/klocal=%d/seed=%d/workers=%d",
+				c.score, c.policy, c.thr, c.klocal, c.seed, workers)
 			t.Run(name, func(t *testing.T) {
 				got, st, err := Dist{Addrs: addrs[:workers], Seed: c.seed}.Predict(g, cfg)
 				if err != nil {
@@ -222,12 +217,12 @@ func TestDistInProc(t *testing.T) {
 }
 
 // TestDistWireCompression pins result equivalence with per-frame compression
-// on, and that it actually shrinks the measured traffic. Paths=3 keeps the
-// TwoHop refresh in play so every record type crosses the codec.
+// on, and that it actually shrinks the measured traffic: partial and state
+// records of every step cross the codec.
 func TestDistWireCompression(t *testing.T) {
 	g := testGraph(t, 200, 7)
 	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 3,
-		ThrGamma: 10, Policy: core.SelectRnd, Paths: 3, Seed: 42}
+		ThrGamma: 10, Policy: core.SelectRnd, Seed: 42}
 	want, err := core.ReferenceSnaple(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -112,7 +112,7 @@ func newDistRun(routes *routing, conns []*wire.Conn, dialErrs []error, replicas 
 // fails within one read/write and the run drains through its normal failure
 // paths; the deaths were then self-inflicted, and the caller gets ctx.Err()
 // rather than a fleet failure.
-func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stats, attach func(i int) *wire.Msg) (preds []wire.VertexPreds, results []wire.WorkerResult, err error) {
+func (r *distRun) predict(ctx context.Context, g graph.View, st *Stats, attach func(i int) *wire.Msg) (preds []wire.VertexPreds, results []wire.WorkerResult, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -159,8 +159,8 @@ func (r *distRun) predict(ctx context.Context, g graph.View, paths int, st *Stat
 	// skipped entirely — no messages, no barrier. The final flag moves to
 	// the last superstep that actually runs, so its refresh round is elided
 	// like a full run's.
-	steps := make([]core.DistStep, 0, 4)
-	for _, step := range core.DistSteps(paths) {
+	steps := make([]core.DistStep, 0, 3)
+	for _, step := range core.DistSteps() {
 		if r.routes.stepHasWork(step) {
 			steps = append(steps, step)
 		}

@@ -236,7 +236,7 @@ type Fleet struct {
 // handshakeJob is a minimal valid job used for the connect-time fingerprint
 // verification attach; the session it starts is replaced by the first real
 // query's attach.
-var handshakeJob = wire.JobSpec{Score: "counter", Alpha: 0.9, K: 1, Paths: 2}
+var handshakeJob = wire.JobSpec{Score: "counter", Alpha: 0.9, K: 1}
 
 // OpenFleet cuts g, stands up (or connects to) the workers and leaves every
 // one of them holding its shard, verified against the fleet fingerprint. With
@@ -502,7 +502,6 @@ func (f *Fleet) Close() error {
 // query is one validated prediction request: what a run needs beyond the
 // fleet, computed before any connection is touched (or, for Dist, dialed).
 type query struct {
-	paths    int
 	job      wire.JobSpec
 	frontier *core.Frontier // nil on a full run
 	st       Stats          // the scope fields, filled
@@ -522,7 +521,7 @@ func newQuery(g graph.View, cfg core.Config) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &query{paths: cfg.Paths, job: job, frontier: frontier}
+	q := &query{job: job, frontier: frontier}
 	q.st.FrontierVertices = frontier.Size()
 	q.st.ScoredVertices = g.NumVertices()
 	if frontier != nil {
@@ -689,7 +688,7 @@ func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, e
 
 	// Attach is the job opener: for an unscoped query a fixed-size frame, for
 	// a scoped one the sparse closure roles; never partition columns.
-	preds, results, err := run.predict(ctx, f.g, q.paths, &st, func(i int) *wire.Msg {
+	preds, results, err := run.predict(ctx, f.g, &st, func(i int) *wire.Msg {
 		p := run.partOf[i]
 		return &wire.Msg{
 			Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: q.job,

@@ -29,87 +29,83 @@ type fleetGolden struct {
 // The values were recorded while a worker session still held |Locals|-long
 // columns and the coordinator |V|-long routing tables: a closure-indexed
 // session and sparse routing must reproduce every row and every wire byte.
+// Protocol v5 re-recorded the traffic and nothing else: a state record lost
+// its two u32 counts for the 3-hop path list and the predictions (8 B per
+// record), and since refresh chunks flush at a byte threshold, 20 rows also
+// send fewer refresh frames (28 B of framing each).
 var goldenFleetScoped = map[string]fleetGolden{
 	"shards=2/reps=1/s1/isolated":            {0x558323f0cadf8968, 0, 0, 1, 1},
-	"shards=2/reps=1/s1/hub0":                {0x9f2842b1abd927f0, 1556820, 48, 6013, 1},
-	"shards=2/reps=1/s1/hub3":                {0x21ee7b673c0bf9f4, 570700, 30, 2107, 1},
-	"shards=2/reps=1/s1/mid":                 {0x5c314886e84a96ea, 183396, 30, 661, 1},
-	"shards=2/reps=1/s1/tail":                {0x796635e48631e307, 7396, 30, 21, 1},
-	"shards=2/reps=1/s1/one-shard":           {0x6dcc516dcded15f7, 13324, 30, 42, 1},
-	"shards=2/reps=1/s8/uniform-a":           {0x31cba53120c93c70, 411432, 30, 1552, 8},
-	"shards=2/reps=1/s8/uniform-b":           {0xc44817e8057b76a9, 109932, 30, 381, 8},
-	"shards=2/reps=1/s8/uniform-c":           {0x1776baccf3faee76, 183136, 30, 656, 8},
-	"shards=2/reps=1/s8/one-shard":           {0x404a95382dbe4791, 46272, 30, 151, 8},
-	"shards=2/reps=1/s8/hub-and-tail":        {0x43f88d1c35912feb, 1604400, 50, 6185, 8},
-	"shards=2/reps=1/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 516180, 30, 1886, 4},
-	"shards=2/reps=1/s8/paths3":              {0xa0017336f469f13c, 3335984, 76, 9000, 8},
-	"shards=2/reps=1/s8/ppr":                 {0xcef4423970dce437, 151972, 30, 542, 8},
-	"shards=2/reps=1/s8/rnd":                 {0x675ac9ddda0b6f58, 169688, 30, 617, 8},
-	"shards=2/reps=1/s64/uniform-a":          {0xa7eaf86f85701f54, 1151712, 38, 4308, 64},
-	"shards=2/reps=1/s64/uniform-b":          {0xd6e7c631e34063f6, 980412, 38, 3639, 64},
-	"shards=2/reps=1/s64/low-ids":            {0xf957333f830ede5b, 3973128, 82, 14370, 64},
-	"shards=2/reps=1/s64/paths3":             {0x94bdec9824830755, 5698228, 112, 13907, 64},
-	"shards=2/reps=1/s64/with-isolated":      {0xfeabe02a10e64ed1, 1023552, 38, 3795, 64},
+	"shards=2/reps=1/s1/hub0":                {0x9f2842b1abd927f0, 1369964, 42, 6013, 1},
+	"shards=2/reps=1/s1/hub3":                {0x21ee7b673c0bf9f4, 504972, 30, 2107, 1},
+	"shards=2/reps=1/s1/mid":                 {0x5c314886e84a96ea, 162884, 30, 661, 1},
+	"shards=2/reps=1/s1/tail":                {0x796635e48631e307, 6724, 30, 21, 1},
+	"shards=2/reps=1/s1/one-shard":           {0x6dcc516dcded15f7, 12012, 30, 42, 1},
+	"shards=2/reps=1/s8/uniform-a":           {0x31cba53120c93c70, 362952, 30, 1552, 8},
+	"shards=2/reps=1/s8/uniform-b":           {0xc44817e8057b76a9, 97932, 30, 381, 8},
+	"shards=2/reps=1/s8/uniform-c":           {0x1776baccf3faee76, 162496, 30, 656, 8},
+	"shards=2/reps=1/s8/one-shard":           {0x404a95382dbe4791, 41664, 30, 151, 8},
+	"shards=2/reps=1/s8/hub-and-tail":        {0x43f88d1c35912feb, 1412232, 44, 6185, 8},
+	"shards=2/reps=1/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 457268, 30, 1886, 4},
+	"shards=2/reps=1/s8/ppr":                 {0xcef4423970dce437, 134916, 30, 542, 8},
+	"shards=2/reps=1/s8/rnd":                 {0x675ac9ddda0b6f58, 150392, 30, 617, 8},
+	"shards=2/reps=1/s64/uniform-a":          {0xa7eaf86f85701f54, 1017248, 38, 4308, 64},
+	"shards=2/reps=1/s64/uniform-b":          {0xd6e7c631e34063f6, 866844, 38, 3639, 64},
+	"shards=2/reps=1/s64/low-ids":            {0xf957333f830ede5b, 3530152, 74, 14370, 64},
+	"shards=2/reps=1/s64/with-isolated":      {0xfeabe02a10e64ed1, 905408, 38, 3795, 64},
 	"shards=2/reps=2/s1/isolated":            {0x558323f0cadf8968, 0, 0, 1, 1},
-	"shards=2/reps=2/s1/hub0":                {0x9f2842b1abd927f0, 3113364, 92, 6013, 1},
-	"shards=2/reps=2/s1/hub3":                {0x21ee7b673c0bf9f4, 1141124, 56, 2107, 1},
-	"shards=2/reps=2/s1/mid":                 {0x5c314886e84a96ea, 366516, 56, 661, 1},
-	"shards=2/reps=2/s1/tail":                {0x796635e48631e307, 14516, 56, 21, 1},
-	"shards=2/reps=2/s1/one-shard":           {0x6dcc516dcded15f7, 26372, 56, 42, 1},
-	"shards=2/reps=2/s8/uniform-a":           {0x31cba53120c93c70, 822112, 56, 1552, 8},
-	"shards=2/reps=2/s8/uniform-b":           {0xc44817e8057b76a9, 219180, 56, 381, 8},
-	"shards=2/reps=2/s8/uniform-c":           {0x1776baccf3faee76, 365520, 56, 656, 8},
-	"shards=2/reps=2/s8/one-shard":           {0x404a95382dbe4791, 91840, 56, 151, 8},
-	"shards=2/reps=2/s8/hub-and-tail":        {0x43f88d1c35912feb, 3208152, 96, 6185, 8},
-	"shards=2/reps=2/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 1031948, 56, 1886, 4},
-	"shards=2/reps=2/s8/paths3":              {0xa0017336f469f13c, 6671216, 148, 9000, 8},
-	"shards=2/reps=2/s8/ppr":                 {0xcef4423970dce437, 303260, 56, 542, 8},
-	"shards=2/reps=2/s8/rnd":                 {0x675ac9ddda0b6f58, 338648, 56, 617, 8},
-	"shards=2/reps=2/s64/uniform-a":          {0xa7eaf86f85701f54, 2299072, 72, 4308, 64},
-	"shards=2/reps=2/s64/uniform-b":          {0xd6e7c631e34063f6, 1956564, 72, 3639, 64},
-	"shards=2/reps=2/s64/low-ids":            {0xf957333f830ede5b, 7941696, 160, 14370, 64},
-	"shards=2/reps=2/s64/paths3":             {0x94bdec9824830755, 11392100, 220, 13907, 64},
-	"shards=2/reps=2/s64/with-isolated":      {0xfeabe02a10e64ed1, 2042832, 72, 3795, 64},
+	"shards=2/reps=2/s1/hub0":                {0x9f2842b1abd927f0, 2739652, 80, 6013, 1},
+	"shards=2/reps=2/s1/hub3":                {0x21ee7b673c0bf9f4, 1009668, 56, 2107, 1},
+	"shards=2/reps=2/s1/mid":                 {0x5c314886e84a96ea, 325492, 56, 661, 1},
+	"shards=2/reps=2/s1/tail":                {0x796635e48631e307, 13172, 56, 21, 1},
+	"shards=2/reps=2/s1/one-shard":           {0x6dcc516dcded15f7, 23748, 56, 42, 1},
+	"shards=2/reps=2/s8/uniform-a":           {0x31cba53120c93c70, 725152, 56, 1552, 8},
+	"shards=2/reps=2/s8/uniform-b":           {0xc44817e8057b76a9, 195180, 56, 381, 8},
+	"shards=2/reps=2/s8/uniform-c":           {0x1776baccf3faee76, 324240, 56, 656, 8},
+	"shards=2/reps=2/s8/one-shard":           {0x404a95382dbe4791, 82624, 56, 151, 8},
+	"shards=2/reps=2/s8/hub-and-tail":        {0x43f88d1c35912feb, 2823816, 84, 6185, 8},
+	"shards=2/reps=2/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 914124, 56, 1886, 4},
+	"shards=2/reps=2/s8/ppr":                 {0xcef4423970dce437, 269148, 56, 542, 8},
+	"shards=2/reps=2/s8/rnd":                 {0x675ac9ddda0b6f58, 300056, 56, 617, 8},
+	"shards=2/reps=2/s64/uniform-a":          {0xa7eaf86f85701f54, 2030144, 72, 4308, 64},
+	"shards=2/reps=2/s64/uniform-b":          {0xd6e7c631e34063f6, 1729428, 72, 3639, 64},
+	"shards=2/reps=2/s64/low-ids":            {0xf957333f830ede5b, 7055744, 144, 14370, 64},
+	"shards=2/reps=2/s64/with-isolated":      {0xfeabe02a10e64ed1, 1806544, 72, 3795, 64},
 	"shards=3/reps=1/s1/isolated":            {0x558323f0cadf8968, 0, 0, 1, 1},
-	"shards=3/reps=1/s1/hub0":                {0x9f2842b1abd927f0, 2316472, 71, 6013, 1},
-	"shards=3/reps=1/s1/hub3":                {0x21ee7b673c0bf9f4, 850340, 48, 2107, 1},
-	"shards=3/reps=1/s1/mid":                 {0x5c314886e84a96ea, 274132, 45, 661, 1},
-	"shards=3/reps=1/s1/tail":                {0x796635e48631e307, 11052, 45, 21, 1},
-	"shards=3/reps=1/s1/one-shard":           {0x79c8494cd6dc234, 4520, 45, 7, 1},
-	"shards=3/reps=1/s8/uniform-a":           {0x31cba53120c93c70, 609152, 45, 1552, 8},
-	"shards=3/reps=1/s8/uniform-b":           {0xc44817e8057b76a9, 162816, 45, 381, 8},
-	"shards=3/reps=1/s8/uniform-c":           {0x1776baccf3faee76, 272700, 45, 656, 8},
-	"shards=3/reps=1/s8/one-shard":           {0x50462666bdf8afb2, 98688, 45, 236, 8},
-	"shards=3/reps=1/s8/hub-and-tail":        {0x43f88d1c35912feb, 2386616, 72, 6185, 8},
-	"shards=3/reps=1/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 766736, 46, 1886, 4},
-	"shards=3/reps=1/s8/paths3":              {0xa0017336f469f13c, 4921228, 114, 9000, 8},
-	"shards=3/reps=1/s8/ppr":                 {0xcef4423970dce437, 225948, 45, 542, 8},
-	"shards=3/reps=1/s8/rnd":                 {0x675ac9ddda0b6f58, 251968, 45, 617, 8},
-	"shards=3/reps=1/s64/uniform-a":          {0xa7eaf86f85701f54, 1709124, 58, 4308, 64},
-	"shards=3/reps=1/s64/uniform-b":          {0xd6e7c631e34063f6, 1453440, 51, 3639, 64},
-	"shards=3/reps=1/s64/low-ids":            {0xf957333f830ede5b, 5857824, 117, 14370, 64},
-	"shards=3/reps=1/s64/paths3":             {0x94bdec9824830755, 8376416, 166, 13907, 64},
-	"shards=3/reps=1/s64/with-isolated":      {0xfeabe02a10e64ed1, 1514116, 53, 3795, 64},
+	"shards=3/reps=1/s1/hub0":                {0x9f2842b1abd927f0, 2043120, 69, 6013, 1},
+	"shards=3/reps=1/s1/hub3":                {0x21ee7b673c0bf9f4, 753808, 45, 2107, 1},
+	"shards=3/reps=1/s1/mid":                 {0x5c314886e84a96ea, 243764, 45, 661, 1},
+	"shards=3/reps=1/s1/tail":                {0x796635e48631e307, 10060, 45, 21, 1},
+	"shards=3/reps=1/s1/one-shard":           {0x79c8494cd6dc234, 4200, 45, 7, 1},
+	"shards=3/reps=1/s8/uniform-a":           {0x31cba53120c93c70, 538080, 45, 1552, 8},
+	"shards=3/reps=1/s8/uniform-b":           {0xc44817e8057b76a9, 145216, 45, 381, 8},
+	"shards=3/reps=1/s8/uniform-c":           {0x1776baccf3faee76, 242300, 45, 656, 8},
+	"shards=3/reps=1/s8/one-shard":           {0x50462666bdf8afb2, 87840, 45, 236, 8},
+	"shards=3/reps=1/s8/hub-and-tail":        {0x43f88d1c35912feb, 2105572, 69, 6185, 8},
+	"shards=3/reps=1/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 680500, 45, 1886, 4},
+	"shards=3/reps=1/s8/ppr":                 {0xcef4423970dce437, 200988, 45, 542, 8},
+	"shards=3/reps=1/s8/rnd":                 {0x675ac9ddda0b6f58, 223712, 45, 617, 8},
+	"shards=3/reps=1/s64/uniform-a":          {0xa7eaf86f85701f54, 1512096, 51, 4308, 64},
+	"shards=3/reps=1/s64/uniform-b":          {0xd6e7c631e34063f6, 1287264, 51, 3639, 64},
+	"shards=3/reps=1/s64/low-ids":            {0xf957333f830ede5b, 5215588, 108, 14370, 64},
+	"shards=3/reps=1/s64/with-isolated":      {0xfeabe02a10e64ed1, 1341196, 51, 3795, 64},
 	"shards=3/reps=2/s1/isolated":            {0x558323f0cadf8968, 0, 0, 1, 1},
-	"shards=3/reps=2/s1/hub0":                {0x9f2842b1abd927f0, 4632564, 136, 6013, 1},
-	"shards=3/reps=2/s1/hub3":                {0x21ee7b673c0bf9f4, 1700300, 90, 2107, 1},
-	"shards=3/reps=2/s1/mid":                 {0x5c314886e84a96ea, 547884, 84, 661, 1},
-	"shards=3/reps=2/s1/tail":                {0x796635e48631e307, 21724, 84, 21, 1},
-	"shards=3/reps=2/s1/one-shard":           {0x79c8494cd6dc234, 8660, 84, 7, 1},
-	"shards=3/reps=2/s8/uniform-a":           {0x31cba53120c93c70, 1217448, 84, 1552, 8},
-	"shards=3/reps=2/s8/uniform-b":           {0xc44817e8057b76a9, 324844, 84, 381, 8},
-	"shards=3/reps=2/s8/uniform-c":           {0x1776baccf3faee76, 544544, 84, 656, 8},
-	"shards=3/reps=2/s8/one-shard":           {0x50462666bdf8afb2, 196544, 84, 236, 8},
-	"shards=3/reps=2/s8/hub-and-tail":        {0x43f88d1c35912feb, 4772480, 138, 6185, 8},
-	"shards=3/reps=2/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 1532956, 86, 1886, 4},
-	"shards=3/reps=2/s8/paths3":              {0xa0017336f469f13c, 9841600, 222, 9000, 8},
-	"shards=3/reps=2/s8/ppr":                 {0xcef4423970dce437, 451108, 84, 542, 8},
-	"shards=3/reps=2/s8/rnd":                 {0x675ac9ddda0b6f58, 503104, 84, 617, 8},
-	"shards=3/reps=2/s64/uniform-a":          {0xa7eaf86f85701f54, 3413792, 110, 4308, 64},
-	"shards=3/reps=2/s64/uniform-b":          {0xd6e7c631e34063f6, 2902516, 96, 3639, 64},
-	"shards=3/reps=2/s64/low-ids":            {0xf957333f830ede5b, 11710984, 228, 14370, 64},
-	"shards=3/reps=2/s64/paths3":             {0x94bdec9824830755, 16748372, 326, 13907, 64},
-	"shards=3/reps=2/s64/with-isolated":      {0xfeabe02a10e64ed1, 3023856, 100, 3795, 64},
+	"shards=3/reps=2/s1/hub0":                {0x9f2842b1abd927f0, 4085860, 132, 6013, 1},
+	"shards=3/reps=2/s1/hub3":                {0x21ee7b673c0bf9f4, 1507236, 84, 2107, 1},
+	"shards=3/reps=2/s1/mid":                 {0x5c314886e84a96ea, 487148, 84, 661, 1},
+	"shards=3/reps=2/s1/tail":                {0x796635e48631e307, 19740, 84, 21, 1},
+	"shards=3/reps=2/s1/one-shard":           {0x79c8494cd6dc234, 8020, 84, 7, 1},
+	"shards=3/reps=2/s8/uniform-a":           {0x31cba53120c93c70, 1075304, 84, 1552, 8},
+	"shards=3/reps=2/s8/uniform-b":           {0xc44817e8057b76a9, 289644, 84, 381, 8},
+	"shards=3/reps=2/s8/uniform-c":           {0x1776baccf3faee76, 483744, 84, 656, 8},
+	"shards=3/reps=2/s8/one-shard":           {0x50462666bdf8afb2, 174848, 84, 236, 8},
+	"shards=3/reps=2/s8/hub-and-tail":        {0x43f88d1c35912feb, 4210392, 132, 6185, 8},
+	"shards=3/reps=2/s8/duplicates-isolated": {0xd17ac7de45bcfb96, 1360484, 84, 1886, 4},
+	"shards=3/reps=2/s8/ppr":                 {0xcef4423970dce437, 401188, 84, 542, 8},
+	"shards=3/reps=2/s8/rnd":                 {0x675ac9ddda0b6f58, 446592, 84, 617, 8},
+	"shards=3/reps=2/s64/uniform-a":          {0xa7eaf86f85701f54, 3019736, 96, 4308, 64},
+	"shards=3/reps=2/s64/uniform-b":          {0xd6e7c631e34063f6, 2570164, 96, 3639, 64},
+	"shards=3/reps=2/s64/low-ids":            {0xf957333f830ede5b, 10426512, 210, 14370, 64},
+	"shards=3/reps=2/s64/with-isolated":      {0xfeabe02a10e64ed1, 2678016, 96, 3795, 64},
 }
 
 // scopedGoldenGraph is a fixed power-law graph with hubs at the low ids, a
@@ -169,7 +165,6 @@ func scopedGoldenQueries(t testing.TB, f *Fleet) []goldenQuery {
 	for i := range lowIDs {
 		lowIDs[i] = graph.VertexID(i + 1)
 	}
-	paths3 := func(c *core.Config) { c.Paths = 3 }
 	return []goldenQuery{
 		{name: "s1/isolated", sources: []graph.VertexID{isolated}},
 		{name: "s1/hub0", sources: []graph.VertexID{0}},
@@ -183,13 +178,11 @@ func scopedGoldenQueries(t testing.TB, f *Fleet) []goldenQuery {
 		{name: "s8/one-shard", sources: oneShard},
 		{name: "s8/hub-and-tail", sources: append([]graph.VertexID{0}, draw(4, 7)...)},
 		{name: "s8/duplicates-isolated", sources: []graph.VertexID{isolated, 9, 9, isolated, 11500, 11500, 40, 9}},
-		{name: "s8/paths3", sources: draw(5, 8), tweak: paths3},
 		{name: "s8/ppr", sources: draw(6, 8), tweak: func(c *core.Config) { c.Score = mustScore(t, "PPR") }},
 		{name: "s8/rnd", sources: draw(7, 8), tweak: func(c *core.Config) { c.Policy = core.SelectRnd }},
 		{name: "s64/uniform-a", sources: draw(8, 64)},
 		{name: "s64/uniform-b", sources: draw(9, 64)},
 		{name: "s64/low-ids", sources: lowIDs},
-		{name: "s64/paths3", sources: draw(11, 64), tweak: paths3},
 		{name: "s64/with-isolated", sources: append(draw(12, 63), isolated)},
 	}
 }
@@ -228,7 +221,7 @@ func TestFleetScopedGolden(t *testing.T) {
 	checkGoroutines(t)
 	g := scopedGoldenGraph(t)
 	base := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 8, ThrGamma: 20, Seed: 42}
-	oracles := map[string]core.Predictions{} // Serial's full runs, by score/policy/paths
+	oracles := map[string]core.Predictions{} // Serial's full runs, by score/policy
 	for _, shape := range []struct{ shards, reps int }{{2, 1}, {2, 2}, {3, 1}, {3, 2}} {
 		f, err := OpenFleet(g, FleetOptions{InProc: shape.shards, Replicas: shape.reps, Seed: 9})
 		if err != nil {
@@ -267,7 +260,7 @@ func TestFleetScopedGolden(t *testing.T) {
 			if gotSparse != got || len(sparse.Vertices) != got.scored {
 				t.Errorf("%q: PredictScoped gives %#v over %d sources, Predict %#v", key, gotSparse, len(sparse.Vertices), got)
 			}
-			variant := fmt.Sprintf("%s/%v/%d", cfg.Score.Name, cfg.Policy, cfg.Paths)
+			variant := fmt.Sprintf("%s/%v", cfg.Score.Name, cfg.Policy)
 			full, ok := oracles[variant]
 			if !ok {
 				oracle := cfg

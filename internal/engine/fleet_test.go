@@ -116,15 +116,13 @@ func TestFleetMatchesReference(t *testing.T) {
 		policy core.SelectionPolicy
 		thr    int
 		klocal int
-		paths  int
 		seed   uint64
 	}
 	cases := []tc{
-		{"linearSum", core.SelectMax, core.Unlimited, core.Unlimited, 2, 1},
-		{"linearSum", core.SelectRnd, 10, 4, 2, 42},
-		{"PPR", core.SelectMax, 10, 4, 2, 42},
-		{"geomMean", core.SelectMax, 10, 4, 2, 42},
-		{"linearSum", core.SelectMax, 10, 3, 3, 42},
+		{"linearSum", core.SelectMax, core.Unlimited, core.Unlimited, 1},
+		{"linearSum", core.SelectRnd, 10, 4, 42},
+		{"PPR", core.SelectMax, 10, 4, 42},
+		{"geomMean", core.SelectMax, 10, 4, 42},
 	}
 	fleets := []struct {
 		shards, replicas int
@@ -140,13 +138,13 @@ func TestFleetMatchesReference(t *testing.T) {
 		for _, c := range cases {
 			cfg := core.Config{
 				Score: mustScore(t, c.score), K: 5, KLocal: c.klocal,
-				ThrGamma: c.thr, Policy: c.policy, Paths: c.paths, Seed: c.seed,
+				ThrGamma: c.thr, Policy: c.policy, Seed: c.seed,
 			}
 			want, err := core.ReferenceSnaple(g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			name := fmt.Sprintf("shards=%d/reps=%d/%s/%s/paths=%d", fs.shards, fs.replicas, c.score, c.policy, c.paths)
+			name := fmt.Sprintf("shards=%d/reps=%d/%s/%s", fs.shards, fs.replicas, c.score, c.policy)
 			t.Run(name, func(t *testing.T) {
 				got, st, err := f.Predict(g, cfg)
 				if err != nil {

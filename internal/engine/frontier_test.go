@@ -61,8 +61,8 @@ func padGraph(t testing.TB, g *graph.Digraph, n int) *graph.Digraph {
 }
 
 // sparsePad is the padded size, per vertex of a ~300-vertex test graph, at
-// which a one-source closure gets rank-indexed arenas while a hub's, a
-// 25-source one's or a Paths=3 one's is still past the arena rule.
+// which a one-source closure gets rank-indexed arenas while a hub's or a
+// 25-source one's is still past the arena rule.
 const sparsePad = 16
 
 // listPad is the padded size per vertex at which a one-source closure's
@@ -126,18 +126,12 @@ func testFrontierEquivalence(t *testing.T, g *graph.Digraph, sourceSets map[stri
 	type tc struct {
 		score  string
 		policy core.SelectionPolicy
-		paths  int
 	}
 	var cases []tc
 	for _, policy := range []core.SelectionPolicy{core.SelectMax, core.SelectMin, core.SelectRnd} {
-		cases = append(cases, tc{"linearSum", policy, 2})
+		cases = append(cases, tc{"linearSum", policy})
 	}
-	cases = append(cases,
-		tc{"geomSum", core.SelectMax, 2},
-		tc{"PPR", core.SelectMax, 2},
-		tc{"linearSum", core.SelectMax, 3},
-		tc{"linearSum", core.SelectRnd, 3},
-	)
+	cases = append(cases, tc{"geomSum", core.SelectMax}, tc{"PPR", core.SelectMax})
 
 	for _, c := range cases {
 		base := core.Config{
@@ -146,7 +140,6 @@ func testFrontierEquivalence(t *testing.T, g *graph.Digraph, sourceSets map[stri
 			KLocal:   4,
 			ThrGamma: 10,
 			Policy:   c.policy,
-			Paths:    c.paths,
 			Seed:     42,
 		}
 		full, err := core.ReferenceSnaple(g, base)
@@ -172,7 +165,7 @@ func testFrontierEquivalence(t *testing.T, g *graph.Digraph, sourceSets map[stri
 				{"dist/w=3", Dist{InProc: 3, Seed: 5}},
 			}
 			for _, b := range backends {
-				name := fmt.Sprintf("n=%d/%s/%s/paths=%d/%s/%s", n, c.score, c.policy, c.paths, setName, b.name)
+				name := fmt.Sprintf("n=%d/%s/%s/%s/%s", n, c.score, c.policy, setName, b.name)
 				t.Run(name, func(t *testing.T) {
 					got, st, err := b.be.Predict(g, cfg)
 					if err != nil {

@@ -58,39 +58,36 @@ func TestMutatedViewMatchesCompactedSnapshot(t *testing.T) {
 		t.Fatalf("snapshot edges %d, overlay %d", loaded.NumEdges(), d.NumEdges())
 	}
 
-	for _, paths := range []int{2, 3} {
-		cfg := core.Config{
-			Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10,
-			Paths: paths, Seed: 42,
-			Sources: []graph.VertexID{0, 3, 7, 50, 120, 249},
+	cfg := core.Config{
+		Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42,
+		Sources: []graph.VertexID{0, 3, 7, 50, 120, 249},
+	}
+	backends := []struct {
+		name string
+		be   Backend
+	}{
+		{"serial", Serial{}},
+		{"local", Local{Workers: 3}},
+		{"sim", Sim{Nodes: 3, Seed: 9}},
+		{"dist", Dist{InProc: 2, Seed: 42}},
+	}
+	var first core.Predictions
+	for _, b := range backends {
+		overDelta, _, err := b.be.Predict(d, cfg)
+		if err != nil {
+			t.Fatalf("%s over delta: %v", b.name, err)
 		}
-		backends := []struct {
-			name string
-			be   Backend
-		}{
-			{"serial", Serial{}},
-			{"local", Local{Workers: 3}},
-			{"sim", Sim{Nodes: 3, Seed: 9}},
-			{"dist", Dist{InProc: 2, Seed: 42}},
+		overCSR, _, err := b.be.Predict(loaded, cfg)
+		if err != nil {
+			t.Fatalf("%s over snapshot: %v", b.name, err)
 		}
-		var first core.Predictions
-		for _, b := range backends {
-			overDelta, _, err := b.be.Predict(d, cfg)
-			if err != nil {
-				t.Fatalf("paths=%d %s over delta: %v", paths, b.name, err)
-			}
-			overCSR, _, err := b.be.Predict(loaded, cfg)
-			if err != nil {
-				t.Fatalf("paths=%d %s over snapshot: %v", paths, b.name, err)
-			}
-			if !reflect.DeepEqual(overDelta, overCSR) {
-				t.Fatalf("paths=%d %s: delta view and compacted snapshot disagree", paths, b.name)
-			}
-			if first == nil {
-				first = overDelta
-			} else if !reflect.DeepEqual(first, overDelta) {
-				t.Fatalf("paths=%d %s disagrees with %s over the mutated view", paths, b.name, backends[0].name)
-			}
+		if !reflect.DeepEqual(overDelta, overCSR) {
+			t.Fatalf("%s: delta view and compacted snapshot disagree", b.name)
+		}
+		if first == nil {
+			first = overDelta
+		} else if !reflect.DeepEqual(first, overDelta) {
+			t.Fatalf("%s disagrees with %s over the mutated view", b.name, backends[0].name)
 		}
 	}
 }

@@ -157,26 +157,7 @@ func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Pred
 	// has no room left for a full row of K, the worker starts a new one
 	// (nextBlock), so a full pass allocates about what it keeps.
 	k := r.Config().K
-	combine := func(w *worker, u graph.VertexID) []core.Prediction {
-		return r.CombineAppend(u, trunc, sims, w.s, w.preds)
-	}
-	predStep := core.DistCombine
-	if r.Config().Paths == 3 {
-		twoPass := passFor(core.DistTwoHop)
-		twoHop := core.NewStepArena[core.PathCand](f, core.DistTwoHop, n)
-		forEachVertex(r, workers, twoPass, func(w *worker, _ int, v graph.VertexID) {
-			twoHop.SetCount(v, r.TwoHopCount(v, sims))
-		})
-		twoHop.FinishCounts()
-		forEachVertex(r, workers, twoPass, func(w *worker, _ int, v graph.VertexID) {
-			r.TwoHopFill(v, sims, twoHop.Row(v), w.s)
-		})
-		predStep = core.DistCombine3
-		combine = func(w *worker, u graph.VertexID) []core.Prediction {
-			return r.Combine3Append(u, trunc, sims, twoHop, w.s, w.preds)
-		}
-	}
-	predPass := passFor(predStep)
+	predPass := passFor(core.DistCombine)
 	rows := make([][]core.Prediction, predPass.len())
 	st.ScoredVertices = len(rows)
 	forEachVertex(r, workers, predPass, func(w *worker, i int, u graph.VertexID) {
@@ -184,7 +165,7 @@ func (l Local) run(g graph.View, cfg core.Config) (*core.Frontier, [][]core.Pred
 			w.preds = make([]core.Prediction, 0, nextBlock(cap(w.preds), k))
 		}
 		begin := len(w.preds)
-		w.preds = combine(w, u)
+		w.preds = r.CombineAppend(u, trunc, sims, w.s, w.preds)
 		if len(w.preds) > begin {
 			rows[i] = w.preds[begin:len(w.preds):len(w.preds)]
 		}

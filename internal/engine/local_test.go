@@ -95,43 +95,40 @@ func TestLocalLargerThanChunk(t *testing.T) {
 func TestPredictScopedMatchesPredict(t *testing.T) {
 	small := testGraph(t, 300, 7)
 	for _, g := range []*graph.Digraph{small, padGraph(t, small, 300*sparsePad)} {
-		for _, paths := range []int{2, 3} {
-			cfg := localCfg(t)
-			cfg.Paths = paths
-			cfg.Sources = []graph.VertexID{200, 7, 50, 7, 299}
-			dense, _, err := Local{Workers: 3}.Predict(g, cfg)
+		cfg := localCfg(t)
+		cfg.Sources = []graph.VertexID{200, 7, 50, 7, 299}
+		dense, _, err := Local{Workers: 3}.Predict(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sparse, st, err := Local{Workers: 3}.PredictScoped(context.Background(), g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []graph.VertexID{7, 50, 200, 299}; !reflect.DeepEqual(sparse.Vertices, want) {
+			t.Fatalf("Vertices = %v, want %v", sparse.Vertices, want)
+		}
+		if st.ScoredVertices != 4 || st.FrontierVertices <= 4 {
+			t.Errorf("stats = %+v", st)
+		}
+		if !reflect.DeepEqual(sparse.Dense(g.NumVertices()), dense) {
+			t.Fatalf("n=%d: sparse rows scattered differ from Predict", g.NumVertices())
+		}
+		for _, v := range sparse.Vertices {
+			if !reflect.DeepEqual(sparse.Row(v), dense[v]) {
+				t.Fatalf("Row(%d) = %v, want %v", v, sparse.Row(v), dense[v])
+			}
+		}
+		if row := sparse.Row(8); row != nil {
+			t.Errorf("Row of a non-source = %v, want nil", row)
+		}
+		for _, be := range []Backend{Local{Workers: 1}, Serial{}, Dist{InProc: 2, Seed: 9}} {
+			got, _, err := PredictScoped(context.Background(), be, g, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sparse, st, err := Local{Workers: 3}.PredictScoped(context.Background(), g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := []graph.VertexID{7, 50, 200, 299}; !reflect.DeepEqual(sparse.Vertices, want) {
-				t.Fatalf("Vertices = %v, want %v", sparse.Vertices, want)
-			}
-			if st.ScoredVertices != 4 || st.FrontierVertices <= 4 {
-				t.Errorf("stats = %+v", st)
-			}
-			if !reflect.DeepEqual(sparse.Dense(g.NumVertices()), dense) {
-				t.Fatalf("n=%d paths=%d: sparse rows scattered differ from Predict", g.NumVertices(), paths)
-			}
-			for _, v := range sparse.Vertices {
-				if !reflect.DeepEqual(sparse.Row(v), dense[v]) {
-					t.Fatalf("Row(%d) = %v, want %v", v, sparse.Row(v), dense[v])
-				}
-			}
-			if row := sparse.Row(8); row != nil {
-				t.Errorf("Row of a non-source = %v, want nil", row)
-			}
-			for _, be := range []Backend{Local{Workers: 1}, Serial{}, Dist{InProc: 2, Seed: 9}} {
-				got, _, err := PredictScoped(context.Background(), be, g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, sparse) {
-					t.Fatalf("n=%d paths=%d: dispatcher over %s differs from Local.PredictScoped", g.NumVertices(), paths, be.Name())
-				}
+			if !reflect.DeepEqual(got, sparse) {
+				t.Fatalf("n=%d: dispatcher over %s differs from Local.PredictScoped", g.NumVertices(), be.Name())
 			}
 		}
 	}
@@ -164,38 +161,35 @@ func allocatedBy(fn func()) uint64 {
 // and the result were |V|-long), and the dense Predict adds only its
 // |V|-long table of row headers.
 func TestScopedAllocationTracksClosure(t *testing.T) {
-	const n = 50_000 // enough that the closure keeps rank-indexed arenas at both path lengths
+	const n = 50_000 // enough that the closure keeps rank-indexed arenas
 	small := padGraph(t, testGraph(t, 300, 7), n)
 	big := padGraph(t, small, 11*n)
 	cfg := localCfg(t)
 	cfg.ThrGamma = 10
-	for _, paths := range []int{2, 3} {
-		cfg.Paths = paths
-		cfg.Sources = []graph.VertexID{17}
-		scoped := func(g graph.View) uint64 {
-			return allocatedBy(func() {
-				if _, _, err := (Local{}).PredictScoped(context.Background(), g, cfg); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		onSmall, onBig := scoped(small), scoped(big)
-		if lo, hi := min(onSmall, onBig), max(onSmall, onBig); float64(hi) > 1.5*float64(lo) {
-			t.Errorf("paths=%d: PredictScoped allocated %d B on %d vertices and %d B on %d: not closure-sized",
-				paths, onSmall, small.NumVertices(), onBig, big.NumVertices())
-		}
-		if onBig > 100<<10 {
-			t.Errorf("paths=%d: PredictScoped allocated %d B for a one-source closure, want <= 100 KiB", paths, onBig)
-		}
-		dense := allocatedBy(func() {
-			if _, _, err := (Local{}).Predict(big, cfg); err != nil {
+	cfg.Sources = []graph.VertexID{17}
+	scoped := func(g graph.View) uint64 {
+		return allocatedBy(func() {
+			if _, _, err := (Local{}).PredictScoped(context.Background(), g, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if header := uint64(24 * big.NumVertices()); dense < header || dense > header+2*onBig {
-			t.Errorf("paths=%d: dense Predict allocated %d B, want the %d B row-header table plus the run's ~%d B",
-				paths, dense, header, onBig)
+	}
+	onSmall, onBig := scoped(small), scoped(big)
+	if lo, hi := min(onSmall, onBig), max(onSmall, onBig); float64(hi) > 1.5*float64(lo) {
+		t.Errorf("PredictScoped allocated %d B on %d vertices and %d B on %d: not closure-sized",
+			onSmall, small.NumVertices(), onBig, big.NumVertices())
+	}
+	if onBig > 100<<10 {
+		t.Errorf("PredictScoped allocated %d B for a one-source closure, want <= 100 KiB", onBig)
+	}
+	dense := allocatedBy(func() {
+		if _, _, err := (Local{}).Predict(big, cfg); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if header := uint64(24 * big.NumVertices()); dense < header || dense > header+2*onBig {
+		t.Errorf("dense Predict allocated %d B, want the %d B row-header table plus the run's ~%d B",
+			dense, header, onBig)
 	}
 }
 
@@ -247,11 +241,10 @@ func TestFullPassAllocatesWhatItRetains(t *testing.T) {
 }
 
 // TestLocalIsolatedSourceDoesClosureSizedWork pins explicit fullness on the
-// engine side: a source without out-edges has an empty relay scope (and an
-// empty TwoHop scope under Paths=3), and an empty scope is a pass over no
-// vertex — not, as "nil means every vertex" once made it, a pass over all
-// of V. The run returns the source's empty row and allocates nothing sized
-// by the graph.
+// engine side: an empty scope is a pass over no vertex — not, as "nil means
+// every vertex" once made it, a pass over all of V — and a source without
+// out-edges is a one-vertex closure. The run returns the source's empty row
+// and allocates nothing sized by the graph.
 func TestLocalIsolatedSourceDoesClosureSizedWork(t *testing.T) {
 	g := padGraph(t, testGraph(t, 300, 7), 200_000)
 	r, err := core.NewStepRunner(g, localCfg(t))
@@ -266,25 +259,22 @@ func TestLocalIsolatedSourceDoesClosureSizedWork(t *testing.T) {
 			t.Fatalf("pass over an empty member list has length %d and made %d visits", p.len(), visits)
 		}
 	}
-	for _, paths := range []int{2, 3} {
-		cfg := localCfg(t)
-		cfg.Paths = paths
-		cfg.Sources = []graph.VertexID{150_000}
-		var sparse core.ScopedPredictions
-		var st Stats
-		bytes := allocatedBy(func() {
-			if sparse, st, err = (Local{}).PredictScoped(context.Background(), g, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if want := (core.ScopedPredictions{Vertices: cfg.Sources, Rows: [][]core.Prediction{nil}}); !reflect.DeepEqual(sparse, want) {
-			t.Errorf("paths=%d: result %+v, want the source's empty row", paths, sparse)
+	cfg := localCfg(t)
+	cfg.Sources = []graph.VertexID{150_000}
+	var sparse core.ScopedPredictions
+	var st Stats
+	bytes := allocatedBy(func() {
+		if sparse, st, err = (Local{}).PredictScoped(context.Background(), g, cfg); err != nil {
+			t.Fatal(err)
 		}
-		if st.FrontierVertices != 1 || st.ScoredVertices != 1 {
-			t.Errorf("paths=%d: stats %+v, want a one-vertex closure", paths, st)
-		}
-		if bytes > 16<<10 {
-			t.Errorf("paths=%d: isolated source allocated %d B on a %d-vertex graph", paths, bytes, g.NumVertices())
-		}
+	})
+	if want := (core.ScopedPredictions{Vertices: cfg.Sources, Rows: [][]core.Prediction{nil}}); !reflect.DeepEqual(sparse, want) {
+		t.Errorf("result %+v, want the source's empty row", sparse)
+	}
+	if st.FrontierVertices != 1 || st.ScoredVertices != 1 {
+		t.Errorf("stats %+v, want a one-vertex closure", st)
+	}
+	if bytes > 16<<10 {
+		t.Errorf("isolated source allocated %d B on a %d-vertex graph", bytes, g.NumVertices())
 	}
 }

@@ -83,7 +83,7 @@ func (s Sim) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, er
 	}
 	// A scoped superstep whose frontier set has no out-edges gathers nothing
 	// anywhere and applies nil state: skipping it is free.
-	return r.run("snaple", core.DistSteps(cfg.Paths), func(step core.DistStep) bool { return f.StepHasWork(step, g) })
+	return r.run("snaple", core.DistSteps(), func(step core.DistStep) bool { return f.StepHasWork(step, g) })
 }
 
 // PredictBaseline runs the BASELINE comparison system (core.BaselineSteps)

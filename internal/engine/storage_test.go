@@ -65,38 +65,36 @@ func TestBackendsStorageEquivalence(t *testing.T) {
 	}
 
 	forms := &closureForms{}
-	for _, paths := range []int{2, 3} {
-		for _, sources := range [][]graph.VertexID{
-			nil,                      // full run
-			{3},                      // a closure small enough for rank-indexed arenas
-			{0, 3, 50, 51, 120, 249}, // one past the arena rule (0 and 50 are hubs)
+	for _, sources := range [][]graph.VertexID{
+		nil,                      // full run
+		{3},                      // a closure small enough for rank-indexed arenas
+		{0, 3, 50, 51, 120, 249}, // one past the arena rule (0 and 50 are hubs)
+	} {
+		cfg := core.Config{
+			Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, ThrGamma: 12, Seed: 42,
+			Sources: sources,
+		}
+		if sources != nil {
+			forms.note(t, g, cfg)
+		}
+		for _, be := range []Backend{
+			Serial{}, Local{Workers: 3}, Sim{Nodes: 2, Seed: 9}, Dist{InProc: 2, Seed: 42},
 		} {
-			cfg := core.Config{
-				Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, ThrGamma: 12, Seed: 42,
-				Paths: paths, Sources: sources,
+			want, _, err := be.Predict(g, cfg)
+			if err != nil {
+				t.Fatalf("%s heap (sources=%v): %v", be.Name(), sources, err)
 			}
-			if sources != nil {
-				forms.note(t, g, cfg)
-			}
-			for _, be := range []Backend{
-				Serial{}, Local{Workers: 3}, Sim{Nodes: 2, Seed: 9}, Dist{InProc: 2, Seed: 42},
-			} {
-				want, _, err := be.Predict(g, cfg)
+			for _, rep := range []struct {
+				name string
+				v    graph.View
+			}{{"mmap", vMap}, {"packed", vPacked}, {"delta", vDelta}} {
+				got, _, err := be.Predict(rep.v, cfg)
 				if err != nil {
-					t.Fatalf("%s heap (paths=%d sources=%v): %v", be.Name(), paths, sources, err)
+					t.Fatalf("%s %s (sources=%v): %v", be.Name(), rep.name, sources, err)
 				}
-				for _, rep := range []struct {
-					name string
-					v    graph.View
-				}{{"mmap", vMap}, {"packed", vPacked}, {"delta", vDelta}} {
-					got, _, err := be.Predict(rep.v, cfg)
-					if err != nil {
-						t.Fatalf("%s %s (paths=%d sources=%v): %v", be.Name(), rep.name, paths, sources, err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s over %s (paths=%d sources=%v) diverges from the heap CSR", be.Name(), rep.name, paths, sources)
-						diffPredictions(t, want, got)
-					}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s over %s (sources=%v) diverges from the heap CSR", be.Name(), rep.name, sources)
+					diffPredictions(t, want, got)
 				}
 			}
 		}

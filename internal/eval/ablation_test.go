@@ -60,30 +60,3 @@ func TestRunPartitionAblationSmall(t *testing.T) {
 			byName["greedy"].ReplicationFactor, byName["hash-edge"].ReplicationFactor)
 	}
 }
-
-func TestRunKHopAblationSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	k, err := RunKHopAblation(smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(k.Rows) != 6 {
-		t.Fatalf("want 6 rows, got %d", len(k.Rows))
-	}
-	// 3-hop costs more than 2-hop at the same klocal.
-	cost := map[[2]int]float64{}
-	for _, r := range k.Rows {
-		cost[[2]int{r.KLocal, r.Paths}] = r.Seconds
-	}
-	slower := 0
-	for _, klocal := range []int{3, 5, 10} {
-		if cost[[2]int{klocal, 3}] > cost[[2]int{klocal, 2}] {
-			slower++
-		}
-	}
-	if slower < 2 {
-		t.Errorf("3-hop was faster than 2-hop at %d of 3 klocal settings", 3-slower)
-	}
-}

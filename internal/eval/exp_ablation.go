@@ -8,11 +8,10 @@ import (
 	"snaple/internal/partition"
 )
 
-// Ablations beyond the paper's figures: the sensitivity of three design
-// choices the paper fixes — the linear combinator's α (0.9), the vertex-cut
-// strategy (PowerGraph's replication-versus-balance trade-off) and the path
-// length (2 hops, with footnote 2's 3-hop extension). These are extensions,
-// not reproductions.
+// Ablations beyond the paper's figures: the sensitivity of two design
+// choices the paper fixes — the linear combinator's α (0.9) and the
+// vertex-cut strategy (PowerGraph's replication-versus-balance trade-off).
+// These are extensions, not reproductions.
 
 // AlphaRow is one point of the α sweep for the linear combinator.
 type AlphaRow struct {
@@ -135,61 +134,5 @@ func (p *PartitionAblation) Fprint(w io.Writer) {
 		fmt.Fprintf(w, "%-13s %-6.2f %-9.2f %-11.1f %-9.3f %-8.3f\n",
 			r.Strategy, r.ReplicationFactor, r.Balance,
 			float64(r.CrossBytes)/(1<<20), r.SimSeconds, r.Recall)
-	}
-}
-
-// KHopRow compares path lengths.
-type KHopRow struct {
-	Dataset string
-	Paths   int
-	KLocal  int
-	Recall  float64
-	Seconds float64
-}
-
-// KHopAblation compares the paper's 2-hop scoring with the footnote-2
-// 3-hop extension at small k_local values.
-type KHopAblation struct {
-	Rows []KHopRow
-}
-
-// RunKHopAblation executes the comparison on livejournal.
-func RunKHopAblation(opts Options) (*KHopAblation, error) {
-	opts = opts.withDefaults()
-	dep := FourTypeII()
-	out := &KHopAblation{}
-	split, _, err := loadSplit("livejournal", opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	for _, klocal := range []int{3, 5, 10} {
-		for _, paths := range []int{2, 3} {
-			cfg, err := snapleConfig("linearSum", 200, klocal, opts.Seed)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Paths = paths
-			pred, st, err := runSnaple(opts, split.Train, dep, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("khop ablation paths=%d: %w", paths, err)
-			}
-			row := KHopRow{
-				Dataset: "livejournal", Paths: paths, KLocal: klocal,
-				Recall: Recall(pred, split), Seconds: st.SimSeconds,
-			}
-			out.Rows = append(out.Rows, row)
-			opts.logf("khop: paths=%d klocal=%d recall=%.3f sim=%.3fs",
-				paths, klocal, row.Recall, row.Seconds)
-		}
-	}
-	return out, nil
-}
-
-// Fprint renders the comparison.
-func (k *KHopAblation) Fprint(w io.Writer) {
-	fmt.Fprintln(w, "Ablation: 2-hop vs 3-hop paths (linearSum, livejournal)")
-	fmt.Fprintf(w, "%-7s %-7s %-8s %-8s\n", "klocal", "paths", "recall", "sim(s)")
-	for _, r := range k.Rows {
-		fmt.Fprintf(w, "%-7d %-7d %-8.3f %-8.3f\n", r.KLocal, r.Paths, r.Recall, r.Seconds)
 	}
 }

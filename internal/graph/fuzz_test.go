@@ -240,7 +240,7 @@ func TestShardLoadersRefuseHostileShards(t *testing.T) {
 			t.Errorf("%s: Validate accepted it", name)
 		}
 		var buf bytes.Buffer
-		if err := encodeShard(&buf, s); err != nil {
+		if err := EncodeShard(&buf, s); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadShard(bytes.NewReader(buf.Bytes())); err == nil {
@@ -253,9 +253,9 @@ func TestShardLoadersRefuseHostileShards(t *testing.T) {
 // and MapShardFile — to FuzzReadManifest's discipline: it never panics,
 // rejects a lying header count before allocating it, decides the same
 // whether or not the reader's length is known, and anything it accepts
-// passes Validate and re-encodes through WriteShard to the very bytes it was
-// read from (trailing bytes after the last section are tolerated). That
-// last property is what the strict 0/1 role bytes buy.
+// passes Validate and re-encodes through WriteShard to exactly the bytes it
+// was read from. That last property is what the strict 0/1 role bytes and
+// the refusal of trailing bytes buy; the wire's ship frame relies on it.
 func FuzzShard(f *testing.F) {
 	empty := &ShardFile{Fingerprint: 1, Shards: 1}
 	for _, s := range []*ShardFile{testShard(), empty} {
@@ -267,7 +267,7 @@ func FuzzShard(f *testing.F) {
 	}
 	for _, s := range hostileShards() {
 		var buf bytes.Buffer
-		if err := encodeShard(&buf, s); err != nil {
+		if err := EncodeShard(&buf, s); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -301,7 +301,7 @@ func FuzzShard(f *testing.F) {
 		if err := WriteShard(&buf, sized); err != nil {
 			t.Fatalf("accepted shard does not re-encode: %v", err)
 		}
-		if !bytes.HasPrefix(data, buf.Bytes()) {
+		if !bytes.Equal(data, buf.Bytes()) {
 			t.Fatalf("re-encoding changed the shard's bytes:\n in %x\nout %x", data, buf.Bytes())
 		}
 	})

@@ -113,8 +113,9 @@ type ShardFile struct {
 }
 
 // Validate is the one shard validator: every invariant a worker relies on
-// mid-superstep, checked once — by ReadShard and MapShardFile when a worker
-// pins a packed shard, by the wire worker when a KindShip installs one.
+// mid-superstep, checked once — by the shard decoder behind ReadShard and
+// MapShardFile, whether a worker pins a packed shard or a KindShip frame
+// carries one.
 // Everything downstream (core.NewDistPartition, the gather, the attach) trusts
 // a validated shard and re-checks nothing.
 func (s *ShardFile) Validate() error {
@@ -162,12 +163,14 @@ func WriteShard(w io.Writer, s *ShardFile) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	return encodeShard(w, s)
+	return EncodeShard(w, s)
 }
 
-// encodeShard is WriteShard without the validation (tests encode broken
-// shards through it to prove the loaders refuse them).
-func encodeShard(w io.Writer, s *ShardFile) error {
+// EncodeShard is WriteShard without the validation, for a stream whose
+// reader runs it: the wire's KindShip payload is these bytes, and the worker
+// decodes them through ReadShard. Tests also encode broken shards through it
+// to prove the decoder refuses them.
+func EncodeShard(w io.Writer, s *ShardFile) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var hdr [shardHeaderLen]byte
 	copy(hdr[:8], shardMagic)
@@ -201,9 +204,10 @@ func encodeShard(w io.Writer, s *ShardFile) error {
 	return nil
 }
 
-// ReadShard loads a resident partition written by WriteShard, verifying its
-// checksums and structural invariants. It is MapShardFile's decoder over a
-// heap image of the reader's bytes.
+// ReadShard loads a partition written by WriteShard, verifying its checksums
+// and structural invariants and refusing bytes after the last section. It is
+// MapShardFile's decoder over a heap image of the reader's bytes, and the
+// one a worker installs a shipped shard through.
 func ReadShard(r io.Reader) (*ShardFile, error) {
 	data, err := readImage(r, shardImage)
 	if err != nil {

@@ -122,6 +122,11 @@ func TestShardTruncationDetected(t *testing.T) {
 			t.Errorf("shard truncated to %d of %d bytes loaded cleanly", n, len(b))
 		}
 	}
+	// Bytes past the last section are refused too: a shard decodes only
+	// from exactly the bytes it re-encodes to.
+	if _, err := ReadShard(bytes.NewReader(append(b, 0))); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("shard with a trailing byte: %v, want a trailing-bytes refusal", err)
+	}
 }
 
 func TestShardValidate(t *testing.T) {
@@ -194,8 +199,8 @@ func TestKnownMagic(t *testing.T) {
 	}
 }
 
-// TestShardRoleBytesStrict: a role byte must be 0 or 1 on disk, as it must
-// be in a ship frame. A hand-made shard whose first master flag is 2 under a
+// TestShardRoleBytesStrict: a role byte must be 0 or 1, on disk and in a
+// ship frame alike. A hand-made shard whose first master flag is 2 under a
 // correct CRC is refused by ReadShard and by MapShardFile alike — accepting
 // it would load a shard that does not re-encode to its own bytes.
 func TestShardRoleBytesStrict(t *testing.T) {

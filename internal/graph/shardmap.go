@@ -73,6 +73,9 @@ func viewShard(data []byte) (*ShardFile, error) {
 			return nil, err
 		}
 	}
+	if extra := int64(len(data)) - w.pos; extra != 0 {
+		return nil, fmt.Errorf("graph: shard: %d trailing bytes after the last section", extra)
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -80,9 +83,9 @@ func viewShard(data []byte) (*ShardFile, error) {
 }
 
 // viewRoles copies a 1-byte-per-entry role column, refusing any byte but 0
-// and 1 — the wire's rule too, so a shard decodes alike from disk and from a
-// ship frame, and re-encodes to its own bytes. Roles are never aliased: a Go
-// bool must stay exactly 0 or 1 in memory, which a mapped byte need not.
+// and 1, so a decoded shard re-encodes to its own bytes. Roles are never
+// aliased: a Go bool must stay exactly 0 or 1 in memory, which a mapped byte
+// need not.
 func viewRoles(b []byte) ([]bool, error) {
 	out := make([]bool, len(b))
 	for i, x := range b {

@@ -114,7 +114,7 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		healthy(t)
 	})
 
-	for name, opening := range nonV3Openings() {
+	for name, opening := range refusedOpenings() {
 		t.Run(name, func(t *testing.T) {
 			raw, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -241,14 +241,15 @@ func TestWorkerSurvivesHostileSessions(t *testing.T) {
 		healthy(t)
 	})
 
-	// A shipped shard is checked exactly as a pinned one, at install: a broken
-	// one gets a typed refusal, no Ready, no session — and never an attach
-	// that fails later, or a gather that quietly detours.
+	// A shipped shard decodes through graph.ReadShard exactly as a pinned one
+	// loads: a broken one gets the shard decoder's typed refusal, no Ready, no
+	// session — and never an attach that fails later, or a gather that
+	// quietly detours.
 	for name, shard := range hostileShards() {
 		t.Run("ship-"+name, func(t *testing.T) {
 			err := refused(t, addr, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: shard})
-			if name != "column-length-mismatch" && !strings.Contains(err.Error(), "ship refused: graph: shard:") {
-				t.Fatalf("refusal = %v, want the shard validator's verdict", err)
+			if !strings.Contains(err.Error(), "recv ship: graph: shard:") {
+				t.Fatalf("refusal = %v, want the shard decoder's verdict", err)
 			}
 			healthy(t)
 		})

@@ -25,6 +25,7 @@ package wire
 // no re-encode. All integers are little-endian; floats are IEEE 754 bits.
 
 import (
+	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"errors"
@@ -200,24 +201,6 @@ func appendPredictions(b []byte, v []core.Prediction) []byte {
 	return b
 }
 
-func appendInt32s(b []byte, v []int32) []byte {
-	for _, x := range v {
-		b = appendU32(b, uint32(x))
-	}
-	return b
-}
-
-func appendBools(b []byte, v []bool) []byte {
-	for _, x := range v {
-		if x {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
 // The column decoders append n decoded elements to dst: pass nil for an
 // exact-size column, dst[:0] to overwrite a reused one, dst to accumulate.
 // Each is the only decoder of its element type.
@@ -237,16 +220,6 @@ func (r *byteReader) vertexIDs(dst []graph.VertexID, n uint32) []graph.VertexID 
 	dst = extend(dst, len(raw)/4)
 	for i := range dst[k:] {
 		dst[k+i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
-	}
-	return dst
-}
-
-func (r *byteReader) int32s(dst []int32, n uint32) []int32 {
-	raw := r.column(n, 4)
-	k := len(dst)
-	dst = extend(dst, len(raw)/4)
-	for i := range dst[k:] {
-		dst[k+i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return dst
 }
@@ -287,34 +260,19 @@ func (r *byteReader) predictions(dst []core.Prediction, n uint32) []core.Predict
 	return dst
 }
 
-// bools decodes a strict 0/1 byte column (anything else is a protocol
-// error, keeping decode→encode canonical for the fuzz round-trip).
-func (r *byteReader) bools(dst []bool, n uint32) []bool {
-	raw := r.column(n, 1)
-	k := len(dst)
-	dst = extend(dst, len(raw))
-	for i, x := range raw {
-		if x > 1 {
-			r.fail("bool byte %d at index %d", x, i)
-			return nil
-		}
-		dst[k+i] = x == 1
-	}
-	return dst
-}
-
 // ---- batch records ----
 //
 // A batch payload is a u32 record count followed by self-delimiting
 // records. A record is a u32 vertex, one u32 count per column, then the
 // columns: 4-byte IDs first, 12-byte (ID, float) pairs after. Partial
-// records carry Nbrs, Sims and Cands; state records Nbrs, Sims, TwoHop and
-// Pred.
+// records carry Nbrs, Sims and Cands; state records carry what a mirror
+// reads, Nbrs and Sims. No state record carries predictions: the last
+// superstep writes them and skips the refresh round.
 
 // recordColumns is the column count of kind's batch records.
 func recordColumns(kind Kind) int {
 	if kind == KindRefresh || kind == KindMirrors {
-		return 4
+		return 2
 	}
 	return 3
 }
@@ -331,17 +289,14 @@ func appendPartialRecord(b []byte, dp *core.DistPartial) []byte {
 	return b
 }
 
-// appendStateRecord appends a full VData replica as a state record.
+// appendStateRecord appends the mirror-read half of a VData replica, Γ̂ and
+// the relays, as a state record.
 func appendStateRecord(b []byte, v graph.VertexID, d *core.VData) []byte {
 	b = appendU32(b, uint32(v))
 	b = appendU32(b, uint32(len(d.Nbrs)))
 	b = appendU32(b, uint32(len(d.Sims)))
-	b = appendU32(b, uint32(len(d.TwoHop)))
-	b = appendU32(b, uint32(len(d.Pred)))
 	b = appendVertexIDs(b, d.Nbrs)
 	b = appendVertexSims(b, d.Sims)
-	b = appendPathCands(b, d.TwoHop)
-	b = appendPredictions(b, d.Pred)
 	return b
 }
 
@@ -411,11 +366,9 @@ func decodePartialRecord(dp *core.DistPartial, rec []byte) error {
 // columns to d's, the vertex left to ForEachRecord like decodePartialRecord's.
 func decodeStateRecord(d *core.VData, rec []byte) error {
 	r := &byteReader{b: rec, off: 4}
-	nN, nS, nT, nP := r.u32(), r.u32(), r.u32(), r.u32()
+	nN, nS := r.u32(), r.u32()
 	d.Nbrs = r.vertexIDs(d.Nbrs, nN)
 	d.Sims = r.vertexSims(d.Sims, nS)
-	d.TwoHop = r.pathCands(d.TwoHop, nT)
-	d.Pred = r.predictions(d.Pred, nP)
 	return r.done()
 }
 
@@ -493,7 +446,14 @@ func appendMsgPayload(b []byte, m *Msg) ([]byte, byte, error) {
 		b = appendU32(b, uint32(m.Version))
 		b = appendU32(b, m.Features)
 	case KindShip:
-		b = appendShip(b, m)
+		// The shard travels in its file format, so the worker installs it
+		// through graph.ReadShard, the decoder resident shards load through.
+		b = appendU32(b, uint32(m.Version))
+		buf := bytes.NewBuffer(b)
+		if err := graph.EncodeShard(buf, &m.Shard); err != nil {
+			return nil, 0, err
+		}
+		b = buf.Bytes()
 	case KindAttach:
 		b = appendAttach(b, m)
 	case KindReady, KindStepBegin, KindCollect:
@@ -530,9 +490,16 @@ func decodeMsgPayload(kind Kind, flags byte, step core.DistStep, payload []byte)
 			return nil, err
 		}
 	case KindShip:
-		if err := decodeShip(payload, m); err != nil {
+		r := &byteReader{b: payload}
+		m.Version = int(r.u32())
+		if r.err != nil {
+			return nil, r.err
+		}
+		shard, err := graph.ReadShard(bytes.NewReader(payload[4:]))
+		if err != nil {
 			return nil, err
 		}
+		m.Shard = *shard
 	case KindAttach:
 		if err := decodeAttach(payload, m); err != nil {
 			return nil, err
@@ -592,7 +559,6 @@ func appendJob(b []byte, j *JobSpec) []byte {
 	b = appendU32(b, uint32(j.KLocal))
 	b = appendU32(b, uint32(j.ThrGamma))
 	b = appendU32(b, uint32(j.Policy))
-	b = appendU32(b, uint32(j.Paths))
 	b = appendU64(b, j.Seed)
 	return b
 }
@@ -604,7 +570,6 @@ func decodeJob(r *byteReader, j *JobSpec) {
 	j.KLocal = int(r.u32())
 	j.ThrGamma = int(r.u32())
 	j.Policy = core.SelectionPolicy(r.u32())
-	j.Paths = int(r.u32())
 	j.Seed = r.u64()
 }
 
@@ -661,47 +626,6 @@ func decodeAttach(payload []byte, m *Msg) error {
 	for i := range a.Entries {
 		a.Entries[i] = ScopeEntry{V: graph.VertexID(binary.LittleEndian.Uint32(ids[4*i:])), Mask: masks[i], Role: roles[i]}
 	}
-	return r.done()
-}
-
-// appendShip encodes the shard a worker is to hold for the life of the
-// connection: version, fleet identity, partition columns.
-func appendShip(b []byte, m *Msg) []byte {
-	s := &m.Shard
-	b = appendU32(b, uint32(m.Version))
-	b = appendU64(b, s.Fingerprint)
-	b = appendU32(b, uint32(s.Shards))
-	b = appendU32(b, uint32(s.Shard))
-	b = appendU32(b, uint32(s.NumVertices))
-	b = appendU32(b, uint32(len(s.Locals)))
-	b = appendU32(b, uint32(len(s.EdgeSrc)))
-	b = appendVertexIDs(b, s.Locals)
-	b = appendInt32s(b, s.Deg)
-	b = appendInt32s(b, s.EdgeSrc)
-	b = appendInt32s(b, s.EdgeDst)
-	b = appendBools(b, s.IsMaster)
-	b = appendBools(b, s.HasRemote)
-	return b
-}
-
-// decodeShip decodes a ship payload into m.Shard. It bounds every count by
-// the bytes that arrived and nothing more: the shard's own invariants are
-// graph.ShardFile.Validate's, run where the worker installs it.
-func decodeShip(payload []byte, m *Msg) error {
-	r := &byteReader{b: payload}
-	s := &m.Shard
-	m.Version = int(r.u32())
-	s.Fingerprint = r.u64()
-	s.Shards = int(r.u32())
-	s.Shard = int(r.u32())
-	s.NumVertices = int(r.u32())
-	nl, ne := r.u32(), r.u32()
-	s.Locals = r.vertexIDs(nil, nl)
-	s.Deg = r.int32s(nil, nl)
-	s.EdgeSrc = r.int32s(nil, ne)
-	s.EdgeDst = r.int32s(nil, ne)
-	s.IsMaster = r.bools(nil, nl)
-	s.HasRemote = r.bools(nil, nl)
 	return r.done()
 }
 

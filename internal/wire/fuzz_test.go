@@ -28,6 +28,32 @@ func frameBytes(tb testing.TB, m *Msg, compress bool) []byte {
 	return append([]byte(nil), buf.Bytes()...)
 }
 
+// frameBytesRaw frames a pre-encoded payload of kind through a real
+// connection and returns the raw frame.
+func frameBytesRaw(tb testing.TB, kind Kind, payload []byte) []byte {
+	tb.Helper()
+	buf := &memConn{}
+	if err := NewConn(buf).SendRaw(kind, core.DistRelays, true, payload); err != nil {
+		tb.Fatal(err)
+	}
+	return append([]byte(nil), buf.Bytes()...)
+}
+
+// v4StateBatch is a one-record state batch in protocol v4's layout: the
+// vertex, four counts (Γ̂, relays, 3-hop path list, predictions), then the
+// four columns.
+func v4StateBatch() []byte {
+	b := appendU32(nil, 1) // one record
+	b = appendU32(b, 2)    // vertex
+	for _, n := range []uint32{2, 1, 1, 1} {
+		b = appendU32(b, n)
+	}
+	b = appendVertexIDs(b, []graph.VertexID{0, 5})
+	b = appendVertexSims(b, []core.VertexSim{{V: 0, Sim: 0.5}})
+	b = appendPathCands(b, []core.PathCand{{Z: 5, S: 0.125}})
+	return appendPredictions(b, []core.Prediction{{Vertex: 5, Score: 2.5}})
+}
+
 // decodeOne decodes the first frame of data through a real connection.
 func decodeOne(data []byte) (*Msg, error) {
 	src := &memConn{}
@@ -38,7 +64,7 @@ func decodeOne(data []byte) (*Msg, error) {
 // fuzzSeedMsgs is one message of every kind, hostile shard ships, and a
 // mirrors batch big and repetitive enough that compression shrinks it.
 func fuzzSeedMsgs() []*Msg {
-	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
+	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Seed: 42}
 	shard := graph.ShardFile{
 		Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, NumVertices: 6,
 		Locals:    []graph.VertexID{0, 2, 5},
@@ -54,10 +80,8 @@ func fuzzSeedMsgs() []*Msg {
 		{V: 5, Cands: []core.PathCand{{Z: 0, S: 1.5}, {Z: 2, S: -0.5}}},
 	}
 	states := []VertexState{{V: 2, Data: core.VData{
-		Nbrs:   []graph.VertexID{0, 5},
-		Sims:   []core.VertexSim{{V: 0, Sim: 0.5}},
-		TwoHop: []core.PathCand{{Z: 5, S: 0.125}},
-		Pred:   []core.Prediction{{Vertex: 5, Score: 2.5}},
+		Nbrs: []graph.VertexID{0, 5},
+		Sims: []core.VertexSim{{V: 0, Sim: 0.5}},
 	}}}
 	result := WorkerResult{
 		Part:  1,
@@ -76,7 +100,7 @@ func fuzzSeedMsgs() []*Msg {
 		{Kind: KindPartials, Step: core.DistTruncate, Partials: partials},
 		{Kind: KindForeign, Step: core.DistCombine, Partials: partials, Final: true},
 		{Kind: KindRefresh, Step: core.DistRelays, States: states},
-		{Kind: KindMirrors, Step: core.DistTwoHop, States: states, Final: true},
+		{Kind: KindMirrors, Step: core.DistTruncate, States: states, Final: true},
 		{Kind: KindCollect},
 		{Kind: KindResult, Result: result},
 		{Kind: KindError, Err: "injected failure"},
@@ -110,9 +134,17 @@ func FuzzWireFrame(f *testing.F) {
 		f.Add(frameBytes(f, m, false))
 		f.Add(frameBytes(f, m, true))
 	}
-	for _, opening := range nonV3Openings() {
+	for _, opening := range refusedOpenings() {
 		f.Add(opening)
 	}
+	// A state record is Γ̂ and the relays and nothing else. A refresh whose
+	// record still carries protocol v4's four count columns (the 3-hop path
+	// list and the predictions after them) must be refused, not misread.
+	v4Refresh := frameBytesRaw(f, KindRefresh, v4StateBatch())
+	if m, err := decodeOne(v4Refresh); err == nil {
+		f.Fatalf("a refresh with v4's four-column state record decoded as %+v", m.States)
+	}
+	f.Add(v4Refresh)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeOne(data)
@@ -176,10 +208,8 @@ func checkScratchDecode(t *testing.T, data []byte, m *Msg) {
 			want = appendPartialRecord(nil, &m.Partials[i])
 		} else {
 			d := core.VData{
-				Nbrs:   append(make([]graph.VertexID, 0, 64), junkID...)[:0],
-				Sims:   append(make([]core.VertexSim, 0, 64), junkPair...)[:0],
-				TwoHop: append(make([]core.PathCand, 0, 64), junkCand...)[:0],
-				Pred:   append(make([]core.Prediction, 0, 64), core.Prediction{Vertex: 9, Score: 4})[:0],
+				Nbrs: append(make([]graph.VertexID, 0, 64), junkID...)[:0],
+				Sims: append(make([]core.VertexSim, 0, 64), junkPair...)[:0],
 			}
 			if err := decodeStateRecord(&d, rec); err != nil {
 				return err

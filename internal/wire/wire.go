@@ -13,8 +13,8 @@
 //	----------- hello ------------->          version check + feature negotiation
 //	<---------- hello --------------          (granted features echoed back)
 //	once per connection, only to a worker that pinned no packed shard:
-//	----------- ship -------------->          install this shard: fingerprint + partition
-//	<---------- ready --------------          (or error: bad payload)
+//	----------- ship -------------->          install this shard: its file bytes (graph.WriteShard)
+//	<---------- ready --------------          (or error: a shard graph.ReadShard refuses)
 //	then, per job:
 //	----------- attach ------------>          job spec + fingerprint (+ sparse scoped roles)
 //	<---------- ready --------------          (or error: bad config, fingerprint mismatch)
@@ -23,8 +23,9 @@
 //	<>--------- partials/foreign --<>         chunked both ways concurrently;
 //	                                          a final-flagged chunk ends each
 //	                                          direction
-//	<>--------- refresh/mirrors ---<>         idem (skipped on the final
-//	                                          superstep)
+//	<>--------- refresh/mirrors ---<>         idem: Γ̂ and relays only (skipped
+//	                                          on the final superstep, the only
+//	                                          one that writes predictions)
 //	finally:
 //	----------- collect ----------->
 //	<---------- result -------------          master predictions + stats
@@ -64,14 +65,14 @@ import (
 // ProtocolVersion is the one protocol version this build speaks. Hello, ship
 // and attach all carry it, and a worker rejects any other value — version
 // skew must fail loudly, not silently change semantics. It counts payload
-// layouts, not frame layouts: the frame magic is still "SWF3", so a v3 peer
-// is recognised as a frame speaker and refused by its hello's version.
-const ProtocolVersion = 4
+// layouts, not frame layouts: the frame magic is still "SWF3", so a v3 or v4
+// peer is recognised as a frame speaker and refused by its hello's version.
+const ProtocolVersion = 5
 
 // ErrProtocolMismatch marks a handshake with a peer that does not speak
 // ProtocolVersion: its opening bytes were not a frame at all (builds before
 // v3 spoke a gob envelope), or its hello named another version.
-var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only protocol v4 and the peer does not; rebuild worker and coordinator from the same tree")
+var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only protocol v5 and the peer does not; rebuild worker and coordinator from the same tree")
 
 // Kind discriminates the Msg envelope and the frame header.
 type Kind uint8
@@ -141,7 +142,6 @@ type JobSpec struct {
 	KLocal   int
 	ThrGamma int
 	Policy   core.SelectionPolicy
-	Paths    int
 	Seed     uint64
 }
 
@@ -161,7 +161,7 @@ func JobFromConfig(cfg core.Config) (JobSpec, error) {
 	return JobSpec{
 		Score: cfg.Score.Name, Alpha: cfg.Score.Alpha,
 		K: cfg.K, KLocal: cfg.KLocal, ThrGamma: cfg.ThrGamma,
-		Policy: cfg.Policy, Paths: cfg.Paths, Seed: cfg.Seed,
+		Policy: cfg.Policy, Seed: cfg.Seed,
 	}, nil
 }
 
@@ -173,7 +173,7 @@ func (j JobSpec) Config() (core.Config, error) {
 	}
 	cfg := core.Config{
 		Score: spec, K: j.K, KLocal: j.KLocal, ThrGamma: j.ThrGamma,
-		Policy: j.Policy, Paths: j.Paths, Seed: j.Seed,
+		Policy: j.Policy, Seed: j.Seed,
 	}
 	return cfg.Normalized()
 }

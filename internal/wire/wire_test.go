@@ -59,12 +59,17 @@ func mustHex(s string) []byte {
 	return b
 }
 
-// nonV3Openings are the peers the handshake must refuse by name: a legacy
-// gob build and line noise.
-func nonV3Openings() map[string][]byte {
+// refusedOpenings are the peers the handshake must refuse by name: a legacy
+// gob build, line noise, and a protocol-v4 build, whose hello is a
+// well-formed frame naming an older version.
+func refusedOpenings() map[string][]byte {
 	noise := make([]byte, 64)
 	rand.New(rand.NewSource(3)).Read(noise)
-	return map[string][]byte{"legacy-gob-hello": legacyGobOpening, "random-bytes": noise}
+	v4 := &memConn{}
+	if err := NewConn(v4).Send(&Msg{Kind: KindHello, Version: 4}); err != nil {
+		panic(err)
+	}
+	return map[string][]byte{"legacy-gob-hello": legacyGobOpening, "random-bytes": noise, "v4-hello": v4.Bytes()}
 }
 
 // roundTrip pushes m through a real encoder/decoder pair and returns the
@@ -112,12 +117,6 @@ func normalizeMsg(m *Msg) {
 		}
 		if len(d.Sims) == 0 {
 			d.Sims = nil
-		}
-		if len(d.TwoHop) == 0 {
-			d.TwoHop = nil
-		}
-		if len(d.Pred) == 0 {
-			d.Pred = nil
 		}
 	}
 	if len(m.Result.Preds) == 0 {
@@ -248,12 +247,6 @@ func randStates(r *rand.Rand) []VertexState {
 		for j := r.Intn(10); j > 0; j-- {
 			vs.Data.Sims = append(vs.Data.Sims, core.VertexSim{V: graph.VertexID(r.Uint32()), Sim: r.Float64()})
 		}
-		for j := r.Intn(10); j > 0; j-- {
-			vs.Data.TwoHop = append(vs.Data.TwoHop, core.PathCand{Z: graph.VertexID(r.Uint32()), S: r.Float64()})
-		}
-		for j := r.Intn(6); j > 0; j-- {
-			vs.Data.Pred = append(vs.Data.Pred, core.Prediction{Vertex: graph.VertexID(r.Uint32()), Score: r.Float64()})
-		}
 		out = append(out, vs)
 	}
 	return out
@@ -320,28 +313,26 @@ func TestStateAndResultRoundTrip(t *testing.T) {
 }
 
 // TestJobSpecConfigRoundTrip checks Config → JobSpec → Config for every
-// Table 3 score and both path lengths.
+// Table 3 score.
 func TestJobSpecConfigRoundTrip(t *testing.T) {
 	for _, score := range core.ScoreNames() {
-		for _, paths := range []int{2, 3} {
-			spec, err := core.ScoreByName(score, 0.7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := core.Config{Score: spec, K: 7, KLocal: 4, ThrGamma: 11, Policy: core.SelectRnd, Paths: paths, Seed: 99}
-			job, err := JobFromConfig(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", score, err)
-			}
-			back, err := job.Config()
-			if err != nil {
-				t.Fatalf("%s: %v", score, err)
-			}
-			if back.Score.Name != score || back.Score.Alpha != 0.7 ||
-				back.K != 7 || back.KLocal != 4 || back.ThrGamma != 11 ||
-				back.Policy != core.SelectRnd || back.Paths != paths || back.Seed != 99 {
-				t.Fatalf("%s: config did not survive the wire: %+v", score, back)
-			}
+		spec, err := core.ScoreByName(score, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.Config{Score: spec, K: 7, KLocal: 4, ThrGamma: 11, Policy: core.SelectRnd, Seed: 99}
+		job, err := JobFromConfig(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", score, err)
+		}
+		back, err := job.Config()
+		if err != nil {
+			t.Fatalf("%s: %v", score, err)
+		}
+		if back.Score.Name != score || back.Score.Alpha != 0.7 ||
+			back.K != 7 || back.KLocal != 4 || back.ThrGamma != 11 ||
+			back.Policy != core.SelectRnd || back.Paths != 2 || back.Seed != 99 {
+			t.Fatalf("%s: config did not survive the wire: %+v", score, back)
 		}
 	}
 	// A hand-assembled spec with anonymous functions must be rejected.
@@ -423,15 +414,16 @@ func serveWorkers(t *testing.T, o ServeOptions) string {
 // miniJob and miniShard are the smallest valid job and shard: an empty
 // partition 3 of a 4-shard fleet.
 var (
-	miniJob   = JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Paths: 2, Seed: 42}
+	miniJob   = JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Seed: 42}
 	miniShard = graph.ShardFile{Fingerprint: 0xF1EE7, Shard: 3, Shards: 4}
 )
 
-// hostileShards are ship payloads that encode and decode cleanly but break a
-// shard invariant: each must be refused where it is installed, by the one
-// validator, never discovered at an attach or mid-superstep. The last one
-// cannot even be framed consistently — a ship carries one count per column
-// family — so it dies in the decoder instead; either way no Ready.
+// hostileShards are ship payloads that encode cleanly but break a shard
+// invariant: each must be refused where the worker decodes it, by the shard
+// decoder and its one validator, never discovered at an attach or
+// mid-superstep. The last one breaks the format itself — its degree section
+// disagrees with the header's local count — and the decoder says so before
+// the validator runs; either way no Ready.
 func hostileShards() map[string]graph.ShardFile {
 	good := func() graph.ShardFile {
 		return graph.ShardFile{
@@ -610,7 +602,7 @@ func TestHandshake(t *testing.T) {
 		}()
 		return l.Addr().String()
 	}
-	for name, opening := range nonV3Openings() {
+	for name, opening := range refusedOpenings() {
 		t.Run("dial/"+name, func(t *testing.T) {
 			c, err := DialWith(fakeListener(t, opening), DialOptions{HelloTimeout: 5 * time.Second})
 			if err == nil {

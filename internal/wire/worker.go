@@ -224,19 +224,17 @@ type session struct {
 	applySc  core.DistPartial // merged-partial scratch for apply
 }
 
-// installShard handles KindShip: the shipped shard, once validated, becomes
-// what this connection's attaches run over, until the connection ends. This
-// is the one check a shard that arrived as bytes from the network ever gets,
-// and the same one a pinned shard got at load. A worker that pinned a packed
-// shard at startup refuses — its operator chose what it serves, and a
-// coordinator shipping to it forgot the manifest.
+// installShard handles KindShip: the shipped shard becomes what this
+// connection's attaches run over, until the connection ends. It was decoded
+// through graph.ReadShard, the decoder a pinned shard loads through, so it
+// passed the same one validation; a shard that broke an invariant never
+// decoded into a Msg. A worker that pinned a packed shard at startup refuses
+// — its operator chose what it serves, and a coordinator shipping to it
+// forgot the manifest.
 func installShard(m *Msg, resident *graph.ShardFile) (*graph.ShardFile, error) {
 	if resident != nil {
 		return nil, fmt.Errorf("wire: ship to a worker resident for packed shard %d of %d: open the fleet with its manifest",
 			resident.Shard, resident.Shards)
-	}
-	if err := m.Shard.Validate(); err != nil {
-		return nil, fmt.Errorf("wire: ship refused: %w", err)
 	}
 	return &m.Shard, nil
 }
@@ -418,7 +416,7 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 			}
 			// Overwritten in place, reusing the capacity the previous refresh left.
 			d := s.part.Data(slot)
-			d.Nbrs, d.Sims, d.TwoHop, d.Pred = d.Nbrs[:0], d.Sims[:0], d.TwoHop[:0], d.Pred[:0]
+			d.Nbrs, d.Sims = d.Nbrs[:0], d.Sims[:0]
 			return decodeStateRecord(d, rec)
 		})
 		s.addBusy(time.Since(t0))
