@@ -38,7 +38,7 @@ func TestInfo(t *testing.T) {
 		info.MaxK != 7 || info.Score != "linearSum" {
 		t.Errorf("info = %+v", info)
 	}
-	if want := fmt.Sprintf("%016x", s.cfgKey); info.ConfigFingerprint != want {
+	if want := fmt.Sprintf("%016x", configFingerprint(s.cfg)); info.ConfigFingerprint != want {
 		t.Errorf("config fingerprint %q, want %q", info.ConfigFingerprint, want)
 	}
 	if info.Fleet != nil {

@@ -8,28 +8,20 @@ import (
 	"snaple/internal/graph"
 )
 
-// cacheKey identifies one cached result: the queried vertex plus a
-// fingerprint of the prediction configuration that produced it. The server
-// runs one fixed config today, but keying on it means a future per-request
-// config override (or a config change across a snapshot reload) can never
-// serve stale rows.
-type cacheKey struct {
-	vertex graph.VertexID
-	cfg    uint64
-}
-
-// lruCache is a mutex-guarded LRU over per-vertex prediction lists. Empty
-// results are cached too (as non-nil empty slices): "this user has no
-// recommendations" is just as expensive to recompute as a full answer.
+// lruCache is a mutex-guarded LRU over per-vertex prediction lists, keyed by
+// the queried vertex: a server runs one Config for its whole life, so the
+// vertex alone names a row. Empty results are cached too (as non-nil empty
+// slices): "this user has no recommendations" is just as expensive to
+// recompute as a full answer.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List // front = most recent
-	items map[cacheKey]*list.Element
+	items map[graph.VertexID]*list.Element
 }
 
 type lruEntry struct {
-	key   cacheKey
+	key   graph.VertexID
 	preds []core.Prediction
 }
 
@@ -37,13 +29,13 @@ func newLRU(capacity int) *lruCache {
 	return &lruCache{
 		cap:   capacity,
 		order: list.New(),
-		items: make(map[cacheKey]*list.Element, capacity),
+		items: make(map[graph.VertexID]*list.Element, capacity),
 	}
 }
 
 // get returns the cached predictions for key and whether they were present,
 // marking the entry most-recently-used.
-func (c *lruCache) get(key cacheKey) ([]core.Prediction, bool) {
+func (c *lruCache) get(key graph.VertexID) ([]core.Prediction, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -56,7 +48,7 @@ func (c *lruCache) get(key cacheKey) ([]core.Prediction, bool) {
 
 // put inserts (or refreshes) key, evicting the least-recently-used entry
 // when over capacity.
-func (c *lruCache) put(key cacheKey, preds []core.Prediction) {
+func (c *lruCache) put(key graph.VertexID, preds []core.Prediction) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -79,12 +71,12 @@ func (c *lruCache) len() int {
 	return c.order.Len()
 }
 
-// invalidate removes the cfg-keyed entries of every vertex in dirty and
-// returns how many were dropped. It runs under the caller's mutation lock
-// as well as the cache's, so it walks whichever side is smaller: a key
-// lookup per dirty vertex when the mutation frontier is smaller than the
-// cache, one sweep of the cache with a membership probe per entry otherwise.
-func (c *lruCache) invalidate(cfg uint64, dirty *core.VertexSet) int {
+// invalidate removes the entry of every vertex in dirty and returns how
+// many were dropped. It runs under the caller's mutation lock as well as the
+// cache's, so it walks whichever side is smaller: a key lookup per dirty
+// vertex when the mutation frontier is smaller than the cache, one sweep of
+// the cache with a membership probe per entry otherwise.
+func (c *lruCache) invalidate(dirty *core.VertexSet) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
@@ -95,7 +87,7 @@ func (c *lruCache) invalidate(cfg uint64, dirty *core.VertexSet) int {
 	}
 	if dirty.Len() < len(c.items) {
 		for _, v := range dirty.Members() {
-			if el, ok := c.items[cacheKey{vertex: v, cfg: cfg}]; ok {
+			if el, ok := c.items[v]; ok {
 				drop(el)
 			}
 		}
@@ -103,7 +95,7 @@ func (c *lruCache) invalidate(cfg uint64, dirty *core.VertexSet) int {
 	}
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		if key := el.Value.(*lruEntry).key; key.cfg == cfg && dirty.Contains(key.vertex) {
+		if dirty.Contains(el.Value.(*lruEntry).key) {
 			drop(el)
 		}
 		el = next

@@ -20,7 +20,8 @@
 // Config.Sources frontier, and runs a single scoped prediction
 // (engine.PredictScoped: sparse rows straight from a backend that offers
 // them, picked out of the dense table otherwise) for the whole tick — N
-// concurrent users cost one closure computation, not N. Results land in an LRU keyed by (vertex, config fingerprint), so hot
+// concurrent users cost one closure computation, not N. Results land in an
+// LRU keyed by vertex (a server runs one Config for its life), so hot
 // vertices are served without touching the engine at all; both hit and miss
 // answers slice the same cached row, making responses for a vertex
 // identical regardless of which request computed them.
@@ -101,7 +102,6 @@ type Options struct {
 type Server struct {
 	be      engine.Backend
 	cfg     core.Config
-	cfgKey  uint64
 	window  time.Duration
 	maxIDs  int
 	runTO   time.Duration
@@ -173,7 +173,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		be:      opts.Backend,
 		cfg:     cfg,
-		cfgKey:  configFingerprint(cfg),
 		window:  opts.BatchWindow,
 		maxIDs:  opts.BatchMax,
 		runTO:   opts.RunTimeout,
@@ -213,8 +212,9 @@ func (s *Server) current() (graph.View, uint64) {
 }
 
 // configFingerprint hashes the parts of a Config that determine a vertex's
-// predictions, for the cache key (FNV-1a over the printable form; the score
-// is identified by name and alpha, the same pair the wire protocol ships).
+// predictions, for /v1/info's config_fingerprint (FNV-1a over the printable
+// form; the score is identified by name and alpha, the same pair the wire
+// protocol ships).
 func configFingerprint(cfg core.Config) uint64 {
 	desc := fmt.Sprintf("%s|%g|%d|%d|%d|%d|%d|%d",
 		cfg.Score.Name, cfg.Score.Alpha, cfg.K, cfg.KLocal, cfg.ThrGamma,
@@ -304,7 +304,7 @@ func (s *Server) fold(r *batchReq, acc map[graph.VertexID]bool) {
 		if _, have := r.cached[v]; have || acc[v] {
 			continue
 		}
-		if row, ok := s.cache.get(cacheKey{vertex: v, cfg: s.cfgKey}); ok {
+		if row, ok := s.cache.get(v); ok {
 			r.cached[v] = row
 		} else {
 			acc[v] = true
@@ -322,7 +322,7 @@ func (s *Server) freshCount(ids []graph.VertexID, acc map[graph.VertexID]bool) i
 			continue
 		}
 		seen[v] = true
-		if _, ok := s.cache.get(cacheKey{vertex: v, cfg: s.cfgKey}); !ok {
+		if _, ok := s.cache.get(v); !ok {
 			n++
 		}
 	}
@@ -375,7 +375,7 @@ func (s *Server) runBatch(batch []*batchReq, uncached map[graph.VertexID]bool) {
 		s.mu.Lock()
 		if s.epoch == epoch {
 			for v, row := range fresh {
-				s.cache.put(cacheKey{vertex: v, cfg: s.cfgKey}, row)
+				s.cache.put(v, row)
 			}
 		}
 		s.mu.Unlock()
@@ -459,9 +459,8 @@ type HealthResponse struct {
 
 // InfoResponse is the /v1/info reply: what exactly this instance serves —
 // the graph's shape, the backend, the fingerprint of the prediction config
-// (the cache key component; two front-ends answering interchangeably must
-// agree on it) and, when the backend is a resident fleet, the fleet
-// topology and pack fingerprint.
+// (two front-ends answering interchangeably must agree on it) and, when the
+// backend is a resident fleet, the fleet topology and pack fingerprint.
 type InfoResponse struct {
 	// Engine is the backend's name, and on a distributed deployment it names
 	// the mode: "fleet" is a standing fleet, cut once at start-up; "dist" is
@@ -473,8 +472,7 @@ type InfoResponse struct {
 	Edges    int    `json:"edges"`
 	MaxK     int    `json:"max_k"`
 	Score    string `json:"score"`
-	// ConfigFingerprint is the hex form of the config hash keying the result
-	// cache.
+	// ConfigFingerprint is the hex form of the prediction config's hash.
 	ConfigFingerprint string `json:"config_fingerprint"`
 	// Mutable reports whether this instance accepts POST /v1/edges.
 	Mutable bool `json:"mutable,omitempty"`
@@ -611,7 +609,7 @@ func (s *Server) applyEdges(w http.ResponseWriter, add, remove []graph.Edge) {
 		return
 	}
 	dirty := core.DirtySources(nd, add, remove, s.cfg.Paths)
-	invalidated := s.cache.invalidate(s.cfgKey, dirty)
+	invalidated := s.cache.invalidate(dirty)
 	s.view, s.epoch = nd, nd.Epoch()
 	overlay := nd.OverlayRows()
 	s.mu.Unlock()
@@ -691,14 +689,22 @@ func (s *Server) compactNow() (*graph.Delta, error) {
 
 // writeSnapshotAtomic writes g as a .sgr snapshot via a temp file in the
 // target directory plus an atomic rename, so a crash mid-write can never
-// leave a torn snapshot at path.
+// leave a torn snapshot at path. The temp file is synced before the rename,
+// so the name never points at data still in the page cache, and the
+// directory after it, so the rename itself survives a power loss.
 func writeSnapshotAtomic(path string, g *graph.Digraph) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
 	if err := graph.WriteSnapshot(f, g); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -711,7 +717,20 @@ func writeSnapshotAtomic(path string, g *graph.Digraph) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(dir)
+}
+
+// syncDir flushes a directory's entries, making a rename into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -795,7 +814,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Edges:             view.NumEdges(),
 		MaxK:              s.cfg.K,
 		Score:             s.cfg.Score.Name,
-		ConfigFingerprint: fmt.Sprintf("%016x", s.cfgKey),
+		ConfigFingerprint: fmt.Sprintf("%016x", configFingerprint(s.cfg)),
 		Mutable:           s.live != nil,
 		Epoch:             epoch,
 		UptimeSec:         time.Since(s.started).Seconds(),

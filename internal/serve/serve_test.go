@@ -191,10 +191,10 @@ func TestSparseAndDenseBackendsServeIdentically(t *testing.T) {
 	if dense.calls.Load() == 0 {
 		t.Fatal("the dense backend was never run")
 	}
-	rows := func(s *Server) map[cacheKey][]core.Prediction {
+	rows := func(s *Server) map[graph.VertexID][]core.Prediction {
 		s.cache.mu.Lock()
 		defer s.cache.mu.Unlock()
-		out := make(map[cacheKey][]core.Prediction, len(s.cache.items))
+		out := make(map[graph.VertexID][]core.Prediction, len(s.cache.items))
 		for k, el := range s.cache.items {
 			out[k] = el.Value.(*lruEntry).preds
 		}
@@ -313,7 +313,7 @@ func TestFullyCachedSkipsWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.cache.put(cacheKey{vertex: 3, cfg: s.cfgKey}, []core.Prediction{{Vertex: 9, Score: 1}})
+	s.cache.put(3, []core.Prediction{{Vertex: 9, Score: 1}})
 
 	done := make(chan struct{})
 	go func() {
@@ -455,7 +455,7 @@ func TestNewRejects(t *testing.T) {
 // TestLRU pins the cache's eviction and refresh behaviour.
 func TestLRU(t *testing.T) {
 	c := newLRU(2)
-	k := func(v int) cacheKey { return cacheKey{vertex: graph.VertexID(v), cfg: 1} }
+	k := func(v int) graph.VertexID { return graph.VertexID(v) }
 	p := func(v int) []core.Prediction { return []core.Prediction{{Vertex: graph.VertexID(v)}} }
 
 	c.put(k(1), p(1))
@@ -479,11 +479,6 @@ func TestLRU(t *testing.T) {
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d", c.len())
-	}
-	// A different config fingerprint is a different entry.
-	other := cacheKey{vertex: 3, cfg: 2}
-	if _, ok := c.get(other); ok {
-		t.Fatal("config fingerprint ignored")
 	}
 }
 
@@ -539,7 +534,7 @@ func TestMutationInvalidatesFrontier(t *testing.T) {
 	warmRuns := be.calls.Load()
 
 	// Mutate inside the first component: add 2→0. The dirty reverse closure
-	// of source 2 at Paths=2 is {2, 1, 0} — vertex 7 is untouched.
+	// of source 2 is {2, 1, 0} — vertex 7 is untouched.
 	resp, body := postJSON(t, ts.URL+"/v1/edges", `{"add":[[2,0]]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("edges: status %d: %s", resp.StatusCode, body)
@@ -792,7 +787,7 @@ search:
 
 // TestLRUInvalidate pins both arms of the invalidation — delete by key when
 // the dirty set is the smaller side, sweep the cache when it is not — to the
-// same outcome: exactly the dirty vertices' rows under the given config go.
+// same outcome: exactly the dirty vertices' rows go.
 func TestLRUInvalidate(t *testing.T) {
 	g, err := graph.FromEdges(16, nil)
 	if err != nil {
@@ -816,31 +811,27 @@ func TestLRUInvalidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newLRU(16)
 			for v := 0; v < 6; v++ {
-				c.put(cacheKey{vertex: graph.VertexID(v), cfg: 1}, nil)
+				c.put(graph.VertexID(v), nil)
 			}
-			c.put(cacheKey{vertex: 0, cfg: 2}, nil) // another config's row for a dirty vertex
 			if byKey := tc.dirty.Len() < c.len(); byKey != (tc.name == "by key") {
 				t.Fatalf("dirty %d vs cache %d does not take the %s arm", tc.dirty.Len(), c.len(), tc.name)
 			}
-			n := c.invalidate(1, tc.dirty)
-			if n != 3 || c.len() != 4 {
-				t.Fatalf("invalidate dropped %d (len %d), want 3 (len 4)", n, c.len())
+			n := c.invalidate(tc.dirty)
+			if n != 3 || c.len() != 3 {
+				t.Fatalf("invalidate dropped %d (len %d), want 3 (len 3)", n, c.len())
 			}
 			for v := 0; v < 6; v++ {
-				_, ok := c.get(cacheKey{vertex: graph.VertexID(v), cfg: 1})
+				_, ok := c.get(graph.VertexID(v))
 				if want := v%2 == 1; ok != want {
 					t.Errorf("vertex %d cached=%v, want %v", v, ok, want)
 				}
-			}
-			if _, ok := c.get(cacheKey{vertex: 0, cfg: 2}); !ok {
-				t.Error("invalidation under config 1 dropped config 2's row")
 			}
 		})
 	}
 }
 
-// TestConfigFingerprint ensures distinct scoring configs key distinct cache
-// entries.
+// TestConfigFingerprint ensures distinct scoring configs report distinct
+// fingerprints on /v1/info.
 func TestConfigFingerprint(t *testing.T) {
 	base := testConfig(t, 5)
 	mods := []func(*core.Config){
@@ -849,7 +840,6 @@ func TestConfigFingerprint(t *testing.T) {
 		func(c *core.Config) { c.ThrGamma = 11 },
 		func(c *core.Config) { c.Seed = 43 },
 		func(c *core.Config) { c.Policy = core.SelectRnd },
-		func(c *core.Config) { c.Paths = 3 },
 		func(c *core.Config) { c.Score.Alpha = 0.5 },
 		func(c *core.Config) { c.Score.Name = "geomSum" },
 	}
