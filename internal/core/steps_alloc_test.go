@@ -127,6 +127,54 @@ func TestStepFunctionsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestStepFunctionsAllocationFreeOverlay pins the same steady-state
+// contract on the overlay slow path: a StepRunner over a graph.Delta with
+// pending mutations merges rows through the Scratch's reused buffer, so
+// once warm it too performs zero allocations per pass.
+func TestStepFunctionsAllocationFreeOverlay(t *testing.T) {
+	base := allocTestGraph(t, 80)
+	v := func(u int) graph.VertexID { return graph.VertexID(u) }
+	d, err := graph.NewDelta(base).Apply(
+		[]graph.Edge{{Src: v(1), Dst: v(70)}, {Src: v(20), Dst: v(3)}},
+		[]graph.Edge{{Src: v(0), Dst: base.OutNeighbors(0)[0]}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ScoreByName("linearSum", 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Score: spec, K: 5, KLocal: 4, ThrGamma: 8, Seed: 7}
+	r, err := NewStepRunner(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.NumVertices()
+	s := r.NewScratch()
+	trunc, sims := runSteps12(r, n, s)
+	buf := make([]Prediction, 0, n*cfg.K)
+	for _, form := range []string{"identity", "rank"} {
+		if form == "rank" {
+			trunc, sims = rankForm(trunc), rankForm(sims)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			buf = buf[:0]
+			for u := 0; u < n; u++ {
+				uid := graph.VertexID(u)
+				r.TruncateFill(uid, trunc.Row(uid), s)
+				r.RelaysFill(uid, trunc, sims.Row(uid), s)
+			}
+			for u := 0; u < n; u++ {
+				buf = r.CombineAppend(graph.VertexID(u), trunc, sims, s, buf)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s arenas: overlay steady-state pass allocated %.1f times per run, want 0", form, allocs)
+		}
+	}
+}
+
 // TestCountPassesMatchFills pins the count/fill contract: the count pass
 // must predict the fill pass's row sizes exactly for every vertex (the
 // arena protocol writes rows with no slack).

@@ -94,40 +94,50 @@ func TestDistChaosKillAtEachStep(t *testing.T) {
 			return f
 		}},
 	}
-	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
-	want, err := core.ReferenceSnaple(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, be := range backends {
-		for kill := 0; kill < workers; kill++ {
-			for at := range len(core.DistSteps()) {
-				name := fmt.Sprintf("%s/kill=%d/step=%d", be.name, kill, at)
-				t.Run(name, func(t *testing.T) {
-					ctx := withStepHook(func(si int, r *distRun) {
-						if si == at {
-							r.killWorker(kill)
+	for _, c := range []struct {
+		score string
+		pol   core.SelectionPolicy
+	}{
+		{"linearSum", core.SelectMax},
+		// A step re-run on the survivor must redraw the same seeded sample
+		// and the same identity-aware similarities.
+		{"PPR", core.SelectRnd},
+	} {
+		cfg := core.Config{Score: mustScore(t, c.score), K: 5, KLocal: 4, ThrGamma: 10, Policy: c.pol, Seed: 42}
+		want, err := core.ReferenceSnaple(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, be := range backends {
+			for kill := 0; kill < workers; kill++ {
+				for at := range len(core.DistSteps()) {
+					name := fmt.Sprintf("%s/%s/%s/kill=%d/step=%d", be.name, c.score, c.pol, kill, at)
+					t.Run(name, func(t *testing.T) {
+						ctx := withStepHook(func(si int, r *distRun) {
+							if si == at {
+								r.killWorker(kill)
+							}
+						})
+						got, st, err := be.open(t).PredictCtx(ctx, g, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							diffPredictions(t, want, got)
+						}
+						if st.Replicas != replicas || st.Workers != workers {
+							t.Errorf("stats = %+v, want %d workers at %d replicas", st, workers, replicas)
+						}
+						if st.WorkersDead != 1 {
+							t.Errorf("WorkersDead = %d, want 1", st.WorkersDead)
+						}
+						// Killing a serving replica forces a promotion; killing a
+						// standby only sheds redundancy.
+						if st.Failovers > 1 {
+							t.Errorf("Failovers = %d, want 0 or 1", st.Failovers)
 						}
 					})
-					got, st, err := be.open(t).PredictCtx(ctx, g, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(want, got) {
-						diffPredictions(t, want, got)
-					}
-					if st.Replicas != replicas || st.Workers != workers {
-						t.Errorf("stats = %+v, want %d workers at %d replicas", st, workers, replicas)
-					}
-					if st.WorkersDead != 1 {
-						t.Errorf("WorkersDead = %d, want 1", st.WorkersDead)
-					}
-					// Killing a serving replica forces a promotion; killing a
-					// standby only sheds redundancy.
-					if st.Failovers > 1 {
-						t.Errorf("Failovers = %d, want 0 or 1", st.Failovers)
-					}
-				})
+				}
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func workerPool(t *testing.T, n int) []string {
 // TestDistMatchesReference is the dist backend's equivalence table: real
 // worker processes (or their in-process stand-ins) over TCP must reproduce
 // core.ReferenceSnaple bit for bit across scores, policies, sampling
-// parameters, path lengths, seeds and 1, 2 and 4 workers. The CI
+// parameters, seeds and 1, 2 and 4 workers. The CI
 // cluster-smoke job reruns it under -race against 3 externally spawned
 // snaple-worker processes via SNAPLE_WORKER_ADDRS.
 func TestDistMatchesReference(t *testing.T) {
@@ -67,6 +67,8 @@ func TestDistMatchesReference(t *testing.T) {
 		{"linearSum", core.SelectMin, 10, 4, 42},
 		{"linearSum", core.SelectRnd, 10, 4, 42},
 		{"linearSum", core.SelectRnd, core.Unlimited, 4, 1},
+		{"linearSum", core.SelectMax, 10, 1, 42},
+		{"geomSum", core.SelectRnd, core.Unlimited, 3, 1},
 		// Every aggregator family and the identity-aware PPR similarity.
 		{"PPR", core.SelectMax, 10, 4, 42},
 		{"counter", core.SelectMax, 10, 4, 42},

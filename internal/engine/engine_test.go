@@ -62,8 +62,7 @@ func diffPredictions(t *testing.T, want, got core.Predictions) {
 
 // TestLocalMatchesReference is the backend-equivalence table: engine.Local
 // must be bit-identical to core.ReferenceSnaple across scores, selection
-// policies, truncation thresholds, relay bounds, path lengths, seeds and
-// worker counts. Run it under -race to also exercise the sharding.
+// policies, truncation thresholds, relay bounds, seeds and worker counts. Run it under -race to also exercise the sharding.
 func TestLocalMatchesReference(t *testing.T) {
 	g := testGraph(t, 300, 7)
 
@@ -78,7 +77,7 @@ func TestLocalMatchesReference(t *testing.T) {
 	// Full policy/sampling cross for the default score.
 	for _, policy := range []core.SelectionPolicy{core.SelectMax, core.SelectMin, core.SelectRnd} {
 		for _, thr := range []int{core.Unlimited, 10} {
-			for _, klocal := range []int{core.Unlimited, 4} {
+			for _, klocal := range []int{core.Unlimited, 4, 1} {
 				for _, seed := range []uint64{1, 42} {
 					cases = append(cases, tc{"linearSum", policy, thr, klocal, seed})
 				}

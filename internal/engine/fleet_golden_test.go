@@ -133,8 +133,8 @@ type goldenQuery struct {
 
 // scopedGoldenQueries builds the table's ~20 queries of 1, 8 and 64 ids over
 // f's graph: an isolated source, the hubs, ids whose out-edges all lie on one
-// shard of f's cut, uniform draws, duplicates, and the other path length,
-// score and selection policy.
+// shard of f's cut, uniform draws, duplicates, and the other score and
+// selection policy.
 func scopedGoldenQueries(t testing.TB, f *Fleet) []goldenQuery {
 	t.Helper()
 	g := f.g

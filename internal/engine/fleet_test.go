@@ -105,7 +105,7 @@ func packVia(t *testing.T, g *graph.Digraph, strat partition.Strategy, seed uint
 
 // TestFleetMatchesReference is the standing fleet's equivalence table: an
 // in-process fleet must reproduce core.ReferenceSnaple bit for bit
-// across scores, policies, path lengths and fleet shapes — reusing the same
+// across scores, policies, sampling parameters and fleet shapes — reusing the same
 // attached workers for every config, which is exactly the multi-job session
 // reuse production serving depends on.
 func TestFleetMatchesReference(t *testing.T) {
@@ -123,6 +123,7 @@ func TestFleetMatchesReference(t *testing.T) {
 		{"linearSum", core.SelectRnd, 10, 4, 42},
 		{"PPR", core.SelectMax, 10, 4, 42},
 		{"geomMean", core.SelectMax, 10, 4, 42},
+		{"counter", core.SelectMin, 10, 3, 42},
 	}
 	fleets := []struct {
 		shards, replicas int

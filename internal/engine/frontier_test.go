@@ -98,7 +98,7 @@ func (c *closureForms) assertBothArenaForms(t testing.TB) {
 }
 
 // TestFrontierEquivalence is the query-scoped equivalence table: on every
-// backend, for every policy, path length and worker count, predictions of a
+// backend, for every policy, sampling point and worker count, predictions of a
 // run scoped to Sources=S must be bit-identical to the full run filtered to
 // S — with the closure on either side of the arena rule. Run under
 // -race to also exercise the scoped sharding.
@@ -124,21 +124,31 @@ func testFrontierEquivalence(t *testing.T, g *graph.Digraph, sourceSets map[stri
 	n := g.NumVertices()
 
 	type tc struct {
-		score  string
-		policy core.SelectionPolicy
+		score       string
+		policy      core.SelectionPolicy
+		thr, klocal int
 	}
 	var cases []tc
 	for _, policy := range []core.SelectionPolicy{core.SelectMax, core.SelectMin, core.SelectRnd} {
-		cases = append(cases, tc{"linearSum", policy})
+		cases = append(cases, tc{"linearSum", policy, 10, 4})
 	}
-	cases = append(cases, tc{"geomSum", core.SelectMax}, tc{"PPR", core.SelectMax})
+	cases = append(cases,
+		tc{"geomSum", core.SelectMax, 10, 4},
+		tc{"PPR", core.SelectMax, 10, 4},
+		// Unsampled: every neighbour is in Γ̂, so the closure is the whole
+		// two-hop ball of the sources.
+		tc{"linearSum", core.SelectMax, core.Unlimited, core.Unlimited},
+		// Random truncation with no hub threshold: Γ̂ depends on the seed
+		// alone, which every backend must draw identically.
+		tc{"linearSum", core.SelectRnd, core.Unlimited, 3},
+	)
 
 	for _, c := range cases {
 		base := core.Config{
 			Score:    mustScore(t, c.score),
 			K:        5,
-			KLocal:   4,
-			ThrGamma: 10,
+			KLocal:   c.klocal,
+			ThrGamma: c.thr,
 			Policy:   c.policy,
 			Seed:     42,
 		}
@@ -165,7 +175,7 @@ func testFrontierEquivalence(t *testing.T, g *graph.Digraph, sourceSets map[stri
 				{"dist/w=3", Dist{InProc: 3, Seed: 5}},
 			}
 			for _, b := range backends {
-				name := fmt.Sprintf("n=%d/%s/%s/%s/%s", n, c.score, c.policy, setName, b.name)
+				name := fmt.Sprintf("n=%d/%s/%s/thr=%d/klocal=%d/%s/%s", n, c.score, c.policy, c.thr, c.klocal, setName, b.name)
 				t.Run(name, func(t *testing.T) {
 					got, st, err := b.be.Predict(g, cfg)
 					if err != nil {

@@ -66,31 +66,38 @@ func openSim(t testing.TB, s Sim, g graph.View, cfg core.Config, seed uint64) *s
 // partial and per refreshed replica, so driving the fleet's scheduler
 // instead may not move a byte. Every figure, the peak included, is pinned at
 // each host worker count: within a phase every charge is positive, so the
-// peak does not depend on how the partitions interleave.
+// peak does not depend on how the partitions interleave. The klocal=4 rows,
+// recorded later from the same scheduler, pin a tighter truncation: fewer
+// relays per vertex, so less traffic and a lower peak.
 func TestSimCostsGolden(t *testing.T) {
 	g := communityGraph(t, 500, 91)
 	sources := []graph.VertexID{0, 17, 123, 301}
 	cases := []struct {
+		klocal int
 		scoped bool
 		policy core.SelectionPolicy
 		cross  int64
 		msgs   int64
 		mem    int64
 	}{
-		{false, core.SelectMax, 410016, 6052, 129664},
-		{false, core.SelectRnd, 411376, 6050, 131056},
-		{true, core.SelectMax, 102888, 3740, 19364},
-		{true, core.SelectRnd, 102888, 3740, 19364},
+		{6, false, core.SelectMax, 410016, 6052, 129664},
+		{6, false, core.SelectRnd, 411376, 6050, 131056},
+		{6, true, core.SelectMax, 102888, 3740, 19364},
+		{6, true, core.SelectRnd, 102888, 3740, 19364},
+		{4, false, core.SelectMax, 374316, 5976, 114480},
+		{4, false, core.SelectRnd, 376700, 5992, 116664},
+		{4, true, core.SelectMax, 102664, 3740, 19284},
+		{4, true, core.SelectRnd, 102664, 3740, 19284},
 	}
 	const rfBits = 0x400fc28f5c28f5c3 // 3.97
 	for _, tc := range cases {
-		cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, ThrGamma: 12,
+		cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: tc.klocal, ThrGamma: 12,
 			Policy: tc.policy, Seed: 3}
 		if tc.scoped {
 			cfg.Sources = sources
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			t.Run(fmt.Sprintf("scoped=%v/policy=%v/workers=%d", tc.scoped, tc.policy, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("klocal=%d/scoped=%v/policy=%v/workers=%d", tc.klocal, tc.scoped, tc.policy, workers), func(t *testing.T) {
 				sim := typeISim(6, 3, 11)
 				sim.Workers = workers
 				_, st, err := sim.Predict(g, cfg)

@@ -14,8 +14,8 @@ import (
 // backend must produce bit-identical predictions whether the graph arrives
 // as the heap CSR, the mmap-backed zero-copy view, the varint-packed
 // adjacency or a live overlay with pending rows — for full runs and for
-// query-scoped runs whose closure falls on either side of the arena rule,
-// at both path lengths. This is what lets snaple-serve map a snapshot
+// query-scoped runs whose closure falls on either side of the arena rule.
+// This is what lets snaple-serve map a snapshot
 // instead of decoding it, or serve a mutated view, without changing a
 // single prediction.
 func TestBackendsStorageEquivalence(t *testing.T) {
