@@ -32,7 +32,7 @@ var goldenCuts = map[string]uint64{
 	"greedy/shards=1/delta":      0x1422ba0f7c591cf5,
 	"greedy/shards=3/csr":        0x2f0de6ba0279bde4,
 	"greedy/shards=3/delta":      0xba97b2e6401656d9,
-	"greedy/shards=8/csr":        0x82b88c65e99e22f9,
+	"greedy/shards=8/csr":        0xbd4aa0a0ae047295,
 	"greedy/shards=8/delta":      0x66ed2220f7318395,
 }
 

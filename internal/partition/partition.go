@@ -16,6 +16,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
 
 	"snaple/internal/graph"
@@ -114,8 +115,15 @@ func (s HashSource) Partition(g graph.View, parts int) (Assignment, error) {
 
 // Greedy implements the PowerGraph greedy vertex-cut heuristic: each edge is
 // placed to minimise new vertex replicas, breaking ties towards the least
-// loaded partition. It is sequential and deterministic.
+// loaded partition. A partition that holds greedySlack times its fair share
+// of the edges is full and takes no more: without the cap a source-ordered
+// power-law stream, every edge of which touches a partition already holding
+// one of its endpoints, would pile every edge onto the first partition. It
+// is sequential and deterministic.
 type Greedy struct{}
+
+// greedySlack is how far above |E|/parts a greedy partition may fill.
+const greedySlack = 1.05
 
 // Name implements Strategy.
 func (Greedy) Name() string { return "greedy" }
@@ -148,72 +156,45 @@ func (Greedy) Partition(g graph.View, parts int) (Assignment, error) {
 	a := Assignment{Parts: parts, EdgeTo: make([]int32, g.NumEdges())}
 	replicas := newReplicaSet(g.NumVertices(), parts)
 	load := make([]int64, parts)
+	capacity := int64(math.Ceil(greedySlack * float64(g.NumEdges()) / float64(parts)))
 	words := replicas.words
-	scratch := make([]uint64, words)
+	both, either, all := make([]uint64, words), make([]uint64, words), make([]uint64, words)
+	for p := 0; p < parts; p++ {
+		all[p/64] |= 1 << uint(p%64)
+	}
 
 	// leastLoaded returns the least-loaded partition among the set bits of
-	// mask, or among all partitions if mask is entirely zero.
+	// mask that is not full, or -1 when there is none.
 	leastLoaded := func(mask []uint64) int32 {
-		best, bestLoad := int32(-1), int64(1)<<62
-		any := false
+		best, bestLoad := int32(-1), capacity
 		for w, bits := range mask {
 			for bits != 0 {
-				bit := bits & (-bits)
-				p := int32(w*64) + int32(mathbits.TrailingZeros64(bit))
-				bits ^= bit
-				if int(p) >= parts {
-					break
-				}
-				any = true
+				p := int32(w*64) + int32(mathbits.TrailingZeros64(bits))
+				bits &= bits - 1
 				if load[p] < bestLoad {
 					best, bestLoad = p, load[p]
-				}
-			}
-		}
-		if !any {
-			for p := 0; p < parts; p++ {
-				if load[p] < bestLoad {
-					best, bestLoad = int32(p), load[p]
 				}
 			}
 		}
 		return best
 	}
 
-	anySet := func(m []uint64) bool {
-		for _, w := range m {
-			if w != 0 {
-				return true
-			}
-		}
-		return false
-	}
-
+	// The rules in order, each falling through to the next when every
+	// partition it names is full: a partition that already has both
+	// endpoints; one that has either; the least loaded overall. A partition
+	// below capacity always remains, as parts·capacity > |E|.
 	i := 0
 	g.ForEachEdge(func(u, v graph.VertexID) {
 		ru, rv := replicas.of(u), replicas.of(v)
-		hasU, hasV := anySet(ru), anySet(rv)
 		for w := 0; w < words; w++ {
-			scratch[w] = ru[w] & rv[w]
+			both[w], either[w] = ru[w]&rv[w], ru[w]|rv[w]
 		}
-		var p int32
-		switch {
-		case anySet(scratch): // rule 1: a partition already has both
-			p = leastLoaded(scratch)
-		case hasU && hasV: // rule 2: both replicated somewhere, pick either side
-			for w := 0; w < words; w++ {
-				scratch[w] = ru[w] | rv[w]
-			}
-			p = leastLoaded(scratch)
-		case hasU: // rule 3: only one endpoint placed
-			p = leastLoaded(ru)
-		case hasV:
-			p = leastLoaded(rv)
-		default: // rule 4: neither placed -> least loaded overall
-			for w := 0; w < words; w++ {
-				scratch[w] = 0
-			}
-			p = leastLoaded(scratch)
+		p := leastLoaded(both)
+		if p < 0 {
+			p = leastLoaded(either)
+		}
+		if p < 0 {
+			p = leastLoaded(all)
 		}
 		a.EdgeTo[i] = p
 		replicas.set(u, p)

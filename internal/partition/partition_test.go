@@ -149,6 +149,31 @@ func TestSinglePartitionReplicationIsOne(t *testing.T) {
 	}
 }
 
+// TestGreedyBalance pins greedy's load cap on the input that used to
+// collapse it: on a source-ordered power-law stream every edge touches a
+// partition already holding one of its endpoints, and without the cap every
+// edge lands on partition 0.
+func TestGreedyBalance(t *testing.T) {
+	stream, err := gen.NewPowerLawStream(2_000, 20_000, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := stream.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range []int{2, 16, 80} {
+		a, err := Greedy{}.Partition(g, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ComputeStats(g, a)
+		if limit := greedySlack + float64(parts)/float64(g.NumEdges()); st.Balance > limit {
+			t.Errorf("parts=%d: balance %.3f, want <= %.4f (RF %.2f)", parts, st.Balance, limit, st.ReplicationFactor)
+		}
+	}
+}
+
 func TestGreedyBeyond64Parts(t *testing.T) {
 	// The bitset implementation supports arbitrary partition counts; the
 	// heuristic must still beat random hashing at 100 parts.

@@ -56,8 +56,8 @@ func costsOf(p Predictions, st EngineStats, simulated bool) facadeCosts {
 var goldenFacadeCosts = map[string]facadeCosts{
 	"sim/hash-edge/full":   {0xa981750d67043409, 5398, 0x40192e147ae147ae, 0, 400, 389836, 228204},
 	"sim/hash-edge/scoped": {0xbef92cc0dd452f, 3571, 0x40192e147ae147ae, 23, 3, 96588, 35156},
-	"sim/greedy/full":      {0xa981750d67043409, 1876, 0x4005333333333333, 0, 400, 142796, 121620},
-	"sim/greedy/scoped":    {0xbef92cc0dd452f, 1158, 0x4005333333333333, 23, 3, 30820, 14876},
+	"sim/greedy/full":      {0xa981750d67043409, 2284, 0x4009fae147ae147b, 0, 400, 178688, 135992},
+	"sim/greedy/scoped":    {0xbef92cc0dd452f, 1508, 0x4009fae147ae147b, 23, 3, 40144, 18104},
 	"baseline":             {0x16fff8d253e92e3a, 6645, 0x402030a3d70a3d71, 0, 0, 2377772, 1508564},
 	"dist/one-shot/full":   {0xa981750d67043409, 30, 0x3ffe70a3d70a3d71, 0, 400, 0, 0},
 	"dist/one-shot/scoped": {0xbef92cc0dd452f, 30, 0x4000000000000000, 23, 3, 0, 0},
