@@ -136,27 +136,38 @@ type Prediction struct {
 // vertices without predictions have nil entries.
 type Predictions [][]Prediction
 
-// ScopedPredictions is a query-scoped run's result held sparse: the run's
-// deduplicated sources in ascending order, each paired with its prediction
-// row, so the result costs O(sources) however large the graph. A source
-// without predictions has a nil row.
+// ScopedPredictions is a run's result held as rows: on a query-scoped run
+// the deduplicated sources in ascending order, each paired with its
+// prediction row, so the result costs O(sources) however large the graph;
+// on a full run nil Vertices and one row per vertex, indexed by vertex. A
+// vertex without predictions has a nil row.
 type ScopedPredictions struct {
-	Vertices []graph.VertexID
-	Rows     [][]Prediction // Rows[i] belongs to Vertices[i]
+	Vertices []graph.VertexID // nil on a full run
+	Rows     [][]Prediction   // Rows[i] belongs to Vertices[i], or to vertex i on a full run
 }
 
 // Row returns v's prediction row, or nil when v has none or was not a
 // source of the run.
 func (p ScopedPredictions) Row(v graph.VertexID) []Prediction {
+	if p.Vertices == nil {
+		if int(v) < len(p.Rows) {
+			return p.Rows[v]
+		}
+		return nil
+	}
 	if i, ok := slices.BinarySearch(p.Vertices, v); ok {
 		return p.Rows[i]
 	}
 	return nil
 }
 
-// Dense scatters the rows into the |V|-long Predictions table the Backend
-// contract promises: n slice headers (n·24 B) whatever the closure's size.
+// Dense returns the rows as the |V|-long Predictions table the Backend
+// contract promises: a full run's rows as they are, a scoped run's
+// scattered over n slice headers (n·24 B) whatever the closure's size.
 func (p ScopedPredictions) Dense(n int) Predictions {
+	if p.Vertices == nil {
+		return p.Rows
+	}
 	out := make(Predictions, n)
 	for i, v := range p.Vertices {
 		out[v] = p.Rows[i]

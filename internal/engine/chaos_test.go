@@ -80,12 +80,12 @@ func TestDistChaosKillAtEachStep(t *testing.T) {
 	const workers, replicas = 4, 2
 	backends := []struct {
 		name string
-		open func(t *testing.T) ContextBackend
+		open func(t *testing.T) ScopedBackend
 	}{
-		{"dist", func(t *testing.T) ContextBackend {
+		{"dist", func(t *testing.T) ScopedBackend {
 			return Dist{Addrs: workerPool(t, workers), Seed: 42, Replicas: replicas, StepTimeout: 30 * time.Second}
 		}},
-		{"fleet", func(t *testing.T) ContextBackend {
+		{"fleet", func(t *testing.T) ScopedBackend {
 			f, err := OpenFleet(g, FleetOptions{InProc: workers / replicas, Replicas: replicas, Seed: 42, StepTimeout: 30 * time.Second})
 			if err != nil {
 				t.Fatal(err)
@@ -118,10 +118,11 @@ func TestDistChaosKillAtEachStep(t *testing.T) {
 								r.killWorker(kill)
 							}
 						})
-						got, st, err := be.open(t).PredictCtx(ctx, g, cfg)
+						sp, st, err := be.open(t).PredictScoped(ctx, g, cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
+						got := sp.Dense(g.NumVertices())
 						if !reflect.DeepEqual(want, got) {
 							diffPredictions(t, want, got)
 						}
@@ -265,7 +266,7 @@ func TestDistPartitionLost(t *testing.T) {
 				}
 			})
 			start := time.Now()
-			_, st, err := d.PredictCtx(ctx, g, cfg)
+			_, st, err := d.PredictScoped(ctx, g, cfg)
 			wall := time.Since(start)
 			if !errors.Is(err, ErrPartitionLost) {
 				t.Fatalf("err = %v, want ErrPartitionLost", err)
@@ -304,7 +305,7 @@ func TestDistCancelMidSuperstep(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, _, err := Dist{Addrs: addrs, Seed: 42, StepTimeout: deadline}.PredictCtx(ctx, g, cfg)
+	_, _, err := Dist{Addrs: addrs, Seed: 42, StepTimeout: deadline}.PredictScoped(ctx, g, cfg)
 	wall := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -47,44 +47,28 @@ func (Dist) Name() string { return "dist" }
 
 // Predict implements Backend.
 func (d Dist) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	return d.PredictCtx(context.Background(), g, cfg)
+	return dense(d, g, cfg)
 }
 
-// PredictCtx implements ContextBackend: Predict under a context. Cancelling
-// ctx closes every worker connection, so whatever exchange is in flight
-// fails promptly and the call returns ctx.Err() — the workers see their
-// session end and stay reusable for the next job. The config is validated
-// before any worker is dialed.
-func (d Dist) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	_, preds, st, err := d.run(ctx, g, cfg)
-	return denseResult(g, preds, st, err)
-}
-
-// PredictScoped implements ScopedBackend: PredictCtx for a cfg with Sources,
-// with the sources' rows handed back sparse.
+// PredictScoped implements ScopedBackend: it opens a fleet on g, runs the
+// one query and closes the fleet. Cancelling ctx closes every worker
+// connection, so whatever exchange is in flight fails promptly and the call
+// returns ctx.Err() — the workers see their session end and stay reusable
+// for the next job. The config is validated before any worker is dialed.
 func (d Dist) PredictScoped(ctx context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
-	if len(cfg.Sources) == 0 {
-		return core.ScopedPredictions{}, Stats{Engine: "dist"}, errUnscoped
-	}
-	q, preds, st, err := d.run(ctx, g, cfg)
-	return scopedResult(q, preds, st, err)
-}
-
-// run opens a fleet on g, runs the one query and closes the fleet.
-func (d Dist) run(ctx context.Context, g graph.View, cfg core.Config) (*query, []wire.VertexPreds, Stats, error) {
 	q, err := newQuery(g, cfg)
 	if err != nil {
-		return nil, nil, Stats{Engine: "dist"}, err
+		return core.ScopedPredictions{}, Stats{Engine: "dist"}, err
 	}
 	f, err := OpenFleet(g, FleetOptions(d))
 	if err != nil {
-		return nil, nil, Stats{Engine: "dist"}, fmt.Errorf("engine: dist: %w", err)
+		return core.ScopedPredictions{}, Stats{Engine: "dist"}, fmt.Errorf("engine: dist: %w", err)
 	}
 	defer f.Close()
 	preds, st, err := f.run(ctx, q)
 	st.Engine = "dist"
 	st.DialRetries = f.Stats().DialRetries // the open's dials are this run's
-	return q, preds, st, err
+	return q.result(preds, st, err)
 }
 
 // deployment is the vertex cut a fleet stands on — partition.NewCut's

@@ -32,7 +32,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"slices"
 
 	"snaple/internal/core"
@@ -63,7 +62,9 @@ type Stats struct {
 	// Set by the serial and local backends, which are engineered to keep the
 	// per-vertex steady state allocation-free; for dist and fleet they sum the
 	// worker-reported deltas (or take their maximum when the workers share
-	// this process, where each delta already covers everyone).
+	// this process, where each delta already covers everyone). They cover
+	// the run PredictScoped makes, not the |V|-long table a Predict of
+	// Local, Dist or Fleet then scatters its rows into.
 	AllocBytes, AllocObjects int64
 	// SimSeconds is the simulated cluster latency (sim backend only).
 	SimSeconds float64
@@ -125,61 +126,38 @@ type Backend interface {
 	Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error)
 }
 
-// ContextBackend is a Backend whose runs can be abandoned mid-flight. Fleet
-// and Dist implement it: cancelling the context closes every worker
-// connection, so a blocked superstep exchange fails promptly and the
-// workers are left reusable for the next job.
-type ContextBackend interface {
-	Backend
-	// PredictCtx is Predict under a context. When ctx is cancelled the run
-	// returns ctx.Err() as soon as the in-flight exchange unblocks.
-	PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error)
-}
-
-// PredictWithContext runs be.PredictCtx when the backend supports
-// cancellation and falls back to a plain Predict otherwise — the in-memory
-// backends have no remote side to abandon, so a context could only be
-// checked between steps they finish in microseconds anyway.
-func PredictWithContext(ctx context.Context, be Backend, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	if cb, ok := be.(ContextBackend); ok {
-		return cb.PredictCtx(ctx, g, cfg)
-	}
-	return be.Predict(g, cfg)
-}
-
-// ScopedBackend is a Backend that can hand a query-scoped run's result back
-// sparse — sorted (source, row) pairs — instead of scattered over a |V|-long
-// table. Local, Fleet and Dist implement it, and none of their scoped runs
-// builds that table; Sim and Serial stay dense on purpose.
+// ScopedBackend is a Backend with the one query method: Algorithm 2 for
+// any cfg, scoped or full, under a context, with the result held as rows
+// rather than scattered over a |V|-long table. Local, Fleet and Dist
+// implement it, and their Predict is this method plus that scatter; Sim and
+// Serial build the table anyway and reach it through PredictScoped's
+// fallback.
 type ScopedBackend interface {
 	Backend
-	// PredictScoped is Predict for a cfg with non-empty Sources, with the
-	// result left sparse. It fails on an unscoped cfg. Backends with a remote
-	// side abandon the run when ctx is cancelled, as PredictCtx does; the
-	// in-memory one ignores ctx.
+	// PredictScoped runs Algorithm 2 over g for cfg. A scoped cfg (Sources
+	// non-empty) returns the sources' rows sparse, and nothing the run
+	// allocates is sized by the graph; an unscoped one returns nil Vertices
+	// and one row per vertex. Backends with a remote side abandon the run
+	// when ctx is cancelled: every worker connection is closed, so a blocked
+	// superstep exchange fails promptly with ctx.Err() and the workers stay
+	// reusable. The in-memory backend ignores ctx.
 	PredictScoped(ctx context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error)
 }
 
-// errUnscoped rejects a scoped entry point called without sources.
-var errUnscoped = errors.New("engine: PredictScoped needs Config.Sources")
-
-// PredictScoped runs a query-scoped prediction (cfg.Sources non-empty) on
-// any backend and returns the sources' rows sparse: directly from a
-// ScopedBackend, otherwise (Sim, Serial, wrappers that hide the method) by
-// picking them out of the dense table a plain Predict (PredictCtx when the
-// backend is cancellable) returns. Rows alias the run's buffers either way.
-// It is the entry point of callers that only want the sources' rows, serve's
-// batch run above all.
+// PredictScoped is the engine's one query path: it runs be's PredictScoped
+// when be has one, and otherwise (Sim, Serial, wrappers that hide the
+// method) a plain Predict, whose dense table it returns as is on a full run
+// and picks the sources' rows out of on a scoped one. Rows alias the run's
+// buffers either way. The in-memory backends finish their steps in
+// microseconds and have no remote side to abandon, so the fallback ignores
+// ctx.
 func PredictScoped(ctx context.Context, be Backend, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
-	if len(cfg.Sources) == 0 {
-		return core.ScopedPredictions{}, Stats{Engine: be.Name()}, errUnscoped
-	}
 	if sb, ok := be.(ScopedBackend); ok {
 		return sb.PredictScoped(ctx, g, cfg)
 	}
-	preds, st, err := PredictWithContext(ctx, be, g, cfg)
-	if err != nil {
-		return core.ScopedPredictions{}, st, err
+	preds, st, err := be.Predict(g, cfg)
+	if err != nil || len(cfg.Sources) == 0 {
+		return core.ScopedPredictions{Rows: preds}, st, err
 	}
 	sp := core.ScopedPredictions{Vertices: slices.Clone(cfg.Sources)}
 	slices.Sort(sp.Vertices)
@@ -189,6 +167,16 @@ func PredictScoped(ctx context.Context, be Backend, g graph.View, cfg core.Confi
 		sp.Rows[i] = preds[v]
 	}
 	return sp, st, nil
+}
+
+// dense is the Predict of a ScopedBackend: its one query method run to
+// completion, scattered into the |V|-long table Backend.Predict promises.
+func dense(sb ScopedBackend, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
+	sp, st, err := sb.PredictScoped(context.Background(), g, cfg)
+	if err != nil {
+		return nil, st, err
+	}
+	return sp.Dense(g.NumVertices()), st, nil
 }
 
 // Names lists the built-in backend names. It is the single source of truth

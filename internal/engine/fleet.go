@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -504,6 +503,7 @@ func (f *Fleet) Close() error {
 type query struct {
 	job      wire.JobSpec
 	frontier *core.Frontier // nil on a full run
+	n        int            // the graph's vertex count
 	st       Stats          // the scope fields, filled
 }
 
@@ -521,7 +521,7 @@ func newQuery(g graph.View, cfg core.Config) (*query, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &query{job: job, frontier: frontier}
+	q := &query{job: job, frontier: frontier, n: g.NumVertices()}
 	q.st.FrontierVertices = frontier.Size()
 	q.st.ScoredVertices = g.NumVertices()
 	if frontier != nil {
@@ -534,32 +534,14 @@ func newQuery(g graph.View, cfg core.Config) (*query, error) {
 // with: the workers' shards were cut from it, and the fingerprint handshake
 // (not this call) is what proves they still agree.
 func (f *Fleet) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	return f.PredictCtx(context.Background(), g, cfg)
+	return dense(f, g, cfg)
 }
 
-// PredictCtx implements ContextBackend. Cancelling ctx closes the query's
-// connections; they are redialed lazily on the next query, so a cancelled
-// query degrades latency once, never the fleet. The run itself is sparse;
-// the |V|-long table is built here, for the dense contract.
-func (f *Fleet) PredictCtx(ctx context.Context, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	_, preds, st, err := f.runView(ctx, g, cfg)
-	return denseResult(g, preds, st, err)
-}
-
-// PredictScoped implements ScopedBackend: PredictCtx for a cfg with Sources,
-// with the sources' rows handed back sparse, so neither the run nor its
-// result allocates anything sized by the graph.
+// PredictScoped implements ScopedBackend. The run is sparse, and so is a
+// scoped result: neither allocates anything sized by the graph. Cancelling
+// ctx closes the query's connections; they are redialed lazily on the next
+// query, so a cancelled query degrades latency once, never the fleet.
 func (f *Fleet) PredictScoped(ctx context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
-	if len(cfg.Sources) == 0 {
-		return core.ScopedPredictions{}, Stats{Engine: "fleet"}, errUnscoped
-	}
-	q, preds, st, err := f.runView(ctx, g, cfg)
-	return scopedResult(q, preds, st, err)
-}
-
-// runView validates g against the fleet's view and cfg against g, then runs
-// the query.
-func (f *Fleet) runView(ctx context.Context, g graph.View, cfg core.Config) (*query, []wire.VertexPreds, Stats, error) {
 	// An identity check, after unwrapping clean overlays of the same CSR: the
 	// shards were cut from f.g, and any other view — a mutated one above all
 	// — would be answered from the wrong edges.
@@ -567,46 +549,36 @@ func (f *Fleet) runView(ctx context.Context, g graph.View, cfg core.Config) (*qu
 		a, aok := graph.AsCSR(g)
 		b, bok := graph.AsCSR(f.g)
 		if !aok || !bok || a != b {
-			return nil, nil, Stats{Engine: "fleet"}, errors.New("engine: fleet: predict over a view the fleet was not opened with — it serves the cut it made at open; compact a mutated view and reopen")
+			return core.ScopedPredictions{}, Stats{Engine: "fleet"}, errors.New("engine: fleet: predict over a view the fleet was not opened with — it serves the cut it made at open; compact a mutated view and reopen")
 		}
 	}
 	q, err := newQuery(g, cfg)
 	if err != nil {
-		return nil, nil, Stats{Engine: "fleet"}, err
+		return core.ScopedPredictions{}, Stats{Engine: "fleet"}, err
 	}
 	preds, st, err := f.run(ctx, q)
-	return q, preds, st, err
+	return q.result(preds, st, err)
 }
 
-// denseResult scatters a run's predictions over the |V|-long table
-// Backend.Predict promises — the one place a distributed run pays n·24 B.
-func denseResult(g graph.View, preds []wire.VertexPreds, st Stats, err error) (core.Predictions, Stats, error) {
-	if err != nil {
-		return nil, st, err
-	}
-	out := make(core.Predictions, g.NumVertices())
-	for _, vp := range preds {
-		out[vp.V] = vp.Preds
-	}
-	return out, st, nil
-}
-
-// scopedResult pairs a scoped run's deduplicated sources with their rows; a
-// source no master reported has none.
-func scopedResult(q *query, preds []wire.VertexPreds, st Stats, err error) (core.ScopedPredictions, Stats, error) {
+// result pairs a run's predictions with the vertices they answer: one row
+// per vertex on a full run (nil Vertices), one per deduplicated source on a
+// scoped one. A vertex no master reported has a nil row.
+func (q *query) result(preds []wire.VertexPreds, st Stats, err error) (core.ScopedPredictions, Stats, error) {
 	if err != nil {
 		return core.ScopedPredictions{}, st, err
 	}
-	slices.SortFunc(preds, func(a, b wire.VertexPreds) int { return cmp.Compare(a.V, b.V) })
-	sp := core.ScopedPredictions{Vertices: q.frontier.Pred.Members()}
-	sp.Rows = make([][]core.Prediction, len(sp.Vertices))
-	i := 0
-	for j, v := range sp.Vertices {
-		for i < len(preds) && preds[i].V < v {
-			i++
-		}
-		if i < len(preds) && preds[i].V == v {
-			sp.Rows[j] = preds[i].Preds
+	var sp core.ScopedPredictions
+	row := func(v graph.VertexID) (int, bool) { return int(v), true }
+	if q.frontier == nil {
+		sp.Rows = make([][]core.Prediction, q.n)
+	} else {
+		sp.Vertices = q.frontier.Pred.Members()
+		sp.Rows = make([][]core.Prediction, len(sp.Vertices))
+		row = func(v graph.VertexID) (int, bool) { return slices.BinarySearch(sp.Vertices, v) }
+	}
+	for _, vp := range preds {
+		if i, ok := row(vp.V); ok {
+			sp.Rows[i] = vp.Preds
 		}
 	}
 	return sp, st, nil

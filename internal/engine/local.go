@@ -64,34 +64,26 @@ const (
 	minParallelChunks = 4
 )
 
-// Predict implements Backend. A query-scoped run (cfg.Sources non-empty) is
-// PredictScoped plus a scatter into the |V|-long table the contract
-// promises: the run itself costs its closure, the table n·24 B.
+// Predict implements Backend: PredictScoped scattered into the |V|-long
+// table the contract promises. A scoped run costs its closure, the table
+// n·24 B.
 func (l Local) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
-	m := startMeter()
-	f, rows, st, err := l.run(g, cfg)
-	if err == nil && f != nil {
-		rows = core.ScopedPredictions{Vertices: f.Pred.Members(), Rows: rows}.Dense(g.NumVertices())
-	}
-	m.stop(&st, g)
-	return rows, st, err
+	return dense(l, g, cfg)
 }
 
-// PredictScoped implements ScopedBackend: the run of Predict with the
-// result left sparse, so nothing it allocates or touches is sized by the
-// graph (until the closure is a sizeable share of it; see core.NewStepArena).
-// The run has no remote side to abandon, so ctx is ignored.
+// PredictScoped implements ScopedBackend. Nothing a scoped run allocates or
+// touches is sized by the graph (until the closure is a sizeable share of
+// it; see core.NewStepArena). The run has no remote side to abandon, so ctx
+// is ignored.
 func (l Local) PredictScoped(_ context.Context, g graph.View, cfg core.Config) (core.ScopedPredictions, Stats, error) {
-	if len(cfg.Sources) == 0 {
-		return core.ScopedPredictions{}, Stats{Engine: "local"}, errUnscoped
-	}
 	m := startMeter()
 	f, rows, st, err := l.run(g, cfg)
 	m.stop(&st, g)
-	if err != nil {
-		return core.ScopedPredictions{}, st, err
+	sp := core.ScopedPredictions{Rows: rows}
+	if f != nil {
+		sp.Vertices = f.Pred.Members()
 	}
-	return core.ScopedPredictions{Vertices: f.Pred.Members(), Rows: rows}, st, nil
+	return sp, st, err
 }
 
 // run executes Algorithm 2 and returns one prediction row per position of

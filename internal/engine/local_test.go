@@ -132,9 +132,79 @@ func TestPredictScopedMatchesPredict(t *testing.T) {
 			}
 		}
 	}
-	for _, be := range []Backend{Local{}, Serial{}, Dist{InProc: 2}} {
-		if _, _, err := PredictScoped(context.Background(), be, small, localCfg(t)); err == nil {
-			t.Errorf("%s: PredictScoped accepted a config without Sources", be.Name())
+}
+
+// TestPredictScopedFullRun pins the one query path's full-run convention on
+// every built-in backend: an unscoped config returns nil Vertices and rows
+// whose Dense table is Predict's, reached through the backend's own method
+// (Local, Dist, Fleet) or the dense fallback (Serial, Sim).
+func TestPredictScopedFullRun(t *testing.T) {
+	g := testGraph(t, 300, 7)
+	cfg := localCfg(t)
+	f, err := OpenFleet(g, FleetOptions{InProc: 2, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, be := range []Backend{Serial{}, Local{Workers: 3}, Sim{Partitions: 3, Seed: 9}, Dist{InProc: 2, Seed: 9}, f} {
+		want, _, err := be.Predict(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, st, err := PredictScoped(context.Background(), be, g, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", be.Name(), err)
+		}
+		if sp.Vertices != nil {
+			t.Errorf("%s: full run returned %d Vertices, want nil", be.Name(), len(sp.Vertices))
+		}
+		if st.ScoredVertices != g.NumVertices() {
+			t.Errorf("%s: ScoredVertices = %d, want %d", be.Name(), st.ScoredVertices, g.NumVertices())
+		}
+		if got := sp.Dense(g.NumVertices()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Dense of the full run differs from Predict", be.Name())
+		}
+	}
+}
+
+// predictOnly has the shape of a tracing wrapper: it embeds a Backend and
+// overrides Predict alone, which hides the embedded value's PredictScoped.
+type predictOnly struct {
+	Backend
+	calls int
+}
+
+func (p *predictOnly) Predict(g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
+	p.calls++
+	return p.Backend.Predict(g, cfg)
+}
+
+// TestPredictScopedRunsWrapperPredict pins the fallback for wrappers: a
+// backend that hides PredictScoped is still run through its own Predict,
+// for a scoped and a full config alike, and answers as the wrapped backend.
+func TestPredictScopedRunsWrapperPredict(t *testing.T) {
+	g := testGraph(t, 300, 7)
+	be := &predictOnly{Backend: Local{Workers: 2}}
+	if _, ok := Backend(be).(ScopedBackend); ok {
+		t.Fatal("the wrapper exposes PredictScoped")
+	}
+	scoped := localCfg(t)
+	scoped.Sources = []graph.VertexID{200, 7, 50, 7}
+	for _, cfg := range []core.Config{scoped, localCfg(t)} {
+		want, _, err := PredictScoped(context.Background(), Local{Workers: 2}, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := be.calls
+		got, _, err := PredictScoped(context.Background(), be, g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if be.calls != calls+1 {
+			t.Fatalf("sources=%v: wrapper's Predict ran %d times, want once", cfg.Sources, be.calls-calls)
+		}
+		if !reflect.DeepEqual(got.Vertices, want.Vertices) || !reflect.DeepEqual(got.Dense(g.NumVertices()), want.Dense(g.NumVertices())) {
+			t.Fatalf("sources=%v: wrapper answers differently from the backend it wraps", cfg.Sources)
 		}
 	}
 }

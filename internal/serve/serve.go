@@ -14,15 +14,16 @@
 //   - GET /healthz — liveness plus the loaded graph's shape;
 //   - GET /statsz — QPS, p50/p99 latency, cache hit rate, batch counters.
 //
-// Concurrent requests are micro-batched: a collector goroutine gathers
-// everything that arrives within BatchWindow (or until BatchMax distinct
-// uncached vertices accumulate), unions the uncached vertices into one
-// Config.Sources frontier, and runs a single scoped prediction
-// (engine.PredictScoped: sparse rows straight from a backend that offers
-// them, picked out of the dense table otherwise) for the whole tick — N
-// concurrent users cost one closure computation, not N. Results land in an
-// LRU keyed by vertex (a server runs one Config for its life), so hot
-// vertices are served without touching the engine at all; both hit and miss
+// Results live in an LRU keyed by vertex (a server runs one Config for its
+// life). The handler reads it once per request: a fully cached request is
+// answered there and then, without touching the collector or the engine,
+// and only the misses go on. Concurrent misses are micro-batched: a
+// collector goroutine gathers everything that arrives within BatchWindow
+// (or until BatchMax distinct vertices accumulate), checks the tick's
+// vertices against the cache once more — a row another tick cached while
+// they waited is not recomputed — and runs one scoped prediction
+// (engine.PredictScoped, the engine's one query path) over the rest — N
+// concurrent users cost one closure computation, not N. Hit and miss
 // answers slice the same cached row, making responses for a vertex
 // identical regardless of which request computed them.
 //
@@ -130,19 +131,17 @@ type Server struct {
 	compacting  atomic.Bool // single-flight gate for the background trigger
 }
 
-// batchReq is one in-flight /v1/predict request: its vertices, the rows
-// that were already cached when the collector folded it into a tick
-// (snapshotted then, so later cache eviction cannot lose them), and the
-// channel its assembled rows (or error) comes back on.
+// batchReq is one /v1/predict request's cache misses on their way through
+// the collector, and the channel its tick's answer comes back on.
 type batchReq struct {
-	ids    []graph.VertexID
-	cached map[graph.VertexID][]core.Prediction
-	resp   chan batchResp
+	ids  []graph.VertexID
+	resp chan batchResp
 }
 
+// batchResp is one tick's answer, shared by all of its requests: a row for
+// every vertex the tick covered, or the run's error.
 type batchResp struct {
 	rows map[graph.VertexID][]core.Prediction
-	hits int
 	err  error
 }
 
@@ -240,13 +239,11 @@ func (s *Server) Close() {
 // errShutdown is returned to requests caught mid-shutdown.
 var errShutdown = errors.New("serve: server shutting down")
 
-// collector is the micro-batching loop: it blocks for the tick's first
-// request, gathers more until the window closes (or BatchMax distinct
-// uncached vertices accumulate), then answers the whole tick from one
-// scoped run plus the cache. A tick whose requests are fully cached is
-// answered immediately — waiting out the window could only help uncached
-// work, and there is none. A request whose ids would push the tick past
-// BatchMax is carried into the next tick instead of over-growing this one.
+// collector is the micro-batching loop over cache misses: it blocks for the
+// tick's first request, gathers more until the window closes (or BatchMax
+// distinct vertices accumulate), then answers the whole tick from one scoped
+// run. A request whose ids would push the tick past BatchMax is carried into
+// the next tick instead of over-growing this one.
 func (s *Server) collector() {
 	defer close(s.done)
 	var carry *batchReq
@@ -261,157 +258,148 @@ func (s *Server) collector() {
 			}
 		}
 		batch := []*batchReq{first}
-		uncached := make(map[graph.VertexID]bool)
-		// A single request's distinct uncached ids always fit: the handler
-		// caps len(ids) at maxIDs.
-		s.fold(first, uncached)
-		if len(uncached) > 0 {
-			timer := time.NewTimer(s.window)
-		gather:
-			for len(uncached) < s.maxIDs {
-				select {
-				case <-s.stop:
-					timer.Stop()
-					for _, r := range batch {
-						r.resp <- batchResp{err: errShutdown}
+		// A single request's ids always fit: the handler caps them at maxIDs.
+		misses := make(map[graph.VertexID]bool)
+		for _, v := range first.ids {
+			misses[v] = true
+		}
+		timer := time.NewTimer(s.window)
+	gather:
+		for len(misses) < s.maxIDs {
+			select {
+			case <-s.stop:
+				timer.Stop()
+				for _, r := range batch {
+					r.resp <- batchResp{err: errShutdown}
+				}
+				return
+			case r := <-s.queue:
+				grown := len(misses)
+				for _, v := range r.ids {
+					if !misses[v] {
+						grown++
 					}
-					return
-				case r := <-s.queue:
-					if len(uncached)+s.freshCount(r.ids, uncached) > s.maxIDs {
-						carry = r // starts the next tick
-						break gather
-					}
-					batch = append(batch, r)
-					s.fold(r, uncached)
-				case <-timer.C:
+				}
+				if grown > s.maxIDs {
+					carry = r // starts the next tick
 					break gather
 				}
+				batch = append(batch, r)
+				for _, v := range r.ids {
+					misses[v] = true
+				}
+			case <-timer.C:
+				break gather
 			}
-			timer.Stop()
 		}
-		s.runBatch(batch, uncached)
+		timer.Stop()
+		s.runBatch(batch, misses)
 	}
 }
 
-// fold splits a request's ids between the tick's frontier (cache misses,
-// added to acc) and the request's own cached-row snapshot. Snapshotting at
-// fold time means the tick's later cache churn — including this very tick
-// evicting entries to make room for its own results — cannot lose a row
-// that was present when the request was admitted.
-func (s *Server) fold(r *batchReq, acc map[graph.VertexID]bool) {
-	r.cached = make(map[graph.VertexID][]core.Prediction)
-	for _, v := range r.ids {
-		if _, have := r.cached[v]; have || acc[v] {
-			continue
-		}
+// runBatch executes one tick: the misses another tick cached while they
+// waited are read from the cache, and the rest run as one scoped prediction
+// that fills it. Every request of the tick reads its rows from the one
+// answer, so cache pressure (a tick larger than the LRU) can evict rows but
+// never corrupt answers.
+func (s *Server) runBatch(batch []*batchReq, misses map[graph.VertexID]bool) {
+	resp := batchResp{rows: make(map[graph.VertexID][]core.Prediction, len(misses))}
+	sources := make([]graph.VertexID, 0, len(misses))
+	for v := range misses {
 		if row, ok := s.cache.get(v); ok {
-			r.cached[v] = row
+			resp.rows[v] = row
 		} else {
-			acc[v] = true
-		}
-	}
-}
-
-// freshCount reports how many of ids are cache misses not already in acc —
-// the frontier growth folding them would cause.
-func (s *Server) freshCount(ids []graph.VertexID, acc map[graph.VertexID]bool) int {
-	n := 0
-	seen := make(map[graph.VertexID]bool, len(ids))
-	for _, v := range ids {
-		if seen[v] || acc[v] {
-			continue
-		}
-		seen[v] = true
-		if _, ok := s.cache.get(v); !ok {
-			n++
-		}
-	}
-	return n
-}
-
-// runBatch executes one tick: a single frontier run over the batch's
-// uncached vertices, cache fill, then per-request assembly. Fresh rows are
-// served from the run's own output — the cache is only consulted for
-// vertices cached before the tick, so cache pressure (a tick larger than
-// the LRU) can evict rows but never corrupt answers.
-func (s *Server) runBatch(batch []*batchReq, uncached map[graph.VertexID]bool) {
-	s.stats.observeBatch(len(uncached) > 0)
-	fresh := make(map[graph.VertexID][]core.Prediction, len(uncached))
-	if len(uncached) > 0 {
-		sources := make([]graph.VertexID, 0, len(uncached))
-		for v := range uncached {
 			sources = append(sources, v)
 		}
-		cfg := s.cfg
-		cfg.Sources = sources
-		ctx := context.Background()
-		if s.runTO > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.runTO)
-			defer cancel()
-		}
-		view, epoch := s.current()
-		preds, rst, err := engine.PredictScoped(ctx, s.be, view, cfg)
-		s.stats.observeRun(rst, err)
-		if err != nil {
-			for _, r := range batch {
-				r.resp <- batchResp{err: err}
-			}
-			return
-		}
-		for i, v := range preds.Vertices {
-			// Clone: the engine's rows alias large shared per-batch append
-			// buffers, and a cached row must not pin a whole batch's worth
-			// of memory. Empty results are kept too — "no recommendations"
-			// is as expensive to recompute as a full answer.
-			row := preds.Rows[i]
-			fresh[v] = append(make([]core.Prediction, 0, len(row)), row...)
-		}
-		// Fill the cache only while this run's view is still current: a
-		// mutation that landed mid-run has already invalidated its dirty
-		// rows, and caching results computed from the superseded view would
-		// re-poison them. The batch's own requests are still answered from
-		// fresh below — they were admitted against this view.
-		s.mu.Lock()
-		if s.epoch == epoch {
-			for v, row := range fresh {
-				s.cache.put(v, row)
-			}
-		}
-		s.mu.Unlock()
+	}
+	s.stats.observeBatch(len(sources) > 0)
+	if len(sources) > 0 {
+		resp.err = s.run(sources, resp.rows)
 	}
 	for _, r := range batch {
-		rows := make(map[graph.VertexID][]core.Prediction, len(r.ids))
-		hits := 0
-		for _, v := range r.ids {
-			if _, seen := rows[v]; seen {
-				continue
-			}
-			if row, ok := r.cached[v]; ok {
-				rows[v] = row
-				hits++
-				continue
-			}
-			// Every id is either in the fold-time snapshot or in this
-			// tick's frontier; fresh rows come straight from the run, so
-			// cache pressure can evict but never corrupt an answer.
-			rows[v] = fresh[v]
-		}
-		r.resp <- batchResp{rows: rows, hits: hits}
+		r.resp <- resp
 	}
 }
 
-// predict runs one query through the batcher and returns the per-vertex
-// rows (capped at the server's K; the handler slices to the request's k).
+// run predicts sources in one scoped run over the current view and adds
+// their rows to rows and, while that view is still current, to the cache.
+func (s *Server) run(sources []graph.VertexID, rows map[graph.VertexID][]core.Prediction) error {
+	cfg := s.cfg
+	cfg.Sources = sources
+	ctx := context.Background()
+	if s.runTO > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.runTO)
+		defer cancel()
+	}
+	view, epoch := s.current()
+	preds, rst, err := engine.PredictScoped(ctx, s.be, view, cfg)
+	s.stats.observeRun(rst, err)
+	if err != nil {
+		return err
+	}
+	for i, v := range preds.Vertices {
+		// Clone: the engine's rows alias large shared per-batch append
+		// buffers, and a cached row must not pin a whole batch's worth of
+		// memory. Empty results are kept too — "no recommendations" is as
+		// expensive to recompute as a full answer.
+		row := preds.Rows[i]
+		rows[v] = append(make([]core.Prediction, 0, len(row)), row...)
+	}
+	// Fill the cache only while this run's view is still current: a mutation
+	// that landed mid-run has already invalidated its dirty rows, and caching
+	// results computed from the superseded view would re-poison them. The
+	// tick's own requests are still answered from rows — they were admitted
+	// against this view.
+	s.mu.Lock()
+	if s.epoch == epoch {
+		for _, v := range preds.Vertices {
+			s.cache.put(v, rows[v])
+		}
+	}
+	s.mu.Unlock()
+	return nil
+}
+
+// predict answers distinct ids and reports how many came from the cache.
+// The cache is read here, once: a fully cached request is answered without
+// the collector (and counts as one batch that ran nothing), and only the
+// misses wait for a tick. Rows are capped at the server's K; the handler
+// slices them to the request's k.
 func (s *Server) predict(ids []graph.VertexID) (map[graph.VertexID][]core.Prediction, int, error) {
-	req := &batchReq{ids: ids, resp: make(chan batchResp, 1)}
+	select {
+	case <-s.stop:
+		return nil, 0, errShutdown
+	default:
+	}
+	rows := make(map[graph.VertexID][]core.Prediction, len(ids))
+	var misses []graph.VertexID
+	for _, v := range ids {
+		if row, ok := s.cache.get(v); ok {
+			rows[v] = row
+		} else {
+			misses = append(misses, v)
+		}
+	}
+	hits := len(ids) - len(misses)
+	if len(misses) == 0 {
+		s.stats.observeBatch(false)
+		return rows, hits, nil
+	}
+	req := &batchReq{ids: misses, resp: make(chan batchResp, 1)}
 	select {
 	case <-s.stop:
 		return nil, 0, errShutdown
 	case s.queue <- req:
 	}
 	resp := <-req.resp
-	return resp.rows, resp.hits, resp.err
+	if resp.err != nil {
+		return nil, 0, resp.err
+	}
+	for _, v := range misses {
+		rows[v] = resp.rows[v]
+	}
+	return rows, hits, nil
 }
 
 // ---- HTTP layer ----
@@ -760,34 +748,33 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "k=%d outside [1,%d] (the server computes top-%d)", k, s.cfg.K, s.cfg.K)
 		return
 	}
-	n := s.nv
-	ids := make([]graph.VertexID, len(req.IDs))
-	for i, id := range req.IDs {
-		if int(id) >= n {
-			httpError(w, http.StatusBadRequest, "vertex %d outside [0,%d)", id, n)
+	// ids holds each vertex once, in the order of its first occurrence.
+	ids := make([]graph.VertexID, 0, len(req.IDs))
+	seen := make(map[graph.VertexID]bool, len(req.IDs))
+	for _, id := range req.IDs {
+		if int(id) >= s.nv {
+			httpError(w, http.StatusBadRequest, "vertex %d outside [0,%d)", id, s.nv)
 			return
 		}
-		ids[i] = graph.VertexID(id)
+		if v := graph.VertexID(id); !seen[v] {
+			seen[v] = true
+			ids = append(ids, v)
+		}
 	}
 
 	rows, hits, err := s.predict(ids)
 	lat := time.Since(start)
 	if err != nil {
-		s.stats.observe(lat, len(ids), 0, true)
+		s.stats.observe(lat, len(req.IDs), len(ids), 0, true)
 		httpError(w, http.StatusInternalServerError, "predict: %v", err)
 		return
 	}
 	resp := PredictResponse{
-		Results:   make([]VertexResult, 0, len(rows)),
+		Results:   make([]VertexResult, 0, len(ids)),
 		CacheHits: hits,
 		ServedMs:  float64(lat.Microseconds()) / 1000,
 	}
-	emitted := make(map[graph.VertexID]bool, len(rows))
 	for _, v := range ids {
-		if emitted[v] {
-			continue
-		}
-		emitted[v] = true
 		row := rows[v]
 		vr := VertexResult{ID: uint32(v), Predictions: make([]PredictionJSON, 0, min(k, len(row)))}
 		for i, p := range row {
@@ -798,7 +785,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, vr)
 	}
-	s.stats.observe(lat, len(ids), hits, false)
+	s.stats.observe(lat, len(req.IDs), len(ids), hits, false)
 	writeJSON(w, http.StatusOK, resp)
 }
 

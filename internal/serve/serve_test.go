@@ -145,7 +145,7 @@ func TestPredictMatchesReference(t *testing.T) {
 // TestSparseAndDenseBackendsServeIdentically pins engine.PredictScoped's two
 // arms behind the server: a backend offering the sparse form (engine.Local)
 // and one offering only the dense Backend.Predict (countingBackend, which
-// hides Local's PredictScoped the way Fleet, Sim, Serial and wrappers do)
+// hides Local's PredictScoped the way Sim, Serial and wrappers do)
 // must produce byte-identical responses and leave byte-identical rows in
 // the cache — over sources whose closures are small, past core's arena rule
 // and empty.
@@ -331,6 +331,100 @@ func TestFullyCachedSkipsWindow(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second): // far below the 1h window
 		t.Fatal("fully-cached request waited for the batch window")
+	}
+}
+
+// gatedBackend wraps a Backend so that each run signals entered as it
+// starts and then blocks until release is closed.
+type gatedBackend struct {
+	engine.Backend
+	calls   atomic.Int64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *gatedBackend) Predict(g graph.View, cfg core.Config) (core.Predictions, engine.Stats, error) {
+	b.calls.Add(1)
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.Predict(g, cfg)
+}
+
+// TestCachedRequestAnsweredDuringRun pins that hits never queue behind
+// misses: while another request's run is blocked in the backend, a fully
+// cached request is answered from the cache.
+func TestCachedRequestAnsweredDuringRun(t *testing.T) {
+	be := &gatedBackend{Backend: engine.Local{Workers: 1}, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s, err := New(Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := sync.OnceFunc(func() { close(be.release) })
+	t.Cleanup(s.Close)
+	t.Cleanup(release) // runs first: Close waits for the collector's run
+	s.cache.put(3, []core.Prediction{{Vertex: 9, Score: 1}})
+	errc := make(chan error, 1)
+	go func() {
+		_, _, err := s.predict([]graph.VertexID{1})
+		errc <- err
+	}()
+	<-be.entered // vertex 1's run is blocked in the backend
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rows, hits, err := s.predict([]graph.VertexID{3})
+		if err != nil || hits != 1 || len(rows[3]) != 1 {
+			t.Errorf("rows=%v hits=%d err=%v", rows, hits, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a fully cached request waited for another request's run")
+	}
+	release()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWaitingMissServedFromCache pins the tick's second cache read: a miss
+// whose row another tick cached while it waited for its own tick is
+// answered from the cache, without a second run.
+func TestWaitingMissServedFromCache(t *testing.T) {
+	be := &countingBackend{inner: engine.Local{Workers: 1}}
+	s, err := New(Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	row := []core.Prediction{{Vertex: 9, Score: 1}}
+	s.cache.put(1, row) // vertex 1 missed in its handler, then another tick cached it
+	req := &batchReq{ids: []graph.VertexID{1, 2}, resp: make(chan batchResp, 1)}
+	s.runBatch([]*batchReq{req}, map[graph.VertexID]bool{1: true, 2: true})
+	resp := <-req.resp
+	if resp.err != nil || !reflect.DeepEqual(resp.rows[1], row) || resp.rows[2] == nil {
+		t.Fatalf("rows=%v err=%v, want vertex 1's cached row and a computed row for 2", resp.rows, resp.err)
+	}
+	if got := be.sources.Load(); be.calls.Load() != 1 || got != 1 {
+		t.Fatalf("backend ran %d times over %d sources, want once over vertex 2 alone", be.calls.Load(), got)
+	}
+}
+
+// TestStatszCountsDistinctMisses pins /statsz's miss count to distinct ids:
+// a repeated id is asked for twice but computed (or missed) once.
+func TestStatszCountsDistinctMisses(t *testing.T) {
+	_, ts := newTestServer(t, Options{Graph: testGraph(t, 100, 7), Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	for _, body := range []string{`{"ids":[5]}`, `{"ids":[5,5]}`} {
+		if resp, _ := postPredict(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", body, resp.StatusCode)
+		}
+	}
+	var snap Snapshot
+	getJSON(t, ts.URL+"/statsz", &snap)
+	if snap.IDs != 3 || snap.CacheHits != 1 || snap.CacheMisses != 1 || snap.CacheHitRate != 0.5 {
+		t.Fatalf("ids=%d hits=%d misses=%d rate=%v, want 3/1/1/0.5", snap.IDs, snap.CacheHits, snap.CacheMisses, snap.CacheHitRate)
 	}
 }
 

@@ -23,9 +23,9 @@ type serverStats struct {
 	mu sync.Mutex
 
 	requests    int64 // /v1/predict requests answered (success or error)
-	ids         int64 // vertices asked for, summed over requests
-	cacheHits   int64 // ids answered from the LRU
-	cacheMisses int64 // ids that needed a frontier run
+	ids         int64 // vertices asked for, repeats included, summed over requests
+	cacheHits   int64 // distinct ids answered from the LRU
+	cacheMisses int64 // distinct ids that needed a frontier run
 	batches     int64 // micro-batches assembled
 	runs        int64 // backend Predict calls (batches with ≥1 uncached id)
 	errors      int64 // requests that failed
@@ -60,14 +60,15 @@ type sample struct {
 	ms float64
 }
 
-// observe records one answered request.
-func (s *serverStats) observe(lat time.Duration, ids, hits int, failed bool) {
+// observe records one answered request: ids vertices asked for, of which
+// distinct were distinct and hits of those came from the cache.
+func (s *serverStats) observe(lat time.Duration, ids, distinct, hits int, failed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.requests++
 	s.ids += int64(ids)
 	s.cacheHits += int64(hits)
-	s.cacheMisses += int64(ids - hits)
+	s.cacheMisses += int64(distinct - hits)
 	if failed {
 		s.errors++
 	}

@@ -171,7 +171,17 @@ func predict(ctx context.Context, g GraphView, opts Options) (Predictions, Engin
 	if err != nil {
 		return nil, EngineStats{}, err
 	}
-	return engine.PredictWithContext(ctx, be, g, cfg)
+	return run(ctx, be, g, cfg)
+}
+
+// run answers cfg through the engine's one query path and scatters the rows
+// once, into the table the facade returns.
+func run(ctx context.Context, be engine.Backend, g GraphView, cfg core.Config) (Predictions, EngineStats, error) {
+	sp, st, err := engine.PredictScoped(ctx, be, g, cfg)
+	if err != nil {
+		return nil, st, err
+	}
+	return sp.Dense(g.NumVertices()), st, nil
 }
 
 // ErrMemoryExhausted is returned (wrapped) when a simulated node exceeds its
@@ -284,7 +294,7 @@ func (c *Cluster) predict(ctx context.Context, opts Options) (Predictions, Engin
 	if closed {
 		return nil, EngineStats{}, fmt.Errorf("snaple: cluster is closed")
 	}
-	preds, st, err := engine.PredictWithContext(ctx, c.be, c.g, cfg)
+	preds, st, err := run(ctx, c.be, c.g, cfg)
 	if c.fleet == nil && st.Engine != "" { // a sim run that got as far as a superstep
 		c.mu.Lock()
 		c.last = st
