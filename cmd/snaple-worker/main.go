@@ -13,14 +13,14 @@
 //
 // The first stdout line announces the bound address as "listening <addr>",
 // which is how spawning coordinators and the CI cluster-smoke script learn
-// ephemeral ports. Without -shard, coordinators are served one connection at
-// a time: each ships the worker its partition once, for the life of the
-// connection, and then opens every job on it with a fingerprint attach. With
-// -shard the worker loads one partition packed by `snaple pack -shards` at
-// startup and stays resident: coordinators attach without ever shipping (a
-// ship is refused), connections are served concurrently so several front-ends
-// can share the worker, and an attach for a different pack is refused. Either
-// way the worker keeps serving until killed (SIGINT/SIGTERM exit cleanly).
+// ephemeral ports. Connections are served concurrently. Without -shard, each
+// coordinator connection ships the worker its partition once, for the life
+// of the connection, and then opens every job on it with a fingerprint
+// attach. With -shard the worker loads one partition packed by `snaple pack
+// -shards` at startup and stays resident: coordinators attach without ever
+// shipping (a ship is refused), so several front-ends can share the worker,
+// and an attach for a different pack is refused. Either way the worker keeps
+// serving until killed (SIGINT/SIGTERM exit cleanly).
 package main
 
 import (

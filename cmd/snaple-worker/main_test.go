@@ -79,8 +79,8 @@ func TestWorkerProcessEndToEnd(t *testing.T) {
 		t.Errorf("no measured traffic: %+v", st)
 	}
 
-	// Workers serve jobs sequentially: a second session on the same fleet
-	// must work (fresh partition state per connection).
+	// A second session on the same workers must work: each connection
+	// installs its own shipped partition.
 	got2, _, err := engine.Dist{Addrs: addrs, Seed: 42}.Predict(g, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -78,9 +78,6 @@ type Options struct {
 	// 128 GB, 10GbE; the default) — the paper's two machine classes (sim
 	// only).
 	NodeType string
-	// Partitions overrides the partition count (default one per core; sim
-	// only — dist always cuts one partition per replica group).
-	Partitions int
 	// Strategy selects the vertex cut: "hash-edge" (default), "hash-source"
 	// or "greedy".
 	Strategy string
@@ -117,9 +114,6 @@ type Options struct {
 	// fleet setup; transient failures are retried with exponential backoff
 	// and jitter (0 = 3 attempts).
 	DialAttempts int
-	// DialBackoff is the initial retry backoff for DialAttempts, doubled
-	// after each failed attempt (0 = 150ms; dist only).
-	DialBackoff time.Duration
 }
 
 // Config is the one translation of o into the kernels' configuration: the
@@ -179,15 +173,14 @@ func (o Options) Backend(g graph.View, standing bool) (engine.Backend, error) {
 			return nil, fmt.Errorf("snaple: unknown node type %q (type-I|type-II)", o.NodeType)
 		}
 		return engine.Sim{
-			Nodes: o.Nodes, Spec: spec, Partitions: o.Partitions, Strategy: strat,
+			Nodes: o.Nodes, Spec: spec, Strategy: strat,
 			MemBudgetBytes: o.MemBudgetBytes, Seed: o.Seed, Workers: o.Workers,
 		}, nil
 	}
 	fo := engine.FleetOptions{
 		Addrs: o.WorkerAddrs, Spawn: o.SpawnWorkers, WorkerBin: o.WorkerBin,
 		InProc: o.Workers, Replicas: o.Replicas, Strategy: strat, Seed: o.Seed,
-		StepTimeout: o.StepTimeout, DialAttempts: o.DialAttempts,
-		DialBackoff: o.DialBackoff, Compress: o.WireCompress,
+		StepTimeout: o.StepTimeout, DialAttempts: o.DialAttempts, Compress: o.WireCompress,
 	}
 	if o.Manifest != "" {
 		f, err := os.Open(o.Manifest)

@@ -32,7 +32,7 @@ func withStepHook(hook func(si int, r *distRun)) context.Context {
 // chaosPool serves n in-process loopback workers whose FIRST session runs
 // over a fault-injecting transport scripted by events(worker); later
 // sessions are served clean, so a test can assert that a worker survives
-// its faulted session and serves the next job. Like a real snaple-worker,
+// its faulted session and serves the next job. Unlike a real snaple-worker,
 // each listener serves sessions sequentially.
 func chaosPool(t *testing.T, n int, events func(worker int) []wire.ChaosEvent) []string {
 	t.Helper()
@@ -316,8 +316,8 @@ func TestDistCancelMidSuperstep(t *testing.T) {
 
 	// The workers saw their sessions die, not their processes: the same
 	// fleet must serve the next (healthy) job. The pool serves sessions
-	// sequentially like a real worker, so this also waits out worker 0's
-	// stalled first session ending.
+	// sequentially, so this also waits out worker 0's stalled first session
+	// ending.
 	want, err := core.ReferenceSnaple(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -379,54 +379,4 @@ func TestFleetScopedCancelMidSuperstep(t *testing.T) {
 			t.Fatalf("vertex %d: %v, want %v", v, got.Rows[i], full[v])
 		}
 	}
-}
-
-// TestDistReplicasEquivalence pins the healthy replicated paths: any
-// replica factor (including a clamped one and a query-scoped run) must be
-// invisible in the results and visible in the stats.
-func TestDistReplicasEquivalence(t *testing.T) {
-	g := testGraph(t, 200, 7)
-	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
-	full, err := core.ReferenceSnaple(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("factors", func(t *testing.T) {
-		for _, c := range []struct{ workers, replicas, wantReps, wantWorkers int }{
-			{4, 2, 2, 4},
-			{6, 3, 3, 6},
-			{4, 3, 3, 3}, // 4/3 = one partition group of 3; the 4th worker is unused
-			{2, 5, 2, 2}, // clamped to the fleet size
-		} {
-			addrs := workerPool(t, c.workers)
-			got, st, err := Dist{Addrs: addrs, Seed: 42, Replicas: c.replicas}.Predict(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(full, got) {
-				diffPredictions(t, full, got)
-			}
-			if st.Replicas != c.wantReps || st.Workers != c.wantWorkers {
-				t.Errorf("workers=%d replicas=%d: stats Workers=%d Replicas=%d, want %d/%d",
-					c.workers, c.replicas, st.Workers, st.Replicas, c.wantWorkers, c.wantReps)
-			}
-		}
-	})
-	t.Run("scoped", func(t *testing.T) {
-		sources := []graph.VertexID{3, 50, 101}
-		scfg := cfg
-		scfg.Sources = sources
-		want := filterToSources(full, sources)
-		addrs := workerPool(t, 4)
-		got, st, err := Dist{Addrs: addrs, Seed: 42, Replicas: 2}.Predict(g, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			diffPredictions(t, want, got)
-		}
-		if st.Replicas != 2 {
-			t.Errorf("Replicas = %d, want 2", st.Replicas)
-		}
-	})
 }

@@ -38,8 +38,8 @@ const routeChunkBytes = 64 << 10
 
 // shipTimeout bounds each ship/ready and attach/ready handshake per worker.
 // Generous — a big subgraph legitimately takes a while to encode and load —
-// but finite: a worker that is busy with another coordinator's session will
-// never answer at all, and that must surface as an error, not a hang.
+// but finite: a wedged worker, or a stranger that accepted the connection,
+// may never answer at all, and that must surface as an error, not a hang.
 const shipTimeout = 2 * time.Minute
 
 // Name implements Backend.
@@ -142,19 +142,20 @@ func retryableDial(err error) bool {
 	return errors.As(err, &ne) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
+// dialBackoff is the first pause between connection attempts, doubled after
+// each failed one.
+const dialBackoff = 150 * time.Millisecond
+
 // withRetry runs attempt up to DialAttempts times (0 = 3) with exponential
-// backoff from DialBackoff (0 = 150ms) and jitter between tries (the jitter
-// keeps a fleet-wide reconnect from stampeding one worker). always retries
-// every failure — for spawn, where each attempt forks a fresh process and any
+// backoff from dialBackoff and jitter between tries (the jitter keeps a
+// fleet-wide reconnect from stampeding one worker). always retries every
+// failure — for spawn, where each attempt forks a fresh process and any
 // failure is worth a retry; otherwise only retryableDial failures are
 // retried. Returns how many retries ran and the final error.
 func (o FleetOptions) withRetry(always bool, attempt func() error) (retries int, err error) {
-	attempts, backoff := o.DialAttempts, o.DialBackoff
+	attempts, backoff := o.DialAttempts, dialBackoff
 	if attempts <= 0 {
 		attempts = 3
-	}
-	if backoff <= 0 {
-		backoff = 150 * time.Millisecond
 	}
 	for i := 0; ; i++ {
 		err = attempt()

@@ -399,8 +399,8 @@ func (r *distRun) killWorker(i int) {
 }
 
 // setup sends each live worker its attach and waits for every Ready, under
-// the handshake deadline: a worker busy with another session never reads the
-// attach, and without the bound that is a silent hang. Connection failures
+// the handshake deadline: a wedged worker never reads the attach, and
+// without the bound that is a silent hang. Connection failures
 // are liveness verdicts (a replica dead at setup fails over like any other
 // death); a worker's typed rejection of the job — bad config, wrong
 // fingerprint or shard — is deterministic, every replica would refuse the

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -58,110 +57,6 @@ func diffPredictions(t *testing.T, want, got core.Predictions) {
 		}
 	}
 	t.Fatal("predictions differ but no vertex mismatch found")
-}
-
-// TestLocalMatchesReference is the backend-equivalence table: engine.Local
-// must be bit-identical to core.ReferenceSnaple across scores, selection
-// policies, truncation thresholds, relay bounds, seeds and worker counts. Run it under -race to also exercise the sharding.
-func TestLocalMatchesReference(t *testing.T) {
-	g := testGraph(t, 300, 7)
-
-	type tc struct {
-		score  string
-		policy core.SelectionPolicy
-		thr    int
-		klocal int
-		seed   uint64
-	}
-	var cases []tc
-	// Full policy/sampling cross for the default score.
-	for _, policy := range []core.SelectionPolicy{core.SelectMax, core.SelectMin, core.SelectRnd} {
-		for _, thr := range []int{core.Unlimited, 10} {
-			for _, klocal := range []int{core.Unlimited, 4, 1} {
-				for _, seed := range []uint64{1, 42} {
-					cases = append(cases, tc{"linearSum", policy, thr, klocal, seed})
-				}
-			}
-		}
-	}
-	// Every Table 3 score family at the paper-style operating point.
-	for _, score := range []string{"PPR", "counter", "euclSum", "geomSum", "linearMean", "geomMean", "linearGeom", "euclGeom", "geomGeom", "euclMean"} {
-		cases = append(cases, tc{score, core.SelectMax, 10, 4, 42})
-	}
-
-	for _, c := range cases {
-		cfg := core.Config{
-			Score:    mustScore(t, c.score),
-			K:        5,
-			KLocal:   c.klocal,
-			ThrGamma: c.thr,
-			Policy:   c.policy,
-			Seed:     c.seed,
-		}
-		want, err := core.ReferenceSnaple(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 3, 8} {
-			name := fmt.Sprintf("%s/%s/thr=%d/klocal=%d/seed=%d/workers=%d",
-				c.score, c.policy, c.thr, c.klocal, c.seed, workers)
-			t.Run(name, func(t *testing.T) {
-				got, st, err := Local{Workers: workers}.Predict(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Engine != "local" || st.Workers != workers {
-					t.Errorf("stats = %+v", st)
-				}
-				if !reflect.DeepEqual(want, got) {
-					diffPredictions(t, want, got)
-				}
-			})
-		}
-	}
-}
-
-// TestSimMatchesReference pins the Sim adapter to the same oracle and
-// checks it reports the simulated costs the other backends cannot.
-func TestSimMatchesReference(t *testing.T) {
-	g := testGraph(t, 200, 3)
-	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 8, ThrGamma: 10, Seed: 5}
-	want, err := core.ReferenceSnaple(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Sim{Nodes: 3, Seed: 9}.Predict(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		diffPredictions(t, want, got)
-	}
-	if st.Engine != "sim" {
-		t.Errorf("engine = %q", st.Engine)
-	}
-	if st.ReplicationFactor < 1 || st.CrossBytes == 0 || st.SimSeconds == 0 {
-		t.Errorf("sim costs missing: %+v", st)
-	}
-}
-
-func TestSerialMatchesReference(t *testing.T) {
-	g := testGraph(t, 150, 11)
-	cfg := core.Config{Score: mustScore(t, "geomMean"), K: 5, KLocal: 6, Seed: 2}
-	want, err := core.ReferenceSnaple(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, st, err := Serial{}.Predict(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		diffPredictions(t, want, got)
-	}
-	if st.Engine != "serial" || st.Workers != 1 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
 func TestBackendsRejectInvalidConfig(t *testing.T) {

@@ -147,12 +147,9 @@ type FleetOptions struct {
 	// legitimately enormous supersteps).
 	StepTimeout time.Duration
 	// DialAttempts bounds connection attempts per worker: transient dial and
-	// spawn-handshake failures are retried with exponential backoff and jitter
-	// up to this many tries (0 = 3).
+	// spawn-handshake failures are retried with exponential backoff (from
+	// 150ms) and jitter up to this many tries (0 = 3).
 	DialAttempts int
-	// DialBackoff is the initial retry backoff, doubled after each failed
-	// attempt with jitter (0 = 150ms).
-	DialBackoff time.Duration
 	// Compress requests per-frame flate compression (subject to each worker
 	// granting it) — a cross-rack bandwidth trade.
 	Compress bool
@@ -299,18 +296,6 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 	case len(o.Addrs) > 0:
 		f.ship = o.Manifest == nil
 		copy(f.addrs, o.Addrs)
-		if f.ship {
-			// A plain worker serves one session at a time, so dialing the same
-			// one twice deadlocks the second hello (caught late by its
-			// timeout); reject the footgun up front instead.
-			seen := make(map[string]struct{}, len(f.addrs))
-			for _, addr := range f.addrs {
-				if _, dup := seen[addr]; dup {
-					return nil, fmt.Errorf("engine: fleet: duplicate worker address %q: each worker serves one session at a time", addr)
-				}
-				seen[addr] = struct{}{}
-			}
-		}
 	case o.Spawn > 0:
 		// connect forks each slot's process; here only the binary is resolved,
 		// so a missing one fails the open instead of counting as dead workers.

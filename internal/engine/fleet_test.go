@@ -68,7 +68,7 @@ func checkGoroutines(t *testing.T) {
 
 // packVia round-trips PackShards' output through the on-disk encoding, so
 // every fleet test also exercises what a worker actually loads.
-func packVia(t *testing.T, g *graph.Digraph, strat partition.Strategy, seed uint64, shards int) ([]*graph.ShardFile, *graph.Manifest) {
+func packVia(t testing.TB, g *graph.Digraph, strat partition.Strategy, seed uint64, shards int) ([]*graph.ShardFile, *graph.Manifest) {
 	t.Helper()
 	files, man, err := PackShards(g, strat, seed, shards)
 	if err != nil {
@@ -101,117 +101,6 @@ func packVia(t *testing.T, g *graph.Digraph, strat partition.Strategy, seed uint
 		t.Fatal("manifest did not survive the disk round trip")
 	}
 	return files, rt
-}
-
-// TestFleetMatchesReference is the standing fleet's equivalence table: an
-// in-process fleet must reproduce core.ReferenceSnaple bit for bit
-// across scores, policies, sampling parameters and fleet shapes — reusing the same
-// attached workers for every config, which is exactly the multi-job session
-// reuse production serving depends on.
-func TestFleetMatchesReference(t *testing.T) {
-	g := testGraph(t, 200, 7)
-
-	type tc struct {
-		score  string
-		policy core.SelectionPolicy
-		thr    int
-		klocal int
-		seed   uint64
-	}
-	cases := []tc{
-		{"linearSum", core.SelectMax, core.Unlimited, core.Unlimited, 1},
-		{"linearSum", core.SelectRnd, 10, 4, 42},
-		{"PPR", core.SelectMax, 10, 4, 42},
-		{"geomMean", core.SelectMax, 10, 4, 42},
-		{"counter", core.SelectMin, 10, 3, 42},
-	}
-	fleets := []struct {
-		shards, replicas int
-	}{
-		{1, 1}, {2, 1}, {4, 1}, {3, 2},
-	}
-	for _, fs := range fleets {
-		f, err := OpenFleet(g, FleetOptions{InProc: fs.shards, Replicas: fs.replicas, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { f.Close() })
-		for _, c := range cases {
-			cfg := core.Config{
-				Score: mustScore(t, c.score), K: 5, KLocal: c.klocal,
-				ThrGamma: c.thr, Policy: c.policy, Seed: c.seed,
-			}
-			want, err := core.ReferenceSnaple(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("shards=%d/reps=%d/%s/%s", fs.shards, fs.replicas, c.score, c.policy)
-			t.Run(name, func(t *testing.T) {
-				got, st, err := f.Predict(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Engine != "fleet" || st.Workers != fs.shards*fs.replicas {
-					t.Errorf("stats = %+v", st)
-				}
-				if !reflect.DeepEqual(want, got) {
-					diffPredictions(t, want, got)
-				}
-			})
-		}
-	}
-}
-
-// TestFleetResidentWorkers runs the packed-shard path end to end: PackShards
-// output round-tripped through the on-disk shard and manifest encodings,
-// served by resident loopback workers, attached by a manifest-opened fleet —
-// and still bit-identical to the oracle, scoped and unscoped.
-func TestFleetResidentWorkers(t *testing.T) {
-	g := testGraph(t, 300, 7)
-	const shards, reps = 3, 2
-	files, man := packVia(t, g, nil, 11, shards)
-	addrs := serveResident(t, files, reps)
-
-	f, err := OpenFleet(g, FleetOptions{Addrs: addrs, Manifest: man, Replicas: reps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if info := f.FleetInfo(); info.Shards != shards || info.Replicas != reps || info.Workers != shards*reps || info.Fingerprint != man.Fingerprint {
-		t.Fatalf("info = %+v", info)
-	}
-
-	base := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42}
-	full, err := core.ReferenceSnaple(g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("full", func(t *testing.T) {
-		got, st, err := f.Predict(g, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(full, got) {
-			diffPredictions(t, full, got)
-		}
-		if st.ShipBytes == 0 || st.CrossBytes == 0 {
-			t.Errorf("traffic accounting missing: %+v", st)
-		}
-	})
-	for setName, sources := range frontierSourceSets(g.NumVertices()) {
-		t.Run("scoped/"+setName, func(t *testing.T) {
-			cfg := base
-			cfg.Sources = sources
-			want := filterToSources(full, sources)
-			got, _, err := f.Predict(g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				diffPredictions(t, want, got)
-			}
-		})
-	}
 }
 
 // TestFleetRoutingSelectivity pins the routing guarantee: a query whose
@@ -585,7 +474,6 @@ func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := frontierSourceSets(g.NumVertices())
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
@@ -598,15 +486,15 @@ func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
 			}
 			defer f.Close()
 			for round := 0; round < 4; round++ {
-				for name, sources := range sets {
+				for _, name := range eqScopes[1:6] { // single, hub, duplicates, random25, all
 					cfg := base
-					cfg.Sources = sources
+					cfg.Sources, _ = eqScopeSources(name, eqGraph{core: g.NumVertices()})
 					got, _, err := f.Predict(g, cfg)
 					if err != nil {
 						t.Errorf("coordinator %d, %s: %v", c, name, err)
 						return
 					}
-					if !reflect.DeepEqual(filterToSources(full, sources), got) {
+					if !reflect.DeepEqual(filterToSources(full, cfg.Sources), got) {
 						t.Errorf("coordinator %d, %s: scoped run over the shared worker diverges from Serial", c, name)
 						return
 					}

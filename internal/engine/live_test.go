@@ -1,8 +1,9 @@
 package engine
 
 import (
-	"bytes"
+	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,86 +11,56 @@ import (
 	"snaple/internal/graph"
 )
 
-// mutatedView layers two mutation batches over g — adds, removes, and a
-// re-add — returning the live overlay view.
-func mutatedView(t testing.TB, g *graph.Digraph) *graph.Delta {
-	t.Helper()
+// mutationBatches returns two (adds, removes) batches over g in the order
+// they apply: adds and removes, then a re-add of one removed edge and the
+// removal of one added edge — the copy-on-write chain serving produces.
+func mutationBatches(g *graph.Digraph) [2][2][]graph.Edge {
 	n := graph.VertexID(g.NumVertices())
 	var adds, removes []graph.Edge
-	for u := graph.VertexID(0); u < 10; u++ {
+	for u := graph.VertexID(0); u < min(10, n); u++ {
 		adds = append(adds, graph.Edge{Src: u, Dst: (u*37 + 13) % n})
 	}
-	for u := graph.VertexID(0); u < 8; u++ {
+	for u := graph.VertexID(0); u < min(8, n); u++ {
 		if row := g.OutNeighbors(u); len(row) > 0 {
 			removes = append(removes, graph.Edge{Src: u, Dst: row[0]})
 		}
 	}
-	d, err := graph.NewDelta(g).Apply(adds, removes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second batch on top: re-add one removed edge, drop one added edge —
-	// the copy-on-write chain the serving path produces.
-	d, err = d.Apply(removes[:1], adds[:1])
-	if err != nil {
-		t.Fatal(err)
+	return [2][2][]graph.Edge{{adds, removes}, {removes[:1], adds[:1]}}
+}
+
+// mutatedView layers mutationBatches over g as a live overlay view.
+func mutatedView(t testing.TB, g *graph.Digraph) *graph.Delta {
+	t.Helper()
+	d := graph.NewDelta(g)
+	for _, b := range mutationBatches(g) {
+		var err error
+		if d, err = d.Apply(b[0], b[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return d
 }
 
-// TestMutatedViewMatchesCompactedSnapshot is the live-graph acceptance
-// oracle: a scoped predict over base+delta must be bit-identical, on every
-// backend, to the same predict over the delta compacted into a fresh CSR,
-// round-tripped through the .sgr snapshot codec — the exact state a server
-// restart would reload.
-func TestMutatedViewMatchesCompactedSnapshot(t *testing.T) {
-	g := testGraph(t, 250, 11)
-	d := mutatedView(t, g)
-
-	var buf bytes.Buffer
-	if err := graph.WriteSnapshot(&buf, d.Materialize()); err != nil {
-		t.Fatal(err)
+// mutatedCSR is what mutatedView must equal, built without the overlay: g's
+// edge set with each batch's adds and then its removes applied, assembled
+// (self-loops dropped) as a fresh heap CSR.
+func mutatedCSR(t testing.TB, g *graph.Digraph) *graph.Digraph {
+	t.Helper()
+	edges := map[graph.Edge]bool{}
+	g.ForEachEdge(func(u, v graph.VertexID) { edges[graph.Edge{Src: u, Dst: v}] = true })
+	for _, b := range mutationBatches(g) {
+		for _, e := range b[0] {
+			edges[e] = true
+		}
+		for _, e := range b[1] {
+			delete(edges, e)
+		}
 	}
-	loaded, err := graph.ReadSnapshot(&buf)
+	csr, err := graph.FromEdges(g.NumVertices(), slices.Collect(maps.Keys(edges)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.NumEdges() != d.NumEdges() {
-		t.Fatalf("snapshot edges %d, overlay %d", loaded.NumEdges(), d.NumEdges())
-	}
-
-	cfg := core.Config{
-		Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42,
-		Sources: []graph.VertexID{0, 3, 7, 50, 120, 249},
-	}
-	backends := []struct {
-		name string
-		be   Backend
-	}{
-		{"serial", Serial{}},
-		{"local", Local{Workers: 3}},
-		{"sim", Sim{Nodes: 3, Seed: 9}},
-		{"dist", Dist{InProc: 2, Seed: 42}},
-	}
-	var first core.Predictions
-	for _, b := range backends {
-		overDelta, _, err := b.be.Predict(d, cfg)
-		if err != nil {
-			t.Fatalf("%s over delta: %v", b.name, err)
-		}
-		overCSR, _, err := b.be.Predict(loaded, cfg)
-		if err != nil {
-			t.Fatalf("%s over snapshot: %v", b.name, err)
-		}
-		if !reflect.DeepEqual(overDelta, overCSR) {
-			t.Fatalf("%s: delta view and compacted snapshot disagree", b.name)
-		}
-		if first == nil {
-			first = overDelta
-		} else if !reflect.DeepEqual(first, overDelta) {
-			t.Fatalf("%s disagrees with %s over the mutated view", b.name, backends[0].name)
-		}
-	}
+	return csr
 }
 
 // TestFleetRejectsMutatedView pins the frozen-pack guard: a resident fleet

@@ -17,156 +17,6 @@ func localCfg(t testing.TB) core.Config {
 	return core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, Seed: 1}
 }
 
-func TestLocalEmptyGraph(t *testing.T) {
-	g, err := graph.FromEdges(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, _, err := Local{Workers: 4}.Predict(g, localCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preds) != 0 {
-		t.Fatalf("predictions on empty graph: %v", preds)
-	}
-}
-
-func TestLocalEdgelessVertices(t *testing.T) {
-	g, err := graph.FromEdges(5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds, _, err := Local{}.Predict(g, localCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u, ps := range preds {
-		if ps != nil {
-			t.Errorf("vertex %d: unexpected predictions %v", u, ps)
-		}
-	}
-}
-
-// TestLocalMoreWorkersThanVertices covers worker counts exceeding both the
-// vertex count and the chunking threshold.
-func TestLocalMoreWorkersThanVertices(t *testing.T) {
-	g := testGraph(t, 40, 5)
-	cfg := localCfg(t)
-	want, err := core.ReferenceSnaple(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 64} {
-		got, _, err := Local{Workers: workers}.Predict(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d differs from reference", workers)
-		}
-	}
-}
-
-// TestLocalLargerThanChunk forces the parallel path (n > chunkVerts) so the
-// chunk-claiming loop's boundary arithmetic is exercised, including the
-// final partial chunk.
-func TestLocalLargerThanChunk(t *testing.T) {
-	n := chunkVerts*2 + 37
-	g := testGraph(t, n, 13)
-	cfg := localCfg(t)
-	want, err := core.ReferenceSnaple(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Local{Workers: 4}.Predict(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("chunked parallel run differs from reference")
-	}
-}
-
-// TestPredictScopedMatchesPredict pins the sparse entry point to the dense
-// contract: Local.PredictScoped returns exactly the rows Predict scatters
-// over its |V|-long table, keyed by the sorted deduplicated sources, and the
-// engine dispatcher returns the same pairs whether the backend offers the
-// sparse form (Local) or only a dense Predict (Serial).
-func TestPredictScopedMatchesPredict(t *testing.T) {
-	small := testGraph(t, 300, 7)
-	for _, g := range []*graph.Digraph{small, padGraph(t, small, 300*sparsePad)} {
-		cfg := localCfg(t)
-		cfg.Sources = []graph.VertexID{200, 7, 50, 7, 299}
-		dense, _, err := Local{Workers: 3}.Predict(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sparse, st, err := Local{Workers: 3}.PredictScoped(context.Background(), g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := []graph.VertexID{7, 50, 200, 299}; !reflect.DeepEqual(sparse.Vertices, want) {
-			t.Fatalf("Vertices = %v, want %v", sparse.Vertices, want)
-		}
-		if st.ScoredVertices != 4 || st.FrontierVertices <= 4 {
-			t.Errorf("stats = %+v", st)
-		}
-		if !reflect.DeepEqual(sparse.Dense(g.NumVertices()), dense) {
-			t.Fatalf("n=%d: sparse rows scattered differ from Predict", g.NumVertices())
-		}
-		for _, v := range sparse.Vertices {
-			if !reflect.DeepEqual(sparse.Row(v), dense[v]) {
-				t.Fatalf("Row(%d) = %v, want %v", v, sparse.Row(v), dense[v])
-			}
-		}
-		if row := sparse.Row(8); row != nil {
-			t.Errorf("Row of a non-source = %v, want nil", row)
-		}
-		for _, be := range []Backend{Local{Workers: 1}, Serial{}, Dist{InProc: 2, Seed: 9}} {
-			got, _, err := PredictScoped(context.Background(), be, g, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, sparse) {
-				t.Fatalf("n=%d: dispatcher over %s differs from Local.PredictScoped", g.NumVertices(), be.Name())
-			}
-		}
-	}
-}
-
-// TestPredictScopedFullRun pins the one query path's full-run convention on
-// every built-in backend: an unscoped config returns nil Vertices and rows
-// whose Dense table is Predict's, reached through the backend's own method
-// (Local, Dist, Fleet) or the dense fallback (Serial, Sim).
-func TestPredictScopedFullRun(t *testing.T) {
-	g := testGraph(t, 300, 7)
-	cfg := localCfg(t)
-	f, err := OpenFleet(g, FleetOptions{InProc: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for _, be := range []Backend{Serial{}, Local{Workers: 3}, Sim{Partitions: 3, Seed: 9}, Dist{InProc: 2, Seed: 9}, f} {
-		want, _, err := be.Predict(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp, st, err := PredictScoped(context.Background(), be, g, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", be.Name(), err)
-		}
-		if sp.Vertices != nil {
-			t.Errorf("%s: full run returned %d Vertices, want nil", be.Name(), len(sp.Vertices))
-		}
-		if st.ScoredVertices != g.NumVertices() {
-			t.Errorf("%s: ScoredVertices = %d, want %d", be.Name(), st.ScoredVertices, g.NumVertices())
-		}
-		if got := sp.Dense(g.NumVertices()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: Dense of the full run differs from Predict", be.Name())
-		}
-	}
-}
-
 // predictOnly has the shape of a tracing wrapper: it embeds a Backend and
 // overrides Predict alone, which hides the embedded value's PredictScoped.
 type predictOnly struct {

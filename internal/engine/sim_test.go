@@ -40,14 +40,6 @@ func typeISim(parts, nodes int, seed uint64) Sim {
 	return Sim{Nodes: nodes, Spec: cluster.TypeI(), Partitions: parts, Strategy: partition.HashEdge{Seed: seed}}
 }
 
-// samePredictions demands bit-identical rows.
-func samePredictions(t *testing.T, got, want core.Predictions) {
-	t.Helper()
-	if !reflect.DeepEqual(want, got) {
-		diffPredictions(t, want, got)
-	}
-}
-
 // openSim opens a run of cfg's supersteps on s, masters elected with seed.
 func openSim(t testing.TB, s Sim, g graph.View, cfg core.Config, seed uint64) *simRun {
 	t.Helper()
@@ -118,79 +110,6 @@ func TestSimCostsGolden(t *testing.T) {
 	}
 }
 
-// TestGASMatchesSerialReference is the central correctness test: the
-// distributed Algorithm 2 must equal the serial reference bit-for-bit, for
-// every score family, policy, truncation/sampling setting and partitioning.
-func TestGASMatchesSerialReference(t *testing.T) {
-	g := communityGraph(t, 400, 21)
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"linearSum unlimited", core.Config{Score: mustScore(t, "linearSum"), K: 5, Seed: 1}},
-		{"linearSum klocal=8", core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 8, Seed: 1}},
-		{"linearSum thr=5", core.Config{Score: mustScore(t, "linearSum"), K: 5, ThrGamma: 5, Seed: 1}},
-		{"linearSum thr=5 klocal=4", core.Config{Score: mustScore(t, "linearSum"), K: 5, ThrGamma: 5, KLocal: 4, Seed: 2}},
-		{"counter", core.Config{Score: mustScore(t, "counter"), K: 5, KLocal: 8, Seed: 3}},
-		{"PPR", core.Config{Score: mustScore(t, "PPR"), K: 5, KLocal: 8, Seed: 3}},
-		{"euclMean", core.Config{Score: mustScore(t, "euclMean"), K: 5, KLocal: 8, Seed: 4}},
-		{"geomGeom", core.Config{Score: mustScore(t, "geomGeom"), K: 5, KLocal: 8, Seed: 4}},
-		{"policy min", core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, Policy: core.SelectMin, Seed: 5}},
-		{"policy rnd", core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, Policy: core.SelectRnd, Seed: 5}},
-		{"k=10", core.Config{Score: mustScore(t, "linearSum"), K: 10, KLocal: 8, Seed: 6}},
-	}
-	for _, tc := range cases {
-		want, err := core.ReferenceSnaple(g, tc.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, parts := range []int{1, 4, 7} {
-			t.Run(fmt.Sprintf("%s/parts=%d", tc.name, parts), func(t *testing.T) {
-				got, _, err := typeISim(parts, 3, 11).Predict(g, tc.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				samePredictions(t, got, want)
-			})
-		}
-	}
-}
-
-// TestGASBaselineMatchesSerialReference: the distributed BASELINE equals its
-// serial oracle exactly, over community graphs of two sizes and six seeds,
-// hash-edge cuts of 1, 3 and 8 parts and a greedy cut, on one host worker and
-// on several. Two vertices gathering through the same neighbour must not
-// share storage for their partials: BASELINE broke that once.
-func TestGASBaselineMatchesSerialReference(t *testing.T) {
-	for _, n := range []int{300, 800} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			g := communityGraph(t, n, seed)
-			want, err := core.ReferenceBaseline(g, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, parts := range []int{1, 3, 8} {
-				strategies := []partition.Strategy{partition.HashEdge{Seed: seed}}
-				if seed == 1 {
-					strategies = append(strategies, partition.Greedy{})
-				}
-				for _, strat := range strategies {
-					for _, workers := range []int{1, 4} {
-						t.Run(fmt.Sprintf("n=%d/seed=%d/%s/%d/workers=%d", n, seed, strat.Name(), parts, workers), func(t *testing.T) {
-							sim := Sim{Nodes: 2, Partitions: parts, Strategy: strat, Workers: workers}
-							got, _, err := sim.PredictBaseline(g, 5)
-							if err != nil {
-								t.Fatal(err)
-							}
-							samePredictions(t, got, want)
-						})
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBaselineExhaustsRestrictedMemory reproduces the Section 5.3 failure:
 // with a tight per-node budget, BASELINE dies of memory exhaustion — with
 // the costs up to the failing step reported — while SNAPLE completes on the
@@ -257,7 +176,8 @@ func TestSimValidatesConfig(t *testing.T) {
 	}
 }
 
-// TestDegenerateGraphs: the full distributed pipeline must handle empty and
+// TestDegenerateGraphs: every backend that schedules Algorithm 2 — Local's
+// passes, the sim's and the fleet's supersteps — must handle empty and
 // near-empty graphs without panicking or predicting anything.
 func TestDegenerateGraphs(t *testing.T) {
 	cases := []struct {
@@ -281,16 +201,20 @@ func TestDegenerateGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("serial: %v", err)
 			}
-			got, _, err := typeISim(2, 1, 0).Predict(g, cfg)
-			if err != nil {
-				t.Fatalf("distributed: %v", err)
-			}
-			samePredictions(t, got, ref)
-			// None of these graphs have any 2-hop candidate outside Γ ∪ {u}
-			// — except the two-cycle, where 0→1→0 is excluded as self.
-			for u, ps := range got {
-				if len(ps) != 0 {
-					t.Errorf("vertex %d got predictions %v on a degenerate graph", u, ps)
+			for _, be := range []Backend{Local{Workers: 4}, Local{}, typeISim(2, 1, 0), Dist{InProc: 2}} {
+				got, _, err := be.Predict(g, cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", be.Name(), err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					diffPredictions(t, ref, got)
+				}
+				// None of these graphs have any 2-hop candidate outside Γ ∪ {u}
+				// — except the two-cycle, where 0→1→0 is excluded as self.
+				for u, ps := range got {
+					if ps != nil {
+						t.Errorf("%s: vertex %d got predictions %v on a degenerate graph", be.Name(), u, ps)
+					}
 				}
 			}
 		})
@@ -308,22 +232,6 @@ func TestBaselineDegenerate(t *testing.T) {
 		if len(ps) != 0 {
 			t.Errorf("vertex %d got %v", u, ps)
 		}
-	}
-}
-
-// TestSimSinglePartitionHasNoCrossTraffic: one partition has no mirrors, so
-// nothing crosses a node.
-func TestSimSinglePartitionHasNoCrossTraffic(t *testing.T) {
-	g := erdosRenyi(t, 100, 800, 4)
-	_, st, err := typeISim(1, 1, 1).Predict(g, core.Config{Score: mustScore(t, "linearSum"), K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CrossBytes != 0 || st.CrossMsgs != 0 {
-		t.Errorf("cross traffic on one partition: %d bytes %d msgs", st.CrossBytes, st.CrossMsgs)
-	}
-	if st.ReplicationFactor != 1 {
-		t.Errorf("RF = %v, want 1", st.ReplicationFactor)
 	}
 }
 
@@ -382,31 +290,6 @@ func TestSimReleasesGatherState(t *testing.T) {
 	}
 	if r.st.MemPeakBytes != peakAfterTwo {
 		t.Errorf("peak grew across identical steps: %d -> %d", peakAfterTwo, r.st.MemPeakBytes)
-	}
-}
-
-// TestSimResultsIndependentOfPartitioning: neither the cut nor the host
-// worker count moves a bit of the predictions.
-func TestSimResultsIndependentOfPartitioning(t *testing.T) {
-	g := erdosRenyi(t, 120, 1000, 10)
-	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, ThrGamma: 8, Seed: 3}
-	want, _, err := typeISim(1, 2, 1).Predict(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{2, 5} {
-		for _, strat := range []partition.Strategy{partition.HashEdge{Seed: 9}, partition.Greedy{}, partition.HashSource{Seed: 4}} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%d/workers=%d", strat.Name(), parts, workers), func(t *testing.T) {
-					sim := Sim{Nodes: 2, Spec: cluster.TypeI(), Partitions: parts, Strategy: strat, Workers: workers}
-					got, _, err := sim.Predict(g, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					samePredictions(t, got, want)
-				})
-			}
-		}
 	}
 }
 

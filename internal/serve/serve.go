@@ -361,11 +361,12 @@ func (s *Server) run(sources []graph.VertexID, rows map[graph.VertexID][]core.Pr
 	return nil
 }
 
-// predict answers distinct ids and reports how many came from the cache.
-// The cache is read here, once: a fully cached request is answered without
-// the collector (and counts as one batch that ran nothing), and only the
-// misses wait for a tick. Rows are capped at the server's K; the handler
-// slices them to the request's k.
+// predict answers distinct ids and reports how many came from the cache,
+// on failure too: those hits were served whether or not the misses' run
+// succeeded. The cache is read here, once: a fully cached request is
+// answered without the collector (and counts as one batch that ran nothing),
+// and only the misses wait for a tick. Rows are capped at the server's K;
+// the handler slices them to the request's k.
 func (s *Server) predict(ids []graph.VertexID) (map[graph.VertexID][]core.Prediction, int, error) {
 	select {
 	case <-s.stop:
@@ -389,12 +390,12 @@ func (s *Server) predict(ids []graph.VertexID) (map[graph.VertexID][]core.Predic
 	req := &batchReq{ids: misses, resp: make(chan batchResp, 1)}
 	select {
 	case <-s.stop:
-		return nil, 0, errShutdown
+		return nil, hits, errShutdown
 	case s.queue <- req:
 	}
 	resp := <-req.resp
 	if resp.err != nil {
-		return nil, 0, resp.err
+		return nil, hits, resp.err
 	}
 	for _, v := range misses {
 		rows[v] = resp.rows[v]
@@ -765,7 +766,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	rows, hits, err := s.predict(ids)
 	lat := time.Since(start)
 	if err != nil {
-		s.stats.observe(lat, len(req.IDs), len(ids), 0, true)
+		s.stats.observe(lat, len(req.IDs), len(ids), hits, true)
 		httpError(w, http.StatusInternalServerError, "predict: %v", err)
 		return
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -425,6 +426,42 @@ func TestStatszCountsDistinctMisses(t *testing.T) {
 	getJSON(t, ts.URL+"/statsz", &snap)
 	if snap.IDs != 3 || snap.CacheHits != 1 || snap.CacheMisses != 1 || snap.CacheHitRate != 0.5 {
 		t.Fatalf("ids=%d hits=%d misses=%d rate=%v, want 3/1/1/0.5", snap.IDs, snap.CacheHits, snap.CacheMisses, snap.CacheHitRate)
+	}
+}
+
+// failAfterBackend wraps a Backend whose runs fail once it has answered ok
+// of them.
+type failAfterBackend struct {
+	engine.Backend
+	ok    int
+	calls atomic.Int64
+}
+
+func (b *failAfterBackend) Predict(g graph.View, cfg core.Config) (core.Predictions, engine.Stats, error) {
+	if b.calls.Add(1) > int64(b.ok) {
+		return nil, engine.Stats{}, errors.New("backend down")
+	}
+	return b.Backend.Predict(g, cfg)
+}
+
+// TestStatszCountsHitsOfFailedRequests pins /statsz's cache counts on the
+// failure path: a request whose misses' run fails was still answered its
+// hits from the cache, and they count as hits, not misses.
+func TestStatszCountsHitsOfFailedRequests(t *testing.T) {
+	be := &failAfterBackend{Backend: engine.Local{Workers: 1}, ok: 1}
+	_, ts := newTestServer(t, Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	for _, req := range []struct {
+		body   string
+		status int
+	}{{`{"ids":[5]}`, http.StatusOK}, {`{"ids":[5,6]}`, http.StatusInternalServerError}} {
+		if resp, _ := postPredict(t, ts.URL, req.body); resp.StatusCode != req.status {
+			t.Fatalf("%s: status %d, want %d", req.body, resp.StatusCode, req.status)
+		}
+	}
+	var snap Snapshot
+	getJSON(t, ts.URL+"/statsz", &snap)
+	if snap.CacheHits != 1 || snap.CacheMisses != 2 || snap.Errors != 1 {
+		t.Fatalf("hits=%d misses=%d errors=%d, want 1/2/1", snap.CacheHits, snap.CacheMisses, snap.Errors)
 	}
 }
 

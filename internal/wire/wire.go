@@ -400,8 +400,8 @@ type DialOptions struct {
 	// granting it).
 	Compress bool
 	// HelloTimeout bounds the version handshake (default 2 minutes — a
-	// worker busy with another session answers nothing at all, and that must
-	// surface as an error, not a hang).
+	// wedged worker, or a listener that is no worker, may answer nothing at
+	// all, and that must surface as an error, not a hang).
 	HelloTimeout time.Duration
 }
 
@@ -412,8 +412,8 @@ func Dial(addr string) (*Conn, error) {
 
 // DialWith is Dial with explicit options. A peer that answers the hello with
 // anything but a current hello fails with ErrProtocolMismatch; one that
-// answers nothing (a worker busy with another session, or a stranger that
-// stays silent) fails with a timeout after HelloTimeout.
+// answers nothing (a wedged worker, or a stranger that stays silent) fails
+// with a timeout after HelloTimeout.
 func DialWith(addr string, o DialOptions) (*Conn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -565,8 +565,8 @@ func (c *Conn) Expect(kind Kind) (*Msg, error) {
 // SetDeadline bounds every pending and future Send/Recv when the transport
 // supports deadlines (net.Conn and net.Pipe do; a transport that does not is
 // silently unbounded). The zero time clears the deadline. Coordinators use
-// it to keep a handshake against a busy worker — one already serving another
-// session never reads the next hello or attach — from hanging forever.
+// it to keep a handshake against a peer that never reads the hello or
+// attach — a wedged worker, a silent stranger — from hanging forever.
 func (c *Conn) SetDeadline(t time.Time) error {
 	if d, ok := c.closer.(interface{ SetDeadline(time.Time) error }); ok {
 		return d.SetDeadline(t)

@@ -24,20 +24,21 @@ type ServeOptions struct {
 	// Resident pins a shard for the worker's lifetime. It must be validated —
 	// loaded through graph.MapShardFile / ReadShard, or built by the engine's
 	// cut — because nothing below re-checks it. A resident worker needs no
-	// KindShip before its first KindAttach (and refuses one) and serves
-	// connections concurrently, so several coordinators — e.g. multiple serve
-	// front-ends — can share one standing fleet. Every session on every
-	// connection reads the one shard and never writes it; each builds only
-	// its own per-job state, sized by the job's vertices: the closure's
-	// entries on a scoped attach, never the shard's length.
+	// KindShip before its first KindAttach (and refuses one): several
+	// coordinators — e.g. multiple serve front-ends — attach to its one shard
+	// and share one standing fleet. Every session on every connection reads
+	// that shard and never writes it; each builds only its own per-job state,
+	// sized by the job's vertices: the closure's entries on a scoped attach,
+	// never the shard's length.
 	Resident *graph.ShardFile
 }
 
-// Serve accepts coordinator sessions on l until the listener is closed,
-// running them sequentially: a worker owns one partition at a time, so
-// serving jobs back to back is the natural unit of isolation. Session
-// errors are reported to logf (nil discards them) and do not stop the
-// worker — the next coordinator gets a fresh session.
+// Serve accepts coordinator connections on l until the listener is closed,
+// serving each concurrently with the others: a connection's jobs run over
+// the resident shard or the one shipped on that connection, so connections
+// share nothing they write. Session errors are reported to logf (nil
+// discards them) and do not stop the worker — the next coordinator gets a
+// fresh session.
 func Serve(l net.Listener, logf func(format string, args ...any)) error {
 	return ServeWith(l, logf, ServeOptions{})
 }
@@ -56,24 +57,13 @@ func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOpt
 			return fmt.Errorf("wire: accept: %w", err)
 		}
 		logf("session from %s", c.RemoteAddr())
-		if o.Resident != nil {
-			// A resident worker is shared infrastructure: several coordinators
-			// hold standing connections at once, so sessions run concurrently
-			// over the one immutable shard.
-			go func(c net.Conn) {
-				if err := ServeConnWith(c, o); err != nil {
-					logf("session from %s failed: %v", c.RemoteAddr(), err)
-				} else {
-					logf("session from %s done", c.RemoteAddr())
-				}
-			}(c)
-			continue
-		}
-		if err := ServeConnWith(c, o); err != nil {
-			logf("session from %s failed: %v", c.RemoteAddr(), err)
-		} else {
-			logf("session from %s done", c.RemoteAddr())
-		}
+		go func() {
+			if err := ServeConnWith(c, o); err != nil {
+				logf("session from %s failed: %v", c.RemoteAddr(), err)
+			} else {
+				logf("session from %s done", c.RemoteAddr())
+			}
+		}()
 	}
 }
 

@@ -2,11 +2,12 @@
 # cluster_smoke.sh — CI's cluster-smoke gate for the dist backend.
 #
 # Builds cmd/snaple-worker, spawns a 3-process worker fleet on loopback,
-# runs the dist-vs-serial equivalence tests under the race detector against
+# runs the equivalence harness's wire rows under the race detector against
 # that fleet (SNAPLE_WORKER_ADDRS points the tests at it), then exercises
 # both CLI paths: -addrs against the running fleet and -spawn, where the CLI
 # forks its own workers. The chaos legs run the in-process fault suite under
-# -race and SIGKILL a replicated worker mid-run, asserting the failover
+# -race, the harness's replica rows against the fleet, and SIGKILL a
+# replicated worker mid-run, asserting the failover
 # output is byte-identical to the healthy run's. The final resident leg
 # packs a 3-shard set, pins it on a 2x-replicated standing fleet, fronts it
 # with two snaple-serve processes sharing the same workers, and SIGKILLs a
@@ -68,9 +69,9 @@ done
 addr_list="$(IFS=,; echo "${addrs[*]}")"
 echo "    fleet: $addr_list"
 
-echo "==> dist-vs-serial equivalence under -race against the external fleet"
+echo "==> the equivalence harness's wire rows under -race against the external fleet"
 SNAPLE_WORKER_ADDRS="$addr_list" \
-  go test -race -count=1 -run 'TestDistMatchesReference|TestDistStrategies|TestDistMeasuredStats' \
+  go test -race -count=1 -run 'TestBackendEquivalence/^dist-(w|hash|greedy)' \
   ./internal/engine/
 
 echo "==> CLI end-to-end against the running fleet (-addrs)"
@@ -135,8 +136,12 @@ echo "    cross-node traffic: $plain_bytes B plain -> $zip_bytes B compressed"
 
 echo "==> in-process chaos suite under -race (failover equivalence, partition loss, cancellation)"
 go test -race -count=1 \
-  -run 'TestDistChaos|TestDistPartitionLost|TestDistCancel|TestDistReplicas' \
+  -run 'TestDistChaos|TestDistPartitionLost|TestDistCancel' \
   ./internal/engine/
+
+echo "==> the equivalence harness's replica rows under -race against the external fleet"
+SNAPLE_WORKER_ADDRS="$addr_list" \
+  go test -race -count=1 -run 'TestBackendEquivalence/^dist-r' ./internal/engine/
 
 echo "==> chaos: SIGKILL a replicated worker mid-run, output must be byte-identical"
 "$workdir/snaple-worker" -listen 127.0.0.1:0 \

@@ -102,10 +102,9 @@ type (
 // Options configures a SNAPLE run: Algorithm 2's inputs (Score, Alpha, K,
 // KLocal, ThrGamma, Policy, Paths, Seed), the backend (Engine, Workers), an
 // optional query frontier (Sources) and, for the "sim" and "dist" engines,
-// the deployment: the simulated cluster (Nodes, NodeType, Partitions,
-// MemBudgetBytes) or the worker fleet (Manifest, WorkerAddrs, SpawnWorkers,
-// WorkerBin, WireCompress, Replicas, StepTimeout, DialAttempts,
-// DialBackoff), cut by Strategy. Every entry point takes the same Options,
+// the deployment: the simulated cluster (Nodes, NodeType, MemBudgetBytes)
+// or the worker fleet (Manifest, WorkerAddrs, SpawnWorkers, WorkerBin,
+// WireCompress, Replicas, StepTimeout, DialAttempts), cut by Strategy. Every entry point takes the same Options,
 // and "" means "local" at every one of them. The fields are documented in
 // internal/deploy; BindFlags binds the flags the snaple commands share.
 type Options = deploy.Options
