@@ -371,7 +371,7 @@ func eqRequired() (items [][]string) {
 	cross([]string{"kind=sim", "kind=dist"}, []string{"strategy=hash-edge", "strategy=hash-source", "strategy=greedy"})
 	cross([]string{"system=baseline"}, append(eqNames(axGraph, 0),
 		"parts=1", "parts=3", "parts=8", "hostw=1", "hostw=4", "strategy=hash-edge", "strategy=greedy"))
-	return append(items,
+	items = append(items,
 		[]string{"backend=local-w64", "graph=test40-s5"},
 		[]string{"backend=local-w4", "graph=test549-s13"},
 		[]string{"kind=sim", "graph=community400-s21"},
@@ -382,6 +382,112 @@ func eqRequired() (items [][]string) {
 		[]string{"graph=test250-s13-pad16", "storage=mapped", "scope=single"},
 		[]string{"graph=test250-s13-pad16", "storage=packed", "scope=six-storage"},
 		[]string{"graph=test250-s13-pad16", "storage=delta", "scope=single"})
+	return append(items, eqTables()...)
+}
+
+// eqTables lists the crosses the per-backend tables this harness replaced
+// ran, combination for combination: each backend a table ran × each config
+// it ran (score and point) × each graph and scope it ran them on. The pairs
+// above make every value meet every other; these keep every row a table
+// checked checked, with the storage and entry point left free to vary.
+func eqTables() (items [][]string) {
+	type config struct {
+		score string
+		p     eqPoint
+	}
+	cross := func(backends []string, configs []config, where ...[]string) {
+		for _, b := range backends {
+			for _, c := range configs {
+				for _, w := range where {
+					items = append(items, append([]string{"backend=" + b, "score=" + c.score, "point=" + c.p.String()}, w...))
+				}
+			}
+		}
+	}
+	const hi, lo, rnd, u = core.SelectMax, core.SelectMin, core.SelectRnd, core.Unlimited
+	op := eqPoint{hi, 10, 4, 42, 5} // the paper-style operating point the tables share
+	at := func(p eqPoint, scores ...string) (cs []config) {
+		for _, s := range scores {
+			cs = append(cs, config{s, p})
+		}
+		return cs
+	}
+	full := func(graph string) []string { return []string{"graph=" + graph, "scope=full"} }
+	sims := func(ss ...Sim) (names []string) {
+		for _, s := range ss {
+			names = append(names, eqSim(s).name)
+		}
+		return names
+	}
+
+	// Local: workers 1, 3, 8 × the policy × thrΓ × k_local × seed cross
+	// (eqPoints' first 36) and every other score at op.
+	var local []config
+	for _, p := range eqPoints[:3*2*3*2] {
+		local = append(local, config{"linearSum", p})
+	}
+	for _, s := range core.ScoreNames() {
+		if s != "linearSum" {
+			local = append(local, config{s, op})
+		}
+	}
+	cross([]string{"local-w1", "local-w3", "local-w8"}, local, full("test300-s7"))
+
+	// Frontier: seven backends × seven configs × the source sets on
+	// test300-s7, padded past the arena rule, and padded past the list rule.
+	var where [][]string
+	for _, g := range []string{"test300-s7", "test300-s7-pad16"} {
+		for _, s := range []string{"single", "hub", "duplicates", "random25", "all"} {
+			where = append(where, []string{"graph=" + g, "scope=" + s})
+		}
+	}
+	where = append(where, []string{"graph=test300-s7-pad120", "scope=single"}, []string{"graph=test300-s7-pad120", "scope=duplicates"})
+	frontier := slices.Concat(at(eqPoint{hi, 10, 4, 42, 5}, "linearSum", "geomSum", "PPR"),
+		at(eqPoint{lo, 10, 4, 42, 5}, "linearSum"), at(eqPoint{rnd, 10, 4, 42, 5}, "linearSum"),
+		at(eqPoint{hi, u, u, 42, 5}, "linearSum"), at(eqPoint{rnd, u, 3, 42, 5}, "linearSum"))
+	cross(slices.Concat([]string{"serial", "local-w1", "local-w3", "local-w8"}, sims(Sim{Nodes: 3, Seed: 9}),
+		[]string{"dist-inproc1", "dist-inproc3"}), frontier, where...)
+
+	// GAS: type-I sims of 1, 4 and 7 partitions × eleven configs on
+	// community400-s21.
+	cross(sims(typeISim(1, 3, 11), typeISim(4, 3, 11), typeISim(7, 3, 11)), slices.Concat(
+		at(eqPoint{hi, u, u, 1, 5}, "linearSum"), at(eqPoint{hi, u, 8, 1, 5}, "linearSum"),
+		at(eqPoint{hi, 5, u, 1, 5}, "linearSum"), at(eqPoint{hi, 5, 4, 2, 5}, "linearSum"),
+		at(eqPoint{hi, u, 8, 3, 5}, "counter", "PPR"), at(eqPoint{hi, u, 8, 4, 5}, "euclMean", "geomGeom"),
+		at(eqPoint{lo, u, 6, 5, 5}, "linearSum"), at(eqPoint{rnd, u, 6, 5, 5}, "linearSum"),
+		at(eqPoint{hi, u, 8, 6, 10}, "linearSum")), full("community400-s21"))
+
+	// Partitioning: type-I cuts of 2 and 5 parts, by each strategy, on er120.
+	cross(sims(Sim{Nodes: 2, Spec: cluster.TypeI(), Partitions: 2, Strategy: partition.HashSource{Seed: 4}, Workers: 4},
+		Sim{Nodes: 2, Spec: cluster.TypeI(), Partitions: 5, Strategy: partition.Greedy{}, Workers: 1},
+		Sim{Nodes: 2, Spec: cluster.TypeI(), Partitions: 5, Strategy: partition.HashEdge{Seed: 9}, Workers: 4}),
+		at(eqPoint{hi, 8, 6, 3, 5}, "linearSum"), full("er120"))
+
+	// Dist: 1, 2 and 4 pool workers × eleven configs on test200-s7.
+	cross([]string{"dist-w1", "dist-w2", "dist-w4"}, slices.Concat(
+		at(eqPoint{hi, u, u, 1, 5}, "linearSum"), at(op, "linearSum", "PPR", "counter", "geomMean", "euclGeom"),
+		at(eqPoint{lo, 10, 4, 42, 5}, "linearSum"), at(eqPoint{rnd, 10, 4, 42, 5}, "linearSum"),
+		at(eqPoint{rnd, u, 4, 1, 5}, "linearSum"), at(eqPoint{hi, 10, 1, 42, 5}, "linearSum"),
+		at(eqPoint{rnd, u, 3, 1, 5}, "geomSum")), full("test200-s7"))
+
+	// Fleet: the four standing shapes × five configs on test200-s7.
+	cross([]string{"fleet-1x1", "fleet-2x1", "fleet-4x1", "fleet-3x2"}, slices.Concat(
+		at(eqPoint{hi, u, u, 1, 5}, "linearSum"), at(eqPoint{rnd, 10, 4, 42, 5}, "linearSum"),
+		at(op, "PPR", "geomMean"), at(eqPoint{lo, 10, 3, 42, 5}, "counter")), full("test200-s7"))
+
+	// BASELINE: the nodes-2 cuts × the community graphs of 300 and 800
+	// vertices at seeds 1-6.
+	for _, b := range sims(Sim{Nodes: 2, Partitions: 1, Strategy: partition.HashEdge{Seed: 1}, Workers: 1},
+		Sim{Nodes: 2, Partitions: 3, Strategy: partition.HashEdge{Seed: 3}, Workers: 4},
+		Sim{Nodes: 2, Partitions: 8, Strategy: partition.Greedy{}, Workers: 1},
+		Sim{Nodes: 2, Partitions: 8, Strategy: partition.HashEdge{Seed: 8}, Workers: 4}) {
+		for _, n := range []int{300, 800} {
+			for seed := 1; seed <= 6; seed++ {
+				items = append(items, []string{"system=baseline", "backend=" + b, fmt.Sprintf("graph=community%d-s%d", n, seed)})
+			}
+		}
+	}
+	return items
 }
 
 // eqNames returns the distinct i-th features of axis ax's values.
