@@ -26,7 +26,7 @@ import (
 // Determinism across substrates holds for the same reason it does between
 // the serial and local backends: every random draw is hash-keyed by (seed,
 // vertex IDs) and every apply canonicalises its input before reducing (the
-// applies sort or merge it, Aggregator.FoldPaths sorts path values), so
+// applies sort or group it, Aggregator.FoldPaths sorts path values), so
 // partials may arrive from the network in any order without changing a bit
 // of the output.
 
@@ -125,7 +125,7 @@ type DistPartial struct {
 // (NewDistPartition) has one slot per local of the shard, slot i being local
 // index i; a query-scoped job (NewScopedDistPartition) has one slot per
 // vertex of the coordinator's closure entries and allocates and walks
-// nothing of the shard's length. Gather, apply and the apply-time re-gather
+// nothing of the shard's length. Gather, apply and the apply-time gather
 // are the same loops in both forms.
 type DistPartition struct {
 	cfg Config // degrees come from the shard, scoping from scope
@@ -352,9 +352,10 @@ func (p *DistPartition) dstData(r edgeRun, k int) *VData {
 // wire while later slots are still gathering. The DistPartial (and its
 // slices) is scratch owned by the partition, valid only during the emit call;
 // emit must encode or copy, not retain. Partials arrive ascending by slot
-// (so by vertex), one per contributing source. An emit error aborts the
-// stream and is returned.
-func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistPartial) error) error {
+// (so by vertex), one per contributing source. A slot for which skip (when
+// not nil) reports true is not gathered: its partial is one the caller would
+// discard. An emit error aborts the stream and is returned.
+func (p *DistPartition) GatherStream(step DistStep, skip func(s int32) bool, emit func(s int32, dp *DistPartial) error) error {
 	if step.inProcess() {
 		return fmt.Errorf("%w: %v", ErrInProcessStep, step)
 	}
@@ -362,9 +363,9 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistP
 		return fmt.Errorf("core: unknown dist step %d", int(step))
 	}
 	var dp DistPartial
-	for s := range p.runs {
-		if p.GatherVertex(step, int32(s), &dp) {
-			if err := emit(int32(s), &dp); err != nil {
+	for s := range int32(len(p.runs)) {
+		if (skip == nil || !skip(s)) && p.GatherVertex(step, s, &dp) {
+			if err := emit(s, &dp); err != nil {
 				return err
 			}
 		}
@@ -378,9 +379,9 @@ func (p *DistPartition) GatherStream(step DistStep, emit func(s int32, dp *DistP
 // the next gather call.
 //
 // Called directly, it is the apply-time twin of the streaming gather: a
-// master that also gathers locally recomputes its own partial on demand
-// instead of keeping an encoded copy across the superstep's exchange.
-// Re-gathering after other vertices have applied is exact: apply writes only
+// replicated master, which the stream skips, gathers its own partial on
+// demand instead of keeping an encoded copy across the superstep's exchange.
+// Gathering after other vertices have applied is exact: apply writes only
 // the step's output field, which the same step's gather never reads — the
 // same property that lets GatherStream's inline applies run mid-stream. The
 // slot's edge run was resolved when the job opened.

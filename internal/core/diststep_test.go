@@ -72,7 +72,7 @@ func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions
 		for p, part := range parts {
 			emitted := map[int32]DistPartial{}
 			last := int32(-1)
-			err := part.GatherStream(step, func(s int32, dp *DistPartial) error {
+			err := part.GatherStream(step, nil, func(s int32, dp *DistPartial) error {
 				if s <= last || dp.V != part.Vertex(s) {
 					return fmt.Errorf("%v shard %d: emit for slot %d (vertex %d) after slot %d", step, p, s, dp.V, last)
 				}

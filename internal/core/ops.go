@@ -12,15 +12,29 @@ import (
 type Combinator struct {
 	Name string
 	Fn   func(a, b float64) float64
+	// linear marks Linear(alpha), which the step-3 kernels evaluate inline.
+	linear bool
+	alpha  float64
 }
 
 // Linear returns the linear combinator α·a + (1−α)·b of Table 1. The paper
 // uses α = 0.9 ("found to return the best predictions", Section 5.2).
 func Linear(alpha float64) Combinator {
 	return Combinator{
-		Name: "linear",
-		Fn:   func(a, b float64) float64 { return alpha*a + (1-alpha)*b },
+		Name:   "linear",
+		Fn:     func(a, b float64) float64 { return alpha*a + (1-alpha)*b },
+		linear: true,
+		alpha:  alpha,
 	}
+}
+
+// apply is a ⊗ b: the linear combinator inline, as the same expression as
+// its Fn, every other through Fn.
+func (c *Combinator) apply(a, b float64) float64 {
+	if c.linear {
+		return c.alpha*a + (1-c.alpha)*b
+	}
+	return c.Fn(a, b)
 }
 
 // Eucl is the Euclidean combinator sqrt(a² + b²) of Table 1.
@@ -97,7 +111,7 @@ func AggGeom() Aggregator {
 // copy of the values and folds ⊕pre in ascending order before applying
 // ⊕post. The sort makes aggregation bit-deterministic regardless of the
 // order paths were discovered in — the distributed engine and the serial
-// reference therefore produce identical floats, and step 3's merge may hand
+// reference therefore produce identical floats, and step 3's table may hand
 // a candidate's paths over in any order. (⊕pre is commutative, so sorting
 // does not change the defined result, only the floating-point rounding
 // path.) The step-3 kernels fold through foldGroup, which is this function

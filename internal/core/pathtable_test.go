@@ -13,7 +13,7 @@ import (
 	"snaple/internal/topk"
 )
 
-// The step-3 kernels before the merge, kept as its oracle: line 15's
+// The first step-3 kernels, kept as the grouping kernel's oracle: line 15's
 // exclusion by binary search per candidate, a comparison sort of the whole
 // candidate list by Z, then a linear scan that folds each group.
 
@@ -46,9 +46,9 @@ func appendFoldSorted(cands []PathCand, cfg *Config, dst []Prediction) []Predict
 	return dst
 }
 
-// mergeCase is one generated step-3 input: Z-ascending runs with the s(u,v)
+// pathCase is one generated step-3 input: Z-ascending runs with the s(u,v)
 // each is combined with, a candidate vertex u and its exclusion list.
-type mergeCase struct {
+type pathCase struct {
 	runs [][]PathCand
 	suv  []float64
 	u    graph.VertexID
@@ -71,11 +71,11 @@ func pathValue(rng *rand.Rand) float64 {
 	return rng.Float64()
 }
 
-// genMergeCase draws runs of every shape the kernel meets: empty runs,
-// length-1 runs, all-equal Z, the same Z in many runs, and (descending) a
-// single strictly descending list, the merge's worst case.
-func genMergeCase(rng *rand.Rand, shape string) mergeCase {
-	var c mergeCase
+// genPathCase draws runs of every shape the kernel meets: empty runs,
+// length-1 runs, all-equal Z (one group of many values), the same Z in many
+// runs, and (descending) a single strictly descending list.
+func genPathCase(rng *rand.Rand, shape string) pathCase {
+	var c pathCase
 	span := 1 + rng.Intn(40)
 	z := func() graph.VertexID { return graph.VertexID(10 + rng.Intn(span)) }
 	switch shape {
@@ -125,48 +125,65 @@ func genMergeCase(rng *rand.Rand, shape string) mergeCase {
 	return c
 }
 
-// TestMergeFoldMatchesSortOracle holds the step-3 merge kernel to the
+// TestPathTableMatchesSortOracle holds step 3's grouping kernel to the
 // comparison-sort oracle it replaced, bit for bit, for all 11 scores and k
-// in {1, 3, 20}: the combining merge of CombineAppend (relay rows, each
+// in {1, 3, 20}: the combining table of CombineAppend (relay rows, each
 // combined with its s(u,v), line 15 against Γ̂(u) ∪ {u}) and the apply-side
-// merge of applyCombine over an arbitrary concatenation of the runs.
-func TestMergeFoldMatchesSortOracle(t *testing.T) {
+// table of applyCombine over an arbitrary concatenation of the runs. The
+// same paths shuffled within and across relay rows, and a shuffled sum,
+// must give bit-equal rows.
+func TestPathTableMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var s Scratch
 	for _, name := range ScoreNames() {
 		for _, k := range []int{1, 3, 20} {
 			cfg := Config{Score: mustScore(t, name), K: k}
-			comb := cfg.Score.Comb.Fn
+			comb := cfg.Score.Comb
 			s.coll = nil // sized for this k on first use
 			for i := range 300 {
 				shape := []string{"runs", "equal", "descending"}[i%3]
-				c := genMergeCase(rng, shape)
+				c := genPathCase(rng, shape)
 				label := fmt.Sprintf("%s/k=%d/case %d (%s)", name, k, i, shape)
 
-				// The combining merge: each run is the relay row of a relay
+				// The combining table: each run is the relay row of a relay
 				// with s(u,v) = suv.
 				var cands []PathCand
-				s.merge.reset(comb, c.u, c.excl)
+				rels := make([][]VertexSim, len(c.runs))
+				paths := 0
 				for r, run := range c.runs {
 					for _, pc := range run {
 						if !oracleExcluded(c.u, c.excl, pc.Z) {
-							cands = append(cands, PathCand{Z: pc.Z, S: comb(c.suv[r], pc.S)})
+							cands = append(cands, PathCand{Z: pc.Z, S: comb.Fn(c.suv[r], pc.S)})
 						}
+						rels[r] = append(rels[r], VertexSim{V: pc.Z, Sim: pc.S})
 					}
-					rel := make([]VertexSim, len(run))
-					for j, pc := range run {
-						rel[j] = VertexSim{V: pc.Z, Sim: pc.S}
+					paths += len(run)
+				}
+				combine := func(order []int) []Prediction {
+					s.paths.reset(c.u, c.excl, paths)
+					for _, r := range order {
+						s.paths.addRelays(&comb, c.suv[r], rels[r])
 					}
-					s.merge.addRelays(c.suv[r], rel)
+					return s.appendTopK(&cfg, nil)
 				}
 				sortPathCands(cands)
 				want := appendFoldSorted(cands, &cfg, nil)
-				if got := s.appendTopK(&cfg, nil); !predsBitEqual(got, want) {
-					t.Fatalf("%s: merge %v, oracle %v", label, got, want)
+				inOrder := make([]int, len(rels))
+				for r := range inOrder {
+					inOrder[r] = r
+				}
+				if got := combine(inOrder); !predsBitEqual(got, want) {
+					t.Fatalf("%s: table %v, oracle %v", label, got, want)
+				}
+				for _, rel := range rels {
+					rng.Shuffle(len(rel), func(i, j int) { rel[i], rel[j] = rel[j], rel[i] })
+				}
+				if got := combine(rng.Perm(len(rels))); !predsBitEqual(got, want) {
+					t.Fatalf("%s: shuffled relay rows %v, in order %v", label, got, want)
 				}
 
 				// The applies: the runs' values as gathered, concatenated in
-				// an arbitrary order.
+				// an arbitrary order, then shuffled across runs.
 				var sum, kept []PathCand
 				for _, r := range rng.Perm(len(c.runs)) {
 					sum = append(sum, c.runs[r]...)
@@ -181,6 +198,10 @@ func TestMergeFoldMatchesSortOracle(t *testing.T) {
 				want = appendFoldSorted(sorted, &cfg, nil)
 				if got := s.applyCombine(&cfg, c.u, sum, nil); !predsBitEqual(got, want) {
 					t.Fatalf("%s: applyCombine %v, oracle %v", label, got, want)
+				}
+				rng.Shuffle(len(sum), func(i, j int) { sum[i], sum[j] = sum[j], sum[i] })
+				if got := s.applyCombine(&cfg, c.u, sum, nil); !predsBitEqual(got, want) {
+					t.Fatalf("%s: shuffled applyCombine %v, oracle %v", label, got, want)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"snaple/internal/graph"
@@ -10,16 +11,16 @@ import (
 )
 
 // This file is the one home of Algorithm 2's per-step logic. The logic is a
-// set of kernels over rows — sorted id lists, V-sorted relay rows, Z-ordered
-// candidate runs — that take degrees as integers and never touch a graph:
+// set of kernels over rows — sorted id lists, V-sorted relay rows, candidate
+// lists — that take degrees as integers and never touch a graph:
 //
 //   - step 1: keepTruncated (the hash-keyed Γ̂ draw);
 //   - step 2: Similarity.Score, relayCount and Scratch.selectRelays (the
 //     k_local policy);
-//   - step 3: pathMerge, the one merge of Z-ascending runs (line 15's
-//     exclusion as a forward cursor over Γ̂(u), ⊗ per kept path), drained by
-//     Scratch.appendTopK (⊕ via foldGroup, then top-k); appendRelayPaths is
-//     line 15 through one relay, for the per-edge gather;
+//   - step 3: pathTable, the one grouping kernel (line 15's exclusion as
+//     marks in the table, ⊗ per kept path), drained by Scratch.appendTopK
+//     (⊕ via foldGroup, then top-k); appendRelayPaths is line 15 through one
+//     relay, for the per-edge gather;
 //   - the per-edge gather appendCombine and the per-vertex applies
 //     applyTruncate / applyRelays / applyCombine, which a GAS substrate
 //     calls around the exchange.
@@ -27,13 +28,14 @@ import (
 // SNAPLE scores 2-hop paths only: the paper's footnote 2 mentions longer
 // paths, and its evaluation, like every kernel here, stops at two hops.
 //
-// Step 3 never comparison-sorts its candidates. Every input it sees is
-// already a concatenation of Z-ascending runs: the relay rows of u's relays
-// (V-sorted by construction) and a GAS sum (the gathers' ascending runs in
-// arrival order). pathMerge splits its input at each descent and merges the
-// runs pairwise, so a candidate's paths meet in one group. Line 15 is then a
-// cursor over the sorted Γ̂(u) that only moves forward as Z rises, and an
-// excluded group costs no ⊗.
+// Step 3 never sorts its candidates: set operations run on sorted rows, but
+// aggregation groups in a hash table, as SNAP does. pathTable is keyed by
+// candidate Z, so a candidate's paths meet in one group whatever order they
+// come in: the relay rows of u's relays, or a GAS sum in arrival order.
+// Γ̂(u) ∪ {u} is marked in the table first, so an excluded path costs one
+// probe and no ⊗. The drain folds groups in first-seen order, and the top-k
+// order (score descending, then id ascending) is total on every score the
+// built-ins produce, so the order never shows in a result.
 //
 // Every substrate is a scheduler of these kernels and owns no step logic:
 //
@@ -57,11 +59,11 @@ import (
 // (Aggregator.FoldPaths; foldGroup orders groups of one or two values with
 // the sort's own comparison instead of calling it), so every scheduler
 // produces bit-identical Predictions however it orders the work — and the
-// merge may hand a group's values over in any order.
+// table may hand a group's values over in any order.
 
 // PathCand is one path's contribution to candidate Z: the combined
-// path-similarity of equation (8). Lists are built as Z-ascending runs, so
-// the step-3 merge (pathMerge) groups them without a comparison sort.
+// path-similarity of equation (8), as a per-edge gather emits it for step
+// 3's grouping kernel (pathTable).
 type PathCand struct {
 	Z graph.VertexID
 	S float64
@@ -154,168 +156,134 @@ func (s *Scratch) selectRelays(cfg *Config, u graph.VertexID, cands, dst []Verte
 
 // ---- Step 3 kernels: combine and aggregate path similarities (lines 12-20) ----
 
-// exclusion is line 15's Γ̂(u) ∪ {u}, asked about candidates in ascending
-// order: a forward cursor over the sorted excl (Γ̂(u); nil for step 3's
-// apply, whose gathered input line 15 already filtered), so a whole run
-// costs one pass over excl instead of a binary search per candidate.
-type exclusion struct {
-	u    graph.VertexID
-	excl []graph.VertexID
-	i    int // excl[:i] is below every candidate asked about so far
-}
-
-// has reports whether candidate z is excluded. z must not be below the
-// previous query's.
-func (x *exclusion) has(z graph.VertexID) bool {
-	for x.i < len(x.excl) && x.excl[x.i] < z {
-		x.i++
-	}
-	return z == x.u || (x.i < len(x.excl) && x.excl[x.i] == z)
-}
-
 // appendRelayPaths is line 15 through one relay v of u, for a per-edge
-// gather: one candidate per relay z of v, valued suv ⊗ sim(v,z), unless
-// excluded. relays ascend by V, so the appended run ascends by Z.
+// gather: one candidate per relay z of v, valued suv ⊗ sim(v,z), unless z is
+// u or in the sorted excl (Γ̂(u)). relays ascend by V, so the appended run
+// ascends by Z and excl is a cursor that only moves forward: one pass over
+// it instead of a binary search per candidate.
 func appendRelayPaths(comb Combinator, out []PathCand, suv float64, u graph.VertexID, excl []graph.VertexID, relays []VertexSim) []PathCand {
-	x := exclusion{u: u, excl: excl}
+	i := 0 // excl[:i] is below every candidate so far
 	for _, zs := range relays {
-		if !x.has(zs.V) {
-			out = append(out, PathCand{Z: zs.V, S: comb.Fn(suv, zs.Sim)})
+		for i < len(excl) && excl[i] < zs.V {
+			i++
+		}
+		if zs.V != u && (i == len(excl) || excl[i] != zs.V) {
+			out = append(out, PathCand{Z: zs.V, S: comb.apply(suv, zs.Sim)})
 		}
 	}
 	return out
 }
 
-// pathEntry is one path in the merge: candidate z, reached through input
-// src, valued suv[src] ⊗ x — or x itself when the merge has no ⊗.
-type pathEntry struct {
-	z   graph.VertexID
-	src int32
-	x   float64
+// pathTable is step 3's one grouping kernel (lines 15-19): an
+// open-addressing hash table keyed by candidate z that gathers each kept
+// candidate's path values into one group. Line 15's Γ̂(u) ∪ {u} is marked in
+// the table before any path goes in, so an excluded path costs one probe
+// and no ⊗. A group keeps its first two values inline and chains the rest.
+// It lives in Scratch, so its buffers are reused across vertices.
+type pathTable struct {
+	slots  []pathSlot    // a power of two long, at most half full
+	shift  uint          // 64 - log2(len(slots)): the hash's top bits index slots
+	groups []pathGroup   // the kept candidates, in first-seen order
+	more   []chainedPath // every group's third and later values
+	vals   []float64     // a long group's values, gathered for foldGroup
 }
 
-// pathMerge is step 3's one merge kernel (lines 15-19). Its input is a
-// concatenation of Z-ascending runs — relay rows or gathered sums — which it
-// splits at every descent and merges pairwise, ping-ponging between two
-// buffers, into one Z-ascending list; then it yields that list one Z-group
-// at a time. Line 15's exclusion is a forward
-// cursor advanced as Z rises, and an excluded group is dropped without
-// evaluating its ⊗. It lives in Scratch, so its buffers are reused across
-// vertices.
-type pathMerge struct {
-	ents, tmp []pathEntry                // the input, then the merged list; tmp is the other buffer
-	bounds    []int                      // the runs' bounds in ents, while merging
-	suv       []float64                  // per input: s(u,v) of its relay v
-	comb      func(a, b float64) float64 // ⊗; nil takes each x as it is
-	x         exclusion
-	pos       int       // ents[pos:] is not yet yielded
-	vals      []float64 // the current group's path values
+// pathSlot is one slot of the table: empty (g == 0), line 15's mark on an
+// excluded z (g < 0), or z's group, groups[g-1].
+type pathSlot struct {
+	z graph.VertexID
+	g int32
 }
 
-// reset empties the merge for candidate vertex u, with ⊗ = comb (nil for
-// inputs already combined) and exclusion list excl.
-func (m *pathMerge) reset(comb func(a, b float64) float64, u graph.VertexID, excl []graph.VertexID) {
-	m.ents, m.suv, m.pos = m.ents[:0], m.suv[:0], 0
-	m.comb = comb
-	m.x = exclusion{u: u, excl: excl}
+// pathGroup is one kept candidate z and its n path values: v holds the
+// first two, more[more-1] heads the chain of the rest (0: none).
+type pathGroup struct {
+	v    [2]float64
+	z    graph.VertexID
+	n    int32
+	more int32
 }
 
-// addRelays adds the V-sorted relay row rel of a relay v with s(u,v) = suv.
-func (m *pathMerge) addRelays(suv float64, rel []VertexSim) {
-	src := int32(len(m.suv))
-	m.suv = append(m.suv, suv)
+// chainedPath is one link of a group's chain; next is 1-based like
+// pathGroup.more.
+type chainedPath struct {
+	v    float64
+	next int32
+}
+
+// reset empties the table for candidate vertex u, sized for at most paths
+// paths, and marks u and the sorted excl (Γ̂(u), or nil) excluded.
+func (t *pathTable) reset(u graph.VertexID, excl []graph.VertexID, paths int) {
+	b := max(bits.Len(uint(2*(paths+len(excl)+1)-1)), 3) // at least twice the keys
+	if n := 1 << b; cap(t.slots) < n {
+		t.slots = make([]pathSlot, n)
+	} else {
+		t.slots = t.slots[:n]
+		clear(t.slots)
+	}
+	t.shift = uint(64 - b)
+	t.groups, t.more = slices.Grow(t.groups[:0], paths), t.more[:0]
+	t.slot(u).g = -1
+	for _, z := range excl {
+		t.slot(z).g = -1
+	}
+}
+
+// slot returns z's slot, claiming an empty one for a z not yet in the
+// table: a Fibonacci hash, then linear probing.
+func (t *pathTable) slot(z graph.VertexID) *pathSlot {
+	mask := len(t.slots) - 1
+	for i := int(uint64(z) * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.g == 0 {
+			s.z = z
+			return s
+		}
+		if s.z == z {
+			return s
+		}
+	}
+}
+
+// add records path value x in the group of s, a slot that slot returned
+// and that is not excluded, opening the group when s is new.
+func (t *pathTable) add(s *pathSlot, x float64) {
+	if s.g == 0 {
+		n := len(t.groups)
+		t.groups = t.groups[:n+1]
+		g := &t.groups[n]
+		g.v[0], g.z, g.n, g.more = x, s.z, 1, 0
+		s.g = int32(n + 1)
+		return
+	}
+	g := &t.groups[s.g-1]
+	if g.n == 1 {
+		g.v[1] = x
+	} else {
+		t.more = append(t.more, chainedPath{v: x, next: g.more})
+		g.more = int32(len(t.more))
+	}
+	g.n++
+}
+
+// addRelays adds the paths through a relay v with s(u,v) = suv, whose relay
+// row is rel: each kept path is valued suv ⊗ sim(v,z).
+func (t *pathTable) addRelays(comb *Combinator, suv float64, rel []VertexSim) {
 	for _, zs := range rel {
-		m.ents = append(m.ents, pathEntry{z: zs.V, src: src, x: zs.Sim})
+		if s := t.slot(zs.V); s.g >= 0 {
+			t.add(s, comb.apply(suv, zs.Sim))
+		}
 	}
 }
 
-// addPaths adds an already-combined path list — any concatenation of
-// Z-ascending runs — to a merge reset with no ⊗: each entry contributes S.
-func (m *pathMerge) addPaths(paths []PathCand) {
+// addPaths adds already-combined paths, in any order: each kept one
+// contributes S.
+func (t *pathTable) addPaths(paths []PathCand) {
 	for _, pc := range paths {
-		m.ents = append(m.ents, pathEntry{z: pc.Z, x: pc.S})
-	}
-}
-
-// merge splits the input at every descent and merges the runs pairwise,
-// pass after pass, into one Z-ascending list, ready for next.
-func (m *pathMerge) merge() {
-	b := append(m.bounds[:0], 0)
-	for i := 1; i < len(m.ents); i++ {
-		if m.ents[i].z < m.ents[i-1].z {
-			b = append(b, i)
+		if s := t.slot(pc.Z); s.g >= 0 {
+			t.add(s, pc.S)
 		}
 	}
-	b = append(b, len(m.ents))
-	m.bounds = b
-	if len(b) <= 2 {
-		return // one run, or none
-	}
-	src, dst := m.ents, slices.Grow(m.tmp[:0], len(m.ents))[:len(m.ents)]
-	for len(b) > 2 {
-		k := 1
-		for i := 0; i+1 < len(b); i += 2 {
-			lo, mid, hi := b[i], b[i+1], b[i+1]
-			if i+2 < len(b) {
-				hi = b[i+2]
-			}
-			mergePair(dst[lo:hi], src[lo:mid], src[mid:hi])
-			b[k] = hi
-			k++
-		}
-		b = b[:k]
-		src, dst = dst, src
-	}
-	m.ents, m.tmp = src, dst
-}
-
-// mergePair merges the Z-ascending runs a and b into dst, which must have
-// room for both.
-func mergePair(dst, a, b []pathEntry) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		// Branch-free: which run supplies dst[k] is a coin flip on
-		// interleaved ids, so a branch would mispredict half the time.
-		pair := [2]pathEntry{a[i], b[j]}
-		t := int((uint64(pair[1].z) - uint64(pair[0].z)) >> 63) // 1 when b's head is lower
-		dst[k] = pair[t]
-		i += 1 - t
-		j += t
-		k++
-	}
-	k += copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
-}
-
-// next returns the next Z-group that line 15 keeps: its candidate and its
-// path values in no particular order (foldGroup sorts them), valid until
-// the next call; false once the list is exhausted.
-func (m *pathMerge) next() (graph.VertexID, []float64, bool) {
-	ents := m.ents
-	for m.pos < len(ents) {
-		i, z := m.pos, ents[m.pos].z
-		j := i + 1
-		for j < len(ents) && ents[j].z == z {
-			j++
-		}
-		m.pos = j
-		if m.x.has(z) {
-			continue
-		}
-		vals := m.vals[:0]
-		for _, e := range ents[i:j] {
-			v := e.x
-			if m.comb != nil {
-				v = m.comb(m.suv[e.src], v)
-			}
-			vals = append(vals, v)
-		}
-		if cap(vals) != cap(m.vals) {
-			m.vals = vals // grown: keep the larger buffer
-		}
-		return z, vals, true
-	}
-	return 0, nil, false
 }
 
 // foldGroup is line 19 for one candidate: Aggregator.FoldPathsInPlace,
@@ -336,17 +304,27 @@ func foldGroup(agg Aggregator, vals []float64) float64 {
 	return agg.FoldPathsInPlace(vals)
 }
 
-// appendTopK drains the merge, folding each group (line 19), and appends
-// the top-k predictions (line 20), best first, to dst.
+// appendTopK drains the table, folding each group (line 19), and appends
+// the top-k predictions (line 20), best first, to dst. Groups reach the
+// collector in first-seen order, which its order (score descending, then id
+// ascending) makes irrelevant.
 func (s *Scratch) appendTopK(cfg *Config, dst []Prediction) []Prediction {
 	if s.coll == nil {
 		s.coll = topk.New(cfg.K)
 	}
 	s.coll.Reset()
-	m := &s.merge
-	m.merge()
-	for z, vals, ok := m.next(); ok; z, vals, ok = m.next() {
-		s.coll.Push(uint32(z), foldGroup(cfg.Score.Agg, vals))
+	t := &s.paths
+	for i := range t.groups {
+		g := &t.groups[i]
+		vals := g.v[:min(g.n, 2)]
+		if g.n > 2 {
+			vals = append(t.vals[:0], g.v[0], g.v[1])
+			for c := g.more; c != 0; c = t.more[c-1].next {
+				vals = append(vals, t.more[c-1].v)
+			}
+			t.vals = vals
+		}
+		s.coll.Push(uint32(g.z), foldGroup(cfg.Score.Agg, vals))
 	}
 	s.items = s.coll.AppendResult(s.items[:0])
 	return appendItems(dst, s.items)
@@ -403,18 +381,17 @@ func (s *Scratch) applyRelays(cfg *Config, u graph.VertexID, sum []VertexSim) []
 	return out
 }
 
-// applyCombine is step 3's apply: u's gathered sum — Z-ascending runs
-// concatenated in whatever order they arrived, which the merge splits at
-// each descent — merged, folded per candidate (⊕pre then ⊕post, line 19) and
+// applyCombine is step 3's apply: u's gathered sum, in whatever order it
+// arrived, grouped, folded per candidate (⊕pre then ⊕post, line 19) and
 // reduced to the top-k predictions (line 20), appended to dst. The gathers
-// applied line 15 already, so the merge's exclusion (u itself, no Γ̂(u))
+// applied line 15 already, so the table's exclusion (u itself, no Γ̂(u))
 // drops nothing. sum is read, not modified.
 func (s *Scratch) applyCombine(cfg *Config, u graph.VertexID, sum []PathCand, dst []Prediction) []Prediction {
 	if len(sum) == 0 {
 		return dst
 	}
-	s.merge.reset(nil, u, nil)
-	s.merge.addPaths(sum)
+	s.paths.reset(u, nil, len(sum))
+	s.paths.addPaths(sum)
 	return s.appendTopK(cfg, dst)
 }
 
@@ -489,7 +466,7 @@ func (r *StepRunner) Frontier() *Frontier { return r.frontier }
 // DistPartition; the zero value is ready for the applies.
 type Scratch struct {
 	sims    []VertexSim
-	merge   pathMerge
+	paths   pathTable
 	items   []topk.Item
 	chosen  []graph.VertexID
 	row     []graph.VertexID // merged-row buffer for overlay views (outRow)
@@ -588,10 +565,17 @@ func (r *StepRunner) CombineAppend(u graph.VertexID, trunc *Arena[graph.VertexID
 	if !r.frontier.InPred(u) {
 		return dst
 	}
-	m := &s.merge
-	m.reset(r.cfg.Score.Comb.Fn, u, trunc.Row(u))
-	for _, vs := range sims.Row(u) {
-		m.addRelays(vs.Sim, sims.Row(vs.V))
+	relays, n := sims.Row(u), 0
+	for _, vs := range relays {
+		n += len(sims.Row(vs.V))
+	}
+	if n == 0 {
+		return dst
+	}
+	t := &s.paths
+	t.reset(u, trunc.Row(u), n)
+	for _, vs := range relays {
+		t.addRelays(&r.cfg.Score.Comb, vs.Sim, sims.Row(vs.V))
 	}
 	return s.appendTopK(&r.cfg, dst)
 }

@@ -64,7 +64,7 @@ func (c *Collector) Push(id uint32, score float64) {
 		return // not better than the current worst
 	}
 	c.heap[0] = it
-	c.down(0)
+	down(c.heap, 0)
 }
 
 // Result returns the retained items ordered best-first and resets nothing:
@@ -77,22 +77,34 @@ func (c *Collector) Result() []Item {
 // returns the extended slice, leaving the collector unchanged. It allocates
 // nothing when dst has spare capacity, which makes it the extraction path of
 // the engines' per-vertex hot loops (Result allocates a fresh slice per
-// call).
+// call). The copy is a min-heap, which is nearly worst-first already: a
+// small one is insertion-sorted worst-first and reversed, a large one
+// heapsorted in place, each pass swapping the current worst to the back.
 func (c *Collector) AppendResult(dst []Item) []Item {
 	start := len(dst)
 	dst = append(dst, c.heap...)
-	out := dst[start:]
-	slices.SortFunc(out, func(a, b Item) int {
-		if less(b, a) {
-			return -1
+	h := dst[start:]
+	if len(h) > insertionMax {
+		for end := len(h) - 1; end > 0; end-- {
+			h[0], h[end] = h[end], h[0]
+			down(h[:end], 0)
 		}
-		if less(a, b) {
-			return 1
+		return dst
+	}
+	for i := 1; i < len(h); i++ {
+		it, j := h[i], i
+		for ; j > 0 && less(it, h[j-1]); j-- {
+			h[j] = h[j-1]
 		}
-		return 0
-	})
+		h[j] = it
+	}
+	slices.Reverse(h)
 	return dst
 }
+
+// insertionMax is the largest result AppendResult insertion-sorts: past it
+// the quadratic worst case outweighs the sort's cheap passes.
+const insertionMax = 32
 
 // Reset empties the collector, retaining capacity.
 func (c *Collector) Reset() { c.heap = c.heap[:0] }
@@ -108,21 +120,22 @@ func (c *Collector) up(i int) {
 	}
 }
 
-func (c *Collector) down(i int) {
-	n := len(c.heap)
+// down sifts h[i] down the min-heap h.
+func down(h []Item, i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && less(c.heap[l], c.heap[smallest]) {
+		if l < n && less(h[l], h[smallest]) {
 			smallest = l
 		}
-		if r < n && less(c.heap[r], c.heap[smallest]) {
+		if r < n && less(h[r], h[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
 			return
 		}
-		c.heap[i], c.heap[smallest] = c.heap[smallest], c.heap[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
 }

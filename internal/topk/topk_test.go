@@ -81,6 +81,34 @@ func TestSelectMatchesSortOracle(t *testing.T) {
 	}
 }
 
+// TestAppendResultAnyK holds AppendResult to the sort oracle on both sides
+// of insertionMax, appending after existing items and leaving the collector
+// as it was.
+func TestAppendResultAnyK(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, k := range []int{1, 2, 5, insertionMax, insertionMax + 1, 100, 1500} {
+		for _, n := range []int{0, 1, k / 2, k, 3 * k} {
+			items := make([]Item, n)
+			for i, id := range rng.Perm(n) {
+				items[i] = Item{ID: uint32(id), Score: float64(rng.Intn(n/4 + 1))}
+			}
+			c := New(k)
+			for _, it := range items {
+				c.Push(it.ID, it.Score)
+			}
+			prefix := []Item{{ID: 99, Score: -1}}
+			got := c.AppendResult(prefix)
+			want := sortedRef(k, items)
+			if !itemsEqual(got[:1], prefix) || !itemsEqual(got[1:], want) {
+				t.Fatalf("k=%d n=%d: AppendResult = %v, want %v after %v", k, n, got, want, prefix)
+			}
+			if again := c.Result(); !itemsEqual(again, want) {
+				t.Fatalf("k=%d n=%d: a second extraction gave %v, want %v", k, n, again, want)
+			}
+		}
+	}
+}
+
 func TestSelectOrderIndependence(t *testing.T) {
 	items := []Item{{5, 0.2}, {1, 0.9}, {7, 0.2}, {3, 0.9}, {2, 0.4}}
 	want := Select(3, items)

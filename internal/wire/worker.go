@@ -425,9 +425,9 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 }
 
 // gatherAndSend runs the streaming gather, routing each partial as it is
-// produced: masters without mirrors apply inline, replicated masters drop
-// theirs (applyMasters re-gathers it), everything else is chunked up to the
-// coordinator.
+// produced: masters without mirrors apply inline, everything else is chunked
+// up to the coordinator. Replicated masters are not gathered here at all:
+// applyMasters gathers their own partial when it folds the foreign ones.
 // A final (possibly empty) chunk ends the stream; on a compute error the
 // coordinator is told directly so the whole run unwinds instead of waiting
 // on a final chunk that will never come.
@@ -435,19 +435,15 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	err := s.part.GatherStream(step, func(slot int32, dp *core.DistPartial) error {
+	replicated := func(slot int32) bool { return s.isMaster[slot] && s.hasRemote[slot] }
+	err := s.part.GatherStream(step, replicated, func(slot int32, dp *core.DistPartial) error {
 		if s.isMaster[slot] {
-			if !s.hasRemote[slot] {
-				// No other partition replicates this vertex, so no foreign
-				// partial can arrive: fold it down right now, while the
-				// payload is still hot scratch.
-				s.applied[slot] = true
-				s.applyOne[0] = *dp
-				return s.part.Apply(step, slot, s.applyOne[:1])
-			}
-			// applyMasters recomputes this partial on demand — no copy, no
-			// growing record buffer across the exchange.
-			return nil
+			// No other partition replicates this vertex, so no foreign
+			// partial can arrive: fold it down right now, while the payload
+			// is still hot scratch.
+			s.applied[slot] = true
+			s.applyOne[0] = *dp
+			return s.part.Apply(step, slot, s.applyOne[:1])
 		}
 		bb.AppendPartial(dp)
 		if bb.Len() >= streamChunkBytes {
@@ -493,7 +489,7 @@ func (s *session) bufferForeign(payload []byte) error {
 }
 
 // applyMasters folds each master's own and foreign partials and applies: the
-// own partial is re-gathered on the spot (core.DistPartition.GatherVertex),
+// own partial is gathered on the spot (core.DistPartition.GatherVertex),
 // the foreign ones decoded out of the buffered chunks. Every master applies
 // every step — with no contribution anywhere the apply still runs and clears
 // the step's output field, exactly like the serial engine's empty gather.
