@@ -12,29 +12,15 @@ import (
 type Combinator struct {
 	Name string
 	Fn   func(a, b float64) float64
-	// linear marks Linear(alpha), which the step-3 kernels evaluate inline.
-	linear bool
-	alpha  float64
 }
 
 // Linear returns the linear combinator α·a + (1−α)·b of Table 1. The paper
 // uses α = 0.9 ("found to return the best predictions", Section 5.2).
 func Linear(alpha float64) Combinator {
 	return Combinator{
-		Name:   "linear",
-		Fn:     func(a, b float64) float64 { return alpha*a + (1-alpha)*b },
-		linear: true,
-		alpha:  alpha,
+		Name: "linear",
+		Fn:   func(a, b float64) float64 { return alpha*a + (1-alpha)*b },
 	}
-}
-
-// apply is a ⊗ b: the linear combinator inline, as the same expression as
-// its Fn, every other through Fn.
-func (c *Combinator) apply(a, b float64) float64 {
-	if c.linear {
-		return c.alpha*a + (1-c.alpha)*b
-	}
-	return c.Fn(a, b)
 }
 
 // Eucl is the Euclidean combinator sqrt(a² + b²) of Table 1.

@@ -168,7 +168,7 @@ func appendRelayPaths(comb Combinator, out []PathCand, suv float64, u graph.Vert
 			i++
 		}
 		if zs.V != u && (i == len(excl) || excl[i] != zs.V) {
-			out = append(out, PathCand{Z: zs.V, S: comb.apply(suv, zs.Sim)})
+			out = append(out, PathCand{Z: zs.V, S: comb.Fn(suv, zs.Sim)})
 		}
 	}
 	return out
@@ -271,7 +271,7 @@ func (t *pathTable) add(s *pathSlot, x float64) {
 func (t *pathTable) addRelays(comb *Combinator, suv float64, rel []VertexSim) {
 	for _, zs := range rel {
 		if s := t.slot(zs.V); s.g >= 0 {
-			t.add(s, comb.apply(suv, zs.Sim))
+			t.add(s, comb.Fn(suv, zs.Sim))
 		}
 	}
 }

@@ -35,7 +35,7 @@ func TestBackendEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := &eqHarness{top: t, dir: t.TempDir(), pool: workerPool(t, 6), views: map[[2]int]eqView{},
-		oracles: map[[5]int]core.Predictions{}, fleets: map[[3]int]*Fleet{}}
+		oracles: map[[5]int]core.Predictions{}, fleets: map[[3]int]*Fleet{}, cuts: map[[3]int]error{}}
 	ran := 0
 	for _, c := range cases {
 		t.Run(c.String(), func(t *testing.T) {
@@ -576,6 +576,7 @@ type eqHarness struct {
 	views   map[[2]int]eqView
 	oracles map[[5]int]core.Predictions // by graph, mutated or not, system, score, point
 	fleets  map[[3]int]*Fleet
+	cuts    map[[3]int]error // eqCheckCut's verdict, by the fleets' key
 	forms   closureForms
 }
 
@@ -636,20 +637,33 @@ func (h *eqHarness) view(t testing.TB, gi, si int) eqView {
 	return v
 }
 
-// backend returns c's backend, opening (once) the fleet it names.
+// backend returns c's backend, opening (once) the fleet it names, after
+// holding (once) the cut it runs on to its shape.
 func (h *eqHarness) backend(t testing.TB, c eqCase, v eqView) (Backend, error) {
 	b, key, o := eqBackends[c[axBackend]], [3]int{c[axBackend], c[axGraph], c[axStorage]}, eqBackends[c[axBackend]].opts
-	switch f, ok := h.fleets[key]; {
+	if f, ok := h.fleets[key]; ok {
+		return f, nil
+	}
+	var files []*graph.ShardFile
+	if b.kind == "dist" {
+		o.Addrs = h.pool[:b.pool]
+	} else if b.resident {
+		files, o.Manifest = packVia(t, v.csr, nil, eqResidentSeed, b.workers/b.replicas)
+	}
+	err, ok := h.cuts[key]
+	if !ok {
+		err = eqCheckCut(b, v.view, o)
+		h.cuts[key] = err
+	}
+	switch {
+	case err != nil:
+		return nil, err
 	case b.be != nil:
 		return b.be, nil
 	case b.kind == "dist":
-		o.Addrs = h.pool[:b.pool]
 		return Dist(o), nil
-	case ok:
-		return f, nil
 	case b.resident:
-		files, man := packVia(t, v.csr, nil, eqResidentSeed, b.workers/b.replicas)
-		o.Addrs, o.Manifest = serveResident(h.top, files, b.replicas), man
+		o.Addrs = serveResident(h.top, files, b.replicas)
 	}
 	f, err := OpenFleet(v.view, o)
 	if err != nil {
@@ -694,9 +708,6 @@ func (h *eqHarness) check(t testing.TB, c eqCase) error {
 	v := h.view(t, c[axGraph], c[axStorage])
 	if v.err != nil {
 		return v.err
-	}
-	if err := eqCheckCut(eqBackends[c[axBackend]], v.view); err != nil {
-		return err
 	}
 	be, err := h.backend(t, c, v)
 	if err != nil {
@@ -749,41 +760,39 @@ func (h *eqHarness) check(t testing.TB, c eqCase) error {
 // eqResidentSeed seeds the cut of the resident fleet's packed shards.
 const eqResidentSeed = 39
 
-// eqCheckCut holds the cut a backend runs on g to its shape: with more than
-// one partition and at least 100 edges, no partition is empty. A hash cut
-// keyed by the seed that drew g's edges degenerates (testGraph keeps an edge
-// by the hash HashEdge places it by), so every row's cut has a seed no
-// harness graph uses.
-func eqCheckCut(b eqBackend, g graph.View) error {
-	strat, seed, parts := b.opts.Strategy, b.opts.Seed, b.workers/max(b.replicas, 1)
-	switch b.kind {
-	case "sim":
-		s := b.be.(Sim)
-		cores := cmp.Or(s.Spec.Cores, cluster.TypeII().Cores)
-		strat, seed, parts = s.Strategy, s.Seed, cmp.Or(s.Partitions, cmp.Or(s.Nodes, 1)*cores)
-	case "dist", "fleet":
-		if b.resident {
-			seed = eqResidentSeed
+// eqCheckCut holds the cut backend b runs on g to its shape: with more than
+// one partition and at least 100 edges, no partition is empty. The cut is
+// the engine's own: Sim.open's for a sim row, and for a dist or fleet row
+// opening with o, the one PackShards computes for OpenFleet's shape of o (a
+// resident fleet's is o.Manifest). A hash cut keyed by the seed that drew
+// g's edges degenerates (testGraph keeps an edge by the hash HashEdge places
+// it by), so every row's cut has a seed no harness graph uses.
+func eqCheckCut(b eqBackend, g graph.View, o FleetOptions) error {
+	var edges []int64
+	switch {
+	case b.kind == "sim":
+		r, err := b.be.(Sim).open(g, 0, func(*graph.ShardFile) (*core.DistPartition, error) { return nil, nil })
+		if err != nil {
+			return err
 		}
-	default:
-		return nil
+		for _, sh := range r.cut.Shards {
+			edges = append(edges, int64(len(sh.EdgeSrc)))
+		}
+	case o.Manifest != nil:
+		edges = o.Manifest.Edges
+	case b.kind == "dist" || b.kind == "fleet":
+		shards, _, err := o.shape()
+		if err != nil {
+			return err
+		}
+		_, man, err := PackShards(g, o.Strategy, o.Seed, shards)
+		if err != nil {
+			return err
+		}
+		edges = man.Edges
 	}
-	if parts < 2 || g.NumEdges() < 100 {
-		return nil
-	}
-	if strat == nil {
-		strat = partition.HashEdge{Seed: seed}
-	}
-	a, err := strat.Partition(g, parts)
-	if err != nil {
-		return err
-	}
-	edges := make([]int, parts)
-	for _, p := range a.EdgeTo {
-		edges[p]++
-	}
-	if slices.Contains(edges, 0) {
-		return fmt.Errorf("%s %+v cuts the %d edges into %v: a partition is empty", strat.Name(), strat, g.NumEdges(), edges)
+	if len(edges) > 1 && g.NumEdges() >= 100 && slices.Contains(edges, 0) {
+		return fmt.Errorf("%s cuts the %d edges into %v: a partition is empty", b.name, g.NumEdges(), edges)
 	}
 	return nil
 }

@@ -8,8 +8,6 @@
 // ascending identifier, so results never depend on insertion order.
 package topk
 
-import "slices"
-
 // Item is a scored candidate.
 type Item struct {
 	ID    uint32
@@ -77,34 +75,18 @@ func (c *Collector) Result() []Item {
 // returns the extended slice, leaving the collector unchanged. It allocates
 // nothing when dst has spare capacity, which makes it the extraction path of
 // the engines' per-vertex hot loops (Result allocates a fresh slice per
-// call). The copy is a min-heap, which is nearly worst-first already: a
-// small one is insertion-sorted worst-first and reversed, a large one
-// heapsorted in place, each pass swapping the current worst to the back.
+// call). The copy is a min-heap, heapsorted in place: each pass swaps the
+// current worst to the back.
 func (c *Collector) AppendResult(dst []Item) []Item {
 	start := len(dst)
 	dst = append(dst, c.heap...)
 	h := dst[start:]
-	if len(h) > insertionMax {
-		for end := len(h) - 1; end > 0; end-- {
-			h[0], h[end] = h[end], h[0]
-			down(h[:end], 0)
-		}
-		return dst
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		down(h[:end], 0)
 	}
-	for i := 1; i < len(h); i++ {
-		it, j := h[i], i
-		for ; j > 0 && less(it, h[j-1]); j-- {
-			h[j] = h[j-1]
-		}
-		h[j] = it
-	}
-	slices.Reverse(h)
 	return dst
 }
-
-// insertionMax is the largest result AppendResult insertion-sorts: past it
-// the quadratic worst case outweighs the sort's cheap passes.
-const insertionMax = 32
 
 // Reset empties the collector, retaining capacity.
 func (c *Collector) Reset() { c.heap = c.heap[:0] }
