@@ -60,12 +60,6 @@ type distRun struct {
 	newDead    bool // a death since the last beginAttempt
 }
 
-// stepHookKey carries the chaos suite's coordinator-side fault hook on the
-// run's context (the way net/http/httptrace rides a request's): a
-// func(si int, r *distRun) that predict calls before each superstep attempt —
-// how a test kills worker W at superstep S under either coordinator.
-type stepHookKey struct{}
-
 // newDistRun wires the run state for routes.parts partitions served by
 // conns, where conns[p*replicas : (p+1)*replicas] are partition p's
 // replicas. A nil connection is a worker that never dialed: it starts out
@@ -170,11 +164,7 @@ func (r *distRun) predict(ctx context.Context, g graph.View, st *Stats, attach f
 	// with the survivors, then the same step is re-issued to them from the
 	// top (see runStep for why the re-run is bit-identical). Every restart
 	// consumes a death, so the loop is bounded by the worker count.
-	hook, _ := ctx.Value(stepHookKey{}).(func(si int, r *distRun))
 	for si := 0; si < len(steps); {
-		if hook != nil {
-			hook(si, r)
-		}
 		r.beginAttempt()
 		r.runStep(steps[si], si == len(steps)-1)
 		if r.sawDeath() {
@@ -386,15 +376,6 @@ func (r *distRun) closeAll() {
 		if c != nil {
 			_ = c.Close()
 		}
-	}
-}
-
-// killWorker is the chaos suite's coordinator-side fault hook: it cuts
-// worker i's connection without telling the liveness tracker, so the death
-// is discovered the way a real one is — by the next exchange failing.
-func (r *distRun) killWorker(i int) {
-	if c := r.conns[i]; c != nil {
-		_ = c.Close()
 	}
 }
 

@@ -4,20 +4,28 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"snaple/internal/cluster"
 	"snaple/internal/core"
 	"snaple/internal/graph"
+	"snaple/internal/leakcheck"
 	"snaple/internal/partition"
 	"snaple/internal/randx"
+	"snaple/internal/wire"
 )
 
 // TestBackendEquivalence holds every backend bit-identical to one oracle —
@@ -25,10 +33,13 @@ import (
 // CSR the view must equal (built from edge lists, never read through the view
 // under test), filtered to the sources, with Stats that keep eqCheckStats'
 // invariants. eqGenerate covers graph × storage × backend × system × config ×
-// scope × entry point so that every axis value and every combination
+// scope × entry point × fault so that every axis value and every combination
 // eqRequired names runs, which the inventory asserts. A failure is shrunk one
 // axis at a time toward each axis's first, simplest value. The dist- rows
-// share one worker pool, which SNAPLE_WORKER_ADDRS points at external workers.
+// share one worker pool, which SNAPLE_WORKER_ADDRS points at external workers;
+// a fault row (named fault-<value>-...) runs on fresh workers of its own,
+// where a worker of the queried shard faults its first session, and must end
+// in its fault's one outcome (see checkFault).
 func TestBackendEquivalence(t *testing.T) {
 	cases, err := eqGenerate()
 	if err != nil {
@@ -72,6 +83,7 @@ const (
 	axEntry
 	axScore
 	axPoint
+	axFault // last: the generator fills it only for the fault items, after every other item
 	eqAxes
 )
 
@@ -193,7 +205,18 @@ func eqSim(s Sim) eqBackend {
 }
 
 func eqDist(name string, pool int, o FleetOptions, workers, replicas int) eqBackend {
-	return eqBackend{name: name, kind: "dist", tags: []string{"strategy=" + eqStrategy(o.Strategy)}, opts: o, pool: pool, workers: workers, replicas: replicas}
+	tags := []string{"strategy=" + eqStrategy(o.Strategy), eqReplicas(replicas)}
+	if pool > 0 {
+		tags = append(tags, "wire=dist") // a one-shot Dist on pool workers: fault rows run here
+	}
+	return eqBackend{name: name, kind: "dist", tags: tags, opts: o, pool: pool, workers: workers, replicas: replicas}
+}
+
+func eqReplicas(r int) string {
+	if r == 1 {
+		return "R=1"
+	}
+	return "R=2+"
 }
 
 var eqBackends = []eqBackend{
@@ -223,12 +246,12 @@ var eqBackends = []eqBackend{
 	eqDist("dist-r4x3", 4, FleetOptions{Replicas: 3, Seed: 42}, 3, 3),
 	eqDist("dist-r2x5", 2, FleetOptions{Replicas: 5, Seed: 42}, 2, 2),
 	eqDist("dist-zip", 0, FleetOptions{InProc: 3, Seed: 42, Compress: true}, 3, 1),
-	{name: "fleet-resident-3x2", kind: "fleet", opts: FleetOptions{Replicas: 2}, resident: true, workers: 6, replicas: 2},
+	{name: "fleet-resident-3x2", kind: "fleet", tags: []string{"wire=resident", "R=2+"}, opts: FleetOptions{Replicas: 2}, resident: true, workers: 6, replicas: 2},
 	eqFleet(1, 1), eqFleet(2, 1), eqFleet(4, 1), eqFleet(3, 2),
 }
 
 func eqFleet(shards, replicas int) eqBackend {
-	return eqBackend{name: fmt.Sprintf("fleet-%dx%d", shards, replicas), kind: "fleet",
+	return eqBackend{name: fmt.Sprintf("fleet-%dx%d", shards, replicas), kind: "fleet", tags: []string{"wire=fleet", eqReplicas(replicas)},
 		opts: FleetOptions{InProc: shards, Replicas: replicas, Seed: 9}, workers: shards * replicas, replicas: replicas}
 }
 
@@ -263,6 +286,72 @@ var eqPoints = func() []eqPoint {
 		eqPoint{hi, u, 8, 4, 5}, eqPoint{lo, u, 6, 5, 5}, eqPoint{rnd, u, 6, 5, 5}, eqPoint{hi, u, 8, 6, 10})
 }()
 
+// eqFault is a fault-axis value: one wire.ChaosEvent on the first session of
+// the queried shard's serving replica (replica 0, which beginAttempt elects),
+// of its standby (replica 1), or of every replica of its group.
+type eqFault struct {
+	name string
+	ev   wire.ChaosEvent
+	who  string // "serving", "standby" or "group"
+}
+
+var eqFaults = func() []eqFault {
+	atStep := func(s core.DistStep) wire.ChaosEvent { // the worker cuts on reading s's step-begin
+		return wire.ChaosEvent{Dir: wire.ChaosReads, Kind: wire.KindStepBegin, Step: s, Op: wire.ChaosCut}
+	}
+	partials := func(op wire.ChaosOp, d time.Duration) wire.ChaosEvent { // at its first partials frame
+		return wire.ChaosEvent{Dir: wire.ChaosWrites, Kind: wire.KindPartials, Op: op, Delay: d}
+	}
+	fs := []eqFault{{name: "none"}}
+	for _, s := range core.DistSteps() {
+		fs = append(fs, eqFault{"kill-" + s.String(), atStep(s), "serving"})
+	}
+	return append(fs, eqFault{"kill-standby", atStep(core.DistRelays), "standby"},
+		eqFault{"corrupt", partials(wire.ChaosCorrupt, 0), "serving"},
+		eqFault{"blackhole", partials(wire.ChaosDrop, 0), "serving"},
+		eqFault{"delay", partials(wire.ChaosDelay, 100*time.Millisecond), "serving"},
+		eqFault{"lose-partition", atStep(core.DistTruncate), "group"},
+		eqFault{"cancel", partials(wire.ChaosDelay, 0), "serving"}) // held until the row has cancelled
+}()
+
+// A fault row's StepTimeout: far above a healthy phase, so that a delay stays
+// jitter; a blackhole row waits one out, so its is short.
+const eqFaultTimeout, eqBlackholeTimeout = 2 * time.Second, 500 * time.Millisecond
+
+// eqOutcome is the one way a row may end: the oracle rows (err nil) or err,
+// with exactly dead workers (-1: uncounted), failovers and fired fault
+// events, within a wall time (0: unbounded).
+type eqOutcome struct {
+	err                    error
+	dead, failovers, fired int
+	within                 time.Duration
+}
+
+// expect is f's outcome at reps replicas under StepTimeout timeout. A fault
+// whose frame never comes (fires false: its superstep is skipped) does nothing.
+func (f eqFault) expect(reps int, fires bool, timeout time.Duration) eqOutcome {
+	if f.name == "none" || !fires {
+		return eqOutcome{}
+	}
+	o := eqOutcome{dead: 1, fired: 1}
+	switch {
+	case f.name == "delay":
+		o.dead = 0
+	case f.name == "cancel":
+		o = eqOutcome{err: context.Canceled, dead: -1, fired: 1, within: 2 * timeout}
+	case f.who == "group":
+		o = eqOutcome{err: ErrPartitionLost, dead: reps, fired: reps, within: 2 * timeout}
+	case reps == 1:
+		o.err, o.within = ErrPartitionLost, 2*timeout
+	case f.who == "serving":
+		o.failovers = 1
+		if f.name == "blackhole" {
+			o.within = 3 * timeout
+		}
+	}
+	return o
+}
+
 // eqFeatures is what axis ax's value v adds to a case of the system: the
 // names eqRequired is written in. BASELINE has no storage, scope, entry
 // point or config.
@@ -294,6 +383,16 @@ var eqFeatureTable = func() (t [eqAxes][][]string) {
 	for _, p := range eqPoints {
 		add(axPoint, "point="+p.String(), "triple="+p.triple())
 	}
+	for v := 1; v < len(eqScopes); v++ {
+		t[axScope][v] = append(t[axScope][v], "scoped")
+	}
+	for _, f := range eqFaults {
+		fs := []string{"fault=" + f.name}
+		if f.name != "none" {
+			fs = append(fs, "faulted")
+		}
+		add(axFault, fs...)
+	}
 	return t
 }()
 
@@ -319,6 +418,9 @@ func (c eqCase) String() string {
 		parts = append(parts, eqStorages[c[axStorage]], eqScopes[c[axScope]], eqEntries[c[axEntry]],
 			core.ScoreNames()[c[axScore]], eqPoints[c[axPoint]].String())
 	}
+	if f := c[axFault]; f > 0 {
+		return "fault-" + eqFaults[f].name + "-" + strings.Join(parts, "/")
+	}
 	return strings.Join(parts, "/")
 }
 
@@ -335,6 +437,19 @@ func eqValid(c eqCase) bool {
 	if kind == "fleet" && mutates || c[axSystem] == eqBaseline &&
 		(kind != "" && kind != "sim" || max(c[axStorage], c[axScope], c[axEntry], c[axScore], c[axPoint]) > 0) {
 		return false
+	}
+	// A fault row runs SNAPLE on fresh wire workers, a pool Dist or a fleet,
+	// over sources that touch a shard; a standby needs a second replica, and
+	// a cancellation the entry point that takes a context.
+	if f := c[axFault]; f > 0 {
+		if c[axSystem] == eqBaseline || c[axScope] >= 0 && eqScopes[c[axScope]] == "isolated" ||
+			eqFaults[f].name == "cancel" && c[axEntry] >= 0 && eqEntries[c[axEntry]] != "PredictScoped" {
+			return false
+		}
+		if b := c[axBackend]; b >= 0 && (kind != "fleet" && (kind != "dist" || eqBackends[b].pool == 0) ||
+			eqFaults[f].who == "standby" && eqBackends[b].replicas < 2) {
+			return false
+		}
 	}
 	if c[axScope] < 0 || c[axGraph] < 0 {
 		return true
@@ -355,7 +470,7 @@ func eqRequired() (items [][]string) {
 			}
 		}
 	}
-	for ax := range eqAxes {
+	for ax := range axFault {
 		for _, f := range eqNames(ax, 0) {
 			items = append(items, []string{f})
 		}
@@ -382,7 +497,30 @@ func eqRequired() (items [][]string) {
 		[]string{"graph=test250-s13-pad16", "storage=mapped", "scope=single"},
 		[]string{"graph=test250-s13-pad16", "storage=packed", "scope=six-storage"},
 		[]string{"graph=test250-s13-pad16", "storage=delta", "scope=single"})
-	return append(items, eqTables()...)
+	return append(append(items, eqTables()...), eqFaultItems()...)
+}
+
+// eqFaultItems lists the fault axis's demands, last, so that a fault row is
+// generated only once every other item is covered and never stands in for a
+// healthy one: each fault value on each wire kind, on a full and a scoped
+// run, and at one and at several replicas where it is valid; each kill that
+// a replica survives with linearSum under max and with PPR under rnd, both
+// sampling (thrΓ 10, k_local 4), since the re-run must redraw the same seeded
+// sample; and a faulted row on mapped and on packed storage.
+func eqFaultItems() (items [][]string) {
+	for _, f := range eqNames(axFault, 0) {
+		items = append(items, []string{f})
+		for _, w := range []string{"wire=dist", "wire=fleet", "wire=resident", "scope=full", "scoped", "R=1", "R=2+"} {
+			if f != "fault=kill-standby" || w != "R=1" {
+				items = append(items, []string{f, w})
+			}
+		}
+		if strings.HasPrefix(f, "fault=kill-") {
+			items = append(items, []string{f, "R=2+", "score=linearSum", "triple=max-thr10-kl4"},
+				[]string{f, "R=2+", "score=PPR", "triple=rnd-thr10-kl4"})
+		}
+	}
+	return append(items, []string{"faulted", "storage=mapped"}, []string{"faulted", "storage=packed"})
 }
 
 // eqTables lists the crosses the per-backend tables this harness replaced
@@ -524,7 +662,7 @@ func eqGenerate() ([]eqCase, error) {
 		if covered[i] {
 			continue
 		}
-		c := eqCase{-1, -1, -1, -1, -1, -1, -1, -1}
+		c := eqCase{-1, -1, -1, -1, -1, -1, -1, -1, -1}
 		var order []int // the axes item names, then the rest
 		for pass := range 2 {
 			for ax := range eqAxes {
@@ -534,6 +672,10 @@ func eqGenerate() ([]eqCase, error) {
 			}
 		}
 		for _, ax := range order {
+			if ax == axFault && !slices.ContainsFunc(item, func(f string) bool { return owner[f] == axFault }) {
+				c[ax] = 0 // a fault only where an item asks for one
+				continue
+			}
 			best, bestGain := -1, -1
 			for v := range len(eqFeatureTable[ax]) {
 				d := c
@@ -638,7 +780,7 @@ func (h *eqHarness) view(t testing.TB, gi, si int) eqView {
 }
 
 // backend returns c's backend, opening (once) the fleet it names, after
-// holding (once) the cut it runs on to its shape.
+// holding the cut it runs on to its shape.
 func (h *eqHarness) backend(t testing.TB, c eqCase, v eqView) (Backend, error) {
 	b, key, o := eqBackends[c[axBackend]], [3]int{c[axBackend], c[axGraph], c[axStorage]}, eqBackends[c[axBackend]].opts
 	if f, ok := h.fleets[key]; ok {
@@ -650,12 +792,7 @@ func (h *eqHarness) backend(t testing.TB, c eqCase, v eqView) (Backend, error) {
 	} else if b.resident {
 		files, o.Manifest = packVia(t, v.csr, nil, eqResidentSeed, b.workers/b.replicas)
 	}
-	err, ok := h.cuts[key]
-	if !ok {
-		err = eqCheckCut(b, v.view, o)
-		h.cuts[key] = err
-	}
-	switch {
+	switch err := h.cut(c, v, o); {
 	case err != nil:
 		return nil, err
 	case b.be != nil:
@@ -675,6 +812,18 @@ func (h *eqHarness) backend(t testing.TB, c eqCase, v eqView) (Backend, error) {
 	}
 	h.fleets[key] = f
 	return f, nil
+}
+
+// cut returns eqCheckCut's verdict on the cut c's backend runs on with o,
+// held once per backend, graph and storage.
+func (h *eqHarness) cut(c eqCase, v eqView, o FleetOptions) error {
+	key := [3]int{c[axBackend], c[axGraph], c[axStorage]}
+	err, ok := h.cuts[key]
+	if !ok {
+		err = eqCheckCut(eqBackends[c[axBackend]], v.view, o)
+		h.cuts[key] = err
+	}
+	return err
 }
 
 // want is the one oracle: the reference over the CSR the view must equal,
@@ -702,6 +851,18 @@ func (h *eqHarness) want(t testing.TB, c eqCase, csr *graph.Digraph, cfg core.Co
 	return filterToSources(full, cfg.Sources)
 }
 
+// eqConfig is c's SNAPLE config, sources included (zero for BASELINE).
+func eqConfig(t testing.TB, c eqCase) core.Config {
+	if c[axSystem] == eqBaseline {
+		return core.Config{}
+	}
+	p := eqPoints[c[axPoint]]
+	cfg := core.Config{Score: mustScore(t, core.ScoreNames()[c[axScore]]), K: p.k, KLocal: p.klocal,
+		ThrGamma: p.thr, Policy: p.policy, Seed: p.seed}
+	cfg.Sources, _ = eqScopeSources(eqScopes[c[axScope]], eqGraphs[c[axGraph]])
+	return cfg
+}
+
 // check runs c and returns how it departs from the oracle or from the Stats
 // invariants, or nil.
 func (h *eqHarness) check(t testing.TB, c eqCase) error {
@@ -709,43 +870,56 @@ func (h *eqHarness) check(t testing.TB, c eqCase) error {
 	if v.err != nil {
 		return v.err
 	}
+	if c[axFault] > 0 {
+		return h.checkFault(t, c, v)
+	}
 	be, err := h.backend(t, c, v)
 	if err != nil {
 		return err
 	}
-	var cfg core.Config
+	cfg := eqConfig(t, c)
 	var got core.Predictions
 	var st Stats
 	if c[axSystem] == eqBaseline {
 		got, st, err = be.(Sim).PredictBaseline(v.view, 5)
 	} else {
-		p := eqPoints[c[axPoint]]
-		cfg = core.Config{Score: mustScore(t, core.ScoreNames()[c[axScore]]), K: p.k, KLocal: p.klocal,
-			ThrGamma: p.thr, Policy: p.policy, Seed: p.seed}
-		cfg.Sources, _ = eqScopeSources(eqScopes[c[axScope]], eqGraphs[c[axGraph]])
 		if cfg.Sources != nil {
 			h.forms.note(t, v.csr, cfg)
 		}
-		if eqEntries[c[axEntry]] == "Predict" {
-			got, st, err = be.Predict(v.view, cfg)
-		} else {
-			var sp core.ScopedPredictions
-			sp, st, err = PredictScoped(context.Background(), be, v.view, cfg)
-			if verts := slices.Compact(slices.Sorted(slices.Values(cfg.Sources))); err == nil && !reflect.DeepEqual(sp.Vertices, verts) {
-				return fmt.Errorf("PredictScoped returned Vertices %v, want %v", sp.Vertices, verts)
-			}
-			got = sp.Dense(v.view.NumVertices())
-			for u, row := range got {
-				if !reflect.DeepEqual(sp.Row(graph.VertexID(u)), row) {
-					return fmt.Errorf("PredictScoped's Row(%d) is not its Dense row", u)
-				}
-			}
-		}
+		got, st, err = eqRun(context.Background(), c, be, v.view, cfg)
 	}
 	if err != nil {
 		return err
 	}
-	want := h.want(t, c, v.csr, cfg)
+	if err := eqCompare(h.want(t, c, v.csr, cfg), got); err != nil {
+		return err
+	}
+	return eqCheckStats(c, st, v.view, cfg.Sources, eqOutcome{})
+}
+
+// eqRun runs cfg on be through c's entry point and returns the dense rows,
+// holding PredictScoped's Vertices and Row to its Dense rows.
+func eqRun(ctx context.Context, c eqCase, be Backend, g graph.View, cfg core.Config) (core.Predictions, Stats, error) {
+	if eqEntries[c[axEntry]] == "Predict" {
+		return be.Predict(g, cfg)
+	}
+	sp, st, err := PredictScoped(ctx, be, g, cfg)
+	if err != nil {
+		return nil, st, err
+	}
+	if verts := slices.Compact(slices.Sorted(slices.Values(cfg.Sources))); !reflect.DeepEqual(sp.Vertices, verts) {
+		return nil, st, fmt.Errorf("PredictScoped returned Vertices %v, want %v", sp.Vertices, verts)
+	}
+	got := sp.Dense(g.NumVertices())
+	for u, row := range got {
+		if !reflect.DeepEqual(sp.Row(graph.VertexID(u)), row) {
+			return nil, st, fmt.Errorf("PredictScoped's Row(%d) is not its Dense row", u)
+		}
+	}
+	return got, st, nil
+}
+
+func eqCompare(want, got core.Predictions) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d rows, want %d", len(got), len(want))
 	}
@@ -754,7 +928,181 @@ func (h *eqHarness) check(t testing.TB, c eqCase) error {
 			return fmt.Errorf("vertex %d: got %v, want %v", u, got[u], want[u])
 		}
 	}
-	return eqCheckStats(c, st, v.view, cfg.Sources)
+	return nil
+}
+
+// checkFault runs fault row c on fresh workers, a pool Dist or a fleet newly
+// opened on them, whose target replicas fault their first sessions; the
+// target shard is eqTarget's. The run must end in its fault's one outcome,
+// with every fault event it expects fired and no other; a cancelled row's
+// workers must then answer the next query with the oracle rows; and once the
+// row is torn down no goroutine and no descriptor may outlive it.
+func (h *eqHarness) checkFault(t testing.TB, c eqCase, v eqView) (err error) {
+	b, f, cfg := eqBackends[c[axBackend]], eqFaults[c[axFault]], eqConfig(t, c)
+	want, o := h.want(t, c, v.csr, cfg), b.opts
+	o.InProc, o.StepTimeout = b.workers/b.replicas, eqFaultTimeout
+	if f.name == "blackhole" {
+		o.StepTimeout = eqBlackholeTimeout
+	}
+	// The cut the workers will hold: a resident fleet's packed shards, or the
+	// one OpenFleet computes for the shape the pool's Addrs will have.
+	var resident []*graph.ShardFile
+	if b.resident {
+		resident, o.Manifest = packVia(t, v.csr, nil, eqResidentSeed, o.InProc)
+	}
+	files := resident
+	if files == nil {
+		if files, _, err = PackShards(v.view, o.Strategy, o.Seed, o.InProc); err != nil {
+			return err
+		}
+	}
+	if err := h.cut(c, v, o); err != nil {
+		return err
+	}
+	target := eqTarget(files, cfg.Sources)
+	q, err := newQuery(v.view, cfg)
+	if err != nil {
+		return err
+	}
+	fires := target >= 0 && slices.ContainsFunc(core.DistSteps(), func(s core.DistStep) bool {
+		return (f.ev.Step == 0 || f.ev.Step == s) && q.frontier.StepHasWork(s, v.view)
+	})
+	out := f.expect(b.replicas, fires, o.StepTimeout)
+
+	snap := leakcheck.Take()
+	ctx, cancel := context.WithCancel(context.Background())
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	var fired atomic.Int64
+	ev := f.ev
+	if f.name == "cancel" {
+		ev.Hold = hold
+	}
+	n := cmp.Or(b.pool, b.workers)
+	addrs, stop, err := eqFaultPool(n, b.replicas, resident, func(i int) []wire.ChaosEvent {
+		if s, r := i/b.replicas, i%b.replicas; s != target ||
+			f.who == "serving" && r != 0 || f.who == "standby" && r != 1 {
+			return nil
+		}
+		return []wire.ChaosEvent{ev}
+	}, func(wire.ChaosEvent) {
+		if fired.Add(1); f.name == "cancel" {
+			cancel() // the stalled frame is in flight: cancel mid-superstep
+		}
+	})
+	if err != nil {
+		cancel()
+		return err
+	}
+	defer func() {
+		cancel()
+		release()
+		stop()
+		if lerr := snap.Settle(); err == nil {
+			err = lerr
+		}
+	}()
+	o.Addrs = addrs
+	var be Backend = Dist(o)
+	if b.kind == "fleet" {
+		fl, err := OpenFleet(v.view, o)
+		if err != nil {
+			return err
+		}
+		defer fl.Close()
+		be = fl
+	}
+
+	start := time.Now()
+	got, st, err := eqRun(ctx, c, be, v.view, cfg)
+	switch wall := time.Since(start); {
+	case int(fired.Load()) != out.fired:
+		return fmt.Errorf("%d fault events fired, want %d (err %v)", fired.Load(), out.fired, err)
+	case out.within > 0 && wall > out.within:
+		return fmt.Errorf("took %v, want at most %v (err %v)", wall, out.within, err)
+	case out.err == nil && err != nil:
+		return err
+	case out.err != nil && !errors.Is(err, out.err):
+		return fmt.Errorf("err = %v, want %v", err, out.err)
+	case out.dead >= 0 && st.WorkersDead != out.dead:
+		return fmt.Errorf("WorkersDead = %d, want %d (err %v)", st.WorkersDead, out.dead, err)
+	case out.err == nil:
+		if err := eqCompare(want, got); err != nil {
+			return err
+		}
+		return eqCheckStats(c, st, v.view, cfg.Sources, out)
+	case f.name != "cancel":
+		return nil
+	}
+	// The workers saw their sessions end, not their processes: the same
+	// workers, behind the same backend, answer the next query.
+	release()
+	if got, st, err = eqRun(context.Background(), c, be, v.view, cfg); err != nil {
+		return fmt.Errorf("the query after the cancel: %w", err)
+	}
+	if err := eqCompare(want, got); err != nil {
+		return fmt.Errorf("the query after the cancel: %w", err)
+	}
+	return eqCheckStats(c, st, v.view, cfg.Sources, eqOutcome{})
+}
+
+// eqTarget is the shard a fault row faults, one its query touches: shard 0
+// of files on a full run, otherwise the first holding out-edges of the first
+// source with any (-1 when none has, and no shard is touched).
+func eqTarget(files []*graph.ShardFile, sources []graph.VertexID) int {
+	if sources == nil {
+		return 0
+	}
+	for _, u := range sources {
+		for p, sf := range files {
+			if slices.ContainsFunc(sf.EdgeSrc, func(si int32) bool { return sf.Locals[si] == u }) {
+				return p
+			}
+		}
+	}
+	return -1
+}
+
+// eqFaultPool stands up n fresh loopback workers, shard-major in groups of
+// reps and resident for their shard when files is set, each serving its
+// first session over a wire.ChaosTransport scripted by events(i) that
+// reports to fired, and its later ones clean. stop closes the listeners; the
+// sessions end with their connections.
+func eqFaultPool(n, reps int, files []*graph.ShardFile, events func(i int) []wire.ChaosEvent, fired func(wire.ChaosEvent)) (addrs []string, stop func(), err error) {
+	var ls []net.Listener
+	stop = func() {
+		for _, l := range ls {
+			l.Close()
+		}
+	}
+	for i := range n {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			stop()
+			return nil, nil, err
+		}
+		ls = append(ls, l)
+		var so wire.ServeOptions
+		if files != nil {
+			so.Resident = files[i/reps]
+		}
+		evs := events(i)
+		go func() {
+			for first := true; ; first = false {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				var rwc io.ReadWriteCloser = c
+				if first && evs != nil {
+					rwc = wire.NewChaosTransport(c, evs, fired)
+				}
+				go func() { _ = wire.ServeConnWith(rwc, so) }()
+			}
+		}()
+		addrs = append(addrs, l.Addr().String())
+	}
+	return addrs, stop, nil
 }
 
 // eqResidentSeed seeds the cut of the resident fleet's packed shards.
@@ -798,14 +1146,15 @@ func eqCheckCut(b eqBackend, g graph.View, o FleetOptions) error {
 }
 
 // eqCheckStats holds a run's Stats to its backend's invariants: engine name,
-// workers and replicas (a scoped wire run contacts up to all workers); a
+// workers and replicas (a scoped wire run contacts up to all workers), and on
+// a wire run out's dead workers and failovers; a
 // replication factor of at least 1 on the sim and on full wire runs;
 // measured traffic, peak memory and timing on full wire runs; no replica or
 // cross-node traffic on a one-partition sim, and some on a full SNAPLE sim
 // run whose cut replicates vertices across nodes of a 100-edge graph; a
 // frontier of 0 (full) or within (0, n] (scoped), and n or the distinct
 // sources scored.
-func eqCheckStats(c eqCase, st Stats, g graph.View, sources []graph.VertexID) error {
+func eqCheckStats(c eqCase, st Stats, g graph.View, sources []graph.VertexID, out eqOutcome) error {
 	b, n, full, snaple := eqBackends[c[axBackend]], g.NumVertices(), sources == nil, c[axSystem] != eqBaseline
 	wire, scored := b.kind == "dist" || b.kind == "fleet", n
 	if !full {
@@ -815,6 +1164,7 @@ func eqCheckStats(c eqCase, st Stats, g graph.View, sources []graph.VertexID) er
 	case st.Engine != b.kind,
 		!wire && b.kind != "sim" && (st.Workers != cmp.Or(b.workers, runtime.GOMAXPROCS(0)) || st.Replicas != 0),
 		wire && (st.Replicas != b.replicas || st.Workers <= 0 || st.Workers > b.workers || full && st.Workers != b.workers),
+		wire && (st.WorkersDead != out.dead || st.Failovers != out.failovers),
 		(b.kind == "sim" || wire && full) && st.ReplicationFactor < 1,
 		wire && full && (st.ShipBytes == 0 || st.CrossBytes == 0 || st.CrossMsgs == 0 || st.MemPeakBytes == 0 ||
 			st.WallSeconds <= 0 || st.EdgesPerSec <= 0),

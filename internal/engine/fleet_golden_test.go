@@ -12,6 +12,7 @@ import (
 	"snaple/internal/core"
 	"snaple/internal/gen"
 	"snaple/internal/graph"
+	"snaple/internal/leakcheck"
 	"snaple/internal/randx"
 )
 
@@ -218,7 +219,7 @@ func digestRows(sources []graph.VertexID, row func(graph.VertexID) []core.Predic
 // the sparse entry point alike. The rows are also Serial's, filtered to the
 // sources.
 func TestFleetScopedGolden(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	g := scopedGoldenGraph(t)
 	base := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 8, ThrGamma: 20, Seed: 42}
 	oracles := map[string]core.Predictions{} // Serial's full runs, by score/policy

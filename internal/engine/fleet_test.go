@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +15,7 @@ import (
 	"snaple/internal/core"
 	"snaple/internal/gen"
 	"snaple/internal/graph"
+	"snaple/internal/leakcheck"
 	"snaple/internal/partition"
 	"snaple/internal/wire"
 )
@@ -38,32 +38,6 @@ func serveResident(t *testing.T, files []*graph.ShardFile, replicas int) []strin
 		}
 	}
 	return addrs
-}
-
-// checkGoroutines fails t unless, once the test and every cleanup registered
-// after this call have run, the process's goroutine count settles back to
-// what it was here: closing a fleet must end its watchers, its in-process
-// workers' sessions and its listeners. Call it first, so that its cleanup
-// runs last. The count is polled, since a closed connection's goroutines exit
-// asynchronously.
-func checkGoroutines(t *testing.T) {
-	t.Helper()
-	before := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			n := runtime.NumGoroutine()
-			if n <= before {
-				return
-			}
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Errorf("%d goroutines outlive the test (%d before it):\n%s", n-before, before, buf[:runtime.Stack(buf, true)])
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
 }
 
 // packVia round-trips PackShards' output through the on-disk encoding, so
@@ -408,7 +382,7 @@ func TestFleetManifestMismatch(t *testing.T) {
 // fleet serving — the next query fails over to the survivor and the one
 // after redials nothing that is not needed.
 func TestFleetFailover(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	g := testGraph(t, 150, 11)
 	f, err := OpenFleet(g, FleetOptions{InProc: 2, Replicas: 2, Seed: 5})
 	if err != nil {
@@ -464,7 +438,7 @@ func TestFleetFailover(t *testing.T) {
 // concurrently. Nothing about that shard may be written after it is validated
 // (-race watches this test), and every answer is Serial's, bit for bit.
 func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
-	checkGoroutines(t)
+	leakcheck.Check(t)
 	g := testGraph(t, 300, 7)
 	files, man := packVia(t, g, nil, 11, 2)
 	addrs := serveResident(t, files, 1)

@@ -17,6 +17,7 @@ import (
 	"snaple/internal/core"
 	"snaple/internal/engine"
 	"snaple/internal/graph"
+	"snaple/internal/leakcheck"
 	"snaple/internal/randx"
 )
 
@@ -70,6 +71,7 @@ func (c *countingBackend) Predict(g graph.View, cfg core.Config) (core.Predictio
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
+	leakcheck.Check(t)
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -210,6 +212,7 @@ func TestSparseAndDenseBackendsServeIdentically(t *testing.T) {
 // within one window share a single backend run, and identical ids are
 // served from the cache forever after.
 func TestMicroBatchingCoalesces(t *testing.T) {
+	leakcheck.Check(t)
 	g := testGraph(t, 120, 5)
 	be := &countingBackend{inner: engine.Local{Workers: 1}}
 	s, err := New(Options{Graph: g, Backend: be, Config: testConfig(t, 5), BatchWindow: 300 * time.Millisecond})
@@ -266,6 +269,7 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 // the tick is still answered from the run's own output — cache pressure
 // may evict rows but can never turn a real answer into an empty one.
 func TestTickLargerThanCache(t *testing.T) {
+	leakcheck.Check(t)
 	g := testGraph(t, 200, 3)
 	cfg := testConfig(t, 5)
 	full, err := core.ReferenceSnaple(g, cfg)
@@ -308,6 +312,7 @@ func TestTickLargerThanCache(t *testing.T) {
 // ids are all cached is answered immediately, not after the batch window —
 // an empty frontier can never benefit from batching.
 func TestFullyCachedSkipsWindow(t *testing.T) {
+	leakcheck.Check(t)
 	g := testGraph(t, 50, 1)
 	s, err := New(Options{Graph: g, Config: testConfig(t, 5), BatchWindow: time.Hour})
 	if err != nil {
@@ -355,6 +360,7 @@ func (b *gatedBackend) Predict(g graph.View, cfg core.Config) (core.Predictions,
 // misses: while another request's run is blocked in the backend, a fully
 // cached request is answered from the cache.
 func TestCachedRequestAnsweredDuringRun(t *testing.T) {
+	leakcheck.Check(t)
 	be := &gatedBackend{Backend: engine.Local{Workers: 1}, entered: make(chan struct{}, 1), release: make(chan struct{})}
 	s, err := New(Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5), BatchWindow: time.Millisecond})
 	if err != nil {
@@ -394,6 +400,7 @@ func TestCachedRequestAnsweredDuringRun(t *testing.T) {
 // whose row another tick cached while it waited for its own tick is
 // answered from the cache, without a second run.
 func TestWaitingMissServedFromCache(t *testing.T) {
+	leakcheck.Check(t)
 	be := &countingBackend{inner: engine.Local{Workers: 1}}
 	s, err := New(Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5)})
 	if err != nil {
@@ -888,6 +895,7 @@ func (fleetLikeBackend) FleetInfo() engine.FleetInfo { return engine.FleetInfo{}
 
 // TestMutableRejects pins the mutable-mode constructor validation.
 func TestMutableRejects(t *testing.T) {
+	leakcheck.Check(t)
 	g := testGraph(t, 20, 1)
 	if _, err := New(Options{Graph: g, Mutable: true, Backend: fleetLikeBackend{}, Config: testConfig(t, 5)}); err == nil {
 		t.Error("mutable server accepted a resident fleet backend")
@@ -989,6 +997,7 @@ func TestConfigFingerprint(t *testing.T) {
 // TestServeClose ensures Close unblocks pending requests with an error
 // instead of hanging them.
 func TestServeClose(t *testing.T) {
+	leakcheck.Check(t)
 	g := testGraph(t, 50, 1)
 	s, err := New(Options{Graph: g, Config: testConfig(t, 5), BatchWindow: time.Hour})
 	if err != nil {

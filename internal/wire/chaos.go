@@ -1,31 +1,31 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
 	"time"
+
+	"snaple/internal/core"
 )
 
-// This file is the fault-injection half of the dist backend's chaos
-// harness: a transport wrapper that fires scripted faults at exact byte
-// offsets of either direction of a connection. Tests wrap a worker's
-// accepted net.Conn in a ChaosTransport and hand it to ServeConnWith, so
-// every failure mode a real network produces — a stall, a mid-frame
-// connection cut, a flipped bit, a silent blackhole — hits the coordinator
-// exactly where the script says, deterministically. The equivalence suite
-// in internal/engine then asserts that a run surviving these faults is
-// bit-identical to the healthy run.
+// This file is the fault injector of the engine's equivalence harness: a
+// transport wrapper that fires scripted faults at frames. A test wraps a
+// worker's accepted net.Conn in a ChaosTransport and hands it to
+// ServeConnWith, so a stall, a crash that cuts the connection, a flipped bit
+// or a silent blackhole hits the coordinator at the protocol point the script
+// names (the worker's first partials frame, say, or its reading of superstep
+// 2's step-begin), on any graph and scope. It reads the frame header layout
+// (frame.go), which is why it lives in this package.
 
-// ChaosDir selects which direction of the wrapped transport a fault
-// applies to. Offsets count bytes per direction, from the wrap.
+// ChaosDir selects which direction of the wrapped transport an event watches.
 type ChaosDir int
 
 const (
-	// ChaosReads faults the wrapped transport's Read stream (bytes arriving
-	// from the peer).
+	// ChaosReads watches the frames arriving from the peer.
 	ChaosReads ChaosDir = iota
-	// ChaosWrites faults the Write stream (bytes sent to the peer).
+	// ChaosWrites watches the frames sent to the peer.
 	ChaosWrites
 )
 
@@ -33,192 +33,191 @@ const (
 type ChaosOp int
 
 const (
-	// ChaosDelay stalls the stream once for Delay when the offset is
-	// reached, then continues untouched — network jitter, not a failure.
+	// ChaosDelay stalls the frame before it passes, for Delay or until Hold
+	// is closed, then lets it through untouched: jitter, not a failure.
 	ChaosDelay ChaosOp = iota
-	// ChaosCorrupt flips one bit of the byte at the offset. On a v3
-	// connection the frame's CRC-32C catches it and the receiver kills the
-	// connection — a clean model of line corruption.
+	// ChaosCorrupt flips one bit of the frame's first payload byte (of its
+	// payload CRC when the payload is empty): the receiver's CRC-32C check
+	// catches it and kills the connection.
 	ChaosCorrupt
-	// ChaosCut closes the underlying transport abruptly at the offset,
-	// leaving the peer mid-frame — the signature of a SIGKILLed process.
+	// ChaosCut closes the underlying transport before the frame passes: the
+	// signature of a crashed process.
 	ChaosCut
-	// ChaosDrop blackholes the direction from the offset on: writes report
-	// success but deliver nothing, reads consume the peer's bytes but
-	// return none. Only a deadline can detect it — exactly the failure the
-	// coordinator's per-phase deadlines exist for.
+	// ChaosDrop blackholes the direction from the frame on: writes report
+	// success but deliver nothing, reads consume the peer's bytes but return
+	// none. Only a deadline can detect it.
 	ChaosDrop
 )
 
-// ChaosEvent is one scripted fault: Op fires when byte At of direction Dir
-// is reached. Events of one direction must be listed in ascending At order;
-// an At at or before the current offset fires on the next operation.
+// ChaosEvent is one scripted fault: Op fires on the Nth (from 0) frame of
+// direction Dir with kind Kind and step Step (zero: any step).
 type ChaosEvent struct {
 	Dir   ChaosDir
+	Kind  Kind
+	Step  core.DistStep
+	Nth   int
 	Op    ChaosOp
-	At    int64
-	Delay time.Duration // ChaosDelay only
+	Delay time.Duration   // ChaosDelay only
+	Hold  <-chan struct{} // ChaosDelay only: when set, stall until it is closed instead
 }
 
-// ChaosTransport wraps a transport and injects scripted faults at exact
-// byte offsets. It is safe for one concurrent reader and one concurrent
-// writer, like the net.Conn it wraps. Deadlines pass through to the
-// underlying transport, so Conn.SetDeadline still bounds a blackholed
-// stream.
+// ChaosTransport wraps a transport carrying frames and injects scripted
+// faults at them. It is safe for one concurrent reader and one concurrent
+// writer, like the net.Conn it wraps, and passes deadlines through, so
+// Conn.SetDeadline still bounds a blackholed stream.
 type ChaosTransport struct {
 	rwc    io.ReadWriteCloser
+	fired  func(ChaosEvent)
 	mu     sync.Mutex
 	events []ChaosEvent
-	rOff   int64
-	wOff   int64
-	rDrop  bool
-	wDrop  bool
+	r, w   chaosCursor
 }
 
-// NewChaosTransport wraps rwc with the given fault script.
-func NewChaosTransport(rwc io.ReadWriteCloser, events []ChaosEvent) *ChaosTransport {
-	return &ChaosTransport{rwc: rwc, events: append([]ChaosEvent(nil), events...)}
+// chaosCursor tracks one direction's position in its frame stream.
+type chaosCursor struct {
+	hdr  [frameHeaderSize]byte
+	have int    // header bytes gathered, before the header is judged
+	pend []byte // judged header bytes not yet delivered (reads)
+	body int    // bytes of the current frame left after its header
+	flip bool   // corrupt the next body byte
+	drop bool
 }
 
-// pendingLocked returns the index of the first queued event for dir, or -1.
-func (t *ChaosTransport) pendingLocked(dir ChaosDir) int {
-	for i := range t.events {
-		if t.events[i].Dir == dir {
-			return i
-		}
-	}
-	return -1
+// NewChaosTransport wraps rwc with the given fault script. fired, when not
+// nil, is called as each event fires, before its fault takes effect.
+func NewChaosTransport(rwc io.ReadWriteCloser, events []ChaosEvent, fired func(ChaosEvent)) *ChaosTransport {
+	return &ChaosTransport{rwc: rwc, fired: fired, events: append([]ChaosEvent(nil), events...)}
 }
 
-// Read implements io.Reader with read-direction faults.
-func (t *ChaosTransport) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return t.rwc.Read(p)
-	}
-	for {
-		t.mu.Lock()
-		if t.rDrop {
-			t.mu.Unlock()
-			// Blackhole: keep consuming so the peer never blocks on TCP
-			// flow control, but deliver nothing. A deadline or a close on
-			// the underlying transport is the only way out.
-			buf := make([]byte, 4096)
-			for {
-				if _, err := t.rwc.Read(buf); err != nil {
-					return 0, err
-				}
-			}
+// judge matches a complete frame header of direction dir against the script
+// and applies what fires: a stall here, the rest through the cursor. It
+// reports whether the transport was cut.
+func (t *ChaosTransport) judge(dir ChaosDir, cur *chaosCursor) (cut bool) {
+	h := cur.hdr[:]
+	cur.body = int(binary.LittleEndian.Uint32(h[12:])) + frameTrailerSize
+	kind, step := Kind(h[4]), core.DistStep(h[6])
+	t.mu.Lock()
+	var fire []ChaosEvent
+	for i := 0; i < len(t.events); i++ {
+		ev := &t.events[i]
+		if ev.Dir != dir || ev.Kind != kind || ev.Step != 0 && ev.Step != step {
+			continue
 		}
-		i := t.pendingLocked(ChaosReads)
-		if i < 0 {
-			t.mu.Unlock()
-			return t.readCounted(p)
+		if ev.Nth > 0 {
+			ev.Nth--
+			continue
 		}
-		ev := t.events[i]
-		if ev.At > t.rOff {
-			// Stop the read exactly at the event's offset so it fires on
-			// its own byte, not somewhere inside a larger read.
-			limit := min(int64(len(p)), ev.At-t.rOff)
-			t.mu.Unlock()
-			return t.readCounted(p[:limit])
-		}
+		fire = append(fire, *ev)
 		t.events = append(t.events[:i], t.events[i+1:]...)
+		i--
+	}
+	t.mu.Unlock()
+	for _, ev := range fire {
+		if t.fired != nil {
+			t.fired(ev)
+		}
 		switch ev.Op {
 		case ChaosDelay:
-			t.mu.Unlock()
-			time.Sleep(ev.Delay)
-		case ChaosCut:
-			t.mu.Unlock()
-			_ = t.rwc.Close()
-			return 0, fmt.Errorf("wire: chaos cut at read offset %d", ev.At)
-		case ChaosCorrupt:
-			t.mu.Unlock()
-			n, err := t.readCounted(p[:1])
-			if n > 0 {
-				p[0] ^= 0x20
+			if ev.Hold != nil {
+				<-ev.Hold
+			} else {
+				time.Sleep(ev.Delay)
 			}
-			return n, err
+		case ChaosCorrupt:
+			cur.flip = true
+		case ChaosCut:
+			_ = t.rwc.Close()
+			return true
 		case ChaosDrop:
-			t.rDrop = true
-			t.mu.Unlock()
+			cur.drop = true
 		}
 	}
+	return false
 }
 
-func (t *ChaosTransport) readCounted(p []byte) (int, error) {
-	n, err := t.rwc.Read(p)
-	t.mu.Lock()
-	t.rOff += int64(n)
-	t.mu.Unlock()
+// Read implements io.Reader. A frame header is gathered and judged before any
+// of it is delivered, so a fault fires before the reader sees its frame.
+func (t *ChaosTransport) Read(p []byte) (int, error) {
+	c := &t.r
+	for len(c.pend) == 0 && c.body == 0 && !c.drop {
+		n, err := t.rwc.Read(c.hdr[c.have:])
+		if c.have += n; c.have == frameHeaderSize {
+			c.have, c.pend = 0, c.hdr[:]
+			if t.judge(ChaosReads, c) {
+				return 0, fmt.Errorf("wire: chaos cut reading a %s frame", Kind(c.hdr[4]))
+			}
+		}
+		if err != nil && len(c.pend) == 0 {
+			return 0, err
+		}
+	}
+	if c.drop {
+		// Keep consuming so the peer never blocks on flow control, but
+		// deliver nothing: a deadline or a close is the only way out.
+		for buf := make([]byte, 4096); ; {
+			if _, err := t.rwc.Read(buf); err != nil {
+				return 0, err
+			}
+		}
+	}
+	if len(c.pend) > 0 {
+		n := copy(p, c.pend)
+		c.pend = c.pend[n:]
+		return n, nil
+	}
+	n, err := t.rwc.Read(p[:min(len(p), c.body)])
+	if n > 0 && c.flip {
+		p[0] ^= 0x20
+		c.flip = false
+	}
+	c.body -= n
 	return n, err
 }
 
-// Write implements io.Writer with write-direction faults.
+// Write implements io.Writer. Header bytes are held until the header is
+// complete and judged, then pass (or vanish) with the frame.
 func (t *ChaosTransport) Write(p []byte) (int, error) {
-	total := 0
+	c, total := &t.w, len(p)
 	for len(p) > 0 {
-		t.mu.Lock()
-		if t.wDrop {
-			t.wOff += int64(len(p))
-			t.mu.Unlock()
-			return total + len(p), nil
-		}
-		i := t.pendingLocked(ChaosWrites)
-		if i < 0 {
-			t.mu.Unlock()
-			n, err := t.writeCounted(p)
-			return total + n, err
-		}
-		ev := t.events[i]
-		if ev.At > t.wOff {
-			limit := min(int64(len(p)), ev.At-t.wOff)
-			t.mu.Unlock()
-			n, err := t.writeCounted(p[:limit])
-			total += n
-			if err != nil {
-				return total, err
+		var out []byte
+		switch {
+		case c.drop:
+			return total, nil
+		case c.body > 0:
+			out = p[:min(len(p), c.body)]
+			c.body -= len(out)
+			p = p[len(out):]
+			if c.flip {
+				out = append([]byte{out[0] ^ 0x20}, out[1:]...)
+				c.flip = false
 			}
-			p = p[n:]
-			continue
-		}
-		t.events = append(t.events[:i], t.events[i+1:]...)
-		switch ev.Op {
-		case ChaosDelay:
-			t.mu.Unlock()
-			time.Sleep(ev.Delay)
-		case ChaosCut:
-			t.mu.Unlock()
-			_ = t.rwc.Close()
-			return total, fmt.Errorf("wire: chaos cut at write offset %d", ev.At)
-		case ChaosCorrupt:
-			t.mu.Unlock()
-			n, err := t.writeCounted([]byte{p[0] ^ 0x20})
-			total += n
-			if err != nil {
-				return total, err
+		default:
+			k := copy(c.hdr[c.have:], p)
+			c.have += k
+			p = p[k:]
+			if c.have < frameHeaderSize {
+				return total, nil
 			}
-			p = p[n:]
-		case ChaosDrop:
-			t.wDrop = true
-			t.mu.Unlock()
+			c.have = 0
+			if t.judge(ChaosWrites, c) {
+				return total - len(p), fmt.Errorf("wire: chaos cut writing a %s frame", Kind(c.hdr[4]))
+			}
+			if c.drop {
+				return total, nil
+			}
+			out = c.hdr[:]
+		}
+		if _, err := t.rwc.Write(out); err != nil {
+			return total - len(p), err
 		}
 	}
 	return total, nil
 }
 
-func (t *ChaosTransport) writeCounted(p []byte) (int, error) {
-	n, err := t.rwc.Write(p)
-	t.mu.Lock()
-	t.wOff += int64(n)
-	t.mu.Unlock()
-	return n, err
-}
-
 // Close closes the underlying transport.
 func (t *ChaosTransport) Close() error { return t.rwc.Close() }
 
-// SetDeadline passes deadlines through, so wrapped connections stay
-// bounded — the property the blackhole fault exists to exercise.
+// SetDeadline passes deadlines through.
 func (t *ChaosTransport) SetDeadline(tm time.Time) error {
 	if d, ok := t.rwc.(interface{ SetDeadline(time.Time) error }); ok {
 		return d.SetDeadline(tm)

@@ -5,80 +5,105 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"snaple/internal/core"
+	"snaple/internal/leakcheck"
 )
 
-// TestChaosTransportScript pins the fault injector itself: offsets are
-// exact, faults fire once, and the stream around them is untouched.
+// TestChaosTransportScript pins the fault injector itself: an event fires on
+// the frame it names (direction, kind, step, n-th) and on no other, fires
+// once, reports itself before its fault takes effect, and leaves the stream
+// around it untouched.
 func TestChaosTransportScript(t *testing.T) {
-	t.Run("corrupt-one-byte", func(t *testing.T) {
+	empty := []byte{0, 0, 0, 0} // a batch of no records
+	// pair returns a coordinator-side Conn and a worker-side one whose
+	// transport runs events, and the channel each fired event lands on.
+	pair := func(t *testing.T, events ...ChaosEvent) (coord, worker *Conn, fired chan ChaosEvent) {
 		a, b := net.Pipe()
-		defer a.Close()
-		ct := NewChaosTransport(b, []ChaosEvent{{Dir: ChaosWrites, Op: ChaosCorrupt, At: 3}})
-		go func() {
-			_, _ = ct.Write([]byte("abcdefgh"))
-			ct.Close()
-		}()
-		got, err := io.ReadAll(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []byte("abcDefgh") // 'd' ^ 0x20
-		if !bytes.Equal(got, want) {
-			t.Fatalf("read %q, want %q", got, want)
-		}
-	})
-	t.Run("cut-at-offset", func(t *testing.T) {
-		a, b := net.Pipe()
-		defer a.Close()
-		ct := NewChaosTransport(b, []ChaosEvent{{Dir: ChaosWrites, Op: ChaosCut, At: 4}})
-		res := make(chan error, 1)
-		go func() {
-			_, err := ct.Write([]byte("abcdefgh"))
-			res <- err
-		}()
-		got, _ := io.ReadAll(a)
-		if !bytes.Equal(got, []byte("abcd")) {
-			t.Fatalf("read %q before the cut, want %q", got, "abcd")
-		}
-		if err := <-res; err == nil {
-			t.Fatal("cut write reported success")
-		}
-	})
-	t.Run("drop-blackholes-writes", func(t *testing.T) {
-		a, b := net.Pipe()
-		defer a.Close()
-		ct := NewChaosTransport(b, []ChaosEvent{{Dir: ChaosWrites, Op: ChaosDrop, At: 2}})
-		go func() {
-			if n, err := ct.Write([]byte("abcdefgh")); n != 8 || err != nil {
-				t.Errorf("blackholed write: n=%d err=%v, want full success", n, err)
+		fired = make(chan ChaosEvent, len(events))
+		coord, worker = NewConn(a), NewConn(NewChaosTransport(b, events, func(ev ChaosEvent) { fired <- ev }))
+		t.Cleanup(func() { coord.Close(); worker.Close() })
+		return coord, worker, fired
+	}
+	send := func(c *Conn, kind Kind, step core.DistStep) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- c.SendRaw(kind, step, true, empty) }()
+		return done
+	}
+
+	t.Run("cut-on-reading-a-step", func(t *testing.T) {
+		coord, worker, fired := pair(t, ChaosEvent{Dir: ChaosReads, Kind: KindStepBegin, Step: core.DistRelays, Op: ChaosCut})
+		for _, step := range []core.DistStep{core.DistTruncate, core.DistRelays} {
+			done := send(coord, KindStepBegin, step)
+			f, err := worker.RecvRaw()
+			if step == core.DistTruncate && (err != nil || f.Kind != KindStepBegin || f.Step != step) {
+				t.Fatalf("step-begin %v arrived as %+v, %v", step, f, err)
 			}
-			ct.Close()
-		}()
-		got, _ := io.ReadAll(a)
-		if !bytes.Equal(got, []byte("ab")) {
-			t.Fatalf("read %q, want only the pre-drop %q", got, "ab")
+			if step == core.DistRelays && err == nil {
+				t.Fatalf("the worker read the relays step-begin it was scripted to die on")
+			}
+			<-done
+		}
+		if ev := <-fired; ev.Step != core.DistRelays {
+			t.Fatalf("fired %+v", ev)
 		}
 	})
-	t.Run("delay-then-continue", func(t *testing.T) {
-		a, b := net.Pipe()
-		defer a.Close()
-		const pause = 50 * time.Millisecond
-		ct := NewChaosTransport(b, []ChaosEvent{{Dir: ChaosWrites, Op: ChaosDelay, At: 4, Delay: pause}})
-		start := time.Now()
+	t.Run("corrupt-the-nth-frame", func(t *testing.T) {
+		coord, worker, fired := pair(t, ChaosEvent{Dir: ChaosWrites, Kind: KindPartials, Nth: 1, Op: ChaosCorrupt})
+		for i, kind := range []Kind{KindReady, KindPartials, KindPartials} {
+			done := send(worker, kind, core.DistTruncate)
+			_, err := coord.RecvRaw()
+			if (err != nil) != (i == 2) || i == 2 && !strings.Contains(err.Error(), "CRC") {
+				t.Fatalf("frame %d (%s): err = %v", i, kind, err)
+			}
+			<-done
+		}
+		if len(fired) != 1 {
+			t.Fatalf("%d events fired, want 1", len(fired))
+		}
+	})
+	t.Run("drop-blackholes-from-the-frame-on", func(t *testing.T) {
+		coord, worker, _ := pair(t, ChaosEvent{Dir: ChaosWrites, Kind: KindPartials, Op: ChaosDrop})
+		done := make(chan error, 1)
 		go func() {
-			_, _ = ct.Write([]byte("abcdefgh"))
-			ct.Close()
+			var err error
+			for _, kind := range []Kind{KindReady, KindPartials, KindReady} {
+				if err == nil {
+					err = worker.SendRaw(kind, 0, true, empty)
+				}
+			}
+			done <- err
 		}()
-		got, _ := io.ReadAll(a)
-		if !bytes.Equal(got, []byte("abcdefgh")) {
-			t.Fatalf("read %q, want the full untouched stream", got)
+		_ = coord.SetDeadline(time.Now().Add(100 * time.Millisecond))
+		if f, err := coord.RecvRaw(); err != nil || f.Kind != KindReady {
+			t.Fatalf("first frame: %+v, %v", f, err)
 		}
-		if d := time.Since(start); d < pause {
-			t.Fatalf("stream finished in %v, want a %v stall", d, pause)
+		if _, err := coord.RecvRaw(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("after the drop: %v, want the deadline", err)
 		}
+		if err := <-done; err != nil {
+			t.Fatalf("blackholed sends: %v, want success", err)
+		}
+	})
+	t.Run("hold-stalls-until-released", func(t *testing.T) {
+		hold := make(chan struct{})
+		coord, worker, fired := pair(t, ChaosEvent{Dir: ChaosWrites, Kind: KindPartials, Step: core.DistCombine, Op: ChaosDelay, Hold: hold})
+		done := send(worker, KindPartials, core.DistCombine)
+		<-fired // reported before the stall
+		_ = coord.SetDeadline(time.Now().Add(50 * time.Millisecond))
+		if _, err := coord.RecvRaw(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("held frame: %v, want the deadline", err)
+		}
+		_ = coord.SetDeadline(time.Time{})
+		close(hold)
+		if f, err := coord.RecvRaw(); err != nil || f.Kind != KindPartials || f.Step != core.DistCombine || !bytes.Equal(f.Payload, empty) {
+			t.Fatalf("released frame: %+v, %v", f, err)
+		}
+		<-done
 	})
 }
 
@@ -91,6 +116,7 @@ func TestChaosTransportScript(t *testing.T) {
 // normally. The healthy mini-session after every hostile one is the survival
 // assertion.
 func TestWorkerSurvivesHostileSessions(t *testing.T) {
+	leakcheck.Check(t)
 	addr := serveWorkers(t, ServeOptions{})
 	healthy := func(t *testing.T) {
 		t.Helper()

@@ -3,11 +3,16 @@ package wire
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"reflect"
 	"slices"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -409,6 +414,61 @@ func serveWorkers(t *testing.T, o ServeOptions) string {
 	t.Cleanup(func() { l.Close() })
 	go func() { _ = ServeWith(l, nil, o) }()
 	return l.Addr().String()
+}
+
+// flakyListener fails Accept with each of errs in turn, then hands over conn
+// once, then reports itself closed.
+type flakyListener struct {
+	errs []error
+	conn net.Conn
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if len(l.errs) > 0 {
+		err := l.errs[0]
+		l.errs = l.errs[1:]
+		return nil, err
+	}
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+
+func (l *flakyListener) Close() error   { return nil }
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestServeRetriesDescriptorExhaustion: a worker out of file descriptors
+// keeps its accept loop. Two EMFILE failures are logged and retried, the
+// connection that follows is served, and the loop ends cleanly only when the
+// listener closes.
+func TestServeRetriesDescriptorExhaustion(t *testing.T) {
+	worker, coord := net.Pipe()
+	emfile := &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	var mu sync.Mutex
+	retries := 0
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if strings.Contains(fmt.Sprintf(format, args...), "retrying") {
+			retries++
+		}
+	}
+	if err := ServeWith(&flakyListener{errs: []error{emfile, emfile}, conn: worker}, logf, ServeOptions{}); err != nil {
+		t.Fatalf("ServeWith = %v, want nil once the listener closes", err)
+	}
+	c := NewConn(coord)
+	defer c.Close()
+	if err := c.hello(DialOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runMiniSession(t, c)
+	mu.Lock()
+	defer mu.Unlock()
+	if retries != 2 {
+		t.Errorf("%d retries logged, want 2", retries)
+	}
 }
 
 // miniJob and miniShard are the smallest valid job and shard: an empty

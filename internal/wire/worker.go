@@ -8,6 +8,7 @@ import (
 	"net"
 	"slices"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"snaple/internal/core"
@@ -38,7 +39,10 @@ type ServeOptions struct {
 // the resident shard or the one shipped on that connection, so connections
 // share nothing they write. Session errors are reported to logf (nil
 // discards them) and do not stop the worker — the next coordinator gets a
-// fresh session.
+// fresh session. Neither does running out of descriptors, or a connection
+// aborted before it was accepted: Accept is retried after a pause that
+// doubles from 5ms up to 1s and resets at the next accepted connection. Any
+// other Accept error ends the loop.
 func Serve(l net.Listener, logf func(format string, args ...any)) error {
 	return ServeWith(l, logf, ServeOptions{})
 }
@@ -48,14 +52,22 @@ func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOpt
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	var pause time.Duration
 	for {
 		c, err := l.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("wire: accept: %w", err)
+			if !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) && !errors.Is(err, syscall.ECONNABORTED) {
+				return fmt.Errorf("wire: accept: %w", err)
+			}
+			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
+			logf("accept: %v; retrying in %v", err, pause)
+			time.Sleep(pause)
+			continue
 		}
+		pause = 0
 		logf("session from %s", c.RemoteAddr())
 		go func() {
 			if err := ServeConnWith(c, o); err != nil {
@@ -77,7 +89,7 @@ func ServeConn(rwc io.ReadWriteCloser) error {
 // ServeConnWith is ServeConn with explicit options.
 //
 // A resident worker serves hostile input: a coordinator may die mid-frame, a
-// chaos test may flip bits, a stray client may speak garbage. Every such
+// line may flip bits, a stray client may speak garbage. Every such
 // failure must cost exactly one session — the error is reported to the peer
 // as a typed KindError frame when the transport still works, the connection
 // is closed, and the process stays up for the next coordinator. A panic in

@@ -5,8 +5,8 @@
 # runs the equivalence harness's wire rows under the race detector against
 # that fleet (SNAPLE_WORKER_ADDRS points the tests at it), then exercises
 # both CLI paths: -addrs against the running fleet and -spawn, where the CLI
-# forks its own workers. The chaos legs run the in-process fault suite under
-# -race, the harness's replica rows against the fleet, and SIGKILL a
+# forks its own workers. The chaos legs run the equivalence harness's fault
+# rows under -race, the harness's replica rows against the fleet, and SIGKILL a
 # replicated worker mid-run, asserting the failover
 # output is byte-identical to the healthy run's. The final resident leg
 # packs a 3-shard set, pins it on a 2x-replicated standing fleet, fronts it
@@ -134,10 +134,16 @@ if [ "$zip_bytes" -ge "$plain_bytes" ]; then
 fi
 echo "    cross-node traffic: $plain_bytes B plain -> $zip_bytes B compressed"
 
-echo "==> in-process chaos suite under -race (failover equivalence, partition loss, cancellation)"
-go test -race -count=1 \
-  -run 'TestDistChaos|TestDistPartitionLost|TestDistCancel' \
-  ./internal/engine/
+echo "==> the equivalence harness's fault rows under -race (failover equivalence, partition loss, cancellation)"
+# A pattern that matches nothing passes silently, so count what ran.
+go test -race -count=1 -v -run 'TestBackendEquivalence/^fault-' ./internal/engine/ \
+  >"$workdir/faults.out" || { cat "$workdir/faults.out"; exit 1; }
+fault_rows="$(grep -c -- '--- PASS: TestBackendEquivalence/fault-' "$workdir/faults.out" || true)"
+if [ "$fault_rows" -eq 0 ]; then
+  echo "no fault row ran" >&2
+  exit 1
+fi
+echo "    $fault_rows fault rows passed"
 
 echo "==> the equivalence harness's replica rows under -race against the external fleet"
 SNAPLE_WORKER_ADDRS="$addr_list" \
