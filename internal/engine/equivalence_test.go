@@ -83,7 +83,7 @@ const (
 	axEntry
 	axScore
 	axPoint
-	axFault // last: the generator fills it only for the fault items, after every other item
+	axFault // last: the generator fills it only for the fault items, which come after every other item
 	eqAxes
 )
 
@@ -306,8 +306,10 @@ var eqFaults = func() []eqFault {
 	for _, s := range core.DistSteps() {
 		fs = append(fs, eqFault{"kill-" + s.String(), atStep(s), "serving"})
 	}
-	return append(fs, eqFault{"kill-standby", atStep(core.DistRelays), "standby"},
-		eqFault{"corrupt", partials(wire.ChaosCorrupt, 0), "serving"},
+	for _, s := range core.DistSteps() {
+		fs = append(fs, eqFault{"kill-standby-" + s.String(), atStep(s), "standby"})
+	}
+	return append(fs, eqFault{"corrupt", partials(wire.ChaosCorrupt, 0), "serving"},
 		eqFault{"blackhole", partials(wire.ChaosDrop, 0), "serving"},
 		eqFault{"delay", partials(wire.ChaosDelay, 100*time.Millisecond), "serving"},
 		eqFault{"lose-partition", atStep(core.DistTruncate), "group"},
@@ -503,24 +505,54 @@ func eqRequired() (items [][]string) {
 // eqFaultItems lists the fault axis's demands, last, so that a fault row is
 // generated only once every other item is covered and never stands in for a
 // healthy one: each fault value on each wire kind, on a full and a scoped
-// run, and at one and at several replicas where it is valid; each kill that
-// a replica survives with linearSum under max and with PPR under rnd, both
-// sampling (thrΓ 10, k_local 4), since the re-run must redraw the same seeded
-// sample; and a faulted row on mapped and on packed storage.
+// run, and at one and at several replicas where it is valid; a faulted row
+// on mapped and on packed storage; and the rows of the chaos tests the axis
+// replaced (see eqChaosTables).
 func eqFaultItems() (items [][]string) {
 	for _, f := range eqNames(axFault, 0) {
 		items = append(items, []string{f})
 		for _, w := range []string{"wire=dist", "wire=fleet", "wire=resident", "scope=full", "scoped", "R=1", "R=2+"} {
-			if f != "fault=kill-standby" || w != "R=1" {
+			if !strings.HasPrefix(f, "fault=kill-standby-") || w != "R=1" {
 				items = append(items, []string{f, w})
 			}
 		}
-		if strings.HasPrefix(f, "fault=kill-") {
-			items = append(items, []string{f, "R=2+", "score=linearSum", "triple=max-thr10-kl4"},
-				[]string{f, "R=2+", "score=PPR", "triple=rnd-thr10-kl4"})
+	}
+	items = append(items, []string{"faulted", "storage=mapped"}, []string{"faulted", "storage=packed"})
+	return append(items, eqChaosTables()...)
+}
+
+// eqChaosTables lists the rows the chaos tests the fault axis replaced ran,
+// on each wire kind: every fault at their operating point (linearSum,
+// max-thr10-kl4-s42-k5, on test200-s7's full run), replicated as they were
+// (a lost partition also unreplicated, a cancel at any replica count), and
+// every kill, of the serving replica and of the standby at each superstep,
+// also with PPR under rnd, since the re-run must redraw the same seeded
+// sample.
+func eqChaosTables() (items [][]string) {
+	const hi, rnd = core.SelectMax, core.SelectRnd
+	at := func(score string, p eqPoint, more ...string) []string {
+		return append([]string{"score=" + score, "point=" + p.String(), "graph=test200-s7", "scope=full"}, more...)
+	}
+	op := eqPoint{hi, 10, 4, 42, 5}
+	for _, f := range eqNames(axFault, 0)[1:] {
+		for _, w := range []string{"wire=dist", "wire=fleet", "wire=resident"} {
+			switch name := strings.TrimPrefix(f, "fault="); {
+			case name == "cancel":
+				items = append(items, at("linearSum", op, f, w))
+			case name == "lose-partition":
+				items = append(items, at("linearSum", op, f, w, "R=2+"))
+				if w != "wire=resident" { // the resident fleet is replicated
+					items = append(items, at("linearSum", op, f, w, "R=1"))
+				}
+			case strings.HasPrefix(name, "kill-"):
+				items = append(items, at("PPR", eqPoint{rnd, 10, 4, 42, 5}, f, w, "R=2+"))
+				fallthrough
+			default:
+				items = append(items, at("linearSum", op, f, w, "R=2+"))
+			}
 		}
 	}
-	return append(items, []string{"faulted", "storage=mapped"}, []string{"faulted", "storage=packed"})
+	return items
 }
 
 // eqTables lists the crosses the per-backend tables this harness replaced
@@ -663,16 +695,25 @@ func eqGenerate() ([]eqCase, error) {
 			continue
 		}
 		c := eqCase{-1, -1, -1, -1, -1, -1, -1, -1, -1}
-		var order []int // the axes item names, then the rest
+		// The axes item names, then the rest; a named fault first, since it
+		// narrows the backends that may take it, and an unnamed one last.
+		names := func(ax int) bool { return slices.ContainsFunc(item, func(f string) bool { return owner[f] == ax }) }
+		var order []int
+		if names(axFault) {
+			order = append(order, axFault)
+		}
 		for pass := range 2 {
-			for ax := range eqAxes {
-				if slices.ContainsFunc(item, func(f string) bool { return owner[f] == ax }) == (pass == 0) {
+			for ax := range axFault {
+				if names(ax) == (pass == 0) {
 					order = append(order, ax)
 				}
 			}
 		}
+		if !names(axFault) {
+			order = append(order, axFault)
+		}
 		for _, ax := range order {
-			if ax == axFault && !slices.ContainsFunc(item, func(f string) bool { return owner[f] == axFault }) {
+			if ax == axFault && !names(axFault) {
 				c[ax] = 0 // a fault only where an item asks for one
 				continue
 			}
