@@ -105,14 +105,13 @@ func newDistRun(routes *routing, conns []*wire.Conn, dialErrs []error, replicas 
 // Cancelling ctx closes every connection, so whatever exchange is in flight
 // fails within one read/write and the run drains through its normal failure
 // paths; the deaths were then self-inflicted, and the caller gets ctx.Err()
-// rather than a fleet failure.
+// rather than a fleet failure — also when the run finished anyway (a
+// failover onto a replica not yet closed). The watcher is gone when predict
+// returns, so no connection is closed after its caller has judged it.
 func (r *distRun) predict(ctx context.Context, g graph.View, st *Stats, attach func(i int) *wire.Msg) (preds []wire.VertexPreds, results []wire.WorkerResult, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
+	watchDone, watched := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(watched)
 		select {
 		case <-ctx.Done():
 			r.closeAll()
@@ -120,10 +119,12 @@ func (r *distRun) predict(ctx context.Context, g graph.View, st *Stats, attach f
 		}
 	}()
 	defer func() {
+		close(watchDone)
+		<-watched
 		st.WorkersDead = r.deadCount()
 		st.Failovers = r.failoverCount()
-		if err != nil && ctx.Err() != nil {
-			err = ctx.Err()
+		if ctx.Err() != nil {
+			preds, results, err = nil, nil, ctx.Err()
 		}
 	}()
 
@@ -370,7 +371,8 @@ func (r *distRun) lostErr(phase string) error {
 
 // closeAll force-closes every connection — the cancellation path. It does
 // not mark anyone dead; the in-flight exchanges fail on their own and the
-// verdicts land through the normal liveness machinery.
+// verdicts land through the normal liveness machinery. A connection with no
+// exchange in flight gets no verdict: its owner must drop it all the same.
 func (r *distRun) closeAll() {
 	for _, c := range r.conns {
 		if c != nil {

@@ -288,11 +288,15 @@ var eqPoints = func() []eqPoint {
 
 // eqFault is a fault-axis value: one wire.ChaosEvent on the first session of
 // the queried shard's serving replica (replica 0, which beginAttempt elects),
-// of its standby (replica 1), or of every replica of its group.
+// of its standby (replica 1), or of every replica of its group. The queried
+// shard is the first a query touches (see eqTarget), or, for a value marked
+// last, the last shard of a full run, so that a failover in a group other
+// than the first, at its own offset in the pool, shows.
 type eqFault struct {
 	name string
 	ev   wire.ChaosEvent
 	who  string // "serving", "standby" or "group"
+	last bool
 }
 
 var eqFaults = func() []eqFault {
@@ -302,18 +306,19 @@ var eqFaults = func() []eqFault {
 	partials := func(op wire.ChaosOp, d time.Duration) wire.ChaosEvent { // at its first partials frame
 		return wire.ChaosEvent{Dir: wire.ChaosWrites, Kind: wire.KindPartials, Op: op, Delay: d}
 	}
-	fs := []eqFault{{name: "none"}}
-	for _, s := range core.DistSteps() {
-		fs = append(fs, eqFault{"kill-" + s.String(), atStep(s), "serving"})
+	kills := func(prefix, who, suffix string) (fs []eqFault) { // at each superstep
+		for _, s := range core.DistSteps() {
+			fs = append(fs, eqFault{prefix + s.String() + suffix, atStep(s), who, suffix == "-last"})
+		}
+		return fs
 	}
-	for _, s := range core.DistSteps() {
-		fs = append(fs, eqFault{"kill-standby-" + s.String(), atStep(s), "standby"})
-	}
-	return append(fs, eqFault{"corrupt", partials(wire.ChaosCorrupt, 0), "serving"},
-		eqFault{"blackhole", partials(wire.ChaosDrop, 0), "serving"},
-		eqFault{"delay", partials(wire.ChaosDelay, 100*time.Millisecond), "serving"},
-		eqFault{"lose-partition", atStep(core.DistTruncate), "group"},
-		eqFault{"cancel", partials(wire.ChaosDelay, 0), "serving"}) // held until the row has cancelled
+	fs := slices.Concat([]eqFault{{name: "none"}}, kills("kill-", "serving", ""), kills("kill-standby-", "standby", ""))
+	fs = append(fs, eqFault{"corrupt", partials(wire.ChaosCorrupt, 0), "serving", false},
+		eqFault{"blackhole", partials(wire.ChaosDrop, 0), "serving", false},
+		eqFault{"delay", partials(wire.ChaosDelay, 100*time.Millisecond), "serving", false},
+		eqFault{"lose-partition", atStep(core.DistTruncate), "group", false},
+		eqFault{"cancel", partials(wire.ChaosDelay, 0), "serving", false}) // held until the row has cancelled
+	return slices.Concat(fs, kills("kill-", "serving", "-last"), kills("kill-standby-", "standby", "-last"))
 }()
 
 // A fault row's StepTimeout: far above a healthy phase, so that a delay stays
@@ -329,10 +334,9 @@ type eqOutcome struct {
 	within                 time.Duration
 }
 
-// expect is f's outcome at reps replicas under StepTimeout timeout. A fault
-// whose frame never comes (fires false: its superstep is skipped) does nothing.
-func (f eqFault) expect(reps int, fires bool, timeout time.Duration) eqOutcome {
-	if f.name == "none" || !fires {
+// expect is f's outcome at reps replicas under StepTimeout timeout.
+func (f eqFault) expect(reps int, timeout time.Duration) eqOutcome {
+	if f.name == "none" {
 		return eqOutcome{}
 	}
 	o := eqOutcome{dead: 1, fired: 1}
@@ -441,15 +445,17 @@ func eqValid(c eqCase) bool {
 		return false
 	}
 	// A fault row runs SNAPLE on fresh wire workers, a pool Dist or a fleet,
-	// over sources that touch a shard; a standby needs a second replica, and
-	// a cancellation the entry point that takes a context.
-	if f := c[axFault]; f > 0 {
+	// over sources that touch a shard; a standby needs a second replica, a
+	// cancellation the entry point that takes a context, and a fault on the
+	// last shard a full run, a second replica and a group before its own.
+	if f := eqFaults[max(c[axFault], 0)]; c[axFault] > 0 {
 		if c[axSystem] == eqBaseline || c[axScope] >= 0 && eqScopes[c[axScope]] == "isolated" ||
-			eqFaults[f].name == "cancel" && c[axEntry] >= 0 && eqEntries[c[axEntry]] != "PredictScoped" {
+			f.last && c[axScope] > 0 || f.name == "cancel" && c[axEntry] >= 0 && eqEntries[c[axEntry]] != "PredictScoped" {
 			return false
 		}
 		if b := c[axBackend]; b >= 0 && (kind != "fleet" && (kind != "dist" || eqBackends[b].pool == 0) ||
-			eqFaults[f].who == "standby" && eqBackends[b].replicas < 2) {
+			(f.who == "standby" || f.last) && eqBackends[b].replicas < 2 ||
+			f.last && eqBackends[b].workers < 2*eqBackends[b].replicas) {
 			return false
 		}
 	}
@@ -507,12 +513,16 @@ func eqRequired() (items [][]string) {
 // healthy one: each fault value on each wire kind, on a full and a scoped
 // run, and at one and at several replicas where it is valid; a faulted row
 // on mapped and on packed storage; and the rows of the chaos tests the axis
-// replaced (see eqChaosTables).
+// replaced (see eqChaosTables), which alone demand the kills in the last
+// group, each on each wire kind.
 func eqFaultItems() (items [][]string) {
-	for _, f := range eqNames(axFault, 0) {
+	for v, f := range eqNames(axFault, 0) {
+		if eqFaults[v].last {
+			continue
+		}
 		items = append(items, []string{f})
 		for _, w := range []string{"wire=dist", "wire=fleet", "wire=resident", "scope=full", "scoped", "R=1", "R=2+"} {
-			if !strings.HasPrefix(f, "fault=kill-standby-") || w != "R=1" {
+			if eqFaults[v].who != "standby" || w != "R=1" {
 				items = append(items, []string{f, w})
 			}
 		}
@@ -526,8 +536,8 @@ func eqFaultItems() (items [][]string) {
 // max-thr10-kl4-s42-k5, on test200-s7's full run), replicated as they were
 // (a lost partition also unreplicated, a cancel at any replica count), and
 // every kill, of the serving replica and of the standby at each superstep,
-// also with PPR under rnd, since the re-run must redraw the same seeded
-// sample.
+// in the first group and in the last, also with PPR under rnd, since the
+// re-run must redraw the same seeded sample.
 func eqChaosTables() (items [][]string) {
 	const hi, rnd = core.SelectMax, core.SelectRnd
 	at := func(score string, p eqPoint, more ...string) []string {
@@ -1000,15 +1010,11 @@ func (h *eqHarness) checkFault(t testing.TB, c eqCase, v eqView) (err error) {
 	if err := h.cut(c, v, o); err != nil {
 		return err
 	}
-	target := eqTarget(files, cfg.Sources)
-	q, err := newQuery(v.view, cfg)
+	target, err := eqTarget(files, cfg.Sources, f.last)
 	if err != nil {
 		return err
 	}
-	fires := target >= 0 && slices.ContainsFunc(core.DistSteps(), func(s core.DistStep) bool {
-		return (f.ev.Step == 0 || f.ev.Step == s) && q.frontier.StepHasWork(s, v.view)
-	})
-	out := f.expect(b.replicas, fires, o.StepTimeout)
+	out := f.expect(b.replicas, o.StepTimeout)
 
 	snap := leakcheck.Take()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -1087,21 +1093,26 @@ func (h *eqHarness) checkFault(t testing.TB, c eqCase, v eqView) (err error) {
 	return eqCheckStats(c, st, v.view, cfg.Sources, eqOutcome{})
 }
 
-// eqTarget is the shard a fault row faults, one its query touches: shard 0
-// of files on a full run, otherwise the first holding out-edges of the first
-// source with any (-1 when none has, and no shard is touched).
-func eqTarget(files []*graph.ShardFile, sources []graph.VertexID) int {
+// eqTarget is the shard a fault row faults, one its query touches: on a
+// full run shard 0 of files, or its last shard when last; otherwise the
+// first holding out-edges of the first source with any. Every superstep
+// gathers there, since a scoped query's sources are in each step's scope
+// (Pred ⊆ Sims ⊆ Trunc), so a step-keyed fault always fires.
+func eqTarget(files []*graph.ShardFile, sources []graph.VertexID, last bool) (int, error) {
+	if sources == nil && last {
+		return len(files) - 1, nil
+	}
 	if sources == nil {
-		return 0
+		return 0, nil
 	}
 	for _, u := range sources {
 		for p, sf := range files {
 			if slices.ContainsFunc(sf.EdgeSrc, func(si int32) bool { return sf.Locals[si] == u }) {
-				return p
+				return p, nil
 			}
 		}
 	}
-	return -1
+	return 0, errors.New("no source has out-edges: the query touches no shard")
 }
 
 // eqFaultPool stands up n fresh loopback workers, shard-major in groups of

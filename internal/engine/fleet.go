@@ -572,6 +572,9 @@ func (q *query) result(preds []wire.VertexPreds, st Stats, err error) (core.Scop
 // run executes one validated query over the standing connections and returns
 // the masters' predictions, one entry per vertex that has any.
 func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	st := q.st
 	st.Engine, st.Workers, st.Replicas = "fleet", f.shards*f.replicas, f.replicas
 
@@ -627,16 +630,19 @@ func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, e
 	run := newDistRun(routes, conns, dialErrs, f.replicas, f.timeout)
 	// Sweep: connections the run declared dead are closed already; forget
 	// them so the next query reconnects, and disarm the survivors' deadlines
-	// so a standing connection never trips a stale timer between queries.
+	// so a standing connection never trips a stale timer between queries. A
+	// cancellation closes them all, dead or not, so then none stands.
 	defer func() {
 		for i, src := range standing {
-			if f.conns[src] == nil {
-				continue
-			}
-			if !run.isAlive(i) {
+			switch {
+			case f.conns[src] == nil:
+			case !run.isAlive(i):
 				f.conns[src] = nil
 				f.cumDead++
-			} else {
+			case ctx.Err() != nil:
+				_ = f.conns[src].Close()
+				f.conns[src] = nil
+			default:
 				_ = f.conns[src].SetDeadline(time.Time{})
 			}
 		}

@@ -49,13 +49,12 @@ const (
 	ChaosDrop
 )
 
-// ChaosEvent is one scripted fault: Op fires on the Nth (from 0) frame of
-// direction Dir with kind Kind and step Step (zero: any step).
+// ChaosEvent is one scripted fault: Op fires on the first frame of direction
+// Dir with kind Kind and step Step (zero: any step).
 type ChaosEvent struct {
 	Dir   ChaosDir
 	Kind  Kind
 	Step  core.DistStep
-	Nth   int
 	Op    ChaosOp
 	Delay time.Duration   // ChaosDelay only
 	Hold  <-chan struct{} // ChaosDelay only: when set, stall until it is closed instead
@@ -101,10 +100,6 @@ func (t *ChaosTransport) judge(dir ChaosDir, cur *chaosCursor) (cut bool) {
 	for i := 0; i < len(t.events); i++ {
 		ev := &t.events[i]
 		if ev.Dir != dir || ev.Kind != kind || ev.Step != 0 && ev.Step != step {
-			continue
-		}
-		if ev.Nth > 0 {
-			ev.Nth--
 			continue
 		}
 		fire = append(fire, *ev)

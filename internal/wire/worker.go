@@ -39,10 +39,9 @@ type ServeOptions struct {
 // the resident shard or the one shipped on that connection, so connections
 // share nothing they write. Session errors are reported to logf (nil
 // discards them) and do not stop the worker — the next coordinator gets a
-// fresh session. Neither does running out of descriptors, or a connection
-// aborted before it was accepted: Accept is retried after a pause that
-// doubles from 5ms up to 1s and resets at the next accepted connection. Any
-// other Accept error ends the loop.
+// fresh session. Neither does running out of descriptors: Accept is retried
+// after a pause that doubles from 5ms up to 1s and resets at the next
+// accepted connection. Any other Accept error ends the loop.
 func Serve(l net.Listener, logf func(format string, args ...any)) error {
 	return ServeWith(l, logf, ServeOptions{})
 }
@@ -59,7 +58,7 @@ func ServeWith(l net.Listener, logf func(format string, args ...any), o ServeOpt
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			if !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) && !errors.Is(err, syscall.ECONNABORTED) {
+			if !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) {
 				return fmt.Errorf("wire: accept: %w", err)
 			}
 			pause = min(max(2*pause, 5*time.Millisecond), time.Second)
