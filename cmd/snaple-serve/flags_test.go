@@ -19,7 +19,6 @@ func TestFlagsGolden(t *testing.T) {
 		"-addrs string",
 		"-alpha float 0.9",
 		"-batch-max int 4096",
-		"-batch-window duration 2ms",
 		"-cache int 65536",
 		"-compact-at int",
 		"-compact-out string",

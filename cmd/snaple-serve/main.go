@@ -90,10 +90,9 @@ func run(args []string) error {
 		verify    = fs.Bool("verify", false, "fully re-verify snapshot checksums and row invariants on load (mapped loads default to the cheap structural checks)")
 		listen    = fs.String("listen", ":8080", "HTTP listen address (use :0 for an ephemeral port)")
 
-		runTimeout  = fs.Duration("run-timeout", 0, "deadline on each batch's backend run; on dist a wedged fleet fails the batch instead of the server (0 = unbounded)")
-		batchWindow = fs.Duration("batch-window", 2*time.Millisecond, "micro-batch collection window")
-		batchMax    = fs.Int("batch-max", 4096, "max distinct uncached vertices per batch run (also the per-request id limit)")
-		cacheSize   = fs.Int("cache", 65536, "LRU result cache capacity (vertices)")
+		runTimeout = fs.Duration("run-timeout", 0, "deadline on each batch's backend run; on dist a wedged fleet fails the batch instead of the server (0 = unbounded)")
+		batchMax   = fs.Int("batch-max", 4096, "max distinct uncached vertices per batch run (also the per-request id limit)")
+		cacheSize  = fs.Int("cache", 65536, "LRU result cache capacity (vertices)")
 
 		mutable    = fs.Bool("mutable", false, "serve a live graph: accept POST /v1/edges mutation batches; loads on the heap, never mmap'd (incompatible with -manifest). With -engine dist there is no standing fleet: every batch run cuts the whole current view and ships it to the workers afresh (engine \"dist\" in /v1/info and /healthz, against \"fleet\" for a standing one)")
 		compactAt  = fs.Int("compact-at", 0, "auto-compact the mutation overlay once this many vertices have pending edits (0 = only on POST /v1/compact)")
@@ -159,7 +158,6 @@ func run(args []string) error {
 		Graph:       g,
 		Backend:     be,
 		Config:      cfg,
-		BatchWindow: *batchWindow,
 		BatchMax:    *batchMax,
 		CacheSize:   *cacheSize,
 		RunTimeout:  *runTimeout,

@@ -26,7 +26,7 @@ import (
 // Determinism across substrates holds for the same reason it does between
 // the serial and local backends: every random draw is hash-keyed by (seed,
 // vertex IDs) and every apply canonicalises its input before reducing (the
-// applies sort or group it, Aggregator.FoldPaths sorts path values), so
+// applies merge, sort or group it, Aggregator.FoldPaths sorts path values), so
 // partials may arrive from the network in any order without changing a bit
 // of the output.
 
@@ -181,7 +181,7 @@ var ErrScopeOrder = errors.New("core: dist partition: scope vertices not strictl
 // NewDistPartition opens a full job over a validated shard (graph.ShardFile's
 // Validate is the one check; nothing is re-checked here): one slot per local
 // vertex. It allocates the per-job replica state and each local's edge run,
-// found in one pass over the shard's sorted sources.
+// read from the shard's run-offset column.
 func NewDistPartition(cfg Config, shard *graph.ShardFile) (*DistPartition, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
@@ -201,10 +201,10 @@ func newFullPartition(cfg Config, shard *graph.ShardFile) *DistPartition {
 // slot per vertex of verts, which must be local to the shard and strictly
 // ascending, with scope[i] the scope mask of verts[i]. The partition keeps
 // both slices. Every table it builds is sized by verts and by their out-edges
-// on the shard: the slots' local indices and edge runs are found by galloping
-// forward through the shard's sorted columns, and the slot of every
-// destination a gather reads state from by one sort of those edges merged
-// with the slot list.
+// on the shard: the slots' local indices are found by galloping forward
+// through the shard's sorted locals, their edge runs read from its run-offset
+// column, and the slot of every destination a gather reads state from by one
+// sort of those edges merged with the slot list.
 func NewScopedDistPartition(cfg Config, shard *graph.ShardFile, verts []graph.VertexID, scope []uint8) (*DistPartition, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
@@ -232,18 +232,15 @@ func NewScopedDistPartition(cfg Config, shard *graph.ShardFile, verts []graph.Ve
 	return p, nil
 }
 
-// resolveRuns finds every slot's edge run. Slots ascend and so do the shard's
-// source runs, so each search gallops forward from the previous run's end:
-// one step per slot in the full form, O(log gap) per slot in the scoped one.
+// resolveRuns reads every slot's edge run from the shard's run-offset
+// column, which the shard's validation derived once for every job.
 func (p *DistPartition) resolveRuns() {
-	edgeSrc := p.shard.EdgeSrc
+	runStart := p.shard.RunStart
 	p.runs = make([]edgeRun, len(p.verts))
-	e := 0
 	for s := range p.runs {
 		li := p.local(int32(s))
-		lo := seek(edgeSrc, e, li)
-		e = seek(edgeSrc, lo, li+1)
-		p.runs[s] = edgeRun{lo: lo, hi: e, dst: lo}
+		lo := int(runStart[li])
+		p.runs[s] = edgeRun{lo: lo, hi: int(runStart[li+1]), dst: lo}
 	}
 }
 
@@ -304,6 +301,21 @@ func seek[T cmp.Ordered](xs []T, from int, x T) int {
 	return lo + i
 }
 
+// SearchFrom finds x in ascending xs as slices.BinarySearch does, galloping
+// forward from *at, where the caller's previous search ended, and leaves *at
+// at the place found: a stream of ascending keys — the records one worker
+// sends in a phase — costs O(log gap) per key. A key below the previous
+// one searches from the start.
+func SearchFrom[T cmp.Ordered](xs []T, at *int, x T) (int, bool) {
+	from := *at
+	if from > 0 && xs[from-1] >= x {
+		from = 0
+	}
+	i := seek(xs, from, x)
+	*at = i
+	return i, i < len(xs) && xs[i] == x
+}
+
 // Config returns the partition's configuration with defaults applied.
 func (p *DistPartition) Config() Config { return p.cfg }
 
@@ -322,10 +334,11 @@ func (p *DistPartition) local(s int32) int32 {
 	return p.locals[s]
 }
 
-// Slot returns v's slot, if the job holds v: a binary search of the job's
-// ascending vertices.
-func (p *DistPartition) Slot(v graph.VertexID) (int32, bool) {
-	s, ok := slices.BinarySearch(p.verts, v)
+// Slot returns v's slot, if the job holds v: a search of the job's ascending
+// vertices from the cursor at (SearchFrom), which the caller keeps across
+// the records of one frame.
+func (p *DistPartition) Slot(v graph.VertexID, at *int) (int32, bool) {
+	s, ok := SearchFrom(p.verts, at, v)
 	return int32(s), ok
 }
 
@@ -390,7 +403,7 @@ func (p *DistPartition) GatherStream(step DistStep, skip func(s int32) bool, emi
 // worker holds one shard and cannot compute the global closure), and
 // candidate lists are left in edge order — the applies canonicalise before
 // any order could matter. Under the in-process driver each contributing edge
-// is priced as it is gathered (price), and a false meter stops the gather.
+// is priced in edge order (price), and a false meter stops the gather at it.
 func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bool {
 	r := p.runs[s]
 	if r.lo == r.hi || !p.inScope(step, s) {
@@ -403,10 +416,23 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 	switch step {
 	case DistTruncate:
 		ids := p.gatherIDs[:0]
-		for _, di := range sh.EdgeDst[r.lo:r.hi] {
-			if dst := sh.Locals[di]; keepTruncated(cfg.Seed, src, dst, srcDeg, cfg.ThrGamma) {
-				ids = append(ids, dst)
+		if cfg.ThrGamma == Unlimited || srcDeg <= cfg.ThrGamma {
+			// Every edge is kept, so the loop has no branch on the ids it
+			// loads, and their cache misses overlap.
+			for _, di := range sh.EdgeDst[r.lo:r.hi] {
+				ids = append(ids, sh.Locals[di])
+			}
+		} else {
+			for _, di := range sh.EdgeDst[r.lo:r.hi] {
+				if dst := sh.Locals[di]; keepTruncated(cfg.Seed, src, dst, srcDeg, cfg.ThrGamma) {
+					ids = append(ids, dst)
+				}
+			}
+		}
+		if p.meter != nil {
+			for i := range ids {
 				if !p.price(4) {
+					ids = ids[:i+1] // the gather stops at the id the meter refused
 					break
 				}
 			}
@@ -454,7 +480,7 @@ func (p *DistPartition) Apply(step DistStep, s int32, parts []DistPartial) error
 	// callers hand over scratch or routing copies.
 	switch step {
 	case DistTruncate:
-		d.Nbrs = applyTruncate(concat(parts, func(dp *DistPartial) []graph.VertexID { return dp.Nbrs }))
+		d.Nbrs = p.s.applyTruncate(concat(parts, func(dp *DistPartial) []graph.VertexID { return dp.Nbrs }))
 	case DistRelays:
 		d.Sims = p.s.applyRelays(&p.cfg, v, concat(parts, func(dp *DistPartial) []VertexSim { return dp.Sims }))
 	case DistCombine:

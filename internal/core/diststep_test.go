@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sync"
@@ -109,7 +110,7 @@ func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions
 					continue
 				}
 				v := part.Vertex(s)
-				ms, ok := parts[1-p].Slot(v)
+				ms, ok := parts[1-p].Slot(v, new(int))
 				if !ok || !isMaster(1-p, ms) {
 					return nil, fmt.Errorf("vertex %d has no master", v)
 				}
@@ -175,6 +176,7 @@ func TestDistPartitionsShareOneShard(t *testing.T) {
 			Locals: slices.Clone(sf.Locals), Deg: slices.Clone(sf.Deg),
 			EdgeSrc: slices.Clone(sf.EdgeSrc), EdgeDst: slices.Clone(sf.EdgeDst),
 			IsMaster: slices.Clone(sf.IsMaster), HasRemote: slices.Clone(sf.HasRemote),
+			RunStart: slices.Clone(sf.RunStart),
 		}
 	}
 	cfg := Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 6, Seed: 1}
@@ -238,10 +240,10 @@ func TestScopedDistPartitionRejectsBadScope(t *testing.T) {
 	if p.NumSlots() != 2 || p.Vertex(1) != b {
 		t.Errorf("slots: %d, slot 1 = vertex %d", p.NumSlots(), p.Vertex(1))
 	}
-	if s, ok := p.Slot(b); !ok || s != 1 {
+	if s, ok := p.Slot(b, new(int)); !ok || s != 1 {
 		t.Errorf("Slot(%d) = %d, %v", b, s, ok)
 	}
-	if _, ok := p.Slot(sf.Locals[5]); ok {
+	if _, ok := p.Slot(sf.Locals[5], new(int)); ok {
 		t.Error("Slot found a local outside the job")
 	}
 }
@@ -256,6 +258,67 @@ func TestSeek(t *testing.T) {
 			if got := seek(xs, from, x); got != from+want {
 				t.Errorf("seek(from %d, %d) = %d, want %d", from, x, got, from+want)
 			}
+		}
+	}
+}
+
+// TestSearchFrom holds the cursor search to slices.BinarySearch over every
+// sequence of two keys — ascending, repeated and descending — from every
+// cursor the first search can leave.
+func TestSearchFrom(t *testing.T) {
+	xs := []int32{1, 3, 3, 4, 9, 12}
+	for x := int32(0); x <= 13; x++ {
+		for y := int32(0); y <= 13; y++ {
+			at := 0
+			for _, k := range []int32{x, y} {
+				want, wok := slices.BinarySearch(xs, k)
+				if got, ok := SearchFrom(xs, &at, k); got != want || ok != wok {
+					t.Fatalf("keys %d then %d: SearchFrom(%d) = %d, %v, want %d, %v", x, y, k, got, ok, want, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestApplyTruncateMergesRuns holds step 1's run merge to slices.Sorted: a
+// sum of 1–4 ascending partials, some of them empty, one shard's lone run,
+// repeated ids, and unordered input (runs of one). One Scratch serves every
+// case, as one does every apply of a partition, and the sum is only read.
+func TestApplyTruncateMergesRuns(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	var s Scratch
+	for c := range 2000 {
+		n := rng.IntN(40)
+		if c%100 == 0 {
+			n = 2000 + rng.IntN(2000)
+		}
+		span := 1 + rng.IntN(3*n+1)
+		parts := make([][]graph.VertexID, 1+rng.IntN(4))
+		for range n {
+			p := rng.IntN(len(parts))
+			parts[p] = append(parts[p], graph.VertexID(rng.IntN(span)))
+		}
+		var sum []graph.VertexID
+		for _, part := range parts {
+			if c%10 != 9 {
+				slices.Sort(part)
+			}
+			sum = append(sum, part...)
+		}
+		in := slices.Clone(sum)
+		got := s.applyTruncate(sum)
+		want := slices.Sorted(slices.Values(sum))
+		if n == 0 {
+			want = nil
+		}
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("case %d, %d parts: applyTruncate(%v) = %v, want %v", c, len(parts), in, got, want)
+		}
+		if !slices.Equal(sum, in) {
+			t.Fatalf("case %d: applyTruncate wrote its input", c)
+		}
+		if len(got) > 0 && len(s.merged) > 0 && &got[0] == &s.merged[0] {
+			t.Fatalf("case %d: the result aliases the scratch buffer", c)
 		}
 	}
 }

@@ -360,13 +360,73 @@ func appendCombine(comb Combinator, out []PathCand, u, v graph.VertexID, uD, vD 
 }
 
 // applyTruncate is step 1's apply: Γ̂(u) is the gathered sample, sorted.
-func applyTruncate(sum []graph.VertexID) []graph.VertexID {
+// The sample arrives as ascending runs — a shard gathers a source's edges in
+// destination order, and a sum concatenates whole partials — so it is sorted
+// by merging its maximal ascending runs pairwise, one pass per halving of the
+// run count: one shard's partial is a copy, two shards' one merge. Any order
+// sorts (a descending input is runs of one), only slower. sum is read, not
+// modified.
+func (s *Scratch) applyTruncate(sum []graph.VertexID) []graph.VertexID {
 	if len(sum) == 0 {
 		return nil
 	}
-	nbrs := slices.Clone(sum)
-	slices.Sort(nbrs)
+	runs := append(s.runs[:0], 0)
+	for i := 1; i < len(sum); i++ {
+		if sum[i] < sum[i-1] {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(sum))
+	// The passes alternate between nbrs and the scratch buffer, so that the
+	// last one writes nbrs.
+	nbrs := make([]graph.VertexID, len(sum))
+	passes := bits.Len(uint(len(runs) - 2))
+	if passes == 0 {
+		copy(nbrs, sum)
+	}
+	src := sum
+	for p := passes; p > 0; p-- {
+		dst := nbrs
+		if p%2 == 0 {
+			s.merged = slices.Grow(s.merged[:0], len(sum))[:len(sum)]
+			dst = s.merged
+		}
+		runs = mergeRuns(dst, src, runs)
+		src = dst
+	}
+	s.runs = runs
 	return nbrs
+}
+
+// mergeRuns merges the ascending runs of src that bounds delimits (run i is
+// src[bounds[i]:bounds[i+1]]) pairwise into dst, and returns the bounds of
+// the merged runs in bounds' own storage.
+func mergeRuns(dst, src []graph.VertexID, bounds []int) []int {
+	out := bounds[:1]
+	for i := 0; i+1 < len(bounds); i += 2 {
+		lo, mid, hi := bounds[i], bounds[i+1], bounds[i+1]
+		if i+2 < len(bounds) {
+			hi = bounds[i+2]
+		}
+		a, b, d := src[lo:mid], src[mid:hi], dst[lo:hi]
+		j, k, n := 0, 0, 0
+		for j < len(a) && k < len(b) {
+			// Branch-free: which run the next id comes from is a coin flip
+			// on interleaved shards' runs.
+			x, y := a[j], b[k]
+			d[n] = min(x, y)
+			n++
+			fromB := 0
+			if y < x {
+				fromB = 1
+			}
+			j, k = j+1-fromB, k+fromB
+		}
+		n += copy(d[n:], a[j:])
+		copy(d[n:], b[k:])
+		out = append(out, hi)
+	}
+	return out
 }
 
 // applyRelays is step 2's apply: the gathered (v, sim) row, sorted by V in
@@ -470,6 +530,8 @@ type Scratch struct {
 	items   []topk.Item
 	chosen  []graph.VertexID
 	row     []graph.VertexID // merged-row buffer for overlay views (outRow)
+	runs    []int            // step 1's apply: the sample's run bounds
+	merged  []graph.VertexID // step 1's apply: the merge passes' other buffer
 	coll    *topk.Collector  // top-k predictions (capacity cfg.K)
 	selColl *topk.Collector  // k_local relay selection (nil until sampling applies)
 }

@@ -50,9 +50,13 @@ type distRun struct {
 	timeout time.Duration
 	rt      *router
 
-	mu         sync.Mutex
-	alive      []bool
+	mu    sync.Mutex
+	alive []bool
+	// deadErr is why a worker left the run: nil for a live one, and for one
+	// whose verdict came after cancelled — that worker died of the
+	// cancellation's own close, not of a fault, and is not counted dead.
 	deadErr    []error
+	cancelled  bool
 	primary    []bool // conn currently serving its partition
 	primaryOf  []int  // partition -> serving conn index, -1 when lost
 	nDead      int
@@ -104,16 +108,20 @@ func newDistRun(routes *routing, conns []*wire.Conn, dialErrs []error, replicas 
 //
 // Cancelling ctx closes every connection, so whatever exchange is in flight
 // fails within one read/write and the run drains through its normal failure
-// paths; the deaths were then self-inflicted, and the caller gets ctx.Err()
-// rather than a fleet failure — also when the run finished anyway (a
-// failover onto a replica not yet closed). The watcher is gone when predict
-// returns, so no connection is closed after its caller has judged it.
+// paths; the deaths were then self-inflicted, so they are not counted in
+// st.WorkersDead (nor by died), and the caller gets ctx.Err() rather than a
+// fleet failure — also when the run finished anyway (a failover onto a
+// replica not yet closed). The watcher is gone when predict returns, so no
+// connection is closed after its caller has judged it.
 func (r *distRun) predict(ctx context.Context, g graph.View, st *Stats, attach func(i int) *wire.Msg) (preds []wire.VertexPreds, results []wire.WorkerResult, err error) {
 	watchDone, watched := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(watched)
 		select {
 		case <-ctx.Done():
+			r.mu.Lock()
+			r.cancelled = true
+			r.mu.Unlock()
 			r.closeAll()
 		case <-watchDone:
 		}
@@ -219,7 +227,8 @@ func (r *distRun) traffic() wire.Counters {
 
 // markDead records worker i's death and closes its connection, which
 // unblocks any goroutine still reading or writing it. Idempotent: only the
-// first verdict (and its error) counts.
+// first verdict (and its error) counts. A verdict after the cancellation
+// takes the worker out of the run without counting it dead.
 func (r *distRun) markDead(i int, err error) {
 	r.mu.Lock()
 	if !r.alive[i] {
@@ -227,8 +236,10 @@ func (r *distRun) markDead(i int, err error) {
 		return
 	}
 	r.alive[i] = false
-	r.deadErr[i] = err
-	r.nDead++
+	if !r.cancelled {
+		r.deadErr[i] = err
+		r.nDead++
+	}
 	r.newDead = true
 	r.mu.Unlock()
 	if c := r.conns[i]; c != nil {
@@ -240,6 +251,14 @@ func (r *distRun) isAlive(i int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.alive[i]
+}
+
+// died reports whether worker i died during the run of a fault of its own,
+// not of the cancellation.
+func (r *distRun) died(i int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.deadErr[i] != nil
 }
 
 func (r *distRun) isPrimary(i int) bool {
@@ -438,17 +457,20 @@ func (r *distRun) runStep(step core.DistStep, final bool) {
 
 // exchange runs one routing phase of a superstep: drain every live worker's
 // up stream to its final chunk, routing the serving replicas' records as they
-// arrive (order across sources is irrelevant: all folds canonicalise), then
+// arrive (order across sources is irrelevant: all folds canonicalise; a
+// source's own records ascend, and route keeps one cursor per source), then
 // end every live destination's down stream with a final-flagged chunk —
 // possibly empty, the terminator its next phase waits for. Each half re-arms
 // the deadline on the survivors: a stalled worker consumes its own window,
 // not the windows of the phases that finish the attempt after its death.
-func (r *distRun) exchange(step core.DistStep, up, down wire.Kind, route func(v graph.VertexID, rec []byte) error) {
+func (r *distRun) exchange(step core.DistStep, up, down wire.Kind, route func(at *int, v graph.VertexID, rec []byte) error) {
 	rt := r.rt
 	rt.reset(step, down)
 	r.armDeadline()
 	r.eachAlive(func(i int, c *wire.Conn) error {
 		serving := r.isPrimary(i)
+		at := 0
+		routeAt := func(v graph.VertexID, rec []byte) error { return route(&at, v, rec) }
 		for {
 			f, err := c.RecvRaw()
 			if err != nil {
@@ -458,7 +480,7 @@ func (r *distRun) exchange(step core.DistStep, up, down wire.Kind, route func(v 
 				return fmt.Errorf("%s for %v during %v %s", f.Kind, f.Step, step, up)
 			}
 			if serving {
-				if err := wire.ForEachRecord(up, f.Payload, route); err != nil {
+				if err := wire.ForEachRecord(up, f.Payload, routeAt); err != nil {
 					return err
 				}
 			}
@@ -588,11 +610,9 @@ func (rt *router) reset(step core.DistStep, kind wire.Kind) {
 }
 
 // forward appends one raw record to destination j's batch, sending the chunk
-// when it reaches the threshold. A send failure marks j dead.
+// when it reaches the threshold. A send failure marks j dead, and a dead
+// destination's chunks are dropped whole.
 func (rt *router) forward(j int, rec []byte) {
-	if !rt.run.isAlive(j) {
-		return
-	}
 	d := &rt.dests[j]
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -600,16 +620,18 @@ func (rt *router) forward(j int, rec []byte) {
 	if d.bb.Len() < routeChunkBytes {
 		return
 	}
-	if err := d.c.SendRaw(rt.kind, rt.step, false, d.bb.Payload()); err != nil {
-		rt.run.markDead(j, err)
+	if rt.run.isAlive(j) {
+		if err := d.c.SendRaw(rt.kind, rt.step, false, d.bb.Payload()); err != nil {
+			rt.run.markDead(j, err)
+		}
 	}
 	d.bb.Reset()
 }
 
 // routePartial routes one encoded partial record to every replica of its
-// vertex's master partition.
-func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
-	mp, _ := rt.run.routes.roles(v)
+// vertex's master partition; at is the source's cursor (routing.roles).
+func (rt *router) routePartial(at *int, v graph.VertexID, rec []byte) error {
+	mp, _ := rt.run.routes.roles(v, at)
 	if mp < 0 {
 		return fmt.Errorf("partial for vertex %d, which no partition hosts", v)
 	}
@@ -621,8 +643,8 @@ func (rt *router) routePartial(v graph.VertexID, rec []byte) error {
 
 // routeState fans one encoded state record out to every replica of every
 // partition holding one of the vertex's mirrors.
-func (rt *router) routeState(v graph.VertexID, rec []byte) error {
-	mp, hosts := rt.run.routes.roles(v)
+func (rt *router) routeState(at *int, v graph.VertexID, rec []byte) error {
+	mp, hosts := rt.run.routes.roles(v, at)
 	for _, p := range hosts {
 		if p == mp {
 			continue

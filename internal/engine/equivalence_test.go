@@ -326,8 +326,8 @@ var eqFaults = func() []eqFault {
 const eqFaultTimeout, eqBlackholeTimeout = 2 * time.Second, 500 * time.Millisecond
 
 // eqOutcome is the one way a row may end: the oracle rows (err nil) or err,
-// with exactly dead workers (-1: uncounted), failovers and fired fault
-// events, within a wall time (0: unbounded).
+// with exactly dead workers, failovers and fired fault events, within a
+// wall time (0: unbounded). A cancellation's own closes kill no worker.
 type eqOutcome struct {
 	err                    error
 	dead, failovers, fired int
@@ -344,7 +344,7 @@ func (f eqFault) expect(reps int, timeout time.Duration) eqOutcome {
 	case f.name == "delay":
 		o.dead = 0
 	case f.name == "cancel":
-		o = eqOutcome{err: context.Canceled, dead: -1, fired: 1, within: 2 * timeout}
+		o = eqOutcome{err: context.Canceled, fired: 1, within: 2 * timeout}
 	case f.who == "group":
 		o = eqOutcome{err: ErrPartitionLost, dead: reps, fired: reps, within: 2 * timeout}
 	case reps == 1:
@@ -1051,15 +1051,19 @@ func (h *eqHarness) checkFault(t testing.TB, c eqCase, v eqView) (err error) {
 	}()
 	o.Addrs = addrs
 	var be Backend = Dist(o)
+	var fl *Fleet
 	if b.kind == "fleet" {
-		fl, err := OpenFleet(v.view, o)
-		if err != nil {
+		if fl, err = OpenFleet(v.view, o); err != nil {
 			return err
 		}
 		defer fl.Close()
 		be = fl
 	}
 
+	var deadAtOpen int
+	if fl != nil {
+		deadAtOpen = fl.Stats().WorkersDead
+	}
 	start := time.Now()
 	got, st, err := eqRun(ctx, c, be, v.view, cfg)
 	switch wall := time.Since(start); {
@@ -1071,7 +1075,7 @@ func (h *eqHarness) checkFault(t testing.TB, c eqCase, v eqView) (err error) {
 		return err
 	case out.err != nil && !errors.Is(err, out.err):
 		return fmt.Errorf("err = %v, want %v", err, out.err)
-	case out.dead >= 0 && st.WorkersDead != out.dead:
+	case st.WorkersDead != out.dead:
 		return fmt.Errorf("WorkersDead = %d, want %d (err %v)", st.WorkersDead, out.dead, err)
 	case out.err == nil:
 		if err := eqCompare(want, got); err != nil {
@@ -1081,8 +1085,14 @@ func (h *eqHarness) checkFault(t testing.TB, c eqCase, v eqView) (err error) {
 	case f.name != "cancel":
 		return nil
 	}
-	// The workers saw their sessions end, not their processes: the same
-	// workers, behind the same backend, answer the next query.
+	// The workers saw their sessions end, not their processes: the fleet
+	// counts none of them dead, and the same workers, behind the same
+	// backend, answer the next query.
+	if fl != nil {
+		if dead := fl.Stats().WorkersDead; dead != deadAtOpen {
+			return fmt.Errorf("the fleet counts %d workers dead after the cancel, %d before", dead, deadAtOpen)
+		}
+	}
 	release()
 	if got, st, err = eqRun(context.Background(), c, be, v.view, cfg); err != nil {
 		return fmt.Errorf("the query after the cancel: %w", err)

@@ -631,12 +631,13 @@ func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, e
 	// Sweep: connections the run declared dead are closed already; forget
 	// them so the next query reconnects, and disarm the survivors' deadlines
 	// so a standing connection never trips a stale timer between queries. A
-	// cancellation closes them all, dead or not, so then none stands.
+	// cancellation closes them all, so then none stands, but only the ones
+	// that died of their own fault count as dead.
 	defer func() {
 		for i, src := range standing {
 			switch {
 			case f.conns[src] == nil:
-			case !run.isAlive(i):
+			case run.died(i):
 				f.conns[src] = nil
 				f.cumDead++
 			case ctx.Err() != nil:
@@ -703,13 +704,15 @@ type routing struct {
 
 // roles returns the taking part holding v's master copy (-1 for none) and the
 // taking parts replicating v, ascending; a vertex with a single host may get
-// no hosts, since only its mirrors are ever routed to.
-func (r *routing) roles(v graph.VertexID) (master int32, hosts []int32) {
+// no hosts, since only its mirrors are ever routed to. A scoped routing finds
+// v among the closure's members from the cursor at (core.SearchFrom), which
+// the caller keeps per source connection.
+func (r *routing) roles(v graph.VertexID, at *int) (master int32, hosts []int32) {
 	if r.cut != nil {
 		hosts, _ = r.cut.Replicas(v)
 		return r.cut.Master(v), hosts
 	}
-	i, ok := slices.BinarySearch(r.frontier.Trunc.Members(), v)
+	i, ok := core.SearchFrom(r.frontier.Trunc.Members(), at, v)
 	if !ok {
 		return -1, nil
 	}

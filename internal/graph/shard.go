@@ -110,12 +110,19 @@ type ShardFile struct {
 	// IsMaster/HasRemote are the full-run roles baked at the cut (scoped
 	// attaches override them per query).
 	IsMaster, HasRemote []bool
+	// RunStart is the run-offset column, derived from EdgeSrc and never
+	// encoded: local i's out-edges are EdgeSrc/EdgeDst[RunStart[i]:RunStart[i+1]],
+	// so a job opens each slot's edge run by two reads. Validate computes it
+	// (len(Locals)+1 entries, 4 B per local), once where the shard enters a
+	// process.
+	RunStart []uint32
 }
 
 // Validate is the one shard validator: every invariant a worker relies on
 // mid-superstep, checked once — by the shard decoder behind ReadShard and
 // MapShardFile, whether a worker pins a packed shard or a KindShip frame
-// carries one.
+// carries one, and by the cut that makes shards in process. It also derives
+// RunStart from the checked edge sources.
 // Everything downstream (core.NewDistPartition, the gather, the attach) trusts
 // a validated shard and re-checks nothing.
 func (s *ShardFile) Validate() error {
@@ -130,6 +137,8 @@ func (s *ShardFile) Validate() error {
 		return fmt.Errorf("graph: shard: %d remote flags for %d locals", len(s.HasRemote), len(s.Locals))
 	case len(s.EdgeSrc) != len(s.EdgeDst):
 		return fmt.Errorf("graph: shard: %d edge sources, %d edge targets", len(s.EdgeSrc), len(s.EdgeDst))
+	case uint64(len(s.EdgeSrc)) > math.MaxUint32:
+		return fmt.Errorf("graph: shard: %d edges, more than a shard's 32-bit run offsets index", len(s.EdgeSrc))
 	}
 	for i, v := range s.Locals {
 		if int(v) >= s.NumVertices || (i > 0 && v <= s.Locals[i-1]) {
@@ -137,6 +146,9 @@ func (s *ShardFile) Validate() error {
 		}
 	}
 	n, prev := len(s.Locals), int32(0)
+	// runEnd[i+1] ends local i's run once its last edge is seen; a local
+	// with no out-edge takes the end of the run before it.
+	runEnd := make([]uint32, n+1)
 	for i, si := range s.EdgeSrc {
 		di := s.EdgeDst[i]
 		if si < 0 || int(si) >= n || di < 0 || int(di) >= n {
@@ -154,7 +166,12 @@ func (s *ShardFile) Validate() error {
 			return fmt.Errorf("graph: shard: edge sources not non-decreasing at edge %d", i)
 		}
 		prev = si
+		runEnd[si+1] = uint32(i + 1)
 	}
+	for i := 1; i <= n; i++ {
+		runEnd[i] = max(runEnd[i], runEnd[i-1])
+	}
+	s.RunStart = runEnd
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,6 +147,69 @@ func TestShardValidate(t *testing.T) {
 		}
 		if err := WriteShard(&bytes.Buffer{}, s); err == nil {
 			t.Errorf("%s: written", name)
+		}
+	}
+}
+
+// TestShardRunStartMatchesScan holds the run-offset column Validate derives
+// to a linear scan of EdgeSrc: for every local, its run starts after the
+// edges of lower sources and ends after its own. The random shards have
+// locals with no out-edge (the first and the last among them in some) and
+// edgeless shards, and a shard re-read from its bytes gets the same column.
+func TestShardRunStartMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for c := range 300 {
+		n := 1 + rng.Intn(30)
+		s := &ShardFile{Shard: 0, Shards: 1, NumVertices: 2 * n,
+			Deg: make([]int32, n), IsMaster: make([]bool, n), HasRemote: make([]bool, n)}
+		for v := range 2 * n {
+			if len(s.Locals) < n && rng.Intn(2*n-v) < n-len(s.Locals) {
+				s.Locals = append(s.Locals, VertexID(v))
+			}
+		}
+		// Each local has out-edges with probability 1/2, except that case
+		// c%3 == 1 leaves the first and last locals without and c%7 == 0
+		// leaves the whole shard edgeless.
+		for si := range n {
+			if c%7 == 0 || rng.Intn(2) == 0 || c%3 == 1 && (si == 0 || si == n-1) {
+				continue
+			}
+			for di := range n {
+				if di != si && rng.Intn(3) == 0 {
+					s.EdgeSrc, s.EdgeDst = append(s.EdgeSrc, int32(si)), append(s.EdgeDst, int32(di))
+				}
+			}
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		if len(s.RunStart) != n+1 {
+			t.Fatalf("case %d: %d run offsets for %d locals", c, len(s.RunStart), n)
+		}
+		for li := range n {
+			lo, hi := 0, 0
+			for _, si := range s.EdgeSrc {
+				if si < int32(li) {
+					lo++
+				}
+				if si <= int32(li) {
+					hi++
+				}
+			}
+			if int(s.RunStart[li]) != lo || int(s.RunStart[li+1]) != hi {
+				t.Fatalf("case %d: local %d's run is [%d,%d), want [%d,%d)", c, li, s.RunStart[li], s.RunStart[li+1], lo, hi)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadShard(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.RunStart, s.RunStart) {
+			t.Fatalf("case %d: re-read column %v, want %v", c, got.RunStart, s.RunStart)
 		}
 	}
 }

@@ -17,11 +17,12 @@
 // Results live in an LRU keyed by vertex (a server runs one Config for its
 // life). The handler reads it once per request: a fully cached request is
 // answered there and then, without touching the collector or the engine,
-// and only the misses go on. Concurrent misses are micro-batched: a
-// collector goroutine gathers everything that arrives within BatchWindow
-// (or until BatchMax distinct vertices accumulate), checks the tick's
-// vertices against the cache once more — a row another tick cached while
-// they waited is not recomputed — and runs one scoped prediction
+// and only the misses go on. Concurrent misses are micro-batched by load,
+// not by a clock: a collector goroutine runs a miss at once when no run is
+// in flight, and the misses that arrive during a run wait for it and form
+// the next tick together (up to BatchMax distinct vertices). Each tick checks
+// its vertices against the cache once more — a row another tick cached
+// while they waited is not recomputed — and runs one scoped prediction
 // (engine.PredictScoped, the engine's one query path) over the rest — N
 // concurrent users cost one closure computation, not N. Hit and miss
 // answers slice the same cached row, making responses for a vertex
@@ -82,12 +83,10 @@ type Options struct {
 	// servable k: requests may ask for any k up to it. Sources must be
 	// empty (the batcher owns the field).
 	Config core.Config
-	// BatchWindow is how long the collector waits for more requests after
-	// the first of a tick (default 2ms). Larger windows trade first-request
-	// latency for bigger shared frontiers.
-	BatchWindow time.Duration
 	// BatchMax caps the distinct uncached vertices folded into one run
-	// (default 4096); a full window is cut short when reached.
+	// (default 4096), and the ids of one request. A tick takes every miss
+	// already waiting up to the cap; a request that would cross it starts
+	// the next tick.
 	BatchMax int
 	// CacheSize is the LRU capacity in vertices (default 65536).
 	CacheSize int
@@ -103,11 +102,11 @@ type Options struct {
 type Server struct {
 	be      engine.Backend
 	cfg     core.Config
-	window  time.Duration
 	maxIDs  int
 	runTO   time.Duration
 	cache   *lruCache
 	queue   chan *batchReq
+	queued  atomic.Int64 // requests waiting to hand their misses to the collector
 	stop    chan struct{}
 	done    chan struct{}
 	stats   serverStats
@@ -160,9 +159,6 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.BatchWindow <= 0 {
-		opts.BatchWindow = 2 * time.Millisecond
-	}
 	if opts.BatchMax <= 0 {
 		opts.BatchMax = 4096
 	}
@@ -172,7 +168,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		be:      opts.Backend,
 		cfg:     cfg,
-		window:  opts.BatchWindow,
 		maxIDs:  opts.BatchMax,
 		runTO:   opts.RunTimeout,
 		cache:   newLRU(opts.CacheSize),
@@ -240,10 +235,13 @@ func (s *Server) Close() {
 var errShutdown = errors.New("serve: server shutting down")
 
 // collector is the micro-batching loop over cache misses: it blocks for the
-// tick's first request, gathers more until the window closes (or BatchMax
-// distinct vertices accumulate), then answers the whole tick from one scoped
-// run. A request whose ids would push the tick past BatchMax is carried into
-// the next tick instead of over-growing this one.
+// tick's first request, takes every request already waiting (up to BatchMax
+// distinct vertices) without waiting for more, then answers the whole tick
+// from one scoped run. The queue is unbuffered, so the requests that arrive
+// while a run is in flight wait on it and form the next tick: a run in
+// flight is the only batching signal, and an idle server runs a miss at
+// once. A request whose ids would push the tick past BatchMax is carried
+// into the next tick instead of over-growing this one.
 func (s *Server) collector() {
 	defer close(s.done)
 	var carry *batchReq
@@ -263,12 +261,10 @@ func (s *Server) collector() {
 		for _, v := range first.ids {
 			misses[v] = true
 		}
-		timer := time.NewTimer(s.window)
 	gather:
 		for len(misses) < s.maxIDs {
 			select {
 			case <-s.stop:
-				timer.Stop()
 				for _, r := range batch {
 					r.resp <- batchResp{err: errShutdown}
 				}
@@ -288,11 +284,10 @@ func (s *Server) collector() {
 				for _, v := range r.ids {
 					misses[v] = true
 				}
-			case <-timer.C:
+			default:
 				break gather
 			}
 		}
-		timer.Stop()
 		s.runBatch(batch, misses)
 	}
 }
@@ -388,10 +383,16 @@ func (s *Server) predict(ids []graph.VertexID) (map[graph.VertexID][]core.Predic
 		return rows, hits, nil
 	}
 	req := &batchReq{ids: misses, resp: make(chan batchResp, 1)}
+	s.queued.Add(1)
+	var err error
 	select {
 	case <-s.stop:
-		return nil, hits, errShutdown
+		err = errShutdown
 	case s.queue <- req:
+	}
+	s.queued.Add(-1)
+	if err != nil {
+		return nil, hits, err
 	}
 	resp := <-req.resp
 	if resp.err != nil {
@@ -854,6 +855,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	snap.Engine = s.be.Name()
 	snap.CacheSize = s.cache.len()
 	snap.CacheCap = s.cache.cap
+	snap.Queued = s.queued.Load()
 	snap.UptimeSec = time.Since(s.started).Seconds()
 	writeJSON(w, http.StatusOK, snap)
 }

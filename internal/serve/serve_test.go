@@ -110,7 +110,7 @@ func TestPredictMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Options{Graph: g, Config: cfg, BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{Graph: g, Config: cfg})
 
 	for _, k := range []int{0, 1, 5, 10} {
 		ids := []uint32{0, 17, 50, 199, 17} // duplicate collapses
@@ -166,8 +166,8 @@ func TestSparseAndDenseBackendsServeIdentically(t *testing.T) {
 	if _, sparse := engine.Backend(dense).(engine.ScopedBackend); sparse {
 		t.Fatal("the dense test double offers the sparse form")
 	}
-	sSparse, tsSparse := newTestServer(t, Options{Graph: g, Backend: engine.Local{}, Config: cfg, BatchWindow: time.Millisecond})
-	sDense, tsDense := newTestServer(t, Options{Graph: g, Backend: dense, Config: cfg, BatchWindow: time.Millisecond})
+	sSparse, tsSparse := newTestServer(t, Options{Graph: g, Backend: engine.Local{}, Config: cfg})
+	sDense, tsDense := newTestServer(t, Options{Graph: g, Backend: dense, Config: cfg})
 
 	normalized := func(url, body string) []byte {
 		resp, pr := postPredict(t, url, body)
@@ -208,24 +208,30 @@ func TestSparseAndDenseBackendsServeIdentically(t *testing.T) {
 	}
 }
 
-// TestMicroBatchingCoalesces pins the batching contract: requests arriving
-// within one window share a single backend run, and identical ids are
-// served from the cache forever after.
-func TestMicroBatchingCoalesces(t *testing.T) {
-	leakcheck.Check(t)
-	g := testGraph(t, 120, 5)
-	be := &countingBackend{inner: engine.Local{Workers: 1}}
-	s, err := New(Options{Graph: g, Backend: be, Config: testConfig(t, 5), BatchWindow: 300 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+// statsz reads the server's /statsz report.
+func statsz(t *testing.T, base string) Snapshot {
+	t.Helper()
+	var snap Snapshot
+	getJSON(t, base+"/statsz", &snap)
+	return snap
+}
 
-	// Distinct id sets sent while the first request's window is open: the
-	// collector folds all of them into one frontier run.
+// TestMicroBatchingCoalesces pins the batching contract: misses that
+// arrive while a run is in flight wait for it and then share one run, and
+// identical ids are served from the cache forever after.
+func TestMicroBatchingCoalesces(t *testing.T) {
+	const parked = 7
+	// entered holds a signal for every run there could be, one per request,
+	// so that a collector that fails to coalesce fails the count below
+	// instead of blocking in the backend.
+	be := &gatedBackend{Backend: engine.Local{Workers: 1}, entered: make(chan struct{}, parked+1), release: make(chan struct{})}
+	s, ts := newTestServer(t, Options{Graph: testGraph(t, 120, 5), Backend: be, Config: testConfig(t, 5)})
+	release := sync.OnceFunc(func() { close(be.release) })
+	t.Cleanup(release) // runs before the server's cleanup: Close waits for the run
+
 	var wg sync.WaitGroup
-	results := make([]map[graph.VertexID][]core.Prediction, 8)
-	for i := 0; i < 8; i++ {
+	results := make([]map[graph.VertexID][]core.Prediction, parked+1)
+	ask := func(i int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -236,16 +242,31 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 			}
 			results[i] = rows
 		}()
-		if i == 0 {
-			time.Sleep(30 * time.Millisecond) // let the window open first
+	}
+	ask(0)
+	<-be.entered // an idle collector ran request 0 at once; its run is blocked
+	// Distinct id sets sent while the run is in flight: they park on the
+	// collector, which folds all of them into the next run.
+	for i := 1; i <= parked; i++ {
+		ask(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); statsz(t, ts.URL).Queued != parked; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("/statsz queued never reached %d", parked)
 		}
 	}
+	release()
 	wg.Wait()
-	if got := be.calls.Load(); got != 1 {
-		t.Fatalf("backend ran %d times for one batch window, want 1", got)
+	if got := be.calls.Load(); got != 2 {
+		t.Fatalf("backend ran %d times, want 2: one for the idle server's request and one for the %d parked behind it", got, parked)
 	}
-	if got := be.sources.Load(); got != 16 {
-		t.Fatalf("batched run scoped to %d sources, want 16", got)
+	if snap := statsz(t, ts.URL); snap.Queued != 0 || snap.PredictRuns != 2 {
+		t.Fatalf("/statsz after the runs: queued %d, runs %d", snap.Queued, snap.PredictRuns)
+	}
+	for i, rows := range results {
+		if len(rows) != 2 {
+			t.Fatalf("request %d answered %d rows, want 2", i, len(rows))
+		}
 	}
 
 	// Same ids again: pure cache hits, no new backend run.
@@ -259,7 +280,7 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
-	if got := be.calls.Load(); got != 1 {
+	if got := be.calls.Load(); got != 2 {
 		t.Fatalf("cached query re-ran the backend (%d calls)", got)
 	}
 }
@@ -276,7 +297,7 @@ func TestTickLargerThanCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Graph: g, Config: cfg, BatchWindow: time.Millisecond, CacheSize: 4})
+	s, err := New(Options{Graph: g, Config: cfg, CacheSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,38 +329,6 @@ func TestTickLargerThanCache(t *testing.T) {
 	}
 }
 
-// TestFullyCachedSkipsWindow pins the hot-path contract: a request whose
-// ids are all cached is answered immediately, not after the batch window —
-// an empty frontier can never benefit from batching.
-func TestFullyCachedSkipsWindow(t *testing.T) {
-	leakcheck.Check(t)
-	g := testGraph(t, 50, 1)
-	s, err := New(Options{Graph: g, Config: testConfig(t, 5), BatchWindow: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.cache.put(3, []core.Prediction{{Vertex: 9, Score: 1}})
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rows, hits, err := s.predict([]graph.VertexID{3})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if hits != 1 || len(rows[3]) != 1 {
-			t.Errorf("rows=%v hits=%d", rows, hits)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second): // far below the 1h window
-		t.Fatal("fully-cached request waited for the batch window")
-	}
-}
-
 // gatedBackend wraps a Backend so that each run signals entered as it
 // starts and then blocks until release is closed.
 type gatedBackend struct {
@@ -362,7 +351,7 @@ func (b *gatedBackend) Predict(g graph.View, cfg core.Config) (core.Predictions,
 func TestCachedRequestAnsweredDuringRun(t *testing.T) {
 	leakcheck.Check(t)
 	be := &gatedBackend{Backend: engine.Local{Workers: 1}, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	s, err := New(Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	s, err := New(Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +412,7 @@ func TestWaitingMissServedFromCache(t *testing.T) {
 // TestStatszCountsDistinctMisses pins /statsz's miss count to distinct ids:
 // a repeated id is asked for twice but computed (or missed) once.
 func TestStatszCountsDistinctMisses(t *testing.T) {
-	_, ts := newTestServer(t, Options{Graph: testGraph(t, 100, 7), Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{Graph: testGraph(t, 100, 7), Config: testConfig(t, 5)})
 	for _, body := range []string{`{"ids":[5]}`, `{"ids":[5,5]}`} {
 		if resp, _ := postPredict(t, ts.URL, body); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", body, resp.StatusCode)
@@ -456,7 +445,7 @@ func (b *failAfterBackend) Predict(g graph.View, cfg core.Config) (core.Predicti
 // hits from the cache, and they count as hits, not misses.
 func TestStatszCountsHitsOfFailedRequests(t *testing.T) {
 	be := &failAfterBackend{Backend: engine.Local{Workers: 1}, ok: 1}
-	_, ts := newTestServer(t, Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{Graph: testGraph(t, 100, 7), Backend: be, Config: testConfig(t, 5)})
 	for _, req := range []struct {
 		body   string
 		status int
@@ -475,7 +464,7 @@ func TestStatszCountsHitsOfFailedRequests(t *testing.T) {
 // TestStatsz exercises the metrics endpoint end to end.
 func TestStatsz(t *testing.T) {
 	g := testGraph(t, 100, 7)
-	_, ts := newTestServer(t, Options{Graph: g, Config: testConfig(t, 5), BatchWindow: time.Millisecond})
+	_, ts := newTestServer(t, Options{Graph: g, Config: testConfig(t, 5)})
 
 	for i := 0; i < 3; i++ {
 		resp, _ := postPredict(t, ts.URL, `{"ids":[1,2,3]}`)
@@ -660,7 +649,7 @@ func TestMutationInvalidatesFrontier(t *testing.T) {
 	be := &countingBackend{inner: engine.Local{Workers: 1}}
 	s, ts := newTestServer(t, Options{
 		Graph: g, Backend: be, Mutable: true,
-		Config: testConfig(t, 5), BatchWindow: time.Millisecond,
+		Config: testConfig(t, 5),
 	})
 
 	// Warm the cache: one row in each component.
@@ -729,7 +718,7 @@ func TestMutationInvalidatesFrontier(t *testing.T) {
 func TestMutationMatchesReference(t *testing.T) {
 	g := testGraph(t, 200, 3)
 	cfg := testConfig(t, 10)
-	s, ts := newTestServer(t, Options{Graph: g, Mutable: true, Config: cfg, BatchWindow: time.Millisecond})
+	s, ts := newTestServer(t, Options{Graph: g, Mutable: true, Config: cfg})
 
 	// Warm some of the queried rows so the batch mixes hits and misses.
 	postPredict(t, ts.URL, `{"ids":[0,17,50]}`)
@@ -773,7 +762,7 @@ func TestCompactEndpoint(t *testing.T) {
 	sgr := t.TempDir() + "/live.sgr"
 	s, ts := newTestServer(t, Options{
 		Graph: g, Mutable: true, CompactPath: sgr,
-		Config: testConfig(t, 5), BatchWindow: time.Millisecond,
+		Config: testConfig(t, 5),
 	})
 
 	if resp, b := postJSON(t, ts.URL+"/v1/edges", `{"add":[[1,100],[2,50]],"remove":[[1,100]]}`); resp.StatusCode != http.StatusOK {
@@ -831,7 +820,7 @@ func TestAutoCompact(t *testing.T) {
 	g := testGraph(t, 80, 9)
 	s, ts := newTestServer(t, Options{
 		Graph: g, Mutable: true, CompactAt: 2,
-		Config: testConfig(t, 5), BatchWindow: time.Millisecond,
+		Config: testConfig(t, 5),
 	})
 	if resp, b := postJSON(t, ts.URL+"/v1/edges", `{"add":[[3,60],[4,61]]}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("edges: status %d: %s", resp.StatusCode, b)
@@ -994,28 +983,47 @@ func TestConfigFingerprint(t *testing.T) {
 	}
 }
 
-// TestServeClose ensures Close unblocks pending requests with an error
-// instead of hanging them.
+// TestServeClose ensures Close unblocks a request parked behind a run in
+// flight with errShutdown instead of hanging it, and lets the run finish
+// its own request.
 func TestServeClose(t *testing.T) {
 	leakcheck.Check(t)
-	g := testGraph(t, 50, 1)
-	s, err := New(Options{Graph: g, Config: testConfig(t, 5), BatchWindow: time.Hour})
+	be := &gatedBackend{Backend: engine.Local{Workers: 1}, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	s, err := New(Options{Graph: testGraph(t, 50, 1), Backend: be, Config: testConfig(t, 5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	errc := make(chan error, 1)
+	running, parked := make(chan error, 1), make(chan error, 1)
 	go func() {
 		_, _, err := s.predict([]graph.VertexID{1})
-		errc <- err
+		running <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // request inside the (huge) window
-	s.Close()
+	<-be.entered // vertex 1's run is blocked in the backend
+	go func() {
+		_, _, err := s.predict([]graph.VertexID{2})
+		parked <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.queued.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("vertex 2's request never parked on the collector")
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
 	select {
-	case err := <-errc:
-		if err == nil {
-			t.Fatal("pending request succeeded after Close")
+	case err := <-parked:
+		if !errors.Is(err, errShutdown) {
+			t.Fatalf("parked request: err = %v, want %v", err, errShutdown)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("pending request hung after Close")
+		t.Fatal("parked request hung after Close")
 	}
+	close(be.release)
+	if err := <-running; err != nil {
+		t.Fatalf("the run in flight at Close: %v", err)
+	}
+	<-closed
 }

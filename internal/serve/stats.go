@@ -166,6 +166,10 @@ type Snapshot struct {
 	CacheSize    int     `json:"cache_size"`
 	CacheCap     int     `json:"cache_capacity"`
 	UptimeSec    float64 `json:"uptime_sec"`
+	// Queued is a gauge: the requests whose misses wait for the collector,
+	// which takes them all when the run in flight ends. It tells queueing
+	// apart from run time in a latency tail.
+	Queued int64 `json:"queued"`
 
 	// Live-graph counters (all zero unless the server is mutable).
 	Mutations        int64  `json:"mutations,omitempty"`

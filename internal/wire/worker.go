@@ -410,8 +410,9 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 			break
 		}
 		t0 := time.Now()
+		at := 0
 		err = ForEachRecord(KindMirrors, f.Payload, func(v graph.VertexID, rec []byte) error {
-			slot, ok := s.part.Slot(v)
+			slot, ok := s.part.Slot(v, &at)
 			if !ok {
 				return fmt.Errorf("wire: refresh for vertex %d, which this job does not hold", v)
 			}
@@ -489,8 +490,9 @@ func (s *session) bufferForeign(payload []byte) error {
 		s.chunkBufs = append(s.chunkBufs, buf)
 	}
 	s.chunkN++
+	at := 0
 	return ForEachRecord(KindForeign, buf, func(v graph.VertexID, rec []byte) error {
-		slot, ok := s.part.Slot(v)
+		slot, ok := s.part.Slot(v, &at)
 		if !ok || !s.isMaster[slot] {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
