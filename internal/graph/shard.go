@@ -112,17 +112,16 @@ type ShardFile struct {
 	IsMaster, HasRemote []bool
 	// RunStart is the run-offset column, derived from EdgeSrc and never
 	// encoded: local i's out-edges are EdgeSrc/EdgeDst[RunStart[i]:RunStart[i+1]],
-	// so a job opens each slot's edge run by two reads. Validate computes it
+	// so a job opens each slot's edge run by two reads. IndexRuns computes it
 	// (len(Locals)+1 entries, 4 B per local), once where the shard enters a
-	// process.
+	// process: in Validate, and in the cut that makes shards in process.
 	RunStart []uint32
 }
 
 // Validate is the one shard validator: every invariant a worker relies on
 // mid-superstep, checked once — by the shard decoder behind ReadShard and
 // MapShardFile, whether a worker pins a packed shard or a KindShip frame
-// carries one, and by the cut that makes shards in process. It also derives
-// RunStart from the checked edge sources.
+// carries one. It ends by deriving RunStart from the checked edge sources.
 // Everything downstream (core.NewDistPartition, the gather, the attach) trusts
 // a validated shard and re-checks nothing.
 func (s *ShardFile) Validate() error {
@@ -137,8 +136,6 @@ func (s *ShardFile) Validate() error {
 		return fmt.Errorf("graph: shard: %d remote flags for %d locals", len(s.HasRemote), len(s.Locals))
 	case len(s.EdgeSrc) != len(s.EdgeDst):
 		return fmt.Errorf("graph: shard: %d edge sources, %d edge targets", len(s.EdgeSrc), len(s.EdgeDst))
-	case uint64(len(s.EdgeSrc)) > math.MaxUint32:
-		return fmt.Errorf("graph: shard: %d edges, more than a shard's 32-bit run offsets index", len(s.EdgeSrc))
 	}
 	for i, v := range s.Locals {
 		if int(v) >= s.NumVertices || (i > 0 && v <= s.Locals[i-1]) {
@@ -146,9 +143,6 @@ func (s *ShardFile) Validate() error {
 		}
 	}
 	n, prev := len(s.Locals), int32(0)
-	// runEnd[i+1] ends local i's run once its last edge is seen; a local
-	// with no out-edge takes the end of the run before it.
-	runEnd := make([]uint32, n+1)
 	for i, si := range s.EdgeSrc {
 		di := s.EdgeDst[i]
 		if si < 0 || int(si) >= n || di < 0 || int(di) >= n {
@@ -166,9 +160,24 @@ func (s *ShardFile) Validate() error {
 			return fmt.Errorf("graph: shard: edge sources not non-decreasing at edge %d", i)
 		}
 		prev = si
+	}
+	return s.IndexRuns()
+}
+
+// IndexRuns derives RunStart from EdgeSrc, which must index Locals and never
+// decrease (Validate checks both first; a cut makes them so). It refuses a
+// shard whose edges its 32-bit offsets cannot index.
+func (s *ShardFile) IndexRuns() error {
+	if uint64(len(s.EdgeSrc)) > math.MaxUint32 {
+		return fmt.Errorf("graph: shard: %d edges, more than a shard's 32-bit run offsets index", len(s.EdgeSrc))
+	}
+	// runEnd[i+1] ends local i's run once its last edge is seen; a local with
+	// no out-edge takes the end of the run before it.
+	runEnd := make([]uint32, len(s.Locals)+1)
+	for i, si := range s.EdgeSrc {
 		runEnd[si+1] = uint32(i + 1)
 	}
-	for i := 1; i <= n; i++ {
+	for i := 1; i < len(runEnd); i++ {
 		runEnd[i] = max(runEnd[i], runEnd[i-1])
 	}
 	s.RunStart = runEnd
