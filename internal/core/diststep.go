@@ -178,10 +178,11 @@ type edgeRun struct{ lo, hi, dst int }
 // input rather than sorting it silently.
 var ErrScopeOrder = errors.New("core: dist partition: scope vertices not strictly ascending")
 
-// NewDistPartition opens a full job over a validated shard (graph.ShardFile's
-// Validate is the one check; nothing is re-checked here): one slot per local
-// vertex. It allocates the per-job replica state and each local's edge run,
-// read from the shard's run-offset column.
+// NewDistPartition opens a full job over a validated, indexed shard
+// (graph.ShardFile's Validate is the one check, and IndexRuns gave it its
+// run-offset column; nothing is re-checked here): one slot per local vertex.
+// It allocates the per-job replica state and reads each local's edge run
+// from the run-offset column.
 func NewDistPartition(cfg Config, shard *graph.ShardFile) (*DistPartition, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
@@ -233,7 +234,8 @@ func NewScopedDistPartition(cfg Config, shard *graph.ShardFile, verts []graph.Ve
 }
 
 // resolveRuns reads every slot's edge run from the shard's run-offset
-// column, which the shard's validation derived once for every job.
+// column, derived once for every job where the shard was opened
+// (graph.ShardFile.IndexRuns).
 func (p *DistPartition) resolveRuns() {
 	runStart := p.shard.RunStart
 	p.runs = make([]edgeRun, len(p.verts))
@@ -334,11 +336,10 @@ func (p *DistPartition) local(s int32) int32 {
 	return p.locals[s]
 }
 
-// Slot returns v's slot, if the job holds v: a search of the job's ascending
-// vertices from the cursor at (SearchFrom), which the caller keeps across
-// the records of one frame.
-func (p *DistPartition) Slot(v graph.VertexID, at *int) (int32, bool) {
-	s, ok := SearchFrom(p.verts, at, v)
+// Slot returns v's slot, if the job holds v: a binary search of the job's
+// ascending vertices.
+func (p *DistPartition) Slot(v graph.VertexID) (int32, bool) {
+	s, ok := slices.BinarySearch(p.verts, v)
 	return int32(s), ok
 }
 
@@ -403,7 +404,7 @@ func (p *DistPartition) GatherStream(step DistStep, skip func(s int32) bool, emi
 // worker holds one shard and cannot compute the global closure), and
 // candidate lists are left in edge order — the applies canonicalise before
 // any order could matter. Under the in-process driver each contributing edge
-// is priced in edge order (price), and a false meter stops the gather at it.
+// is priced as it is gathered (price), and a false meter stops the gather.
 func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bool {
 	r := p.runs[s]
 	if r.lo == r.hi || !p.inScope(step, s) {
@@ -416,23 +417,10 @@ func (p *DistPartition) GatherVertex(step DistStep, s int32, dp *DistPartial) bo
 	switch step {
 	case DistTruncate:
 		ids := p.gatherIDs[:0]
-		if cfg.ThrGamma == Unlimited || srcDeg <= cfg.ThrGamma {
-			// Every edge is kept, so the loop has no branch on the ids it
-			// loads, and their cache misses overlap.
-			for _, di := range sh.EdgeDst[r.lo:r.hi] {
-				ids = append(ids, sh.Locals[di])
-			}
-		} else {
-			for _, di := range sh.EdgeDst[r.lo:r.hi] {
-				if dst := sh.Locals[di]; keepTruncated(cfg.Seed, src, dst, srcDeg, cfg.ThrGamma) {
-					ids = append(ids, dst)
-				}
-			}
-		}
-		if p.meter != nil {
-			for i := range ids {
+		for _, di := range sh.EdgeDst[r.lo:r.hi] {
+			if dst := sh.Locals[di]; keepTruncated(cfg.Seed, src, dst, srcDeg, cfg.ThrGamma) {
+				ids = append(ids, dst)
 				if !p.price(4) {
-					ids = ids[:i+1] // the gather stops at the id the meter refused
 					break
 				}
 			}

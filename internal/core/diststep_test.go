@@ -16,7 +16,8 @@ import (
 // handCut splits g's edges over two shards by hand — edge i of the view's
 // (src, dst) order goes to shard i%2, so nearly every vertex is replicated on
 // both — and builds the shards from that assignment with partition.NewCut,
-// the one builder every scheduler's shards come from.
+// the one builder every scheduler's shards come from, indexed as a driver
+// indexes them before it opens jobs.
 func handCut(t *testing.T, g graph.View) []*graph.ShardFile {
 	t.Helper()
 	a := partition.Assignment{Parts: 2, EdgeTo: make([]int32, g.NumEdges())}
@@ -26,6 +27,11 @@ func handCut(t *testing.T, g graph.View) []*graph.ShardFile {
 	c, err := partition.NewCut(g, a, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, sf := range c.Shards {
+		if err := sf.IndexRuns(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return c.Shards
 }
@@ -110,7 +116,7 @@ func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions
 					continue
 				}
 				v := part.Vertex(s)
-				ms, ok := parts[1-p].Slot(v, new(int))
+				ms, ok := parts[1-p].Slot(v)
 				if !ok || !isMaster(1-p, ms) {
 					return nil, fmt.Errorf("vertex %d has no master", v)
 				}
@@ -240,10 +246,10 @@ func TestScopedDistPartitionRejectsBadScope(t *testing.T) {
 	if p.NumSlots() != 2 || p.Vertex(1) != b {
 		t.Errorf("slots: %d, slot 1 = vertex %d", p.NumSlots(), p.Vertex(1))
 	}
-	if s, ok := p.Slot(b, new(int)); !ok || s != 1 {
+	if s, ok := p.Slot(b); !ok || s != 1 {
 		t.Errorf("Slot(%d) = %d, %v", b, s, ok)
 	}
-	if _, ok := p.Slot(sf.Locals[5], new(int)); ok {
+	if _, ok := p.Slot(sf.Locals[5]); ok {
 		t.Error("Slot found a local outside the job")
 	}
 }

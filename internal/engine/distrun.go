@@ -610,9 +610,11 @@ func (rt *router) reset(step core.DistStep, kind wire.Kind) {
 }
 
 // forward appends one raw record to destination j's batch, sending the chunk
-// when it reaches the threshold. A send failure marks j dead, and a dead
-// destination's chunks are dropped whole.
+// when it reaches the threshold. A send failure marks j dead.
 func (rt *router) forward(j int, rec []byte) {
+	if !rt.run.isAlive(j) {
+		return
+	}
 	d := &rt.dests[j]
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -620,10 +622,8 @@ func (rt *router) forward(j int, rec []byte) {
 	if d.bb.Len() < routeChunkBytes {
 		return
 	}
-	if rt.run.isAlive(j) {
-		if err := d.c.SendRaw(rt.kind, rt.step, false, d.bb.Payload()); err != nil {
-			rt.run.markDead(j, err)
-		}
+	if err := d.c.SendRaw(rt.kind, rt.step, false, d.bb.Payload()); err != nil {
+		rt.run.markDead(j, err)
 	}
 	d.bb.Reset()
 }

@@ -308,10 +308,16 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 		}
 	default:
 		// In-process fleet: one loopback listener per worker, each pinned to
-		// its shard. Real TCP, real frames — just no separate OS process.
+		// its shard. Real TCP, real frames — just no separate OS process. The
+		// workers open jobs on the cut's shards, not on decoded ones, so the
+		// run-offset column is derived here.
 		f.inproc = true
 		for s := 0; s < shards; s++ {
 			res := dep.Shards[s]
+			if err := res.IndexRuns(); err != nil {
+				f.Close()
+				return nil, err
+			}
 			for r := 0; r < reps; r++ {
 				l, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {

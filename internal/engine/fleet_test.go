@@ -57,6 +57,10 @@ func packVia(t testing.TB, g *graph.Digraph, strat partition.Strategy, seed uint
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The decoder derives the run-offset column the bytes do not carry.
+		if err := sf.IndexRuns(); err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(sf, rt) {
 			t.Fatalf("shard %d did not survive the disk round trip", i)
 		}

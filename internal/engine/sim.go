@@ -120,8 +120,8 @@ type simRun struct {
 // simRef locates a vertex's copy: a partition and its slot there.
 type simRef struct{ part, slot int32 }
 
-// open cuts g for the deployment, electing masters with seed, and opens one
-// partition per shard.
+// open cuts g for the deployment, electing masters with seed, derives each
+// shard's run-offset column, and opens one partition per shard.
 func (s Sim) open(g graph.View, seed uint64, open func(*graph.ShardFile) (*core.DistPartition, error)) (*simRun, error) {
 	s.Nodes = cmp.Or(s.Nodes, 1)
 	if s.Spec.Cores == 0 {
@@ -145,6 +145,11 @@ func (s Sim) open(g graph.View, seed uint64, open func(*graph.ShardFile) (*core.
 	cut, err := partition.NewCut(g, assign, seed)
 	if err != nil {
 		return nil, err
+	}
+	for _, sh := range cut.Shards {
+		if err := sh.IndexRuns(); err != nil {
+			return nil, err
+		}
 	}
 	r := &simRun{cl: cl, cut: cut, charged: make([]int64, len(cut.Shards)), workers: s.Workers,
 		st: Stats{Engine: "sim", Workers: s.Workers, ReplicationFactor: cut.ReplicationFactor()}}

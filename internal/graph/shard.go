@@ -113,17 +113,18 @@ type ShardFile struct {
 	// RunStart is the run-offset column, derived from EdgeSrc and never
 	// encoded: local i's out-edges are EdgeSrc/EdgeDst[RunStart[i]:RunStart[i+1]],
 	// so a job opens each slot's edge run by two reads. IndexRuns computes it
-	// (len(Locals)+1 entries, 4 B per local), once where the shard enters a
-	// process: in Validate, and in the cut that makes shards in process.
+	// (len(Locals)+1 entries, 4 B per local), once where a process opens jobs
+	// on the shard: the decoder behind ReadShard and MapShardFile, and the
+	// in-process drivers over a cut's shards.
 	RunStart []uint32
 }
 
 // Validate is the one shard validator: every invariant a worker relies on
 // mid-superstep, checked once — by the shard decoder behind ReadShard and
 // MapShardFile, whether a worker pins a packed shard or a KindShip frame
-// carries one. It ends by deriving RunStart from the checked edge sources.
-// Everything downstream (core.NewDistPartition, the gather, the attach) trusts
-// a validated shard and re-checks nothing.
+// carries one. It only reads the shard. Everything downstream
+// (core.NewDistPartition, the gather, the attach) trusts a validated shard
+// and re-checks nothing.
 func (s *ShardFile) Validate() error {
 	switch {
 	case s.Shards <= 0 || s.Shard < 0 || s.Shard >= s.Shards:
@@ -153,20 +154,21 @@ func (s *ShardFile) Validate() error {
 		if si == di {
 			return fmt.Errorf("graph: shard: edge %d is a self-loop", i)
 		}
-		// Sorted source runs are what a job resolves its slots' edge runs
-		// from, searching forward once per attach; every cut produces them
-		// (View edge order is (src, dst) and Locals ascend).
+		// Sorted source runs are what the run-offset column (IndexRuns)
+		// indexes; every cut produces them (View edge order is (src, dst)
+		// and Locals ascend).
 		if si < prev {
 			return fmt.Errorf("graph: shard: edge sources not non-decreasing at edge %d", i)
 		}
 		prev = si
 	}
-	return s.IndexRuns()
+	return nil
 }
 
 // IndexRuns derives RunStart from EdgeSrc, which must index Locals and never
-// decrease (Validate checks both first; a cut makes them so). It refuses a
-// shard whose edges its 32-bit offsets cannot index.
+// decrease (Validate checks both; a cut makes them so). It refuses a shard
+// whose edges its 32-bit offsets cannot index. It writes the shard, so it
+// runs before any job opens on it, never beside one.
 func (s *ShardFile) IndexRuns() error {
 	if uint64(len(s.EdgeSrc)) > math.MaxUint32 {
 		return fmt.Errorf("graph: shard: %d edges, more than a shard's 32-bit run offsets index", len(s.EdgeSrc))
@@ -231,9 +233,10 @@ func EncodeShard(w io.Writer, s *ShardFile) error {
 }
 
 // ReadShard loads a partition written by WriteShard, verifying its checksums
-// and structural invariants and refusing bytes after the last section. It is
-// MapShardFile's decoder over a heap image of the reader's bytes, and the
-// one a worker installs a shipped shard through.
+// and structural invariants, refusing bytes after the last section, and
+// deriving its run-offset column (IndexRuns). It is MapShardFile's decoder
+// over a heap image of the reader's bytes, and the one a worker installs a
+// shipped shard through.
 func ReadShard(r io.Reader) (*ShardFile, error) {
 	data, err := readImage(r, shardImage)
 	if err != nil {

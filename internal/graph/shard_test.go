@@ -53,6 +53,10 @@ func TestShardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The decoder derives the run-offset column the bytes do not carry.
+	if err := want.IndexRuns(); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
 	}
@@ -151,11 +155,12 @@ func TestShardValidate(t *testing.T) {
 	}
 }
 
-// TestShardRunStartMatchesScan holds the run-offset column Validate derives
+// TestShardRunStartMatchesScan holds the run-offset column IndexRuns derives
 // to a linear scan of EdgeSrc: for every local, its run starts after the
 // edges of lower sources and ends after its own. The random shards have
 // locals with no out-edge (the first and the last among them in some) and
-// edgeless shards, and a shard re-read from its bytes gets the same column.
+// edgeless shards. Validate and WriteShard only read the shard, and the
+// decoder derives the same column for a shard re-read from its bytes.
 func TestShardRunStartMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for c := range 300 {
@@ -180,8 +185,15 @@ func TestShardRunStartMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		if err := s.Validate(); err != nil {
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, s); err != nil {
 			t.Fatalf("case %d: %v", c, err)
+		}
+		if s.RunStart != nil {
+			t.Fatalf("case %d: WriteShard wrote the run-offset column", c)
+		}
+		if err := s.IndexRuns(); err != nil {
+			t.Fatal(err)
 		}
 		if len(s.RunStart) != n+1 {
 			t.Fatalf("case %d: %d run offsets for %d locals", c, len(s.RunStart), n)
@@ -199,10 +211,6 @@ func TestShardRunStartMatchesScan(t *testing.T) {
 			if int(s.RunStart[li]) != lo || int(s.RunStart[li+1]) != hi {
 				t.Fatalf("case %d: local %d's run is [%d,%d), want [%d,%d)", c, li, s.RunStart[li], s.RunStart[li+1], lo, hi)
 			}
-		}
-		var buf bytes.Buffer
-		if err := WriteShard(&buf, s); err != nil {
-			t.Fatal(err)
 		}
 		got, err := ReadShard(&buf)
 		if err != nil {

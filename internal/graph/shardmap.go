@@ -79,6 +79,9 @@ func viewShard(data []byte) (*ShardFile, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	if err := s.IndexRuns(); err != nil {
+		return nil, err
+	}
 	return s, nil
 }
 

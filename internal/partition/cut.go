@@ -38,9 +38,7 @@ func ElectMaster(hosts []int32, seed uint64, v graph.VertexID) int32 {
 // NewCut places g's edges on the shards a assigns them to and elects each
 // replicated vertex's master with ElectMaster. Every shard satisfies
 // graph.ShardFile.Validate by construction: Locals ascend, and edges keep the
-// view's (src, dst) order, so EdgeSrc never decreases. Each derives its
-// run-offset column (RunStart) here, once for every job that opens on it, as
-// a shard read from a file does in Validate. IsMaster marks each
+// view's (src, dst) order, so EdgeSrc never decreases. IsMaster marks each
 // vertex's master copy; HasRemote is set on a master copy whose vertex has
 // mirrors, and never on a mirror.
 func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
@@ -149,11 +147,6 @@ func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
 		sf.HasRemote[local[k]] = len(hosts) > 1
 		c.master[v] = m
 		c.present++
-	}
-	for _, sf := range c.Shards {
-		if err := sf.IndexRuns(); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }

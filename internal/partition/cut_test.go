@@ -72,14 +72,9 @@ func referenceCut(g graph.View, a Assignment, seed uint64) refCut {
 			sf.Deg[i] = int32(g.OutDegree(v))
 		}
 		outFlags[p] = make([]bool, len(locals))
-		sf.RunStart = make([]uint32, len(locals)+1)
 		for i, e := range raw[p] {
 			sf.EdgeSrc[i], sf.EdgeDst[i] = index[p][e.u], index[p][e.v]
 			outFlags[p][sf.EdgeSrc[i]] = true
-			sf.RunStart[sf.EdgeSrc[i]+1]++
-		}
-		for i := range locals {
-			sf.RunStart[i+1] += sf.RunStart[i]
 		}
 		ref.shards[p] = sf
 	}

@@ -216,9 +216,10 @@ func statsz(t *testing.T, base string) Snapshot {
 	return snap
 }
 
-// TestMicroBatchingCoalesces pins the batching contract: misses that
-// arrive while a run is in flight wait for it and then share one run, and
-// identical ids are served from the cache forever after.
+// TestMicroBatchingCoalesces pins the batching contract: a miss on an idle
+// server runs alone, with nothing queued behind it; misses that arrive while
+// a run is in flight wait for it and then share one run; and identical ids
+// are served from the cache forever after.
 func TestMicroBatchingCoalesces(t *testing.T) {
 	const parked = 7
 	// entered holds a signal for every run there could be, one per request,
@@ -244,7 +245,11 @@ func TestMicroBatchingCoalesces(t *testing.T) {
 		}()
 	}
 	ask(0)
-	<-be.entered // an idle collector ran request 0 at once; its run is blocked
+	<-be.entered // an idle collector ran request 0 alone; its run is blocked
+	if snap := statsz(t, ts.URL); snap.Queued != 0 || snap.PredictRuns != 1 || be.calls.Load() != 1 {
+		t.Fatalf("/statsz with request 0 in the backend: queued %d, runs %d, backend calls %d; want 0, 1, 1",
+			snap.Queued, snap.PredictRuns, be.calls.Load())
+	}
 	// Distinct id sets sent while the run is in flight: they park on the
 	// collector, which folds all of them into the next run.
 	for i := 1; i <= parked; i++ {

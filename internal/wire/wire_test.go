@@ -273,6 +273,10 @@ func TestShipRoundTrip(t *testing.T) {
 		if err := part.Validate(); err != nil {
 			t.Fatalf("generator emitted an invalid shard: %v", err)
 		}
+		// The decoder derives the run-offset column the bytes do not carry.
+		if err := part.IndexRuns(); err != nil {
+			t.Fatal(err)
+		}
 		checkLossless(t, &Msg{Kind: KindShip, Version: ProtocolVersion, Shard: part})
 	}
 }
@@ -560,6 +564,9 @@ func TestAttachRejectsHostileEntries(t *testing.T) {
 		HasRemote: []bool{true, false, false},
 	}
 	if err := shard.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := shard.IndexRuns(); err != nil {
 		t.Fatal(err)
 	}
 	addr := serveWorkers(t, ServeOptions{Resident: shard})

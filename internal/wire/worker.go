@@ -22,9 +22,10 @@ const streamChunkBytes = 64 << 10
 
 // ServeOptions configures a worker's listening side.
 type ServeOptions struct {
-	// Resident pins a shard for the worker's lifetime. It must be validated —
-	// loaded through graph.MapShardFile / ReadShard, or built by the engine's
-	// cut — because nothing below re-checks it. A resident worker needs no
+	// Resident pins a shard for the worker's lifetime. It must be validated
+	// and indexed — loaded through graph.MapShardFile / ReadShard, or built
+	// by the engine's cut and given its graph.ShardFile.IndexRuns column —
+	// because nothing below re-checks it. A resident worker needs no
 	// KindShip before its first KindAttach (and refuses one): several
 	// coordinators — e.g. multiple serve front-ends — attach to its one shard
 	// and share one standing fleet. Every session on every connection reads
@@ -410,9 +411,8 @@ func (s *session) runStep(step core.DistStep, final bool) error {
 			break
 		}
 		t0 := time.Now()
-		at := 0
 		err = ForEachRecord(KindMirrors, f.Payload, func(v graph.VertexID, rec []byte) error {
-			slot, ok := s.part.Slot(v, &at)
+			slot, ok := s.part.Slot(v)
 			if !ok {
 				return fmt.Errorf("wire: refresh for vertex %d, which this job does not hold", v)
 			}
@@ -490,9 +490,8 @@ func (s *session) bufferForeign(payload []byte) error {
 		s.chunkBufs = append(s.chunkBufs, buf)
 	}
 	s.chunkN++
-	at := 0
 	return ForEachRecord(KindForeign, buf, func(v graph.VertexID, rec []byte) error {
-		slot, ok := s.part.Slot(v, &at)
+		slot, ok := s.part.Slot(v)
 		if !ok || !s.isMaster[slot] {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
