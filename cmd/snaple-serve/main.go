@@ -144,6 +144,7 @@ func run(args []string) error {
 	// can share one set of resident workers. A mutable server's view changes
 	// under every batch, so its dist backend is the one-shot form instead,
 	// which cuts and ships each batch's view afresh.
+	start = time.Now()
 	be, err := opts.Backend(g, !*mutable)
 	if err != nil {
 		return err
@@ -151,8 +152,8 @@ func run(args []string) error {
 	if fleet, ok := be.(*engine.Fleet); ok {
 		defer fleet.Close()
 		fi := fleet.FleetInfo()
-		fmt.Fprintf(os.Stderr, "fleet up: %d shards x %d replicas (fingerprint %016x)\n",
-			fi.Shards, fi.Replicas, fi.Fingerprint)
+		fmt.Fprintf(os.Stderr, "fleet up: %d shards x %d replicas (fingerprint %016x) in %.2fs\n",
+			fi.Shards, fi.Replicas, fi.Fingerprint, time.Since(start).Seconds())
 	}
 	srv, err := serve.New(serve.Options{
 		Graph:       g,

@@ -10,7 +10,6 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"slices"
 	"strings"
 	"time"
 
@@ -71,63 +70,41 @@ func (d Dist) PredictScoped(ctx context.Context, g graph.View, cfg core.Config) 
 	return q.result(preds, st, err)
 }
 
-// deployment is the vertex cut a fleet stands on — partition.NewCut's
-// shards, stamped with the fleet's identity: the same values a pack writes, a
-// ship carries and a worker holds — plus the one index the query router
-// reads that the cut lacks: which shards hold each vertex's out-edges.
+// deployment is the vertex cut a fleet stands on, stamped with the fleet's
+// identity. Its shards — the same values a pack writes, a ship carries and a
+// worker holds — are built only for a pack, a fleet that ships them and an
+// in-process fleet; a coordinator of resident workers builds only the
+// placement it routes by (partition.Place).
 type deployment struct {
 	*partition.Cut
-	fingerprint uint64  // FleetFingerprint of (g, cut), stamped into every shard
-	srcStart    []int   // v's source shards are srcShards[srcStart[v]:srcStart[v+1]]
-	srcShards   []int32 // per vertex, the shards holding its out-edges, ascending
+	fingerprint uint64 // FleetFingerprint of (g, cut), stamped into every shard
 }
 
-// cut vertex-cuts g into shards partitions: strat's placement, NewCut's
-// shards and masters, and the fleet fingerprint stamped into every shard.
-func cut(g graph.View, strat partition.Strategy, seed uint64, shards int) (*deployment, error) {
+// cut vertex-cuts g into shards partitions: strat's assignment and the
+// placement with its masters, plus the shards when columns is set, each
+// stamped with the fleet fingerprint. The fingerprint, another pass over g's
+// edges, is hashed on its own goroutine beside the cut and joined on every
+// path.
+func cut(g graph.View, strat partition.Strategy, seed uint64, shards int, columns bool) (*deployment, error) {
+	fp := make(chan uint64, 1)
+	go func() { fp <- FleetFingerprint(g, shards, strat.Name(), seed) }()
+	build := partition.Place
+	if columns {
+		build = partition.NewCut
+	}
+	var c *partition.Cut
 	assign, err := strat.Partition(g, shards)
+	if err == nil {
+		c, err = build(g, assign, seed)
+	}
+	dep := &deployment{Cut: c, fingerprint: <-fp}
 	if err != nil {
 		return nil, err
 	}
-	c, err := partition.NewCut(g, assign, seed)
-	if err != nil {
-		return nil, err
-	}
-	dep := &deployment{Cut: c, fingerprint: FleetFingerprint(g, shards, strat.Name(), seed)}
 	for _, sf := range c.Shards {
 		sf.Fingerprint = dep.fingerprint
 	}
-
-	// Source shards by count, prefix and fill. A shard's source runs ascend,
-	// one per vertex with out-edges there, and the shards are walked in
-	// order, so every row ascends.
-	eachSource := func(fn func(p int32, v graph.VertexID)) {
-		for p, sf := range c.Shards {
-			for i, si := range sf.EdgeSrc {
-				if i == 0 || si != sf.EdgeSrc[i-1] {
-					fn(int32(p), sf.Locals[si])
-				}
-			}
-		}
-	}
-	n := g.NumVertices()
-	dep.srcStart = make([]int, n+1)
-	eachSource(func(_ int32, v graph.VertexID) { dep.srcStart[v+1]++ })
-	for v := range n {
-		dep.srcStart[v+1] += dep.srcStart[v]
-	}
-	dep.srcShards = make([]int32, dep.srcStart[n])
-	fill := slices.Clone(dep.srcStart[:n])
-	eachSource(func(p int32, v graph.VertexID) {
-		dep.srcShards[fill[v]] = p
-		fill[v]++
-	})
 	return dep, nil
-}
-
-// sources returns the shards holding u's out-edges, ascending.
-func (d *deployment) sources(u graph.VertexID) []int32 {
-	return d.srcShards[d.srcStart[u]:d.srcStart[u+1]]
 }
 
 // retryableDial reports whether a connect failure is worth another attempt:

@@ -62,7 +62,7 @@ func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int)
 	if strat == nil {
 		strat = partition.HashEdge{Seed: seed}
 	}
-	dep, err := cut(g, strat, seed, shards)
+	dep, err := cut(g, strat, seed, shards, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -191,10 +191,12 @@ func (o FleetOptions) shape() (shards, reps int, err error) {
 // frontier closure. It drives the same GAS supersteps the sim backend runs:
 // workers gather locally, partials for remotely-mastered vertices are routed
 // through the coordinator to the master's worker, masters apply, and
-// refreshed state is routed back to the mirror copies. The fleet pays for
-// partitioning — and, for workers that did not pin a packed shard, shipping —
-// once at Open; every query then opens with a fingerprint attach (plus, on
-// scoped queries, the sparse per-closure-vertex roles), never partition bytes.
+// refreshed state is routed back to the mirror copies. The fleet pays for the
+// cut once at Open: the placement it routes by and the fingerprint, two
+// passes over the edges, plus — only for workers that pinned no packed shard —
+// the shard columns and their shipping. Every query then opens with a
+// fingerprint attach (plus, on scoped queries, the sparse
+// per-closure-vertex roles), never partition bytes.
 // A scoped query costs its closure on every side: the coordinator's routing
 // tables are indexed by the closure's members, each worker's session by its
 // entries, and PredictScoped hands the sources' rows back sparse — only the
@@ -213,7 +215,7 @@ type Fleet struct {
 	seed        uint64
 	timeout     time.Duration // per-superstep bound, 0 = unbounded
 
-	dep *deployment // the cut; parts kept only when ship
+	dep *deployment // the cut; its shards kept only when ship
 
 	addrs  []string // one per connection, shard-major
 	stops  []func() // in-process listeners and spawned processes, for Close
@@ -274,7 +276,10 @@ func OpenFleet(g graph.View, o FleetOptions) (*Fleet, error) {
 		timeout = 10 * time.Minute
 	}
 
-	dep, err := cut(g, strat, seed, shards)
+	// Workers that pinned packed shards hold the columns already: their
+	// coordinator builds only the placement it routes by.
+	resident := o.Manifest != nil && len(o.Addrs) > 0
+	dep, err := cut(g, strat, seed, shards, !resident)
 	if err != nil {
 		return nil, err
 	}
@@ -756,7 +761,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 	members := frontier.Trunc.Members()
 	touchedSet := make([]bool, f.shards)
 	for _, u := range members {
-		for _, s := range dep.sources(u) {
+		for _, s := range dep.Sources(u) {
 			touchedSet[s] = true
 		}
 	}

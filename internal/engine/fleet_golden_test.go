@@ -155,7 +155,7 @@ func scopedGoldenQueries(t testing.TB, f *Fleet) []goldenQuery {
 	// contributes all their gathers.
 	var oneShard []graph.VertexID
 	for v := graph.VertexID(0); int(v) < n && len(oneShard) < 8; v++ {
-		if src := f.dep.sources(v); len(src) == 1 && src[0] == 0 {
+		if src := f.dep.Sources(v); len(src) == 1 && src[0] == 0 {
 			oneShard = append(oneShard, v)
 		}
 	}

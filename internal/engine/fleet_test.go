@@ -182,7 +182,7 @@ func TestFleetRoutingSelectivity(t *testing.T) {
 func TestFleetZeroShipAfterAttach(t *testing.T) {
 	g := testGraph(t, 300, 7)
 	const shards, seed = 3, 9
-	dep, err := cut(g, partition.HashEdge{Seed: seed}, seed, shards)
+	dep, err := cut(g, partition.HashEdge{Seed: seed}, seed, shards, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,6 +483,63 @@ func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestResidentOpenBuildsNoShard pins what a coordinator of resident workers
+// builds at open: the placement it routes by, not the shard columns its
+// workers already hold. Each in-process worker allocates a fixed set of
+// streaming buffers per connection, so the bound is on the slope: opening
+// over a graph ten times the size (same mean degree) allocates under 12 B
+// more per added edge — the assignment (4 B), the replica, source and master
+// rows — where building both shards' columns as well took ~19.5 B. The
+// deployment holds no shard, and the fleet still answers as Serial does.
+func TestResidentOpenBuildsNoShard(t *testing.T) {
+	open := func(n int) (f *Fleet, g *graph.Digraph, bytes uint64) {
+		stream, err := gen.NewPowerLawStream(n, int64(10*n), 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, err = stream.Build(1); err != nil {
+			t.Fatal(err)
+		}
+		files, man := packVia(t, g, nil, 11, 2)
+		addrs := serveResident(t, files, 1)
+		bytes = allocatedBy(func() {
+			if f != nil {
+				f.Close()
+			}
+			if f, err = OpenFleet(g, FleetOptions{Addrs: addrs, Manifest: man}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Cleanup(func() { f.Close() })
+		if f.dep.Shards != nil {
+			t.Errorf("the coordinator of resident workers holds %d shards", len(f.dep.Shards))
+		}
+		return f, g, bytes
+	}
+	f, g, small := open(5_000)
+	_, big, large := open(50_000)
+	perEdge := (float64(large) - float64(small)) / float64(big.NumEdges()-g.NumEdges())
+	t.Logf("a resident open allocates %d B over %d edges and %d B over %d: %.1f B per added edge",
+		small, g.NumEdges(), large, big.NumEdges(), perEdge)
+	if perEdge >= 12 {
+		t.Errorf("a resident open allocates %.1f B per added edge, want < 12: shard columns built to be dropped?", perEdge)
+	}
+
+	cfg := core.Config{Score: mustScore(t, "linearSum"), K: 5, KLocal: 4, ThrGamma: 10, Seed: 42,
+		Sources: []graph.VertexID{0, 17, 230, 999, 4096, 4999}}
+	want, _, err := Serial{}.Predict(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := f.Predict(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("a scoped run over the placement-only coordinator diverges from Serial")
+	}
+}
+
 // TestAttachDoesNoPerShardWork pins the attach half of "a query costs its
 // closure": through a resident worker's real attach path — frame decode,
 // fingerprint check, session build, Ready — an empty scoped attach allocates
@@ -571,7 +628,7 @@ func TestScopedSessionTracksClosure(t *testing.T) {
 		locals int
 	}
 	query := func(g graph.View) run {
-		dep, err := cut(g, partition.HashEdge{Seed: 9}, 9, 2) // the cut the fleet makes
+		dep, err := cut(g, partition.HashEdge{Seed: 9}, 9, 2, true) // the cut the fleet makes
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +677,7 @@ func TestCutEmitsValidShards(t *testing.T) {
 			partition.HashEdge{Seed: 9}, partition.HashSource{Seed: 9}, partition.Greedy{},
 		} {
 			const shards = 3
-			dep, err := cut(view, strat, 9, shards)
+			dep, err := cut(view, strat, 9, shards, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,20 +8,24 @@ import (
 	"snaple/internal/randx"
 )
 
-// Cut is a vertex cut built from an Assignment: the partitions themselves,
-// as the graph.ShardFiles a pack writes, a ship carries, a worker holds and
-// the sim runs over, plus each vertex's replica row — the shards it is
-// replicated on, in ascending order, its local index in each, and the one
-// that holds its master copy.
+// Cut is a vertex cut built from an Assignment, in two layers. Its placement
+// is what a coordinator routes by: each vertex's replica row — the shards it
+// is replicated on, in ascending order, and its local index in each — the
+// shard holding its master copy, and the shards holding its out-edges. Its
+// Shards are the partitions themselves, as the graph.ShardFiles a pack
+// writes, a ship carries, a worker holds and the sim runs over: Place builds
+// the placement alone, NewCut both.
 //
 // Every shard is complete except for its Fingerprint, which identifies a
 // fleet rather than a cut: a fleet stamps it, the sim has no use for it.
 type Cut struct {
-	Shards []*graph.ShardFile
-	start  []int   // v's replicas are rows start[v] up to start[v+1]
-	hosts  []int32 // each replica's shard, ascending within a vertex
-	local  []int32 // each replica's index in its shard's Locals
-	master []int32 // per vertex: its master's shard, -1 when it has no edge
+	Shards   []*graph.ShardFile // nil on a placement (Place)
+	start    []int              // v's replicas are rows start[v] up to start[v+1]
+	hosts    []int32            // each replica's shard, ascending within a vertex
+	local    []int32            // each replica's index in its shard's Locals
+	master   []int32            // per vertex: its master's shard, -1 when it has no edge
+	srcStart []int              // v's source shards are srcs[srcStart[v]:srcStart[v+1]]
+	srcs     []int32            // per vertex, the shards holding its out-edges, ascending
 	// present counts the vertices with a master.
 	present int
 }
@@ -35,13 +39,11 @@ func ElectMaster(hosts []int32, seed uint64, v graph.VertexID) int32 {
 	return hosts[randx.Uint64n(uint64(len(hosts)), seed, uint64(v), 0xA5)]
 }
 
-// NewCut places g's edges on the shards a assigns them to and elects each
-// replicated vertex's master with ElectMaster. Every shard satisfies
-// graph.ShardFile.Validate by construction: Locals ascend, and edges keep the
-// view's (src, dst) order, so EdgeSrc never decreases. IsMaster marks each
-// vertex's master copy; HasRemote is set on a master copy whose vertex has
-// mirrors, and never on a mirror.
-func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
+// Place computes the placement of the cut a assigns g's edges to — replica
+// rows, masters elected with ElectMaster, source rows — without building any
+// shard: the rows a coordinator of resident workers routes by, in one pass
+// over g's edges.
+func Place(g graph.View, a Assignment, seed uint64) (*Cut, error) {
 	if err := validate(g, a.Parts); err != nil {
 		return nil, err
 	}
@@ -49,106 +51,153 @@ func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
 		return nil, fmt.Errorf("partition: assignment covers %d edges, graph has %d", len(a.EdgeTo), g.NumEdges())
 	}
 	n, parts := g.NumVertices(), a.Parts
-	edges := make([]int, parts)
 	for i, p := range a.EdgeTo {
 		if p < 0 || int(p) >= parts {
 			return nil, fmt.Errorf("partition: edge %d assigned to partition %d of %d", i, p, parts)
 		}
-		edges[p]++
 	}
 
-	// One bitmap per shard of the vertices its edges touch. Scanned in order
-	// it yields the shard's Locals already sorted, and a vertex's local index
-	// is its rank: the set bits before it, counted per word once. The bitmaps
-	// take parts·n bits, below the 64 bits per edge a bucketed copy of the
-	// edges would, while parts stays under 64 times the mean degree.
+	// Two bitmaps per shard: the vertices its edges touch and the sources
+	// among them. Scanned in order, a shard's touched bitmap yields its
+	// Locals already sorted, so a vertex's local index is its rank there.
+	// The bitmaps take 2·parts·n bits, below the 64 bits per edge a bucketed
+	// copy of the edges would, while parts stays under 32 times the mean
+	// degree.
 	words := (n + 63) / 64
-	set := make([]uint64, parts*words)
+	touched, source := make([]uint64, parts*words), make([]uint64, parts*words)
 	i := 0
 	g.ForEachEdge(func(u, v graph.VertexID) {
-		b := set[int(a.EdgeTo[i])*words:]
-		b[u>>6] |= 1 << (u & 63)
-		b[v>>6] |= 1 << (v & 63)
+		o := int(a.EdgeTo[i]) * words
+		bit := uint64(1) << (u & 63)
+		touched[o+int(u>>6)] |= bit
+		source[o+int(u>>6)] |= bit
+		touched[o+int(v>>6)] |= 1 << (v & 63)
 		i++
 	})
-	rank := make([]int32, parts*words)
-	c := &Cut{Shards: make([]*graph.ShardFile, parts), start: make([]int, n+1), master: make([]int32, n)}
-	for p := range parts {
-		b, r := set[p*words:(p+1)*words], rank[p*words:(p+1)*words]
-		count := 0
-		for w, x := range b {
-			r[w] = int32(count)
-			count += bits.OnesCount64(x)
-		}
-		locals := make([]graph.VertexID, 0, count)
-		for w, x := range b {
-			for ; x != 0; x &= x - 1 {
-				locals = append(locals, graph.VertexID(w<<6|bits.TrailingZeros64(x)))
-			}
-		}
-		deg := make([]int32, count)
-		for j, v := range locals {
-			deg[j] = int32(g.OutDegree(v))
-			c.start[v]++
-		}
-		c.Shards[p] = &graph.ShardFile{
-			Shard: p, Shards: parts, NumVertices: n,
-			Locals: locals, Deg: deg,
-			EdgeSrc: make([]int32, 0, edges[p]), EdgeDst: make([]int32, 0, edges[p]),
-			IsMaster: make([]bool, count), HasRemote: make([]bool, count),
-		}
-	}
-	localOf := func(p int, v graph.VertexID) int32 {
-		w := p*words + int(v>>6)
-		return rank[w] + int32(bits.OnesCount64(set[w]&(1<<(v&63)-1)))
-	}
-	i = 0
-	g.ForEachEdge(func(u, v graph.VertexID) {
-		p := int(a.EdgeTo[i])
-		i++
-		sf := c.Shards[p]
-		sf.EdgeSrc = append(sf.EdgeSrc, localOf(p, u))
-		sf.EdgeDst = append(sf.EdgeDst, localOf(p, v))
-	})
-
-	// Replica rows by count, prefix and fill: start holds the counts, turns
-	// into each row's first slot, serves as the fill cursor (ending at each
-	// row's last slot + 1) and shifts back into place. Walking the shards in
-	// order fills every row in ascending shard order.
-	total := 0
-	for v, k := range c.start[:n] {
-		c.start[v] = total
-		total += k
-	}
-	c.hosts, c.local = make([]int32, total), make([]int32, total)
-	for p, sf := range c.Shards {
-		for j, v := range sf.Locals {
-			k := c.start[v]
-			c.hosts[k], c.local[k] = int32(p), int32(j)
-			c.start[v]++
-		}
-	}
-	copy(c.start[1:], c.start[:n])
-	c.start[0] = 0
+	c := &Cut{master: make([]int32, n)}
+	c.start, c.hosts, c.local = rows(touched, parts, n)
+	c.srcStart, c.srcs, _ = rows(source, parts, n)
 
 	for v := range c.master {
-		hosts, local := c.Replicas(graph.VertexID(v))
+		hosts, _ := c.Replicas(graph.VertexID(v))
 		if len(hosts) == 0 {
 			c.master[v] = -1
 			continue
 		}
-		m := ElectMaster(hosts, seed, graph.VertexID(v))
-		k := 0
-		for hosts[k] != m {
-			k++
-		}
-		sf := c.Shards[m]
-		sf.IsMaster[local[k]] = true
-		sf.HasRemote[local[k]] = len(hosts) > 1
-		c.master[v] = m
+		c.master[v] = ElectMaster(hosts, seed, graph.VertexID(v))
 		c.present++
 	}
 	return c, nil
+}
+
+// rows turns parts per-shard bitmaps over n vertices into one row per
+// vertex of the shards whose bitmap holds it, by count, prefix and fill:
+// start holds the counts, turns into each row's first slot, serves as the
+// fill cursor (ending at each row's last slot + 1) and shifts back into
+// place. Walking the shards in order fills every row in ascending shard
+// order, and walking a shard's bits in order numbers its vertices by rank:
+// rank[k] is row entry k's index among its shard's set bits.
+func rows(set []uint64, parts, n int) (start []int, shard, rank []int32) {
+	words := (n + 63) / 64
+	start = make([]int, n+1)
+	for p := range parts {
+		for w, x := range set[p*words : (p+1)*words] {
+			for ; x != 0; x &= x - 1 {
+				start[w<<6|bits.TrailingZeros64(x)]++
+			}
+		}
+	}
+	total := 0
+	for v, k := range start[:n] {
+		start[v] = total
+		total += k
+	}
+	shard, rank = make([]int32, total), make([]int32, total)
+	for p := range parts {
+		j := int32(0)
+		for w, x := range set[p*words : (p+1)*words] {
+			for ; x != 0; x &= x - 1 {
+				v := w<<6 | bits.TrailingZeros64(x)
+				k := start[v]
+				shard[k], rank[k] = int32(p), j
+				start[v]++
+				j++
+			}
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
+	return start, shard, rank
+}
+
+// NewCut is Place plus the shards: each shard's Locals are the replica rows
+// grouped by shard, and every edge is written in the view's (src, dst) order
+// with its endpoints' local indices read off their rows. Every shard
+// satisfies graph.ShardFile.Validate by construction: Locals ascend, and
+// EdgeSrc never decreases. IsMaster marks each vertex's master copy;
+// HasRemote is set on a master copy whose vertex has mirrors, and never on a
+// mirror.
+func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
+	c, err := Place(g, a, seed)
+	if err != nil {
+		return nil, err
+	}
+	n, parts := g.NumVertices(), a.Parts
+	count, edges := make([]int, parts), make([]int, parts)
+	for _, p := range c.hosts {
+		count[p]++
+	}
+	for _, p := range a.EdgeTo {
+		edges[p]++
+	}
+	c.Shards = make([]*graph.ShardFile, parts)
+	for p := range parts {
+		c.Shards[p] = &graph.ShardFile{
+			Shard: p, Shards: parts, NumVertices: n,
+			Locals: make([]graph.VertexID, count[p]), Deg: make([]int32, count[p]),
+			EdgeSrc: make([]int32, 0, edges[p]), EdgeDst: make([]int32, 0, edges[p]),
+			IsMaster: make([]bool, count[p]), HasRemote: make([]bool, count[p]),
+		}
+	}
+	for v, m := range c.master {
+		if m < 0 {
+			continue
+		}
+		u := graph.VertexID(v)
+		hosts, local := c.Replicas(u)
+		deg := int32(g.OutDegree(u))
+		for k, p := range hosts {
+			sf, j := c.Shards[p], local[k]
+			sf.Locals[j], sf.Deg[j] = u, deg
+			if p == m {
+				sf.IsMaster[j], sf.HasRemote[j] = true, len(hosts) > 1
+			}
+		}
+	}
+	i := 0
+	g.ForEachEdge(func(u, v graph.VertexID) {
+		p := a.EdgeTo[i]
+		i++
+		sf := c.Shards[p]
+		sf.EdgeSrc = append(sf.EdgeSrc, c.localOf(p, u))
+		sf.EdgeDst = append(sf.EdgeDst, c.localOf(p, v))
+	})
+	return c, nil
+}
+
+// localOf is v's index in shard p's Locals, which must host v: a binary
+// search of v's replica row.
+func (c *Cut) localOf(p int32, v graph.VertexID) int32 {
+	lo, hi := c.start[v], c.start[v+1]
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.hosts[m] < p {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return c.local[lo]
 }
 
 // NumVertices is the global vertex count of the graph the cut was built from.
@@ -160,6 +209,14 @@ func (c *Cut) NumVertices() int { return len(c.master) }
 func (c *Cut) Replicas(v graph.VertexID) (shards, locals []int32) {
 	lo, hi := c.start[v], c.start[v+1]
 	return c.hosts[lo:hi:hi], c.local[lo:hi:hi]
+}
+
+// Sources returns the shards holding v's out-edges, ascending: the hosts
+// whose gather sees v as a source. The row is the cut's own and must not be
+// written.
+func (c *Cut) Sources(v graph.VertexID) []int32 {
+	lo, hi := c.srcStart[v], c.srcStart[v+1]
+	return c.srcs[lo:hi:hi]
 }
 
 // Master returns the shard holding v's master copy, or -1 when v has no edge.

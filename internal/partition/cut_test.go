@@ -125,7 +125,11 @@ func referenceCut(g graph.View, a Assignment, seed uint64) refCut {
 	return ref
 }
 
-// checkCut holds NewCut to referenceCut on one (graph, assignment, seed).
+// checkCut holds NewCut and Place to referenceCut on one (graph,
+// assignment, seed): NewCut's shards, and both cuts' placement — host rows
+// and local indices, masters, source rows and replication factor. Place
+// builds no shard, so the shards NewCut builds over its placement are the
+// reference's exactly when its rows are.
 func checkCut(t *testing.T, name string, g graph.View, a Assignment, seed uint64) {
 	t.Helper()
 	c, err := NewCut(g, a, seed)
@@ -145,40 +149,48 @@ func checkCut(t *testing.T, name string, g graph.View, a Assignment, seed uint64
 			t.Fatalf("%s: shard %d: %v", name, p, err)
 		}
 	}
-	if c.NumVertices() != g.NumVertices() {
-		t.Fatalf("%s: NumVertices %d, want %d", name, c.NumVertices(), g.NumVertices())
+	placed, err := Place(g, a, seed)
+	if err != nil {
+		t.Fatalf("%s: place: %v", name, err)
 	}
-	for v := range g.NumVertices() {
-		u := graph.VertexID(v)
-		hosts, locals := c.Replicas(u)
-		if !slices.Equal(hosts, ref.hosts[v]) || c.Master(u) != ref.master[v] {
-			t.Fatalf("%s: vertex %d: hosts %v master %d, want %v master %d", name, v, hosts, c.Master(u), ref.hosts[v], ref.master[v])
-		}
-		// The sim's master gathers from the host row and lets the partials
-		// say which replicas produced one; that is the reference's gather
-		// list exactly when the row's other replicas hold no out-edge of v.
-		var gather []int32
-		for k, s := range hosts {
-			if c.Shards[s].Locals[locals[k]] != u {
-				t.Fatalf("%s: vertex %d: local index %d on shard %d holds %d", name, v, locals[k], s, c.Shards[s].Locals[locals[k]])
-			}
-			if _, found := slices.BinarySearch(c.Shards[s].EdgeSrc, locals[k]); found {
-				gather = append(gather, s)
-			}
-		}
-		if !slices.Equal(gather, ref.gather[v]) {
-			t.Fatalf("%s: vertex %d gathers from %v, want %v", name, v, gather, ref.gather[v])
-		}
+	if placed.Shards != nil {
+		t.Fatalf("%s: a placement built %d shards", name, len(placed.Shards))
 	}
-	if got, want := math.Float64bits(c.ReplicationFactor()), math.Float64bits(ref.rf); got != want {
-		t.Fatalf("%s: replication factor %v, want %v", name, c.ReplicationFactor(), ref.rf)
+	for _, cut := range []struct {
+		kind string
+		c    *Cut
+	}{{"cut", c}, {"placement", placed}} {
+		c := cut.c
+		if c.NumVertices() != g.NumVertices() {
+			t.Fatalf("%s %s: NumVertices %d, want %d", name, cut.kind, c.NumVertices(), g.NumVertices())
+		}
+		for v := range g.NumVertices() {
+			u := graph.VertexID(v)
+			hosts, locals := c.Replicas(u)
+			if !slices.Equal(hosts, ref.hosts[v]) || c.Master(u) != ref.master[v] {
+				t.Fatalf("%s %s: vertex %d: hosts %v master %d, want %v master %d", name, cut.kind, v, hosts, c.Master(u), ref.hosts[v], ref.master[v])
+			}
+			for k, s := range hosts {
+				if got := ref.shards[s].Locals[locals[k]]; got != u {
+					t.Fatalf("%s %s: vertex %d: local index %d on shard %d holds %d", name, cut.kind, v, locals[k], s, got)
+				}
+			}
+			// The shards a query touches through v and the sim's master
+			// gathers from: the reference's gather list.
+			if src := c.Sources(u); !slices.Equal(src, ref.gather[v]) {
+				t.Fatalf("%s %s: vertex %d sources %v, want %v", name, cut.kind, v, src, ref.gather[v])
+			}
+		}
+		if got, want := math.Float64bits(c.ReplicationFactor()), math.Float64bits(ref.rf); got != want {
+			t.Fatalf("%s %s: replication factor %v, want %v", name, cut.kind, c.ReplicationFactor(), ref.rf)
+		}
 	}
 }
 
 // TestNewCutMatchesReference: on random graphs — isolated vertices included
 // — under every strategy and under arbitrary hand-built assignments, NewCut
-// builds the reference's shards, host rows, masters and replication factor,
-// bit for bit.
+// builds the reference's shards, and NewCut and Place its host rows, source
+// rows, masters and replication factor, bit for bit.
 func TestNewCutMatchesReference(t *testing.T) {
 	f := func(seed int64, partsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -254,13 +266,17 @@ func TestNewCutRejectsBadAssignments(t *testing.T) {
 		if _, err := NewCut(tc.g, tc.a, 1); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+		if _, err := Place(tc.g, tc.a, 1); err == nil {
+			t.Errorf("%s: placed", name)
+		}
 	}
 }
 
-// BenchmarkNewCut times the vertex cut alone — shards, replica rows and
-// masters from a ready hash-edge assignment — on a power-law graph of the
-// bench harness's shape at a tenth of its size, 2 shards as in the
-// fleet-scoped workload. It reports ns/edge.
+// BenchmarkNewCut times the vertex cut alone from a ready hash-edge
+// assignment, on a power-law graph of the bench harness's shape at a tenth
+// of its size, 2 shards as in the fleet-scoped workload: the placement a
+// coordinator of resident workers builds (replica, source and master rows),
+// and the whole cut with its shards. Each reports ns/edge.
 func BenchmarkNewCut(b *testing.B) {
 	stream, err := gen.NewPowerLawStream(20_000, 200_000, 2, 1)
 	if err != nil {
@@ -274,10 +290,17 @@ func BenchmarkNewCut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for b.Loop() {
-		if _, err := NewCut(g, a, 42); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name  string
+		build func(graph.View, Assignment, uint64) (*Cut, error)
+	}{{"placement", Place}, {"shards", NewCut}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for b.Loop() {
+				if _, err := bc.build(g, a, 42); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.NumEdges()), "ns/edge")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.NumEdges()), "ns/edge")
 }

@@ -5,11 +5,13 @@
 // of placement: a vertex whose edges land on several partitions is
 // replicated there (one master, several mirrors), and the replication factor
 // determines the synchronisation traffic the engine pays per superstep.
-// A Strategy (hash-based or greedy) decides the placement as an Assignment;
-// NewCut turns an Assignment into the partitions themselves — one
-// graph.ShardFile each, with replica rows and masters elected by
-// ElectMaster — and is the only builder of them: the sim engine, a pack and
-// a fleet all run over its shards. ComputeStats evaluates an Assignment
+// A Strategy (hash-based or greedy) decides the placement as an Assignment.
+// Place turns an Assignment into the cut's placement: each vertex's replica
+// and source rows and its master, elected by ElectMaster — what a
+// coordinator of resident workers routes by. NewCut builds the partitions
+// themselves over that placement, one graph.ShardFile each, and is the only
+// builder of shards: the sim engine, a pack and a fleet that ships or serves
+// its own shards all run over them. ComputeStats evaluates an Assignment
 // independently of the cut (replication factor, balance) for the ablation
 // benches.
 package partition
