@@ -72,7 +72,7 @@ func runHandCut(shards []*graph.ShardFile, cfg Config, f *Frontier) (Predictions
 	}
 	isMaster := func(p int, s int32) bool {
 		li, _ := slices.BinarySearch(shards[p].Locals, parts[p].Vertex(s))
-		return shards[p].IsMaster[li]
+		return shards[p].Roles[li]&graph.RoleMaster != 0
 	}
 	for _, step := range DistSteps() {
 		byVertex := map[graph.VertexID][]DistPartial{}
@@ -181,7 +181,7 @@ func TestDistPartitionsShareOneShard(t *testing.T) {
 			Fingerprint: sf.Fingerprint, Shard: sf.Shard, Shards: sf.Shards, NumVertices: sf.NumVertices,
 			Locals: slices.Clone(sf.Locals), Deg: slices.Clone(sf.Deg),
 			EdgeSrc: slices.Clone(sf.EdgeSrc), EdgeDst: slices.Clone(sf.EdgeDst),
-			IsMaster: slices.Clone(sf.IsMaster), HasRemote: slices.Clone(sf.HasRemote),
+			Roles:    slices.Clone(sf.Roles),
 			RunStart: slices.Clone(sf.RunStart),
 		}
 	}

@@ -287,7 +287,7 @@ func (f *Frontier) InSims(v graph.VertexID) bool { return f == nil || f.Sims.Con
 func (f *Frontier) InTrunc(v graph.VertexID) bool { return f == nil || f.Trunc.Contains(v) }
 
 // Scope-mask bits: the per-vertex frontier membership shipped to dist
-// workers (wire.ScopeEntry.Mask), one bit per step family. A worker gates
+// workers (wire.AttachSpec.Masks), one bit per step family. A worker gates
 // each superstep's gather on its source's bit, which is all it needs — the
 // global sets stay on the coordinator.
 const (

@@ -294,18 +294,8 @@ func (r *distRun) beginAttempt() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.newDead = false
-	for p, group := range r.groups {
-		np := -1
-		for _, i := range group {
-			if r.alive[i] {
-				np = i
-				break
-			}
-		}
-		if prev := r.primaryOf[p]; prev >= 0 && np >= 0 && np != prev {
-			r.nFailovers++
-		}
-		r.primaryOf[p] = np
+	for p := range r.groups {
+		r.elect(p)
 	}
 	for i := range r.primary {
 		r.primary[i] = false
@@ -551,17 +541,25 @@ func (r *distRun) collect() ([]wire.WorkerResult, error) {
 func (r *distRun) promote(p int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.elect(p)
+}
+
+// elect makes partition p's first live replica its serving connection (-1
+// when none lives) and returns it, counting a failover when it replaces a
+// previous one. The caller holds r.mu.
+func (r *distRun) elect(p int) int {
+	np := -1
 	for _, i := range r.groups[p] {
 		if r.alive[i] {
-			if prev := r.primaryOf[p]; prev >= 0 && prev != i {
-				r.nFailovers++
-			}
-			r.primaryOf[p] = i
-			return i
+			np = i
+			break
 		}
 	}
-	r.primaryOf[p] = -1
-	return -1
+	if prev := r.primaryOf[p]; prev >= 0 && np >= 0 && np != prev {
+		r.nFailovers++
+	}
+	r.primaryOf[p] = np
+	return np
 }
 
 // router is the coordinator's streaming exchange state: one destination per

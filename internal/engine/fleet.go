@@ -81,8 +81,8 @@ func PackShards(g graph.View, strat partition.Strategy, seed uint64, shards int)
 	for p, sf := range dep.Shards {
 		man.Locals[p] = int64(len(sf.Locals))
 		man.Edges[p] = int64(len(sf.EdgeSrc))
-		for _, m := range sf.IsMaster {
-			if m {
+		for _, r := range sf.Roles {
+			if r&graph.RoleMaster != 0 {
 				man.Masters[p]++
 			}
 		}
@@ -597,7 +597,7 @@ func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, e
 
 	// Route: which shards does the closure touch? Only their replica groups
 	// see this query — an untouched shard's workers receive no frame at all.
-	touched, routes, entries := f.route(q.frontier)
+	touched, routes, scopes := f.route(q.frontier)
 	if len(touched) == 0 {
 		// Isolated sources: the closure holds no edge anywhere, and no
 		// source has a prediction.
@@ -662,19 +662,12 @@ func (f *Fleet) run(ctx context.Context, q *query) ([]wire.VertexPreds, Stats, e
 	}()
 
 	// Attach is the job opener: for an unscoped query a fixed-size frame, for
-	// a scoped one the sparse closure roles; never partition columns.
+	// a scoped one the closure's columns; never partition columns.
 	preds, results, err := run.predict(ctx, f.g, &st, func(i int) *wire.Msg {
 		p := run.partOf[i]
-		return &wire.Msg{
-			Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: q.job,
-			Attach: wire.AttachSpec{
-				Fingerprint: f.fingerprint,
-				Shard:       touched[p],
-				Shards:      int32(f.shards),
-				Scoped:      q.frontier != nil,
-				Entries:     entries[p],
-			},
-		}
+		a := scopes[p]
+		a.Fingerprint, a.Shard, a.Shards, a.Scoped = f.fingerprint, touched[p], int32(f.shards), q.frontier != nil
+		return &wire.Msg{Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: q.job, Attach: a}
 	})
 	for p := range results {
 		ws := &results[p].Stats
@@ -743,11 +736,12 @@ func (r *routing) stepHasWork(step core.DistStep) bool {
 // shards holding a closure out-edge, then re-elects each closure vertex's
 // master among its touched hosts — the full-run master may sit on an
 // untouched shard, and any consistent election yields identical results, so
-// the restricted draw is both necessary and safe. The per-shard entries are
-// the sparse roles the attach carries, ascending by vertex as the worker
-// requires; the scoped routing is indexed by the closure's members, so
-// nothing here is sized by the graph.
-func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.ScopeEntry) {
+// the restricted draw is both necessary and safe. Each touched shard gets the
+// vertex, scope-mask and role columns its attach carries, ascending by vertex
+// as the worker requires (a full run's attaches carry none); the scoped
+// routing is indexed by the closure's members, so nothing here is sized by
+// the graph.
+func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, []wire.AttachSpec) {
 	dep := f.dep
 	if frontier == nil {
 		touched := make([]int32, f.shards)
@@ -755,7 +749,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 			touched[s] = int32(s)
 		}
 		return touched, &routing{parts: f.shards, cut: dep.Cut, rf: dep.ReplicationFactor()},
-			make([][]wire.ScopeEntry, f.shards)
+			make([]wire.AttachSpec, f.shards)
 	}
 
 	members := frontier.Trunc.Members()
@@ -786,7 +780,7 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		frontier:   frontier,
 		g:          f.g,
 	}
-	entries := make([][]wire.ScopeEntry, len(touched))
+	scopes := make([]wire.AttachSpec, len(touched))
 	hosts := make([]int32, 0, 8)
 	replicas, present := 0, 0
 	for i, v := range members {
@@ -813,12 +807,13 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		for _, s := range hosts {
 			var role uint8
 			if s == mp {
-				role |= wire.RoleMaster
+				role |= graph.RoleMaster
 			}
 			if remote {
-				role |= wire.RoleRemote
+				role |= graph.RoleRemote
 			}
-			entries[groupOf[s]] = append(entries[groupOf[s]], wire.ScopeEntry{V: v, Mask: mask, Role: role})
+			a := &scopes[groupOf[s]]
+			a.Verts, a.Masks, a.Roles = append(a.Verts, v), append(a.Masks, mask), append(a.Roles, role)
 		}
 		if remote {
 			for _, s := range hosts {
@@ -830,5 +825,5 @@ func (f *Fleet) route(frontier *core.Frontier) ([]int32, *routing, [][]wire.Scop
 		present++
 	}
 	rt.rf = float64(replicas) / float64(present)
-	return touched, rt, entries
+	return touched, rt, scopes
 }

@@ -485,8 +485,8 @@ func TestFleetCoordinatorsShareResidentWorkers(t *testing.T) {
 
 // TestResidentOpenBuildsNoShard pins what a coordinator of resident workers
 // builds at open: the placement it routes by, not the shard columns its
-// workers already hold. Each in-process worker allocates a fixed set of
-// streaming buffers per connection, so the bound is on the slope: opening
+// workers already hold. Each in-process worker allocates a fixed session per
+// connection, so the bound is on the slope: opening
 // over a graph ten times the size (same mean degree) allocates under 12 B
 // more per added edge — the assignment (4 B), the replica, source and master
 // rows — where building both shards' columns as well took ~19.5 B. The
@@ -585,6 +585,48 @@ func TestAttachDoesNoPerShardWork(t *testing.T) {
 	}
 	if big.bytes > small.bytes+256 {
 		t.Errorf("an attach allocates %.0f B on a shard and %.0f B on one 10x the size: a column sized by the shard crept into the attach path", small.bytes, big.bytes)
+	}
+}
+
+// TestHandshakeAttachGrowsNoBuffers pins what a fresh connection's first
+// attach costs: the empty scoped attach Fleet.install sends to check the
+// fingerprint builds an empty session and nothing else. A connection's
+// streaming buffers (foreign chunks, the outgoing chunk, frame scratch) grow
+// on first use by a query, which may never come: pre-sizing them at the
+// handshake cost ~2.3 MB per connection. The measure covers both ends of
+// the loopback, the worker's decode and session and the coordinator's frames.
+func TestHandshakeAttachGrowsNoBuffers(t *testing.T) {
+	g := testGraph(t, 300, 7)
+	files, man := packVia(t, g, nil, 11, 2)
+	addr := serveResident(t, files[:1], 1)[0]
+	// allocatedBy runs its function a few times; each run takes the first
+	// attach of a connection dialed beforehand.
+	fresh := make([]*wire.Conn, 8)
+	for i := range fresh {
+		c, err := wire.DialWith(addr, wire.DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		fresh[i] = c
+	}
+	attach := &wire.Msg{
+		Kind: wire.KindAttach, Version: wire.ProtocolVersion, Job: handshakeJob,
+		Attach: wire.AttachSpec{Fingerprint: man.Fingerprint, Shard: 0, Shards: 2, Scoped: true},
+	}
+	bytes := allocatedBy(func() {
+		if len(fresh) == 0 {
+			t.Fatal("out of fresh connections")
+		}
+		c := fresh[0]
+		fresh = fresh[1:]
+		if err := sendAwaitReady(c, attach); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a fresh connection's handshake attach allocates %d B", bytes)
+	if bytes >= 256<<10 {
+		t.Errorf("a fresh connection's handshake attach allocates %d B, want < 256 KiB: streaming buffers sized before any query?", bytes)
 	}
 }
 

@@ -162,8 +162,8 @@ func (s Sim) open(g graph.View, seed uint64, open func(*graph.ShardFile) (*core.
 		r.master = append(r.master, make([]simRef, len(sh.Locals)))
 	}
 	for p, sh := range cut.Shards {
-		for li, isM := range sh.IsMaster {
-			if isM {
+		for li, role := range sh.Roles {
+			if role&graph.RoleMaster != 0 {
 				hosts, locals := cut.Replicas(sh.Locals[li])
 				for k, h := range hosts {
 					r.master[h][locals[k]] = simRef{int32(p), int32(li)}
@@ -187,8 +187,8 @@ func (r *simRun) run(system string, steps []core.DistStep, hasWork func(core.Dis
 	}
 	pred := make(core.Predictions, r.cut.NumVertices())
 	for p, sh := range r.cut.Shards {
-		for li, isM := range sh.IsMaster {
-			if d := r.parts[p].Data(int32(li)); isM && len(d.Pred) > 0 {
+		for li, role := range sh.Roles {
+			if d := r.parts[p].Data(int32(li)); role&graph.RoleMaster != 0 && len(d.Pred) > 0 {
 				pred[sh.Locals[li]] = d.Pred
 			}
 		}
@@ -287,8 +287,8 @@ func (r *simRun) step(step core.DistStep) error {
 	errs := make([]error, len(r.parts))
 	busyB := r.phase(func(p int) {
 		sh, ship := r.cut.Shards[p], func(host int32, bytes int64) { r.cl.Transfer(int(host), p, bytes) }
-		for li, isM := range sh.IsMaster {
-			if isM && errs[p] == nil {
+		for li, role := range sh.Roles {
+			if role&graph.RoleMaster != 0 && errs[p] == nil {
 				hosts, locals := r.cut.Replicas(sh.Locals[li])
 				errs[p] = r.parts[p].FoldHeld(step, int32(li), r.parts, hosts, locals, ship)
 			}

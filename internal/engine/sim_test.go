@@ -367,7 +367,7 @@ func TestSimGatherComposesAcrossRandomDeployments(t *testing.T) {
 		masters := 0
 		for p, sh := range r.cut.Shards {
 			for li, v := range sh.Locals {
-				if sh.IsMaster[li] {
+				if sh.Roles[li]&graph.RoleMaster != 0 {
 					masters++
 				}
 				if !slices.Equal(r.parts[p].Data(int32(li)).Nbrs, g.OutNeighbors(v)) {

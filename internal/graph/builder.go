@@ -46,10 +46,6 @@ func (b *Builder) Grow(n int) {
 	}
 }
 
-// NumPendingEdges returns the number of edges recorded so far (before
-// deduplication and symmetrization).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // parallelBuildMin is the edge count below which Build stays single-threaded:
 // goroutine fan-out costs more than it saves on tiny inputs.
 const parallelBuildMin = 1 << 15

@@ -254,8 +254,8 @@ func TestShardLoadersRefuseHostileShards(t *testing.T) {
 // rejects a lying header count before allocating it, decides the same
 // whether or not the reader's length is known, and anything it accepts
 // passes Validate and re-encodes through WriteShard to exactly the bytes it
-// was read from. That last property is what the strict 0/1 role bytes and
-// the refusal of trailing bytes buy; the wire's ship frame relies on it.
+// was read from. That last property is what the refusal of trailing bytes
+// buys; the wire's ship frame relies on it.
 func FuzzShard(f *testing.F) {
 	empty := &ShardFile{Fingerprint: 1, Shards: 1}
 	for _, s := range []*ShardFile{testShard(), empty} {
@@ -271,6 +271,9 @@ func FuzzShard(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+	}
+	for _, c := range shardRefusals(f) {
+		f.Add(c.data)
 	}
 	f.Add([]byte(shardMagic))
 	f.Add([]byte("not a shard"))

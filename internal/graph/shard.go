@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,7 +29,7 @@ import (
 // Shard layout (all integers little-endian):
 //
 //	magic       [8]byte "SNAPLSHD"
-//	version     uint32 (currently 1)
+//	version     uint32 (2; version-1 files are rejected with errShardV1)
 //	shard       uint32 — this file's partition index
 //	shards      uint32 — fleet width the cut was computed for
 //	fingerprint uint64 — fleet fingerprint (graph + cut parameters)
@@ -38,7 +39,8 @@ import (
 //	headerCRC   uint32 — CRC-32C of the 52 bytes above
 //
 // followed by sections: Locals (uint32 each), Deg (int32), EdgeSrc (int32),
-// EdgeDst (int32), IsMaster (1 byte each), HasRemote (1 byte each).
+// EdgeDst (int32), Roles (1 byte each: 0, RoleMaster or RoleMaster|RoleRemote).
+// Version 1 stored the roles as two 0/1 byte sections, IsMaster and HasRemote.
 //
 // Manifest layout:
 //
@@ -56,12 +58,30 @@ import (
 // edge counts (int64 each).
 const (
 	shardMagic        = "SNAPLSHD"
-	shardVersion      = 1
+	shardVersion      = 2
 	shardHeaderLen    = 56
 	manifestMagic     = "SNAPLMAN"
 	manifestVersion   = 1
 	manifestHeaderLen = 52
 )
+
+// Role bits of a vertex replica, one byte per replica: a shard's baked
+// full-run role (ShardFile.Roles) and a scoped attach's per-query one carry
+// the same bits.
+const (
+	// RoleMaster marks the vertex's master copy.
+	RoleMaster uint8 = 1 << 0
+	// RoleRemote marks a replica whose vertex is replicated on other
+	// partitions: its master broadcasts refreshes after each apply.
+	RoleRemote uint8 = 1 << 1
+)
+
+// errShardV1 rejects the retired two-column role layout.
+var errShardV1 = errors.New("graph: shard: format v1 is no longer readable; re-pack the shard set with `snaple pack -shards`")
+
+// errShardRole rejects a baked role byte other than 0, RoleMaster and
+// RoleMaster|RoleRemote: a shard's mirrors carry no role bit.
+var errShardRole = errors.New("graph: shard: bad role byte")
 
 // KnownMagic reports whether b begins with one of the package's on-disk
 // magics (graph snapshot, resident shard or fleet manifest). `snaple pack`
@@ -107,9 +127,11 @@ type ShardFile struct {
 	// global (src, dst) order: EdgeSrc is non-decreasing, so each source's
 	// edges form one contiguous run and the runs ascend.
 	EdgeSrc, EdgeDst []int32
-	// IsMaster/HasRemote are the full-run roles baked at the cut (scoped
-	// attaches override them per query).
-	IsMaster, HasRemote []bool
+	// Roles are the full-run roles baked at the cut, aligned with Locals:
+	// RoleMaster on each vertex's master copy, with RoleRemote when the
+	// vertex has mirrors, and 0 on a mirror (scoped attaches override them
+	// per query).
+	Roles []uint8
 	// RunStart is the run-offset column, derived from EdgeSrc and never
 	// encoded: local i's out-edges are EdgeSrc/EdgeDst[RunStart[i]:RunStart[i+1]],
 	// so a job opens each slot's edge run by two reads. IndexRuns computes it
@@ -131,16 +153,19 @@ func (s *ShardFile) Validate() error {
 		return fmt.Errorf("graph: shard: index %d outside fleet of %d", s.Shard, s.Shards)
 	case len(s.Deg) != len(s.Locals):
 		return fmt.Errorf("graph: shard: %d degrees for %d locals", len(s.Deg), len(s.Locals))
-	case len(s.IsMaster) != len(s.Locals):
-		return fmt.Errorf("graph: shard: %d master flags for %d locals", len(s.IsMaster), len(s.Locals))
-	case len(s.HasRemote) != len(s.Locals):
-		return fmt.Errorf("graph: shard: %d remote flags for %d locals", len(s.HasRemote), len(s.Locals))
+	case len(s.Roles) != len(s.Locals):
+		return fmt.Errorf("graph: shard: %d roles for %d locals", len(s.Roles), len(s.Locals))
 	case len(s.EdgeSrc) != len(s.EdgeDst):
 		return fmt.Errorf("graph: shard: %d edge sources, %d edge targets", len(s.EdgeSrc), len(s.EdgeDst))
 	}
 	for i, v := range s.Locals {
 		if int(v) >= s.NumVertices || (i > 0 && v <= s.Locals[i-1]) {
 			return fmt.Errorf("graph: shard: local table not strictly increasing in [0,%d) at row %d", s.NumVertices, i)
+		}
+	}
+	for i, r := range s.Roles {
+		if r != 0 && r != RoleMaster && r != RoleMaster|RoleRemote {
+			return fmt.Errorf("%w %#x at row %d", errShardRole, r, i)
 		}
 	}
 	n, prev := len(s.Locals), int32(0)
@@ -221,10 +246,8 @@ func EncodeShard(w io.Writer, s *ShardFile) error {
 			return err
 		}
 	}
-	for _, col := range [][]bool{s.IsMaster, s.HasRemote} {
-		if err := writeColumn(bw, col); err != nil {
-			return err
-		}
+	if err := writeColumn(bw, s.Roles); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("graph: shard: flush: %w", err)
@@ -255,7 +278,11 @@ func parseShardHeader(hdr []byte) (*ShardFile, int64, int64, error) {
 	if string(hdr[:8]) != shardMagic {
 		return nil, 0, 0, fmt.Errorf("graph: shard: bad magic %q", hdr[:8])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != shardVersion {
+	switch v := binary.LittleEndian.Uint32(hdr[8:]); v {
+	case shardVersion:
+	case 1:
+		return nil, 0, 0, errShardV1
+	default:
 		return nil, 0, 0, fmt.Errorf("graph: shard: unsupported version %d (want %d)", v, shardVersion)
 	}
 	if want, got := crc32.Checksum(hdr[:52], snapshotCRC), binary.LittleEndian.Uint32(hdr[52:]); want != got {

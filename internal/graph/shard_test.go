@@ -3,12 +3,15 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,8 +26,7 @@ func testShard() *ShardFile {
 		Deg:         []int32{2, 0, 5, 1, 3},
 		EdgeSrc:     []int32{0, 0, 2, 4},
 		EdgeDst:     []int32{1, 3, 0, 2},
-		IsMaster:    []bool{true, false, true, true, false},
-		HasRemote:   []bool{false, true, true, false, true},
+		Roles:       []uint8{RoleMaster, 0, RoleMaster | RoleRemote, RoleMaster, 0},
 	}
 }
 
@@ -166,7 +168,7 @@ func TestShardRunStartMatchesScan(t *testing.T) {
 	for c := range 300 {
 		n := 1 + rng.Intn(30)
 		s := &ShardFile{Shard: 0, Shards: 1, NumVertices: 2 * n,
-			Deg: make([]int32, n), IsMaster: make([]bool, n), HasRemote: make([]bool, n)}
+			Deg: make([]int32, n), Roles: make([]uint8, n)}
 		for v := range 2 * n {
 			if len(s.Locals) < n && rng.Intn(2*n-v) < n-len(s.Locals) {
 				s.Locals = append(s.Locals, VertexID(v))
@@ -271,33 +273,118 @@ func TestKnownMagic(t *testing.T) {
 	}
 }
 
-// TestShardRoleBytesStrict: a role byte must be 0 or 1, on disk and in a
-// ship frame alike. A hand-made shard whose first master flag is 2 under a
-// correct CRC is refused by ReadShard and by MapShardFile alike — accepting
-// it would load a shard that does not re-encode to its own bytes.
-func TestShardRoleBytesStrict(t *testing.T) {
-	s := testShard()
-	var buf bytes.Buffer
-	if err := WriteShard(&buf, s); err != nil {
-		t.Fatal(err)
+// shardRefusals are shard images the decoder must refuse with a typed error:
+// role bytes the validator owns, encoded under correct checksums, and a
+// version-1 header under a correct header checksum.
+func shardRefusals(tb testing.TB) map[string]struct {
+	data []byte
+	want error
+} {
+	tb.Helper()
+	encode := func(s *ShardFile) []byte {
+		var buf bytes.Buffer
+		if err := EncodeShard(&buf, s); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	data := buf.Bytes()
-	l, e := len(s.Locals), len(s.EdgeSrc)
-	at := shardHeaderLen + (12 + 4*l) + (12 + 4*l) + 2*(12+4*e) + 8 // IsMaster payload
-	if got := binary.LittleEndian.Uint64(data[at-8:]); got != uint64(l) {
-		t.Fatalf("role section length %d at %d, want %d", got, at-8, l)
+	undefined, mirror := testShard(), testShard()
+	undefined.Roles[0] = RoleMaster | 1<<2
+	mirror.Roles[1] = RoleRemote
+	v1 := encode(testShard())
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	binary.LittleEndian.PutUint32(v1[52:], crc32.Checksum(v1[:52], snapshotCRC))
+	return map[string]struct {
+		data []byte
+		want error
+	}{
+		"role-undefined-bit":    {encode(undefined), errShardRole},
+		"role-remote-no-master": {encode(mirror), errShardRole},
+		"v1-header":             {v1, errShardV1},
 	}
-	data[at] = 2
-	binary.LittleEndian.PutUint32(data[at+l:], crc32.Checksum(data[at:at+l], snapshotCRC))
-	if _, err := ReadShard(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "not 0 or 1") {
-		t.Errorf("ReadShard: %v, want the role byte refused", err)
+}
+
+// TestShardRefusalsTyped: a role byte other than 0, RoleMaster and
+// RoleMaster|RoleRemote, and a version-1 file, are refused by ReadShard and
+// MapShardFile alike with their typed errors — accepting a stray role bit
+// would load a shard whose mirrors broadcast, and a v1 file stores its roles
+// in two sections this build does not read.
+func TestShardRefusalsTyped(t *testing.T) {
+	dir := t.TempDir()
+	for name, c := range shardRefusals(t) {
+		if _, err := ReadShard(bytes.NewReader(c.data)); !errors.Is(err, c.want) {
+			t.Errorf("%s: ReadShard: %v, want %v", name, err, c.want)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := MapShardFile(path); !errors.Is(err, c.want) {
+			t.Errorf("%s: MapShardFile: %v, want %v", name, err, c.want)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "role.sgr.1")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	for name, breakIt := range map[string]func(*ShardFile){
+		"role-undefined-bit":    func(s *ShardFile) { s.Roles[4] = 1 << 7 },
+		"role-remote-no-master": func(s *ShardFile) { s.Roles[3] = RoleRemote },
+	} {
+		s := testShard()
+		breakIt(s)
+		if err := s.Validate(); !errors.Is(err, errShardRole) {
+			t.Errorf("%s: Validate: %v, want %v", name, err, errShardRole)
+		}
 	}
-	if _, _, err := MapShardFile(path); err == nil || !strings.Contains(err.Error(), "not 0 or 1") {
-		t.Errorf("MapShardFile: %v, want the role byte refused", err)
+}
+
+// TestMapShardAliasesColumns pins the mapped load's allocation to the
+// derived run-offset column alone (4 B per local): every stored column, the
+// role bytes included, aliases the mapping. Between shards of 50k and 500k
+// locals the allocation may grow at most 4.5 B per added local; copying two
+// bool role columns to the heap made it 6.
+func TestMapShardAliasesColumns(t *testing.T) {
+	dir := t.TempDir()
+	mapCost := func(n int) uint64 {
+		s := &ShardFile{Shard: 0, Shards: 2, NumVertices: 2 * n,
+			Locals: make([]VertexID, n), Deg: make([]int32, n), Roles: make([]uint8, n)}
+		for i := range n {
+			s.Locals[i] = VertexID(2 * i)
+			s.Roles[i] = [...]uint8{0, RoleMaster, RoleMaster | RoleRemote}[i%3]
+			if i+1 < n {
+				s.EdgeSrc, s.EdgeDst = append(s.EdgeSrc, int32(i)), append(s.EdgeDst, int32(i+1))
+			}
+		}
+		path := filepath.Join(dir, fmt.Sprintf("g.sgr.%d", n))
+		var buf bytes.Buffer
+		if err := WriteShard(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		best := ^uint64(0)
+		for range 3 {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			got, mapped, err := MapShardFile(path)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !mapped {
+				t.Skip("no mmap on this platform: the heap path copies every column")
+			}
+			if !bytes.Equal(got.Roles, s.Roles) {
+				t.Fatal("mapped roles differ from the written ones")
+			}
+			best = min(best, m1.TotalAlloc-m0.TotalAlloc)
+		}
+		return best
+	}
+	const small, large = 50_000, 500_000
+	lo, hi := mapCost(small), mapCost(large)
+	slope := (float64(hi) - float64(lo)) / (large - small)
+	t.Logf("MapShardFile allocates %d B at %d locals, %d B at %d: %.2f B per added local", lo, small, hi, large, slope)
+	if slope > 4.5 {
+		t.Errorf("MapShardFile allocates %.2f B per added local, want <= 4.5: a stored column copied to the heap?", slope)
 	}
 }
 

@@ -5,14 +5,12 @@ import (
 	"os"
 )
 
-// Resident shards get the same zero-copy treatment as snapshots — without
-// a format bump, because the shard-v1 layout is already alignment-friendly:
-// the header is 56 bytes and every 4-byte column section is preceded only
-// by 4-multiple payloads and 8+4-byte frames, so each u32/i32 payload
-// starts 4-aligned in the file. MapShardFile aliases those columns straight
-// out of an mmap view; only the two 1-byte role columns are copied (and
-// checked — a role byte must be exactly 0 or 1, which a hand-made file
-// need not honour).
+// Resident shards get the same zero-copy treatment as snapshots, because
+// the shard layout is alignment-friendly: the header is 56 bytes and every
+// 4-byte column section is preceded only by 4-multiple payloads and
+// 8+4-byte frames, so each u32/i32 payload starts 4-aligned in the file.
+// MapShardFile aliases every column straight out of an mmap view, the
+// 1-byte role column included (Validate checks its bytes in place).
 
 // MapShardFile opens a resident shard with its numeric columns aliasing a
 // read-only mmap of the file, falling back to ReadShard's aligned heap image
@@ -64,14 +62,8 @@ func viewShard(data []byte) (*ShardFile, error) {
 		}
 		*cols[i] = viewColumn[int32](b)
 	}
-	for _, col := range []*[]bool{&s.IsMaster, &s.HasRemote} {
-		b, err := w.section(l64, "role")
-		if err != nil {
-			return nil, err
-		}
-		if *col, err = viewRoles(b); err != nil {
-			return nil, err
-		}
+	if s.Roles, err = w.section(l64, "role"); err != nil {
+		return nil, err
 	}
 	if extra := int64(len(data)) - w.pos; extra != 0 {
 		return nil, fmt.Errorf("graph: shard: %d trailing bytes after the last section", extra)
@@ -83,19 +75,4 @@ func viewShard(data []byte) (*ShardFile, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// viewRoles copies a 1-byte-per-entry role column, refusing any byte but 0
-// and 1, so a decoded shard re-encodes to its own bytes. Roles are never
-// aliased: a Go bool must stay exactly 0 or 1 in memory, which a mapped byte
-// need not.
-func viewRoles(b []byte) ([]bool, error) {
-	out := make([]bool, len(b))
-	for i, x := range b {
-		if x > 1 {
-			return nil, fmt.Errorf("graph: shard: role byte %d at index %d is not 0 or 1", x, i)
-		}
-		out[i] = x == 1
-	}
-	return out, nil
 }

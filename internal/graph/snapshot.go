@@ -180,16 +180,16 @@ func (c *countingWriter) pad() error {
 	return nil
 }
 
-// writeColumn frames one fixed-width column as a section; viewColumn and
-// viewRoles are its readers.
-func writeColumn[T int32 | int64 | VertexID | bool | byte](w io.Writer, col []T) error {
+// writeColumn frames one fixed-width column as a section; viewColumn (and,
+// for a byte column, the section itself) is its reader.
+func writeColumn[T int32 | int64 | VertexID | byte](w io.Writer, col []T) error {
 	b := columnBytes(col)
 	return writeSection(w, int64(len(b)), func(yield func([]byte) error) error { return yield(b) })
 }
 
 // columnBytes is col's little-endian encoding: the column's own memory on
 // little-endian hosts, a byte-swapped copy elsewhere.
-func columnBytes[T int32 | int64 | VertexID | bool | byte](col []T) []byte {
+func columnBytes[T int32 | int64 | VertexID | byte](col []T) []byte {
 	if len(col) == 0 {
 		return nil
 	}

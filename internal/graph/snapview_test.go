@@ -262,12 +262,11 @@ func TestMapShardFile(t *testing.T) {
 		big.Locals = append(big.Locals, VertexID(v))
 	}
 	nl := len(big.Locals)
-	big.Deg, big.IsMaster, big.HasRemote = make([]int32, nl), make([]bool, nl), make([]bool, nl)
+	big.Deg, big.Roles = make([]int32, nl), make([]uint8, nl)
 	big.EdgeSrc, big.EdgeDst = big.EdgeSrc[:0], big.EdgeDst[:0]
 	for i := range big.Locals {
 		big.Deg[i] = int32(rng.Intn(9))
-		big.IsMaster[i] = rng.Intn(2) == 0
-		big.HasRemote[i] = rng.Intn(3) == 0
+		big.Roles[i] = [...]uint8{0, RoleMaster, RoleMaster | RoleRemote}[rng.Intn(3)]
 	}
 	for i := 0; i < 4*nl; i++ {
 		big.EdgeSrc = append(big.EdgeSrc, int32(rng.Intn(nl)))

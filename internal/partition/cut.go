@@ -134,9 +134,8 @@ func rows(set []uint64, parts, n int) (start []int, shard, rank []int32) {
 // grouped by shard, and every edge is written in the view's (src, dst) order
 // with its endpoints' local indices read off their rows. Every shard
 // satisfies graph.ShardFile.Validate by construction: Locals ascend, and
-// EdgeSrc never decreases. IsMaster marks each vertex's master copy;
-// HasRemote is set on a master copy whose vertex has mirrors, and never on a
-// mirror.
+// EdgeSrc never decreases. Roles mark each vertex's master copy RoleMaster,
+// with RoleRemote when the vertex has mirrors, and leave the mirrors 0.
 func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
 	c, err := Place(g, a, seed)
 	if err != nil {
@@ -156,7 +155,7 @@ func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
 			Shard: p, Shards: parts, NumVertices: n,
 			Locals: make([]graph.VertexID, count[p]), Deg: make([]int32, count[p]),
 			EdgeSrc: make([]int32, 0, edges[p]), EdgeDst: make([]int32, 0, edges[p]),
-			IsMaster: make([]bool, count[p]), HasRemote: make([]bool, count[p]),
+			Roles: make([]uint8, count[p]),
 		}
 	}
 	for v, m := range c.master {
@@ -170,7 +169,10 @@ func NewCut(g graph.View, a Assignment, seed uint64) (*Cut, error) {
 			sf, j := c.Shards[p], local[k]
 			sf.Locals[j], sf.Deg[j] = u, deg
 			if p == m {
-				sf.IsMaster[j], sf.HasRemote[j] = true, len(hosts) > 1
+				sf.Roles[j] = graph.RoleMaster
+				if len(hosts) > 1 {
+					sf.Roles[j] |= graph.RoleRemote
+				}
 			}
 		}
 	}

@@ -28,8 +28,8 @@ type refCut struct {
 // kept as NewCut's oracle: per-partition edge buckets, a map index per
 // partition over a comparison-sorted vertex table, a comparison sort of
 // every (vertex, partition) pair, per-replica out-edge flags for the gather
-// lists, and the master draw written out inline. The HasRemote column is the
-// fleet builder's rule: set on a master copy whose vertex has mirrors.
+// lists, and the master draw written out inline. The RoleRemote bit is the fleet
+// builder's rule: set on a master copy whose vertex has mirrors.
 func referenceCut(g graph.View, a Assignment, seed uint64) refCut {
 	n := g.NumVertices()
 	type rawEdge struct{ u, v graph.VertexID }
@@ -65,7 +65,7 @@ func referenceCut(g graph.View, a Assignment, seed uint64) refCut {
 			Shard: p, Shards: a.Parts, NumVertices: n,
 			Locals: locals, Deg: make([]int32, len(locals)),
 			EdgeSrc: make([]int32, len(raw[p])), EdgeDst: make([]int32, len(raw[p])),
-			IsMaster: make([]bool, len(locals)), HasRemote: make([]bool, len(locals)),
+			Roles: make([]uint8, len(locals)),
 		}
 		for i, v := range locals {
 			index[p][v] = int32(i)
@@ -107,8 +107,10 @@ func referenceCut(g graph.View, a Assignment, seed uint64) refCut {
 		v, replicas := pairs[i].v, pairs[i:j]
 		mp := replicas[randx.Uint64n(uint64(len(replicas)), seed, uint64(v), 0xA5)].p
 		mi := index[mp][v]
-		ref.shards[mp].IsMaster[mi] = true
-		ref.shards[mp].HasRemote[mi] = len(replicas) > 1
+		ref.shards[mp].Roles[mi] = graph.RoleMaster
+		if len(replicas) > 1 {
+			ref.shards[mp].Roles[mi] |= graph.RoleRemote
+		}
 		ref.master[v] = mp
 		for _, r := range replicas {
 			ref.hosts[v] = append(ref.hosts[v], r.p)

@@ -455,7 +455,10 @@ func appendMsgPayload(b []byte, m *Msg) ([]byte, byte, error) {
 		}
 		b = buf.Bytes()
 	case KindAttach:
-		b = appendAttach(b, m)
+		var err error
+		if b, err = appendAttach(b, m); err != nil {
+			return nil, 0, err
+		}
 	case KindReady, KindStepBegin, KindCollect:
 		// header-only
 	case KindPartials, KindForeign:
@@ -574,11 +577,14 @@ func decodeJob(r *byteReader, j *JobSpec) {
 }
 
 // appendAttach encodes the attach handshake: version, job spec, fleet
-// identity and the sparse scoped entries — never the partition itself.
-func appendAttach(b []byte, m *Msg) []byte {
+// identity and the scoped slot columns — never the partition itself.
+func appendAttach(b []byte, m *Msg) ([]byte, error) {
+	a := &m.Attach
+	if n := len(a.Verts); len(a.Masks) != n || len(a.Roles) != n {
+		return nil, fmt.Errorf("wire: attach with %d vertices, %d masks and %d roles", n, len(a.Masks), len(a.Roles))
+	}
 	b = appendU32(b, uint32(m.Version))
 	b = appendJob(b, &m.Job)
-	a := &m.Attach
 	b = appendU64(b, a.Fingerprint)
 	b = appendU32(b, uint32(a.Shard))
 	b = appendU32(b, uint32(a.Shards))
@@ -587,17 +593,10 @@ func appendAttach(b []byte, m *Msg) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = appendU32(b, uint32(len(a.Entries)))
-	for i := range a.Entries {
-		b = appendU32(b, uint32(a.Entries[i].V))
-	}
-	for i := range a.Entries {
-		b = append(b, a.Entries[i].Mask)
-	}
-	for i := range a.Entries {
-		b = append(b, a.Entries[i].Role)
-	}
-	return b
+	b = appendU32(b, uint32(len(a.Verts)))
+	b = appendVertexIDs(b, a.Verts)
+	b = append(b, a.Masks...)
+	return append(b, a.Roles...), nil
 }
 
 func decodeAttach(payload []byte, m *Msg) error {
@@ -615,16 +614,12 @@ func decodeAttach(payload []byte, m *Msg) error {
 	default:
 		r.fail("scoped flag byte %d", scoped)
 	}
-	n := r.count(r.u32(), 6) // 4 (ID) + 1 (mask) + 1 (role) bytes per entry
-	if n > 0 {
-		a.Entries = make([]ScopeEntry, n)
-	}
-	ids, masks, roles := r.bytes(n*4), r.bytes(n), r.bytes(n)
-	if r.err != nil {
-		return r.err
-	}
-	for i := range a.Entries {
-		a.Entries[i] = ScopeEntry{V: graph.VertexID(binary.LittleEndian.Uint32(ids[4*i:])), Mask: masks[i], Role: roles[i]}
+	n := r.count(r.u32(), 6) // 4 (vertex) + 1 (mask) + 1 (role) bytes per slot
+	a.Verts = r.vertexIDs(nil, uint32(n))
+	// One copy for both byte columns: the payload is the connection's buffer.
+	if cols := r.bytes(2 * n); n > 0 && r.err == nil {
+		cols = slices.Clone(cols)
+		a.Masks, a.Roles = cols[:n:n], cols[n:]
 	}
 	return r.done()
 }

@@ -67,12 +67,11 @@ func fuzzSeedMsgs() []*Msg {
 	job := JobSpec{Score: "linearSum", Alpha: 0.9, K: 5, KLocal: 20, ThrGamma: 200, Seed: 42}
 	shard := graph.ShardFile{
 		Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, NumVertices: 6,
-		Locals:    []graph.VertexID{0, 2, 5},
-		Deg:       []int32{2, 1, 0},
-		EdgeSrc:   []int32{0, 0, 1},
-		EdgeDst:   []int32{1, 2, 2},
-		IsMaster:  []bool{true, false, true},
-		HasRemote: []bool{true, false, false},
+		Locals:  []graph.VertexID{0, 2, 5},
+		Deg:     []int32{2, 1, 0},
+		EdgeSrc: []int32{0, 0, 1},
+		EdgeDst: []int32{1, 2, 2},
+		Roles:   []uint8{graph.RoleMaster | graph.RoleRemote, 0, graph.RoleMaster},
 	}
 	partials := []core.DistPartial{
 		{V: 0, Nbrs: []graph.VertexID{2, 5}},
@@ -93,7 +92,7 @@ func fuzzSeedMsgs() []*Msg {
 		{Kind: KindShip, Version: ProtocolVersion, Shard: shard},
 		{Kind: KindAttach, Version: ProtocolVersion, Job: job, Attach: AttachSpec{
 			Fingerprint: 0xFEEDFACE, Shard: 1, Shards: 2, Scoped: true,
-			Entries: []ScopeEntry{{V: 0, Mask: 7, Role: RoleMaster | RoleRemote}, {V: 5, Mask: 3}},
+			Verts: []graph.VertexID{0, 5}, Masks: []uint8{7, 3}, Roles: []uint8{graph.RoleMaster | graph.RoleRemote, 0},
 		}},
 		{Kind: KindReady},
 		{Kind: KindStepBegin, Step: core.DistRelays, Final: true},

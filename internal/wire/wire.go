@@ -16,7 +16,7 @@
 //	----------- ship -------------->          install this shard: its file bytes (graph.WriteShard)
 //	<---------- ready --------------          (or error: a shard graph.ReadShard refuses)
 //	then, per job:
-//	----------- attach ------------>          job spec + fingerprint (+ sparse scoped roles)
+//	----------- attach ------------>          job spec + fingerprint (+ scoped vertex/mask/role columns)
 //	<---------- ready --------------          (or error: bad config, fingerprint mismatch)
 //	then, per superstep:
 //	----------- step-begin -------->
@@ -65,14 +65,15 @@ import (
 // ProtocolVersion is the one protocol version this build speaks. Hello, ship
 // and attach all carry it, and a worker rejects any other value — version
 // skew must fail loudly, not silently change semantics. It counts payload
-// layouts, not frame layouts: the frame magic is still "SWF3", so a v3 or v4
-// peer is recognised as a frame speaker and refused by its hello's version.
-const ProtocolVersion = 5
+// layouts, not frame layouts: the frame magic is still "SWF3", so a v3, v4 or
+// v5 peer is recognised as a frame speaker and refused by its hello's version.
+// v6 ships the shard file format v2, whose roles are one byte section.
+const ProtocolVersion = 6
 
 // ErrProtocolMismatch marks a handshake with a peer that does not speak
 // ProtocolVersion: its opening bytes were not a frame at all (builds before
 // v3 spoke a gob envelope), or its hello named another version.
-var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only protocol v5 and the peer does not; rebuild worker and coordinator from the same tree")
+var ErrProtocolMismatch = errors.New("wire: protocol mismatch: this build speaks only protocol v6 and the peer does not; rebuild worker and coordinator from the same tree")
 
 // Kind discriminates the Msg envelope and the frame header.
 type Kind uint8
@@ -113,8 +114,8 @@ const (
 	// KindAttach is the one job opener: it starts a job over the shard the
 	// worker holds — pinned at startup from a packed shard file, or installed
 	// on this connection by a KindShip. It carries the job spec plus the fleet
-	// fingerprint and (for scoped runs) the sparse per-vertex scope/role
-	// entries, never partition columns.
+	// fingerprint and (for scoped runs) the closure's vertex, scope-mask and
+	// role columns, never partition columns.
 	KindAttach
 )
 
@@ -178,26 +179,6 @@ func (j JobSpec) Config() (core.Config, error) {
 	return cfg.Normalized()
 }
 
-// Role bits of a ScopeEntry.
-const (
-	// RoleMaster marks the vertex's master copy for this query.
-	RoleMaster uint8 = 1 << 0
-	// RoleRemote marks a master whose state is replicated on other touched
-	// partitions and must broadcast refreshes after each apply.
-	RoleRemote uint8 = 1 << 1
-)
-
-// ScopeEntry assigns one local vertex its frontier scope mask and routing
-// role for a scoped job — the one representation of a query's scope on the
-// wire; the coordinator derives it from the global closure so workers never
-// need the source list, let alone the graph. Locals without an entry are
-// outside the closure: mask zero, no role.
-type ScopeEntry struct {
-	V    graph.VertexID
-	Mask uint8 // core.Scope* bits
-	Role uint8 // Role* bits
-}
-
 // AttachSpec is KindAttach's payload: everything a worker needs to start a
 // job against the partition it holds. The fingerprint stands in for the
 // partition bytes — if it matches, coordinator and worker provably hold the
@@ -209,11 +190,21 @@ type AttachSpec struct {
 	// Shard/Shards name the partition the coordinator believes this worker
 	// pinned; a mismatch means the fleet is mis-wired.
 	Shard, Shards int32
-	// Scoped selects a query-scoped job: Entries override the shard's baked
-	// full-run roles. When false the baked roles apply and Entries is empty.
+	// Scoped selects a query-scoped job: the columns below override the
+	// shard's baked full-run roles. When false the baked roles apply and the
+	// columns are empty.
 	Scoped bool
-	// Entries are the closure's local vertices (scoped jobs only).
-	Entries []ScopeEntry
+	// Verts, Masks and Roles are a scoped job's slots, one per closure
+	// vertex local to the shard, in strictly ascending vertex order: the
+	// vertex, its frontier scope mask (core.Scope* bits) and its routing
+	// role for this query (graph.RoleMaster/RoleRemote bits). The coordinator
+	// derives them from the global closure, so workers never need the source
+	// list, let alone the graph. Locals outside the columns are outside the
+	// closure: mask zero, no role. The three are the frame's own sections and
+	// land unchanged in the worker's session.
+	Verts []graph.VertexID
+	Masks []uint8
+	Roles []uint8
 }
 
 // manifestMismatchText is the wire marker for a fingerprint rejection: it

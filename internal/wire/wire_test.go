@@ -145,11 +145,8 @@ func normalizeMsg(m *Msg) {
 	if len(p.EdgeDst) == 0 {
 		p.EdgeDst = nil
 	}
-	if len(p.IsMaster) == 0 {
-		p.IsMaster = nil
-	}
-	if len(p.HasRemote) == 0 {
-		p.HasRemote = nil
+	if len(p.Roles) == 0 {
+		p.Roles = nil
 	}
 }
 
@@ -188,8 +185,7 @@ func randPartition(r *rand.Rand, n int, hub bool) graph.ShardFile {
 	}
 	for range p.Locals {
 		p.Deg = append(p.Deg, int32(r.Intn(1000)))
-		p.IsMaster = append(p.IsMaster, r.Intn(2) == 0)
-		p.HasRemote = append(p.HasRemote, r.Intn(2) == 0)
+		p.Roles = append(p.Roles, []uint8{0, graph.RoleMaster, graph.RoleMaster | graph.RoleRemote}[r.Intn(3)])
 	}
 	edges := r.Intn(4 * len(p.Locals))
 	if hub {
@@ -492,12 +488,11 @@ func hostileShards() map[string]graph.ShardFile {
 	good := func() graph.ShardFile {
 		return graph.ShardFile{
 			Fingerprint: 0xF1EE7, Shard: 3, Shards: 4, NumVertices: 6,
-			Locals:    []graph.VertexID{0, 2, 5},
-			Deg:       []int32{2, 1, 0},
-			EdgeSrc:   []int32{0, 0, 1},
-			EdgeDst:   []int32{1, 2, 2},
-			IsMaster:  []bool{true, false, true},
-			HasRemote: []bool{true, false, false},
+			Locals:  []graph.VertexID{0, 2, 5},
+			Deg:     []int32{2, 1, 0},
+			EdgeSrc: []int32{0, 0, 1},
+			EdgeDst: []int32{1, 2, 2},
+			Roles:   []uint8{graph.RoleMaster | graph.RoleRemote, 0, graph.RoleMaster},
 		}
 	}
 	out := map[string]graph.ShardFile{}
@@ -556,12 +551,11 @@ func runMiniSession(t *testing.T, c *Conn) {
 func TestAttachRejectsHostileEntries(t *testing.T) {
 	shard := &graph.ShardFile{
 		Fingerprint: 0xF1EE7, Shard: 3, Shards: 4, NumVertices: 6,
-		Locals:    []graph.VertexID{0, 2, 5},
-		Deg:       []int32{2, 1, 0},
-		EdgeSrc:   []int32{0, 0, 1},
-		EdgeDst:   []int32{1, 2, 2},
-		IsMaster:  []bool{true, false, true},
-		HasRemote: []bool{true, false, false},
+		Locals:  []graph.VertexID{0, 2, 5},
+		Deg:     []int32{2, 1, 0},
+		EdgeSrc: []int32{0, 0, 1},
+		EdgeDst: []int32{1, 2, 2},
+		Roles:   []uint8{graph.RoleMaster | graph.RoleRemote, 0, graph.RoleMaster},
 	}
 	if err := shard.Validate(); err != nil {
 		t.Fatal(err)
@@ -570,30 +564,30 @@ func TestAttachRejectsHostileEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := serveWorkers(t, ServeOptions{Resident: shard})
-	attach := func(entries ...ScopeEntry) error {
+	attach := func(verts []graph.VertexID, masks, roles []uint8) error {
 		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		m := miniAttach()
-		m.Attach.Scoped, m.Attach.Entries = true, entries
+		m.Attach.Scoped, m.Attach.Verts, m.Attach.Masks, m.Attach.Roles = true, verts, masks, roles
 		if err := c.Send(m); err != nil {
 			return err
 		}
 		_, err = c.Expect(KindReady)
 		return err
 	}
-	for name, entries := range map[string][]ScopeEntry{
-		"descending": {{V: 5, Mask: 1}, {V: 0, Mask: 1}},
-		"repeated":   {{V: 2, Mask: 1}, {V: 2, Mask: 3}},
-		"not-local":  {{V: 0, Mask: 1}, {V: 4, Mask: 1}},
+	for name, verts := range map[string][]graph.VertexID{
+		"descending": {5, 0},
+		"repeated":   {2, 2},
+		"not-local":  {0, 4},
 	} {
-		if err := attach(entries...); err == nil || !IsRemoteError(err) {
+		if err := attach(verts, []uint8{1, 1}, []uint8{0, 0}); err == nil || !IsRemoteError(err) {
 			t.Errorf("%s: attach err = %v, want the worker's typed refusal", name, err)
 		}
 	}
-	if err := attach(ScopeEntry{V: 0, Mask: 1, Role: RoleMaster}, ScopeEntry{V: 5, Mask: 3}); err != nil {
+	if err := attach([]graph.VertexID{0, 5}, []uint8{1, 3}, []uint8{graph.RoleMaster, 0}); err != nil {
 		t.Fatalf("well-formed attach after the refusals: %v", err)
 	}
 }

@@ -211,12 +211,11 @@ type streams struct {
 // partition's slots: the shard's locals on a full job, the attach's entries
 // on a scoped one.
 type session struct {
-	conn      *Conn
-	shard     *graph.ShardFile // shared and immutable; see ServeOptions.Resident
-	part      *core.DistPartition
-	isMaster  []bool // per slot; a full job aliases the shard's baked roles, read-only
-	hasRemote []bool
-	busyNS    atomic.Int64 // gather/apply/refresh goroutines all contribute
+	conn   *Conn
+	shard  *graph.ShardFile // shared and immutable; see ServeOptions.Resident
+	part   *core.DistPartition
+	roles  []uint8      // per slot, graph.Role* bits; a full job aliases the shard's baked roles, read-only
+	busyNS atomic.Int64 // gather/apply/refresh goroutines all contribute
 
 	// per-step state, reused across supersteps.
 	*streams
@@ -246,13 +245,13 @@ func installShard(m *Msg, resident *graph.ShardFile) (*graph.ShardFile, error) {
 // so the attach does no per-shard work. The fingerprint must match the
 // coordinator's exactly — a mismatched worker would compute over a different
 // graph and silently corrupt the fold, so the handshake fails with a typed
-// error instead. A scoped attach carries the coordinator's per-query roles
+// error instead. A scoped attach carries the coordinator's per-query columns
 // for just the closure vertices, in ascending vertex order (out-of-order or
-// repeated entries fail with core.ErrScopeOrder): the session holds one slot
-// per entry and allocates and walks nothing of the shard's length. An
-// unscoped attach runs one slot per local under the roles baked into the
-// shard. Either way the session takes over the connection's streaming
-// buffers from the previous one.
+// repeated vertices fail with core.ErrScopeOrder): the partition and the
+// session keep those columns as decoded, one slot per vertex, and allocate
+// and walk nothing of the shard's length. An unscoped attach runs one slot
+// per local under the roles baked into the shard. Either way the session
+// takes over the connection's streaming buffers from the previous one.
 func attachSession(conn *Conn, m *Msg, shard *graph.ShardFile, bufs *streams) (*session, error) {
 	if shard == nil {
 		return nil, errors.New("wire: attach to a worker that holds no shard (none pinned at startup, none shipped on this connection)")
@@ -272,68 +271,36 @@ func attachSession(conn *Conn, m *Msg, shard *graph.ShardFile, bufs *streams) (*
 	}
 	s := &session{conn: conn, shard: shard, streams: bufs}
 	if a.Scoped {
-		n := len(a.Entries)
-		verts, scope := make([]graph.VertexID, n), make([]uint8, n)
-		s.isMaster, s.hasRemote = make([]bool, n), make([]bool, n)
-		for i, e := range a.Entries {
-			verts[i], scope[i] = e.V, e.Mask
-			s.isMaster[i] = e.Role&RoleMaster != 0
-			s.hasRemote[i] = e.Role&RoleRemote != 0
-		}
-		s.part, err = core.NewScopedDistPartition(cfg, shard, verts, scope)
+		s.roles = a.Roles
+		s.part, err = core.NewScopedDistPartition(cfg, shard, a.Verts, a.Masks)
 	} else {
-		s.isMaster, s.hasRemote = shard.IsMaster, shard.HasRemote
+		s.roles = shard.Roles
 		s.part, err = core.NewDistPartition(cfg, shard)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("wire: attach: %w", err)
 	}
 	s.applied = make([]bool, s.part.NumSlots())
-	s.prewarm()
+	// The streaming buffers grow on first use and keep their capacity from
+	// job to job. The foreign chunk pool alone is capped between jobs, so a
+	// heavy exchange grows it for its own job only.
+	const keptChunks = 24
+	if len(s.chunkBufs) > keptChunks {
+		clear(s.chunkBufs[keptChunks:])
+		s.chunkBufs = s.chunkBufs[:keptChunks]
+	}
+	clear(s.collectPreds)
+	s.collectPreds = s.collectPreds[:0]
 	return s, nil
 }
 
-// prewarm readies the streaming buffers' steady-state capacity during the
-// attach handshake, before the coordinator starts timing the supersteps: the
-// outgoing chunk builder, one foreign ref per replicated master (each remote
-// mirror partition contributes at most one record per step), a pool of
-// foreign chunk buffers, the connection's frame scratch, and the collect
-// round's result storage (its size is bounded by K predictions per master).
-// Buffers the connection already holds are reused: only the first attach on
-// a connection pays for them.
-func (s *session) prewarm() {
-	s.sendBB.Reset()
-	s.sendBB.Grow(streamChunkBytes + streamChunkBytes/4)
-	nMasters, nR := 0, 0
-	for i, m := range s.isMaster {
-		if !m {
-			continue
-		}
-		nMasters++
-		if s.hasRemote[i] {
-			nR++
-		}
-	}
-	s.frefs = slices.Grow(s.frefs[:0], 2*nR)
-	// The connection keeps this many foreign chunk buffers between jobs; a
-	// heavier exchange grows the pool for its own job only.
-	const prewarmChunks = 24
-	if len(s.chunkBufs) > prewarmChunks {
-		clear(s.chunkBufs[prewarmChunks:])
-		s.chunkBufs = s.chunkBufs[:prewarmChunks]
-	}
-	for len(s.chunkBufs) < prewarmChunks {
-		s.chunkBufs = append(s.chunkBufs, make([]byte, 0, streamChunkBytes+streamChunkBytes/4))
-	}
-	clear(s.collectPreds)
-	s.collectPreds = slices.Grow(s.collectPreds[:0], nMasters)
-	const predictionBytes = 12 // u32 vertex + f64 score
-	resultBound := 64 + nMasters*(8+s.part.Config().K*predictionBytes)
-	s.conn.encBuf = slices.Grow(s.conn.encBuf[:0], resultBound)
-	chunk := streamChunkBytes + streamChunkBytes/4
-	s.conn.rdBuf = slices.Grow(s.conn.rdBuf[:0], chunk)
-	s.conn.rawBuf = slices.Grow(s.conn.rawBuf[:0], chunk)
-	s.conn.zwBuf.Grow(chunk)
+// master reports whether slot holds its vertex's master copy for this job.
+func (s *session) master(slot int32) bool { return s.roles[slot]&graph.RoleMaster != 0 }
+
+// replicated reports whether slot holds a master whose vertex has mirrors on
+// other partitions of this job.
+func (s *session) replicated(slot int32) bool {
+	return s.roles[slot]&(graph.RoleMaster|graph.RoleRemote) == graph.RoleMaster|graph.RoleRemote
 }
 
 func (s *session) addBusy(d time.Duration) { s.busyNS.Add(int64(d)) }
@@ -447,9 +414,8 @@ func (s *session) gatherAndSend(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	replicated := func(slot int32) bool { return s.isMaster[slot] && s.hasRemote[slot] }
-	err := s.part.GatherStream(step, replicated, func(slot int32, dp *core.DistPartial) error {
-		if s.isMaster[slot] {
+	err := s.part.GatherStream(step, s.replicated, func(slot int32, dp *core.DistPartial) error {
+		if s.master(slot) {
 			// No other partition replicates this vertex, so no foreign
 			// partial can arrive: fold it down right now, while the payload
 			// is still hot scratch.
@@ -492,7 +458,7 @@ func (s *session) bufferForeign(payload []byte) error {
 	s.chunkN++
 	return ForEachRecord(KindForeign, buf, func(v graph.VertexID, rec []byte) error {
 		slot, ok := s.part.Slot(v)
-		if !ok || !s.isMaster[slot] {
+		if !ok || !s.master(slot) {
 			return fmt.Errorf("wire: routed partial for vertex %d, which is not mastered here", v)
 		}
 		s.frefs = append(s.frefs, recRef{slot: slot, rec: rec})
@@ -509,13 +475,13 @@ func (s *session) applyMasters(step core.DistStep) error {
 	slices.SortFunc(s.frefs, func(a, b recRef) int { return cmp.Compare(a.slot, b.slot) })
 	fi := 0
 	var rg core.DistPartial
-	for slot, master := range s.isMaster {
+	for slot := range s.roles {
 		si := int32(slot)
 		start := fi
 		for fi < len(s.frefs) && s.frefs[fi].slot == si {
 			fi++
 		}
-		if !master || s.applied[slot] {
+		if !s.master(si) || s.applied[slot] {
 			continue // bufferForeign already rejected refs to non-masters
 		}
 		sc := &s.applySc
@@ -554,11 +520,11 @@ func (s *session) sendRefresh(step core.DistStep) error {
 	t0 := time.Now()
 	bb := &s.sendBB
 	bb.Reset()
-	for slot, master := range s.isMaster {
-		if !master || !s.hasRemote[slot] {
+	for slot := range s.roles {
+		si := int32(slot)
+		if !s.replicated(si) {
 			continue
 		}
-		si := int32(slot)
 		bb.AppendState(s.part.Vertex(si), s.part.Data(si))
 		if bb.Len() >= streamChunkBytes {
 			s.addBusy(time.Since(t0))
@@ -583,9 +549,9 @@ func (s *session) collect(m0 core.HeapCounters) WorkerResult {
 			BusySeconds: time.Duration(s.busyNS.Load()).Seconds(),
 		},
 	}
-	for slot, master := range s.isMaster {
+	for slot := range s.roles {
 		si := int32(slot)
-		if pred := s.part.Data(si).Pred; master && len(pred) > 0 {
+		if pred := s.part.Data(si).Pred; s.master(si) && len(pred) > 0 {
 			s.collectPreds = append(s.collectPreds, VertexPreds{V: s.part.Vertex(si), Preds: pred})
 		}
 	}
