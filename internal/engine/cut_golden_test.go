@@ -11,29 +11,33 @@ import (
 
 // goldenCuts holds one FNV-1a digest per (strategy, shard count, storage) of
 // everything PackShards emits: every shard's encoded columns — Locals, Deg,
-// EdgeSrc/EdgeDst, IsMaster, HasRemote — with its header and fingerprint,
-// then the encoded manifest. The values were recorded while engine's cut and
-// gas.Distribute were still two separate builders: the one cut that replaced
-// them has to write the same bytes.
+// EdgeSrc/EdgeDst, Roles — with its header and fingerprint, then the encoded
+// manifest. The values were recorded while engine's cut and gas.Distribute
+// were still two separate builders: the one cut that replaced them has to
+// write the same bytes. Shard format v2 (protocol v6) re-recorded every
+// digest: its header says version 2 and its roles are one byte section where
+// v1 had two 0/1 sections, master and remote. Every other section and the
+// manifest kept v1's bytes, and each role byte is v1's master byte | its
+// remote byte<<1.
 var goldenCuts = map[string]uint64{
-	"hash-edge/shards=1/csr":     0x1bfba5ef6518cff,
-	"hash-edge/shards=1/delta":   0xc4c184111f6f2354,
-	"hash-edge/shards=3/csr":     0xffa4c4d9cbee6657,
-	"hash-edge/shards=3/delta":   0x3d52e8112b45708d,
-	"hash-edge/shards=8/csr":     0x39ea188ca278d602,
-	"hash-edge/shards=8/delta":   0x4d3b2b46442e48ed,
-	"hash-source/shards=1/csr":   0xab66d312628ab4f7,
-	"hash-source/shards=1/delta": 0x246a181d5a96f974,
-	"hash-source/shards=3/csr":   0x649af91fd5458b63,
-	"hash-source/shards=3/delta": 0x1153e2b8a4a2bbb6,
-	"hash-source/shards=8/csr":   0x2e236273b5e97f8b,
-	"hash-source/shards=8/delta": 0x20244508f83c5ed1,
-	"greedy/shards=1/csr":        0x72743bce77f6d688,
-	"greedy/shards=1/delta":      0x1422ba0f7c591cf5,
-	"greedy/shards=3/csr":        0x2f0de6ba0279bde4,
-	"greedy/shards=3/delta":      0xba97b2e6401656d9,
-	"greedy/shards=8/csr":        0xbd4aa0a0ae047295,
-	"greedy/shards=8/delta":      0x66ed2220f7318395,
+	"hash-edge/shards=1/csr":     0x5df354dce781b7bb,
+	"hash-edge/shards=1/delta":   0xa8dce6c255a9e0a0,
+	"hash-edge/shards=3/csr":     0x51476fb995f75437,
+	"hash-edge/shards=3/delta":   0xae6a10a76376c3e1,
+	"hash-edge/shards=8/csr":     0xe790ddb2d05d0adc,
+	"hash-edge/shards=8/delta":   0x7f088a0a92735bf1,
+	"hash-source/shards=1/csr":   0x4ba5ef99dc04100f,
+	"hash-source/shards=1/delta": 0x872ab0d8f2adf47c,
+	"hash-source/shards=3/csr":   0xca189b61d318bca4,
+	"hash-source/shards=3/delta": 0xd710915cbaac27cd,
+	"hash-source/shards=8/csr":   0x3ee11f2115679ebb,
+	"hash-source/shards=8/delta": 0xe6fda2ffe430aa2d,
+	"greedy/shards=1/csr":        0x4385c031fac85d5c,
+	"greedy/shards=1/delta":      0xefaf38cdf94d5545,
+	"greedy/shards=3/csr":        0x8a6afee315e9a02c,
+	"greedy/shards=3/delta":      0xe105009f69b3a0a1,
+	"greedy/shards=8/csr":        0x75d59440b03ceccf,
+	"greedy/shards=8/delta":      0x22342812056ee6b8,
 }
 
 // TestCutGolden holds the vertex cut to bytes recorded independently of its

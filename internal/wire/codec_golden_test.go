@@ -45,9 +45,12 @@ func fnv64(b []byte) uint64 {
 // byte fails here. Protocol v5 re-recorded the frames whose payload it
 // changed — hello and attach (the version, and the job spec without Paths),
 // every ship (the shard file format) and refresh and mirrors (state records
-// without the 3-hop and prediction columns); the snapshot digests and the
-// other frames are v4's. TestCutGolden pins the shard and manifest bytes the
-// same way.
+// without the 3-hop and prediction columns). Protocol v6 re-recorded hello
+// and attach (the version only: the attach's vertex, mask and role columns
+// kept v5's layout) and every ship, the eight hostile ones included (shard
+// format v2: one role byte section); the snapshot digests and the other
+// frames are v5's. TestCutGolden pins the shard and manifest bytes the same
+// way.
 func TestCodecBytesGolden(t *testing.T) {
 	snapshots := map[string]uint64{}
 	for _, withIn := range []bool{false, true} {
@@ -92,19 +95,19 @@ func TestCodecBytesGolden(t *testing.T) {
 	}
 	wantFrames := [2][]uint64{
 		{
-			0x7c2214e1f216b2c4, 0xf35b21c5b5d52762, 0xb1ca43979d23090e, 0x5385f9a6e91740ef,
+			0x662346d2cfc0572e, 0x40e216109b22f255, 0xbfed4d2941010c5f, 0x5385f9a6e91740ef,
 			0xc5e6e6ec81318997, 0xa71d387b6f63cf72, 0x14f300ff8119568a, 0xd18688ee4eb366e7,
 			0xe9737aea09893095, 0x786010b607ec33c, 0x13212a3bf7456f10, 0xbb0a263243c2ce6e,
-			0x91151cb3b8c5c2b6, 0xecf1f140bedb0982, 0xa4cffdfcb38a04c1, 0x736d8645cd47c442,
-			0xa1a3e4984db294c1, 0x829ea38d7449d8ed, 0xc56f11f91e1b5357, 0x4c6ca1326550725c,
+			0xc06ca65bef4cc76e, 0x1a35e46b6c1f7e65, 0x97b4ae7daf9ee614, 0x2575b85bc9cecec5,
+			0x83ec7702cfa4f010, 0xb4069235cadf612c, 0x98a926a08528c7ea, 0x7100661f8d6b1287,
 			0x3319c6cc7c970b77,
 		},
 		{
-			0x7c2214e1f216b2c4, 0xf35b21c5b5d52762, 0xb1ca43979d23090e, 0x5385f9a6e91740ef,
+			0x662346d2cfc0572e, 0x40e216109b22f255, 0xbfed4d2941010c5f, 0x5385f9a6e91740ef,
 			0xc5e6e6ec81318997, 0xa71d387b6f63cf72, 0x14f300ff8119568a, 0xd18688ee4eb366e7,
 			0xe9737aea09893095, 0x786010b607ec33c, 0x13212a3bf7456f10, 0xbb0a263243c2ce6e,
-			0x91151cb3b8c5c2b6, 0xecf1f140bedb0982, 0xa4cffdfcb38a04c1, 0x736d8645cd47c442,
-			0xa1a3e4984db294c1, 0x829ea38d7449d8ed, 0xc56f11f91e1b5357, 0x4c6ca1326550725c,
+			0xc06ca65bef4cc76e, 0x1a35e46b6c1f7e65, 0x97b4ae7daf9ee614, 0x2575b85bc9cecec5,
+			0x83ec7702cfa4f010, 0xb4069235cadf612c, 0x98a926a08528c7ea, 0x7100661f8d6b1287,
 			0x34e8e560c9ee8d1d,
 		},
 	}
