@@ -40,7 +40,7 @@ import (
 //
 // followed by sections: Locals (uint32 each), Deg (int32), EdgeSrc (int32),
 // EdgeDst (int32), Roles (1 byte each: 0, RoleMaster or RoleMaster|RoleRemote).
-// Version 1 stored the roles as two 0/1 byte sections, IsMaster and HasRemote.
+// Version 1 stored the roles as two 0/1 byte sections, master and remote.
 //
 // Manifest layout:
 //

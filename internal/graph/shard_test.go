@@ -144,6 +144,9 @@ func TestShardValidate(t *testing.T) {
 		"locals-out-of-range": func(s *ShardFile) { s.Locals[4] = 10 },
 		"edge-out-of-range":   func(s *ShardFile) { s.EdgeDst[0] = 5 },
 		"edge-cols-ragged":    func(s *ShardFile) { s.EdgeDst = s.EdgeDst[:3] },
+		"roles-misaligned":    func(s *ShardFile) { s.Roles = s.Roles[:4] },
+		"role-undefined-bit":  func(s *ShardFile) { s.Roles[4] = 1 << 7 },
+		"role-remote-mirror":  func(s *ShardFile) { s.Roles[3] = RoleRemote },
 	}
 	for name, breakIt := range breakages {
 		s := testShard()
@@ -321,16 +324,6 @@ func TestShardRefusalsTyped(t *testing.T) {
 		}
 		if _, _, err := MapShardFile(path); !errors.Is(err, c.want) {
 			t.Errorf("%s: MapShardFile: %v, want %v", name, err, c.want)
-		}
-	}
-	for name, breakIt := range map[string]func(*ShardFile){
-		"role-undefined-bit":    func(s *ShardFile) { s.Roles[4] = 1 << 7 },
-		"role-remote-no-master": func(s *ShardFile) { s.Roles[3] = RoleRemote },
-	} {
-		s := testShard()
-		breakIt(s)
-		if err := s.Validate(); !errors.Is(err, errShardRole) {
-			t.Errorf("%s: Validate: %v, want %v", name, err, errShardRole)
 		}
 	}
 }
