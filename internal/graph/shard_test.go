@@ -276,13 +276,16 @@ func TestKnownMagic(t *testing.T) {
 	}
 }
 
-// shardRefusals are shard images the decoder must refuse with a typed error:
-// role bytes the validator owns, encoded under correct checksums, and a
-// version-1 header under a correct header checksum.
-func shardRefusals(tb testing.TB) map[string]struct {
+// shardRefusal is a shard image the decoder must refuse with the typed error
+// want.
+type shardRefusal struct {
 	data []byte
 	want error
-} {
+}
+
+// shardRefusals are role bytes the validator owns, encoded under correct
+// checksums, and a version-1 header under a correct header checksum.
+func shardRefusals(tb testing.TB) map[string]shardRefusal {
 	tb.Helper()
 	encode := func(s *ShardFile) []byte {
 		var buf bytes.Buffer
@@ -297,10 +300,7 @@ func shardRefusals(tb testing.TB) map[string]struct {
 	v1 := encode(testShard())
 	binary.LittleEndian.PutUint32(v1[8:], 1)
 	binary.LittleEndian.PutUint32(v1[52:], crc32.Checksum(v1[:52], snapshotCRC))
-	return map[string]struct {
-		data []byte
-		want error
-	}{
+	return map[string]shardRefusal{
 		"role-undefined-bit":    {encode(undefined), errShardRole},
 		"role-remote-no-master": {encode(mirror), errShardRole},
 		"v1-header":             {v1, errShardV1},
